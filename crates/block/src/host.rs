@@ -439,34 +439,36 @@ pub struct ArbitratedCommand {
 /// through the tied initiators, taking one command from each in turn, so
 /// no initiator can starve another by submitting a burst.
 pub fn arbitrate_round_robin(queues: &[HostQueue]) -> Vec<ArbitratedCommand> {
-    let mut streams: Vec<VecDeque<SubmittedCommand>> =
-        queues.iter().map(|q| q.submissions.clone()).collect();
-    let mut seqs = vec![0u64; queues.len()];
-    let total: usize = streams.iter().map(|s| s.len()).sum();
+    // One cursor per initiator into its (untouched) submission queue; the
+    // cursor doubles as the command's position in the initiator's stream.
+    let mut cursors = vec![0usize; queues.len()];
+    let head = |cursors: &[usize], i: usize| queues[i].submissions.get(cursors[i]);
+    let total: usize = queues.iter().map(|q| q.submissions.len()).sum();
     let mut out = Vec::with_capacity(total);
     // Rotating arbitration pointer: after serving initiator i, the next tie
     // is broken starting from initiator i+1.
     let mut rotor = 0usize;
+    let n = queues.len();
     while out.len() < total {
-        let earliest = streams
-            .iter()
-            .filter_map(|s| s.front().map(|c| c.arrival))
+        let earliest = (0..n)
+            .filter_map(|i| head(&cursors, i).map(|c| c.arrival))
             .min()
             .expect("non-empty streams remain");
         // Pick, round-robin from the rotor, the next initiator whose head
         // command arrives at the earliest time.
-        let n = streams.len();
-        let initiator = (0..n)
+        let (initiator, submission) = (0..n)
             .map(|k| (rotor + k) % n)
-            .find(|&i| streams[i].front().is_some_and(|c| c.arrival == earliest))
+            .find_map(|i| {
+                let submission = head(&cursors, i)?;
+                (submission.arrival == earliest).then_some((i, *submission))
+            })
             .expect("some stream holds the earliest arrival");
-        let submission = streams[initiator].pop_front().expect("head exists");
         out.push(ArbitratedCommand {
             initiator,
-            seq: seqs[initiator],
+            seq: cursors[initiator] as u64,
             submission,
         });
-        seqs[initiator] += 1;
+        cursors[initiator] += 1;
         rotor = (initiator + 1) % n;
     }
     out

@@ -895,7 +895,14 @@ impl Fleet {
     /// repaired.  Runs single-threaded in canonical order, so the repair
     /// schedule is deterministic.  A repair whose own survivor reads fail
     /// (double fault) leaves the original uncorrectable status in place.
-    fn repair_uncorrectable(&mut self, merged: &mut [FleetSubCompletion], parents: &[Parent]) {
+    /// Returns whether any sub-completion was repaired (and so finishes
+    /// later than the order `merged` was sorted in).
+    fn repair_uncorrectable(
+        &mut self,
+        merged: &mut [FleetSubCompletion],
+        parents: &[Parent],
+    ) -> bool {
+        let mut repaired = false;
         let (geom, degraded) = {
             let ps = self.parity.as_ref().expect("parity fleet");
             (ps.geom, ps.degraded)
@@ -971,6 +978,7 @@ impl Fleet {
                 }
             }
             if ok {
+                repaired = true;
                 sub.status = CompletionStatus::Ok;
                 sub.finish = cursor;
                 let ps = self.parity.as_mut().expect("parity fleet");
@@ -986,6 +994,7 @@ impl Fleet {
                 );
             }
         }
+        repaired
     }
 }
 
@@ -1041,7 +1050,7 @@ impl HostInterface for Fleet {
     fn serve(&mut self, queues: &mut [HostQueue]) -> Result<(), DeviceError> {
         let arbitrated = arbitrate_round_robin(queues);
         self.merged_log.clear();
-        self.last_fanout = vec![0; self.slots.len()];
+        self.last_fanout.fill(0);
         if arbitrated.is_empty() {
             return Ok(());
         }
@@ -1195,8 +1204,7 @@ impl HostInterface for Fleet {
             }
         }
         merged.sort_by_key(|s| (s.finish, s.device, s.parent_seq));
-        if self.parity.is_some() {
-            self.repair_uncorrectable(&mut merged, &parents);
+        if self.parity.is_some() && self.repair_uncorrectable(&mut merged, &parents) {
             // Repairs only push finishes later; re-impose canonical order.
             merged.sort_by_key(|s| (s.finish, s.device, s.parent_seq));
         }

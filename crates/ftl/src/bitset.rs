@@ -56,7 +56,12 @@ impl FixedBitset {
         let w = &mut self.words[word];
         let newly = *w & mask == 0;
         *w |= mask;
-        self.len += newly as u64;
+        // Branch rather than `self.len += newly as u64`: rustc 1.95 at
+        // opt-level 3 drops that add when the inlined call sits in an
+        // `assert!`, and `len()` then reads 0 (same for `remove`).
+        if newly {
+            self.len += 1;
+        }
         newly
     }
 
@@ -70,7 +75,9 @@ impl FixedBitset {
         let w = &mut self.words[word];
         let present = *w & mask != 0;
         *w &= !mask;
-        self.len -= present as u64;
+        if present {
+            self.len -= 1;
+        }
         present
     }
 

@@ -22,9 +22,12 @@
 //! 1. Every request arrival is scheduled up front; [`Controller::on_arrival`]
 //!    fires when simulated time reaches it.
 //! 2. After all events at one timestamp have been delivered, the engine calls
-//!    [`Controller::poll_dispatch`] repeatedly until the controller reports no
-//!    further work can start.  Each [`DispatchedOp`] the controller returns
-//!    schedules an *op-start* and an *op-complete* event.
+//!    [`Controller::poll_dispatch_into`] with its own (cleared, reused)
+//!    buffer, repeatedly until the controller leaves the buffer empty.  Each
+//!    [`DispatchedOp`] left in it schedules an *op-start* and an
+//!    *op-complete* event.  Controllers that only implement
+//!    [`Controller::poll_dispatch`] are served by the default forwarding
+//!    method, at the cost of one vector per poll.
 //! 3. Before time advances across a gap while [`Controller::in_flight`] is
 //!    zero, [`Controller::on_idle`] announces the idle window.
 //!
@@ -37,8 +40,9 @@
 //! driving it — per device, each on its own OS thread.  That works because
 //! every piece of engine and controller state is owned, not shared:
 //!
-//! * The engine itself is just this function's locals ([`EventQueue`],
-//!   `now`); nothing escapes the call.
+//! * The engine itself is this function's locals plus an [`EngineContext`]
+//!   (the [`EventQueue`] and the dispatch buffer) that the caller owns and
+//!   may reuse across runs; nothing else escapes the call.
 //! * Controllers ([`Controller`] implementations) own their queues, flash
 //!   state, and scratch buffers.  The two trait objects a device carries —
 //!   `Box<dyn Ftl>` and `Box<dyn CleaningPolicy>` — declare `Send` as a
@@ -94,10 +98,24 @@ pub trait Controller {
     /// `now`.
     fn on_arrival(&mut self, index: usize, now: SimTime) -> Result<(), Self::Error>;
 
-    /// Asks the controller to start new work at `now`.  Called after every
-    /// delivered batch of events, repeatedly until it returns an empty
-    /// vector.  Each returned op schedules its start/complete events.
+    /// Asks the controller to start new work at `now`.  Each returned op
+    /// schedules its start/complete events.
     fn poll_dispatch(&mut self, now: SimTime) -> Result<Vec<DispatchedOp>, Self::Error>;
+
+    /// Buffer form of [`poll_dispatch`](Controller::poll_dispatch), and the
+    /// method the engine actually calls: after every delivered batch of
+    /// events, repeatedly with `out` empty, until the controller leaves it
+    /// empty.  The default hands over `poll_dispatch`'s vector; controllers
+    /// on a hot path override it to push into the engine-owned buffer
+    /// instead of allocating a vector per poll.
+    fn poll_dispatch_into(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<DispatchedOp>,
+    ) -> Result<(), Self::Error> {
+        *out = self.poll_dispatch(now)?;
+        Ok(())
+    }
 
     /// A dispatched op began occupying its resource.
     fn on_op_start(&mut self, token: u64, now: SimTime) -> Result<(), Self::Error> {
@@ -165,6 +183,16 @@ pub struct NoopObserver;
 
 impl EngineObserver for NoopObserver {}
 
+/// The engine's heap-allocated working state: the event queue and the
+/// buffer controllers dispatch into.  A caller that runs many sessions (the
+/// SSD's depth-1 `submit` runs one per request) keeps one and passes it to
+/// [`run_with`], so a run allocates nothing once the buffers have grown.
+#[derive(Default)]
+pub struct EngineContext {
+    events: EventQueue<Event>,
+    ops: Vec<DispatchedOp>,
+}
+
 /// Runs the dispatch loop to completion: schedules one arrival event per
 /// entry of `arrivals` (index-ordered FIFO among ties) and delivers events
 /// until none remain.  Returns the first controller error, abandoning the
@@ -180,7 +208,25 @@ pub fn run_observed<C: Controller, O: EngineObserver>(
     arrivals: &[SimTime],
     observer: &mut O,
 ) -> Result<(), C::Error> {
-    let mut events: EventQueue<Event> = EventQueue::new();
+    run_with(
+        &mut EngineContext::default(),
+        controller,
+        arrivals,
+        observer,
+    )
+}
+
+/// [`run_observed`] over a caller-owned [`EngineContext`].  The context
+/// carries no state from one run to the next — only capacity.
+pub fn run_with<C: Controller, O: EngineObserver>(
+    context: &mut EngineContext,
+    controller: &mut C,
+    arrivals: &[SimTime],
+    observer: &mut O,
+) -> Result<(), C::Error> {
+    let EngineContext { events, ops } = context;
+    // A run abandoned on a controller error leaves its events behind.
+    events.clear();
     for (index, &at) in arrivals.iter().enumerate() {
         events.push(at, Event::Arrival(index));
     }
@@ -220,11 +266,12 @@ pub fn run_observed<C: Controller, O: EngineObserver>(
             }
         }
         loop {
-            let ops = controller.poll_dispatch(now)?;
+            ops.clear();
+            controller.poll_dispatch_into(now, ops)?;
             if ops.is_empty() {
                 break;
             }
-            for op in ops {
+            for op in ops.iter() {
                 debug_assert!(
                     op.start >= now && op.complete >= now,
                     "dispatched op scheduled in the past: now {:?}, start {:?}, complete {:?}",
@@ -438,6 +485,64 @@ mod tests {
         assert_eq!(observer.completes, 2);
         // The observer sees the same idle windows the controller does.
         assert_eq!(observer.idles, c.idle_windows);
+    }
+
+    #[test]
+    fn a_reused_context_carries_no_state_between_runs() {
+        /// Dispatches one op into the engine's buffer, then fails when it
+        /// starts — leaving events behind in the context.
+        struct AbortsMidRun {
+            dispatched: bool,
+        }
+        impl Controller for AbortsMidRun {
+            type Error = &'static str;
+            fn on_arrival(&mut self, _: usize, _: SimTime) -> Result<(), &'static str> {
+                Ok(())
+            }
+            fn poll_dispatch(&mut self, _: SimTime) -> Result<Vec<DispatchedOp>, &'static str> {
+                unreachable!("the engine calls the buffer form")
+            }
+            fn poll_dispatch_into(
+                &mut self,
+                now: SimTime,
+                out: &mut Vec<DispatchedOp>,
+            ) -> Result<(), &'static str> {
+                if !std::mem::replace(&mut self.dispatched, true) {
+                    out.push(DispatchedOp {
+                        token: 0,
+                        start: now + SimDuration::from_micros(1),
+                        complete: now + SimDuration::from_micros(2),
+                    });
+                }
+                Ok(())
+            }
+            fn on_op_start(&mut self, _: u64, _: SimTime) -> Result<(), &'static str> {
+                Err("boom")
+            }
+            fn in_flight(&self) -> usize {
+                1
+            }
+        }
+
+        let arrivals = vec![SimTime::from_micros(5); 3];
+        let service = SimDuration::from_micros(10);
+        let mut fresh = TestController::new(arrivals.clone(), 2, service);
+        run(&mut fresh, &arrivals).unwrap();
+
+        let mut context = EngineContext::default();
+        let aborted = run_with(
+            &mut context,
+            &mut AbortsMidRun { dispatched: false },
+            &arrivals,
+            &mut NoopObserver,
+        );
+        assert_eq!(aborted, Err("boom"));
+        for _ in 0..2 {
+            let mut reused = TestController::new(arrivals.clone(), 2, service);
+            run_with(&mut context, &mut reused, &arrivals, &mut NoopObserver).unwrap();
+            assert_eq!(reused.log, fresh.log);
+            assert_eq!(reused.finishes, fresh.finishes);
+        }
     }
 
     #[test]

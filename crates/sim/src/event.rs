@@ -91,9 +91,10 @@ impl<T> EventQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Removes all pending events.
+    /// Removes all pending events, keeping the allocation.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.next_seq = 0;
     }
 }
 

@@ -32,7 +32,7 @@ pub mod server;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Controller, DispatchedOp, EngineObserver, NoopObserver};
+pub use engine::{Controller, DispatchedOp, EngineContext, EngineObserver, NoopObserver};
 pub use event::EventQueue;
 pub use rng::{derive_stream_seed, SimRng};
 pub use server::{Server, Service};

@@ -35,9 +35,55 @@
 //! same way and additionally drains device-side write buffers.  Commands
 //! from *other* initiators are unaffected — fences are a per-initiator
 //! ordering primitive, not a global quiesce.
+//!
+//! # Ready classes
+//!
+//! Queued commands are not kept in one list.  A command that may be offered
+//! to the scheduler sits in the *ready list* of its class: class 0 holds
+//! commands whose head op needs no flash element (fences, frees, unwritten
+//! reads, out-of-range hints), class `e + 1` those predicted to occupy
+//! element `e`.  Each list is a min-heap on `(arrival, command index)` —
+//! the order the engine delivers arrivals in, which is the order the
+//! reference picker [`SchedulerKind::pick`] breaks ties by.  A dispatch
+//! decision compares the *heads* only: FCFS takes the smallest
+//! `(arrival, index)`, SWTF the smallest `(element wait, arrival, index)`.
+//! That is exact, not approximate: every queued command has already arrived
+//! (`arrival <= now`), so SWTF's wait — how long the element stays busy
+//! past `max(now, arrival)` — is one number per class, and a class's head
+//! beats everything behind it.  One decision costs O(elements), not
+//! O(queued).
+//!
+//! # The fence gate
+//!
+//! Ordering is per-initiator state, not per-command state.  An initiator's
+//! commands arrive in submission order (`HostQueue` enforces it; the
+//! fence-free `simulate_open` traces need not), and a command that a fence holds
+//! back also holds back everything the initiator submitted after it, so the
+//! fence-blocked commands of an initiator are a FIFO of which only a
+//! *prefix* can ever become eligible.  The gate keeps that FIFO, a count of
+//! finished commands (a fence with sequence number `s` is eligible exactly
+//! when `s` commands have finished — nothing after it can overtake it),
+//! whether a fence is currently eligible-but-unfinished (at most one can
+//! be), and the finish time of the last fence (where a data command's wait
+//! stops being `Fence` blame and starts being `SqWait`).  Completions release
+//! the FIFO from the front; nothing is rescanned.
+//!
+//! # Who owns a session's buffers
+//!
+//! Ready lists, gates, the engine's event heap and dispatch buffer, the
+//! arrival times and the completions live in a [`SessionContext`] owned by
+//! the *caller* of `Ssd::serve_session`.  `BlockDevice::submit` runs one
+//! session per request and keeps its one-command context on the `Ssd`, so
+//! the depth-1 path stops allocating once warm; `HostInterface::serve` and
+//! `Ssd::simulate_open` build a context per session and drop it, so no
+//! session-sized buffer outlives its session (a fleet member parked between
+//! bursts holds nothing).
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use ossd_block::{BlockOpKind, BlockRequest, Completion, CompletionStatus, Priority};
-use ossd_sim::engine::{Controller, DispatchedOp};
+use ossd_sim::engine::{run_with, Controller, DispatchedOp, EngineContext, NoopObserver};
 use ossd_sim::{SimDuration, SimTime};
 use ossd_telemetry::{
     BlameBreakdown, BlameCat, BlameRecord, EventKind, ServiceClass, TelemetryHandle, Track,
@@ -45,7 +91,8 @@ use ossd_telemetry::{
 
 use crate::device::Ssd;
 use crate::error::SsdError;
-use crate::sched::{DispatchView, SchedulerKind};
+use crate::queue::ElementQueue;
+use crate::sched::SchedulerKind;
 
 /// What a session command asks the device to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,24 +143,128 @@ impl SessionCommand {
     }
 }
 
-/// One command waiting at the controller for a dispatch slot.
-struct Queued {
-    arrival: SimTime,
-    /// Element the command's head op is predicted to occupy (see
-    /// [`Ssd::element_hint`]); fixed at admission, like the mapping lookup a
-    /// real controller performs when the command is accepted.  `None` for
-    /// fences and flushes.
-    element: Option<usize>,
-    index: usize,
+/// One initiator's fence gate (see the module docs).
+#[derive(Default)]
+struct InitiatorGate {
+    /// Arrived commands held back by a fence, in submission order, each with
+    /// the ready class fixed at its admission.
+    blocked: VecDeque<(usize, usize)>,
+    /// Commands of this initiator that have finished.
+    finished: u64,
+    /// Whether a fence of this initiator is eligible (ready or dispatched)
+    /// and has not finished.
+    fence_open: bool,
+    /// Finish time of the last finished fence.  When a data command
+    /// dispatches, its nearest earlier fence is the last one that finished
+    /// (a later fence would have waited for the command), so this is where
+    /// the command's `Fence` blame ends.
+    last_fence_finish: SimTime,
+    /// Running maximum finish time over finished commands.  When a fence
+    /// dispatches, every earlier command has finished, so this is exactly
+    /// the instant the fence stopped being fence-blocked.
+    drain: SimTime,
+}
+
+impl InitiatorGate {
+    /// Whether `command` — the oldest command of this initiator not yet
+    /// ready — may be offered to the scheduler now; an admitted fence
+    /// closes the gate behind it until it finishes.
+    fn admit(&mut self, command: &SessionCommand) -> bool {
+        let fence = command.payload.is_fence();
+        let admitted = if fence {
+            self.finished == command.seq
+        } else {
+            !self.fence_open
+        };
+        self.fence_open |= admitted && fence;
+        admitted
+    }
+}
+
+/// A ready list: arrived, fence-eligible commands of one class, smallest
+/// `(arrival, command index)` first.
+type ReadyList = BinaryHeap<Reverse<(SimTime, usize)>>;
+
+/// The per-session controller state that lives on the heap.
+#[derive(Default)]
+struct SessionState {
+    /// Ready lists by class (0 = no element, e + 1 = element e).
+    ready: Vec<ReadyList>,
+    /// Fence gates by initiator.
+    gates: Vec<InitiatorGate>,
+    /// One completion per command, stored at dispatch.
+    completions: Vec<Option<Completion>>,
+}
+
+/// Every buffer one session needs, owned by whoever calls
+/// [`Ssd::serve_session`] (see the module docs for who keeps one and who
+/// drops it).  Carries capacity between sessions, never state.
+#[derive(Default)]
+pub(crate) struct SessionContext {
+    engine: EngineContext,
+    arrivals: Vec<SimTime>,
+    state: SessionState,
+}
+
+impl Ssd {
+    /// Runs one session of queue-pair commands through the event engine
+    /// under the given scheduler, in the caller's `context`, which then
+    /// yields one completion per command in the input order.
+    ///
+    /// Commands are held in a controller queue after they arrive; whenever a
+    /// dispatch slot frees (see [`SsdConfig::queue_depth`]) the scheduler
+    /// picks which eligible command's head op to issue next (FCFS the
+    /// oldest, SWTF the one whose target element is free soonest, §3.2).
+    /// Fences (`Flush`/`Barrier`) order per initiator.  While high-priority
+    /// commands are outstanding the FTL's priority-aware cleaning postpones
+    /// garbage collection (§3.6), and idle windows are delivered to the
+    /// background cleaner.
+    pub(crate) fn serve_session(
+        &mut self,
+        context: &mut SessionContext,
+        commands: &[SessionCommand],
+        scheduler: SchedulerKind,
+    ) -> Result<(), SsdError> {
+        let SessionContext {
+            engine,
+            arrivals,
+            state,
+        } = context;
+        arrivals.clear();
+        arrivals.extend(commands.iter().map(|c| c.arrival));
+        let mut controller = SsdController::new(self, commands, scheduler, state);
+        if controller.telemetry.is_enabled() {
+            let mut observer = ossd_telemetry::EngineTrace::new(controller.telemetry.clone());
+            run_with(engine, &mut controller, arrivals, &mut observer)
+        } else {
+            run_with(engine, &mut controller, arrivals, &mut NoopObserver)
+        }
+    }
+}
+
+impl SessionContext {
+    /// The last session's completions, in command order.  Panics if that
+    /// session did not run to completion.
+    pub(crate) fn completions(&self) -> impl Iterator<Item = Completion> + '_ {
+        self.state
+            .completions
+            .iter()
+            .map(|c| c.expect("every command was dispatched"))
+    }
 }
 
 /// Engine controller over an [`Ssd`] for one session of commands.
-pub(crate) struct SsdController<'a> {
+struct SsdController<'a> {
     ssd: &'a mut Ssd,
     commands: &'a [SessionCommand],
     scheduler: SchedulerKind,
     queue_depth: u32,
-    queue: Vec<Queued>,
+    state: &'a mut SessionState,
+    /// Commands that arrived and have not been dispatched (ready or
+    /// fence-blocked).
+    queued: usize,
+    /// How many of those are `Priority::High`.
+    queued_high: usize,
     /// Commands issued whose first op has not yet started (dispatch window).
     slots_in_use: u32,
     /// Commands issued but not yet finished.  Idle windows are delivered
@@ -121,84 +272,47 @@ pub(crate) struct SsdController<'a> {
     /// command's finish (a stale element hint) does not keep the flash
     /// busy, so the gap is donated to background cleaning.
     unfinished: usize,
-    /// Whether each command has finished (fence eligibility).
-    finished: Vec<bool>,
-    /// For each command, the nearest earlier fence of the same initiator
-    /// (global index), if any.
-    prev_fence: Vec<Option<usize>>,
-    /// For each fence (by global index), how many same-initiator commands
-    /// with a smaller sequence number have not yet finished.
-    fence_remaining: Vec<u64>,
-    /// Global indices of the fences of each initiator, ascending.
-    fences_by_initiator: Vec<Vec<usize>>,
-    /// Running maximum finish time per initiator, updated as commands
-    /// complete.  When a fence dispatches, every earlier same-initiator
-    /// command has completed (that is what made it eligible), so this is
-    /// exactly the instant the fence stopped being fence-blocked — the
-    /// split point between its `Fence` and `SqWait` blame.
-    initiator_drain: Vec<SimTime>,
-    completions: Vec<Option<Completion>>,
-    /// Reusable dispatch-decision buffers (queue positions of the eligible
-    /// commands and their scheduler views), refilled on every decision
-    /// instead of allocated per poll.
-    eligible_scratch: Vec<usize>,
-    views_scratch: Vec<DispatchView>,
     /// Clone of the device's telemetry handle (the controller mutably
     /// borrows the [`Ssd`], so it keeps its own handle for command spans).
     telemetry: TelemetryHandle,
+    #[cfg(test)]
+    oracle: oracle::Oracle,
 }
 
 impl<'a> SsdController<'a> {
-    pub(crate) fn new(
+    fn new(
         ssd: &'a mut Ssd,
         commands: &'a [SessionCommand],
         scheduler: SchedulerKind,
+        state: &'a mut SessionState,
     ) -> Self {
         let queue_depth = ssd.config().queue_depth;
         let telemetry = ssd.telemetry().clone();
         let initiators = commands.iter().map(|c| c.initiator + 1).max().unwrap_or(0);
-        let mut prev_fence = vec![None; commands.len()];
-        let mut fence_remaining = vec![0u64; commands.len()];
-        let mut fences_by_initiator = vec![Vec::new(); initiators];
-        let mut last_fence = vec![None; initiators];
-        for (i, cmd) in commands.iter().enumerate() {
-            prev_fence[i] = last_fence[cmd.initiator];
-            if cmd.payload.is_fence() {
-                // `seq` is the command's position in its initiator's
-                // submission stream, so it equals the number of earlier
-                // same-initiator commands the fence must wait for.
-                fence_remaining[i] = cmd.seq;
-                fences_by_initiator[cmd.initiator].push(i);
-                last_fence[cmd.initiator] = Some(i);
-            }
-        }
+        // An aborted session leaves its queue behind; reset in place so the
+        // lists keep their capacity.
+        state.ready.iter_mut().for_each(BinaryHeap::clear);
+        state
+            .ready
+            .resize_with(ssd.element_queues().len() + 1, BinaryHeap::new);
+        state.gates.clear();
+        state.gates.resize_with(initiators, InitiatorGate::default);
+        state.completions.clear();
+        state.completions.resize(commands.len(), None);
         SsdController {
             ssd,
             commands,
             scheduler,
             queue_depth,
-            queue: Vec::new(),
+            state,
+            queued: 0,
+            queued_high: 0,
             slots_in_use: 0,
             unfinished: 0,
-            finished: vec![false; commands.len()],
-            prev_fence,
-            fence_remaining,
-            fences_by_initiator,
-            initiator_drain: vec![SimTime::ZERO; initiators],
-            completions: vec![None; commands.len()],
-            eligible_scratch: Vec::new(),
-            views_scratch: Vec::new(),
             telemetry,
+            #[cfg(test)]
+            oracle: oracle::Oracle::new(commands),
         }
-    }
-
-    /// One completion per command, in input order.  Panics if the engine did
-    /// not run to completion.
-    pub(crate) fn into_completions(self) -> Vec<Completion> {
-        self.completions
-            .into_iter()
-            .map(|c| c.expect("every command was dispatched"))
-            .collect()
     }
 
     /// §3.6: cleaning is postponed while high-priority commands are
@@ -209,11 +323,7 @@ impl<'a> SsdController<'a> {
     /// always did — pinned by
     /// `closed_driver_reports_priority_pressure_uniformly`).
     fn priority_pending(&self, command: &SessionCommand) -> bool {
-        command.priority == Priority::High
-            || self
-                .queue
-                .iter()
-                .any(|q| self.commands[q.index].priority == Priority::High)
+        command.priority == Priority::High || self.queued_high > 0
     }
 
     /// Records one dispatched command's lifecycle on its initiator's track:
@@ -262,21 +372,14 @@ impl<'a> SsdController<'a> {
     /// `[dispatch, finish)` that `issue_request`/`flush` left pending.
     fn record_attribution(&mut self, index: usize, dispatch: SimTime, completion: &Completion) {
         let command = &self.commands[index];
-        let eligible = match &command.payload {
-            CommandPayload::Data(_) => match self.prev_fence[index] {
-                None => command.arrival,
-                Some(fence) => {
-                    let fence_finish = self.completions[fence]
-                        .as_ref()
-                        .expect("eligibility requires the fence to have finished")
-                        .finish;
-                    command.arrival.max(fence_finish)
-                }
-            },
-            CommandPayload::Flush | CommandPayload::Barrier => {
-                command.arrival.max(self.initiator_drain[command.initiator])
-            }
-        };
+        let gate = &self.state.gates[command.initiator];
+        let eligible = command.arrival.max(match &command.payload {
+            CommandPayload::Data(_) => gate.last_fence_finish,
+            CommandPayload::Flush | CommandPayload::Barrier => gate.drain,
+        });
+        #[cfg(test)]
+        self.oracle
+            .check_eligible_instant(self.commands, &self.state.completions, index, eligible);
         let mut breakdown = match &command.payload {
             // A barrier does no device work; its whole latency is ordering.
             CommandPayload::Barrier => BlameBreakdown::new(),
@@ -317,21 +420,43 @@ impl<'a> SsdController<'a> {
         self.ssd.record_blame(record);
     }
 
-    /// Whether the queued command may be dispatched now: fences wait for
-    /// every earlier command of their initiator to finish, data commands
-    /// wait for the nearest earlier fence of their initiator (a fence can
-    /// only finish once everything before it — including older fences —
-    /// finished, so one hop suffices).
-    fn eligible(&self, queued: &Queued) -> bool {
-        let index = queued.index;
-        if self.commands[index].payload.is_fence() {
-            self.fence_remaining[index] == 0
-        } else {
-            match self.prev_fence[index] {
-                None => true,
-                Some(fence) => self.finished[fence],
+    /// The ready-list head the scheduler dispatches next at `now`, as
+    /// `(class, command index)`, or `None` when nothing is ready (the queue
+    /// is empty, or all of it is fence-blocked and the engine will poll
+    /// again when events fire).
+    fn pick(&self, now: SimTime) -> Option<(usize, usize)> {
+        let queues = self.ssd.element_queues();
+        let mut best: Option<((u64, SimTime, usize), usize)> = None;
+        for (class, list) in self.state.ready.iter().enumerate() {
+            let Some(&Reverse((arrival, index))) = list.peek() else {
+                continue;
+            };
+            let wait = match self.scheduler {
+                SchedulerKind::Fcfs => 0,
+                SchedulerKind::Swtf => element_wait(queues, class, now).as_nanos(),
+            };
+            let key = (wait, arrival, index);
+            if best.is_none_or(|(best_key, _)| key < best_key) {
+                best = Some((key, class));
             }
         }
+        best.map(|((_, _, index), class)| (class, index))
+    }
+}
+
+/// The ready class of an element hint.
+fn class_of(element: Option<usize>, elements: usize) -> usize {
+    match element {
+        Some(e) if e < elements => e + 1,
+        _ => 0,
+    }
+}
+
+/// How long a head op of `class` arriving at `at` waits for its element.
+fn element_wait(queues: &[ElementQueue], class: usize, at: SimTime) -> SimDuration {
+    match class.checked_sub(1) {
+        Some(element) => queues[element].wait_for(at),
+        None => SimDuration::ZERO,
     }
 }
 
@@ -340,61 +465,81 @@ impl Controller for SsdController<'_> {
 
     fn on_arrival(&mut self, index: usize, _now: SimTime) -> Result<(), SsdError> {
         let command = &self.commands[index];
+        // The element is fixed at admission, like the mapping lookup a real
+        // controller performs when the command is accepted (see
+        // [`Ssd::element_hint`]) — also for a command a fence holds back.
         let element = match &command.payload {
             CommandPayload::Data(request) => self.ssd.element_hint(request),
             CommandPayload::Flush | CommandPayload::Barrier => None,
         };
-        self.queue.push(Queued {
-            arrival: command.arrival,
-            element,
-            index,
-        });
+        #[cfg(test)]
+        self.oracle.on_arrival(index, element);
+        let class = class_of(element, self.ssd.element_queues().len());
+        self.queued += 1;
+        if command.priority == Priority::High {
+            self.queued_high += 1;
+        }
+        let gate = &mut self.state.gates[command.initiator];
+        if gate.blocked.is_empty() && gate.admit(command) {
+            self.state.ready[class].push(Reverse((command.arrival, index)));
+        } else {
+            debug_assert!(
+                gate.blocked
+                    .back()
+                    .is_none_or(|&(earlier, _)| self.commands[earlier].seq < command.seq),
+                "initiator {} delivered out of submission order",
+                command.initiator
+            );
+            gate.blocked.push_back((index, class));
+        }
         Ok(())
     }
 
     fn poll_dispatch(&mut self, now: SimTime) -> Result<Vec<DispatchedOp>, SsdError> {
         let mut out = Vec::new();
-        while self.slots_in_use < self.queue_depth && !self.queue.is_empty() {
-            // Fence ordering first: only eligible commands are offered to
-            // the scheduler.  `eligible` depends on `finished`, which only
-            // changes between poll_dispatch calls, so the filter is stable
-            // within this loop iteration.
-            self.eligible_scratch.clear();
-            self.views_scratch.clear();
-            for qi in 0..self.queue.len() {
-                if self.eligible(&self.queue[qi]) {
-                    self.eligible_scratch.push(qi);
-                    self.views_scratch.push(DispatchView {
-                        arrival: self.queue[qi].arrival,
-                        element: self.queue[qi].element,
-                    });
-                }
-            }
-            if self.eligible_scratch.is_empty() {
-                // Everything queued is waiting on an unfinished fence (or a
-                // fence is waiting on in-flight commands); the engine will
-                // poll again when their events fire.
+        self.poll_dispatch_into(now, &mut out)?;
+        Ok(out)
+    }
+
+    fn poll_dispatch_into(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<DispatchedOp>,
+    ) -> Result<(), SsdError> {
+        // Most polls find nothing queued (the engine polls after every event
+        // batch, and again after every dispatch): skip the class scan then.
+        while self.slots_in_use < self.queue_depth && self.queued > 0 {
+            let picked = self.pick(now);
+            #[cfg(test)]
+            self.oracle.check_pick(
+                self.scheduler,
+                self.commands,
+                self.ssd.element_queues(),
+                now,
+                picked.map(|(_, index)| index),
+            );
+            let Some((class, index)) = picked else {
                 break;
+            };
+            self.state.ready[class].pop();
+            let command = &self.commands[index];
+            self.queued -= 1;
+            if command.priority == Priority::High {
+                self.queued_high -= 1;
             }
-            let picked_view = self
-                .scheduler
-                .pick(&self.views_scratch, self.ssd.element_queues(), now)
-                .expect("eligible set is non-empty");
-            let picked = self.queue.remove(self.eligible_scratch[picked_view]);
-            let command = &self.commands[picked.index];
             let dispatch = now.max(command.arrival);
             let (completion, slot_release) = match &command.payload {
                 CommandPayload::Data(request) => {
                     let priority_pending = self.priority_pending(command);
+                    #[cfg(test)]
+                    self.oracle
+                        .check_priority_pending(self.commands, index, priority_pending);
                     // The dispatch slot is held until the command's first op
                     // starts on its target element: at queue depth 1 this is
                     // what gives FCFS its head-of-line blocking and SWTF its
                     // advantage.
-                    let head_of_line_wait = picked
-                        .element
-                        .and_then(|e| self.ssd.element_queues().get(e))
-                        .map(|q| q.wait_for(dispatch))
-                        .unwrap_or(SimDuration::ZERO);
+                    let head_of_line_wait =
+                        element_wait(self.ssd.element_queues(), class, dispatch);
                     let completion = self
                         .ssd
                         .issue_request(request, dispatch, priority_pending)?;
@@ -418,18 +563,18 @@ impl Controller for SsdController<'_> {
                 self.trace_command(command, dispatch, &completion);
             }
             if self.ssd.attribution_enabled() {
-                self.record_attribution(picked.index, dispatch, &completion);
+                self.record_attribution(index, dispatch, &completion);
             }
-            self.completions[picked.index] = Some(completion);
+            self.state.completions[index] = Some(completion);
             self.slots_in_use += 1;
             self.unfinished += 1;
             out.push(DispatchedOp {
-                token: picked.index as u64,
+                token: index as u64,
                 start: slot_release,
                 complete: completion.finish,
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     fn on_op_start(&mut self, _token: u64, _now: SimTime) -> Result<(), SsdError> {
@@ -440,19 +585,28 @@ impl Controller for SsdController<'_> {
     fn on_op_complete(&mut self, token: u64, _now: SimTime) -> Result<(), SsdError> {
         self.unfinished -= 1;
         let index = token as usize;
-        self.finished[index] = true;
-        let done = self.commands[index];
-        let finish = self.completions[index]
+        #[cfg(test)]
+        self.oracle.on_complete(index);
+        let done = &self.commands[index];
+        let finish = self.state.completions[index]
             .as_ref()
             .expect("completion stored at dispatch")
             .finish;
-        let drain = &mut self.initiator_drain[done.initiator];
-        *drain = (*drain).max(finish);
-        // Every later fence of this initiator waits on one fewer command.
-        for &fence in &self.fences_by_initiator[done.initiator] {
-            if self.commands[fence].seq > done.seq {
-                self.fence_remaining[fence] -= 1;
+        let gate = &mut self.state.gates[done.initiator];
+        gate.finished += 1;
+        gate.drain = gate.drain.max(finish);
+        if done.payload.is_fence() {
+            gate.fence_open = false;
+            gate.last_fence_finish = finish;
+        }
+        // Release the newly eligible prefix of the fence-blocked FIFO.
+        while let Some(&(index, class)) = gate.blocked.front() {
+            let command = &self.commands[index];
+            if !gate.admit(command) {
+                break;
             }
+            gate.blocked.pop_front();
+            self.state.ready[class].push(Reverse((command.arrival, index)));
         }
         Ok(())
     }
@@ -462,6 +616,165 @@ impl Controller for SsdController<'_> {
     }
 
     fn in_flight(&self) -> usize {
-        self.unfinished + self.queue.len()
+        self.unfinished + self.queued
+    }
+}
+
+/// The dispatch decisions of the ready lists, checked against the reference
+/// picker on every decision of every in-crate test.
+#[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
+mod tests {
+    use ossd_block::{
+        BlockDevice, BlockRequest, ByteRange, HostCommand, HostInterface, HostQueue, WriteHint,
+    };
+    use ossd_flash::FlashGeometry;
+    use ossd_ftl::FtlConfig;
+    use ossd_sim::SimRng;
+
+    use super::*;
+    use crate::SsdConfig;
+
+    const PAGE: u64 = 4096;
+
+    /// Four elements on two gangs, free notifications honoured, the lower
+    /// half of the space written (so reads above it are element-less).
+    fn device(scheduler: SchedulerKind, depth: u32) -> (Ssd, u64, SimTime) {
+        let config = SsdConfig {
+            geometry: FlashGeometry {
+                packages: 4,
+                blocks_per_plane: 32,
+                pages_per_block: 16,
+                ..FlashGeometry::tiny()
+            },
+            gangs: 2,
+            ftl: FtlConfig::default()
+                .with_watermarks(0.3, 0.1)
+                .with_honor_free(true),
+            ..SsdConfig::tiny_page_mapped()
+        }
+        .with_scheduler(scheduler)
+        .with_queue_depth(depth);
+        let mut ssd = Ssd::new(config).unwrap();
+        // The oracle also checks each blame record's fence split point.
+        ssd.enable_attribution();
+        let pages = ssd.info().capacity_bytes / PAGE;
+        let mut now = SimTime::ZERO;
+        for lpn in 0..pages / 2 {
+            now = ssd
+                .submit(&BlockRequest::write(lpn, lpn * PAGE, PAGE, now))
+                .unwrap()
+                .finish;
+        }
+        (ssd, pages, now)
+    }
+
+    /// Submits `count` random commands spread over the queues: writes, reads
+    /// (a third of them of unwritten pages), frees, barriers and flushes,
+    /// one in ten at high priority; ids are per-queue sequence numbers.
+    /// `gaps` are the inter-arrival choices (all zero for a burst).
+    fn submit_session(
+        rng: &mut SimRng,
+        queues: &mut [HostQueue],
+        pages: u64,
+        start: SimTime,
+        gaps: &[u64],
+        count: usize,
+    ) {
+        let mut at = start;
+        let mut next_id = vec![0u64; queues.len()];
+        for _ in 0..count {
+            at += SimDuration::from_micros(*rng.choose(gaps).unwrap());
+            let range = |lpn: u64| ByteRange::new(lpn * PAGE, PAGE);
+            let written = rng.next_u64_below(pages / 2);
+            let command = match rng.next_u64_below(100) {
+                0..=44 => HostCommand::Write {
+                    range: range(written),
+                    hint: WriteHint::NONE,
+                },
+                45..=64 => HostCommand::Read {
+                    range: range(written),
+                },
+                65..=74 => HostCommand::Read {
+                    range: range(pages / 2 + rng.next_u64_below(pages / 2)),
+                },
+                75..=84 => HostCommand::Free {
+                    range: range(written),
+                },
+                85..=92 => HostCommand::Barrier,
+                _ => HostCommand::Flush,
+            };
+            let priority = if rng.chance(0.1) {
+                Priority::High
+            } else {
+                Priority::Normal
+            };
+            let initiator = rng.next_usize_below(queues.len());
+            queues[initiator].submit_with_priority(next_id[initiator], command, at, priority);
+            next_id[initiator] += 1;
+        }
+    }
+
+    /// Serves the queues (every dispatch decision passes through the
+    /// oracle) and checks fence ordering on the posted completions
+    /// directly: a fence starts after everything its initiator submitted
+    /// before it finished, and nothing submitted after it starts before it
+    /// finishes.  Returns the latest finish.
+    fn serve_and_check(ssd: &mut Ssd, queues: &mut [HostQueue]) -> SimTime {
+        let fences: Vec<Vec<bool>> = queues
+            .iter()
+            .map(|q| {
+                let arbitrated = ossd_block::arbitrate_round_robin(std::slice::from_ref(q));
+                arbitrated
+                    .iter()
+                    .map(|c| c.submission.command.is_fence())
+                    .collect()
+            })
+            .collect();
+        let decisions = oracle::DECISIONS.get();
+        ssd.serve(queues).unwrap();
+        let total: usize = fences.iter().map(Vec::len).sum();
+        assert!(oracle::DECISIONS.get() - decisions >= total as u64);
+        let mut latest = SimTime::ZERO;
+        for (queue, is_fence) in queues.iter_mut().zip(&fences) {
+            let mut completions = queue.drain_completions();
+            assert_eq!(completions.len(), is_fence.len());
+            completions.sort_by_key(|c| c.request_id);
+            let mut drained = SimTime::ZERO;
+            let mut fence_finish = SimTime::ZERO;
+            for (completion, &fence) in completions.iter().zip(is_fence) {
+                assert!(completion.start >= fence_finish, "overtook a fence");
+                if fence {
+                    assert!(completion.start >= drained, "fence overtook a command");
+                    fence_finish = completion.finish;
+                }
+                drained = drained.max(completion.finish);
+            }
+            latest = latest.max(drained);
+        }
+        latest
+    }
+
+    #[test]
+    fn ready_lists_match_the_reference_picker_on_every_decision() {
+        for scheduler in [SchedulerKind::Fcfs, SchedulerKind::Swtf] {
+            for depth in [1, 4, 32] {
+                let (mut ssd, pages, prefilled) = device(scheduler, depth);
+                let mut rng = SimRng::seed_from_u64(0x0ac1e + depth as u64);
+                let mut now = prefilled;
+                for initiators in 1..=4 {
+                    let mut queues = vec![HostQueue::new(); initiators];
+                    // Staggered arrivals, some simultaneous, faster than
+                    // the device drains them.
+                    submit_session(&mut rng, &mut queues, pages, now, &[0, 0, 40, 250], 160);
+                    now = serve_and_check(&mut ssd, &mut queues);
+                    // One burst: everything arrives at the same instant.
+                    submit_session(&mut rng, &mut queues, pages, now, &[0], 512);
+                    now = serve_and_check(&mut ssd, &mut queues);
+                }
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@ use ossd_telemetry::{
 };
 
 use crate::config::{MappingKind, SsdConfig};
-use crate::controller::{CommandPayload, SessionCommand, SsdController};
+use crate::controller::{CommandPayload, SessionCommand, SessionContext};
 use crate::error::SsdError;
 use crate::queue::ElementQueue;
 use crate::sched::SchedulerKind;
@@ -45,6 +45,10 @@ pub struct Ssd {
     /// Reusable flash-op buffer: the serve path appends each command's ops
     /// here instead of allocating a fresh vector per command.
     op_scratch: Vec<FlashOp>,
+    /// The session buffers of [`BlockDevice::submit`], which runs one
+    /// one-command session per request.  Multi-command sessions bring their
+    /// own context and drop it, so this never grows past one command.
+    submit_context: SessionContext,
     /// Telemetry sink shared with the FTL; detached (inert) by default.
     telemetry: TelemetryHandle,
     /// Latency-attribution state; `None` (zero cost beyond one pointer
@@ -233,6 +237,7 @@ impl Ssd {
             background,
             last_activity: SimTime::ZERO,
             op_scratch: Vec::new(),
+            submit_context: SessionContext::default(),
             telemetry: TelemetryHandle::noop(),
             attribution: None,
         })
@@ -1028,35 +1033,6 @@ impl Ssd {
         None
     }
 
-    /// Runs one session of queue-pair commands through the event engine
-    /// under the given scheduler, returning one completion per command in
-    /// the input order.
-    ///
-    /// Commands are held in a controller queue after they arrive; whenever a
-    /// dispatch slot frees (see [`SsdConfig::queue_depth`]) the scheduler
-    /// picks which eligible command's head op to issue next (FCFS the
-    /// oldest, SWTF the one whose target element is free soonest, §3.2).
-    /// Fences (`Flush`/`Barrier`) order per initiator.  While high-priority
-    /// commands are outstanding the FTL's priority-aware cleaning postpones
-    /// garbage collection (§3.6), and idle windows are delivered to the
-    /// background cleaner.
-    pub(crate) fn serve_session(
-        &mut self,
-        commands: &[SessionCommand],
-        scheduler: SchedulerKind,
-    ) -> Result<Vec<Completion>, SsdError> {
-        let arrivals: Vec<SimTime> = commands.iter().map(|c| c.arrival).collect();
-        let telemetry = self.telemetry.clone();
-        let mut controller = SsdController::new(self, commands, scheduler);
-        if telemetry.is_enabled() {
-            let mut observer = ossd_telemetry::EngineTrace::new(telemetry);
-            ossd_sim::engine::run_observed(&mut controller, &arrivals, &mut observer)?;
-        } else {
-            ossd_sim::engine::run(&mut controller, &arrivals)?;
-        }
-        Ok(controller.into_completions())
-    }
-
     /// Runs an open-arrival simulation of `requests` under the given
     /// scheduler, as a single-initiator session of the queue-pair pipeline.
     pub fn simulate_open(
@@ -1069,7 +1045,9 @@ impl Ssd {
             .enumerate()
             .map(|(seq, r)| SessionCommand::from_request(seq as u64, r))
             .collect();
-        self.serve_session(&commands, scheduler)
+        let mut context = SessionContext::default();
+        self.serve_session(&mut context, &commands, scheduler)?;
+        Ok(context.completions().collect())
     }
 
     /// Records the advisory placement hint of an accepted write command.
@@ -1098,12 +1076,12 @@ impl BlockDevice for Ssd {
         // The closed path is the degenerate queue-pair session: one
         // command, dispatched FCFS, served to completion.
         let commands = [SessionCommand::from_request(0, request)];
+        let mut context = std::mem::take(&mut self.submit_context);
         let completion = self
-            .serve_session(&commands, SchedulerKind::Fcfs)
-            .map_err(DeviceError::from)?
-            .pop()
-            .expect("one command, one completion");
-        Ok(completion)
+            .serve_session(&mut context, &commands, SchedulerKind::Fcfs)
+            .map(|()| context.completions().next());
+        self.submit_context = context;
+        Ok(completion?.expect("one command, one completion"))
     }
 }
 
@@ -1163,9 +1141,8 @@ impl HostInterface for Ssd {
             commands.len() as u64,
             queues.len() as u64,
         );
-        let completions = self
-            .serve_session(&commands, self.config.scheduler)
-            .map_err(DeviceError::from)?;
+        let mut context = SessionContext::default();
+        self.serve_session(&mut context, &commands, self.config.scheduler)?;
         // Hints are advisory; account for them only once the session has
         // actually executed, so an aborted serve (whose submissions stay
         // queued for a retry) never double-counts them.
@@ -1174,7 +1151,7 @@ impl HostInterface for Ssd {
         }
         ossd_block::host::complete_session(
             queues,
-            initiators.into_iter().zip(completions).collect(),
+            initiators.into_iter().zip(context.completions()).collect(),
         );
         Ok(())
     }
