@@ -8,8 +8,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod micro;
-
 pub use ossd_core::experiments::Scale;
 
 /// Parses the experiment scale from the process arguments (`--quick` selects

@@ -33,7 +33,6 @@
 
 pub mod device;
 pub mod host;
-mod json;
 pub mod range;
 pub mod replay;
 pub mod request;

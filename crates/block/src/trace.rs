@@ -14,10 +14,10 @@
 
 use std::io::{BufRead, Write};
 
+use ossd_sim::json::{self, Value};
 use ossd_sim::SimTime;
 
 use crate::host::{HostCommand, StreamTemperature, SubmittedCommand, WriteHint};
-use crate::json::{self, Scalar};
 use crate::range::ByteRange;
 use crate::request::{BlockOpKind, BlockRequest, Priority};
 
@@ -176,41 +176,43 @@ impl TraceOp {
     /// Serializes the record as one JSON line.
     fn to_json_line(self) -> String {
         let mut fields = vec![
-            ("at_micros", Scalar::Num(self.at_micros)),
-            ("kind", Scalar::Str(self.kind.as_str().to_string())),
-            ("offset", Scalar::Num(self.offset)),
-            ("len", Scalar::Num(self.len)),
-            ("priority", Scalar::Str(self.priority.as_str().to_string())),
+            ("at_micros", self.at_micros.to_string()),
+            ("kind", json::encode_str(self.kind.as_str())),
+            ("offset", self.offset.to_string()),
+            ("len", self.len.to_string()),
+            ("priority", json::encode_str(self.priority.as_str())),
         ];
         if self.hint != StreamTemperature::Warm {
-            fields.push(("hint", Scalar::Str(self.hint.as_str().to_string())));
+            fields.push(("hint", json::encode_str(self.hint.as_str())));
         }
         json::encode_object(&fields)
     }
 
     /// Parses a record from one JSON line.
     fn from_json_line(line: &str) -> Result<Self, String> {
-        let fields =
-            json::decode_object(line).ok_or_else(|| format!("malformed trace record {line:?}"))?;
+        let fields = match Value::parse(line) {
+            Ok(fields @ Value::Object(_)) => fields,
+            _ => return Err(format!("malformed trace record {line:?}")),
+        };
         let num = |key: &str| -> Result<u64, String> {
-            match fields.get(key) {
-                Some(Scalar::Num(n)) => Ok(*n),
-                _ => Err(format!("trace record missing numeric field {key:?}")),
-            }
+            fields
+                .get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("trace record missing numeric field {key:?}"))
         };
         let kind = match fields.get("kind") {
-            Some(Scalar::Str(s)) => s.parse::<TraceKind>()?,
+            Some(Value::String(s)) => s.parse::<TraceKind>()?,
             _ => return Err("trace record missing \"kind\"".to_string()),
         };
         let priority = match fields.get("priority") {
-            Some(Scalar::Str(s)) => s.parse::<Priority>()?,
+            Some(Value::String(s)) => s.parse::<Priority>()?,
             None => Priority::default(),
-            Some(Scalar::Num(_)) => return Err("\"priority\" must be a string".to_string()),
+            Some(_) => return Err("\"priority\" must be a string".to_string()),
         };
         let hint = match fields.get("hint") {
-            Some(Scalar::Str(s)) => s.parse::<StreamTemperature>()?,
+            Some(Value::String(s)) => s.parse::<StreamTemperature>()?,
             None => StreamTemperature::Warm,
-            Some(Scalar::Num(_)) => return Err("\"hint\" must be a string".to_string()),
+            Some(_) => return Err("\"hint\" must be a string".to_string()),
         };
         Ok(TraceOp {
             at_micros: num("at_micros")?,
@@ -368,8 +370,10 @@ impl Trace {
         let name: String = match lines.next() {
             Some(line) => {
                 let line = line?;
-                json::decode_str(&line)
-                    .ok_or_else(|| invalid(format!("malformed trace header {line:?}")))?
+                match Value::parse(&line) {
+                    Ok(Value::String(name)) => name,
+                    _ => return Err(invalid(format!("malformed trace header {line:?}"))),
+                }
             }
             None => String::new(),
         };

@@ -263,7 +263,7 @@ mod tests {
             assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to {share_sum}");
             // Both artifacts render and the counters parse as JSON.
             assert!(point.blame_csv.lines().count() >= 2);
-            ossd_telemetry::json::Value::parse(&point.counters_json).expect("counters parse");
+            ossd_sim::json::Value::parse(&point.counters_json).expect("counters parse");
         }
         // The starved budget must shift blame toward map I/O relative to
         // the generous one.

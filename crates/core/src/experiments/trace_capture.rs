@@ -20,9 +20,9 @@ use ossd_block::{BlockDevice, BlockRequest, DeviceError, HostCommand, HostInterf
 use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
 use ossd_ftl::FtlConfig;
 use ossd_gc::BackgroundGcConfig;
-use ossd_sim::{SimDuration, SimTime};
+use ossd_sim::{json, SimDuration, SimTime};
 use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
-use ossd_telemetry::{json, to_chrome_trace, Recorder, RecorderConfig};
+use ossd_telemetry::{to_chrome_trace, Recorder, RecorderConfig};
 use ossd_workload::TpccConfig;
 
 use super::Scale;

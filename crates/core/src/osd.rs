@@ -188,11 +188,6 @@ impl OsdDevice {
         self.objects.len()
     }
 
-    /// Lists all live objects.
-    pub fn list_objects(&self) -> Vec<ObjectId> {
-        self.objects.keys().copied().collect()
-    }
-
     /// Current size of an object in bytes.
     pub fn object_size(&self, object: ObjectId) -> Result<u64, OsdError> {
         Ok(self.state(object)?.size)

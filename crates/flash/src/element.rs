@@ -146,11 +146,6 @@ impl FlashElement {
             .sum()
     }
 
-    /// Number of retired (bad) blocks on this element.
-    pub fn bad_blocks(&self) -> u32 {
-        self.blocks.iter().filter(|b| b.is_bad()).count() as u32
-    }
-
     /// Total valid pages on this element.
     pub fn valid_pages(&self) -> u64 {
         self.blocks.iter().map(|b| b.valid_count() as u64).sum()

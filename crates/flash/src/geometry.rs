@@ -137,11 +137,6 @@ impl FlashGeometry {
         self.total_pages() * self.page_bytes as u64
     }
 
-    /// Capacity of a single element in bytes.
-    pub fn element_bytes(&self) -> u64 {
-        self.pages_per_element() * self.page_bytes as u64
-    }
-
     /// The element a package/die pair maps to.
     pub fn element_of(&self, package: u32, die: u32) -> ElementId {
         ElementId(package * self.dies_per_package + die)

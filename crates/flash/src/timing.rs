@@ -67,18 +67,6 @@ impl FlashTiming {
         SimDuration::from_bytes_at_rate(bytes, self.bus_bytes_per_sec)
     }
 
-    /// Complete host-read service time for one page of `page_bytes`:
-    /// array read plus bus transfer to the controller.
-    pub fn page_read_service(&self, page_bytes: u32) -> SimDuration {
-        self.read_page + self.transfer(page_bytes as u64)
-    }
-
-    /// Complete host-write service time for one page of `page_bytes`:
-    /// bus transfer from the controller plus array program.
-    pub fn page_program_service(&self, page_bytes: u32) -> SimDuration {
-        self.transfer(page_bytes as u64) + self.program_page
-    }
-
     /// Service time of an internal copy-back page move (read + program,
     /// no bus transfer), as used by garbage collection.
     pub fn copyback_service(&self) -> SimDuration {
@@ -123,13 +111,6 @@ mod tests {
     #[test]
     fn service_time_compositions() {
         let t = FlashTiming::slc();
-        assert_eq!(t.page_read_service(4096), t.read_page + t.transfer(4096));
-        assert_eq!(
-            t.page_program_service(4096),
-            t.program_page + t.transfer(4096)
-        );
         assert_eq!(t.copyback_service(), t.read_page + t.program_page);
-        // Reads are much cheaper than writes for the same page size.
-        assert!(t.page_read_service(4096) < t.page_program_service(4096));
     }
 }

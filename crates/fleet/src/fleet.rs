@@ -47,7 +47,7 @@ use ossd_block::{
 use ossd_ftl::FtlStats;
 use ossd_sim::SimTime;
 use ossd_ssd::{Ssd, SsdConfig, SsdError, SsdStats};
-use ossd_telemetry::{BlameRecord, EventKind, Recorder, RecorderConfig, TelemetryHandle, Track};
+use ossd_telemetry::{BlameRecord, Recorder, RecorderConfig};
 use std::sync::{Arc, Mutex};
 
 use crate::config::{FleetConfig, FleetLayout};
@@ -167,8 +167,6 @@ pub struct Fleet {
     parity: Option<ParityState>,
     /// Admission control for rebuild traffic.
     governor: RebuildGovernor,
-    /// Fleet-scope telemetry (rebuild/reconstruction spans).
-    fleet_telemetry: TelemetryHandle,
     /// Max per-initiator command count of the last serve session — the
     /// host-pressure signal the rebuild governor reads.
     last_pressure: u32,
@@ -250,7 +248,6 @@ impl Fleet {
             attribution: false,
             parity,
             governor: RebuildGovernor::new(RebuildQos::unthrottled()),
-            fleet_telemetry: TelemetryHandle::noop(),
             last_pressure: 0,
         })
     }
@@ -297,20 +294,6 @@ impl Fleet {
     /// Wear summary for member `index` (`None` while failed).
     pub fn device_wear_summary(&self, index: usize) -> Option<ossd_flash::WearSummary> {
         self.slots[index].ssd.as_ref().map(|d| d.wear_summary())
-    }
-
-    /// Attaches telemetry to member `index` (no-op while failed).
-    pub fn set_device_telemetry(&mut self, index: usize, telemetry: TelemetryHandle) {
-        if let Some(ssd) = self.slots[index].ssd.as_mut() {
-            ssd.set_telemetry(telemetry);
-        }
-    }
-
-    /// Attaches fleet-scope telemetry: rebuild-copy and reconstruct-read
-    /// spans land here (on the device track), not on any member's
-    /// recorder.  Purely observational.
-    pub fn set_fleet_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.fleet_telemetry = telemetry;
     }
 
     /// Attaches one fresh [`Recorder`] to every live member and returns the
@@ -390,11 +373,6 @@ impl Fleet {
     /// backoff), resetting the governor's bucket.
     pub fn set_rebuild_qos(&mut self, qos: RebuildQos) {
         self.governor = RebuildGovernor::new(qos);
-    }
-
-    /// The active rebuild QoS policy.
-    pub fn rebuild_qos(&self) -> &RebuildQos {
-        self.governor.qos()
     }
 
     /// When a `bytes`-sized rebuild chunk requested at `at` *would* be
@@ -670,14 +648,6 @@ impl Fleet {
                         read.finish,
                     ))?;
                 self.rebuilt_bytes += range.len;
-                self.fleet_telemetry.span(
-                    admitted,
-                    write.finish,
-                    Track::Device,
-                    EventKind::RebuildCopy,
-                    target as u64,
-                    range.len,
-                );
                 Ok((read, write))
             }
             FleetLayout::Parity { .. } => self.rebuild_parity_range(target, range, at),
@@ -809,14 +779,6 @@ impl Fleet {
             })
         };
         self.rebuilt_bytes += range.len;
-        self.fleet_telemetry.span(
-            admitted,
-            write.finish,
-            Track::Device,
-            EventKind::RebuildCopy,
-            target as u64,
-            range.len,
-        );
         Ok((read, write))
     }
 
@@ -936,7 +898,6 @@ impl Fleet {
             if !repairable {
                 continue;
             }
-            let origin = sub.finish;
             let mut cursor = sub.finish;
             let mut ok = true;
             let mut recon_bytes = 0u64;
@@ -984,14 +945,6 @@ impl Fleet {
                 let ps = self.parity.as_mut().expect("parity fleet");
                 ps.repaired_reads += 1;
                 ps.reconstructed_bytes += recon_bytes;
-                self.fleet_telemetry.span(
-                    origin,
-                    cursor,
-                    Track::Device,
-                    EventKind::ReconstructRead,
-                    parent.id,
-                    sub.device as u64,
-                );
             }
         }
         repaired
@@ -1005,8 +958,6 @@ struct Parent {
     arrival: SimTime,
     subs: u32,
     command: HostCommand,
-    /// Whether the fan-out served part of this command by reconstruction.
-    recon: bool,
 }
 
 /// One device's work for a serve session: the device, its mirrored
@@ -1132,7 +1083,6 @@ impl HostInterface for Fleet {
                 arrival: sub.arrival,
                 subs: fan.subs.len() as u32,
                 command: sub.command,
-                recon: fan.degraded_rows > 0,
             });
         }
 
@@ -1231,10 +1181,6 @@ impl HostInterface for Fleet {
             agg.subs += 1;
         }
 
-        let degraded_member = self
-            .parity
-            .as_ref()
-            .and_then(|ps| ps.degraded.map(|v| v.device as u64));
         let mut completed: Vec<(usize, Completion)> = Vec::with_capacity(parents.len());
         for (seq, parent) in parents.iter().enumerate() {
             if parent.subs == 0 {
@@ -1261,16 +1207,6 @@ impl HostInterface for Fleet {
                     got = agg.subs,
                     want = parent.subs
                 )));
-            }
-            if parent.recon {
-                self.fleet_telemetry.span(
-                    agg.start,
-                    agg.finish,
-                    Track::Device,
-                    EventKind::ReconstructRead,
-                    parent.id,
-                    degraded_member.unwrap_or(u64::MAX),
-                );
             }
             completed.push((
                 parent.initiator,

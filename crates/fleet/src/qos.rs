@@ -96,11 +96,6 @@ impl RebuildGovernor {
         }
     }
 
-    /// The active policy.
-    pub fn qos(&self) -> &RebuildQos {
-        &self.qos
-    }
-
     /// Admits a `bytes`-sized rebuild chunk requested at `at` while the
     /// host shows `pressure` (max per-initiator commands in the last serve
     /// session).  Returns the admission time: `at`, pushed later by

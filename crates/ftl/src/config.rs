@@ -113,12 +113,6 @@ impl Default for FtlConfig {
 }
 
 impl FtlConfig {
-    /// The paper's default SSD: no free-page information, priority-agnostic
-    /// cleaning.
-    pub fn paper_default() -> Self {
-        FtlConfig::default()
-    }
-
     /// An informed-cleaning FTL (uses free-page notifications, §3.5).
     pub fn informed() -> Self {
         FtlConfig {

@@ -54,12 +54,23 @@ const MAX_VICTIMS_PER_PASS: u32 = 4;
 /// How often (in host writes) the wear-leveler checks the erase spread.
 const WEAR_CHECK_INTERVAL: u64 = 256;
 
+/// The two logs each element appends to.  Translation pages get their own
+/// append block so they and host data do not share blocks; it stays unused
+/// unless demand paging runs with a finite budget.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AppendPoint {
+    /// Host data, and data relocated by cleaning or wear-leveling.
+    Data,
+    /// The map area: translation pages.
+    Map,
+}
+
 #[derive(Clone, Debug)]
 struct ElementState {
     /// Erased blocks available for allocation.
     free_blocks: Vec<u32>,
-    /// Block currently being appended to, if any.
-    active_block: Option<u32>,
+    /// Block currently being appended to at each [`AppendPoint`], if any.
+    active: [Option<u32>; 2],
     /// Free (programmable) pages on this element, kept incrementally.
     free_pages: u64,
     /// Set when a cleaning pass on this element reclaimed nothing; while
@@ -91,10 +102,6 @@ struct DemandPaging {
     /// translation page, `UNMAPPED` while the tp has never been written
     /// back (its entries exist only in the cache / are all unmapped).
     gtd: Vec<u64>,
-    /// Per-element append block of the map area, separate from the host
-    /// data append point so translation pages and host data do not share
-    /// blocks.
-    map_active: Vec<Option<u32>>,
     /// Translation-page reads issued (map-cache misses on materialized
     /// tps, plus the read half of each writeback's read-modify-write).
     map_reads: u64,
@@ -234,7 +241,6 @@ impl PageFtl {
             paging = Some(DemandPaging {
                 cache: MapCache::new(map_cache, entries_per_tp),
                 gtd: vec![UNMAPPED; gtd_len],
-                map_active: vec![None; geometry.elements() as usize],
                 map_reads: 0,
                 map_writes: 0,
                 map_gc_moves: 0,
@@ -257,7 +263,7 @@ impl PageFtl {
                 ElementState {
                     free_pages: free_blocks.len() as u64 * geometry.pages_per_block as u64,
                     free_blocks,
-                    active_block: None,
+                    active: [None; 2],
                     clean_stalled: false,
                 }
             })
@@ -371,8 +377,16 @@ impl PageFtl {
             for include_full_active in [false, true] {
                 let ctx = PickContext {
                     clock: self.clock,
-                    exclude: self.cleaning_exclusion(element, include_full_active),
-                    exclude2: self.map_cleaning_exclusion(element, include_full_active),
+                    exclude: self.cleaning_exclusion(
+                        element,
+                        AppendPoint::Data,
+                        include_full_active,
+                    ),
+                    exclude2: self.cleaning_exclusion(
+                        element,
+                        AppendPoint::Map,
+                        include_full_active,
+                    ),
                 };
                 crate::indexcheck::check_policy_equivalence(
                     &mut self.index[element],
@@ -438,24 +452,21 @@ impl PageFtl {
         best
     }
 
-    /// Ensures the element has an active block with at least one free page,
-    /// pulling a new block (lowest erase count first) from the free list if
-    /// needed.  `allow_reserve` lets cleaning dip into the reserved blocks.
+    /// Ensures the element's `point` has an active block with at least one
+    /// free page, pulling a new block (lowest erase count first) from the
+    /// free list if needed.  `allow_reserve` lets relocation (cleaning, a
+    /// retry after a program failure) dip into the reserved blocks.
     fn ensure_active_block(
         &mut self,
         element: usize,
+        point: AppendPoint,
         allow_reserve: bool,
     ) -> Result<u32, FtlError> {
-        let need_new = match self.elements[element].active_block {
-            Some(block) => self
-                .flash
-                .element(ElementId(element as u32))?
-                .block(block)?
-                .is_full(),
-            None => true,
-        };
-        if !need_new {
-            return Ok(self.elements[element].active_block.expect("checked above"));
+        let flash_element = self.flash.element(ElementId(element as u32))?;
+        if let Some(block) = self.elements[element].active[point as usize] {
+            if !flash_element.block(block)?.is_full() {
+                return Ok(block);
+            }
         }
         let reserve = if allow_reserve {
             0
@@ -470,7 +481,6 @@ impl PageFtl {
         }
         // Pick the free block with the lowest erase count (dynamic wear
         // leveling of the allocation pool).
-        let flash_element = self.flash.element(ElementId(element as u32))?;
         let mut best_idx = 0usize;
         let mut best_erases = u32::MAX;
         for (i, &b) in state.free_blocks.iter().enumerate() {
@@ -481,8 +491,41 @@ impl PageFtl {
             }
         }
         let block = state.free_blocks.swap_remove(best_idx);
-        state.active_block = Some(block);
+        state.active[point as usize] = Some(block);
         Ok(block)
+    }
+
+    /// Bookkeeping of a failed program on `block`, the active block of the
+    /// element's `point`: the target page is burned, so account the
+    /// consumed page, schedule the suspect block for retirement and stop
+    /// appending to it.  The abandoned block keeps at least one stale page
+    /// (the burned one), so cleaning will reclaim — and then retire — it.
+    /// `failed` bills the attempt, which still occupied the element for a
+    /// full program pass.  The caller re-programs elsewhere under its own
+    /// reserve policy.
+    fn abandon_after_program_failure(
+        &mut self,
+        element: usize,
+        point: AppendPoint,
+        block: u32,
+        failed: FlashOp,
+        ops: &mut Vec<FlashOp>,
+    ) {
+        ops.push(failed);
+        self.elements[element].free_pages -= 1;
+        self.total_free_pages -= 1;
+        let global = self.global_block(element, block);
+        self.retire_pending[global] = true;
+        self.telemetry.instant_now(
+            Track::Element(element as u32),
+            EventKind::ProgramFail,
+            block as u64,
+            element as u64,
+        );
+        // The burned page is a fresh stale page: the block becomes (or
+        // stays) a cleaning candidate.
+        self.index[element].on_skip(block);
+        self.elements[element].active[point as usize] = None;
     }
 
     /// Global block index (over all elements) of `block` on `element`.
@@ -515,18 +558,11 @@ impl PageFtl {
     ) -> Result<PhysPageAddr, FtlError> {
         let mut allow_reserve = allow_reserve;
         loop {
-            let block = self.ensure_active_block(element, allow_reserve)?;
+            let block = self.ensure_active_block(element, AppendPoint::Data, allow_reserve)?;
             let addr = match self.flash.program(ElementId(element as u32), block) {
                 Ok(addr) => addr,
                 Err(FlashError::ProgramFailed { .. }) => {
-                    // The target page is burned: account the consumed page,
-                    // schedule the suspect block for retirement, stop
-                    // appending to it, and re-program elsewhere.  The
-                    // abandoned block keeps at least one stale page (the
-                    // burned one), so cleaning will reclaim — and then
-                    // retire — it.  The failed attempt still occupied the
-                    // element for a full program pass.
-                    ops.push(FlashOp {
+                    let failed = FlashOp {
                         element: ElementId(element as u32),
                         kind: if purpose.is_background() {
                             FlashOpKind::CopybackPage
@@ -534,21 +570,14 @@ impl PageFtl {
                             FlashOpKind::ProgramPage
                         },
                         purpose,
-                    });
-                    self.elements[element].free_pages -= 1;
-                    self.total_free_pages -= 1;
-                    let global = self.global_block(element, block);
-                    self.retire_pending[global] = true;
-                    self.telemetry.instant_now(
-                        Track::Element(element as u32),
-                        EventKind::ProgramFail,
-                        block as u64,
-                        element as u64,
+                    };
+                    self.abandon_after_program_failure(
+                        element,
+                        AppendPoint::Data,
+                        block,
+                        failed,
+                        ops,
                     );
-                    // The burned page is a fresh stale page: the block
-                    // becomes (or stays) a cleaning candidate.
-                    self.index[element].on_skip(block);
-                    self.elements[element].active_block = None;
                     // The retry may dip into the GC reserve even on the
                     // host path: re-programming after a failure is
                     // relocation of data that would otherwise be lost —
@@ -691,40 +720,26 @@ impl PageFtl {
     fn select_victim(&mut self, element: usize, include_full_active: bool) -> Option<u32> {
         let ctx = PickContext {
             clock: self.clock,
-            exclude: self.cleaning_exclusion(element, include_full_active),
-            exclude2: self.map_cleaning_exclusion(element, include_full_active),
+            exclude: self.cleaning_exclusion(element, AppendPoint::Data, include_full_active),
+            exclude2: self.cleaning_exclusion(element, AppendPoint::Map, include_full_active),
         };
         self.policy
             .select_from_index(&mut self.index[element], &ctx)
     }
 
-    /// The block a cleaning pick on `element` must skip: the active append
-    /// block, unless `include_full_active` and the block is full.  Shared
-    /// by the production pick and the index-validation hook so the two can
-    /// never check different exclusions.
-    fn cleaning_exclusion(&self, element: usize, include_full_active: bool) -> Option<u32> {
-        let active = self.elements[element].active_block?;
-        let admit_full = include_full_active
-            && self
-                .flash
-                .element(ElementId(element as u32))
-                .expect("element in range")
-                .block(active)
-                .expect("block in range")
-                .is_full();
-        if admit_full {
-            None
-        } else {
-            Some(active)
-        }
-    }
-
-    /// The map-area append block a cleaning pick on `element` must skip
-    /// (demand paging only), with the same admit-when-full relaxation as
-    /// [`PageFtl::cleaning_exclusion`]: a full map append block is a closed
-    /// log segment and may be reclaimed by the forced/background paths.
-    fn map_cleaning_exclusion(&self, element: usize, include_full_active: bool) -> Option<u32> {
-        let active = self.paging.as_ref()?.map_active[element]?;
+    /// The block a cleaning pick on `element` must skip: the active block of
+    /// `point`, unless `include_full_active` and the block is full (a full
+    /// append block — host data or map area — is a closed log segment and
+    /// may be reclaimed by the forced/background paths).  Shared by the
+    /// production pick and the index-validation hook so the two can never
+    /// check different exclusions.
+    fn cleaning_exclusion(
+        &self,
+        element: usize,
+        point: AppendPoint,
+        include_full_active: bool,
+    ) -> Option<u32> {
+        let active = self.elements[element].active[point as usize]?;
         let admit_full = include_full_active
             && self
                 .flash
@@ -751,62 +766,6 @@ impl PageFtl {
             .is_some_and(|p| p.cache.config().entry_budget.is_some())
     }
 
-    /// Ensures the element has a map-area append block with a free page,
-    /// pulling the lowest-erase free block if needed.  Host-path callers
-    /// keep the same reserve as host data allocation (so cleaning is
-    /// forced while relocation headroom remains); in-cleaning callers
-    /// (`allow_reserve`) may dip into the reserve like any relocation.
-    fn ensure_map_active_block(
-        &mut self,
-        element: usize,
-        allow_reserve: bool,
-    ) -> Result<u32, FtlError> {
-        let current = self
-            .paging
-            .as_ref()
-            .expect("demand paging enabled")
-            .map_active[element];
-        let need_new = match current {
-            Some(block) => self
-                .flash
-                .element(ElementId(element as u32))?
-                .block(block)?
-                .is_full(),
-            None => true,
-        };
-        if !need_new {
-            return Ok(current.expect("checked above"));
-        }
-        let reserve = if allow_reserve {
-            0
-        } else {
-            self.data_reserve_blocks as usize
-        };
-        let flash_element = self.flash.element(ElementId(element as u32))?;
-        let state = &mut self.elements[element];
-        if state.free_blocks.len() <= reserve {
-            return Err(FtlError::NoFreeBlocks {
-                element: element as u32,
-            });
-        }
-        // Lowest erase count first, like the host append point.
-        let mut best_idx = 0usize;
-        let mut best_erases = u32::MAX;
-        for (i, &b) in state.free_blocks.iter().enumerate() {
-            let erases = flash_element.block(b)?.erase_count();
-            if erases < best_erases {
-                best_erases = erases;
-                best_idx = i;
-            }
-        }
-        let block = state.free_blocks.swap_remove(best_idx);
-        self.paging
-            .as_mut()
-            .expect("demand paging enabled")
-            .map_active[element] = Some(block);
-        Ok(block)
-    }
-
     /// Programs the next version of translation page `tpn` into the map
     /// area of `element`, superseding (invalidating) the previous on-flash
     /// version and updating the GTD and reverse map.  Emits the `MapWrite`
@@ -826,8 +785,9 @@ impl PageFtl {
         forced_clean_allowed: bool,
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError> {
+        let point = AppendPoint::Map;
         loop {
-            let block = match self.ensure_map_active_block(element, !forced_clean_allowed) {
+            let block = match self.ensure_active_block(element, point, !forced_clean_allowed) {
                 Ok(block) => block,
                 Err(FtlError::NoFreeBlocks { .. }) if forced_clean_allowed => {
                     if self.clean_one_block(element, OpPurpose::Clean, true, ops)? {
@@ -837,7 +797,7 @@ impl PageFtl {
                     // sit elsewhere): metadata cannot be refused, so dip
                     // into the reserve — the next cleaning pass restores
                     // the headroom.
-                    match self.ensure_map_active_block(element, true) {
+                    match self.ensure_active_block(element, point, true) {
                         Ok(block) => block,
                         Err(FtlError::NoFreeBlocks { .. }) => {
                             // Last resort: place this translation-page
@@ -847,7 +807,7 @@ impl PageFtl {
                             let mut found = None;
                             for k in 1..n {
                                 let alt = (element + k) % n;
-                                if let Ok(block) = self.ensure_map_active_block(alt, true) {
+                                if let Ok(block) = self.ensure_active_block(alt, point, true) {
                                     found = Some((alt, block));
                                     break;
                                 }
@@ -868,22 +828,8 @@ impl PageFtl {
             let addr = match self.flash.program(ElementId(element as u32), block) {
                 Ok(addr) => addr,
                 Err(FlashError::ProgramFailed { .. }) => {
-                    ops.push(FlashOp::map_write(ElementId(element as u32), purpose));
-                    self.elements[element].free_pages -= 1;
-                    self.total_free_pages -= 1;
-                    let global = self.global_block(element, block);
-                    self.retire_pending[global] = true;
-                    self.telemetry.instant_now(
-                        Track::Element(element as u32),
-                        EventKind::ProgramFail,
-                        block as u64,
-                        element as u64,
-                    );
-                    self.index[element].on_skip(block);
-                    self.paging
-                        .as_mut()
-                        .expect("demand paging enabled")
-                        .map_active[element] = None;
+                    let failed = FlashOp::map_write(ElementId(element as u32), purpose);
+                    self.abandon_after_program_failure(element, point, block, failed, ops);
                     continue;
                 }
                 Err(e) => return Err(e.into()),
@@ -1090,17 +1036,13 @@ impl PageFtl {
             victim as u64,
             purpose.telemetry_code(),
         );
-        // When the (full) append block itself is the victim, retire it
-        // first: after the erase it goes back to the free list, and leaving
-        // `active_block` pointing at it would hand out its pages twice.
-        if self.elements[element].active_block == Some(victim) {
-            self.elements[element].active_block = None;
-        }
-        // Same for the map-area append block: translation blocks are
-        // cleanable victims like any other.
-        if let Some(paging) = self.paging.as_mut() {
-            if paging.map_active[element] == Some(victim) {
-                paging.map_active[element] = None;
+        // When a (full) append block itself is the victim, retire it first:
+        // after the erase it goes back to the free list, and leaving an
+        // append point on it would hand out its pages twice.  Translation
+        // blocks are cleanable victims like any other.
+        for active in &mut self.elements[element].active {
+            if *active == Some(victim) {
+                *active = None;
             }
         }
         // Relocated data keeps the victim block's age (LFS convention).
@@ -1309,10 +1251,6 @@ impl PageFtl {
         self.writes_since_wear_check = 0;
         let element_id = ElementId(element as u32);
         let state = &self.elements[element];
-        let map_active = self
-            .paging
-            .as_ref()
-            .and_then(|paging| paging.map_active[element]);
         let flash_element = self.flash.element(element_id)?;
         let mut min_block: Option<(u32, u32)> = None;
         let mut max_erases = 0u32;
@@ -1327,7 +1265,7 @@ impl PageFtl {
             // Neither append point (host data or map area) is a migration
             // source: erasing a block still being appended to would hand
             // its pages out twice.
-            if Some(idx) == state.active_block || Some(idx) == map_active || block.is_erased() {
+            if state.active.contains(&Some(idx)) || block.is_erased() {
                 continue;
             }
             if block.valid_count() == 0 {
@@ -1503,7 +1441,7 @@ impl Ftl for PageFtl {
         let mut element = element;
         let mut invalidated_early = false;
         loop {
-            match self.ensure_active_block(element, false) {
+            match self.ensure_active_block(element, AppendPoint::Data, false) {
                 Ok(_) => break,
                 Err(FtlError::NoFreeBlocks { .. }) => {
                     if !self.clean_one_block(element, OpPurpose::Clean, true, ops)? {
@@ -1530,7 +1468,7 @@ impl Ftl for PageFtl {
                         let mut switched = false;
                         for k in 1..n {
                             let alt = (element + k) % n;
-                            match self.ensure_active_block(alt, false) {
+                            match self.ensure_active_block(alt, AppendPoint::Data, false) {
                                 Ok(_) => {
                                     element = alt;
                                     switched = true;

@@ -1,10 +1,14 @@
-//! A small vendored JSON parser used to validate trace exports and read
-//! benchmark baselines.
+//! The workspace's one vendored JSON codec: trace files are written and
+//! read through it, and trace exports are validated with it.
 //!
-//! Supports the full JSON value grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null).  It is a recursive-descent parser
-//! over bytes with no dependencies; numbers are held as `f64`, which is
-//! exact for every integer the telemetry subsystem emits below 2^53.
+//! [`Value::parse`] supports the full JSON value grammar (objects, arrays,
+//! strings with escapes, numbers, booleans, null).  It is a
+//! recursive-descent parser over bytes with no dependencies.  An unsigned
+//! integer token (no sign, fraction or exponent) that fits `u64` is kept
+//! exactly as [`Value::Integer`] — trace timestamps are nanosecond counts
+//! and pass 2^53 after 104 simulated days — and every other number is held
+//! as `f64`.  The encoding side is the two helpers the flat trace records
+//! need, [`encode_str`] and [`encode_object`].
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -13,7 +17,9 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// An unsigned integer token that fits `u64`, held exactly.
+    Integer(u64),
+    /// Any other JSON number.
     Number(f64),
     /// A string (escapes decoded).
     String(String),
@@ -55,10 +61,20 @@ impl Value {
         }
     }
 
-    /// The numeric value of a number.
+    /// The numeric value of a number (an [`Value::Integer`] beyond 2^53 is
+    /// rounded; use [`Value::as_u64`] for those).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Integer(n) => Some(*n as f64),
             Value::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The exact value of an unsigned integer token.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Integer(n) => Some(*n),
             _ => None,
         }
     }
@@ -78,6 +94,42 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Escapes a string into a quoted JSON string literal.
+pub fn encode_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Encodes an object from `(key, encoded value)` pairs, in the given order.
+/// Each value is already JSON text: a number's `to_string()`, or a string
+/// through [`encode_str`].
+pub fn encode_object(fields: &[(&str, String)]) -> String {
+    let mut out = String::from("{");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&encode_str(key));
+        out.push(':');
+        out.push_str(value);
+    }
+    out.push('}');
+    out
 }
 
 struct Parser<'a> {
@@ -183,6 +235,35 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads the four hex digits of a `\u` escape at the cursor.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let code = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .and_then(|hex| std::str::from_utf8(hex).ok())
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Decodes a `\u` escape (cursor just past the `u`) to one scalar.  A
+    /// high surrogate must be followed by an escaped low surrogate — the
+    /// form serializers that ASCII-escape non-BMP characters emit — and the
+    /// pair becomes one scalar; a lone surrogate is rejected, not mangled.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            }
+        }
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate in \\u escape at byte {at}"))
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -193,34 +274,19 @@ impl<'a> Parser<'a> {
                     return Ok(out);
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            // Surrogate pairs are not needed for our own
-                            // exports; map lone surrogates to the
-                            // replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
+                    self.pos += 2;
+                    out.push(match self.bytes.get(self.pos - 1) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.unicode_escape()?,
+                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
+                    });
                 }
                 Some(_) => {
                     // Consume the whole unescaped run in one step: no byte
@@ -267,6 +333,11 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid number".to_string())?;
+        // Only an all-digit token parses as `u64`; one too large for it
+        // falls through to the nearest `f64`.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Integer(n));
+        }
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
@@ -276,6 +347,13 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_str(line: &str) -> Option<String> {
+        match Value::parse(line) {
+            Ok(Value::String(s)) => Some(s),
+            _ => None,
+        }
+    }
 
     #[test]
     fn parses_nested_document() {
@@ -338,5 +416,67 @@ mod tests {
                 "{text}"
             );
         }
+    }
+
+    #[test]
+    fn unsigned_integers_are_exact_up_to_u64_max() {
+        // 2^53 + 1 and u64::MAX are not representable as f64.
+        for n in [0, (1u64 << 53) + 1, u64::MAX] {
+            assert_eq!(Value::parse(&n.to_string()).unwrap().as_u64(), Some(n));
+        }
+        // One past u64::MAX, and anything signed or fractional, is a float.
+        for text in ["18446744073709551616", "-1", "1.0", "1e3"] {
+            let v = Value::parse(text).unwrap();
+            assert_eq!(v.as_u64(), None, "{text}");
+            assert!(v.as_f64().is_some(), "{text}");
+        }
+    }
+
+    #[test]
+    fn string_roundtrip_with_escapes() {
+        for s in ["plain", "has \"quotes\"", "tabs\tand\nnewlines", "païges ☃"] {
+            assert_eq!(decode_str(&encode_str(s)).as_deref(), Some(s));
+        }
+        assert_eq!(decode_str("\"\\u0041\"").as_deref(), Some("A"));
+        // Non-BMP characters arrive as UTF-16 surrogate pairs from
+        // serializers that ASCII-escape their output (e.g. Python's
+        // json.dumps default).
+        assert_eq!(decode_str("\"\\ud83d\\ude00\"").as_deref(), Some("😀"));
+        // Lone or malformed surrogates are rejected, not mangled.
+        assert!(decode_str("\"\\ud83d\"").is_none());
+        assert!(decode_str("\"\\ud83d\\u0041\"").is_none());
+        assert!(decode_str("not json").is_none());
+        assert!(decode_str("\"trailing\" junk").is_none());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar_anywhere_in_a_document() {
+        // The former telemetry parser turned each half into U+FFFD.
+        let doc = Value::parse(r#"{"name": ["a\ud83d\ude00b"]}"#).unwrap();
+        let name = doc.get("name").and_then(Value::as_array).unwrap();
+        assert_eq!(name[0].as_str(), Some("a\u{1F600}b"));
+        assert!(Value::parse(r#"["\ude00"]"#).is_err());
+        assert!(Value::parse(r#"["\ud83d\ud83d"]"#).is_err());
+        assert!(Value::parse(r#"["\ud83d\u00"]"#).is_err());
+    }
+
+    #[test]
+    fn object_roundtrip() {
+        let fields = [("at_micros", 42.to_string()), ("kind", encode_str("Read"))];
+        let line = encode_object(&fields);
+        assert_eq!(line, r#"{"at_micros":42,"kind":"Read"}"#);
+        let parsed = Value::parse(&line).unwrap();
+        assert_eq!(parsed.get("at_micros"), Some(&Value::Integer(42)));
+        assert_eq!(parsed.get("kind"), Some(&Value::String("Read".to_string())));
+    }
+
+    #[test]
+    fn object_tolerates_whitespace_and_rejects_garbage() {
+        let parsed = Value::parse(r#" { "a" : 1 , "b" : "x" } "#).unwrap();
+        assert!(matches!(&parsed, Value::Object(members) if members.len() == 2));
+        assert!(Value::parse(r#"{"a":}"#).is_err());
+        assert!(Value::parse(r#"{"a":1"#).is_err());
+        assert!(Value::parse(r#"{"a":1} trailing"#).is_err());
+        assert_eq!(Value::parse("{}").unwrap(), Value::Object(vec![]));
     }
 }

@@ -15,6 +15,8 @@
 //! * [`server`] — busy-until-time accounting for single-server resources
 //!   (flash elements, gang buses, disk arms).
 //! * [`event`] — a deterministic event queue for open-arrival simulations.
+//! * [`json`] — the workspace's one vendored JSON codec (trace files, trace
+//!   export validation).
 //! * [`engine`] — the event-driven controller engine: a generic dispatch
 //!   loop delivering arrival, op-start, op-complete and idle events to a
 //!   device [`Controller`].
@@ -27,6 +29,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod json;
 pub mod rng;
 pub mod server;
 pub mod stats;
@@ -36,5 +39,7 @@ pub use engine::{Controller, DispatchedOp, EngineContext, EngineObserver, NoopOb
 pub use event::EventQueue;
 pub use rng::{derive_stream_seed, SimRng};
 pub use server::{Server, Service};
-pub use stats::{improvement_percent, LatencySample, LatencyStats, Summary, Throughput};
+pub use stats::{
+    improvement_percent, nearest_rank, LatencySample, LatencyStats, Summary, Throughput,
+};
 pub use time::{SimDuration, SimTime};

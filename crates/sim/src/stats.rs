@@ -127,6 +127,18 @@ impl LatencySample {
     }
 }
 
+/// The workspace's percentile rule, nearest rank with rounding: the element
+/// of the ascending slice `sorted` at index `round((len - 1) · p / 100)`,
+/// with `p` clamped to 0–100.  Zero when the slice is empty.
+pub fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let p = p.clamp(0.0, 100.0) / 100.0;
+    let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[rank]
+}
+
 /// Collection of response-time observations with percentile queries.
 ///
 /// Percentile queries sort a cached copy of the samples once and reuse it
@@ -157,11 +169,6 @@ impl LatencyStats {
     pub fn record(&mut self, response: SimDuration) {
         self.samples_ns.push(response.as_nanos());
         self.summary.record(response.as_nanos() as f64);
-    }
-
-    /// Records a sample from arrival/completion times.
-    pub fn record_sample(&mut self, sample: LatencySample) {
-        self.record(sample.response());
     }
 
     /// Number of recorded responses.
@@ -199,18 +206,13 @@ impl LatencyStats {
     /// The first query after a push sorts the cached copy; subsequent
     /// queries are O(1) lookups until the next push invalidates it.
     pub fn percentile(&self, p: f64) -> SimDuration {
-        if self.samples_ns.is_empty() {
-            return SimDuration::ZERO;
-        }
         let mut sorted = self.sorted_cache.borrow_mut();
         if sorted.len() != self.samples_ns.len() {
             sorted.clear();
             sorted.extend_from_slice(&self.samples_ns);
             sorted.sort_unstable();
         }
-        let p = p.clamp(0.0, 100.0) / 100.0;
-        let rank = ((sorted.len() - 1) as f64 * p).round() as usize;
-        SimDuration::from_nanos(sorted[rank])
+        SimDuration::from_nanos(nearest_rank(&sorted, p))
     }
 
     /// Standard deviation of response times.

@@ -144,11 +144,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional microseconds.
-    pub fn from_micros_f64(micros: f64) -> Self {
-        Self::from_secs_f64(micros / 1e6)
-    }
-
     /// Creates a duration from fractional milliseconds.
     pub fn from_millis_f64(millis: f64) -> Self {
         Self::from_secs_f64(millis / 1e3)

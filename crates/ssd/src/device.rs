@@ -6,11 +6,38 @@
 //! operations, issued into the dispatch queues, and driven by the event
 //! engine ([`ossd_sim::engine`]) through the crate's controller module.
 //! See the crate documentation for the two drivers of that pipeline.
+//!
+//! # Flash-op timing: one stage table
+//!
+//! The paper's §3.2 device is elements behind shared gang buses, so every
+//! flash op is array time on its die and/or a transfer on the die's gang
+//! bus, in some order.  That is written down once, as data: a `Stage` is
+//! `{ on_bus, service, event }` and `stage_table` maps each
+//! [`FlashOpKind`] to its chain of at most two stages, built once per
+//! device from [`FlashTiming`] and the page size:
+//!
+//! | kinds | chain |
+//! |---|---|
+//! | `ReadPage`, `ReadRetry`, `MapRead` | array read on the die, then bus transfer |
+//! | `ProgramPage`, `MapWrite` | bus transfer, then array program on the die |
+//! | `CopybackPage`, `EraseBlock` | array time on the die only |
+//!
+//! `Ssd::schedule_ops` has one loop over an op's chain: pick the die's or
+//! the gang bus's [`ElementQueue`], accept the stage there (blaming its
+//! wait and its own service when attribution is on), emit its span, and
+//! start the next stage when this one completes; the op's busy time is the
+//! sum of its stages.  A new kind is a new row.  A multi-plane program
+//! would be a row with one bus stage per plane and a single array stage
+//! (and a wider chain array); a suspendable erase would be a row of several
+//! short array stages — the slices between suspend points — instead of one
+//! long one, after which letting a later read be accepted between two of
+//! them is a change to [`ElementQueue`], not to this loop.
 
 use ossd_block::{
     arbitrate_round_robin, BlockDevice, BlockOpKind, BlockRequest, Completion, CompletionStatus,
     DeviceError, DeviceInfo, HostCommand, HostInterface, HostQueue, StreamTemperature,
 };
+use ossd_flash::FlashTiming;
 use ossd_ftl::{
     FlashOp, FlashOpKind, Ftl, FtlStats, Lpn, OpPurpose, PageFtl, StripeFtl, WriteContext,
 };
@@ -34,6 +61,8 @@ pub struct Ssd {
     ftl: Box<dyn Ftl>,
     elements: Vec<ElementQueue>,
     buses: Vec<ElementQueue>,
+    /// The timing chain of every [`FlashOpKind`], indexed by the kind.
+    stages: StageTable,
     stats: SsdStats,
     last_read_end: Option<u64>,
     last_write_end: Option<u64>,
@@ -54,6 +83,83 @@ pub struct Ssd {
     /// Latency-attribution state; `None` (zero cost beyond one pointer
     /// check) unless [`Ssd::enable_attribution`] was called.
     attribution: Option<Box<Attribution>>,
+}
+
+/// One stage of a flash op's timing chain: `service` on the op's die, or on
+/// the die's gang bus when `on_bus`, traced as an `event` span.
+#[derive(Clone, Copy)]
+struct Stage {
+    on_bus: bool,
+    service: SimDuration,
+    event: EventKind,
+}
+
+/// `FlashOpKind as usize` → the kind's stages in the order they run.
+type StageTable = [[Option<Stage>; 2]; 7];
+
+/// The one timing description per flash-op kind, built once per device (see
+/// the module docs).  A new [`FlashOpKind`] is one more row.
+fn stage_table(timing: &FlashTiming, page_bytes: u64) -> StageTable {
+    let die = |service, event| {
+        Some(Stage {
+            on_bus: false,
+            service,
+            event,
+        })
+    };
+    let bus = Some(Stage {
+        on_bus: true,
+        service: timing.transfer(page_bytes),
+        event: EventKind::BusTransfer,
+    });
+    let read = timing.read_page;
+    let program = timing.program_page;
+    let rows = [
+        // Read-like: the array read fills the die's register, then the page
+        // crosses the gang bus.  An ECC retry and a translation-page fill
+        // each cost a full read pass.
+        (
+            FlashOpKind::ReadPage,
+            [die(read, EventKind::FlashRead), bus],
+        ),
+        (
+            FlashOpKind::ReadRetry,
+            [die(read, EventKind::FlashReadRetry), bus],
+        ),
+        (
+            FlashOpKind::MapRead,
+            [die(read, EventKind::FlashMapRead), bus],
+        ),
+        // Program-like: the page crosses the gang bus, then the die programs.
+        (
+            FlashOpKind::ProgramPage,
+            [bus, die(program, EventKind::FlashProgram)],
+        ),
+        (
+            FlashOpKind::MapWrite,
+            [bus, die(program, EventKind::FlashMapWrite)],
+        ),
+        // Array-only: nothing leaves the die.
+        (
+            FlashOpKind::CopybackPage,
+            [
+                die(timing.copyback_service(), EventKind::FlashCopyback),
+                None,
+            ],
+        ),
+        (
+            FlashOpKind::EraseBlock,
+            [die(timing.erase_block, EventKind::FlashErase), None],
+        ),
+    ];
+    // One slot per row, filled by discriminant so row order is free; a kind
+    // without a row would leave an empty chain.
+    let mut table: StageTable = rows.map(|_| [None; 2]);
+    for (kind, chain) in rows {
+        table[kind as usize] = chain;
+    }
+    debug_assert!(table.iter().all(|chain| chain[0].is_some()));
+    table
 }
 
 /// Blame captured for one scheduled flash op: its queue waits (split by
@@ -225,12 +331,14 @@ impl Ssd {
             .map(|_| ElementQueue::new())
             .collect();
         let buses = (0..config.gangs).map(|_| ElementQueue::new()).collect();
+        let stages = stage_table(&config.timing, config.geometry.page_bytes as u64);
         let background = config.background_gc.map(BackgroundCleaner::new);
         Ok(Ssd {
             config,
             ftl,
             elements,
             buses,
+            stages,
             stats: SsdStats::default(),
             last_read_end: None,
             last_write_end: None,
@@ -266,15 +374,6 @@ impl Ssd {
         self.attribution.is_some()
     }
 
-    /// The attributed completions recorded so far (empty when attribution
-    /// is disabled or the records were drained).
-    pub fn blame_records(&self) -> &[BlameRecord] {
-        self.attribution
-            .as_ref()
-            .map(|a| a.collector.records())
-            .unwrap_or(&[])
-    }
-
     /// Drains the attributed completions, leaving per-class/per-initiator
     /// aggregates in place.  Experiments drain after a prefill phase so the
     /// measured records cover only the workload of interest.
@@ -283,12 +382,6 @@ impl Ssd {
             .as_mut()
             .map(|a| a.collector.take_records())
             .unwrap_or_default()
-    }
-
-    /// The blame aggregates (per class, per initiator), when attribution is
-    /// enabled.
-    pub fn blame_collector(&self) -> Option<&BlameCollector> {
-        self.attribution.as_ref().map(|a| &a.collector)
     }
 
     /// Hands the device-side breakdown (dispatch → finish) of the command
@@ -405,11 +498,6 @@ impl Ssd {
         &self.elements
     }
 
-    /// The per-gang-bus dispatch queues.
-    pub fn bus_queues(&self) -> &[ElementQueue] {
-        &self.buses
-    }
-
     /// Flushes any buffered writes (the stripe FTL's open stripe) to flash,
     /// starting no earlier than `at`.  Returns the completion time of the
     /// flush (equal to `at` when there was nothing to flush).
@@ -443,10 +531,6 @@ impl Ssd {
         Ok(finish)
     }
 
-    fn gang_of(&self, element: usize) -> usize {
-        element / self.config.elements_per_gang() as usize
-    }
-
     fn ram_transfer(&self, bytes: u64) -> SimDuration {
         SimDuration::from_bytes_at_rate(bytes, self.config.ram_bytes_per_sec)
     }
@@ -463,8 +547,7 @@ impl Ssd {
     /// finish — becomes `Attribution::chain`, an exact decomposition of
     /// `[floor, finish)`.  None of this alters timing.
     fn schedule_ops(&mut self, ops: &[FlashOp], floor: SimTime) -> (SimTime, SimTime) {
-        let timing = &self.config.timing;
-        let page_bytes = self.config.geometry.page_bytes as u64;
+        let elements_per_gang = self.config.elements_per_gang() as usize;
         let mut host_finish = floor;
         let mut any_finish = floor;
         let mut service_begin = SimTime::MAX;
@@ -482,245 +565,53 @@ impl Ssd {
         };
         for op in ops {
             let element = op.element.index();
-            let gang = self.gang_of(element);
+            let gang = element / elements_per_gang;
             let purpose = op.purpose.telemetry_code();
             let source = blame_source(op);
             let mut op_blame = attribution_on.then(BlameBreakdown::new);
-            let (begin, finish, busy) = match op.kind {
-                FlashOpKind::ReadPage | FlashOpKind::ReadRetry => {
-                    // Array read on the die, then the transfer serialises on
-                    // the gang bus.  An ECC read-retry re-reads the array
-                    // with shifted thresholds and re-transfers the page, so
-                    // it costs a full read pass of latency.
-                    let read = accept_blamed(
-                        &mut self.elements[element],
-                        floor,
-                        timing.read_page,
-                        own_element_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    let xfer = accept_blamed(
-                        &mut self.buses[gang],
-                        read.completion,
-                        timing.transfer(page_bytes),
-                        own_bus_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    if traced {
-                        let kind = if op.kind == FlashOpKind::ReadRetry {
-                            EventKind::FlashReadRetry
-                        } else {
-                            EventKind::FlashRead
-                        };
-                        self.telemetry.span(
-                            read.start,
-                            read.completion,
-                            Track::Element(element as u32),
-                            kind,
-                            purpose,
-                            element as u64,
-                        );
-                        self.telemetry.span(
-                            xfer.start,
-                            xfer.completion,
-                            Track::Bus(gang as u32),
-                            EventKind::BusTransfer,
-                            purpose,
-                            element as u64,
-                        );
-                    }
+            // Walk the kind's chain: each stage queues on the die or on the
+            // gang bus and the next one arrives when it completes.
+            let mut finish = floor;
+            let mut busy = SimDuration::ZERO;
+            for stage in self.stages[op.kind as usize].iter().flatten() {
+                let (queue, track, own_cat) = if stage.on_bus {
                     (
-                        read.start,
-                        xfer.completion,
-                        timing.read_page + timing.transfer(page_bytes),
-                    )
-                }
-                FlashOpKind::ProgramPage => {
-                    // Data crosses the gang bus first, then the die programs.
-                    let xfer = accept_blamed(
                         &mut self.buses[gang],
-                        floor,
-                        timing.transfer(page_bytes),
+                        Track::Bus(gang as u32),
                         own_bus_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    let prog = accept_blamed(
-                        &mut self.elements[element],
-                        xfer.completion,
-                        timing.program_page,
-                        own_element_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    if traced {
-                        self.telemetry.span(
-                            xfer.start,
-                            xfer.completion,
-                            Track::Bus(gang as u32),
-                            EventKind::BusTransfer,
-                            purpose,
-                            element as u64,
-                        );
-                        self.telemetry.span(
-                            prog.start,
-                            prog.completion,
-                            Track::Element(element as u32),
-                            EventKind::FlashProgram,
-                            purpose,
-                            element as u64,
-                        );
-                    }
-                    (
-                        xfer.start,
-                        prog.completion,
-                        timing.transfer(page_bytes) + timing.program_page,
                     )
-                }
-                FlashOpKind::CopybackPage => {
-                    let svc = timing.copyback_service();
-                    let s = accept_blamed(
-                        &mut self.elements[element],
-                        floor,
-                        svc,
-                        own_element_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    if traced {
-                        self.telemetry.span(
-                            s.start,
-                            s.completion,
-                            Track::Element(element as u32),
-                            EventKind::FlashCopyback,
-                            purpose,
-                            element as u64,
-                        );
-                    }
-                    (s.start, s.completion, svc)
-                }
-                FlashOpKind::EraseBlock => {
-                    let s = accept_blamed(
-                        &mut self.elements[element],
-                        floor,
-                        timing.erase_block,
-                        own_element_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    if traced {
-                        self.telemetry.span(
-                            s.start,
-                            s.completion,
-                            Track::Element(element as u32),
-                            EventKind::FlashErase,
-                            purpose,
-                            element as u64,
-                        );
-                    }
-                    (s.start, s.completion, timing.erase_block)
-                }
-                FlashOpKind::MapRead => {
-                    // A translation-page fill costs a full page read: array
-                    // read on the die, then the transfer serialises on the
-                    // gang bus — map traffic competes with host traffic.
-                    let read = accept_blamed(
-                        &mut self.elements[element],
-                        floor,
-                        timing.read_page,
-                        own_element_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    let xfer = accept_blamed(
-                        &mut self.buses[gang],
-                        read.completion,
-                        timing.transfer(page_bytes),
-                        own_bus_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    if traced {
-                        self.telemetry.span(
-                            read.start,
-                            read.completion,
-                            Track::Element(element as u32),
-                            EventKind::FlashMapRead,
-                            purpose,
-                            element as u64,
-                        );
-                        self.telemetry.span(
-                            xfer.start,
-                            xfer.completion,
-                            Track::Bus(gang as u32),
-                            EventKind::BusTransfer,
-                            purpose,
-                            element as u64,
-                        );
-                    }
+                } else {
                     (
-                        read.start,
-                        xfer.completion,
-                        timing.read_page + timing.transfer(page_bytes),
-                    )
-                }
-                FlashOpKind::MapWrite => {
-                    // A translation-page writeback costs a full page program:
-                    // the page crosses the gang bus, then the die programs.
-                    let xfer = accept_blamed(
-                        &mut self.buses[gang],
-                        floor,
-                        timing.transfer(page_bytes),
-                        own_bus_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    let prog = accept_blamed(
                         &mut self.elements[element],
-                        xfer.completion,
-                        timing.program_page,
+                        Track::Element(element as u32),
                         own_element_cat(source),
-                        owner,
-                        source,
-                        op_blame.as_mut(),
-                    );
-                    if traced {
-                        self.telemetry.span(
-                            xfer.start,
-                            xfer.completion,
-                            Track::Bus(gang as u32),
-                            EventKind::BusTransfer,
-                            purpose,
-                            element as u64,
-                        );
-                        self.telemetry.span(
-                            prog.start,
-                            prog.completion,
-                            Track::Element(element as u32),
-                            EventKind::FlashMapWrite,
-                            purpose,
-                            element as u64,
-                        );
-                    }
-                    (
-                        xfer.start,
-                        prog.completion,
-                        timing.transfer(page_bytes) + timing.program_page,
                     )
+                };
+                let svc = accept_blamed(
+                    queue,
+                    finish,
+                    stage.service,
+                    own_cat,
+                    owner,
+                    source,
+                    op_blame.as_mut(),
+                );
+                if traced {
+                    self.telemetry.span(
+                        svc.start,
+                        svc.completion,
+                        track,
+                        stage.event,
+                        purpose,
+                        element as u64,
+                    );
                 }
-            };
-            service_begin = service_begin.min(begin);
+                // Stage starts only grow along a chain, so the minimum over
+                // the batch is the first stage of its earliest op.
+                service_begin = service_begin.min(svc.start);
+                finish = svc.completion;
+                busy += stage.service;
+            }
             any_finish = any_finish.max(finish);
             let mut foreground = false;
             match op.purpose {
@@ -843,36 +734,12 @@ impl Ssd {
         Ok(())
     }
 
-    /// Services one request starting no earlier than `dispatch`, donating
-    /// any idle gap since the last activity to background cleaning first.
-    /// `priority_pending` tells the FTL whether high-priority host requests
-    /// are outstanding (drives priority-aware cleaning).
-    ///
-    /// Test-only: every real caller — block, object, open or closed — goes
-    /// through the queue-pair protocol ([`HostInterface::serve`],
-    /// `Ssd::submit`, [`Ssd::simulate_open`]), whose controller performs
-    /// bounds and priority handling uniformly.  This standalone form exists
-    /// only for in-crate tests of the no-side-effects contract.
-    #[cfg(test)]
-    pub(crate) fn service_request(
-        &mut self,
-        request: &BlockRequest,
-        dispatch: SimTime,
-        priority_pending: bool,
-    ) -> Result<Completion, SsdError> {
-        // Validate before touching device state: a rejected request must
-        // have no side effects, including background cleaning.
-        self.check_bounds(request).map_err(SsdError::Device)?;
-        let start = dispatch.max(request.arrival);
-        self.maybe_background_clean(start)?;
-        self.issue_request(request, dispatch, priority_pending)
-    }
-
     /// Issues one request into the dispatch queues starting no earlier than
     /// `dispatch`: splits it into logical pages, asks the FTL for the flash
     /// operations, and times them on the per-element/per-bus queues.  Does
     /// *not* run the background cleaner — the engine delivers idle windows
-    /// separately.
+    /// separately.  `priority_pending` tells the FTL whether high-priority
+    /// host requests are outstanding (drives priority-aware cleaning).
     pub(crate) fn issue_request(
         &mut self,
         request: &BlockRequest,
@@ -1256,7 +1123,6 @@ mod tests {
         let cap = ssd.capacity_bytes();
         let bad = BlockRequest::read(u64::MAX, cap, 4096, at + SimDuration::from_millis(10));
         assert!(ssd.submit(&bad).is_err());
-        assert!(ssd.service_request(&bad, at, false).is_err());
         assert_eq!(ssd.stats(), before);
         assert_eq!(ssd.background_gc_stats().unwrap(), bg_before);
     }
@@ -1603,6 +1469,115 @@ mod tests {
         assert_eq!(wear.retired_blocks, s.reliability.retired_blocks);
         assert!(wear.worn_out_blocks >= wear.retired_blocks);
         assert_eq!(wear.spare_blocks + wear.retired_blocks, 16);
+    }
+
+    #[test]
+    fn every_flash_op_kind_schedules_its_exact_stage_chain() {
+        use ossd_flash::ElementId;
+        use ossd_telemetry::{Recorder, RecorderConfig};
+        // SLC timing on 4 KiB pages in ns, written out independently of
+        // `FlashTiming`: (on the gang bus?, service, span kind) per stage.
+        const READ: u64 = 25_000;
+        const XFER: u64 = 102_400;
+        const PROG: u64 = 200_000;
+        let bus = (true, XFER, EventKind::BusTransfer);
+        let cases = [
+            (
+                FlashOpKind::ReadPage,
+                vec![(false, READ, EventKind::FlashRead), bus],
+            ),
+            (
+                FlashOpKind::ReadRetry,
+                vec![(false, READ, EventKind::FlashReadRetry), bus],
+            ),
+            (
+                FlashOpKind::MapRead,
+                vec![(false, READ, EventKind::FlashMapRead), bus],
+            ),
+            (
+                FlashOpKind::ProgramPage,
+                vec![bus, (false, PROG, EventKind::FlashProgram)],
+            ),
+            (
+                FlashOpKind::MapWrite,
+                vec![bus, (false, PROG, EventKind::FlashMapWrite)],
+            ),
+            (
+                FlashOpKind::CopybackPage,
+                vec![(false, READ + PROG, EventKind::FlashCopyback)],
+            ),
+            (
+                FlashOpKind::EraseBlock,
+                vec![(false, 1_500_000, EventKind::FlashErase)],
+            ),
+        ];
+        for (kind, stages) in cases {
+            let mut config = SsdConfig::tiny_page_mapped();
+            config.gangs = 2; // element 1 sits alone on bus 1
+            let mut ssd = Ssd::new(config).unwrap();
+            let (handle, recorder) = Recorder::shared(RecorderConfig::default());
+            ssd.set_telemetry(handle);
+            ssd.enable_attribution();
+            let floor = SimTime::from_nanos(1_000);
+            // Host purpose on the idle device, then GC purpose from the same
+            // floor: by then the die and the bus are busy with the first op.
+            let (mut die_free, mut bus_free) = (0u64, 0u64);
+            let mut expected = Vec::new();
+            for purpose in [OpPurpose::HostWrite, OpPurpose::Clean] {
+                let op = FlashOp {
+                    element: ElementId(1),
+                    kind,
+                    purpose,
+                };
+                let mut stats = ssd.stats;
+                let (begin, finish) = ssd.schedule_ops(&[op], floor);
+                let mut at = floor.as_nanos();
+                let mut first_start = None;
+                for &(on_bus, service, event) in &stages {
+                    let (free, track) = if on_bus {
+                        (&mut bus_free, Track::Bus(1))
+                    } else {
+                        (&mut die_free, Track::Element(1))
+                    };
+                    let start = at.max(*free);
+                    at = start + service;
+                    *free = at;
+                    first_start.get_or_insert(start);
+                    expected.push((track, event, start, at, purpose.telemetry_code(), 1));
+                }
+                assert_eq!(
+                    (begin.as_nanos(), finish.as_nanos()),
+                    (first_start.unwrap(), at),
+                    "{kind:?} {purpose:?}"
+                );
+                let busy = SimDuration::from_nanos(stages.iter().map(|s| s.1).sum());
+                if purpose == OpPurpose::Clean {
+                    stats.cleaning_busy += busy;
+                } else {
+                    stats.host_busy += busy;
+                }
+                assert_eq!(ssd.stats, stats, "{kind:?} {purpose:?}");
+                let chain = ssd.attribution.as_ref().unwrap().chain;
+                assert_eq!(chain.total_nanos(), at - floor.as_nanos(), "{kind:?}");
+            }
+            let recorded: Vec<_> = recorder
+                .lock()
+                .unwrap()
+                .events()
+                .iter()
+                .map(|e| {
+                    (
+                        e.track,
+                        e.kind,
+                        e.start.as_nanos(),
+                        e.end.as_nanos(),
+                        e.a,
+                        e.b,
+                    )
+                })
+                .collect();
+            assert_eq!(recorded, expected, "{kind:?}");
+        }
     }
 
     #[test]

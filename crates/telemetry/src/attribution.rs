@@ -29,7 +29,7 @@
 //! Perfetto counter tracks via [`to_chrome_counters`].
 
 use crate::ServiceClass;
-use ossd_sim::{SimDuration, SimTime};
+use ossd_sim::{nearest_rank, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// The categories end-to-end latency is blamed on.
@@ -447,21 +447,10 @@ pub struct TailReport {
     pub classes: Vec<ClassTail>,
 }
 
-/// Percentile over a sorted slice, matching `LatencyStats::percentile`
-/// semantics (nearest-rank with rounding).
-fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let clamped = p.clamp(0.0, 100.0);
-    let rank = ((sorted.len() - 1) as f64 * clamped / 100.0).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 fn class_tail(name: &'static str, records: &[&BlameRecord]) -> ClassTail {
     let mut totals: Vec<u64> = records.iter().map(|r| r.total_nanos()).collect();
     totals.sort_unstable();
-    let p999 = percentile_sorted(&totals, 99.9);
+    let p999 = nearest_rank(&totals, 99.9);
     let mut tail_blame = BlameBreakdown::new();
     let mut tail_total = 0u64;
     let mut tail_count = 0u64;
@@ -485,10 +474,10 @@ fn class_tail(name: &'static str, records: &[&BlameRecord]) -> ClassTail {
     ClassTail {
         class: name,
         count: records.len() as u64,
-        p50_us: percentile_sorted(&totals, 50.0) as f64 / 1_000.0,
-        p99_us: percentile_sorted(&totals, 99.0) as f64 / 1_000.0,
+        p50_us: nearest_rank(&totals, 50.0) as f64 / 1_000.0,
+        p99_us: nearest_rank(&totals, 99.0) as f64 / 1_000.0,
         p999_us: p999 as f64 / 1_000.0,
-        p9999_us: percentile_sorted(&totals, 99.99) as f64 / 1_000.0,
+        p9999_us: nearest_rank(&totals, 99.99) as f64 / 1_000.0,
         tail_count,
         tail_share,
         blamed_us,
@@ -754,7 +743,7 @@ mod tests {
             record(Some(ServiceClass::Read), 0, 100, 10),
         ];
         let json = to_chrome_counters(&records);
-        let doc = crate::json::Value::parse(&json).expect("counter trace must parse");
+        let doc = ossd_sim::json::Value::parse(&json).expect("counter trace must parse");
         let events = doc
             .get("traceEvents")
             .and_then(|v| v.as_array())

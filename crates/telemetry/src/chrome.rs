@@ -145,7 +145,7 @@ pub fn to_chrome_trace_multi(devices: &[(&str, &[TraceEvent])]) -> String {
 mod tests {
     use super::*;
     use crate::event::{purpose, EventKind};
-    use crate::json::Value;
+    use ossd_sim::json::Value;
     use ossd_sim::SimTime;
 
     fn sample_events() -> Vec<TraceEvent> {

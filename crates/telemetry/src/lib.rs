@@ -27,8 +27,8 @@
 //!   per-class [`TailReport`] with p99.9 blame shares.
 //!
 //! The [`chrome`] module renders recorded events as Chrome-trace-event JSON
-//! that opens directly in Perfetto or `chrome://tracing`; the [`json`]
-//! module vendors a small parser used to validate those exports.
+//! that opens directly in Perfetto or `chrome://tracing`; the exports are
+//! validated with the workspace's one parser, [`ossd_sim::json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +37,6 @@ pub mod attribution;
 pub mod chrome;
 pub mod event;
 pub mod histogram;
-pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod recorder;
