@@ -11,6 +11,8 @@
 //! constructor installs no model; fault-free arrays make no random draws
 //! and behave bit-for-bit like the pre-reliability simulator.
 
+use std::ops::Range;
+
 use ossd_reliability::{ReadStatus, ReliabilityConfig, ReliabilityModel};
 
 use crate::element::{ElementCounters, FlashElement};
@@ -225,26 +227,52 @@ impl FlashArray {
     /// stale (burned) and the caller must re-program the data elsewhere and
     /// schedule the block for retirement.
     pub fn program(&mut self, element: ElementId, block: u32) -> Result<PhysPageAddr, FlashError> {
-        if self.reliability.is_some() {
-            if self.element(element)?.block(block)?.is_bad() {
-                return Err(FlashError::BadBlock {
-                    element: element.0,
-                    block,
-                });
-            }
-            let wear = self.wear_of(element, block)?;
-            let fails = self
-                .reliability
-                .as_mut()
-                .expect("checked above")
-                .program_fails(wear);
-            if fails {
-                let addr = self.element_mut(element)?.skip_page(block)?;
-                self.counters.program_fails += 1;
-                return Err(FlashError::ProgramFailed { addr });
-            }
+        let pages = self.program_run(element, block, 1)?;
+        let addr = PhysPageAddr {
+            element,
+            block,
+            page: pages.start,
+        };
+        if pages.is_empty() {
+            return Err(FlashError::ProgramFailed { addr });
         }
-        self.element_mut(element)?.program(block)
+        Ok(addr)
+    }
+
+    /// Programs the next `n` sequential pages of `block` on `element` and
+    /// returns the pages that landed.  A retired block, one with fewer than
+    /// `n` free pages and an out-of-range coordinate are rejected up front.
+    ///
+    /// With a fault model installed each page makes the failure draw of a
+    /// single [`FlashArray::program`], in page order, and the run stops at
+    /// the first failure: fewer than `n` pages come back, the page at the
+    /// range's end is burned, and the caller owes what `program` asks of it
+    /// on [`FlashError::ProgramFailed`].
+    pub fn program_run(
+        &mut self,
+        element: ElementId,
+        block: u32,
+        n: u32,
+    ) -> Result<Range<u32>, FlashError> {
+        if self.reliability.is_none() {
+            // Fault-free arrays (the default everywhere) make no draws.
+            return self.element_mut(element)?.program_run(block, n);
+        }
+        let blk = self.element(element)?.block(block)?;
+        blk.room_for(element, block, n)?;
+        let wear = self.wear_of(element, block)?;
+        let model = self.reliability.as_mut().expect("checked above");
+        let mut landed = 0;
+        while landed < n && !model.program_fails(wear) {
+            landed += 1;
+        }
+        let target = self.element_mut(element)?;
+        let pages = target.program_run(block, landed)?;
+        if landed < n {
+            target.skip_page(block)?;
+            self.counters.program_fails += 1;
+        }
+        Ok(pages)
     }
 
     /// Consumes the next sequential page of `block` as stale without
@@ -615,5 +643,129 @@ mod tests {
         assert_eq!(c.read_retries, retries);
         assert_eq!(c.uncorrectable_reads, uncorrectable);
         assert!(c.corrected_bits > 0);
+    }
+
+    fn block_of(array: &FlashArray, element: u32, block: u32) -> &crate::Block {
+        let element = array.element(ElementId(element)).unwrap();
+        element.block(block).unwrap()
+    }
+
+    /// The outcome of the next 100 program draws (on element 1, block 7,
+    /// recycled whenever it fills): equal on two arrays exactly when their
+    /// fault generators are in the same state.
+    fn next_100_draws(array: &mut FlashArray) -> Vec<bool> {
+        let e = ElementId(1);
+        (0..100)
+            .map(|_| {
+                if block_of(array, 1, 7).is_full() {
+                    let element = array.element_mut(e).unwrap();
+                    element.invalidate_span(7, 0..8).unwrap();
+                    array.erase(e, 7).unwrap();
+                }
+                array.program(e, 7).is_ok()
+            })
+            .collect()
+    }
+
+    /// `program_run(n)` against `n` single programs on a clone, with a
+    /// fault model that fails about one program in six: same pages, same
+    /// burned pages, same counters — and the same generator state
+    /// afterwards, shown by the next 100 draws.
+    #[test]
+    fn program_run_is_n_single_programs_under_the_fault_model() {
+        let faults = FaultConfig {
+            seed: 29,
+            program_fail_base: 0.15,
+            ..FaultConfig::none()
+        };
+        let e = ElementId(0);
+        let mut run = faulty_array(faults);
+        let mut single = run.clone();
+        let (mut failed_first, mut failed_inside, mut clean) = (0, 0, 0);
+        let mut block = 0;
+        for step in 0..400u32 {
+            if block_of(&run, 0, block).is_full() {
+                // Move on, recycling the next block so that wear (and with
+                // it the failure probability) moves too.
+                block = (block + 1) % 8;
+                if !block_of(&run, 0, block).is_erased() {
+                    for a in [&mut run, &mut single] {
+                        let element = a.element_mut(e).unwrap();
+                        element.invalidate_span(block, 0..8).unwrap();
+                        a.erase(e, block).unwrap();
+                    }
+                }
+            }
+            let n = 1 + step % block_of(&run, 0, block).free_count();
+            let landed = run.program_run(e, block, n).unwrap();
+            let mut expected = landed.start..landed.start;
+            for _ in 0..n {
+                match single.program(e, block) {
+                    Ok(addr) => expected.end = addr.page + 1,
+                    Err(FlashError::ProgramFailed { addr }) => {
+                        assert_eq!(addr.page, expected.end, "the burned page ends the run");
+                        break;
+                    }
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            }
+            assert_eq!(landed, expected, "step {step}");
+            match landed.len() as u32 {
+                0 => failed_first += 1,
+                l if l < n => failed_inside += 1,
+                _ => clean += 1,
+            }
+            assert_eq!(run.reliability_counters(), single.reliability_counters());
+            assert_eq!(run.counters(), single.counters());
+            assert_eq!(
+                block_of(&run, 0, block).states(),
+                block_of(&single, 0, block).states()
+            );
+        }
+        assert!(failed_first > 0 && failed_inside > 0 && clean > 0);
+        assert_eq!(next_100_draws(&mut run), next_100_draws(&mut single));
+    }
+
+    #[test]
+    fn program_run_rejections_touch_neither_block_nor_generator() {
+        let faults = FaultConfig {
+            seed: 5,
+            program_fail_base: 0.5,
+            ..FaultConfig::none()
+        };
+        for mut a in [array(), faulty_array(faults)] {
+            a.retire(ElementId(0), 1).unwrap();
+            a.program_run(ElementId(1), 0, 2).unwrap();
+            let reference = a.clone();
+            assert!(matches!(
+                a.program_run(ElementId(0), 1, 1),
+                Err(FlashError::BadBlock { .. })
+            ));
+            assert!(matches!(
+                a.program_run(ElementId(0), 0, 9),
+                Err(FlashError::BlockFull { .. })
+            ));
+            assert!(matches!(
+                a.program_run(ElementId(0), 99, 1),
+                Err(FlashError::OutOfRange { what: "block", .. })
+            ));
+            assert!(matches!(
+                a.program_run(ElementId(5), 0, 1),
+                Err(FlashError::OutOfRange {
+                    what: "element",
+                    ..
+                })
+            ));
+            let spanned = a.element_mut(ElementId(1)).unwrap();
+            assert!(matches!(
+                spanned.invalidate_span(0, 0..9),
+                Err(FlashError::OutOfRange { what: "page", .. })
+            ));
+            assert_eq!(a.counters(), reference.counters());
+            assert_eq!(a.valid_pages(), reference.valid_pages());
+            assert_eq!(a.free_pages(), reference.free_pages());
+            let mut reference = reference;
+            assert_eq!(next_100_draws(&mut a), next_100_draws(&mut reference));
+        }
     }
 }

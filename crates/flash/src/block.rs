@@ -5,6 +5,8 @@
 //! on), may be invalidated when the logical data they hold is overwritten
 //! or freed, and all return to the free state when the block is erased.
 
+use std::ops::Range;
+
 use crate::error::FlashError;
 use crate::geometry::{ElementId, PhysPageAddr};
 
@@ -81,29 +83,53 @@ impl Block {
             })
     }
 
-    /// Programs the next free page in sequence and returns its index.
-    ///
-    /// Fails with [`FlashError::BlockFull`] when all pages are programmed.
-    /// The `element`/`block` coordinates are only used to build error values.
-    pub fn program_next(&mut self, element: ElementId, block: u32) -> Result<u32, FlashError> {
+    /// The state of every page, in page order.
+    pub fn states(&self) -> &[PageState] {
+        &self.states
+    }
+
+    /// Checks that `n` more pages can be consumed: the block is in service
+    /// ([`FlashError::BadBlock`]) and has the free pages
+    /// ([`FlashError::BlockFull`]).  The coordinates only build the error.
+    pub fn room_for(&self, element: ElementId, block: u32, n: u32) -> Result<(), FlashError> {
         if self.bad {
             return Err(FlashError::BadBlock {
                 element: element.0,
                 block,
             });
         }
-        if self.write_ptr as usize >= self.states.len() {
+        if n > self.free_count() {
             return Err(FlashError::BlockFull {
                 element: element.0,
                 block,
             });
         }
-        let page = self.write_ptr;
-        debug_assert_eq!(self.states[page as usize], PageState::Free);
-        self.states[page as usize] = PageState::Valid;
-        self.write_ptr += 1;
-        self.valid += 1;
-        Ok(page)
+        Ok(())
+    }
+
+    /// Programs the next free page in sequence and returns its index.
+    ///
+    /// Fails with [`FlashError::BlockFull`] when all pages are programmed.
+    pub fn program_next(&mut self, element: ElementId, block: u32) -> Result<u32, FlashError> {
+        Ok(self.program_run(element, block, 1)?.start)
+    }
+
+    /// Programs the next `n` free pages in sequence and returns their
+    /// indices, or fails as [`Block::room_for`] does, touching nothing.
+    pub fn program_run(
+        &mut self,
+        element: ElementId,
+        block: u32,
+        n: u32,
+    ) -> Result<Range<u32>, FlashError> {
+        self.room_for(element, block, n)?;
+        let pages = self.write_ptr..self.write_ptr + n;
+        let states = &mut self.states[pages.start as usize..pages.end as usize];
+        debug_assert!(states.iter().all(|&s| s == PageState::Free));
+        states.fill(PageState::Valid);
+        self.write_ptr += n;
+        self.valid += n;
+        Ok(pages)
     }
 
     /// Consumes the next sequential page as stale without programming data
@@ -111,18 +137,7 @@ impl Block {
     /// burned) and by lockstep FTLs that must pad sibling blocks past a
     /// failed row.
     pub fn skip_next(&mut self, element: ElementId, block: u32) -> Result<u32, FlashError> {
-        if self.bad {
-            return Err(FlashError::BadBlock {
-                element: element.0,
-                block,
-            });
-        }
-        if self.write_ptr as usize >= self.states.len() {
-            return Err(FlashError::BlockFull {
-                element: element.0,
-                block,
-            });
-        }
+        self.room_for(element, block, 1)?;
         let page = self.write_ptr;
         debug_assert_eq!(self.states[page as usize], PageState::Free);
         self.states[page as usize] = PageState::Invalid;
@@ -157,6 +172,28 @@ impl Block {
             invalid_pages: self.invalid_count(),
             valid_pages: self.valid,
         })
+    }
+
+    /// Marks every valid page of `pages` stale and returns how many there
+    /// were, as invalidating each in turn does; stale and free pages are
+    /// left alone.  A span past the block is rejected, touching nothing.
+    pub fn invalidate_span(&mut self, pages: Range<u32>) -> Result<u32, FlashError> {
+        let bound = self.states.len() as u64;
+        let span = self
+            .states
+            .get_mut(pages.start as usize..pages.end as usize)
+            .ok_or(FlashError::OutOfRange {
+                what: "page",
+                index: pages.end as u64,
+                bound,
+            })?;
+        let mut staled = 0;
+        for state in span.iter_mut().filter(|s| **s == PageState::Valid) {
+            *state = PageState::Invalid;
+            staled += 1;
+        }
+        self.valid -= staled;
+        Ok(staled)
     }
 
     /// Checks that reading `page` would return defined data.
@@ -459,5 +496,98 @@ mod tests {
                 b.pages()
             );
         }
+    }
+
+    #[test]
+    fn program_run_is_repeated_program_next() {
+        for (already, n) in [(0, 0), (0, 1), (0, 8), (3, 5), (7, 1)] {
+            let mut run = Block::new(8);
+            let mut single = Block::new(8);
+            for _ in 0..already {
+                run.program_next(E, 0).unwrap();
+                single.program_next(E, 0).unwrap();
+            }
+            let pages = run.program_run(E, 0, n).unwrap();
+            let expected: Vec<u32> = (0..n).map(|_| single.program_next(E, 0).unwrap()).collect();
+            assert_eq!(pages.collect::<Vec<u32>>(), expected);
+            assert_eq!(run.states(), single.states());
+            assert_eq!(run.valid_count(), single.valid_count());
+            assert_eq!(run.write_ptr(), single.write_ptr());
+        }
+    }
+
+    #[test]
+    fn program_run_rejections_leave_the_block_untouched() {
+        let mut b = Block::new(4);
+        b.program_next(E, 0).unwrap();
+        let before = b.states().to_vec();
+        // One more page than the room.
+        assert!(matches!(
+            b.program_run(E, 0, 4),
+            Err(FlashError::BlockFull { .. })
+        ));
+        assert_eq!(b.states(), &before[..]);
+        assert_eq!((b.valid_count(), b.write_ptr()), (1, 1));
+        b.invalidate(E, 0, 0).unwrap();
+        b.retire(E, 0).unwrap();
+        assert!(matches!(
+            b.program_run(E, 0, 1),
+            Err(FlashError::BadBlock { .. })
+        ));
+        assert_eq!((b.valid_count(), b.write_ptr()), (0, 1));
+    }
+
+    /// Every reachable page-state mix of a 6-page block (a programmed
+    /// prefix of any length, each programmed page valid or stale) against
+    /// every span: the bulk call must leave exactly what invalidating each
+    /// valid page of the span in turn leaves.
+    #[test]
+    fn invalidate_span_matches_the_per_page_loop_on_every_state_mix() {
+        const PAGES: u32 = 6;
+        for programmed in 0..=PAGES {
+            for stale_mask in 0..1u32 << programmed {
+                let mut base = Block::new(PAGES);
+                for page in 0..programmed {
+                    if stale_mask >> page & 1 == 1 {
+                        base.skip_next(E, 0).unwrap();
+                    } else {
+                        base.program_next(E, 0).unwrap();
+                    }
+                }
+                for start in 0..=PAGES {
+                    for end in start..=PAGES {
+                        let mut bulk = base.clone();
+                        let mut looped = base.clone();
+                        let staled = bulk.invalidate_span(start..end).unwrap();
+                        let mut expected = 0;
+                        for page in start..end {
+                            if looped.state(page).unwrap() == PageState::Valid {
+                                let change = looped.invalidate(E, 0, page).unwrap();
+                                expected += change.newly_stale as u32;
+                            }
+                        }
+                        assert_eq!(staled, expected);
+                        assert_eq!(bulk.states(), looped.states());
+                        assert_eq!(bulk.valid_count(), looped.valid_count());
+                        assert_eq!(bulk.invalid_count(), looped.invalid_count());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalidate_span_rejects_a_span_past_the_block() {
+        let mut b = Block::new(4);
+        b.program_run(E, 0, 4).unwrap();
+        #[allow(clippy::reversed_empty_ranges)]
+        for span in [0..5, 4..9, 3..2] {
+            assert!(matches!(
+                b.invalidate_span(span),
+                Err(FlashError::OutOfRange { what: "page", .. })
+            ));
+            assert_eq!(b.valid_count(), 4, "a rejected span stales nothing");
+        }
+        assert_eq!(b.invalidate_span(4..4).unwrap(), 0);
     }
 }

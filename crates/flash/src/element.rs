@@ -1,5 +1,8 @@
 //! A flash element: one independently operating die and its blocks.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use crate::block::{Block, BlockStateChange, PageState};
 use crate::error::FlashError;
 use crate::geometry::{ElementId, PhysPageAddr};
@@ -22,6 +25,9 @@ pub struct FlashElement {
     blocks: Vec<Block>,
     pages_per_block: u32,
     counters: ElementCounters,
+    /// How many in-service (not retired) blocks have each erase count; no
+    /// entry is zero, so the end keys are the least and most worn counts.
+    wear: BTreeMap<u32, u32>,
 }
 
 impl FlashElement {
@@ -33,6 +39,7 @@ impl FlashElement {
             blocks: (0..blocks).map(|_| Block::new(pages_per_block)).collect(),
             pages_per_block,
             counters: ElementCounters::default(),
+            wear: BTreeMap::from([(0, blocks)]),
         }
     }
 
@@ -87,15 +94,19 @@ impl FlashElement {
     /// Programs the next sequential page of `block`; returns the programmed
     /// page's address.
     pub fn program(&mut self, block: u32) -> Result<PhysPageAddr, FlashError> {
-        let id = self.id;
-        let blk = self.block_mut(block)?;
-        let page = blk.program_next(id, block)?;
-        self.counters.page_programs += 1;
         Ok(PhysPageAddr {
-            element: id,
+            element: self.id,
             block,
-            page,
+            page: self.program_run(block, 1)?.start,
         })
+    }
+
+    /// Programs the next `n` sequential pages of `block`; returns them.
+    pub fn program_run(&mut self, block: u32, n: u32) -> Result<Range<u32>, FlashError> {
+        let id = self.id;
+        let pages = self.block_mut(block)?.program_run(id, block, n)?;
+        self.counters.page_programs += n as u64;
+        Ok(pages)
     }
 
     /// Consumes the next sequential page of `block` as stale without
@@ -114,7 +125,13 @@ impl FlashElement {
     /// Permanently retires `block` (no valid pages may remain).
     pub fn retire(&mut self, block: u32) -> Result<(), FlashError> {
         let id = self.id;
-        self.block_mut(block)?.retire(id, block)
+        let blk = self.block_mut(block)?;
+        let (in_service, erases) = (!blk.is_bad(), blk.erase_count());
+        blk.retire(id, block)?;
+        if in_service {
+            self.wear_moved(erases, false);
+        }
+        Ok(())
     }
 
     /// Marks a page stale, reporting the block-state change.
@@ -123,12 +140,42 @@ impl FlashElement {
         self.block_mut(block)?.invalidate(id, block, page)
     }
 
+    /// [`Block::invalidate_span`] on `block`.
+    pub fn invalidate_span(&mut self, block: u32, pages: Range<u32>) -> Result<u32, FlashError> {
+        self.block_mut(block)?.invalidate_span(pages)
+    }
+
     /// Erases a block (which must hold no valid pages).
     pub fn erase(&mut self, block: u32) -> Result<(), FlashError> {
         let id = self.id;
-        self.block_mut(block)?.erase(id, block)?;
+        let blk = self.block_mut(block)?;
+        blk.erase(id, block)?;
+        let erases = blk.erase_count();
         self.counters.block_erases += 1;
+        self.wear_moved(erases - 1, true);
         Ok(())
+    }
+
+    /// Updates the wear histogram for an in-service block that had `erases`
+    /// erases and was just erased once more (`erased`) or else retired.
+    fn wear_moved(&mut self, erases: u32, erased: bool) {
+        if erased {
+            *self.wear.entry(erases + 1).or_default() += 1;
+        }
+        let blocks = self.wear.get_mut(&erases).expect("a counted block");
+        *blocks -= 1;
+        if *blocks == 0 {
+            self.wear.remove(&erases);
+        }
+    }
+
+    /// The lowest and highest erase count among the in-service blocks
+    /// (`None` once all are retired), kept incrementally.
+    pub fn erase_count_bounds(&self) -> Option<(u32, u32)> {
+        Some((
+            *self.wear.first_key_value()?.0,
+            *self.wear.last_key_value()?.0,
+        ))
     }
 
     /// State of one page.
@@ -271,5 +318,61 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(full, vec![1]);
+    }
+
+    /// The incremental erase-count bounds against a recompute over the
+    /// in-service blocks, through a seeded mix of erases and retirements
+    /// that ends with every block retired.
+    #[test]
+    fn erase_count_bounds_track_a_recompute() {
+        let mut e = FlashElement::new(ElementId(0), 12, 4);
+        assert_eq!(e.erase_count_bounds(), Some((0, 0)));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for step in 0..4_000 {
+            let block = next(12) as u32;
+            if e.block(block).unwrap().is_bad() {
+                continue;
+            }
+            // Skewed towards low blocks so the spread opens up; one step
+            // in 300 retires instead (idempotently, the second time).
+            if next(300) == 0 || step > 3_900 {
+                e.retire(block).unwrap();
+                e.retire(block).unwrap();
+            } else if next(12) as u32 >= block {
+                e.erase(block).unwrap();
+            }
+            let in_service: Vec<u32> = e
+                .iter_blocks()
+                .filter(|(_, b)| !b.is_bad())
+                .map(|(_, b)| b.erase_count())
+                .collect();
+            let expected = in_service
+                .iter()
+                .min()
+                .map(|&min| (min, *in_service.iter().max().unwrap()));
+            assert_eq!(e.erase_count_bounds(), expected, "step {step}");
+        }
+        for block in 0..12 {
+            e.retire(block).unwrap();
+        }
+        assert_eq!(e.erase_count_bounds(), None);
+    }
+
+    #[test]
+    fn run_and_span_calls_count_like_their_per_page_forms() {
+        let mut e = elem();
+        assert_eq!(e.program_run(2, 3).unwrap(), 0..3);
+        assert_eq!(e.counters().page_programs, 3);
+        assert_eq!(e.invalidate_span(2, 1..4).unwrap(), 2);
+        assert_eq!(e.valid_pages(), 1);
+        assert!(e.program_run(4, 1).is_err());
+        assert!(e.invalidate_span(4, 0..1).is_err());
+        assert_eq!(e.counters().page_programs, 3);
     }
 }

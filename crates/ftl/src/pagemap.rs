@@ -24,9 +24,35 @@
 //! * **Priority-aware cleaning** ([`CleaningMode::PriorityAware`]): when
 //!   high-priority requests are outstanding, cleaning is postponed until
 //!   the critical watermark (§3.6, Figure 3, Table 6).
+//!
+//! # Block relocation
+//!
+//! Cleaning (foreground, forced, background) and wear-leveling empty a
+//! block through one routine, `PageFtl::drain_block`, which moves pages in
+//! *runs*: the valid data pages from a point on, stale pages between them
+//! passed over, as far as the append block has room.  A run costs one
+//! `ensure_active_block`, one [`FlashArray::program_run`], one bulk
+//! invalidation, one update each of the free-page counters, the
+//! [`VictimIndex`], the statistics and the op list, and a page-order loop
+//! over `rmap`/`map`.  A live translation page ends a run and moves through
+//! the map area on its own.  What the per-page loop it replaced guaranteed
+//! still holds (a seeded differential suite checks it against that loop):
+//!
+//! * **Draw order.**  The fault model makes one failure draw per page in
+//!   page order; a run stops at the first failure, which burns its page,
+//!   retires the append block and restarts the rest on a fresh one.
+//! * **Op order.**  Ops read `[copies…, failed attempt, copies…]` in page
+//!   order, each `MapWrite` where its translation page stood.
+//! * **Detach rule.**  The source block is out of its [`VictimIndex`]
+//!   bucket for the drain — no bucket move per page, no pick returns it —
+//!   and back under its current counts when the drain ends, *however* it
+//!   ends: an aborted drain leaves the index truthful.
+
+use std::ops::Range;
 
 use ossd_flash::{
-    ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, PhysPageAddr, ReliabilityConfig,
+    ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, PageState, PhysPageAddr,
+    ReliabilityConfig,
 };
 use ossd_gc::{
     AnyPolicy, CleaningPolicy, PickContext, TriggerContext, TriggerDecision, VictimIndex,
@@ -67,8 +93,9 @@ enum AppendPoint {
 
 #[derive(Clone, Debug)]
 struct ElementState {
-    /// Erased blocks available for allocation.
-    free_blocks: Vec<u32>,
+    /// Erased blocks available for allocation, as `(erase_count, block)`
+    /// so that choosing the least worn dereferences no block.
+    free_blocks: Vec<(u32, u32)>,
     /// Block currently being appended to at each [`AppendPoint`], if any.
     active: [Option<u32>; 2],
     /// Free (programmable) pages on this element, kept incrementally.
@@ -78,6 +105,16 @@ struct ElementState {
     /// is not re-scanned on every write.  Cleared by the next invalidation
     /// on this element (which is the only event that can create a victim).
     clean_stalled: bool,
+}
+
+impl ElementState {
+    /// Removes and returns the free block with the lowest erase count, the
+    /// first in list order (dynamic wear leveling of the allocation pool).
+    fn take_least_worn(&mut self) -> Option<(u32, u32)> {
+        let least = self.free_blocks.iter().map(|&(erases, _)| erases).min()?;
+        let idx = self.free_blocks.iter().position(|&(e, _)| e == least)?;
+        Some(self.free_blocks.swap_remove(idx))
+    }
 }
 
 /// Demand-paged mapping state (DFTL-style): the translation table lives
@@ -168,6 +205,11 @@ pub struct PageFtl {
     /// configured GC reserve, plus one for the map-area append point when
     /// the translation table spills to flash (finite cache budget).
     data_reserve_blocks: u32,
+    /// Scratch: the page states of the block being drained.
+    drain_states: Vec<PageState>,
+    /// Routes [`PageFtl::drain_block`] to the per-page reference loop.
+    #[cfg(test)]
+    reference_drain: bool,
 }
 
 impl PageFtl {
@@ -256,9 +298,10 @@ impl PageFtl {
             .map(|e| {
                 let flash_element = flash.element(ElementId(e)).expect("element in range");
                 // Factory-bad blocks never enter the free list.
-                let free_blocks: Vec<u32> = (0..geometry.blocks_per_element())
+                let free_blocks: Vec<(u32, u32)> = (0..geometry.blocks_per_element())
                     .rev()
                     .filter(|&b| !flash_element.block(b).expect("block in range").is_bad())
+                    .map(|b| (0, b))
                     .collect();
                 ElementState {
                     free_pages: free_blocks.len() as u64 * geometry.pages_per_block as u64,
@@ -304,6 +347,9 @@ impl PageFtl {
             telemetry: TelemetryHandle::noop(),
             paging,
             data_reserve_blocks,
+            drain_states: Vec::new(),
+            #[cfg(test)]
+            reference_drain: false,
         })
     }
 
@@ -479,18 +525,8 @@ impl PageFtl {
                 element: element as u32,
             });
         }
-        // Pick the free block with the lowest erase count (dynamic wear
-        // leveling of the allocation pool).
-        let mut best_idx = 0usize;
-        let mut best_erases = u32::MAX;
-        for (i, &b) in state.free_blocks.iter().enumerate() {
-            let erases = flash_element.block(b)?.erase_count();
-            if erases < best_erases {
-                best_erases = erases;
-                best_idx = i;
-            }
-        }
-        let block = state.free_blocks.swap_remove(best_idx);
+        let (erases, block) = state.take_least_worn().expect("list is not empty");
+        debug_assert_eq!(erases, flash_element.block(block)?.erase_count());
         state.active[point as usize] = Some(block);
         Ok(block)
     }
@@ -589,18 +625,26 @@ impl PageFtl {
                 }
                 Err(e) => return Err(e.into()),
             };
-            self.elements[element].free_pages -= 1;
-            self.total_free_pages -= 1;
-            let timestamp = if addr.page == 0 {
-                // First program after an erase: the stale timestamp of the
-                // block's previous life no longer applies.
-                data_timestamp
-            } else {
-                self.index[element].last_write(block).max(data_timestamp)
-            };
-            self.index[element].on_program(block, timestamp);
+            self.note_programmed(element, block, addr.page..addr.page + 1, data_timestamp);
             return Ok(addr);
         }
+    }
+
+    /// Accounts the `pages` just programmed into `block` — the free-page
+    /// counters and the block's age clock — where `stamp` is the timestamp
+    /// of the youngest data among them.
+    fn note_programmed(&mut self, element: usize, block: u32, pages: Range<u32>, stamp: u64) {
+        let count = pages.len() as u32;
+        self.elements[element].free_pages -= count as u64;
+        self.total_free_pages -= count as u64;
+        let youngest = if pages.start == 0 {
+            // First program after an erase: the stale timestamp of the
+            // block's previous life no longer applies.
+            stamp
+        } else {
+            self.index[element].last_write(block).max(stamp)
+        };
+        self.index[element].on_program_run(block, count, youngest);
     }
 
     /// Removes `free_count` unusable pages of a block being retired from
@@ -640,16 +684,16 @@ impl PageFtl {
             );
             return Ok(false);
         }
-        let freed_pages = {
+        let (freed_pages, erases) = {
             let blk = self.flash.element(element_id)?.block(block)?;
-            (blk.pages() - blk.free_count()) as u64
+            ((blk.pages() - blk.free_count()) as u64, blk.erase_count())
         };
         match self.flash.erase(element_id, block) {
             Ok(()) => {
                 self.index[element].on_erase(block);
                 self.elements[element].free_pages += freed_pages;
                 self.total_free_pages += freed_pages;
-                self.elements[element].free_blocks.push(block);
+                self.elements[element].free_blocks.push((erases + 1, block));
             }
             Err(FlashError::EraseFailed { .. }) => {
                 // Grown bad block: the flash retired it on the spot.  Its
@@ -834,16 +878,9 @@ impl PageFtl {
                 }
                 Err(e) => return Err(e.into()),
             };
-            self.elements[element].free_pages -= 1;
-            self.total_free_pages -= 1;
             // Translation pages are metadata written now: they carry the
             // current clock, not a relocated-data age.
-            let timestamp = if addr.page == 0 {
-                self.clock
-            } else {
-                self.index[element].last_write(block).max(self.clock)
-            };
-            self.index[element].on_program(block, timestamp);
+            self.note_programmed(element, block, addr.page..addr.page + 1, self.clock);
             let new_ppn = self.encode(addr);
             let old_ppn = {
                 let paging = self.paging.as_mut().expect("demand paging enabled");
@@ -1016,7 +1053,7 @@ impl PageFtl {
     /// Reclaims one victim block on `element`, appending the flash
     /// operations performed to `ops`.  Returns `false` when no block could
     /// be reclaimed (no stale pages anywhere).  `include_full_active`
-    /// relaxes the candidate filter (see [`PageFtl::victim_candidates`]).
+    /// relaxes the candidate filter (see [`PageFtl::select_victim`]).
     fn clean_one_block(
         &mut self,
         element: usize,
@@ -1045,85 +1082,14 @@ impl PageFtl {
                 *active = None;
             }
         }
-        // Relocated data keeps the victim block's age (LFS convention).
-        let victim_timestamp = self.index[element].last_write(victim);
-        let element_id = ElementId(element as u32);
-        let pages_per_block = self.flash.geometry().pages_per_block;
-        // Move every valid page; count stale pages that the host had freed
-        // (work informed cleaning avoided performing).
-        for page in 0..pages_per_block {
-            let addr = PhysPageAddr {
-                element: element_id,
-                block: victim,
-                page,
-            };
-            let state = self.flash.element(element_id)?.block(victim)?.state(page)?;
-            match state {
-                ossd_flash::PageState::Valid => {
-                    let old_ppn = self.encode(addr);
-                    let lpn = self.rmap[old_ppn as usize];
-                    if lpn != UNMAPPED && lpn & MAP_TAG != 0 {
-                        // A live translation page: relocate it through the
-                        // map area.  The program supersedes this copy via
-                        // the GTD, invalidating it in passing.
-                        let tpn = lpn & !MAP_TAG;
-                        debug_assert_eq!(
-                            self.paging
-                                .as_ref()
-                                .expect("tagged page implies paging")
-                                .gtd[tpn as usize],
-                            old_ppn,
-                            "reverse map and GTD disagree"
-                        );
-                        self.program_map_page(element, tpn, purpose, false, ops)?;
-                        self.paging
-                            .as_mut()
-                            .expect("tagged page implies paging")
-                            .map_gc_moves += 1;
-                        continue;
-                    }
-                    debug_assert_ne!(lpn, UNMAPPED, "valid page with no reverse mapping");
-                    // Copy the page to the element's append point.
-                    let new_addr =
-                        self.program_page(element, true, victim_timestamp, purpose, ops)?;
-                    let new_ppn = self.encode(new_addr);
-                    let change = self.flash.invalidate(addr)?;
-                    if change.newly_stale {
-                        self.index[element].on_invalidate(victim);
-                    }
-                    self.rmap[old_ppn as usize] = UNMAPPED;
-                    self.rmap[new_ppn as usize] = lpn;
-                    if lpn != UNMAPPED {
-                        self.map[lpn as usize] = new_ppn;
-                        self.note_relocation(lpn, new_ppn);
-                    }
-                    ops.push(FlashOp {
-                        element: element_id,
-                        kind: FlashOpKind::CopybackPage,
-                        purpose,
-                    });
-                    match purpose {
-                        OpPurpose::WearLevel => self.stats.wear_level_moves += 1,
-                        OpPurpose::BackgroundClean => self.stats.bg_pages_moved += 1,
-                        _ => self.stats.gc_pages_moved += 1,
-                    }
-                }
-                ossd_flash::PageState::Invalid => {
-                    let ppn = self.encode(addr);
-                    if self.freed_phys.remove(ppn) {
-                        self.stats.gc_pages_skipped_free += 1;
-                    }
-                }
-                ossd_flash::PageState::Free => {}
-            }
-        }
+        self.drain_block(element, victim, purpose, ops)?;
         // All pages are now stale or free: retire (deferred bad-block
         // retirement, no erase scheduled) or erase-and-recycle the victim.
         if !self.recycle_or_retire(element, victim)? {
             return Ok(true);
         }
         ops.push(FlashOp {
-            element: element_id,
+            element: ElementId(element as u32),
             kind: FlashOpKind::EraseBlock,
             purpose,
         });
@@ -1133,6 +1099,144 @@ impl PageFtl {
             _ => self.stats.gc_blocks_erased += 1,
         }
         Ok(true)
+    }
+
+    /// Moves every live page out of `block` — a cleaning victim or a
+    /// wear-leveling source, never an append block — so that it can be
+    /// erased or retired.  The one relocation routine: the module docs say
+    /// how it works and what it guarantees.
+    fn drain_block(
+        &mut self,
+        element: usize,
+        block: u32,
+        purpose: OpPurpose,
+        ops: &mut Vec<FlashOp>,
+    ) -> Result<(), FtlError> {
+        #[cfg(test)]
+        if self.reference_drain {
+            return self.drain_block_reference(element, block, purpose, ops);
+        }
+        let source = self
+            .flash
+            .element(ElementId(element as u32))?
+            .block(block)?;
+        let mut states = std::mem::take(&mut self.drain_states);
+        states.clear();
+        states.extend_from_slice(source.states());
+        self.index[element].detach(block);
+        let drained = self.drain_pages(element, block, &states, purpose, ops);
+        self.index[element].attach(block);
+        self.drain_states = states;
+        drained
+    }
+
+    /// The body of [`PageFtl::drain_block`], over the snapshot `states` of
+    /// the detached block's pages (only the drain changes them meanwhile).
+    fn drain_pages(
+        &mut self,
+        element: usize,
+        block: u32,
+        states: &[PageState],
+        purpose: OpPurpose,
+        ops: &mut Vec<FlashOp>,
+    ) -> Result<(), FtlError> {
+        let element_id = ElementId(element as u32);
+        let copy = FlashOp {
+            purpose,
+            ..FlashOp::gc_copyback(element_id)
+        };
+        // Relocated data keeps the source block's age (LFS convention).
+        let timestamp = self.index[element].last_write(block);
+        let base = self.global_block(element, block) * states.len();
+        let is_map_page = |tag: u64| tag != UNMAPPED && tag & MAP_TAG != 0;
+        let mut page = 0;
+        while page < states.len() {
+            if states[page] != PageState::Valid {
+                self.pass_stale_page((base + page) as u64);
+                page += 1;
+                continue;
+            }
+            let tag = self.rmap[base + page];
+            if is_map_page(tag) {
+                // A live translation page: relocate it through the map
+                // area.  The program supersedes this copy via the GTD,
+                // invalidating it in passing.
+                let tpn = tag & !MAP_TAG;
+                let paging = self.paging.as_ref().expect("tagged page implies paging");
+                debug_assert_eq!(paging.gtd[tpn as usize], (base + page) as u64);
+                self.program_map_page(element, tpn, purpose, false, ops)?;
+                self.paging
+                    .as_mut()
+                    .expect("tagged page implies paging")
+                    .map_gc_moves += 1;
+                page += 1;
+                continue;
+            }
+            // A run: the valid data pages from here on — stale pages
+            // between them passed over, a translation page ending it — as
+            // far as the append block has room.
+            let dest = self.ensure_active_block(element, AppendPoint::Data, true)?;
+            let room = self.flash.element(element_id)?.block(dest)?.free_count();
+            let mut want = 0;
+            for (&state, &tag) in states[page..].iter().zip(&self.rmap[base + page..]) {
+                if state == PageState::Valid {
+                    if want == room || is_map_page(tag) {
+                        break;
+                    }
+                    want += 1;
+                }
+            }
+            let landed = self.flash.program_run(element_id, dest, want)?;
+            let moved = landed.len() as u32;
+            #[cfg(test)]
+            oracle::note_run(want, moved);
+            if moved > 0 {
+                self.note_programmed(element, dest, landed.clone(), timestamp);
+                let dest_base = self.global_block(element, dest) * states.len();
+                let mut new_ppn = (dest_base + landed.start as usize) as u64;
+                let first = page;
+                let mut left = moved;
+                while left > 0 {
+                    if states[page] == PageState::Valid {
+                        let lpn = self.rmap[base + page];
+                        debug_assert_ne!(lpn, UNMAPPED, "valid page with no reverse mapping");
+                        self.rmap[base + page] = UNMAPPED;
+                        self.rmap[new_ppn as usize] = lpn;
+                        self.map[lpn as usize] = new_ppn;
+                        self.note_relocation(lpn, new_ppn);
+                        new_ppn += 1;
+                        left -= 1;
+                    } else {
+                        self.pass_stale_page((base + page) as u64);
+                    }
+                    page += 1;
+                }
+                let span = first as u32..page as u32;
+                let staled = (self.flash.element_mut(element_id)?).invalidate_span(block, span)?;
+                debug_assert_eq!(staled, moved, "a run stales exactly what it moved");
+                self.index[element].on_invalidate_run(block, moved);
+                ops.extend(std::iter::repeat_n(copy, moved as usize));
+                match purpose {
+                    OpPurpose::WearLevel => self.stats.wear_level_moves += moved as u64,
+                    OpPurpose::BackgroundClean => self.stats.bg_pages_moved += moved as u64,
+                    _ => self.stats.gc_pages_moved += moved as u64,
+                }
+            }
+            if moved < want {
+                // The program after the last landed page failed; the rest
+                // of the run starts over on a fresh block.
+                self.abandon_after_program_failure(element, AppendPoint::Data, dest, copy, ops);
+            }
+        }
+        Ok(())
+    }
+
+    /// A stale (or never programmed) source page the drain passes over: if
+    /// the host had freed it, that is a move informed cleaning avoided.
+    fn pass_stale_page(&mut self, ppn: u64) {
+        if self.freed_phys.remove(ppn) {
+            self.stats.gc_pages_skipped_free += 1;
+        }
     }
 
     /// Applies the cleaning policy ahead of a host write to `element`.
@@ -1252,89 +1356,36 @@ impl PageFtl {
         let element_id = ElementId(element as u32);
         let state = &self.elements[element];
         let flash_element = self.flash.element(element_id)?;
+        // The source found below has at least the element's lowest erase
+        // count, so a spread within the bound rules a migration out without
+        // visiting a block.
+        let Some((least, most)) = flash_element.erase_count_bounds() else {
+            return Ok(());
+        };
+        if most - least <= wl.max_erase_spread {
+            return Ok(());
+        }
         let mut min_block: Option<(u32, u32)> = None;
-        let mut max_erases = 0u32;
         for (idx, block) in flash_element.iter_blocks() {
-            if block.is_bad() {
-                // Retired blocks take no further erases; they neither set
-                // the spread nor qualify as migration sources.
+            // Retired blocks take no further erases and are no migration
+            // source; neither is an append point (host data or map area):
+            // erasing a block still being appended to would hand its pages
+            // out twice.
+            if block.is_bad() || state.active.contains(&Some(idx)) || block.valid_count() == 0 {
                 continue;
             }
             let erases = block.erase_count();
-            max_erases = max_erases.max(erases);
-            // Neither append point (host data or map area) is a migration
-            // source: erasing a block still being appended to would hand
-            // its pages out twice.
-            if state.active.contains(&Some(idx)) || block.is_erased() {
-                continue;
-            }
-            if block.valid_count() == 0 {
-                continue;
-            }
-            match min_block {
-                None => min_block = Some((idx, erases)),
-                Some((_, best)) if erases < best => min_block = Some((idx, erases)),
-                _ => {}
+            if min_block.is_none_or(|(_, best)| erases < best) {
+                min_block = Some((idx, erases));
             }
         }
         let Some((cold_block, cold_erases)) = min_block else {
             return Ok(());
         };
-        if max_erases.saturating_sub(cold_erases) <= wl.max_erase_spread {
+        if most - cold_erases <= wl.max_erase_spread {
             return Ok(());
         }
-        // Migrated data keeps the cold block's age (LFS convention).
-        let cold_timestamp = self.index[element].last_write(cold_block);
-        // Migrate the cold block's contents; `clean_one_block` requires a
-        // victim with stale pages, so move the pages directly here.
-        let pages_per_block = self.flash.geometry().pages_per_block;
-        for page in 0..pages_per_block {
-            let addr = PhysPageAddr {
-                element: element_id,
-                block: cold_block,
-                page,
-            };
-            if self
-                .flash
-                .element(element_id)?
-                .block(cold_block)?
-                .state(page)?
-                != ossd_flash::PageState::Valid
-            {
-                continue;
-            }
-            let old_ppn = self.encode(addr);
-            let lpn = self.rmap[old_ppn as usize];
-            if lpn != UNMAPPED && lpn & MAP_TAG != 0 {
-                // A cold translation page migrates through the map area.
-                let tpn = lpn & !MAP_TAG;
-                self.program_map_page(element, tpn, OpPurpose::WearLevel, false, ops)?;
-                self.paging
-                    .as_mut()
-                    .expect("tagged page implies paging")
-                    .map_gc_moves += 1;
-                continue;
-            }
-            let new_addr =
-                self.program_page(element, true, cold_timestamp, OpPurpose::WearLevel, ops)?;
-            let new_ppn = self.encode(new_addr);
-            let change = self.flash.invalidate(addr)?;
-            if change.newly_stale {
-                self.index[element].on_invalidate(cold_block);
-            }
-            self.rmap[old_ppn as usize] = UNMAPPED;
-            self.rmap[new_ppn as usize] = lpn;
-            if lpn != UNMAPPED {
-                self.map[lpn as usize] = new_ppn;
-                self.note_relocation(lpn, new_ppn);
-            }
-            self.stats.wear_level_moves += 1;
-            ops.push(FlashOp {
-                element: element_id,
-                kind: FlashOpKind::CopybackPage,
-                purpose: OpPurpose::WearLevel,
-            });
-        }
+        self.drain_block(element, cold_block, OpPurpose::WearLevel, ops)?;
         // Rewrite translation pages staled by migrating uncached entries.
         self.flush_pending_tpns(OpPurpose::WearLevel, ops)?;
         // Retire (a cold block that previously failed a program must not
@@ -1351,6 +1402,11 @@ impl PageFtl {
         Ok(())
     }
 }
+
+/// The per-page relocation loop [`PageFtl::drain_block`] replaced, kept as
+/// the reference the run-based drain is differentially tested against.
+#[cfg(test)]
+mod oracle;
 
 impl Ftl for PageFtl {
     fn geometry(&self) -> &FlashGeometry {
@@ -2128,6 +2184,153 @@ mod tests {
             wear.total_erases
         );
         assert!(ftl.stats().wear_level_moves > 0 || wear.spread() <= 32);
+    }
+
+    /// Regression test: wear-leveling used to pass over the stale pages of
+    /// the block it migrated without clearing their host-freed bit, so the
+    /// bit survived the erase and a later cleaning of the reused block
+    /// counted it as a move informed cleaning had avoided.  A set bit must
+    /// always sit on a stale page.
+    #[test]
+    fn freed_bits_do_not_survive_a_wear_level_erase() {
+        let mut config = FtlConfig::informed();
+        config.wear_leveling = Some(crate::config::WearLevelConfig {
+            max_erase_spread: 2,
+        });
+        let mut ftl = tiny_ftl(config);
+        let logical = ftl.logical_pages();
+        write_all(&mut ftl, 0..logical);
+        for lpn in (4..logical).step_by(7) {
+            assert!(ftl.free(Lpn(lpn)).unwrap());
+        }
+        for write in 0..20_000u64 {
+            ftl.write(Lpn(write % 4), 4096, &WriteContext::idle())
+                .unwrap();
+            if write % 50 != 0 {
+                continue;
+            }
+            for ppn in 0..ftl.total_pages {
+                let addr = ftl.decode(ppn);
+                let block = ftl.flash.element(addr.element).unwrap().block(addr.block);
+                let state = block.unwrap().state(addr.page).unwrap();
+                assert!(
+                    !ftl.freed_phys.contains(ppn) || state == PageState::Invalid,
+                    "after {write} writes page {addr:?} is {state:?} with its freed bit set"
+                );
+            }
+        }
+        assert!(
+            ftl.stats().wear_level_moves > 100,
+            "wear-leveling never ran"
+        );
+        assert!(ftl.stats().gc_pages_skipped_free > 0);
+    }
+
+    /// A drain that fails part-way must leave the victim index describing
+    /// the flash: the half-drained block back in the bucket of its current
+    /// stale count, and still pickable once there is room again.
+    #[test]
+    fn an_aborted_drain_leaves_the_victim_index_truthful() {
+        // Watermarks low enough that nothing cleans during the set-up.
+        let mut ftl = tiny_ftl(FtlConfig::default().with_overprovisioning(0.25));
+        ftl.enable_victim_trace();
+        let logical = ftl.logical_pages();
+        write_all(&mut ftl, 0..logical);
+        // Even lpns live on element 0: one stale page in each of two of its
+        // full blocks, then a few overwrites of element 1's pages to use up
+        // part of element 0's fresh append block.
+        write_all(&mut ftl, [0, 16, 1, 3, 5, 7].into_iter());
+        assert_eq!(ftl.stats().gc_invocations, 0);
+        let block_of = |ftl: &PageFtl, block: u32| {
+            let element = ftl.flash.element(ElementId(0)).unwrap();
+            element.block(block).unwrap().clone()
+        };
+        let active = ftl.elements[0].active[AppendPoint::Data as usize].unwrap();
+        let room = block_of(&ftl, active).free_count() as usize;
+        let victim = ftl.select_victim(0, false).unwrap();
+        let before = block_of(&ftl, victim);
+        let live = before.valid_count() as usize;
+        assert!(0 < room && room < live, "room {room} for {live} live pages");
+
+        // No free block behind the append block: the drain runs out of
+        // room part-way.
+        let stolen = std::mem::take(&mut ftl.elements[0].free_blocks);
+        let mut ops = Vec::new();
+        let aborted = ftl.clean_one_block(0, OpPurpose::Clean, false, &mut ops);
+        assert_eq!(aborted, Err(FtlError::NoFreeBlocks { element: 0 }));
+        assert_eq!(ftl.victim_trace(), &[(0, victim)]);
+        assert_eq!(ops.len(), room, "what the append block had room for moved");
+        ftl.check_victim_index().unwrap();
+        let half_drained = block_of(&ftl, victim);
+        assert_eq!(
+            half_drained.invalid_count(),
+            before.invalid_count() + room as u32
+        );
+        assert!(ftl.index[0].is_member(victim));
+
+        // With the free blocks back, the next pass picks the same block (it
+        // is the stalest by now) and finishes the job.
+        ftl.elements[0].free_blocks = stolen;
+        ops.clear();
+        assert_eq!(
+            ftl.clean_one_block(0, OpPurpose::Clean, false, &mut ops),
+            Ok(true)
+        );
+        assert_eq!(ftl.victim_trace(), &[(0, victim), (0, victim)]);
+        assert_eq!(ops.len(), live - room + 1, "the rest, then the erase");
+        assert_eq!(ops.last().unwrap().kind, FlashOpKind::EraseBlock);
+        ftl.check_victim_index().unwrap();
+        assert!(block_of(&ftl, victim).is_erased());
+        assert!((0..logical).all(|lpn| ftl.is_mapped(Lpn(lpn))));
+        assert_eq!(ftl.flash().valid_pages(), logical);
+    }
+
+    /// The free list that carries each block's erase count hands out the
+    /// block the old scan — every listed block dereferenced for its count,
+    /// the first strict minimum taken with `swap_remove` — would have.
+    #[test]
+    fn keyed_free_list_allocates_like_the_block_scan() {
+        const BLOCKS: usize = 48;
+        let mut erases = [0u32; BLOCKS];
+        let mut old: Vec<u32> = (0..BLOCKS as u32).rev().collect();
+        let mut keyed = ElementState {
+            free_blocks: old.iter().map(|&b| (0, b)).collect(),
+            active: [None; 2],
+            free_pages: 0,
+            clean_stalled: false,
+        };
+        let mut in_use: Vec<u32> = Vec::new();
+        let mut state = 0x1234_5678_9abc_def1u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut allocations = 0;
+        for _ in 0..10_000 {
+            if !in_use.is_empty() && (old.is_empty() || next(2) == 0) {
+                // An erase returns a block, sometimes after extra cycles.
+                let block = in_use.swap_remove(next(in_use.len()));
+                erases[block as usize] += 1 + (next(4) == 0) as u32;
+                old.push(block);
+                keyed.free_blocks.push((erases[block as usize], block));
+                continue;
+            }
+            let mut best = (0, u32::MAX);
+            for (i, &b) in old.iter().enumerate() {
+                if erases[b as usize] < best.1 {
+                    best = (i, erases[b as usize]);
+                }
+            }
+            let expected = old.swap_remove(best.0);
+            assert_eq!(keyed.take_least_worn(), Some((best.1, expected)));
+            in_use.push(expected);
+            allocations += 1;
+        }
+        assert!(allocations > 4_000);
+        keyed.free_blocks.clear();
+        assert_eq!(keyed.take_least_worn(), None);
     }
 
     fn faulty_ftl(faults: ossd_flash::FaultConfig, config: FtlConfig) -> PageFtl {

@@ -28,6 +28,12 @@
 //! block is excluded at pick time via [`PickContext::exclude`] rather than
 //! by membership, because it can become eligible (a full append block) and
 //! ineligible without any page-state change.
+//!
+//! One exception, for the block an FTL is draining: between
+//! [`VictimIndex::detach`] and [`VictimIndex::attach`] it is in no bucket,
+//! so no pick returns it and events on it only update its counts; `attach`
+//! files it under what those have become.  Relocating a victim's pages
+//! thus moves no bucket entry: buckets cost per host invalidation only.
 
 use crate::policy::{BlockInfo, CleaningPolicy};
 
@@ -82,13 +88,15 @@ struct Slot {
     erase: u32,
     last_write: u64,
     bad: bool,
+    /// Taken out of its bucket by [`VictimIndex::detach`].
+    detached: bool,
 }
 
 impl Slot {
-    /// Candidate membership: not retired and holding at least one stale
-    /// page.  (A block with a stale page is necessarily not erased.)
+    /// Candidate membership: neither retired nor detached, and holding a
+    /// stale page.  (A block with a stale page is necessarily not erased.)
     fn is_member(&self) -> bool {
-        !self.bad && self.invalid > 0
+        !self.bad && !self.detached && self.invalid > 0
     }
 }
 
@@ -100,9 +108,10 @@ pub struct VictimIndex {
     /// superblock on the stripe FTL).
     pages_per_block: u32,
     slots: Vec<Slot>,
-    /// `buckets[i]`: blocks with exactly `i` stale pages, sorted by
-    /// `(erase_count, block)` ascending.  Bucket 0 is never populated.
-    buckets: Vec<Vec<u32>>,
+    /// `buckets[i]`: the `(erase_count, block)` keys, ascending, of the
+    /// blocks with exactly `i` stale pages; entries carry their key so a
+    /// search stays in contiguous memory.  Bucket 0 is never populated.
+    buckets: Vec<Vec<(u32, u32)>>,
     /// Upper bound on the highest non-empty bucket, settled lazily.
     max_invalid: usize,
     /// Number of candidate blocks across all buckets.
@@ -176,31 +185,49 @@ impl VictimIndex {
         self.slots[block as usize].is_member()
     }
 
-    /// Position of `block` in `bucket` under the `(erase, block)` order.
-    fn bucket_pos(&self, bucket: &[u32], block: u32) -> Result<usize, usize> {
-        let key = (self.slots[block as usize].erase, block);
-        bucket.binary_search_by_key(&key, |&b| (self.slots[b as usize].erase, b))
-    }
-
     fn bucket_insert(&mut self, block: u32) {
-        let invalid = self.slots[block as usize].invalid as usize;
+        let slot = &self.slots[block as usize];
+        let (invalid, key) = (slot.invalid as usize, (slot.erase, block));
         debug_assert!(invalid > 0 && invalid < self.buckets.len());
-        let bucket = std::mem::take(&mut self.buckets[invalid]);
-        let pos = self
-            .bucket_pos(&bucket, block)
+        let bucket = &mut self.buckets[invalid];
+        let pos = bucket
+            .binary_search(&key)
             .expect_err("block already in its bucket");
-        self.buckets[invalid] = bucket;
-        self.buckets[invalid].insert(pos, block);
+        bucket.insert(pos, key);
         self.max_invalid = self.max_invalid.max(invalid);
     }
 
     fn bucket_remove(&mut self, block: u32, invalid: u32) {
-        let bucket = std::mem::take(&mut self.buckets[invalid as usize]);
-        let pos = self
-            .bucket_pos(&bucket, block)
+        let key = (self.slots[block as usize].erase, block);
+        let bucket = &mut self.buckets[invalid as usize];
+        let pos = bucket
+            .binary_search(&key)
             .expect("member block missing from its bucket");
-        self.buckets[invalid as usize] = bucket;
-        self.buckets[invalid as usize].remove(pos);
+        bucket.remove(pos);
+    }
+
+    /// Takes `block` out of its bucket until [`VictimIndex::attach`]: no
+    /// pick returns it and events on it only update its counts.  For a
+    /// block being drained, which each page would move up one bucket.
+    pub fn detach(&mut self, block: u32) {
+        let slot = self.slots[block as usize];
+        debug_assert!(!slot.detached, "block {block} detached twice");
+        if slot.is_member() {
+            self.bucket_remove(block, slot.invalid);
+            self.members -= 1;
+        }
+        self.slots[block as usize].detached = true;
+    }
+
+    /// Puts a detached `block` back: into the bucket of its current
+    /// stale-page count if it is a candidate.
+    pub fn attach(&mut self, block: u32) {
+        debug_assert!(self.slots[block as usize].detached);
+        self.slots[block as usize].detached = false;
+        if self.slots[block as usize].is_member() {
+            self.members += 1;
+            self.bucket_insert(block);
+        }
     }
 
     /// Marks a block permanently out of service at construction time
@@ -216,40 +243,44 @@ impl VictimIndex {
     /// host clock for host writes, the source block's timestamp for
     /// relocations).
     pub fn on_program(&mut self, block: u32, last_write: u64) {
+        self.on_program_run(block, 1, last_write);
+    }
+
+    /// `pages` pages of `block` were programmed, the youngest data among
+    /// them stamped `last_write`.
+    pub fn on_program_run(&mut self, block: u32, pages: u32, last_write: u64) {
         let slot = &mut self.slots[block as usize];
-        slot.valid += 1;
+        slot.valid += pages;
         slot.last_write = last_write;
     }
 
     /// A previously valid page of `block` went stale.
     pub fn on_invalidate(&mut self, block: u32) {
-        let was_member = self.slots[block as usize].is_member();
-        let old_invalid = self.slots[block as usize].invalid;
-        {
-            let slot = &mut self.slots[block as usize];
-            debug_assert!(slot.valid > 0, "invalidate with no valid pages");
-            slot.valid -= 1;
-            slot.invalid += 1;
-        }
-        if self.slots[block as usize].bad {
-            return;
-        }
-        if was_member {
-            self.bucket_remove(block, old_invalid);
-        } else {
-            self.members += 1;
-        }
-        self.bucket_insert(block);
+        self.on_invalidate_run(block, 1);
+    }
+
+    /// `pages` previously valid pages of `block` went stale: one bucket
+    /// move however many.
+    pub fn on_invalidate_run(&mut self, block: u32, pages: u32) {
+        let slot = &mut self.slots[block as usize];
+        debug_assert!(0 < pages && pages <= slot.valid, "more than is valid");
+        slot.valid -= pages;
+        self.restale(block, pages);
     }
 
     /// A free page of `block` was consumed as stale without being
     /// programmed (a burned page after a program failure, or lockstep
     /// padding past a failed row).
     pub fn on_skip(&mut self, block: u32) {
-        let was_member = self.slots[block as usize].is_member();
-        let old_invalid = self.slots[block as usize].invalid;
-        self.slots[block as usize].invalid += 1;
-        if self.slots[block as usize].bad {
+        self.restale(block, 1);
+    }
+
+    /// Adds `pages` stale pages to `block` and moves it to its new bucket.
+    fn restale(&mut self, block: u32, pages: u32) {
+        let slot = &mut self.slots[block as usize];
+        let (was_member, old_invalid) = (slot.is_member(), slot.invalid);
+        slot.invalid += pages;
+        if slot.bad || slot.detached {
             return;
         }
         if was_member {
@@ -306,7 +337,7 @@ impl VictimIndex {
         self.settle_max();
         let mut level = self.max_invalid;
         while level > 0 {
-            for &block in &self.buckets[level] {
+            for &(_, block) in &self.buckets[level] {
                 if Some(block) != exclude && Some(block) != exclude2 {
                     return Some(block);
                 }
@@ -325,7 +356,7 @@ impl VictimIndex {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         for bucket in &self.buckets[1..=self.max_invalid] {
-            for &block in bucket {
+            for &(_, block) in bucket {
                 if ctx.excludes(block) {
                     continue;
                 }
@@ -394,15 +425,15 @@ impl VictimIndex {
         let mut counted = 0usize;
         for (invalid, bucket) in self.buckets.iter().enumerate() {
             let mut prev: Option<(u32, u32)> = None;
-            for &block in bucket {
+            for &key in bucket {
+                let block = key.1;
                 let slot = &self.slots[block as usize];
-                if slot.invalid as usize != invalid || !slot.is_member() {
+                if slot.invalid as usize != invalid || !slot.is_member() || key.0 != slot.erase {
                     return Err(format!(
-                        "block {block} in bucket {invalid} has invalid={} bad={}",
-                        slot.invalid, slot.bad
+                        "entry {key:?} in bucket {invalid} has invalid={} erase={} bad={} detached={}",
+                        slot.invalid, slot.erase, slot.bad, slot.detached
                     ));
                 }
-                let key = (slot.erase, block);
                 if let Some(p) = prev {
                     if p >= key {
                         return Err(format!("bucket {invalid} out of order at block {block}"));
@@ -424,7 +455,7 @@ impl VictimIndex {
         for (block, slot) in self.slots.iter().enumerate() {
             if slot.is_member() {
                 let bucket = &self.buckets[slot.invalid as usize];
-                if self.bucket_pos(bucket, block as u32).is_err() {
+                if bucket.binary_search(&(slot.erase, block as u32)).is_err() {
                     return Err(format!("member block {block} missing from its bucket"));
                 }
             }
@@ -670,5 +701,109 @@ mod tests {
         index.on_erase(0);
         assert!(index.is_empty());
         index.verify_internal().unwrap();
+    }
+
+    /// Seeded property loop: programs, single and bulk invalidations,
+    /// burned pages, erases and retirements, with blocks detached and
+    /// re-attached around them, against a from-scratch recompute of the
+    /// candidate set after every step.  No pick of any tier may return a
+    /// detached block, and each must match the legacy scan over the
+    /// recompute.
+    #[test]
+    fn detach_and_attach_keep_the_index_equal_to_a_recompute() {
+        const BLOCKS: u32 = 24;
+        const PAGES: u32 = 8;
+        #[derive(Clone, Copy, Default)]
+        struct Model {
+            valid: u32,
+            invalid: u32,
+            erase: u32,
+            last_write: u64,
+            bad: bool,
+            detached: bool,
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as u32
+        };
+        let mut index = VictimIndex::new(BLOCKS, PAGES);
+        let mut model = [Model::default(); BLOCKS as usize];
+        let mut detached_events = 0;
+        for step in 0..20_000u64 {
+            let block = next(BLOCKS);
+            let m = &mut model[block as usize];
+            let room = PAGES - m.valid - m.invalid;
+            match next(10) {
+                0..=2 if !m.bad && room > 0 => {
+                    let pages = 1 + next(room);
+                    index.on_program_run(block, pages, step);
+                    m.valid += pages;
+                    m.last_write = step;
+                }
+                3..=4 if m.valid > 0 => {
+                    let pages = 1 + next(m.valid);
+                    if pages == 1 {
+                        index.on_invalidate(block);
+                    } else {
+                        index.on_invalidate_run(block, pages);
+                    }
+                    m.valid -= pages;
+                    m.invalid += pages;
+                    detached_events += m.detached as u32;
+                }
+                5 if !m.bad && room > 0 => {
+                    index.on_skip(block);
+                    m.invalid += 1;
+                    detached_events += m.detached as u32;
+                }
+                6 if !m.bad && m.valid == 0 && m.invalid > 0 => {
+                    index.on_erase(block);
+                    // The timestamp survives until the next program.
+                    (m.invalid, m.erase) = (0, m.erase + 1);
+                    detached_events += m.detached as u32;
+                }
+                7 if m.valid == 0 && next(8) == 0 => {
+                    index.on_retire(block);
+                    (m.invalid, m.bad) = (0, true);
+                    detached_events += m.detached as u32;
+                }
+                8 if !m.detached => {
+                    index.detach(block);
+                    m.detached = true;
+                }
+                9 if m.detached => {
+                    index.attach(block);
+                    m.detached = false;
+                }
+                _ => continue,
+            }
+            let expected: Vec<(u32, u32, u32, u32, u64)> = (0..BLOCKS)
+                .map(|b| (b, model[b as usize]))
+                .filter(|(_, m)| !m.bad && !m.detached && m.invalid > 0)
+                .map(|(b, m)| (b, m.valid, m.invalid, m.erase, m.last_write))
+                .collect();
+            index.verify_internal().unwrap();
+            assert_eq!(index.snapshot(), expected, "step {step}");
+            assert_eq!(index.len(), expected.len());
+            assert_eq!(index.erase_count(block), model[block as usize].erase);
+            let ctx = PickContext::at(step + 1).excluding(Some(next(BLOCKS)));
+            let legacy = legacy_candidates(&index, &ctx);
+            let greedy = index.pick_greedy(ctx.exclude, ctx.exclude2);
+            assert_eq!(greedy, Greedy.select_victim(&legacy), "step {step}");
+            let mut windowed = WindowedGreedy::new(3);
+            let from_index = windowed.select_from_index(&mut index, &ctx);
+            assert_eq!(from_index, windowed.select_victim(&legacy), "step {step}");
+            assert_eq!(index.scan_candidates(&ctx), &legacy[..], "step {step}");
+            for pick in [greedy, from_index].into_iter().flatten() {
+                assert!(!model[pick as usize].detached, "picked a detached block");
+            }
+        }
+        assert!(
+            detached_events > 500,
+            "{detached_events} events hit a detached block"
+        );
     }
 }
