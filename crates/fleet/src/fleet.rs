@@ -984,6 +984,11 @@ impl BlockDevice for Fleet {
         }
     }
 
+    // Bounds checks run per command; `info()` formats the fleet's name.
+    fn capacity_bytes(&self) -> u64 {
+        self.capacity
+    }
+
     fn submit(&mut self, request: &BlockRequest) -> Result<Completion, DeviceError> {
         let mut queues = [HostQueue::new()];
         queues[0].submit_request(request);

@@ -91,11 +91,107 @@ enum AppendPoint {
     Map,
 }
 
+/// An element's erased blocks, handed out least worn first (dynamic wear
+/// leveling of the allocation pool): the lowest erase count, and among
+/// equals the first in list order.  [`FreeList::push`] and
+/// [`FreeList::take_least_worn`] are the only mutations, which is what
+/// keeps the heap in step with the list.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct FreeList {
+    /// `(erase_count, block)` in the order pushes and the allocations'
+    /// `swap_remove`s leave behind.
+    list: Vec<(u32, u32)>,
+    /// The list positions as a binary min-heap on `(erase_count, position)`,
+    /// so the allocation is the root instead of two passes over the list.
+    heap: Vec<u32>,
+    /// `slot[position]`: where that position sits in `heap`.
+    slot: Vec<u32>,
+}
+
+impl FreeList {
+    fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    fn key(&self, pos: u32) -> (u32, u32) {
+        (self.list[pos as usize].0, pos)
+    }
+
+    fn place(&mut self, at: usize, pos: u32) {
+        self.heap[at] = pos;
+        self.slot[pos as usize] = at as u32;
+    }
+
+    /// Moves the position at heap index `at` up to where its key belongs.
+    fn sift_up(&mut self, mut at: usize) {
+        let pos = self.heap[at];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.key(self.heap[parent]) < self.key(pos) {
+                break;
+            }
+            self.place(at, self.heap[parent]);
+            at = parent;
+        }
+        self.place(at, pos);
+    }
+
+    /// Moves the position at heap index `at` down to where its key belongs.
+    fn sift_down(&mut self, mut at: usize) {
+        let pos = self.heap[at];
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len()
+                && self.key(self.heap[child + 1]) < self.key(self.heap[child])
+            {
+                child += 1;
+            }
+            if self.key(pos) < self.key(self.heap[child]) {
+                break;
+            }
+            self.place(at, self.heap[child]);
+            at = child;
+        }
+        self.place(at, pos);
+    }
+
+    /// Appends an erased block.
+    fn push(&mut self, erases: u32, block: u32) {
+        let pos = self.list.len() as u32;
+        self.list.push((erases, block));
+        self.slot.push(0);
+        self.heap.push(pos);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Removes and returns the `(erase_count, block)` with the lowest erase
+    /// count, the first such in list order; the last entry takes its place.
+    fn take_least_worn(&mut self) -> Option<(u32, u32)> {
+        let pos = *self.heap.first()?;
+        let sinking = self.heap.pop().expect("the heap has a root");
+        if !self.heap.is_empty() {
+            self.place(0, sinking);
+            self.sift_down(0);
+        }
+        // The list's last entry takes `pos`: its key shrinks with its
+        // position, so it can only rise.
+        let taken = self.list.swap_remove(pos as usize);
+        let at = self.slot.pop().expect("one slot per entry");
+        if (pos as usize) < self.list.len() {
+            self.place(at as usize, pos);
+            self.sift_up(at as usize);
+        }
+        Some(taken)
+    }
+}
+
 #[derive(Clone, Debug)]
 struct ElementState {
-    /// Erased blocks available for allocation, as `(erase_count, block)`
-    /// so that choosing the least worn dereferences no block.
-    free_blocks: Vec<(u32, u32)>,
+    /// Erased blocks available for allocation.
+    free_blocks: FreeList,
     /// Block currently being appended to at each [`AppendPoint`], if any.
     active: [Option<u32>; 2],
     /// Free (programmable) pages on this element, kept incrementally.
@@ -105,16 +201,6 @@ struct ElementState {
     /// is not re-scanned on every write.  Cleared by the next invalidation
     /// on this element (which is the only event that can create a victim).
     clean_stalled: bool,
-}
-
-impl ElementState {
-    /// Removes and returns the free block with the lowest erase count, the
-    /// first in list order (dynamic wear leveling of the allocation pool).
-    fn take_least_worn(&mut self) -> Option<(u32, u32)> {
-        let least = self.free_blocks.iter().map(|&(erases, _)| erases).min()?;
-        let idx = self.free_blocks.iter().position(|&(e, _)| e == least)?;
-        Some(self.free_blocks.swap_remove(idx))
-    }
 }
 
 /// Demand-paged mapping state (DFTL-style): the translation table lives
@@ -298,11 +384,12 @@ impl PageFtl {
             .map(|e| {
                 let flash_element = flash.element(ElementId(e)).expect("element in range");
                 // Factory-bad blocks never enter the free list.
-                let free_blocks: Vec<(u32, u32)> = (0..geometry.blocks_per_element())
-                    .rev()
-                    .filter(|&b| !flash_element.block(b).expect("block in range").is_bad())
-                    .map(|b| (0, b))
-                    .collect();
+                let mut free_blocks = FreeList::default();
+                for b in (0..geometry.blocks_per_element()).rev() {
+                    if !flash_element.block(b).expect("block in range").is_bad() {
+                        free_blocks.push(0, b);
+                    }
+                }
                 ElementState {
                     free_pages: free_blocks.len() as u64 * geometry.pages_per_block as u64,
                     free_blocks,
@@ -525,7 +612,10 @@ impl PageFtl {
                 element: element as u32,
             });
         }
-        let (erases, block) = state.take_least_worn().expect("list is not empty");
+        let (erases, block) = state
+            .free_blocks
+            .take_least_worn()
+            .expect("list is not empty");
         debug_assert_eq!(erases, flash_element.block(block)?.erase_count());
         state.active[point as usize] = Some(block);
         Ok(block)
@@ -693,7 +783,7 @@ impl PageFtl {
                 self.index[element].on_erase(block);
                 self.elements[element].free_pages += freed_pages;
                 self.total_free_pages += freed_pages;
-                self.elements[element].free_blocks.push((erases + 1, block));
+                self.elements[element].free_blocks.push(erases + 1, block);
             }
             Err(FlashError::EraseFailed { .. }) => {
                 // Grown bad block: the flash retired it on the spot.  Its
@@ -2285,20 +2375,22 @@ mod tests {
         assert_eq!(ftl.flash().valid_pages(), logical);
     }
 
-    /// The free list that carries each block's erase count hands out the
-    /// block the old scan — every listed block dereferenced for its count,
-    /// the first strict minimum taken with `swap_remove` — would have.
+    /// The free list hands out the block the scans it replaced would have:
+    /// the old block scan — every listed block dereferenced for its count,
+    /// the first strict minimum taken with `swap_remove` — and the two-pass
+    /// walk over the keyed list (minimum count, then its first position)
+    /// that the ordered side index stands in for.  Counts repeat all the
+    /// time: 48 blocks cycle within a few erases of each other.
     #[test]
     fn keyed_free_list_allocates_like_the_block_scan() {
         const BLOCKS: usize = 48;
         let mut erases = [0u32; BLOCKS];
         let mut old: Vec<u32> = (0..BLOCKS as u32).rev().collect();
-        let mut keyed = ElementState {
-            free_blocks: old.iter().map(|&b| (0, b)).collect(),
-            active: [None; 2],
-            free_pages: 0,
-            clean_stalled: false,
-        };
+        let mut two_pass: Vec<(u32, u32)> = old.iter().map(|&b| (0, b)).collect();
+        let mut keyed = FreeList::default();
+        for &(erases, block) in &two_pass {
+            keyed.push(erases, block);
+        }
         let mut in_use: Vec<u32> = Vec::new();
         let mut state = 0x1234_5678_9abc_def1u64;
         let mut next = |bound: usize| {
@@ -2307,30 +2399,37 @@ mod tests {
             state ^= state << 17;
             (state % bound as u64) as usize
         };
-        let mut allocations = 0;
+        let (mut allocations, mut ties) = (0, 0);
         for _ in 0..10_000 {
             if !in_use.is_empty() && (old.is_empty() || next(2) == 0) {
                 // An erase returns a block, sometimes after extra cycles.
                 let block = in_use.swap_remove(next(in_use.len()));
                 erases[block as usize] += 1 + (next(4) == 0) as u32;
                 old.push(block);
-                keyed.free_blocks.push((erases[block as usize], block));
-                continue;
-            }
-            let mut best = (0, u32::MAX);
-            for (i, &b) in old.iter().enumerate() {
-                if erases[b as usize] < best.1 {
-                    best = (i, erases[b as usize]);
+                two_pass.push((erases[block as usize], block));
+                keyed.push(erases[block as usize], block);
+            } else {
+                let mut best = (0, u32::MAX);
+                for (i, &b) in old.iter().enumerate() {
+                    if erases[b as usize] < best.1 {
+                        best = (i, erases[b as usize]);
+                    }
                 }
+                let expected = old.swap_remove(best.0);
+                let least = two_pass.iter().map(|&(e, _)| e).min().unwrap();
+                ties += (two_pass.iter().filter(|&&(e, _)| e == least).count() > 1) as u32;
+                let idx = two_pass.iter().position(|&(e, _)| e == least).unwrap();
+                assert_eq!(two_pass.swap_remove(idx), (best.1, expected));
+                assert_eq!(keyed.take_least_worn(), Some((best.1, expected)));
+                in_use.push(expected);
+                allocations += 1;
             }
-            let expected = old.swap_remove(best.0);
-            assert_eq!(keyed.take_least_worn(), Some((best.1, expected)));
-            in_use.push(expected);
-            allocations += 1;
+            assert_eq!(keyed.list, two_pass);
+            assert_eq!(keyed.heap.len(), keyed.len());
         }
-        assert!(allocations > 4_000);
-        keyed.free_blocks.clear();
-        assert_eq!(keyed.take_least_worn(), None);
+        assert!(allocations > 4_000 && ties > 1_000, "{allocations} {ties}");
+        while keyed.take_least_worn().is_some() {}
+        assert_eq!((keyed.len(), keyed.heap.len(), keyed.slot.len()), (0, 0, 0));
     }
 
     fn faulty_ftl(faults: ossd_flash::FaultConfig, config: FtlConfig) -> PageFtl {

@@ -8,11 +8,16 @@
 //! sub-linear to matter at scale; [`VictimIndex`] is that structure:
 //!
 //! * **Invalid-count buckets.**  Bucket `i` holds the blocks with exactly
-//!   `i` stale pages, ordered by `(erase_count, block)` ascending — exactly
-//!   the greedy tie-break (most stale pages, then fewest erases, then the
-//!   lowest block index), so a [`Greedy`](crate::Greedy) pick is the first
-//!   entry of the highest non-empty bucket: O(1) amortized via the
-//!   `max_invalid` cursor.
+//!   `i` stale pages as `(erase_count, block)` keys in no particular order,
+//!   and each block remembers its position, so moving a block between
+//!   buckets — what every host invalidation does — is a `push` and a
+//!   `swap_remove`: O(1), no search, no shift.  The greedy tie-break (most
+//!   stale pages, then fewest erases, then the lowest block index) is the
+//!   minimum key of the highest non-empty bucket, found through the
+//!   `max_invalid` cursor and one scan of that bucket: a
+//!   [`Greedy`](crate::Greedy) pick is O(top bucket), paid once per victim
+//!   where the ordered buckets this replaces paid a search and a shift of
+//!   a much fuller bucket once per invalidated page.
 //! * **Incremental maintenance.**  The FTL notifies the index on every
 //!   program, invalidation, burned/padded page, erase and retirement; no
 //!   operation ever walks all blocks.
@@ -90,6 +95,8 @@ struct Slot {
     bad: bool,
     /// Taken out of its bucket by [`VictimIndex::detach`].
     detached: bool,
+    /// Where the block's key sits in its bucket, while it is a member.
+    pos: u32,
 }
 
 impl Slot {
@@ -100,6 +107,17 @@ impl Slot {
     }
 }
 
+/// `(erase_count, block)` as one integer that orders the same way, so the
+/// greedy pick is a plain minimum.
+fn bucket_key(erase: u32, block: u32) -> u64 {
+    (erase as u64) << 32 | block as u64
+}
+
+/// The block of a [`bucket_key`].
+fn key_block(key: u64) -> u32 {
+    key as u32
+}
+
 /// Incremental invalid-count index over the blocks of one element (or the
 /// superblocks of a stripe-mapped FTL).
 #[derive(Clone, Debug)]
@@ -108,10 +126,11 @@ pub struct VictimIndex {
     /// superblock on the stripe FTL).
     pages_per_block: u32,
     slots: Vec<Slot>,
-    /// `buckets[i]`: the `(erase_count, block)` keys, ascending, of the
-    /// blocks with exactly `i` stale pages; entries carry their key so a
-    /// search stays in contiguous memory.  Bucket 0 is never populated.
-    buckets: Vec<Vec<(u32, u32)>>,
+    /// `buckets[i]`: the [`bucket_key`]s, unordered, of the blocks with
+    /// exactly `i` stale pages (`Slot::pos` points back); entries carry
+    /// their key so a pick scans contiguous memory.  Bucket 0 is never
+    /// populated.
+    buckets: Vec<Vec<u64>>,
     /// Upper bound on the highest non-empty bucket, settled lazily.
     max_invalid: usize,
     /// Number of candidate blocks across all buckets.
@@ -186,24 +205,23 @@ impl VictimIndex {
     }
 
     fn bucket_insert(&mut self, block: u32) {
-        let slot = &self.slots[block as usize];
-        let (invalid, key) = (slot.invalid as usize, (slot.erase, block));
+        let slot = &mut self.slots[block as usize];
+        let invalid = slot.invalid as usize;
         debug_assert!(invalid > 0 && invalid < self.buckets.len());
         let bucket = &mut self.buckets[invalid];
-        let pos = bucket
-            .binary_search(&key)
-            .expect_err("block already in its bucket");
-        bucket.insert(pos, key);
+        slot.pos = bucket.len() as u32;
+        bucket.push(bucket_key(slot.erase, block));
         self.max_invalid = self.max_invalid.max(invalid);
     }
 
     fn bucket_remove(&mut self, block: u32, invalid: u32) {
-        let key = (self.slots[block as usize].erase, block);
+        let pos = self.slots[block as usize].pos as usize;
         let bucket = &mut self.buckets[invalid as usize];
-        let pos = bucket
-            .binary_search(&key)
-            .expect("member block missing from its bucket");
-        bucket.remove(pos);
+        debug_assert_eq!(key_block(bucket[pos]), block, "block not where it points");
+        bucket.swap_remove(pos);
+        if let Some(&moved) = bucket.get(pos) {
+            self.slots[key_block(moved) as usize].pos = pos as u32;
+        }
     }
 
     /// Takes `block` out of its bucket until [`VictimIndex::attach`]: no
@@ -331,21 +349,20 @@ impl VictimIndex {
     }
 
     /// The greedy victim: most stale pages, then fewest erases, then the
-    /// lowest block index — the first entry of the highest non-empty bucket,
-    /// skipping the excluded blocks.  O(1) amortized.
+    /// lowest block index — the minimum key of the highest non-empty bucket,
+    /// skipping the excluded blocks.  One scan of that bucket.
     pub fn pick_greedy(&mut self, exclude: Option<u32>, exclude2: Option<u32>) -> Option<u32> {
         self.settle_max();
-        let mut level = self.max_invalid;
-        while level > 0 {
-            for &(_, block) in &self.buckets[level] {
-                if Some(block) != exclude && Some(block) != exclude2 {
-                    return Some(block);
-                }
-            }
-            // Only excluded blocks live at this level; look lower.
-            level -= 1;
-        }
-        None
+        let admitted = |&key: &u64| {
+            let block = Some(key_block(key));
+            block != exclude && block != exclude2
+        };
+        // A level holding only excluded blocks yields nothing; look lower.
+        self.buckets[1..=self.max_invalid]
+            .iter()
+            .rev()
+            .find_map(|bucket| bucket.iter().copied().filter(admitted).min())
+            .map(key_block)
     }
 
     /// Fills the scratch buffer with every candidate except the excluded
@@ -356,7 +373,7 @@ impl VictimIndex {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         for bucket in &self.buckets[1..=self.max_invalid] {
-            for &(_, block) in bucket {
+            for block in bucket.iter().copied().map(key_block) {
                 if ctx.excludes(block) {
                     continue;
                 }
@@ -420,45 +437,48 @@ impl VictimIndex {
     }
 
     /// Verifies the index's internal invariants (bucket placement and
-    /// ordering, member count, cursor bound).  Test/validation aid.
+    /// back-pointers, member count, cursor bound).  Test/validation aid.
     pub fn verify_internal(&self) -> Result<(), String> {
         let mut counted = 0usize;
         for (invalid, bucket) in self.buckets.iter().enumerate() {
-            let mut prev: Option<(u32, u32)> = None;
-            for &key in bucket {
-                let block = key.1;
+            for (pos, &key) in bucket.iter().enumerate() {
+                let block = key_block(key);
                 let slot = &self.slots[block as usize];
-                if slot.invalid as usize != invalid || !slot.is_member() || key.0 != slot.erase {
+                if slot.invalid as usize != invalid
+                    || !slot.is_member()
+                    || key != bucket_key(slot.erase, block)
+                {
                     return Err(format!(
-                        "entry {key:?} in bucket {invalid} has invalid={} erase={} bad={} detached={}",
+                        "entry {key:#x} in bucket {invalid} has invalid={} erase={} bad={} detached={}",
                         slot.invalid, slot.erase, slot.bad, slot.detached
                     ));
                 }
-                if let Some(p) = prev {
-                    if p >= key {
-                        return Err(format!("bucket {invalid} out of order at block {block}"));
-                    }
+                if slot.pos as usize != pos {
+                    return Err(format!(
+                        "block {block} sits at {pos} of bucket {invalid} but points back to {}",
+                        slot.pos
+                    ));
                 }
-                prev = Some(key);
                 counted += 1;
             }
             if invalid > self.max_invalid && !bucket.is_empty() {
                 return Err(format!("bucket {invalid} above the max_invalid cursor"));
             }
         }
+        // Every entry is a member pointing back at itself, so an equal count
+        // means every member has exactly one entry.
         if counted != self.members {
             return Err(format!(
                 "member count {} != bucketed blocks {counted}",
                 self.members
             ));
         }
-        for (block, slot) in self.slots.iter().enumerate() {
-            if slot.is_member() {
-                let bucket = &self.buckets[slot.invalid as usize];
-                if bucket.binary_search(&(slot.erase, block as u32)).is_err() {
-                    return Err(format!("member block {block} missing from its bucket"));
-                }
-            }
+        let members = self.slots.iter().filter(|s| s.is_member()).count();
+        if members != self.members {
+            return Err(format!(
+                "member count {} != member blocks {members}",
+                self.members
+            ));
         }
         Ok(())
     }
@@ -546,6 +566,75 @@ mod tests {
             "the same block in both slots is excluded once"
         );
         index.verify_internal().unwrap();
+    }
+
+    /// The pick scans an unordered bucket: over a 500-block top level in
+    /// scrambled order, with erase counts that repeat, it returns what the
+    /// sorted keys say — the smallest `(erase, block)` not excluded — and it
+    /// drops a level when the top one holds nothing but the excluded blocks.
+    #[test]
+    fn greedy_pick_scans_an_unordered_top_bucket() {
+        const TOP: u32 = 500;
+        let mut index = VictimIndex::new(TOP + 2, 4);
+        let cycle = |index: &mut VictimIndex, block: u32, stales: u32| {
+            for _ in 0..4 {
+                index.on_program(block, 1);
+            }
+            for _ in 0..stales {
+                index.on_invalidate(block);
+            }
+        };
+        // Blocks in a scrambled order, each erased 0-6 times first, all
+        // ending with 3 stale pages; two more blocks one level down.
+        for i in 0..TOP {
+            let block = (i * 271) % TOP;
+            for _ in 0..(block * 5 + 3) % 7 {
+                cycle(&mut index, block, 4);
+                index.on_erase(block);
+            }
+            cycle(&mut index, block, 3);
+        }
+        cycle(&mut index, TOP, 2);
+        cycle(&mut index, TOP + 1, 2);
+        index.verify_internal().unwrap();
+        let mut sorted: Vec<(u32, u32)> = (0..TOP).map(|b| (index.erase_count(b), b)).collect();
+        sorted.sort_unstable();
+        assert!(sorted[0].0 == sorted[1].0 && sorted[0].0 < sorted[TOP as usize - 1].0);
+        assert!(
+            !index.buckets[3].is_sorted(),
+            "the bucket is not in key order"
+        );
+        let reference = |exclude: Option<u32>, exclude2: Option<u32>| {
+            sorted
+                .iter()
+                .map(|&(_, block)| block)
+                .find(|&block| Some(block) != exclude && Some(block) != exclude2)
+        };
+        let (first, second, third) = (sorted[0].1, sorted[1].1, sorted[2].1);
+        for (exclude, exclude2) in [
+            (None, None),
+            (Some(first), None),
+            (Some(first), Some(second)),
+            (Some(second), Some(first)),
+            (Some(third), Some(first)),
+            (Some(sorted[250].1), Some(TOP)),
+        ] {
+            assert_eq!(
+                index.pick_greedy(exclude, exclude2),
+                reference(exclude, exclude2),
+                "excluding {exclude:?} and {exclude2:?}"
+            );
+        }
+        assert_eq!(index.pick_greedy(Some(first), Some(second)), Some(third));
+        // Drain the top level down to two blocks and exclude both.
+        for &(_, block) in &sorted[2..] {
+            index.on_invalidate(block);
+            index.on_erase(block);
+        }
+        index.verify_internal().unwrap();
+        assert_eq!(index.pick_greedy(Some(first), None), Some(second));
+        assert_eq!(index.pick_greedy(Some(second), Some(first)), Some(TOP));
+        assert_eq!(index.pick_greedy(Some(first), Some(second)), Some(TOP));
     }
 
     #[test]

@@ -278,6 +278,11 @@ impl BlockDevice for Hdd {
         }
     }
 
+    // Bounds checks run per command; `info()` clones the device name.
+    fn capacity_bytes(&self) -> u64 {
+        self.config.capacity_bytes
+    }
+
     fn submit(&mut self, request: &BlockRequest) -> Result<Completion, DeviceError> {
         self.check_bounds(request)?;
         let start = request.arrival.max(self.arm.next_free());

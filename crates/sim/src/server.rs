@@ -59,16 +59,32 @@ impl Server {
     /// The operation starts at `max(arrival, next_free)` and occupies the
     /// server until `start + service`.
     pub fn serve(&mut self, arrival: SimTime, service: SimDuration) -> Service {
+        self.serve_run(arrival, service, 1).0
+    }
+
+    /// Serves `n` (at least one) operations that all arrive at `arrival`
+    /// and need `service` time each, back to back: exactly what `n` calls
+    /// of [`Server::serve`] do, in O(1).  Returns the first operation's
+    /// [`Service`] and the completion of the last; operation `k` occupies
+    /// `[start + k * service, start + (k + 1) * service)`.
+    pub fn serve_run(
+        &mut self,
+        arrival: SimTime,
+        service: SimDuration,
+        n: u64,
+    ) -> (Service, SimTime) {
+        debug_assert!(n > 0, "an empty run");
         let start = arrival.max(self.next_free);
-        let completion = start + service;
-        self.next_free = completion;
-        self.busy_total = self.busy_total.saturating_add(service);
-        self.served_ops += 1;
-        Service {
+        let last_completion = start + service * n;
+        self.next_free = last_completion;
+        self.busy_total = self.busy_total.saturating_add(service.saturating_mul(n));
+        self.served_ops += n;
+        let first = Service {
             start,
-            completion,
+            completion: start + service,
             queue_wait: start.saturating_since(arrival),
-        }
+        };
+        (first, last_completion)
     }
 
     /// Reserves the server until at least `until` without counting an
@@ -154,6 +170,25 @@ mod tests {
         assert_eq!(s.served_ops(), 2);
         assert!((s.utilisation(SimTime::from_micros(100)) - 0.5).abs() < 1e-9);
         assert_eq!(s.utilisation(SimTime::ZERO), 0.0);
+    }
+
+    #[test]
+    fn serve_run_is_n_serves() {
+        // Idle and backlogged, zero and non-zero service.
+        for (backlog, service, n) in [(0, 7, 5), (100, 7, 5), (100, 0, 3), (0, 0, 1), (40, 9, 1)] {
+            let mut run = Server::new();
+            run.serve(SimTime::ZERO, SimDuration::from_micros(backlog));
+            let mut single = run.clone();
+            let arrival = SimTime::from_micros(50);
+            let service = SimDuration::from_micros(service);
+            let (first, last) = run.serve_run(arrival, service, n);
+            let each: Vec<Service> = (0..n).map(|_| single.serve(arrival, service)).collect();
+            assert_eq!(first, each[0]);
+            assert_eq!(last, each.last().unwrap().completion);
+            assert_eq!(run.next_free(), single.next_free());
+            assert_eq!(run.busy_total(), single.busy_total());
+            assert_eq!(run.served_ops(), single.served_ops());
+        }
     }
 
     #[test]

@@ -26,12 +26,28 @@
 //! the gang bus's [`ElementQueue`], accept the stage there (blaming its
 //! wait and its own service when attribution is on), emit its span, and
 //! start the next stage when this one completes; the op's busy time is the
-//! sum of its stages.  A new kind is a new row.  A multi-plane program
-//! would be a row with one bus stage per plane and a single array stage
-//! (and a wider chain array); a suspendable erase would be a row of several
-//! short array stages — the slices between suspend points — instead of one
-//! long one, after which letting a later read be accepted between two of
-//! them is a change to [`ElementQueue`], not to this loop.
+//! sum of its stages.  A new kind is a new row.
+//!
+//! The loop walks the batch in **runs**: a run is an op and the equal ops
+//! (same element, kind and purpose) right behind it when the kind's chain
+//! is a single die-only stage — cleaning's copy-backs, which the FTL emits
+//! dozens at a time — and one op otherwise, because a chain that crosses
+//! the bus interleaves with the other dies of its gang.  A run of `n` is
+//! one [`ElementQueue::accept_run`] and one stats add of `n` services; op
+//! `k` of it occupies `[start + k * service, start + (k + 1) * service)`,
+//! which is where its span comes from when a sink is attached, and only
+//! its last op can be the one a batch finishes with, so that op's blame is
+//! the run's.  Every time, counter, span and blame record is what booking
+//! the ops one by one gives; the crate's tests hold every batch they
+//! schedule to exactly that (the `oracle` submodule).
+//!
+//! A multi-plane program would be a row with one bus stage per plane and a
+//! single array stage (and a wider chain array); a suspendable erase would
+//! be a row of several short array stages — the slices between suspend
+//! points — instead of one long one, after which letting a later read be
+//! accepted between two of them, or between two ops of a booked run, is a
+//! change to [`ElementQueue`] (whose runs split at any op boundary), not to
+//! this loop.
 
 use ossd_block::{
     arbitrate_round_robin, BlockDevice, BlockOpKind, BlockRequest, Completion, CompletionStatus,
@@ -237,25 +253,27 @@ fn own_bus_cat(source: BlameSource) -> BlameCat {
     }
 }
 
-/// `ElementQueue::accept`, blaming the op's wait and own service into
-/// `blame` when attribution is on (`blame` is `Some`).  Timing is identical
-/// either way.
+/// `ElementQueue::accept_run`, blaming the wait and own service of the run's
+/// last op into `blame` when attribution is on (`blame` is `Some`).  Timing
+/// is identical either way.
+#[allow(clippy::too_many_arguments)]
 fn accept_blamed(
     queue: &mut ElementQueue,
     arrival: SimTime,
     service: SimDuration,
+    n: u64,
     own_cat: BlameCat,
     owner: u64,
     source: BlameSource,
     blame: Option<&mut BlameBreakdown>,
-) -> Service {
+) -> (Service, SimTime) {
     match blame {
         Some(b) => {
-            let svc = queue.accept_tagged(arrival, service, owner, source, b);
+            let booked = queue.accept_run_tagged(arrival, service, n, owner, source, b);
             b.add(own_cat, service);
-            svc
+            booked
         }
-        None => queue.accept(arrival, service),
+        None => queue.accept_run(arrival, service, n),
     }
 }
 
@@ -547,6 +565,8 @@ impl Ssd {
     /// finish — becomes `Attribution::chain`, an exact decomposition of
     /// `[floor, finish)`.  None of this alters timing.
     fn schedule_ops(&mut self, ops: &[FlashOp], floor: SimTime) -> (SimTime, SimTime) {
+        #[cfg(test)]
+        let reference = oracle::Reference::book(self, ops, floor);
         let elements_per_gang = self.config.elements_per_gang() as usize;
         let mut host_finish = floor;
         let mut any_finish = floor;
@@ -563,7 +583,20 @@ impl Ssd {
             }
             None => 0,
         };
-        for op in ops {
+        let mut rest = ops;
+        while let Some((op, tail)) = rest.split_first() {
+            let chain = &self.stages[op.kind as usize];
+            // A run: this op and the equal ops right behind it, when the
+            // kind is one die-only stage (see the module docs).  What
+            // follows books all `n` at once; `finish`, and the blame when
+            // attribution is on, are those of the run's last op.
+            let n = match chain {
+                [Some(stage), None] if !stage.on_bus => {
+                    1 + tail.iter().take_while(|&next| next == op).count()
+                }
+                _ => 1,
+            };
+            rest = &tail[n - 1..];
             let element = op.element.index();
             let gang = element / elements_per_gang;
             let purpose = op.purpose.telemetry_code();
@@ -573,7 +606,7 @@ impl Ssd {
             // gang bus and the next one arrives when it completes.
             let mut finish = floor;
             let mut busy = SimDuration::ZERO;
-            for stage in self.stages[op.kind as usize].iter().flatten() {
+            for stage in chain.iter().flatten() {
                 let (queue, track, own_cat) = if stage.on_bus {
                     (
                         &mut self.buses[gang],
@@ -587,30 +620,38 @@ impl Ssd {
                         own_element_cat(source),
                     )
                 };
-                let svc = accept_blamed(
+                let (first, last_completion) = accept_blamed(
                     queue,
                     finish,
                     stage.service,
+                    n as u64,
                     own_cat,
                     owner,
                     source,
                     op_blame.as_mut(),
                 );
                 if traced {
-                    self.telemetry.span(
-                        svc.start,
-                        svc.completion,
-                        track,
-                        stage.event,
-                        purpose,
-                        element as u64,
-                    );
+                    // One span per op, from the run's arithmetic.
+                    let mut start = first.start;
+                    for _ in 0..n {
+                        let end = start + stage.service;
+                        self.telemetry.span(
+                            start,
+                            end,
+                            track,
+                            stage.event,
+                            purpose,
+                            element as u64,
+                        );
+                        start = end;
+                    }
                 }
-                // Stage starts only grow along a chain, so the minimum over
-                // the batch is the first stage of its earliest op.
-                service_begin = service_begin.min(svc.start);
-                finish = svc.completion;
-                busy += stage.service;
+                // Stage starts only grow along a chain and along a run, so
+                // the minimum over the batch is the first stage of its
+                // earliest op.
+                service_begin = service_begin.min(first.start);
+                finish = last_completion;
+                busy += stage.service * n as u64;
             }
             any_finish = any_finish.max(finish);
             let mut foreground = false;
@@ -674,6 +715,8 @@ impl Ssd {
                 a.chain = a.op_scratch[i].blame;
             }
         }
+        #[cfg(test)]
+        reference.check(self, ops, floor, (service_begin, finish));
         (service_begin, finish)
     }
 
@@ -936,6 +979,11 @@ impl BlockDevice for Ssd {
         }
     }
 
+    // Bounds checks run per command; `info()` clones the device name.
+    fn capacity_bytes(&self) -> u64 {
+        self.ftl.exported_bytes()
+    }
+
     fn submit(&mut self, request: &BlockRequest) -> Result<Completion, DeviceError> {
         // Validate before the engine runs: an invalid request must be
         // rejected before any idle window is donated to background cleaning.
@@ -1023,6 +1071,9 @@ impl HostInterface for Ssd {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1578,6 +1629,108 @@ mod tests {
                 .collect();
             assert_eq!(recorded, expected, "{kind:?}");
         }
+        // Five copy-backs behind a busy die are one run: five back-to-back
+        // spans, the busy time of five, and a critical chain that is the
+        // last copy's — the wait behind the erase, the four copies ahead of
+        // it, and its own.
+        let mut config = SsdConfig::tiny_page_mapped();
+        config.gangs = 2;
+        let mut ssd = Ssd::new(config).unwrap();
+        let (handle, recorder) = Recorder::shared(RecorderConfig::default());
+        ssd.set_telemetry(handle);
+        ssd.enable_attribution();
+        let op = |kind| FlashOp {
+            element: ElementId(1),
+            kind,
+            purpose: OpPurpose::Clean,
+        };
+        let floor = SimTime::from_nanos(1_000);
+        let erased = floor.as_nanos() + 1_500_000;
+        assert_eq!(
+            ssd.schedule_ops(&[op(FlashOpKind::EraseBlock)], floor),
+            (floor, SimTime::from_nanos(erased))
+        );
+        let (begin, finish) = ssd.schedule_ops(&[op(FlashOpKind::CopybackPage); 5], floor);
+        let copy = READ + PROG;
+        assert_eq!(
+            (begin.as_nanos(), finish.as_nanos()),
+            (erased, erased + 5 * copy)
+        );
+        assert_eq!(ssd.stats.cleaning_busy.as_nanos(), 1_500_000 + 5 * copy);
+        let chain = ssd.attribution.as_ref().unwrap().chain;
+        assert_eq!(chain.get(BlameCat::GcWait), 1_500_000 + 5 * copy);
+        assert_eq!(chain.total_nanos(), finish.as_nanos() - floor.as_nanos());
+        let die = &ssd.element_queues()[1];
+        assert_eq!((die.ops_accepted(), die.peak_queued()), (6, 5));
+        assert_eq!(die.depth_at(SimTime::from_nanos(erased + 2 * copy)), 2);
+        let copies: Vec<_> = recorder.lock().unwrap().events()[1..]
+            .iter()
+            .map(|e| (e.track, e.kind, e.start.as_nanos(), e.end.as_nanos()))
+            .collect();
+        let expected: Vec<_> = (0..5)
+            .map(|k| {
+                let start = erased + k * copy;
+                let kind = EventKind::FlashCopyback;
+                (Track::Element(1), kind, start, start + copy)
+            })
+            .collect();
+        assert_eq!(copies, expected);
+    }
+
+    /// Cleaning under load with a recorder and attribution attached: the
+    /// booking oracle checks every batch's times, stats, queues and
+    /// critical chain as it is scheduled; this adds the trace — the
+    /// recorder holds exactly the spans per-op booking would have emitted,
+    /// in order — and that copy-backs really were booked in runs.
+    #[test]
+    fn runs_trace_and_blame_like_per_op_booking() {
+        use ossd_telemetry::{Recorder, RecorderConfig};
+        let mut config = SsdConfig::tiny_page_mapped();
+        config.ftl = config
+            .ftl
+            .with_overprovisioning(0.25)
+            .with_watermarks(0.3, 0.1);
+        let mut ssd = Ssd::new(config).unwrap();
+        let (handle, recorder) = Recorder::shared(RecorderConfig::default());
+        ssd.set_telemetry(handle);
+        ssd.enable_attribution();
+        oracle::SPANS.take();
+        let (ops_before, in_runs_before) = oracle::BOOKED.get();
+        // Overwrites arriving every 150 µs, faster than the device cleans,
+        // so runs land behind busy dies as well as idle ones.
+        let pages = ssd.capacity_bytes() / 4096;
+        let requests: Vec<BlockRequest> = (0..6 * pages)
+            .map(|i| {
+                let lpn = (i * 13 + i / pages) % pages;
+                BlockRequest::write(i, lpn * 4096, 4096, SimTime::from_micros(i * 150))
+            })
+            .collect();
+        ssd.simulate_open(&requests, SchedulerKind::Fcfs).unwrap();
+        let (ops, in_runs) = oracle::BOOKED.get();
+        assert!(
+            ops - ops_before > 1_000 && in_runs - in_runs_before > 200,
+            "{} ops, {} in runs",
+            ops - ops_before,
+            in_runs - in_runs_before
+        );
+        let recorder = recorder.lock().unwrap();
+        assert_eq!(recorder.dropped_events(), 0);
+        let recorded: Vec<oracle::Span> = recorder
+            .events()
+            .iter()
+            .filter(|e| {
+                ssd.stages
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .any(|s| s.event == e.kind)
+            })
+            .map(|e| (e.start, e.end, e.track, e.kind, e.a, e.b))
+            .collect();
+        assert_eq!(recorded, oracle::SPANS.take());
+        let records = ssd.take_blame_records();
+        assert_eq!(records.len(), requests.len());
+        assert!(records.iter().all(|r| r.is_exact()));
     }
 
     #[test]
