@@ -717,10 +717,9 @@ mod tests {
             }
             assert_eq!(run.reliability_counters(), single.reliability_counters());
             assert_eq!(run.counters(), single.counters());
-            assert_eq!(
-                block_of(&run, 0, block).states(),
-                block_of(&single, 0, block).states()
-            );
+            assert_eq!(block_of(&run, 0, block), block_of(&single, 0, block));
+            let words = |a: &FlashArray| a.element(e).unwrap().valid_words(block).unwrap().to_vec();
+            assert_eq!(words(&run), words(&single));
         }
         assert!(failed_first > 0 && failed_inside > 0 && clean > 0);
         assert_eq!(next_100_draws(&mut run), next_100_draws(&mut single));

@@ -18,11 +18,18 @@ pub struct ElementCounters {
     pub block_erases: u64,
 }
 
-/// One die: a vector of blocks, operation counters and wear state.
+/// One die: its blocks' counters, the valid-page bitmap, operation counters
+/// and wear state.
 #[derive(Clone, Debug)]
 pub struct FlashElement {
     id: ElementId,
     blocks: Vec<Block>,
+    /// One bit per page, set while the page holds live data: block `b` owns
+    /// words `b * words_per_block..(b + 1) * words_per_block`, page `p` of it
+    /// bit `p` of those.  With each block's write pointer this is all the
+    /// page state there is (see [`crate::block`]).
+    valid: Vec<u64>,
+    words_per_block: usize,
     pages_per_block: u32,
     counters: ElementCounters,
     /// How many in-service (not retired) blocks have each erase count; no
@@ -34,9 +41,12 @@ impl FlashElement {
     /// Creates an erased element with `blocks` blocks of `pages_per_block`
     /// pages each.
     pub fn new(id: ElementId, blocks: u32, pages_per_block: u32) -> Self {
+        let words_per_block = pages_per_block.div_ceil(64) as usize;
         FlashElement {
             id,
-            blocks: (0..blocks).map(|_| Block::new(pages_per_block)).collect(),
+            blocks: vec![Block::new(pages_per_block); blocks as usize],
+            valid: vec![0; blocks as usize * words_per_block],
+            words_per_block,
             pages_per_block,
             counters: ElementCounters::default(),
             wear: BTreeMap::from([(0, blocks)]),
@@ -69,22 +79,34 @@ impl FlashElement {
             })
     }
 
-    fn block_mut(&mut self, block: u32) -> Result<&mut Block, FlashError> {
+    /// The valid-page bitmap of a block: bit `p` (of word `p / 64`) is set
+    /// iff page `p` holds live data.
+    pub fn valid_words(&self, block: u32) -> Result<&[u64], FlashError> {
+        self.block(block)?;
+        let first = block as usize * self.words_per_block;
+        Ok(&self.valid[first..first + self.words_per_block])
+    }
+
+    /// A block's counters and its bitmap words, for a mutation.
+    fn block_mut(&mut self, block: u32) -> Result<(&mut Block, &mut [u64]), FlashError> {
         let bound = self.blocks.len() as u64;
-        self.blocks
+        let blk = self
+            .blocks
             .get_mut(block as usize)
             .ok_or(FlashError::OutOfRange {
                 what: "block",
                 index: block as u64,
                 bound,
-            })
+            })?;
+        let first = block as usize * self.words_per_block;
+        Ok((blk, &mut self.valid[first..first + self.words_per_block]))
     }
 
     /// Reads a page (bumps the read and read-disturb counters after
     /// validating the page holds defined data).
     pub fn read(&mut self, block: u32, page: u32) -> Result<(), FlashError> {
         let id = self.id;
-        let blk = self.block_mut(block)?;
+        let (blk, _) = self.block_mut(block)?;
         blk.check_readable(id, block, page)?;
         blk.record_read();
         self.counters.page_reads += 1;
@@ -104,7 +126,8 @@ impl FlashElement {
     /// Programs the next `n` sequential pages of `block`; returns them.
     pub fn program_run(&mut self, block: u32, n: u32) -> Result<Range<u32>, FlashError> {
         let id = self.id;
-        let pages = self.block_mut(block)?.program_run(id, block, n)?;
+        let (blk, valid) = self.block_mut(block)?;
+        let pages = blk.program_run(valid, id, block, n)?;
         self.counters.page_programs += n as u64;
         Ok(pages)
     }
@@ -114,7 +137,7 @@ impl FlashElement {
     /// padding); returns the consumed page's address.
     pub fn skip_page(&mut self, block: u32) -> Result<PhysPageAddr, FlashError> {
         let id = self.id;
-        let page = self.block_mut(block)?.skip_next(id, block)?;
+        let page = self.block_mut(block)?.0.skip_next(id, block)?;
         Ok(PhysPageAddr {
             element: id,
             block,
@@ -125,7 +148,7 @@ impl FlashElement {
     /// Permanently retires `block` (no valid pages may remain).
     pub fn retire(&mut self, block: u32) -> Result<(), FlashError> {
         let id = self.id;
-        let blk = self.block_mut(block)?;
+        let (blk, _) = self.block_mut(block)?;
         let (in_service, erases) = (!blk.is_bad(), blk.erase_count());
         blk.retire(id, block)?;
         if in_service {
@@ -137,18 +160,23 @@ impl FlashElement {
     /// Marks a page stale, reporting the block-state change.
     pub fn invalidate(&mut self, block: u32, page: u32) -> Result<BlockStateChange, FlashError> {
         let id = self.id;
-        self.block_mut(block)?.invalidate(id, block, page)
+        let (blk, valid) = self.block_mut(block)?;
+        blk.invalidate(valid, id, block, page)
     }
 
-    /// [`Block::invalidate_span`] on `block`.
+    /// Marks every valid page of `pages` in `block` stale and returns how
+    /// many there were, as invalidating each in turn does; stale and free
+    /// pages are left alone.  A span past the block is rejected, touching
+    /// nothing.
     pub fn invalidate_span(&mut self, block: u32, pages: Range<u32>) -> Result<u32, FlashError> {
-        self.block_mut(block)?.invalidate_span(pages)
+        let (blk, valid) = self.block_mut(block)?;
+        blk.invalidate_span(valid, pages)
     }
 
     /// Erases a block (which must hold no valid pages).
     pub fn erase(&mut self, block: u32) -> Result<(), FlashError> {
         let id = self.id;
-        let blk = self.block_mut(block)?;
+        let (blk, _) = self.block_mut(block)?;
         blk.erase(id, block)?;
         let erases = blk.erase_count();
         self.counters.block_erases += 1;
@@ -180,7 +208,7 @@ impl FlashElement {
 
     /// State of one page.
     pub fn page_state(&self, block: u32, page: u32) -> Result<PageState, FlashError> {
-        self.block(block)?.state(page)
+        self.block(block)?.state(self.valid_words(block)?, page)
     }
 
     /// Total free (programmable) pages on this element.  Pages of retired

@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod array;
+pub mod bitmap;
 pub mod block;
 pub mod element;
 pub mod error;

@@ -9,6 +9,8 @@
 //! mask.  The workspace builds hermetically with no external crates, so
 //! this is hand-rolled rather than pulled from `fixedbitset`.
 
+use ossd_flash::bitmap;
+
 /// A fixed-capacity set of `u64` keys in `[0, capacity)`, one bit each.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FixedBitset {
@@ -81,6 +83,18 @@ impl FixedBitset {
         present
     }
 
+    /// Removes every key of `keys`; returns how many were present — what
+    /// calling [`FixedBitset::remove`] on each in turn does and counts, a
+    /// word at a time.
+    ///
+    /// # Panics
+    /// Panics when `keys` reaches outside the capacity fixed at construction.
+    pub fn take_range(&mut self, keys: std::ops::Range<u64>) -> u32 {
+        let taken = bitmap::take_range(&mut self.words, keys.start as usize..keys.end as usize);
+        self.len -= taken as u64;
+        taken
+    }
+
     /// Whether `key` is in the set (keys beyond the capacity are absent).
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
@@ -135,6 +149,57 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert!(!s.contains(0));
+    }
+
+    /// Seeded ranges that start and end anywhere in a word, on sets of
+    /// every density.  Runs in `--release` too: this file is where an
+    /// optimised build once lost the cardinality update.
+    #[test]
+    fn take_range_equals_per_key_remove() {
+        const KEYS: u64 = 1_000;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut mid_word, mut removed) = (0, 0);
+        for round in 0..2_000 {
+            let mut bulk = FixedBitset::with_capacity(KEYS);
+            let density = 1 + below(8);
+            for key in 0..KEYS {
+                if below(8) < density {
+                    bulk.insert(key);
+                }
+            }
+            let mut single = bulk.clone();
+            let (a, b) = (below(KEYS + 1), below(KEYS + 1));
+            let keys = match round % 10 {
+                0 => a..a, // empty
+                _ => a.min(b)..a.max(b),
+            };
+            mid_word += (keys.start % 64 != 0 && keys.end % 64 != 0) as u32;
+            let expected = keys.clone().filter(|&k| single.remove(k)).count() as u32;
+            assert_eq!(bulk.take_range(keys.clone()), expected, "{keys:?}");
+            assert_eq!(bulk, single, "{keys:?}");
+            assert_eq!(
+                bulk.len(),
+                (0..KEYS).filter(|&k| bulk.contains(k)).count() as u64
+            );
+            removed += expected;
+        }
+        assert!(
+            mid_word > 1_500 && removed > 100_000,
+            "{mid_word} {removed}"
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn take_range_beyond_capacity_panics() {
+        let mut s = FixedBitset::with_capacity(64);
+        s.take_range(60..65);
     }
 
     #[test]

@@ -25,12 +25,26 @@
 //!   high-priority requests are outstanding, cleaning is postponed until
 //!   the critical watermark (§3.6, Figure 3, Table 6).
 //!
+//! # Tables
+//!
+//! The forward map, the translation directory and the reverse map hold
+//! 32-bit entries (`crate::ppn`): a physical page number is a page's index
+//! in `(element, block, page)` order, below 2³¹ on every accepted geometry,
+//! and converts to a flash address by multiplication.  Page state is not
+//! the FTL's to store either: the flash array derives it from each block's
+//! write pointer and one valid bit per page ([`ossd_flash::block`]).
+//!
 //! # Block relocation
 //!
 //! Cleaning (foreground, forced, background) and wear-leveling empty a
 //! block through one routine, `PageFtl::drain_block`, which moves pages in
 //! *runs*: the valid data pages from a point on, stale pages between them
-//! passed over, as far as the append block has room.  A run costs one
+//! passed over, as far as the append block has room.  The drain works on a
+//! copy of the block's valid-bitmap words taken as it starts: stale and
+//! free pages are zero bits stepped over with `trailing_zeros`, stretches
+//! of valid pages are found with `trailing_ones`, and the host-freed marks
+//! of the pages passed are cleared and counted by one
+//! [`FixedBitset::take_range`] per block.  A run costs one
 //! `ensure_active_block`, one [`FlashArray::program_run`], one bulk
 //! invalidation, one update each of the free-page counters, the
 //! [`VictimIndex`], the statistics and the op list, and a page-order loop
@@ -51,7 +65,7 @@
 use std::ops::Range;
 
 use ossd_flash::{
-    ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, PageState, PhysPageAddr,
+    bitmap, ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, PhysPageAddr,
     ReliabilityConfig,
 };
 use ossd_gc::{
@@ -63,15 +77,19 @@ use ossd_telemetry::{EventKind, TelemetryHandle, Track};
 use crate::bitset::FixedBitset;
 use crate::config::{CleaningMode, FtlConfig};
 use crate::error::FtlError;
+use crate::ppn::{Ppn, PpnLayout};
 use crate::types::{FlashOp, FlashOpKind, Ftl, FtlStats, Lpn, OpPurpose, WriteContext};
 
-const UNMAPPED: u64 = u64::MAX;
+/// Reverse-map value of a physical page that holds no live data.
+const UNMAPPED: u32 = u32::MAX;
 
 /// Reverse-map tag marking a physical page as a *translation page* of the
-/// demand-paged map area: the tagged value is `MAP_TAG | tpn`.  Logical
-/// page numbers never reach bit 63 (capacity would exceed the address
-/// space), so tagged and untagged values cannot collide.
-const MAP_TAG: u64 = 1 << 63;
+/// demand-paged map area: the tagged value is `MAP_TAG | tpn`.  A device has
+/// at most 2³¹ physical pages ([`crate::ppn::MAX_PAGES`]) and fewer logical
+/// ones, so logical page numbers never reach bit 31 and a translation page
+/// number never reaches 2³¹ − 1: tagged values collide neither with
+/// untagged ones nor with [`UNMAPPED`].
+const MAP_TAG: u32 = 1 << 31;
 
 /// Maximum victims reclaimed by one watermark-triggered cleaning pass; keeps
 /// a single host write from stalling behind an unbounded amount of cleaning.
@@ -224,7 +242,7 @@ struct DemandPaging {
     /// Global translation directory: current physical page of each
     /// translation page, `UNMAPPED` while the tp has never been written
     /// back (its entries exist only in the cache / are all unmapped).
-    gtd: Vec<u64>,
+    gtd: Vec<Ppn>,
     /// Translation-page reads issued (map-cache misses on materialized
     /// tps, plus the read half of each writeback's read-modify-write).
     map_reads: u64,
@@ -245,11 +263,14 @@ pub struct PageFtl {
     flash: FlashArray,
     config: FtlConfig,
     logical_pages: u64,
-    /// Logical-to-physical map; `UNMAPPED` for never-written pages.
-    map: Vec<u64>,
-    /// Physical-to-logical reverse map; `UNMAPPED` for pages holding no
-    /// live logical data.
-    rmap: Vec<u64>,
+    /// The page-number layout of the geometry.
+    layout: PpnLayout,
+    /// Logical-to-physical map; [`Ppn::UNMAPPED`] for never-written pages.
+    map: Vec<Ppn>,
+    /// Physical-to-logical reverse map, indexed by page number: the logical
+    /// page a physical page holds, `MAP_TAG | tpn` for a translation page,
+    /// `UNMAPPED` for pages holding no live data.
+    rmap: Vec<u32>,
     elements: Vec<ElementState>,
     /// Round-robin allocation cursor over elements.
     cursor: usize,
@@ -291,8 +312,9 @@ pub struct PageFtl {
     /// configured GC reserve, plus one for the map-area append point when
     /// the translation table spills to flash (finite cache budget).
     data_reserve_blocks: u32,
-    /// Scratch: the page states of the block being drained.
-    drain_states: Vec<PageState>,
+    /// Scratch: the valid-page bitmap of the block being drained, as it
+    /// stood when the drain began.
+    drain_valid: Vec<u64>,
     /// Routes [`PageFtl::drain_block`] to the per-page reference loop.
     #[cfg(test)]
     reference_drain: bool,
@@ -321,6 +343,9 @@ impl PageFtl {
         reliability
             .validate()
             .map_err(|reason| FtlError::InvalidConfig { reason })?;
+        // Before anything is sized by the geometry: more pages than a page
+        // number addresses is an error, not a truncation.
+        let layout = PpnLayout::new(&geometry)?;
         let flash = FlashArray::with_reliability(geometry, timing, reliability)?;
         let total_pages = geometry.total_pages();
         let usable_pages = flash.free_pages();
@@ -368,7 +393,7 @@ impl PageFtl {
             let gtd_len = logical_pages.div_ceil(entries_per_tp) as usize;
             paging = Some(DemandPaging {
                 cache: MapCache::new(map_cache, entries_per_tp),
-                gtd: vec![UNMAPPED; gtd_len],
+                gtd: vec![Ppn::UNMAPPED; gtd_len],
                 map_reads: 0,
                 map_writes: 0,
                 map_gc_moves: 0,
@@ -417,7 +442,8 @@ impl PageFtl {
             flash,
             config,
             logical_pages,
-            map: vec![UNMAPPED; logical_pages as usize],
+            layout,
+            map: vec![Ppn::UNMAPPED; logical_pages as usize],
             rmap: vec![UNMAPPED; total_pages as usize],
             elements,
             cursor: 0,
@@ -434,7 +460,7 @@ impl PageFtl {
             telemetry: TelemetryHandle::noop(),
             paging,
             data_reserve_blocks,
-            drain_states: Vec::new(),
+            drain_valid: Vec::new(),
             #[cfg(test)]
             reference_drain: false,
         })
@@ -533,28 +559,6 @@ impl PageFtl {
         Ok(())
     }
 
-    fn encode(&self, addr: PhysPageAddr) -> u64 {
-        let g = self.flash.geometry();
-        (addr.element.0 as u64 * g.blocks_per_element() as u64 + addr.block as u64)
-            * g.pages_per_block as u64
-            + addr.page as u64
-    }
-
-    fn decode(&self, ppn: u64) -> PhysPageAddr {
-        let g = self.flash.geometry();
-        let pages_per_block = g.pages_per_block as u64;
-        let blocks_per_element = g.blocks_per_element() as u64;
-        let page = (ppn % pages_per_block) as u32;
-        let block_global = ppn / pages_per_block;
-        let block = (block_global % blocks_per_element) as u32;
-        let element = (block_global / blocks_per_element) as u32;
-        PhysPageAddr {
-            element: ElementId(element),
-            block,
-            page,
-        }
-    }
-
     fn check_lpn(&self, lpn: Lpn) -> Result<(), FtlError> {
         if lpn.0 >= self.logical_pages {
             Err(FtlError::LpnOutOfRange {
@@ -640,7 +644,7 @@ impl PageFtl {
         ops.push(failed);
         self.elements[element].free_pages -= 1;
         self.total_free_pages -= 1;
-        let global = self.global_block(element, block);
+        let global = self.layout.global_block(element, block);
         self.retire_pending[global] = true;
         self.telemetry.instant_now(
             Track::Element(element as u32),
@@ -652,11 +656,6 @@ impl PageFtl {
         // stays) a cleaning candidate.
         self.index[element].on_skip(block);
         self.elements[element].active[point as usize] = None;
-    }
-
-    /// Global block index (over all elements) of `block` on `element`.
-    fn global_block(&self, element: usize, block: u32) -> usize {
-        element * self.flash.geometry().blocks_per_element() as usize + block as usize
     }
 
     /// Programs the next page of the element's active block and returns its
@@ -760,7 +759,7 @@ impl PageFtl {
     /// wear-leveling so the two reclamation paths cannot drift.
     fn recycle_or_retire(&mut self, element: usize, block: u32) -> Result<bool, FtlError> {
         let element_id = ElementId(element as u32);
-        let global = self.global_block(element, block);
+        let global = self.layout.global_block(element, block);
         if self.retire_pending[global] {
             self.flash.retire(element_id, block)?;
             self.retire_pending[global] = false;
@@ -814,18 +813,18 @@ impl PageFtl {
     /// Invalidates the physical page currently mapped to `lpn`, if any.
     fn invalidate_mapping(&mut self, lpn: Lpn, freed_by_host: bool) -> Result<(), FtlError> {
         let ppn = self.map[lpn.index()];
-        if ppn == UNMAPPED {
+        if ppn == Ppn::UNMAPPED {
             return Ok(());
         }
-        let addr = self.decode(ppn);
+        let addr = self.layout.addr(ppn);
         let change = self.flash.invalidate(addr)?;
         if change.newly_stale {
             self.index[addr.element.index()].on_invalidate(addr.block);
         }
-        self.rmap[ppn as usize] = UNMAPPED;
-        self.map[lpn.index()] = UNMAPPED;
+        self.rmap[ppn.index()] = UNMAPPED;
+        self.map[lpn.index()] = Ppn::UNMAPPED;
         if freed_by_host {
-            self.freed_phys.insert(ppn);
+            self.freed_phys.insert(ppn.0 as u64);
         }
         // A fresh stale page means cleaning can make progress again.
         self.elements[addr.element.index()].clean_stalled = false;
@@ -971,25 +970,24 @@ impl PageFtl {
             // Translation pages are metadata written now: they carry the
             // current clock, not a relocated-data age.
             self.note_programmed(element, block, addr.page..addr.page + 1, self.clock);
-            let new_ppn = self.encode(addr);
+            let new_ppn = self.layout.ppn(addr);
             let old_ppn = {
                 let paging = self.paging.as_mut().expect("demand paging enabled");
-                let old = paging.gtd[tpn as usize];
-                paging.gtd[tpn as usize] = new_ppn;
                 paging.map_writes += 1;
-                old
+                std::mem::replace(&mut paging.gtd[tpn as usize], new_ppn)
             };
-            if old_ppn != UNMAPPED {
-                let old_addr = self.decode(old_ppn);
+            if old_ppn != Ppn::UNMAPPED {
+                let old_addr = self.layout.addr(old_ppn);
                 let change = self.flash.invalidate(old_addr)?;
                 if change.newly_stale {
                     self.index[old_addr.element.index()].on_invalidate(old_addr.block);
                 }
-                self.rmap[old_ppn as usize] = UNMAPPED;
+                self.rmap[old_ppn.index()] = UNMAPPED;
                 // A fresh stale page un-stalls cleaning on its element.
                 self.elements[old_addr.element.index()].clean_stalled = false;
             }
-            self.rmap[new_ppn as usize] = MAP_TAG | tpn;
+            debug_assert!(tpn < (MAP_TAG - 1) as u64, "see MAP_TAG");
+            self.rmap[new_ppn.index()] = MAP_TAG | tpn as u32;
             ops.push(FlashOp::map_write(ElementId(element as u32), purpose));
             return Ok(());
         }
@@ -1007,8 +1005,8 @@ impl PageFtl {
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError> {
         let tp_ppn = self.paging.as_ref().expect("demand paging enabled").gtd[tpn as usize];
-        if tp_ppn != UNMAPPED {
-            let element = self.decode(tp_ppn).element;
+        if tp_ppn != Ppn::UNMAPPED {
+            let element = self.layout.addr(tp_ppn).element;
             self.paging
                 .as_mut()
                 .expect("demand paging enabled")
@@ -1033,8 +1031,8 @@ impl PageFtl {
             let tpn = paging.cache.tpn_of(lpn.0);
             paging.gtd[tpn as usize]
         };
-        if tp_ppn != UNMAPPED {
-            let element = self.decode(tp_ppn).element;
+        if tp_ppn != Ppn::UNMAPPED {
+            let element = self.layout.addr(tp_ppn).element;
             self.paging
                 .as_mut()
                 .expect("demand paging enabled")
@@ -1051,7 +1049,7 @@ impl PageFtl {
     fn map_install(
         &mut self,
         lpn: Lpn,
-        ppn: u64,
+        ppn: Ppn,
         dirty: bool,
         hit: bool,
         purpose: OpPurpose,
@@ -1061,13 +1059,15 @@ impl PageFtl {
             let Some(paging) = self.paging.as_mut() else {
                 return Ok(());
             };
+            // The cache holds the modelled device's 8-byte entries; which
+            // value an entry carries decides nothing (see `DemandPaging`).
             if hit {
                 if dirty {
-                    paging.cache.update(lpn.0, ppn, true);
+                    paging.cache.update(lpn.0, ppn.0 as u64, true);
                 }
                 return Ok(());
             }
-            paging.cache.insert(lpn.0, ppn, dirty)
+            paging.cache.insert(lpn.0, ppn.0 as u64, dirty)
         };
         if let Some(evicted) = evicted {
             if evicted.dirty {
@@ -1088,15 +1088,15 @@ impl PageFtl {
     /// location); an uncached entry whose translation page is materialized
     /// stales that page, which is queued for a rewrite at the end of the
     /// pass ([`PageFtl::flush_pending_tpns`]).
-    fn note_relocation(&mut self, lpn: u64, new_ppn: u64) {
+    fn note_relocation(&mut self, lpn: u32, new_ppn: Ppn) {
         let Some(paging) = self.paging.as_mut() else {
             return;
         };
-        if paging.cache.update(lpn, new_ppn, true) {
+        if paging.cache.update(lpn as u64, new_ppn.0 as u64, true) {
             return;
         }
-        let tpn = paging.cache.tpn_of(lpn);
-        if paging.gtd[tpn as usize] != UNMAPPED {
+        let tpn = paging.cache.tpn_of(lpn as u64);
+        if paging.gtd[tpn as usize] != Ppn::UNMAPPED {
             paging.pending_tpns.push(tpn);
         }
     }
@@ -1206,27 +1206,34 @@ impl PageFtl {
         if self.reference_drain {
             return self.drain_block_reference(element, block, purpose, ops);
         }
-        let source = self
-            .flash
-            .element(ElementId(element as u32))?
-            .block(block)?;
-        let mut states = std::mem::take(&mut self.drain_states);
-        states.clear();
-        states.extend_from_slice(source.states());
+        let source = self.flash.element(ElementId(element as u32))?;
+        let mut valid = std::mem::take(&mut self.drain_valid);
+        valid.clear();
+        valid.extend_from_slice(source.valid_words(block)?);
         self.index[element].detach(block);
-        let drained = self.drain_pages(element, block, &states, purpose, ops);
+        let mut passed = 0;
+        let drained = self.drain_pages(element, block, &valid, &mut passed, purpose, ops);
         self.index[element].attach(block);
-        self.drain_states = states;
+        self.drain_valid = valid;
+        // The stale pages the drain passed over whose logical page the host
+        // had freed are moves informed cleaning avoided.  (Only stale pages
+        // carry the bit: it is set at invalidation and cleared here.)
+        let base = self.layout.block_base(element, block) as u64;
+        let skipped = self.freed_phys.take_range(base..base + passed as u64);
+        self.stats.gc_pages_skipped_free += skipped as u64;
         drained
     }
 
-    /// The body of [`PageFtl::drain_block`], over the snapshot `states` of
-    /// the detached block's pages (only the drain changes them meanwhile).
+    /// The body of [`PageFtl::drain_block`], over the snapshot `valid` of
+    /// the detached block's bitmap (only the drain changes it meanwhile).
+    /// `passed` is left at the number of leading source pages dealt with:
+    /// all of them, unless the drain fails part-way.
     fn drain_pages(
         &mut self,
         element: usize,
         block: u32,
-        states: &[PageState],
+        valid: &[u64],
+        passed: &mut usize,
         purpose: OpPurpose,
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError> {
@@ -1237,29 +1244,27 @@ impl PageFtl {
         };
         // Relocated data keeps the source block's age (LFS convention).
         let timestamp = self.index[element].last_write(block);
-        let base = self.global_block(element, block) * states.len();
-        let is_map_page = |tag: u64| tag != UNMAPPED && tag & MAP_TAG != 0;
-        let mut page = 0;
-        while page < states.len() {
-            if states[page] != PageState::Valid {
-                self.pass_stale_page((base + page) as u64);
-                page += 1;
-                continue;
-            }
+        let base = self.layout.block_base(element, block);
+        let is_map_page = |tag: u32| tag != UNMAPPED && tag & MAP_TAG != 0;
+        // Stale and free pages have no bit and are stepped over a word at a
+        // time.
+        while let Some(first) = bitmap::runs_of_ones(valid, *passed).next() {
+            let page = first.start;
+            *passed = page;
             let tag = self.rmap[base + page];
             if is_map_page(tag) {
                 // A live translation page: relocate it through the map
                 // area.  The program supersedes this copy via the GTD,
                 // invalidating it in passing.
-                let tpn = tag & !MAP_TAG;
+                let tpn = (tag & !MAP_TAG) as u64;
                 let paging = self.paging.as_ref().expect("tagged page implies paging");
-                debug_assert_eq!(paging.gtd[tpn as usize], (base + page) as u64);
+                debug_assert_eq!(paging.gtd[tpn as usize].index(), base + page);
                 self.program_map_page(element, tpn, purpose, false, ops)?;
                 self.paging
                     .as_mut()
                     .expect("tagged page implies paging")
                     .map_gc_moves += 1;
-                page += 1;
+                *passed += 1;
                 continue;
             }
             // A run: the valid data pages from here on — stale pages
@@ -1268,12 +1273,13 @@ impl PageFtl {
             let dest = self.ensure_active_block(element, AppendPoint::Data, true)?;
             let room = self.flash.element(element_id)?.block(dest)?.free_count();
             let mut want = 0;
-            for (&state, &tag) in states[page..].iter().zip(&self.rmap[base + page..]) {
-                if state == PageState::Valid {
-                    if want == room || is_map_page(tag) {
-                        break;
-                    }
-                    want += 1;
+            for stretch in bitmap::runs_of_ones(valid, page) {
+                let tags = &self.rmap[base + stretch.start..base + stretch.end];
+                let fit = tags.iter().take((room - want) as usize);
+                let data = fit.take_while(|&&tag| !is_map_page(tag)).count();
+                want += data as u32;
+                if data < stretch.len() {
+                    break;
                 }
             }
             let landed = self.flash.program_run(element_id, dest, want)?;
@@ -1282,28 +1288,28 @@ impl PageFtl {
             oracle::note_run(want, moved);
             if moved > 0 {
                 self.note_programmed(element, dest, landed.clone(), timestamp);
-                let dest_base = self.global_block(element, dest) * states.len();
-                let mut new_ppn = (dest_base + landed.start as usize) as u64;
-                let first = page;
-                let mut left = moved;
-                while left > 0 {
-                    if states[page] == PageState::Valid {
-                        let lpn = self.rmap[base + page];
+                let mut new_ppn = self.layout.block_base(element, dest) + landed.start as usize;
+                let mut left = moved as usize;
+                let mut end = page;
+                for stretch in bitmap::runs_of_ones(valid, page) {
+                    end = stretch.end.min(stretch.start + left);
+                    for old_ppn in base + stretch.start..base + end {
+                        let lpn = std::mem::replace(&mut self.rmap[old_ppn], UNMAPPED);
                         debug_assert_ne!(lpn, UNMAPPED, "valid page with no reverse mapping");
-                        self.rmap[base + page] = UNMAPPED;
-                        self.rmap[new_ppn as usize] = lpn;
-                        self.map[lpn as usize] = new_ppn;
-                        self.note_relocation(lpn, new_ppn);
+                        self.rmap[new_ppn] = lpn;
+                        self.map[lpn as usize] = Ppn(new_ppn as u32);
+                        self.note_relocation(lpn, Ppn(new_ppn as u32));
                         new_ppn += 1;
-                        left -= 1;
-                    } else {
-                        self.pass_stale_page((base + page) as u64);
                     }
-                    page += 1;
+                    left -= end - stretch.start;
+                    if left == 0 {
+                        break;
+                    }
                 }
-                let span = first as u32..page as u32;
+                let span = page as u32..end as u32;
                 let staled = (self.flash.element_mut(element_id)?).invalidate_span(block, span)?;
                 debug_assert_eq!(staled, moved, "a run stales exactly what it moved");
+                *passed = end;
                 self.index[element].on_invalidate_run(block, moved);
                 ops.extend(std::iter::repeat_n(copy, moved as usize));
                 match purpose {
@@ -1318,15 +1324,8 @@ impl PageFtl {
                 self.abandon_after_program_failure(element, AppendPoint::Data, dest, copy, ops);
             }
         }
+        *passed = self.flash.geometry().pages_per_block as usize;
         Ok(())
-    }
-
-    /// A stale (or never programmed) source page the drain passes over: if
-    /// the host had freed it, that is a move informed cleaning avoided.
-    fn pass_stale_page(&mut self, ppn: u64) {
-        if self.freed_phys.remove(ppn) {
-            self.stats.gc_pages_skipped_free += 1;
-        }
     }
 
     /// Applies the cleaning policy ahead of a host write to `element`.
@@ -1524,14 +1523,14 @@ impl Ftl for PageFtl {
         // page costs a map read first.
         let map_hit = self.map_lookup(lpn, OpPurpose::HostRead, ops);
         let ppn = self.map[lpn.index()];
-        if ppn == UNMAPPED {
+        if ppn == Ppn::UNMAPPED {
             // Reading a never-written page returns zeroes without touching
             // the flash array (the FTL still had to consult the map to
             // know that, so the unmapped verdict is cached too).
-            self.map_install(lpn, UNMAPPED, false, map_hit, OpPurpose::HostRead, ops)?;
+            self.map_install(lpn, ppn, false, map_hit, OpPurpose::HostRead, ops)?;
             return Ok(false);
         }
-        let addr = self.decode(ppn);
+        let addr = self.layout.addr(ppn);
         let status = self.flash.read(addr)?;
         self.stats.pages_read_host += 1;
         ops.push(FlashOp::host_read(addr.element));
@@ -1598,8 +1597,8 @@ impl Ftl for PageFtl {
                         // only way a completely full device can absorb an
                         // overwrite.
                         let old_ppn = self.map[lpn.index()];
-                        if !invalidated_early && old_ppn != UNMAPPED {
-                            element = self.decode(old_ppn).element.index();
+                        if !invalidated_early && old_ppn != Ppn::UNMAPPED {
+                            element = self.layout.addr(old_ppn).element.index();
                             self.invalidate_mapping(lpn, false)?;
                             invalidated_early = true;
                             continue;
@@ -1652,9 +1651,10 @@ impl Ftl for PageFtl {
             self.invalidate_mapping(lpn, false)?;
         }
         let addr = self.program_page(element, false, self.clock, OpPurpose::HostWrite, ops)?;
-        let ppn = self.encode(addr);
+        let ppn = self.layout.ppn(addr);
         self.map[lpn.index()] = ppn;
-        self.rmap[ppn as usize] = lpn.0;
+        // `check_lpn` bounds it by the logical page count, itself below 2³¹.
+        self.rmap[ppn.index()] = lpn.0 as u32;
         self.stats.pages_programmed_host += 1;
         ops.push(FlashOp::host_program(addr.element));
         // The new mapping enters the cache dirty; a dirty eviction here
@@ -1669,7 +1669,7 @@ impl Ftl for PageFtl {
             return Ok(false);
         }
         self.stats.frees_accepted += 1;
-        if self.map[lpn.index()] == UNMAPPED {
+        if self.map[lpn.index()] == Ppn::UNMAPPED {
             return Ok(false);
         }
         self.invalidate_mapping(lpn, true)?;
@@ -1678,7 +1678,7 @@ impl Ftl for PageFtl {
         // natural rewrite — TRIM is advisory and mapping values are always
         // served authoritatively, so deferring costs nothing.
         if let Some(paging) = self.paging.as_mut() {
-            paging.cache.update(lpn.0, UNMAPPED, true);
+            paging.cache.update(lpn.0, Ppn::UNMAPPED.0 as u64, true);
         }
         Ok(true)
     }
@@ -1726,7 +1726,7 @@ impl Ftl for PageFtl {
     }
 
     fn is_mapped(&self, lpn: Lpn) -> bool {
-        lpn.0 < self.logical_pages && self.map[lpn.index()] != UNMAPPED
+        lpn.0 < self.logical_pages && self.map[lpn.index()] != Ppn::UNMAPPED
     }
 
     fn locate(&self, lpn: Lpn) -> Option<u32> {
@@ -1734,10 +1734,10 @@ impl Ftl for PageFtl {
             return None;
         }
         let ppn = self.map[lpn.index()];
-        if ppn == UNMAPPED {
+        if ppn == Ppn::UNMAPPED {
             None
         } else {
-            Some(self.decode(ppn).element.0)
+            Some(self.layout.addr(ppn).element.0)
         }
     }
 
@@ -2276,6 +2276,36 @@ mod tests {
         assert!(ftl.stats().wear_level_moves > 0 || wear.spread() <= 32);
     }
 
+    /// What the reverse map's three kinds of value rely on, at the limits
+    /// of the largest legal device: logical pages number at most 2³¹, and a
+    /// finite map budget takes two translation pages per translation page's
+    /// worth of them out of the export, so translation pages number far
+    /// fewer.
+    #[test]
+    fn map_tags_collide_with_neither_logical_pages_nor_unmapped() {
+        let max_lpn = (crate::ppn::MAX_PAGES - 1) as u32;
+        for lpn in [0, 1, max_lpn / 2, max_lpn - 1, max_lpn] {
+            assert_eq!(lpn & MAP_TAG, 0);
+            assert_ne!(lpn, UNMAPPED);
+        }
+        for tpn in [0, 1, max_lpn / 2, max_lpn - 1] {
+            let tag = MAP_TAG | tpn;
+            assert_ne!(tag, UNMAPPED);
+            assert_ne!(tag & MAP_TAG, 0, "told from every legal lpn by the top bit");
+            assert_eq!(tag & !MAP_TAG, tpn);
+        }
+        assert_eq!(Ppn::UNMAPPED.0, UNMAPPED);
+        // More pages than a page number addresses: refused before any table
+        // is sized.
+        let mut oversized = FlashGeometry::tiny();
+        oversized.blocks_per_plane = 1 << 28;
+        assert!(oversized.total_pages() > crate::ppn::MAX_PAGES);
+        assert!(matches!(
+            PageFtl::new(oversized, FlashTiming::slc(), FtlConfig::default()),
+            Err(FtlError::InvalidConfig { .. })
+        ));
+    }
+
     /// Regression test: wear-leveling used to pass over the stale pages of
     /// the block it migrated without clearing their host-freed bit, so the
     /// bit survived the erase and a later cleaning of the reused block
@@ -2300,11 +2330,11 @@ mod tests {
                 continue;
             }
             for ppn in 0..ftl.total_pages {
-                let addr = ftl.decode(ppn);
-                let block = ftl.flash.element(addr.element).unwrap().block(addr.block);
-                let state = block.unwrap().state(addr.page).unwrap();
+                let addr = ftl.layout.addr(Ppn(ppn as u32));
+                let element = ftl.flash.element(addr.element).unwrap();
+                let state = element.page_state(addr.block, addr.page).unwrap();
                 assert!(
-                    !ftl.freed_phys.contains(ppn) || state == PageState::Invalid,
+                    !ftl.freed_phys.contains(ppn) || state == ossd_flash::PageState::Invalid,
                     "after {write} writes page {addr:?} is {state:?} with its freed bit set"
                 );
             }

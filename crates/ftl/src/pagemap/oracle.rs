@@ -9,7 +9,7 @@
 //! copy in one deliberate way: stale source pages have their host-freed bit
 //! cleared (and counted) there too, which that copy forgot.
 
-use ossd_flash::FaultConfig;
+use ossd_flash::{FaultConfig, PageState};
 use ossd_gc::CleaningPolicyKind;
 use ossd_mapcache::MapCacheConfig;
 
@@ -36,16 +36,16 @@ impl PageFtl {
                 block: victim,
                 page,
             };
-            let state = self.flash.element(element_id)?.block(victim)?.state(page)?;
+            let state = self.flash.element(element_id)?.page_state(victim, page)?;
             match state {
                 PageState::Valid => {
-                    let old_ppn = self.encode(addr);
-                    let lpn = self.rmap[old_ppn as usize];
+                    let old_ppn = self.layout.ppn(addr);
+                    let lpn = self.rmap[old_ppn.index()];
                     if lpn != UNMAPPED && lpn & MAP_TAG != 0 {
                         // A live translation page: relocate it through the
                         // map area.  The program supersedes this copy via
                         // the GTD, invalidating it in passing.
-                        let tpn = lpn & !MAP_TAG;
+                        let tpn = (lpn & !MAP_TAG) as u64;
                         self.program_map_page(element, tpn, purpose, false, ops)?;
                         self.paging
                             .as_mut()
@@ -57,13 +57,13 @@ impl PageFtl {
                     // Copy the page to the element's append point.
                     let new_addr =
                         self.program_page(element, true, victim_timestamp, purpose, ops)?;
-                    let new_ppn = self.encode(new_addr);
+                    let new_ppn = self.layout.ppn(new_addr);
                     let change = self.flash.invalidate(addr)?;
                     if change.newly_stale {
                         self.index[element].on_invalidate(victim);
                     }
-                    self.rmap[old_ppn as usize] = UNMAPPED;
-                    self.rmap[new_ppn as usize] = lpn;
+                    self.rmap[old_ppn.index()] = UNMAPPED;
+                    self.rmap[new_ppn.index()] = lpn;
                     if lpn != UNMAPPED {
                         self.map[lpn as usize] = new_ppn;
                         self.note_relocation(lpn, new_ppn);
@@ -80,8 +80,8 @@ impl PageFtl {
                     }
                 }
                 PageState::Invalid => {
-                    let ppn = self.encode(addr);
-                    if self.freed_phys.remove(ppn) {
+                    let ppn = self.layout.ppn(addr);
+                    if self.freed_phys.remove(ppn.0 as u64) {
                         self.stats.gc_pages_skipped_free += 1;
                     }
                 }
@@ -231,11 +231,11 @@ fn assert_lockstep(run: &PageFtl, reference: &PageFtl, at: &str) {
             reference.flash.element(id).unwrap(),
         );
         for ((block, x), (_, y)) in fa.iter_blocks().zip(fb.iter_blocks()) {
-            assert_eq!(x.states(), y.states(), "{at}: pages of {e}/{block}");
+            assert_eq!(x, y, "{at}: block {e}/{block}");
             assert_eq!(
-                (x.erase_count(), x.is_bad()),
-                (y.erase_count(), y.is_bad()),
-                "{at}: block {e}/{block}"
+                fa.valid_words(block),
+                fb.valid_words(block),
+                "{at}: pages of {e}/{block}"
             );
         }
         // The wear-leveling gate's input against the scan it stands for.

@@ -733,11 +733,13 @@ impl Ssd {
     /// activity's end), so it only delays later requests if the window was
     /// shorter than the budgeted work.
     pub(crate) fn maybe_background_clean(&mut self, now: SimTime) -> Result<(), SsdError> {
-        let free = self.ftl.free_page_fraction();
-        let idle_micros = now.saturating_since(self.last_activity).as_nanos() / 1_000;
+        // Checked first: without a cleaner nothing below is needed, and the
+        // free fraction is a call through the `dyn Ftl` on every idle window.
         let Some(cleaner) = self.background.as_mut() else {
             return Ok(());
         };
+        let free = self.ftl.free_page_fraction();
+        let idle_micros = now.saturating_since(self.last_activity).as_nanos() / 1_000;
         let budget = cleaner.plan(idle_micros, free);
         if budget == 0 {
             return Ok(());

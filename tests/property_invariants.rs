@@ -7,7 +7,7 @@
 //! exactly.
 
 use ossd::block::{BlockDevice, BlockRequest, ByteRange};
-use ossd::flash::{Block, ElementId, FlashGeometry};
+use ossd::flash::{ElementId, FlashElement, FlashGeometry};
 use ossd::ftl::{Ftl, FtlConfig, Lpn, PageFtl, WriteContext};
 use ossd::sim::{SimDuration, SimRng, SimTime, Summary};
 use ossd::ssd::{Ssd, SsdConfig};
@@ -52,25 +52,28 @@ fn byte_range_chunking_is_lossless() {
 #[test]
 fn flash_block_counters_are_consistent() {
     for_each_case(200, |seed, rng| {
-        let element = ElementId(0);
-        let mut block = Block::new(32);
+        // Block 0 of a one-block element: the element owns its blocks' page
+        // bitmap, so a block is driven through it.
+        let mut element = FlashElement::new(ElementId(0), 1, 32);
         let ops = 1 + rng.next_usize_below(199);
         for _ in 0..ops {
+            let block = element.block(0).unwrap().clone();
             match rng.next_u64_below(3) {
                 0 => {
-                    let _ = block.program_next(element, 0);
+                    let _ = element.program(0);
                 }
                 1 => {
                     if block.write_ptr() > 0 {
-                        let _ = block.invalidate(element, 0, block.write_ptr() - 1);
+                        let _ = element.invalidate(0, block.write_ptr() - 1);
                     }
                 }
                 _ => {
                     if block.valid_count() == 0 && block.write_ptr() > 0 {
-                        let _ = block.erase(element, 0);
+                        let _ = element.erase(0);
                     }
                 }
             }
+            let block = element.block(0).unwrap();
             assert_eq!(
                 block.valid_count() + block.invalid_count() + block.free_count(),
                 block.pages(),
