@@ -414,6 +414,19 @@ impl HostQueue {
         self.completed += 1;
         self.completions.push_back(completion);
     }
+
+    /// Returns the queue pair to its freshly constructed state — both
+    /// sides empty, counters zero, no arrival-order watermark — keeping
+    /// the buffers' capacity.  For a router that mirrors one session after
+    /// another into queues it owns: each session starts its own arrival
+    /// order, as it would on [`HostQueue::new`] queues.
+    pub fn reset(&mut self) {
+        self.submissions.clear();
+        self.completions.clear();
+        self.last_arrival = SimTime::ZERO;
+        self.submitted = 0;
+        self.completed = 0;
+    }
 }
 
 /// One arbitrated command: which initiator queue it came from, plus the
@@ -759,6 +772,24 @@ mod tests {
         let mut q = HostQueue::new();
         q.submit(0, HostCommand::Barrier, SimTime::from_micros(10));
         q.submit(1, HostCommand::Barrier, SimTime::from_micros(5));
+    }
+
+    #[test]
+    fn reset_queue_is_as_new_and_accepts_an_earlier_arrival() {
+        let mut q = HostQueue::new();
+        q.submit(0, HostCommand::Barrier, SimTime::from_micros(10));
+        q.post_completion(Completion::ok(
+            7,
+            SimTime::ZERO,
+            SimTime::ZERO,
+            SimTime::from_micros(1),
+        ));
+        q.reset();
+        assert_eq!(q.pending_submissions(), 0);
+        assert_eq!(q.pending_completions(), 0);
+        assert_eq!((q.submitted(), q.in_flight()), (0, 0));
+        q.submit(1, HostCommand::Barrier, SimTime::from_micros(5));
+        assert_eq!(q.pending_submissions(), 1);
     }
 
     #[test]

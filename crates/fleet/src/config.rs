@@ -1,5 +1,5 @@
 //! Fleet configuration: how many devices, how bytes are laid out across
-//! them, and how many worker threads drive the per-device engines.
+//! them, and how many threads drive the per-device engines.
 
 use ossd_sim::derive_stream_seed;
 use ossd_ssd::SsdConfig;
@@ -58,9 +58,14 @@ pub struct FleetConfig {
     pub devices: usize,
     /// Byte-space layout across the devices.
     pub layout: FleetLayout,
-    /// Worker threads for per-device engine execution (≥ 1).  Results are
-    /// bit-identical for every thread count — threads only partition the
-    /// per-device work, they never share simulation state.
+    /// Threads running member engines during a serve session (≥ 1), the
+    /// thread that calls `serve` included: it serves one share of the
+    /// touched members itself and hands the rest to `threads - 1` parked
+    /// workers, which the fleet spawns when a session first needs them and
+    /// joins when it is dropped.  A session never uses more engines than
+    /// it touches members, and 1 means no worker is ever spawned.  Results
+    /// are bit-identical for every thread count — threads only partition
+    /// the per-device work, they never share simulation state.
     pub threads: usize,
     /// Base seed for per-device RNG sharding.  Each device's
     /// fault-injection seed is [`derive_stream_seed`]`(seed, stream)` where
@@ -110,7 +115,7 @@ impl FleetConfig {
         }
     }
 
-    /// Sets the worker thread count.
+    /// Sets the engine thread count (see [`FleetConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

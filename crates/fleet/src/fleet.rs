@@ -20,49 +20,123 @@
 //!    sub-commands per device.  Sub-commands preserve the parent's
 //!    arrival, priority and write hint, and carry the parent's arbitration
 //!    sequence number as their correlation id.
-//! 4. **Execute** each device's session on a worker thread
-//!    ([`std::thread::scope`]; devices are chunked across
-//!    [`FleetConfig::threads`] workers).  Devices share *no* simulation
-//!    state — each `Ssd` is `Send` and wholly owned by its work item, and
-//!    per-device RNG streams are sharded via
-//!    [`ossd_sim::derive_stream_seed`] — so the thread count and OS
-//!    schedule cannot affect any device's result, only wall-clock time.
-//! 5. **Merge** every device's completions into one canonical order sorted
-//!    by `(finish time, device index, parent sequence)`.  On a parity
+//! 4. **Execute** the touched members' sessions on the fleet's *engine
+//!    threads*: [`FleetConfig::threads`] of them, counting the thread that
+//!    called `serve`.  The others are long-lived workers the fleet spawns
+//!    when a session first needs them and joins when it is dropped; between
+//!    sessions they are parked on an empty channel.  The touched members
+//!    are dealt, in device order, into one chunk per engine; the caller
+//!    keeps the first chunk and hands each other one to a worker by
+//!    *moving* the members — each `Ssd` with its mirrored queues — out of
+//!    their slots, through the channel, and back when the worker answers.
+//!    Devices share *no* simulation state — each `Ssd` is `Send` and
+//!    wholly owned by whichever thread holds its chunk, and per-device RNG
+//!    streams are sharded via [`ossd_sim::derive_stream_seed`] — so the
+//!    thread count and OS schedule cannot affect any device's result, only
+//!    wall-clock time.  Every engine also puts its own chunk's
+//!    sub-completions into canonical order (each per-initiator completion
+//!    queue is already finish-ordered, so this is a merge of a few runs,
+//!    done in parallel).  A member that returns an error, or panics, still
+//!    comes back to its slot: the error is reported once every engine has
+//!    answered, the panic resumes on the calling thread.
+//! 5. **Merge** the engines' runs into one canonical order sorted by
+//!    `(finish time, device index, parent sequence)` — a k-way merge of
+//!    `threads` sorted runs, not a sort.  On a parity
 //!    fleet, an [`CompletionStatus::UncorrectableRead`] sub-completion
 //!    from a *live* member is then transparently repaired: the lost
 //!    windows are re-read from the other members, XOR-reconstructed and
 //!    rewritten, all in canonical order on one thread, so the repair
-//!    schedule is itself deterministic.  Finally the sub-completions are
-//!    reduced to per-parent completions (start = earliest sub-start,
-//!    finish = latest sub-finish, status = worst sub-status) and posted
-//!    through [`complete_session`] in arbitration order — bit-identical
-//!    for every thread count, and for a 1-device fleet bit-identical to
-//!    serving the standalone device.
+//!    schedule is itself deterministic (only a repair, which moves a
+//!    finish later, makes the log need sorting again).  Finally one walk
+//!    of the log reduces the sub-completions to per-parent completions
+//!    (start = earliest sub-start, finish = latest sub-finish, status =
+//!    worst sub-status; a parent is complete at its last sub-completion,
+//!    so parents come out in finish order) and posts them, as
+//!    [`ossd_block::complete_session`] would, in completion order with
+//!    ties in arbitration order — bit-identical for every thread count,
+//!    and for a 1-device fleet bit-identical to serving the standalone
+//!    device.
+//!
+//! The session's buffers — the parent table, the parity planner's
+//! scratch, every member's mirrored queues, the engines' runs, the merged
+//! log and the completion list — live on the fleet from one session to
+//! the next, so a session allocates nothing per command.
 
 use ossd_block::{
-    arbitrate_round_robin, complete_session, BlockDevice, BlockRequest, ByteRange, Completion,
+    arbitrate_round_robin, ArbitratedCommand, BlockDevice, BlockRequest, ByteRange, Completion,
     CompletionStatus, DeviceError, DeviceInfo, HostCommand, HostInterface, HostQueue, WriteHint,
 };
 use ossd_ftl::FtlStats;
 use ossd_sim::SimTime;
 use ossd_ssd::{Ssd, SsdConfig, SsdError, SsdStats};
 use ossd_telemetry::{BlameRecord, Recorder, RecorderConfig};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use crate::config::{FleetConfig, FleetLayout};
-use crate::parity::{self, DegradedView, ParityGeometry, ParityModel, ScrubReport, SubOpKind};
+use crate::parity::{
+    self, DegradedView, ParityGeometry, ParityModel, ScrubReport, SubOp, SubOpKind,
+};
 use crate::qos::{RebuildGovernor, RebuildQos};
-use crate::router::{split_striped, striped_capacity};
+use crate::router::{striped_capacity, striped_slices};
 use crate::telemetry::{FleetSample, FleetSeries};
+
+/// One live member: the device and the queues the fleet mirrors each
+/// session into.
+struct Member {
+    /// The slot this member belongs to (it travels without its slot).
+    device: usize,
+    ssd: Ssd,
+    /// One mirrored queue pair per initiator of the current session.
+    queues: Vec<HostQueue>,
+    /// What this member's next session does instead of serving.
+    #[cfg(test)]
+    fault: Option<Fault>,
+}
+
+/// A failure injected into one member's next session.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// The device returns an error.
+    Error,
+    /// The device panics.
+    Panic,
+}
+
+impl Member {
+    fn new(device: usize, ssd: Ssd) -> Self {
+        Member {
+            device,
+            ssd,
+            queues: Vec::new(),
+            #[cfg(test)]
+            fault: None,
+        }
+    }
+}
 
 /// One member device's slot in the array.
 struct Slot {
-    /// The device, or `None` while failed.
-    ssd: Option<Ssd>,
+    /// The member, or `None` while failed (and, inside a serve session,
+    /// while an engine thread holds it).
+    member: Option<Member>,
     /// Replacement generation: 0 for the original member, incremented by
     /// every [`Fleet::replace_device`] (feeds per-device seed derivation).
     generation: u64,
+}
+
+impl Slot {
+    fn ssd(&self) -> Option<&Ssd> {
+        self.member.as_ref().map(|m| &m.ssd)
+    }
+
+    fn ssd_mut(&mut self) -> Option<&mut Ssd> {
+        self.member.as_mut().map(|m| &mut m.ssd)
+    }
 }
 
 /// One sub-completion in the canonical merged order — the determinism
@@ -86,6 +160,13 @@ pub struct FleetSubCompletion {
     pub status: CompletionStatus,
 }
 
+impl FleetSubCompletion {
+    /// The canonical order of the merged log.
+    fn key(&self) -> (SimTime, usize, u64) {
+        (self.finish, self.device, self.parent_seq)
+    }
+}
+
 /// Parity-layout bookkeeping: geometry, degraded view, the shadow content
 /// model and the degraded/repair counters.
 struct ParityState {
@@ -104,44 +185,181 @@ struct ParityState {
     reconstructed_bytes: u64,
 }
 
-/// The per-device fan-out of one command plus its reconstruction
-/// accounting.
-struct Fanout {
-    subs: Vec<(usize, HostCommand)>,
-    degraded_rows: u64,
-    reconstruction_read_bytes: u64,
+/// One engine thread's share of a session: the members it serves and what
+/// came of it.  Handed to a worker and back by value (two `Vec` headers
+/// and two options; the buffers keep their capacity across sessions).
+#[derive(Default)]
+struct Chunk {
+    /// The chunk's members, ascending by device.
+    members: Vec<Member>,
+    /// Their sub-completions in canonical order.  `request_id` is left 0:
+    /// only the calling thread sees the parent table.
+    run: Vec<FleetSubCompletion>,
+    /// The first member whose session returned an error.
+    failed: Option<(usize, DeviceError)>,
+    /// The payload of a panic inside a member's session.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-impl Fanout {
-    fn plain(subs: Vec<(usize, HostCommand)>) -> Self {
-        Fanout {
-            subs,
-            degraded_rows: 0,
-            reconstruction_read_bytes: 0,
+impl Chunk {
+    /// Serves every member's session and orders the sub-completions.  A
+    /// panic is caught and carried back in the chunk, so the members
+    /// return to their slots whatever happened; [`Fleet::execute`] resumes
+    /// it on the calling thread before anything reads their state.
+    fn serve(&mut self) {
+        let Chunk {
+            members,
+            run,
+            failed,
+            panic,
+        } = self;
+        run.clear();
+        *panic = catch_unwind(AssertUnwindSafe(|| {
+            for member in members.iter_mut() {
+                let device = member.device;
+                #[cfg(test)]
+                match member.fault.take() {
+                    Some(Fault::Panic) => panic!("injected panic in member {device}"),
+                    Some(Fault::Error) => {
+                        let e = DeviceError::Internal("injected error".to_string());
+                        failed.get_or_insert((device, e));
+                        continue;
+                    }
+                    None => {}
+                }
+                if let Err(e) = member.ssd.serve(&mut member.queues) {
+                    // The others still run: their sessions were accepted.
+                    failed.get_or_insert((device, e));
+                    continue;
+                }
+                for (initiator, queue) in member.queues.iter_mut().enumerate() {
+                    while let Some(c) = queue.poll() {
+                        run.push(FleetSubCompletion {
+                            device,
+                            parent_seq: c.request_id,
+                            request_id: 0,
+                            initiator,
+                            start: c.start,
+                            finish: c.finish,
+                            status: c.status,
+                        });
+                    }
+                }
+            }
+            // Each completion queue was posted in finish order and holds
+            // one initiator's parents in arbitration order, so `run` is a
+            // few sorted runs laid end to end, which this (stable,
+            // run-adaptive) sort merges.
+            run.sort_by_key(FleetSubCompletion::key);
+        }))
+        .err();
+    }
+}
+
+/// A parked engine thread: it serves each [`Chunk`] it is sent and sends
+/// it back.  One chunk is in flight at a time, so both channels hold one.
+struct Worker {
+    jobs: SyncSender<Chunk>,
+    done: Receiver<Chunk>,
+    handle: JoinHandle<()>,
+}
+
+impl Worker {
+    fn spawn(name: String) -> std::io::Result<Worker> {
+        let (jobs, inbox) = sync_channel::<Chunk>(1);
+        let (outbox, done) = sync_channel::<Chunk>(1);
+        let handle = std::thread::Builder::new().name(name).spawn(move || {
+            // Blocks here between sessions; ends when the fleet drops
+            // `jobs`.
+            for mut chunk in inbox {
+                chunk.serve();
+                if outbox.send(chunk).is_err() {
+                    break;
+                }
+            }
+        })?;
+        Ok(Worker { jobs, done, handle })
+    }
+}
+
+/// One arbitrated parent command's bookkeeping through the session.
+struct Parent {
+    initiator: usize,
+    id: u64,
+    arrival: SimTime,
+    command: HostCommand,
+    /// Sub-commands fanned out.
+    subs: u32,
+    /// Sub-completions not yet seen by the step-5 reduce.
+    remaining: u32,
+    /// Earliest sub-start seen so far.
+    start: SimTime,
+    /// Worst sub-status seen so far.
+    status: CompletionStatus,
+}
+
+/// The buffers of a serve session, kept between sessions for their
+/// capacity (they carry no state from one session to the next).
+#[derive(Default)]
+struct Session {
+    parents: Vec<Parent>,
+    /// Live device indices, ascending.
+    live: Vec<usize>,
+    /// The parity planner's output for the command being fanned out.
+    plan: Vec<SubOp>,
+    /// Commands per initiator.
+    per_initiator: Vec<u32>,
+    /// One chunk per engine thread: `chunks[0]` is the calling thread's,
+    /// `chunks[i]` goes to worker `i - 1`.
+    chunks: Vec<Chunk>,
+    /// Parent completions as `(arbitration sequence, initiator,
+    /// completion)`.
+    completed: Vec<(u64, usize, Completion)>,
+}
+
+/// The operation kind, range and write hint of a data command (`None` for
+/// fences): what its sub-commands are built from.
+fn data_op(command: &HostCommand) -> Option<(SubOpKind, ByteRange, WriteHint)> {
+    match *command {
+        HostCommand::Read { range } => Some((SubOpKind::Read, range, WriteHint::NONE)),
+        HostCommand::Write { range, hint } => Some((SubOpKind::Write, range, hint)),
+        HostCommand::Free { range } => Some((SubOpKind::Free, range, WriteHint::NONE)),
+        _ => None,
+    }
+}
+
+/// The device command for one sub-operation.
+fn sub_command(kind: SubOpKind, range: ByteRange, hint: WriteHint) -> HostCommand {
+    match kind {
+        SubOpKind::Read => HostCommand::Read { range },
+        SubOpKind::Write => HostCommand::Write { range, hint },
+        SubOpKind::Free => HostCommand::Free { range },
+    }
+}
+
+/// Merges runs that are each in canonical order into `out`, in canonical
+/// order; equal keys keep run order, then position, as a stable sort of
+/// the runs laid end to end would.
+fn merge_runs<'a>(
+    runs: impl Iterator<Item = &'a [FleetSubCompletion]>,
+    out: &mut Vec<FleetSubCompletion>,
+) {
+    let mut heads: Vec<&[FleetSubCompletion]> = runs.filter(|r| !r.is_empty()).collect();
+    while heads.len() > 1 {
+        // `min_by_key` returns the first of equal minima: the earlier run.
+        let (i, _) = heads
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, run)| run[0].key())
+            .expect("more than one run");
+        out.push(heads[i][0]);
+        heads[i] = &heads[i][1..];
+        if heads[i].is_empty() {
+            heads.remove(i);
         }
     }
-
-    fn from_plan(plan: parity::ParityPlan, hint: WriteHint) -> Self {
-        let subs = plan
-            .ops
-            .iter()
-            .map(|op| {
-                let cmd = match op.kind {
-                    SubOpKind::Read => HostCommand::Read { range: op.range },
-                    SubOpKind::Write => HostCommand::Write {
-                        range: op.range,
-                        hint,
-                    },
-                    SubOpKind::Free => HostCommand::Free { range: op.range },
-                };
-                (op.device, cmd)
-            })
-            .collect();
-        Fanout {
-            subs,
-            degraded_rows: plan.degraded_rows,
-            reconstruction_read_bytes: plan.reconstruction_read_bytes,
-        }
+    if let Some(last) = heads.first() {
+        out.extend_from_slice(last);
     }
 }
 
@@ -170,6 +388,22 @@ pub struct Fleet {
     /// Max per-initiator command count of the last serve session — the
     /// host-pressure signal the rebuild governor reads.
     last_pressure: u32,
+    /// The parked engine threads: up to `threads - 1`, spawned when a
+    /// session first needs them, joined on drop.
+    workers: Vec<Worker>,
+    session: Session,
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        for Worker { jobs, handle, .. } in self.workers.drain(..) {
+            // Closing its inbox ends the worker's loop.
+            drop(jobs);
+            // It can only have panicked outside a member's session, and a
+            // drop must not panic: nothing to report.
+            let _ = handle.join();
+        }
+    }
 }
 
 impl Fleet {
@@ -183,11 +417,11 @@ impl Fleet {
         for index in 0..config.devices {
             let ssd = Ssd::new(config.device_config(index, 0))?;
             slots.push(Slot {
-                ssd: Some(ssd),
+                member: Some(Member::new(index, ssd)),
                 generation: 0,
             });
         }
-        let device_info = slots[0].ssd.as_ref().expect("fresh device").info();
+        let device_info = slots[0].ssd().expect("fresh device").info();
         let mut parity = None;
         let capacity = match config.layout {
             FleetLayout::Striped { stripe_bytes } => {
@@ -228,11 +462,7 @@ impl Fleet {
                 geom.exported_capacity(device_info.capacity_bytes)
             }
         };
-        let route_unit = slots[0]
-            .ssd
-            .as_ref()
-            .expect("fresh device")
-            .logical_page_bytes();
+        let route_unit = slots[0].ssd().expect("fresh device").logical_page_bytes();
         let devices = config.devices;
         Ok(Fleet {
             config,
@@ -249,6 +479,8 @@ impl Fleet {
             parity,
             governor: RebuildGovernor::new(RebuildQos::unthrottled()),
             last_pressure: 0,
+            workers: Vec::new(),
+            session: Session::default(),
         })
     }
 
@@ -267,7 +499,7 @@ impl Fleet {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.ssd.as_ref().map(|_| i))
+            .filter_map(|(i, s)| s.member.as_ref().map(|_| i))
             .collect()
     }
 
@@ -283,17 +515,17 @@ impl Fleet {
     /// Device-level request/byte counters for member `index` (`None` while
     /// failed).
     pub fn device_stats(&self, index: usize) -> Option<SsdStats> {
-        self.slots[index].ssd.as_ref().map(|d| d.stats())
+        self.slots[index].ssd().map(|d| d.stats())
     }
 
     /// FTL counters for member `index` (`None` while failed).
     pub fn device_ftl_stats(&self, index: usize) -> Option<FtlStats> {
-        self.slots[index].ssd.as_ref().map(|d| d.ftl_stats())
+        self.slots[index].ssd().map(|d| d.ftl_stats())
     }
 
     /// Wear summary for member `index` (`None` while failed).
     pub fn device_wear_summary(&self, index: usize) -> Option<ossd_flash::WearSummary> {
-        self.slots[index].ssd.as_ref().map(|d| d.wear_summary())
+        self.slots[index].ssd().map(|d| d.wear_summary())
     }
 
     /// Attaches one fresh [`Recorder`] to every live member and returns the
@@ -304,7 +536,7 @@ impl Fleet {
             .iter_mut()
             .map(|slot| {
                 let (handle, recorder) = Recorder::shared(config);
-                if let Some(ssd) = slot.ssd.as_mut() {
+                if let Some(ssd) = slot.ssd_mut() {
                     ssd.set_telemetry(handle);
                 }
                 recorder
@@ -318,7 +550,7 @@ impl Fleet {
     pub fn enable_attribution(&mut self) {
         self.attribution = true;
         for slot in self.slots.iter_mut() {
-            if let Some(ssd) = slot.ssd.as_mut() {
+            if let Some(ssd) = slot.ssd_mut() {
                 ssd.enable_attribution();
             }
         }
@@ -336,7 +568,7 @@ impl Fleet {
     pub fn take_blame_records(&mut self) -> Vec<(usize, BlameRecord)> {
         let mut merged: Vec<(usize, BlameRecord)> = Vec::new();
         for (device, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(ssd) = slot.ssd.as_mut() {
+            if let Some(ssd) = slot.ssd_mut() {
                 merged.extend(ssd.take_blame_records().into_iter().map(|r| (device, r)));
             }
         }
@@ -450,8 +682,7 @@ impl Fleet {
             .slots
             .iter()
             .map(|slot| {
-                slot.ssd
-                    .as_ref()
+                slot.ssd()
                     .map(|d| {
                         let stats = d.stats();
                         stats.bytes_read + stats.bytes_written
@@ -486,7 +717,7 @@ impl Fleet {
                 ),
             });
         }
-        if self.slots[index].ssd.is_none() {
+        if self.slots[index].member.is_none() {
             return Err(DeviceError::AlreadyFailed { device: index });
         }
         match self.config.layout {
@@ -505,7 +736,7 @@ impl Fleet {
                         ),
                     });
                 }
-                self.slots[index].ssd = None;
+                self.slots[index].member = None;
                 Ok(())
             }
             FleetLayout::Parity { .. } => {
@@ -524,7 +755,7 @@ impl Fleet {
                     rebuilt_rows: 0,
                 });
                 ps.model.fail(index);
-                self.slots[index].ssd = None;
+                self.slots[index].member = None;
                 Ok(())
             }
         }
@@ -546,7 +777,7 @@ impl Fleet {
                 ),
             });
         }
-        if self.slots[index].ssd.is_some() {
+        if self.slots[index].member.is_some() {
             return Err(DeviceError::Redundancy {
                 what: format!(
                     "replacing device {index} of fleet '{}': it has not failed",
@@ -560,7 +791,7 @@ impl Fleet {
         if self.attribution {
             ssd.enable_attribution();
         }
-        self.slots[index].ssd = Some(ssd);
+        self.slots[index].member = Some(Member::new(index, ssd));
         self.slots[index].generation = generation;
         Ok(())
     }
@@ -615,7 +846,7 @@ impl Fleet {
                             self.config.name
                         ),
                     })?;
-                if self.slots[target].ssd.is_none() {
+                if self.slots[target].member.is_none() {
                     return Err(DeviceError::Redundancy {
                         what: format!(
                             "rebuild onto failed device {target} of fleet '{}': replace it first",
@@ -627,26 +858,12 @@ impl Fleet {
                 let read_id = self.next_rebuild_id;
                 let write_id = self.next_rebuild_id + 1;
                 self.next_rebuild_id += 2;
-                let read = self.slots[source]
-                    .ssd
-                    .as_mut()
-                    .expect("live source")
-                    .submit(&BlockRequest::read(
-                        read_id,
-                        range.offset,
-                        range.len,
-                        admitted,
-                    ))?;
-                let write = self.slots[target]
-                    .ssd
-                    .as_mut()
-                    .expect("checked live")
-                    .submit(&BlockRequest::write(
-                        write_id,
-                        range.offset,
-                        range.len,
-                        read.finish,
-                    ))?;
+                let read = self.slots[source].ssd_mut().expect("live source").submit(
+                    &BlockRequest::read(read_id, range.offset, range.len, admitted),
+                )?;
+                let write = self.slots[target].ssd_mut().expect("checked live").submit(
+                    &BlockRequest::write(write_id, range.offset, range.len, read.finish),
+                )?;
                 self.rebuilt_bytes += range.len;
                 Ok((read, write))
             }
@@ -681,7 +898,7 @@ impl Fleet {
                 ),
             });
         }
-        if self.slots[target].ssd.is_none() {
+        if self.slots[target].member.is_none() {
             return Err(DeviceError::Redundancy {
                 what: format!(
                     "rebuild onto failed device {target} of fleet '{}': replace it first",
@@ -729,8 +946,7 @@ impl Fleet {
             let id = self.next_rebuild_id;
             self.next_rebuild_id += 1;
             let ssd = self.slots[m]
-                .ssd
-                .as_mut()
+                .ssd_mut()
                 .ok_or_else(|| DeviceError::Redundancy {
                     what: format!(
                         "parity rebuild of device {target} needs surviving member {m} of \
@@ -757,16 +973,16 @@ impl Fleet {
         let read = read_agg.expect("parity fleet has at least two survivors");
         let write_id = self.next_rebuild_id;
         self.next_rebuild_id += 1;
-        let write = self.slots[target]
-            .ssd
-            .as_mut()
-            .expect("checked live")
-            .submit(&BlockRequest::write(
-                write_id,
-                range.offset,
-                range.len,
-                read.finish,
-            ))?;
+        let write =
+            self.slots[target]
+                .ssd_mut()
+                .expect("checked live")
+                .submit(&BlockRequest::write(
+                    write_id,
+                    range.offset,
+                    range.len,
+                    read.finish,
+                ))?;
         let ps = self.parity.as_mut().expect("parity state");
         ps.model.rebuild_rows(target, r0, r1);
         ps.reconstructed_bytes += range.len * (self.slots.len() as u64 - 1);
@@ -782,72 +998,263 @@ impl Fleet {
         Ok((read, write))
     }
 
-    /// Routes one validated command to its member devices.  Striped and
+    /// Step 3: fans the validated session out into the live members'
+    /// mirrored queues and fills `session.parents`.  Striped and
     /// replicated layouts produce at most one sub-command per device;
     /// parity planning may produce several (coalesced, deterministic
-    /// order).
-    fn fan_out(&self, command: &HostCommand, live: &[usize]) -> Fanout {
-        match self.config.layout {
-            FleetLayout::Striped { stripe_bytes } => match *command {
-                HostCommand::Read { range } => Fanout::plain(
-                    split_striped(range, self.slots.len(), stripe_bytes)
-                        .into_iter()
-                        .map(|s| (s.device, HostCommand::Read { range: s.range }))
-                        .collect(),
-                ),
-                HostCommand::Write { range, hint } => Fanout::plain(
-                    split_striped(range, self.slots.len(), stripe_bytes)
-                        .into_iter()
-                        .map(|s| {
-                            (
-                                s.device,
-                                HostCommand::Write {
-                                    range: s.range,
-                                    hint,
-                                },
-                            )
-                        })
-                        .collect(),
-                ),
-                HostCommand::Free { range } => Fanout::plain(
-                    split_striped(range, self.slots.len(), stripe_bytes)
-                        .into_iter()
-                        .map(|s| (s.device, HostCommand::Free { range: s.range }))
-                        .collect(),
-                ),
-                // Fences order the whole array.
-                _ => Fanout::plain(live.iter().map(|&d| (d, *command)).collect()),
-            },
-            FleetLayout::Replicated => match *command {
-                // One replica serves the read; the choice is a pure
-                // function of the address and the live set.
-                HostCommand::Read { range } => {
-                    let replica = live[(range.offset / self.route_unit) as usize % live.len()];
-                    Fanout::plain(vec![(replica, *command)])
-                }
-                // Writes, frees and fences mirror to every live replica.
-                _ => Fanout::plain(live.iter().map(|&d| (d, *command)).collect()),
-            },
-            FleetLayout::Parity { .. } => {
-                let ps = self.parity.as_ref().expect("parity state");
-                match *command {
-                    HostCommand::Read { range } => Fanout::from_plan(
-                        parity::plan(&ps.geom, ps.degraded, SubOpKind::Read, range),
-                        WriteHint::NONE,
-                    ),
-                    HostCommand::Write { range, hint } => Fanout::from_plan(
-                        parity::plan(&ps.geom, ps.degraded, SubOpKind::Write, range),
-                        hint,
-                    ),
-                    HostCommand::Free { range } => Fanout::from_plan(
-                        parity::plan(&ps.geom, ps.degraded, SubOpKind::Free, range),
-                        WriteHint::NONE,
-                    ),
-                    // Fences order the whole array.
-                    _ => Fanout::plain(live.iter().map(|&d| (d, *command)).collect()),
-                }
+    /// order).  Sub-commands use the parent's arbitration sequence as
+    /// correlation id, and inherit arrival/priority, so each device's own
+    /// arbitration sees the same arrival-ordered stream the global arbiter
+    /// saw.
+    fn fan_out(
+        &mut self,
+        session: &mut Session,
+        arbitrated: &[ArbitratedCommand],
+        initiators: usize,
+    ) {
+        let Session {
+            parents,
+            live,
+            plan,
+            per_initiator,
+            completed,
+            ..
+        } = session;
+        live.clear();
+        for (device, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(member) = slot.member.as_mut() {
+                live.push(device);
+                // A session aborted by a member error leaves submissions
+                // and completions behind.
+                member.queues.resize_with(initiators, HostQueue::new);
+                member.queues.iter_mut().for_each(HostQueue::reset);
             }
         }
+        parents.clear();
+        completed.clear();
+        per_initiator.clear();
+        per_initiator.resize(initiators, 0);
+        for (seq, cmd) in arbitrated.iter().enumerate() {
+            let sub = cmd.submission;
+            per_initiator[cmd.initiator] += 1;
+            let mut subs = 0u32;
+            let mut emit = |device: usize, command: HostCommand| {
+                self.slots[device]
+                    .member
+                    .as_mut()
+                    .expect("routing only targets live devices")
+                    .queues[cmd.initiator]
+                    .submit_with_priority(seq as u64, command, sub.arrival, sub.priority);
+                self.last_fanout[device] += 1;
+                subs += 1;
+            };
+            match (self.config.layout, data_op(&sub.command)) {
+                // Fences order the whole array.
+                (_, None) => live.iter().for_each(|&d| emit(d, sub.command)),
+                (FleetLayout::Striped { stripe_bytes }, Some((kind, range, hint))) => {
+                    for slice in striped_slices(range, self.config.devices, stripe_bytes) {
+                        emit(slice.device, sub_command(kind, slice.range, hint));
+                    }
+                }
+                // One replica serves the read; the choice is a pure
+                // function of the address and the live set.
+                (FleetLayout::Replicated, Some((SubOpKind::Read, range, _))) => {
+                    let replica = live[(range.offset / self.route_unit) as usize % live.len()];
+                    emit(replica, sub.command);
+                }
+                // Writes and frees mirror to every live replica.
+                (FleetLayout::Replicated, Some(_)) => {
+                    live.iter().for_each(|&d| emit(d, sub.command))
+                }
+                (FleetLayout::Parity { .. }, Some((kind, range, hint))) => {
+                    let ps = self.parity.as_mut().expect("parity state");
+                    let (degraded_rows, reconstruction_read_bytes) =
+                        parity::plan_into(plan, &ps.geom, ps.degraded, kind, range);
+                    for op in plan.iter() {
+                        emit(op.device, sub_command(op.kind, op.range, hint));
+                    }
+                    // Shadow content model + reconstruction accounting.
+                    if kind == SubOpKind::Write {
+                        ps.model.apply_write(range, ps.degraded);
+                    }
+                    if kind == SubOpKind::Read && degraded_rows > 0 {
+                        ps.degraded_reads += 1;
+                    }
+                    ps.reconstructed_bytes += reconstruction_read_bytes;
+                }
+            }
+            // Only a parity free whose every covered unit is degraded may
+            // fan to nothing (nothing live to trim); it completes at once.
+            debug_assert!(
+                subs > 0 || matches!(sub.command, HostCommand::Free { .. }),
+                "every non-free command routes somewhere"
+            );
+            if subs == 0 {
+                completed.push((
+                    seq as u64,
+                    cmd.initiator,
+                    Completion::ok(sub.id, sub.arrival, sub.arrival, sub.arrival),
+                ));
+            }
+            parents.push(Parent {
+                initiator: cmd.initiator,
+                id: sub.id,
+                arrival: sub.arrival,
+                command: sub.command,
+                subs,
+                remaining: subs,
+                start: SimTime::MAX,
+                status: CompletionStatus::Ok,
+            });
+        }
+        // The host-pressure signal the rebuild governor reads: the busiest
+        // initiator's command count this session.
+        self.last_pressure = per_initiator.iter().copied().max().unwrap_or(0);
+    }
+
+    /// Step 4: deals the touched members into one chunk per engine thread,
+    /// serves the first on this thread and the others on the parked
+    /// workers, and puts every member back in its slot.  Returns how many
+    /// of `session.chunks` hold a run.  Devices own their entire
+    /// simulation state, so the partition cannot affect results.
+    fn execute(&mut self, session: &mut Session) -> Result<usize, DeviceError> {
+        let touched = self.last_fanout.iter().filter(|&&n| n > 0).count();
+        let engines = self.config.threads.min(touched).max(1);
+        let per_chunk = touched.div_ceil(engines).max(1);
+        let used = touched.div_ceil(per_chunk);
+        while self.workers.len() + 1 < used {
+            let name = format!("{}-engine{}", self.config.name, self.workers.len() + 1);
+            let worker = Worker::spawn(name).map_err(|e| {
+                DeviceError::Internal(format!("spawning a fleet engine thread: {e}"))
+            })?;
+            self.workers.push(worker);
+        }
+        if session.chunks.len() < used {
+            session.chunks.resize_with(used, Chunk::default);
+        }
+        let chunks = &mut session.chunks[..used];
+        let mut touched_devices = (0..self.slots.len()).filter(|&d| self.last_fanout[d] > 0);
+        for chunk in chunks.iter_mut() {
+            for device in touched_devices.by_ref().take(per_chunk) {
+                let member = self.slots[device].member.take();
+                chunk
+                    .members
+                    .push(member.expect("routing only targets live devices"));
+            }
+        }
+        if let Some((mine, theirs)) = chunks.split_first_mut() {
+            for (worker, chunk) in self.workers.iter().zip(theirs.iter_mut()) {
+                worker
+                    .jobs
+                    .send(std::mem::take(chunk))
+                    .expect("an engine thread lives as long as its fleet");
+            }
+            mine.serve();
+            for (worker, chunk) in self.workers.iter().zip(theirs.iter_mut()) {
+                *chunk = worker
+                    .done
+                    .recv()
+                    .expect("an engine thread answers every chunk it is sent");
+            }
+        }
+        let (mut failed, mut panic) = (None, None);
+        for chunk in chunks.iter_mut() {
+            for member in chunk.members.drain(..) {
+                let device = member.device;
+                self.slots[device].member = Some(member);
+            }
+            failed = failed.or(chunk.failed.take());
+            panic = panic.or(chunk.panic.take());
+        }
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        match failed {
+            // Unreachable after step-2 validation; if a device still
+            // errors, its session may be partially applied, so report it
+            // as an internal fault rather than a clean rejection.
+            Some((device, e)) => Err(DeviceError::Internal(format!(
+                "device {device} failed mid-session: {e}"
+            ))),
+            None => Ok(used),
+        }
+    }
+
+    /// Step 5: merges the engines' runs into `merged`, repairs
+    /// uncorrectable parity reads, reduces the log to one completion per
+    /// parent and posts them.
+    fn merge_and_post(
+        &mut self,
+        session: &mut Session,
+        runs: usize,
+        merged: &mut Vec<FleetSubCompletion>,
+        queues: &mut [HostQueue],
+    ) -> Result<(), DeviceError> {
+        let Session {
+            parents,
+            chunks,
+            completed,
+            ..
+        } = session;
+        merge_runs(chunks[..runs].iter().map(|c| c.run.as_slice()), merged);
+        if self.parity.is_some() && self.repair_uncorrectable(merged, parents) {
+            // Repairs only push finishes later; re-impose canonical order.
+            merged.sort_by_key(FleetSubCompletion::key);
+        }
+        // The log ascends in finish time, so a parent's last
+        // sub-completion carries its finish.
+        for sub in merged.iter_mut() {
+            let parent = &mut parents[sub.parent_seq as usize];
+            sub.request_id = parent.id;
+            parent.start = parent.start.min(sub.start);
+            if !sub.status.is_ok() {
+                parent.status = sub.status;
+            }
+            match parent.remaining.checked_sub(1) {
+                Some(remaining) => parent.remaining = remaining,
+                None => {
+                    return Err(DeviceError::Internal(format!(
+                        "command {} completed more than its {} sub-commands",
+                        sub.parent_seq, parent.subs
+                    )))
+                }
+            }
+            if parent.remaining == 0 {
+                completed.push((
+                    sub.parent_seq,
+                    parent.initiator,
+                    Completion {
+                        request_id: parent.id,
+                        arrival: parent.arrival,
+                        start: parent.start,
+                        finish: sub.finish,
+                        status: parent.status,
+                    },
+                ));
+            }
+        }
+        if completed.len() < parents.len() {
+            let (seq, parent) = (parents.iter().enumerate())
+                .find(|(_, p)| p.remaining > 0)
+                .expect("a parent without a completion has sub-commands outstanding");
+            return Err(DeviceError::Internal(format!(
+                "command {seq} completed {got}/{want} sub-commands",
+                got = parent.subs - parent.remaining,
+                want = parent.subs
+            )));
+        }
+        // What `complete_session` does with an arbitration-ordered list:
+        // consume the submissions, post in completion order with ties in
+        // arbitration order.  `completed` is already in finish order but
+        // for such ties and the commands that completed at fan-out.
+        completed.sort_by_key(|&(seq, _, c)| (c.finish, seq));
+        for queue in queues.iter_mut() {
+            queue.take_submissions();
+        }
+        for &(_, initiator, completion) in completed.iter() {
+            queues[initiator].post_completion(completion);
+        }
+        Ok(())
     }
 
     /// Step-5 repair pass (parity fleets): walks the canonical merged
@@ -875,10 +1282,10 @@ impl Fleet {
                 continue;
             }
             let parent = &parents[sub.parent_seq as usize];
-            let (kind, range) = match parent.command {
-                HostCommand::Read { range } => (SubOpKind::Read, range),
-                HostCommand::Write { range, .. } => (SubOpKind::Write, range),
-                _ => continue,
+            let Some((kind @ (SubOpKind::Read | SubOpKind::Write), range, _)) =
+                data_op(&parent.command)
+            else {
+                continue;
             };
             let specs = parity::read_specs(&geom, degraded, kind, range, sub.device);
             if specs.is_empty() {
@@ -907,7 +1314,7 @@ impl Fleet {
                     if m == sub.device {
                         continue;
                     }
-                    let Some(ssd) = self.slots[m].ssd.as_mut() else {
+                    let Some(ssd) = self.slots[m].ssd_mut() else {
                         ok = false;
                         break 'specs;
                     };
@@ -927,8 +1334,7 @@ impl Fleet {
                 let id = self.next_rebuild_id;
                 self.next_rebuild_id += 1;
                 let target = self.slots[sub.device]
-                    .ssd
-                    .as_mut()
+                    .ssd_mut()
                     .expect("failing sub-read came from a live member");
                 match target.submit(&BlockRequest::write(id, spec.offset, spec.len, read_max)) {
                     Ok(w) => cursor = w.finish,
@@ -949,24 +1355,6 @@ impl Fleet {
         }
         repaired
     }
-}
-
-/// One arbitrated parent command's bookkeeping through the session.
-struct Parent {
-    initiator: usize,
-    id: u64,
-    arrival: SimTime,
-    subs: u32,
-    command: HostCommand,
-}
-
-/// One device's work for a serve session: the device, its mirrored
-/// initiator queues, and the serve outcome.
-struct Work<'a> {
-    device: usize,
-    ssd: &'a mut Ssd,
-    queues: &'a mut Vec<HostQueue>,
-    result: Result<(), DeviceError>,
 }
 
 impl BlockDevice for Fleet {
@@ -1005,13 +1393,14 @@ impl HostInterface for Fleet {
     /// determinism guarantees.
     fn serve(&mut self, queues: &mut [HostQueue]) -> Result<(), DeviceError> {
         let arbitrated = arbitrate_round_robin(queues);
-        self.merged_log.clear();
-        self.last_fanout.fill(0);
         if arbitrated.is_empty() {
+            self.merged_log.clear();
+            self.last_fanout.fill(0);
             return Ok(());
         }
         // Step 2: validate the whole session before any device runs, so a
-        // rejected command leaves every submission queued on every queue.
+        // rejected command leaves every submission queued on every queue
+        // and the last session's log, fan-out and pressure as they were.
         for cmd in &arbitrated {
             let command = &cmd.submission.command;
             if command.is_object_command() {
@@ -1031,201 +1420,28 @@ impl HostInterface for Fleet {
                 }
             }
         }
-        let live = self.live_indices();
-        if live.is_empty() {
+        if self.slots.iter().all(|slot| slot.member.is_none()) {
             return Err(DeviceError::Unsupported {
                 what: "serving a fleet with no live devices",
             });
         }
-        // The host-pressure signal the rebuild governor reads: the busiest
-        // initiator's command count this session.
-        let mut per_initiator = vec![0u32; queues.len()];
-        for cmd in &arbitrated {
-            per_initiator[cmd.initiator] += 1;
+        self.last_fanout.fill(0);
+        // Steps 3-5 borrow the fleet and the session's buffers apart.
+        let mut session = std::mem::take(&mut self.session);
+        let mut merged = std::mem::take(&mut self.merged_log);
+        merged.clear();
+        self.fan_out(&mut session, &arbitrated, queues.len());
+        let served = self
+            .execute(&mut session)
+            .and_then(|runs| self.merge_and_post(&mut session, runs, &mut merged, queues));
+        if served.is_err() {
+            merged.clear();
         }
-        self.last_pressure = per_initiator.iter().copied().max().unwrap_or(0);
-
-        // Step 3: fan out to per-device mirrored queues.  Sub-commands use
-        // the parent's arbitration sequence as correlation id, and inherit
-        // arrival/priority, so each device's own arbitration sees the same
-        // arrival-ordered stream the global arbiter saw.
-        let mut parents: Vec<Parent> = Vec::with_capacity(arbitrated.len());
-        let mut dev_queues: Vec<Vec<HostQueue>> = (0..self.slots.len())
-            .map(|_| (0..queues.len()).map(|_| HostQueue::new()).collect())
-            .collect();
-        for (seq, cmd) in arbitrated.iter().enumerate() {
-            let sub = cmd.submission;
-            let fan = self.fan_out(&sub.command, &live);
-            // Only a parity free whose every covered unit is degraded may
-            // fan to nothing (nothing live to trim); it completes
-            // immediately in step 5.
-            debug_assert!(
-                !fan.subs.is_empty() || matches!(sub.command, HostCommand::Free { .. }),
-                "every non-free command routes somewhere"
-            );
-            for &(device, ref subcmd) in &fan.subs {
-                dev_queues[device][cmd.initiator].submit_with_priority(
-                    seq as u64,
-                    *subcmd,
-                    sub.arrival,
-                    sub.priority,
-                );
-                self.last_fanout[device] += 1;
-            }
-            // Shadow content model + reconstruction accounting (parity).
-            if let Some(ps) = self.parity.as_mut() {
-                if let HostCommand::Write { range, .. } = sub.command {
-                    ps.model.apply_write(range, ps.degraded);
-                }
-                if matches!(sub.command, HostCommand::Read { .. }) && fan.degraded_rows > 0 {
-                    ps.degraded_reads += 1;
-                }
-                ps.reconstructed_bytes += fan.reconstruction_read_bytes;
-            }
-            parents.push(Parent {
-                initiator: cmd.initiator,
-                id: sub.id,
-                arrival: sub.arrival,
-                subs: fan.subs.len() as u32,
-                command: sub.command,
-            });
-        }
-
-        // Step 4: run each touched device's session, chunking devices
-        // across worker threads.  Devices own their entire simulation
-        // state, so the partition cannot affect results.
-        let mut work: Vec<Work<'_>> = Vec::new();
-        for (device, (slot, dq)) in self.slots.iter_mut().zip(dev_queues.iter_mut()).enumerate() {
-            if dq.iter().all(|q| q.pending_submissions() == 0) {
-                continue;
-            }
-            let ssd = slot
-                .ssd
-                .as_mut()
-                .expect("routing only targets live devices");
-            work.push(Work {
-                device,
-                ssd,
-                queues: dq,
-                result: Ok(()),
-            });
-        }
-        let workers = self.config.threads.min(work.len()).max(1);
-        if workers <= 1 {
-            for w in work.iter_mut() {
-                w.result = w.ssd.serve(w.queues);
-            }
-        } else {
-            let chunk = work.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for ch in work.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for w in ch.iter_mut() {
-                            w.result = w.ssd.serve(w.queues);
-                        }
-                    });
-                }
-            });
-        }
-        for w in &work {
-            if let Err(e) = &w.result {
-                // Unreachable after step-2 validation; if a device still
-                // errors, its session may be partially applied, so report
-                // it as an internal fault rather than a clean rejection.
-                return Err(DeviceError::Internal(format!(
-                    "device {} failed mid-session: {e}",
-                    w.device
-                )));
-            }
-        }
-
-        // Step 5: merge sub-completions canonically, repair uncorrectable
-        // parity reads, reduce to parents, post in arbitration order.
-        let mut merged: Vec<FleetSubCompletion> = Vec::new();
-        for w in work.iter_mut() {
-            for queue in w.queues.iter_mut() {
-                for c in queue.drain_completions() {
-                    let parent = &parents[c.request_id as usize];
-                    merged.push(FleetSubCompletion {
-                        device: w.device,
-                        parent_seq: c.request_id,
-                        request_id: parent.id,
-                        initiator: parent.initiator,
-                        start: c.start,
-                        finish: c.finish,
-                        status: c.status,
-                    });
-                }
-            }
-        }
-        merged.sort_by_key(|s| (s.finish, s.device, s.parent_seq));
-        if self.parity.is_some() && self.repair_uncorrectable(&mut merged, &parents) {
-            // Repairs only push finishes later; re-impose canonical order.
-            merged.sort_by_key(|s| (s.finish, s.device, s.parent_seq));
-        }
-
-        struct Agg {
-            start: SimTime,
-            finish: SimTime,
-            status: CompletionStatus,
-            subs: u32,
-        }
-        let mut aggs: Vec<Option<Agg>> = (0..parents.len()).map(|_| None).collect();
-        for s in &merged {
-            let agg = aggs[s.parent_seq as usize].get_or_insert(Agg {
-                start: s.start,
-                finish: s.finish,
-                status: s.status,
-                subs: 0,
-            });
-            agg.start = agg.start.min(s.start);
-            agg.finish = agg.finish.max(s.finish);
-            if !s.status.is_ok() {
-                agg.status = s.status;
-            }
-            agg.subs += 1;
-        }
-
-        let mut completed: Vec<(usize, Completion)> = Vec::with_capacity(parents.len());
-        for (seq, parent) in parents.iter().enumerate() {
-            if parent.subs == 0 {
-                // A fully-degraded parity free: advisory, nothing live to
-                // trim — complete immediately at arrival.
-                completed.push((
-                    parent.initiator,
-                    Completion {
-                        request_id: parent.id,
-                        arrival: parent.arrival,
-                        start: parent.arrival,
-                        finish: parent.arrival,
-                        status: CompletionStatus::Ok,
-                    },
-                ));
-                continue;
-            }
-            let agg = aggs[seq].as_ref().ok_or_else(|| {
-                DeviceError::Internal(format!("command {seq} produced no completions", seq = seq))
-            })?;
-            if agg.subs != parent.subs {
-                return Err(DeviceError::Internal(format!(
-                    "command {seq} completed {got}/{want} sub-commands",
-                    got = agg.subs,
-                    want = parent.subs
-                )));
-            }
-            completed.push((
-                parent.initiator,
-                Completion {
-                    request_id: parent.id,
-                    arrival: parent.arrival,
-                    start: agg.start,
-                    finish: agg.finish,
-                    status: agg.status,
-                },
-            ));
-        }
+        self.session = session;
         self.merged_log = merged;
-        complete_session(queues, completed);
-        Ok(())
+        served
     }
 }
+
+#[cfg(test)]
+mod tests;

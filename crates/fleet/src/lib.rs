@@ -34,8 +34,9 @@
 //!             merge by (finish, device, sequence) ─► reduce ─► CQs
 //! ```
 //!
-//! Each device's event engine runs on its own OS thread (`Ssd` is `Send`;
-//! devices share no state; per-device RNG streams come from
+//! The devices' event engines run on the fleet's long-lived engine threads
+//! (`Ssd` is `Send` and moves to the thread that serves it; devices share
+//! no state; per-device RNG streams come from
 //! [`ossd_sim::derive_stream_seed`]), and the merge step re-imposes one
 //! canonical completion order, so a seeded run is bit-for-bit identical
 //! for every thread count — and a 1-device fleet is bit-for-bit identical

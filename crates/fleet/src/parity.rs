@@ -167,8 +167,25 @@ pub fn plan(
     cmd: SubOpKind,
     range: ByteRange,
 ) -> ParityPlan {
-    let mut raw: Vec<SubOp> = Vec::new();
     let mut plan = ParityPlan::default();
+    (plan.degraded_rows, plan.reconstruction_read_bytes) =
+        plan_into(&mut plan.ops, geom, degraded, cmd, range);
+    plan
+}
+
+/// [`plan`] into a caller-owned buffer: `ops` is cleared and left holding
+/// the plan's coalesced, sorted sub-operations, so a router planning one
+/// command after another allocates nothing.  Returns the plan's
+/// `(degraded_rows, reconstruction_read_bytes)`.
+pub fn plan_into(
+    ops: &mut Vec<SubOp>,
+    geom: &ParityGeometry,
+    degraded: Option<DegradedView>,
+    cmd: SubOpKind,
+    range: ByteRange,
+) -> (u64, u64) {
+    ops.clear();
+    let (mut degraded_rows, mut reconstruction_read_bytes) = (0u64, 0u64);
     let s = geom.stripe_bytes;
     let row_bytes = geom.row_bytes();
     let first_row = range.offset / row_bytes;
@@ -196,17 +213,17 @@ pub fn plan(
                         // Reconstruct: the same window on every survivor.
                         for m in 0..geom.devices {
                             if m != d {
-                                raw.push(SubOp {
+                                ops.push(SubOp {
                                     device: m,
                                     kind: SubOpKind::Read,
                                     range: local(a, b),
                                 });
                             }
                         }
-                        plan.degraded_rows += 1;
-                        plan.reconstruction_read_bytes += (b - a) * (geom.devices as u64 - 1);
+                        degraded_rows += 1;
+                        reconstruction_read_bytes += (b - a) * (geom.devices as u64 - 1);
                     } else {
-                        raw.push(SubOp {
+                        ops.push(SubOp {
                             device: d,
                             kind: SubOpKind::Read,
                             range: local(a, b),
@@ -223,7 +240,7 @@ pub fn plan(
                     for k in 0..geom.data_units() {
                         let d = geom.data_device(row, k);
                         if !is_deg(d) {
-                            raw.push(SubOp {
+                            ops.push(SubOp {
                                 device: d,
                                 kind: SubOpKind::Write,
                                 range: local(0, s),
@@ -231,7 +248,7 @@ pub fn plan(
                         }
                     }
                     if !is_deg(p) {
-                        raw.push(SubOp {
+                        ops.push(SubOp {
                             device: p,
                             kind: SubOpKind::Write,
                             range: local(0, s),
@@ -251,7 +268,7 @@ pub fn plan(
                     // and parity is recomputed when the row rebuilds.
                     for k in klo..=khi {
                         let (a, b) = window(k);
-                        raw.push(SubOp {
+                        ops.push(SubOp {
                             device: geom.data_device(row, k),
                             kind: SubOpKind::Write,
                             range: local(a, b),
@@ -264,31 +281,31 @@ pub fn plan(
                     // failed member's new data stays reconstructible.
                     for m in 0..geom.devices {
                         if !is_deg(m) {
-                            raw.push(SubOp {
+                            ops.push(SubOp {
                                 device: m,
                                 kind: SubOpKind::Read,
                                 range: local(0, s),
                             });
-                            plan.reconstruction_read_bytes += s;
+                            reconstruction_read_bytes += s;
                         }
                     }
                     for k in klo..=khi {
                         let (a, b) = window(k);
                         let d = geom.data_device(row, k);
                         if !is_deg(d) {
-                            raw.push(SubOp {
+                            ops.push(SubOp {
                                 device: d,
                                 kind: SubOpKind::Write,
                                 range: local(a, b),
                             });
                         }
                     }
-                    raw.push(SubOp {
+                    ops.push(SubOp {
                         device: p,
                         kind: SubOpKind::Write,
                         range: local(0, s),
                     });
-                    plan.degraded_rows += 1;
+                    degraded_rows += 1;
                 } else if covered * 2 >= geom.data_units() && !any_degraded_data {
                     // Reconstruct-write: read the untouched data units (and
                     // the untouched edges of partially-covered units), then
@@ -300,7 +317,7 @@ pub fn plan(
                     for k in 0..geom.data_units() {
                         let d = geom.data_device(row, k);
                         if k < klo || k > khi {
-                            raw.push(SubOp {
+                            ops.push(SubOp {
                                 device: d,
                                 kind: SubOpKind::Read,
                                 range: local(wa, wb),
@@ -308,27 +325,27 @@ pub fn plan(
                         } else {
                             let (a, b) = window(k);
                             if a > wa {
-                                raw.push(SubOp {
+                                ops.push(SubOp {
                                     device: d,
                                     kind: SubOpKind::Read,
                                     range: local(wa, a),
                                 });
                             }
                             if b < wb {
-                                raw.push(SubOp {
+                                ops.push(SubOp {
                                     device: d,
                                     kind: SubOpKind::Read,
                                     range: local(b, wb),
                                 });
                             }
-                            raw.push(SubOp {
+                            ops.push(SubOp {
                                 device: d,
                                 kind: SubOpKind::Write,
                                 range: local(a, b),
                             });
                         }
                     }
-                    raw.push(SubOp {
+                    ops.push(SubOp {
                         device: p,
                         kind: SubOpKind::Write,
                         range: local(wa, wb),
@@ -339,23 +356,23 @@ pub fn plan(
                     for k in klo..=khi {
                         let (a, b) = window(k);
                         let d = geom.data_device(row, k);
-                        raw.push(SubOp {
+                        ops.push(SubOp {
                             device: d,
                             kind: SubOpKind::Read,
                             range: local(a, b),
                         });
-                        raw.push(SubOp {
+                        ops.push(SubOp {
                             device: d,
                             kind: SubOpKind::Write,
                             range: local(a, b),
                         });
                     }
-                    raw.push(SubOp {
+                    ops.push(SubOp {
                         device: p,
                         kind: SubOpKind::Read,
                         range: local(wa, wb),
                     });
-                    raw.push(SubOp {
+                    ops.push(SubOp {
                         device: p,
                         kind: SubOpKind::Write,
                         range: local(wa, wb),
@@ -367,7 +384,7 @@ pub fn plan(
                     let (a, b) = window(k);
                     let d = geom.data_device(row, k);
                     if !is_deg(d) {
-                        raw.push(SubOp {
+                        ops.push(SubOp {
                             device: d,
                             kind: SubOpKind::Free,
                             range: local(a, b),
@@ -377,8 +394,8 @@ pub fn plan(
             }
         }
     }
-    plan.ops = coalesce(raw);
-    plan
+    coalesce(ops);
+    (degraded_rows, reconstruction_read_bytes)
 }
 
 /// The read windows [`plan`] issues on `device` for this command —
@@ -399,15 +416,18 @@ pub fn read_specs(
         .collect()
 }
 
-/// Sorts raw ops by `(device, kind, offset)` and merges overlapping or
-/// adjacent ranges of the same `(device, kind)` — reconstruction can ask a
-/// survivor for windows that abut or overlap its own direct window, and a
-/// controller issues the union once.
-fn coalesce(mut raw: Vec<SubOp>) -> Vec<SubOp> {
-    raw.sort_by_key(|op| (op.device, op.kind, op.range.offset, op.range.len));
-    let mut out: Vec<SubOp> = Vec::with_capacity(raw.len());
-    for op in raw {
-        if let Some(prev) = out.last_mut() {
+/// Sorts the ops by `(device, kind, offset)` and merges, in place,
+/// overlapping or adjacent ranges of the same `(device, kind)` —
+/// reconstruction can ask a survivor for windows that abut or overlap its
+/// own direct window, and a controller issues the union once.
+fn coalesce(ops: &mut Vec<SubOp>) {
+    // Equal keys are equal ops, so an unstable sort loses nothing.
+    ops.sort_unstable_by_key(|op| (op.device, op.kind, op.range.offset, op.range.len));
+    let mut kept = 0;
+    for i in 0..ops.len() {
+        let op = ops[i];
+        if kept > 0 {
+            let prev = &mut ops[kept - 1];
             if prev.device == op.device
                 && prev.kind == op.kind
                 && op.range.offset <= prev.range.end()
@@ -417,9 +437,10 @@ fn coalesce(mut raw: Vec<SubOp>) -> Vec<SubOp> {
                 continue;
             }
         }
-        out.push(op);
+        ops[kept] = op;
+        kept += 1;
     }
-    out
+    ops.truncate(kept);
 }
 
 /// Scrub outcome: every row's parity recomputed and every stored unit
@@ -486,7 +507,6 @@ impl ParityModel {
     pub fn apply_write(&mut self, range: ByteRange, degraded: Option<DegradedView>) {
         let first = range.offset / self.geom.stripe_bytes;
         let last = (range.end() - 1) / self.geom.stripe_bytes;
-        let mut touched_rows: Vec<u64> = Vec::new();
         for unit in first..=last {
             let row = unit / self.geom.data_units();
             let slot = unit % self.geom.data_units();
@@ -497,14 +517,13 @@ impl ParityModel {
             if !degraded.is_some_and(|v| v.is_degraded(d, row)) {
                 self.stored[d][row as usize] = word;
             }
-            if touched_rows.last() != Some(&row) {
-                touched_rows.push(row);
-            }
-        }
-        for row in touched_rows {
-            let p = self.geom.parity_device(row);
-            if !degraded.is_some_and(|v| v.is_degraded(p, row)) {
-                self.stored[p][row as usize] = self.row_parity(row);
+            // Units ascend, so a row's writes are all in once its last
+            // slot or the range's last unit is: refresh its parity then.
+            if slot + 1 == self.geom.data_units() || unit == last {
+                let p = self.geom.parity_device(row);
+                if !degraded.is_some_and(|v| v.is_degraded(p, row)) {
+                    self.stored[p][row as usize] = self.row_parity(row);
+                }
             }
         }
     }
@@ -821,6 +840,103 @@ mod tests {
         }
     }
 
+    /// The allocating coalesce `plan` used before it planned in place.
+    fn coalesce_reference(mut raw: Vec<SubOp>) -> Vec<SubOp> {
+        raw.sort_by_key(|op| (op.device, op.kind, op.range.offset, op.range.len));
+        let mut out: Vec<SubOp> = Vec::with_capacity(raw.len());
+        for op in raw {
+            if let Some(prev) = out.last_mut() {
+                if prev.device == op.device
+                    && prev.kind == op.kind
+                    && op.range.offset <= prev.range.end()
+                {
+                    let end = prev.range.end().max(op.range.end());
+                    prev.range.len = end - prev.range.offset;
+                    continue;
+                }
+            }
+            out.push(op);
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_coalesce_equals_the_allocating_one() {
+        let mut x = 0xC0A1_E5CEu64;
+        let mut next = |below: u64| {
+            x = mix(x);
+            x % below
+        };
+        for _ in 0..2_000 {
+            // Few devices, kinds and offsets: abutting, overlapping,
+            // nested and duplicate windows are the common case.
+            let mut ops: Vec<SubOp> = (0..next(12))
+                .map(|_| SubOp {
+                    device: next(3) as usize,
+                    kind: [SubOpKind::Read, SubOpKind::Write, SubOpKind::Free][next(3) as usize],
+                    range: ByteRange::new(next(24), 1 + next(8)),
+                })
+                .collect();
+            let expect = coalesce_reference(ops.clone());
+            coalesce(&mut ops);
+            assert_eq!(ops, expect);
+        }
+    }
+
+    #[test]
+    fn plan_into_a_dirty_buffer_equals_plan() {
+        let g = geom();
+        let rows = 12;
+        let capacity = rows * g.row_bytes();
+        // Healthy, every member degraded from row 0, and every member
+        // part-way through its rebuild.
+        let mut views = vec![None];
+        for device in 0..g.devices {
+            for rebuilt_rows in [0, 5] {
+                views.push(Some(DegradedView {
+                    device,
+                    rebuilt_rows,
+                }));
+            }
+        }
+        // One buffer for the whole test: each plan finds the last one's
+        // ops (other devices, other kinds, more of them) still in it.
+        let mut ops = vec![
+            SubOp {
+                device: 9,
+                kind: SubOpKind::Free,
+                range: ByteRange::new(1, 1),
+            };
+            40
+        ];
+        let mut x = 0x0DD5_EED5u64;
+        for _ in 0..400 {
+            x = mix(x);
+            let offset = x % capacity;
+            // Within a unit, across units, across rows.
+            let len = (1 + mix(x ^ 1) % (3 * g.row_bytes())).min(capacity - offset);
+            let range = ByteRange::new(offset, len);
+            for &view in &views {
+                for cmd in [SubOpKind::Read, SubOpKind::Write, SubOpKind::Free] {
+                    let expect = plan(&g, view, cmd, range);
+                    let counters = plan_into(&mut ops, &g, view, cmd, range);
+                    assert_eq!(ops, expect.ops, "{cmd:?} {range:?} under {view:?}");
+                    assert_eq!(
+                        counters,
+                        (expect.degraded_rows, expect.reconstruction_read_bytes)
+                    );
+                    // Coalesced and sorted, as documented.
+                    assert!(ops.windows(2).all(|w| {
+                        let (a, b) = (w[0], w[1]);
+                        (a.device, a.kind) < (b.device, b.kind)
+                            || (a.device, a.kind) == (b.device, b.kind)
+                                && a.range.end() < b.range.offset
+                    }));
+                }
+            }
+        }
+    }
+
     #[test]
     fn model_survives_failure_rebuild_and_scrub() {
         let g = geom();
@@ -889,7 +1005,8 @@ mod tests {
                 range: ByteRange::new(0, 4),
             },
         ];
-        let merged = coalesce(ops);
+        let mut merged = ops;
+        coalesce(&mut merged);
         assert_eq!(
             merged,
             vec![

@@ -28,18 +28,27 @@ pub struct DeviceSlice {
 ///
 /// The union of the returned slices covers exactly `range.len` bytes.
 pub fn split_striped(range: ByteRange, devices: usize, stripe_bytes: u64) -> Vec<DeviceSlice> {
+    striped_slices(range, devices, stripe_bytes).collect()
+}
+
+/// The slices of [`split_striped`], yielded one by one (the fleet's
+/// fan-out routes each straight into its device's queue).
+pub(crate) fn striped_slices(
+    range: ByteRange,
+    devices: usize,
+    stripe_bytes: u64,
+) -> impl Iterator<Item = DeviceSlice> {
     assert!(devices > 0 && stripe_bytes > 0 && range.len > 0);
     let d = devices as u64;
     let s = stripe_bytes;
     let first_stripe = range.offset / s;
     let last_stripe = (range.end() - 1) / s;
-    let mut slices = Vec::with_capacity(devices.min((last_stripe - first_stripe + 1) as usize));
-    for device in 0..devices {
+    (0..devices).filter_map(move |device| {
         let dev = device as u64;
         // First and last stripes of the range owned by this device.
         let first = first_stripe + (dev + d - first_stripe % d) % d;
         if first > last_stripe {
-            continue;
+            return None;
         }
         let last = last_stripe - (last_stripe + d - dev) % d;
         debug_assert!(last >= first_stripe && last % d == dev);
@@ -58,12 +67,11 @@ pub fn split_striped(range: ByteRange, devices: usize, stripe_bytes: u64) -> Vec
             } else {
                 s
             };
-        slices.push(DeviceSlice {
+        Some(DeviceSlice {
             device,
             range: ByteRange::new(lo, hi - lo),
-        });
-    }
-    slices
+        })
+    })
 }
 
 /// The stripe-aligned capacity each member device contributes to a striped
