@@ -16,11 +16,6 @@ pub enum FtlError {
         /// Number of exported logical pages.
         logical_pages: u64,
     },
-    /// A read addressed a logical page that has never been written.
-    ReadUnmapped {
-        /// The unmapped LPN.
-        lpn: Lpn,
-    },
     /// The device ran out of free blocks even after cleaning; this happens
     /// when over-provisioning is zero or the configuration reserves no room
     /// for garbage collection.
@@ -46,9 +41,6 @@ impl fmt::Display for FtlError {
                 "logical page {} out of range (device exports {} pages)",
                 lpn.0, logical_pages
             ),
-            FtlError::ReadUnmapped { lpn } => {
-                write!(f, "read of never-written logical page {}", lpn.0)
-            }
             FtlError::NoFreeBlocks { element } => {
                 write!(f, "element {element} has no free blocks left")
             }
@@ -85,9 +77,6 @@ mod tests {
             logical_pages: 5,
         };
         assert!(e.to_string().contains("out of range"));
-        assert!(FtlError::ReadUnmapped { lpn: Lpn(3) }
-            .to_string()
-            .contains("never-written"));
         assert!(FtlError::NoFreeBlocks { element: 2 }
             .to_string()
             .contains("free blocks"));

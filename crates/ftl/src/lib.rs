@@ -28,6 +28,7 @@ pub mod config;
 pub mod error;
 mod indexcheck;
 pub mod pagemap;
+mod pool;
 mod ppn;
 pub mod stripemap;
 pub mod types;

@@ -5,7 +5,11 @@
 //! (§2): writes always go to the next free page of a per-element append
 //! point, a full page map translates logical to physical pages, a garbage
 //! collector reclaims stale blocks, and wear-leveling bounds the
-//! erase-count spread across blocks.
+//! erase-count spread across blocks.  How a block goes from the free list
+//! to an append point, to a cleaning candidate and back (or out of service)
+//! is kept per element by the crate's `pool` module, which the stripe FTL
+//! shares; which element a page or a translation page goes to, and when
+//! to clean, is decided here.
 //!
 //! Victim selection and the cleaning trigger are delegated to the
 //! [`ossd_gc::CleaningPolicy`] chosen by
@@ -47,7 +51,7 @@
 //! [`FixedBitset::take_range`] per block.  A run costs one
 //! `ensure_active_block`, one [`FlashArray::program_run`], one bulk
 //! invalidation, one update each of the free-page counters, the
-//! [`VictimIndex`], the statistics and the op list, and a page-order loop
+//! [`ossd_gc::VictimIndex`], the statistics and the op list, and a page-order loop
 //! over `rmap`/`map`.  A live translation page ends a run and moves through
 //! the map area on its own.  What the per-page loop it replaced guaranteed
 //! still holds (a seeded differential suite checks it against that loop):
@@ -57,7 +61,7 @@
 //!   retires the append block and restarts the rest on a fresh one.
 //! * **Op order.**  Ops read `[copies…, failed attempt, copies…]` in page
 //!   order, each `MapWrite` where its translation page stood.
-//! * **Detach rule.**  The source block is out of its [`VictimIndex`]
+//! * **Detach rule.**  The source block is out of its victim-index
 //!   bucket for the drain — no bucket move per page, no pick returns it —
 //!   and back under its current counts when the drain ends, *however* it
 //!   ends: an aborted drain leaves the index truthful.
@@ -68,15 +72,14 @@ use ossd_flash::{
     bitmap, ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, PhysPageAddr,
     ReliabilityConfig,
 };
-use ossd_gc::{
-    AnyPolicy, CleaningPolicy, PickContext, TriggerContext, TriggerDecision, VictimIndex,
-};
+use ossd_gc::{AnyPolicy, CleaningPolicy, TriggerContext, TriggerDecision};
 use ossd_mapcache::{MapCache, MapStats, ENTRY_BYTES};
 use ossd_telemetry::{EventKind, TelemetryHandle, Track};
 
 use crate::bitset::FixedBitset;
 use crate::config::{CleaningMode, FtlConfig};
 use crate::error::FtlError;
+use crate::pool::{AppendPoint, BlockPool, MAX_VICTIMS_PER_PASS};
 use crate::ppn::{Ppn, PpnLayout};
 use crate::types::{FlashOp, FlashOpKind, Ftl, FtlStats, Lpn, OpPurpose, WriteContext};
 
@@ -91,135 +94,8 @@ const UNMAPPED: u32 = u32::MAX;
 /// untagged ones nor with [`UNMAPPED`].
 const MAP_TAG: u32 = 1 << 31;
 
-/// Maximum victims reclaimed by one watermark-triggered cleaning pass; keeps
-/// a single host write from stalling behind an unbounded amount of cleaning.
-const MAX_VICTIMS_PER_PASS: u32 = 4;
-
 /// How often (in host writes) the wear-leveler checks the erase spread.
 const WEAR_CHECK_INTERVAL: u64 = 256;
-
-/// The two logs each element appends to.  Translation pages get their own
-/// append block so they and host data do not share blocks; it stays unused
-/// unless demand paging runs with a finite budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AppendPoint {
-    /// Host data, and data relocated by cleaning or wear-leveling.
-    Data,
-    /// The map area: translation pages.
-    Map,
-}
-
-/// An element's erased blocks, handed out least worn first (dynamic wear
-/// leveling of the allocation pool): the lowest erase count, and among
-/// equals the first in list order.  [`FreeList::push`] and
-/// [`FreeList::take_least_worn`] are the only mutations, which is what
-/// keeps the heap in step with the list.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct FreeList {
-    /// `(erase_count, block)` in the order pushes and the allocations'
-    /// `swap_remove`s leave behind.
-    list: Vec<(u32, u32)>,
-    /// The list positions as a binary min-heap on `(erase_count, position)`,
-    /// so the allocation is the root instead of two passes over the list.
-    heap: Vec<u32>,
-    /// `slot[position]`: where that position sits in `heap`.
-    slot: Vec<u32>,
-}
-
-impl FreeList {
-    fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    fn key(&self, pos: u32) -> (u32, u32) {
-        (self.list[pos as usize].0, pos)
-    }
-
-    fn place(&mut self, at: usize, pos: u32) {
-        self.heap[at] = pos;
-        self.slot[pos as usize] = at as u32;
-    }
-
-    /// Moves the position at heap index `at` up to where its key belongs.
-    fn sift_up(&mut self, mut at: usize) {
-        let pos = self.heap[at];
-        while at > 0 {
-            let parent = (at - 1) / 2;
-            if self.key(self.heap[parent]) < self.key(pos) {
-                break;
-            }
-            self.place(at, self.heap[parent]);
-            at = parent;
-        }
-        self.place(at, pos);
-    }
-
-    /// Moves the position at heap index `at` down to where its key belongs.
-    fn sift_down(&mut self, mut at: usize) {
-        let pos = self.heap[at];
-        loop {
-            let mut child = 2 * at + 1;
-            if child >= self.heap.len() {
-                break;
-            }
-            if child + 1 < self.heap.len()
-                && self.key(self.heap[child + 1]) < self.key(self.heap[child])
-            {
-                child += 1;
-            }
-            if self.key(pos) < self.key(self.heap[child]) {
-                break;
-            }
-            self.place(at, self.heap[child]);
-            at = child;
-        }
-        self.place(at, pos);
-    }
-
-    /// Appends an erased block.
-    fn push(&mut self, erases: u32, block: u32) {
-        let pos = self.list.len() as u32;
-        self.list.push((erases, block));
-        self.slot.push(0);
-        self.heap.push(pos);
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Removes and returns the `(erase_count, block)` with the lowest erase
-    /// count, the first such in list order; the last entry takes its place.
-    fn take_least_worn(&mut self) -> Option<(u32, u32)> {
-        let pos = *self.heap.first()?;
-        let sinking = self.heap.pop().expect("the heap has a root");
-        if !self.heap.is_empty() {
-            self.place(0, sinking);
-            self.sift_down(0);
-        }
-        // The list's last entry takes `pos`: its key shrinks with its
-        // position, so it can only rise.
-        let taken = self.list.swap_remove(pos as usize);
-        let at = self.slot.pop().expect("one slot per entry");
-        if (pos as usize) < self.list.len() {
-            self.place(at as usize, pos);
-            self.sift_up(at as usize);
-        }
-        Some(taken)
-    }
-}
-
-#[derive(Clone, Debug)]
-struct ElementState {
-    /// Erased blocks available for allocation.
-    free_blocks: FreeList,
-    /// Block currently being appended to at each [`AppendPoint`], if any.
-    active: [Option<u32>; 2],
-    /// Free (programmable) pages on this element, kept incrementally.
-    free_pages: u64,
-    /// Set when a cleaning pass on this element reclaimed nothing; while
-    /// set, watermark triggering is skipped so a device full of valid data
-    /// is not re-scanned on every write.  Cleared by the next invalidation
-    /// on this element (which is the only event that can create a victim).
-    clean_stalled: bool,
-}
 
 /// Demand-paged mapping state (DFTL-style): the translation table lives
 /// in on-flash *translation pages* (one per `entries_per_tp` consecutive
@@ -271,7 +147,9 @@ pub struct PageFtl {
     /// page a physical page holds, `MAP_TAG | tpn` for a translation page,
     /// `UNMAPPED` for pages holding no live data.
     rmap: Vec<u32>,
-    elements: Vec<ElementState>,
+    /// Each element's block lifecycle: free list, append points, free-page
+    /// count, deferred retirements and the incremental victim index.
+    pools: Vec<BlockPool>,
     /// Round-robin allocation cursor over elements.
     cursor: usize,
     /// Physical pages invalidated because the host freed their logical page;
@@ -289,19 +167,10 @@ pub struct PageFtl {
     /// Logical clock: host writes served so far.  Block ages are measured
     /// against it.
     clock: u64,
-    /// Per-element incremental victim-selection index, maintained on every
-    /// page-state change (program, invalidation, burned page, erase,
-    /// retirement).  It also carries each block's youngest-data timestamp
-    /// (age = `clock - last_write`), replacing the old per-block scan.
-    index: Vec<VictimIndex>,
     /// When enabled, every cleaning victim is appended here as
     /// `(element, block)`; used by tests to compare victim sequences across
     /// policy implementations.
     victim_trace: Option<Vec<(u32, u32)>>,
-    /// Bad-block manager state: blocks (by global index) that suffered a
-    /// program failure and must be retired instead of recycled the next
-    /// time cleaning reclaims them.
-    retire_pending: Vec<bool>,
     /// Telemetry sink for GC and reliability instants; detached (free) by
     /// default.
     telemetry: TelemetryHandle,
@@ -405,58 +274,35 @@ impl PageFtl {
                 reason: "geometry too small: no logical pages exported".to_string(),
             });
         }
-        let elements = (0..geometry.elements())
+        // Factory-bad blocks never enter service.
+        let pools = (0..geometry.elements())
             .map(|e| {
                 let flash_element = flash.element(ElementId(e)).expect("element in range");
-                // Factory-bad blocks never enter the free list.
-                let mut free_blocks = FreeList::default();
-                for b in (0..geometry.blocks_per_element()).rev() {
-                    if !flash_element.block(b).expect("block in range").is_bad() {
-                        free_blocks.push(0, b);
-                    }
-                }
-                ElementState {
-                    free_pages: free_blocks.len() as u64 * geometry.pages_per_block as u64,
-                    free_blocks,
-                    active: [None; 2],
-                    clean_stalled: false,
-                }
-            })
-            .collect();
-        let total_blocks = geometry.elements() as usize * geometry.blocks_per_element() as usize;
-        let policy = config.cleaning_policy.build();
-        let index = (0..geometry.elements())
-            .map(|e| {
-                let mut index =
-                    VictimIndex::new(geometry.blocks_per_element(), geometry.pages_per_block);
-                let flash_element = flash.element(ElementId(e)).expect("element in range");
-                for (b, block) in flash_element.iter_blocks() {
-                    if block.is_bad() {
-                        index.mark_bad(b);
-                    }
-                }
-                index
+                let is_bad = |b| flash_element.block(b).expect("block in range").is_bad();
+                BlockPool::new(
+                    geometry.blocks_per_element(),
+                    geometry.pages_per_block,
+                    is_bad,
+                )
             })
             .collect();
         Ok(PageFtl {
             flash,
+            policy: config.cleaning_policy.build(),
             config,
             logical_pages,
             layout,
             map: vec![Ppn::UNMAPPED; logical_pages as usize],
             rmap: vec![UNMAPPED; total_pages as usize],
-            elements,
+            pools,
             cursor: 0,
             freed_phys: FixedBitset::with_capacity(total_pages),
             total_free_pages: usable_pages,
             total_pages,
             stats: FtlStats::default(),
             writes_since_wear_check: 0,
-            policy,
             clock: 0,
-            index,
             victim_trace: None,
-            retire_pending: vec![false; total_blocks],
             telemetry: TelemetryHandle::noop(),
             paging,
             data_reserve_blocks,
@@ -504,9 +350,7 @@ impl PageFtl {
     /// seeded property suite calls it throughout randomized
     /// write/free/GC/wear-level/retire sequences with fault injection on.
     pub fn check_victim_index(&mut self) -> Result<(), String> {
-        let pages_per_block = self.flash.geometry().pages_per_block;
-        for element in 0..self.elements.len() {
-            let what = format!("element {element}");
+        for (element, pool) in self.pools.iter_mut().enumerate() {
             let flash_element = self
                 .flash
                 .element(ElementId(element as u32))
@@ -525,114 +369,69 @@ impl PageFtl {
                         block.valid_count(),
                         block.invalid_count(),
                         block.erase_count(),
-                        self.index[element].last_write(b),
+                        pool.last_write(b),
                     )
                 })
                 .collect();
-            crate::indexcheck::check_against_recompute(&self.index[element], &rows, &what)?;
-            // Pick equivalence under both exclusion variants the cleaner
-            // uses (strict active-block exclusion, and the relaxed filter
-            // that admits a full active block).
-            for include_full_active in [false, true] {
-                let ctx = PickContext {
-                    clock: self.clock,
-                    exclude: self.cleaning_exclusion(
-                        element,
-                        AppendPoint::Data,
-                        include_full_active,
-                    ),
-                    exclude2: self.cleaning_exclusion(
-                        element,
-                        AppendPoint::Map,
-                        include_full_active,
-                    ),
-                };
-                crate::indexcheck::check_policy_equivalence(
-                    &mut self.index[element],
-                    &rows,
-                    pages_per_block,
-                    &ctx,
-                    &what,
-                )?;
-            }
+            pool.check(&rows, self.clock, &format!("element {element}"))?;
         }
         Ok(())
     }
 
-    fn check_lpn(&self, lpn: Lpn) -> Result<(), FtlError> {
-        if lpn.0 >= self.logical_pages {
-            Err(FtlError::LpnOutOfRange {
-                lpn,
-                logical_pages: self.logical_pages,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Picks the element the next host write is allocated on: the element
-    /// with the most free pages, with ties broken round-robin so balanced
-    /// elements are striped evenly (which is what gives sequential *and*
-    /// random writes their parallelism on a page-mapped SSD).
-    fn pick_element(&mut self) -> usize {
-        let n = self.elements.len();
+    /// The element with the most free pages, ties broken in round-robin
+    /// order from the cursor.  Free pages of retired blocks were forfeited
+    /// at retirement, so a heavily degraded element stops attracting writes.
+    fn most_free_element(&self) -> usize {
+        let n = self.pools.len();
         let mut best = self.cursor % n;
-        let mut best_free = self.elements[best].free_pages;
+        let mut best_free = self.pools[best].free_pages();
         for k in 1..n {
             let idx = (self.cursor + k) % n;
-            if self.elements[idx].free_pages > best_free {
+            if self.pools[idx].free_pages() > best_free {
                 best = idx;
-                best_free = self.elements[idx].free_pages;
+                best_free = self.pools[idx].free_pages();
             }
         }
-        self.cursor = (best + 1) % n;
         best
     }
 
-    /// Ensures the element's `point` has an active block with at least one
-    /// free page, pulling a new block (lowest erase count first) from the
-    /// free list if needed.  `allow_reserve` lets relocation (cleaning, a
-    /// retry after a program failure) dip into the reserved blocks.
+    /// Picks the element the next host write is allocated on: the one with
+    /// the most free pages, with ties broken round-robin so balanced
+    /// elements are striped evenly (which is what gives sequential *and*
+    /// random writes their parallelism on a page-mapped SSD).
+    fn pick_element(&mut self) -> usize {
+        let best = self.most_free_element();
+        self.cursor = (best + 1) % self.pools.len();
+        best
+    }
+
+    /// The block the element's `point` appends to, one with at least a
+    /// free page (see [`BlockPool::allocate`]).  `allow_reserve` lets
+    /// relocation (cleaning, a retry after a program failure) dip into the
+    /// reserved blocks.
     fn ensure_active_block(
         &mut self,
         element: usize,
         point: AppendPoint,
         allow_reserve: bool,
     ) -> Result<u32, FtlError> {
-        let flash_element = self.flash.element(ElementId(element as u32))?;
-        if let Some(block) = self.elements[element].active[point as usize] {
-            if !flash_element.block(block)?.is_full() {
-                return Ok(block);
-            }
-        }
         let reserve = if allow_reserve {
             0
         } else {
-            self.data_reserve_blocks as usize
+            self.data_reserve_blocks
         };
-        let state = &mut self.elements[element];
-        if state.free_blocks.len() <= reserve {
-            return Err(FtlError::NoFreeBlocks {
+        self.pools[element]
+            .allocate(point, reserve)
+            .ok_or(FtlError::NoFreeBlocks {
                 element: element as u32,
-            });
-        }
-        let (erases, block) = state
-            .free_blocks
-            .take_least_worn()
-            .expect("list is not empty");
-        debug_assert_eq!(erases, flash_element.block(block)?.erase_count());
-        state.active[point as usize] = Some(block);
-        Ok(block)
+            })
     }
 
-    /// Bookkeeping of a failed program on `block`, the active block of the
-    /// element's `point`: the target page is burned, so account the
-    /// consumed page, schedule the suspect block for retirement and stop
-    /// appending to it.  The abandoned block keeps at least one stale page
-    /// (the burned one), so cleaning will reclaim — and then retire — it.
-    /// `failed` bills the attempt, which still occupied the element for a
-    /// full program pass.  The caller re-programs elsewhere under its own
-    /// reserve policy.
+    /// A program failed on `block`, the active block of the element's
+    /// `point`, and burned its page (see [`BlockPool::burned`]).  `failed`
+    /// bills the attempt, which still occupied the element for a full
+    /// program pass.  The caller re-programs elsewhere under its own reserve
+    /// policy.
     fn abandon_after_program_failure(
         &mut self,
         element: usize,
@@ -642,32 +441,20 @@ impl PageFtl {
         ops: &mut Vec<FlashOp>,
     ) {
         ops.push(failed);
-        self.elements[element].free_pages -= 1;
         self.total_free_pages -= 1;
-        let global = self.layout.global_block(element, block);
-        self.retire_pending[global] = true;
+        self.pools[element].burned(point, block);
         self.telemetry.instant_now(
             Track::Element(element as u32),
             EventKind::ProgramFail,
             block as u64,
             element as u64,
         );
-        // The burned page is a fresh stale page: the block becomes (or
-        // stays) a cleaning candidate.
-        self.index[element].on_skip(block);
-        self.elements[element].active[point as usize] = None;
     }
 
     /// Programs the next page of the element's active block and returns its
     /// address, updating the incremental free-page counters and the block's
-    /// age clock.
-    ///
-    /// `data_timestamp` is the logical-clock value of the data being
-    /// written: the current clock for host writes, the *source block's*
-    /// timestamp for relocations — data keeps its age across cleaning and
-    /// wear-leveling (the LFS convention), otherwise a block compacted full
-    /// of cold data would look hot to age-based policies.  A block's
-    /// timestamp is that of its youngest data.
+    /// age clock.  `data_timestamp` is the logical-clock value of the data
+    /// being written (see [`BlockPool::programmed`]).
     ///
     /// `purpose`/`ops` bill the latency of *failed* program attempts (the
     /// successful program's op is the caller's to emit, as before): a
@@ -687,15 +474,7 @@ impl PageFtl {
             let addr = match self.flash.program(ElementId(element as u32), block) {
                 Ok(addr) => addr,
                 Err(FlashError::ProgramFailed { .. }) => {
-                    let failed = FlashOp {
-                        element: ElementId(element as u32),
-                        kind: if purpose.is_background() {
-                            FlashOpKind::CopybackPage
-                        } else {
-                            FlashOpKind::ProgramPage
-                        },
-                        purpose,
-                    };
+                    let failed = FlashOp::program_for(ElementId(element as u32), purpose);
                     self.abandon_after_program_failure(
                         element,
                         AppendPoint::Data,
@@ -719,35 +498,22 @@ impl PageFtl {
         }
     }
 
-    /// Accounts the `pages` just programmed into `block` — the free-page
-    /// counters and the block's age clock — where `stamp` is the timestamp
-    /// of the youngest data among them.
+    /// Accounts the `pages` just programmed into `block`, where `stamp` is
+    /// the timestamp of the youngest data among them.
     fn note_programmed(&mut self, element: usize, block: u32, pages: Range<u32>, stamp: u64) {
-        let count = pages.len() as u32;
-        self.elements[element].free_pages -= count as u64;
-        self.total_free_pages -= count as u64;
-        let youngest = if pages.start == 0 {
-            // First program after an erase: the stale timestamp of the
-            // block's previous life no longer applies.
-            stamp
-        } else {
-            self.index[element].last_write(block).max(stamp)
-        };
-        self.index[element].on_program_run(block, count, youngest);
+        self.total_free_pages -= pages.len() as u64;
+        self.pools[element].programmed(block, pages, stamp);
     }
 
-    /// Removes `free_count` unusable pages of a block being retired from
-    /// the free-page accounting (they were counted free but can never be
-    /// programmed again).
-    fn forfeit_free_pages(&mut self, element: usize, block: u32) -> Result<(), FtlError> {
-        let free = self
-            .flash
-            .element(ElementId(element as u32))?
-            .block(block)?
-            .free_count() as u64;
-        self.elements[element].free_pages -= free;
-        self.total_free_pages -= free;
-        Ok(())
+    /// Accounts a retirement of `block` the flash has carried out.
+    fn note_retired(&mut self, element: usize, block: u32) {
+        self.total_free_pages -= self.pools[element].retired(block);
+        self.telemetry.instant_now(
+            Track::Element(element as u32),
+            EventKind::BlockRetired,
+            block as u64,
+            element as u64,
+        );
     }
 
     /// Finishes reclaiming `block` once its valid pages have been moved
@@ -759,51 +525,24 @@ impl PageFtl {
     /// wear-leveling so the two reclamation paths cannot drift.
     fn recycle_or_retire(&mut self, element: usize, block: u32) -> Result<bool, FtlError> {
         let element_id = ElementId(element as u32);
-        let global = self.layout.global_block(element, block);
-        if self.retire_pending[global] {
+        if self.pools[element].retire_pending(block) {
             self.flash.retire(element_id, block)?;
-            self.retire_pending[global] = false;
-            self.index[element].on_retire(block);
-            self.forfeit_free_pages(element, block)?;
-            self.telemetry.instant_now(
-                Track::Element(element as u32),
-                EventKind::BlockRetired,
-                block as u64,
-                element as u64,
-            );
+            self.note_retired(element, block);
             return Ok(false);
         }
-        let (freed_pages, erases) = {
-            let blk = self.flash.element(element_id)?.block(block)?;
-            ((blk.pages() - blk.free_count()) as u64, blk.erase_count())
-        };
         match self.flash.erase(element_id, block) {
-            Ok(()) => {
-                self.index[element].on_erase(block);
-                self.elements[element].free_pages += freed_pages;
-                self.total_free_pages += freed_pages;
-                self.elements[element].free_blocks.push(erases + 1, block);
-            }
+            Ok(()) => self.total_free_pages += self.pools[element].recycled(block),
             Err(FlashError::EraseFailed { .. }) => {
-                // Grown bad block: the flash retired it on the spot.  Its
-                // remaining unprogrammed pages are forfeited and it never
-                // returns to the free list; the failed erase still took
-                // the erase latency, so the caller schedules the op.
-                self.index[element].on_retire(block);
-                self.forfeit_free_pages(element, block)?;
-                let track = Track::Element(element as u32);
+                // Grown bad block: the flash retired it on the spot and it
+                // never returns to the free list; the failed erase still
+                // took the erase latency, so the caller schedules the op.
                 self.telemetry.instant_now(
-                    track,
+                    Track::Element(element as u32),
                     EventKind::EraseFail,
                     block as u64,
                     element as u64,
                 );
-                self.telemetry.instant_now(
-                    track,
-                    EventKind::BlockRetired,
-                    block as u64,
-                    element as u64,
-                );
+                self.note_retired(element, block);
             }
             Err(e) => return Err(e.into()),
         }
@@ -818,74 +557,14 @@ impl PageFtl {
         }
         let addr = self.layout.addr(ppn);
         let change = self.flash.invalidate(addr)?;
-        if change.newly_stale {
-            self.index[addr.element.index()].on_invalidate(addr.block);
-        }
+        debug_assert!(change.newly_stale, "a mapped page is a valid page");
+        self.pools[addr.element.index()].invalidated(addr.block, 1);
         self.rmap[ppn.index()] = UNMAPPED;
         self.map[lpn.index()] = Ppn::UNMAPPED;
         if freed_by_host {
             self.freed_phys.insert(ppn.0 as u64);
         }
-        // A fresh stale page means cleaning can make progress again.
-        self.elements[addr.element.index()].clean_stalled = false;
         Ok(())
-    }
-
-    fn free_fraction_of(&self, element: usize) -> f64 {
-        let per_element = self.flash.geometry().pages_per_element();
-        if per_element == 0 {
-            return 0.0;
-        }
-        self.elements[element].free_pages as f64 / per_element as f64
-    }
-
-    /// Asks the policy for the cleaning victim on `element`, picking over
-    /// the element's incremental [`VictimIndex`] (no block scan, no
-    /// allocation).  The index holds every non-retired block with at least
-    /// one stale page; the active (append) block is excluded at pick time.
-    ///
-    /// `include_full_active` additionally admits the active block once it
-    /// is full (a closed log segment in all but name).  The watermark path
-    /// keeps the historical strict exclusion so the greedy victim sequence
-    /// stays seed-exact; the forced and background paths use the relaxed
-    /// filter, without which a completely full device whose only stale
-    /// page was relocated into the append block can wedge permanently.
-    fn select_victim(&mut self, element: usize, include_full_active: bool) -> Option<u32> {
-        let ctx = PickContext {
-            clock: self.clock,
-            exclude: self.cleaning_exclusion(element, AppendPoint::Data, include_full_active),
-            exclude2: self.cleaning_exclusion(element, AppendPoint::Map, include_full_active),
-        };
-        self.policy
-            .select_from_index(&mut self.index[element], &ctx)
-    }
-
-    /// The block a cleaning pick on `element` must skip: the active block of
-    /// `point`, unless `include_full_active` and the block is full (a full
-    /// append block — host data or map area — is a closed log segment and
-    /// may be reclaimed by the forced/background paths).  Shared by the
-    /// production pick and the index-validation hook so the two can never
-    /// check different exclusions.
-    fn cleaning_exclusion(
-        &self,
-        element: usize,
-        point: AppendPoint,
-        include_full_active: bool,
-    ) -> Option<u32> {
-        let active = self.elements[element].active[point as usize]?;
-        let admit_full = include_full_active
-            && self
-                .flash
-                .element(ElementId(element as u32))
-                .expect("element in range")
-                .block(active)
-                .expect("block in range")
-                .is_full();
-        if admit_full {
-            None
-        } else {
-            Some(active)
-        }
     }
 
     // ---- Demand-paged mapping (DFTL-style) -----------------------------
@@ -936,7 +615,7 @@ impl PageFtl {
                             // Last resort: place this translation-page
                             // version on any element with headroom (the
                             // GTD tracks it wherever it lands).
-                            let n = self.elements.len();
+                            let n = self.pools.len();
                             let mut found = None;
                             for k in 1..n {
                                 let alt = (element + k) % n;
@@ -979,12 +658,9 @@ impl PageFtl {
             if old_ppn != Ppn::UNMAPPED {
                 let old_addr = self.layout.addr(old_ppn);
                 let change = self.flash.invalidate(old_addr)?;
-                if change.newly_stale {
-                    self.index[old_addr.element.index()].on_invalidate(old_addr.block);
-                }
+                debug_assert!(change.newly_stale, "the GTD points at a valid page");
+                self.pools[old_addr.element.index()].invalidated(old_addr.block, 1);
                 self.rmap[old_ppn.index()] = UNMAPPED;
-                // A fresh stale page un-stalls cleaning on its element.
-                self.elements[old_addr.element.index()].clean_stalled = false;
             }
             debug_assert!(tpn < (MAP_TAG - 1) as u64, "see MAP_TAG");
             self.rmap[new_ppn.index()] = MAP_TAG | tpn as u32;
@@ -1013,7 +689,7 @@ impl PageFtl {
                 .map_reads += 1;
             ops.push(FlashOp::map_read(element, purpose));
         }
-        let home = (tpn % self.elements.len() as u64) as usize;
+        let home = (tpn % self.pools.len() as u64) as usize;
         self.program_map_page(home, tpn, purpose, forced_clean_allowed, ops)
     }
 
@@ -1143,7 +819,7 @@ impl PageFtl {
     /// Reclaims one victim block on `element`, appending the flash
     /// operations performed to `ops`.  Returns `false` when no block could
     /// be reclaimed (no stale pages anywhere).  `include_full_active`
-    /// relaxes the candidate filter (see [`PageFtl::select_victim`]).
+    /// relaxes the candidate filter (see [`BlockPool::pick`]).
     fn clean_one_block(
         &mut self,
         element: usize,
@@ -1151,7 +827,8 @@ impl PageFtl {
         include_full_active: bool,
         ops: &mut Vec<FlashOp>,
     ) -> Result<bool, FtlError> {
-        let Some(victim) = self.select_victim(element, include_full_active) else {
+        let pick = self.pools[element].pick(&mut self.policy, self.clock, include_full_active);
+        let Some(victim) = pick else {
             return Ok(false);
         };
         if let Some(trace) = self.victim_trace.as_mut() {
@@ -1163,15 +840,6 @@ impl PageFtl {
             victim as u64,
             purpose.telemetry_code(),
         );
-        // When a (full) append block itself is the victim, retire it first:
-        // after the erase it goes back to the free list, and leaving an
-        // append point on it would hand out its pages twice.  Translation
-        // blocks are cleanable victims like any other.
-        for active in &mut self.elements[element].active {
-            if *active == Some(victim) {
-                *active = None;
-            }
-        }
         self.drain_block(element, victim, purpose, ops)?;
         // All pages are now stale or free: retire (deferred bad-block
         // retirement, no erase scheduled) or erase-and-recycle the victim.
@@ -1210,10 +878,10 @@ impl PageFtl {
         let mut valid = std::mem::take(&mut self.drain_valid);
         valid.clear();
         valid.extend_from_slice(source.valid_words(block)?);
-        self.index[element].detach(block);
+        self.pools[element].detach(block);
         let mut passed = 0;
         let drained = self.drain_pages(element, block, &valid, &mut passed, purpose, ops);
-        self.index[element].attach(block);
+        self.pools[element].attach(block);
         self.drain_valid = valid;
         // The stale pages the drain passed over whose logical page the host
         // had freed are moves informed cleaning avoided.  (Only stale pages
@@ -1243,7 +911,7 @@ impl PageFtl {
             ..FlashOp::gc_copyback(element_id)
         };
         // Relocated data keeps the source block's age (LFS convention).
-        let timestamp = self.index[element].last_write(block);
+        let timestamp = self.pools[element].last_write(block);
         let base = self.layout.block_base(element, block);
         let is_map_page = |tag: u32| tag != UNMAPPED && tag & MAP_TAG != 0;
         // Stale and free pages have no bit and are stepped over a word at a
@@ -1310,7 +978,7 @@ impl PageFtl {
                 let staled = (self.flash.element_mut(element_id)?).invalidate_span(block, span)?;
                 debug_assert_eq!(staled, moved, "a run stales exactly what it moved");
                 *passed = end;
-                self.index[element].on_invalidate_run(block, moved);
+                self.pools[element].moved_out(block, moved);
                 ops.extend(std::iter::repeat_n(copy, moved as usize));
                 match purpose {
                     OpPurpose::WearLevel => self.stats.wear_level_moves += moved as u64,
@@ -1337,7 +1005,7 @@ impl PageFtl {
     ) -> Result<(), FtlError> {
         let low = self.config.gc_low_watermark;
         let trigger = TriggerContext {
-            free_fraction: self.free_fraction_of(element),
+            free_fraction: self.pools[element].free_fraction(),
             low_watermark: low,
             critical_watermark: self.config.gc_critical_watermark,
             priority_pending: ctx.priority_pending,
@@ -1361,7 +1029,7 @@ impl PageFtl {
         // No-progress fast path: a previous pass on this element found no
         // block with a stale page, and nothing has been invalidated since,
         // so another scan cannot succeed either.
-        if self.elements[element].clean_stalled {
+        if self.pools[element].clean_stalled {
             return Ok(());
         }
         self.stats.gc_invocations += 1;
@@ -1372,7 +1040,7 @@ impl PageFtl {
             element as u64,
         );
         let mut victims = 0;
-        while self.free_fraction_of(element) < low && victims < MAX_VICTIMS_PER_PASS {
+        while self.pools[element].free_fraction() < low && victims < MAX_VICTIMS_PER_PASS {
             if !self.clean_one_block(element, OpPurpose::Clean, false, ops)? {
                 break;
             }
@@ -1384,7 +1052,7 @@ impl PageFtl {
         self.flush_pending_tpns(OpPurpose::Clean, ops)?;
         if victims == 0 {
             self.stats.gc_fruitless_passes += 1;
-            self.elements[element].clean_stalled = true;
+            self.pools[element].clean_stalled = true;
             self.telemetry.instant_now(
                 Track::Element(element as u32),
                 EventKind::GcFruitless,
@@ -1407,8 +1075,8 @@ impl PageFtl {
         while budget > 0 {
             // Elements below the free-space target, neediest first; ties
             // break towards the lower element index for determinism.
-            let mut needy: Vec<(usize, f64)> = (0..self.elements.len())
-                .map(|e| (e, self.free_fraction_of(e)))
+            let mut needy: Vec<(usize, f64)> = (0..self.pools.len())
+                .map(|e| (e, self.pools[e].free_fraction()))
                 .filter(|&(_, f)| f < target_free_fraction)
                 .collect();
             needy.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("free fractions are finite"));
@@ -1443,7 +1111,7 @@ impl PageFtl {
         }
         self.writes_since_wear_check = 0;
         let element_id = ElementId(element as u32);
-        let state = &self.elements[element];
+        let pool = &self.pools[element];
         let flash_element = self.flash.element(element_id)?;
         // The source found below has at least the element's lowest erase
         // count, so a spread within the bound rules a migration out without
@@ -1460,7 +1128,7 @@ impl PageFtl {
             // source; neither is an append point (host data or map area):
             // erasing a block still being appended to would hand its pages
             // out twice.
-            if block.is_bad() || state.active.contains(&Some(idx)) || block.valid_count() == 0 {
+            if block.is_bad() || pool.is_active(idx) || block.valid_count() == 0 {
                 continue;
             }
             let erases = block.erase_count();
@@ -1516,7 +1184,7 @@ impl Ftl for PageFtl {
         _covered_bytes: u64,
         ops: &mut Vec<FlashOp>,
     ) -> Result<bool, FtlError> {
-        self.check_lpn(lpn)?;
+        lpn.check(self.logical_pages)?;
         self.stats.host_reads += 1;
         // Demand paging: the mapping entry must be in the cache before the
         // data read can be addressed; a miss on a materialized translation
@@ -1564,7 +1232,7 @@ impl Ftl for PageFtl {
         ctx: &WriteContext,
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError> {
-        self.check_lpn(lpn)?;
+        lpn.check(self.logical_pages)?;
         self.stats.host_writes += 1;
         self.clock += 1;
         // Demand paging: consult the map cache up front — the old mapping
@@ -1609,7 +1277,7 @@ impl Ftl for PageFtl {
                         // cleanable victims — retry there before giving up.
                         // (Only reachable in states that previously errored,
                         // so pinned sequences are unaffected.)
-                        let n = self.elements.len();
+                        let n = self.pools.len();
                         let mut switched = false;
                         for k in 1..n {
                             let alt = (element + k) % n;
@@ -1664,7 +1332,7 @@ impl Ftl for PageFtl {
     }
 
     fn free(&mut self, lpn: Lpn) -> Result<bool, FtlError> {
-        self.check_lpn(lpn)?;
+        lpn.check(self.logical_pages)?;
         if !self.config.honor_free {
             return Ok(false);
         }
@@ -1742,22 +1410,8 @@ impl Ftl for PageFtl {
     }
 
     fn next_write_element(&self) -> Option<u32> {
-        // Mirrors `pick_element` without advancing the round-robin cursor:
-        // the element with the most free pages, ties broken by cursor order.
-        // Free pages of retired blocks were forfeited from the per-element
-        // counters at retirement, so a heavily degraded element stops
-        // attracting writes.
-        let n = self.elements.len();
-        let mut best = self.cursor % n;
-        let mut best_free = self.elements[best].free_pages;
-        for k in 1..n {
-            let idx = (self.cursor + k) % n;
-            if self.elements[idx].free_pages > best_free {
-                best = idx;
-                best_free = self.elements[idx].free_pages;
-            }
-        }
-        Some(best as u32)
+        // `pick_element` without advancing the round-robin cursor.
+        Some(self.most_free_element() as u32)
     }
 
     fn reliability_counters(&self) -> ossd_flash::ReliabilityCounters {
@@ -1804,11 +1458,11 @@ impl Ftl for PageFtl {
     }
 
     fn gc_backlog_blocks(&self) -> u64 {
-        self.index.iter().map(|i| i.len() as u64).sum()
+        self.pools.iter().map(BlockPool::backlog_blocks).sum()
     }
 
     fn gc_stale_pages(&self) -> u64 {
-        self.index.iter().map(|i| i.stale_pages()).sum()
+        self.pools.iter().map(BlockPool::stale_pages).sum()
     }
 }
 
@@ -2365,16 +2019,18 @@ mod tests {
             let element = ftl.flash.element(ElementId(0)).unwrap();
             element.block(block).unwrap().clone()
         };
-        let active = ftl.elements[0].active[AppendPoint::Data as usize].unwrap();
+        let active = ftl.pools[0].active(AppendPoint::Data).unwrap();
         let room = block_of(&ftl, active).free_count() as usize;
-        let victim = ftl.select_victim(0, false).unwrap();
+        let victim = ftl.pools[0]
+            .pick(&mut ftl.policy, ftl.clock, false)
+            .unwrap();
         let before = block_of(&ftl, victim);
         let live = before.valid_count() as usize;
         assert!(0 < room && room < live, "room {room} for {live} live pages");
 
         // No free block behind the append block: the drain runs out of
         // room part-way.
-        let stolen = std::mem::take(&mut ftl.elements[0].free_blocks);
+        let stolen = ftl.pools[0].take_free_blocks();
         let mut ops = Vec::new();
         let aborted = ftl.clean_one_block(0, OpPurpose::Clean, false, &mut ops);
         assert_eq!(aborted, Err(FtlError::NoFreeBlocks { element: 0 }));
@@ -2386,11 +2042,11 @@ mod tests {
             half_drained.invalid_count(),
             before.invalid_count() + room as u32
         );
-        assert!(ftl.index[0].is_member(victim));
+        assert!(ftl.pools[0].is_candidate(victim));
 
         // With the free blocks back, the next pass picks the same block (it
         // is the stalest by now) and finishes the job.
-        ftl.elements[0].free_blocks = stolen;
+        ftl.pools[0].put_free_blocks(stolen);
         ops.clear();
         assert_eq!(
             ftl.clean_one_block(0, OpPurpose::Clean, false, &mut ops),
@@ -2403,63 +2059,6 @@ mod tests {
         assert!(block_of(&ftl, victim).is_erased());
         assert!((0..logical).all(|lpn| ftl.is_mapped(Lpn(lpn))));
         assert_eq!(ftl.flash().valid_pages(), logical);
-    }
-
-    /// The free list hands out the block the scans it replaced would have:
-    /// the old block scan — every listed block dereferenced for its count,
-    /// the first strict minimum taken with `swap_remove` — and the two-pass
-    /// walk over the keyed list (minimum count, then its first position)
-    /// that the ordered side index stands in for.  Counts repeat all the
-    /// time: 48 blocks cycle within a few erases of each other.
-    #[test]
-    fn keyed_free_list_allocates_like_the_block_scan() {
-        const BLOCKS: usize = 48;
-        let mut erases = [0u32; BLOCKS];
-        let mut old: Vec<u32> = (0..BLOCKS as u32).rev().collect();
-        let mut two_pass: Vec<(u32, u32)> = old.iter().map(|&b| (0, b)).collect();
-        let mut keyed = FreeList::default();
-        for &(erases, block) in &two_pass {
-            keyed.push(erases, block);
-        }
-        let mut in_use: Vec<u32> = Vec::new();
-        let mut state = 0x1234_5678_9abc_def1u64;
-        let mut next = |bound: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % bound as u64) as usize
-        };
-        let (mut allocations, mut ties) = (0, 0);
-        for _ in 0..10_000 {
-            if !in_use.is_empty() && (old.is_empty() || next(2) == 0) {
-                // An erase returns a block, sometimes after extra cycles.
-                let block = in_use.swap_remove(next(in_use.len()));
-                erases[block as usize] += 1 + (next(4) == 0) as u32;
-                old.push(block);
-                two_pass.push((erases[block as usize], block));
-                keyed.push(erases[block as usize], block);
-            } else {
-                let mut best = (0, u32::MAX);
-                for (i, &b) in old.iter().enumerate() {
-                    if erases[b as usize] < best.1 {
-                        best = (i, erases[b as usize]);
-                    }
-                }
-                let expected = old.swap_remove(best.0);
-                let least = two_pass.iter().map(|&(e, _)| e).min().unwrap();
-                ties += (two_pass.iter().filter(|&&(e, _)| e == least).count() > 1) as u32;
-                let idx = two_pass.iter().position(|&(e, _)| e == least).unwrap();
-                assert_eq!(two_pass.swap_remove(idx), (best.1, expected));
-                assert_eq!(keyed.take_least_worn(), Some((best.1, expected)));
-                in_use.push(expected);
-                allocations += 1;
-            }
-            assert_eq!(keyed.list, two_pass);
-            assert_eq!(keyed.heap.len(), keyed.len());
-        }
-        assert!(allocations > 4_000 && ties > 1_000, "{allocations} {ties}");
-        while keyed.take_least_worn().is_some() {}
-        assert_eq!((keyed.len(), keyed.heap.len(), keyed.slot.len()), (0, 0, 0));
     }
 
     fn faulty_ftl(faults: ossd_flash::FaultConfig, config: FtlConfig) -> PageFtl {

@@ -25,7 +25,7 @@ impl PageFtl {
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError> {
         // Relocated data keeps the victim block's age (LFS convention).
-        let victim_timestamp = self.index[element].last_write(victim);
+        let victim_timestamp = self.pools[element].last_write(victim);
         let element_id = ElementId(element as u32);
         let pages_per_block = self.flash.geometry().pages_per_block;
         // Move every valid page; count stale pages that the host had freed
@@ -60,7 +60,7 @@ impl PageFtl {
                     let new_ppn = self.layout.ppn(new_addr);
                     let change = self.flash.invalidate(addr)?;
                     if change.newly_stale {
-                        self.index[element].on_invalidate(victim);
+                        self.pools[element].moved_out(victim, 1);
                     }
                     self.rmap[old_ppn.index()] = UNMAPPED;
                     self.rmap[new_ppn.index()] = lpn;
@@ -195,7 +195,6 @@ fn assert_lockstep(run: &PageFtl, reference: &PageFtl, at: &str) {
         reference.victim_trace(),
         "{at}: victims"
     );
-    assert_eq!(run.retire_pending, reference.retire_pending, "{at}");
     assert_eq!(run.total_free_pages, reference.total_free_pages, "{at}");
     assert_eq!(
         (run.cursor, run.clock, run.writes_since_wear_check),
@@ -210,21 +209,8 @@ fn assert_lockstep(run: &PageFtl, reference: &PageFtl, at: &str) {
         assert_eq!(a.gtd, b.gtd, "{at}: GTD");
         assert_eq!(a.pending_tpns, b.pending_tpns, "{at}: queued rewrites");
     }
-    for (e, (a, b)) in run.elements.iter().zip(&reference.elements).enumerate() {
-        assert_eq!(a.free_blocks, b.free_blocks, "{at}: free list of {e}");
-        assert_eq!(a.active, b.active, "{at}: append points of {e}");
-        assert_eq!(
-            (a.free_pages, a.clean_stalled),
-            (b.free_pages, b.clean_stalled),
-            "{at}: element {e}"
-        );
-        run.index[e].verify_internal().unwrap();
-        reference.index[e].verify_internal().unwrap();
-        assert_eq!(
-            run.index[e].snapshot(),
-            reference.index[e].snapshot(),
-            "{at}: VictimIndex of {e}"
-        );
+    for (e, (a, b)) in run.pools.iter().zip(&reference.pools).enumerate() {
+        a.assert_lockstep(b, &format!("{at}: element {e}"));
         let id = ElementId(e as u32);
         let (fa, fb) = (
             run.flash.element(id).unwrap(),

@@ -16,15 +16,22 @@
 //! same stripe accumulate in controller RAM and are flushed as a single
 //! full-stripe program; touching a different stripe forces the partial
 //! stripe out with a read-modify-write.
+//!
+//! The gang's blocks are allocated, cleaned, recycled and retired as
+//! *superblocks* — the same block index on every element, in lockstep —
+//! through the block lifecycle the page-mapped FTL uses (the crate's `pool`
+//! module): one pool whose "block" is a superblock and whose "page" is a
+//! stripe slot.
 
 use ossd_flash::{
-    ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, ReliabilityConfig,
+    ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, PhysPageAddr, ReliabilityConfig,
 };
-use ossd_gc::{AnyPolicy, CleaningPolicy, PickContext, VictimIndex};
+use ossd_gc::AnyPolicy;
 use ossd_telemetry::{EventKind, TelemetryHandle, Track};
 
 use crate::config::FtlConfig;
 use crate::error::FtlError;
+use crate::pool::{AppendPoint, BlockPool, MAX_VICTIMS_PER_PASS};
 use crate::types::{FlashOp, FlashOpKind, Ftl, FtlStats, Lpn, OpPurpose, WriteContext};
 
 const UNMAPPED: u64 = u64::MAX;
@@ -34,55 +41,6 @@ const UNMAPPED: u64 = u64::MAX;
 struct OpenStripe {
     lpn: Lpn,
     covered_bytes: u64,
-}
-
-/// State of one superblock (the same block index across every element).
-#[derive(Clone, Debug)]
-struct SuperBlock {
-    /// Per-slot logical page, `UNMAPPED` when the slot is stale or unused.
-    slot_lpns: Vec<u64>,
-    /// Next slot to program.
-    write_ptr: u32,
-    /// Number of slots holding live data.
-    valid: u32,
-    /// Erase count (applies to every element's block in lockstep).
-    erase_count: u32,
-    /// Logical clock value of the last stripe programmed into this
-    /// superblock; age-based cleaning policies compare it to the FTL clock.
-    last_write: u64,
-    /// Retired: one of the member blocks went bad (factory-marked, erase
-    /// failure, or post-program-failure retirement) and the lockstep group
-    /// is permanently out of service.
-    bad: bool,
-    /// A program failure occurred in this superblock; it is retired instead
-    /// of recycled the next time cleaning reclaims it.
-    retire_pending: bool,
-}
-
-impl SuperBlock {
-    fn new(slots: u32) -> Self {
-        SuperBlock {
-            slot_lpns: vec![UNMAPPED; slots as usize],
-            write_ptr: 0,
-            valid: 0,
-            erase_count: 0,
-            last_write: 0,
-            bad: false,
-            retire_pending: false,
-        }
-    }
-
-    fn slots(&self) -> u32 {
-        self.slot_lpns.len() as u32
-    }
-
-    fn is_full(&self) -> bool {
-        self.write_ptr == self.slots()
-    }
-
-    fn invalid(&self) -> u32 {
-        self.write_ptr - self.valid
-    }
 }
 
 /// A stripe-mapped FTL over a [`FlashArray`].
@@ -102,16 +60,20 @@ pub struct StripeFtl {
     logical_pages: u64,
     /// Logical stripe -> global slot index, or `UNMAPPED`.
     map: Vec<u64>,
-    superblocks: Vec<SuperBlock>,
-    free_superblocks: Vec<u32>,
-    active_superblock: Option<u32>,
+    /// Global slot -> logical stripe, `UNMAPPED` when the slot is stale or
+    /// unused.  Slot `s` is row `s % slots_per_superblock` of superblock
+    /// `s / slots_per_superblock` (the same block index on every element).
+    slot_lpns: Vec<u64>,
+    /// The gang's block lifecycle: a "block" per superblock, a "page" per
+    /// slot.  A superblock goes out of service when any member block does
+    /// (factory-marked, erase failure, or retirement after a program
+    /// failure).
+    pool: BlockPool,
     open: Option<OpenStripe>,
     /// Whether sequential sub-stripe writes are coalesced in controller RAM
     /// before being flushed (the device-side merge-and-align scheme of
     /// §3.4).  When disabled, every write is issued to flash as it arrives.
     coalesce: bool,
-    free_slots: u64,
-    total_slots: u64,
     stats: FtlStats,
     /// Victim-selection policy for superblock reclamation (built from
     /// [`FtlConfig::cleaning_policy`]).
@@ -121,13 +83,19 @@ pub struct StripeFtl {
     /// When enabled, every cleaning victim (superblock index) is appended
     /// here; used by tests to pin victim sequences across refactors.
     victim_trace: Option<Vec<u32>>,
-    /// Incremental victim-selection index over the superblocks (one
-    /// "block" of `slots_per_superblock` slot-pages per superblock),
-    /// maintained on every slot-state change.
-    index: VictimIndex,
+    /// Scratch: `(row, stripe)` of the live stripes of the superblock
+    /// being cleaned.
+    live: Vec<(u32, u64)>,
     /// Telemetry sink for GC and reliability instants; detached (free) by
     /// default.
     telemetry: TelemetryHandle,
+}
+
+/// Whether any element's block of `superblock` is out of service.
+fn is_retired(flash: &FlashArray, superblock: u32) -> bool {
+    flash
+        .iter_elements()
+        .any(|e| e.block(superblock).expect("block in range").is_bad())
 }
 
 impl StripeFtl {
@@ -187,27 +155,10 @@ impl StripeFtl {
         let slots_per_superblock = geometry.pages_per_block / chunk_pages;
         let superblock_count = geometry.blocks_per_element();
         let total_slots = superblock_count as u64 * slots_per_superblock as u64;
-        // A factory-bad block in any element poisons its whole lockstep
-        // superblock.
-        let mut superblocks: Vec<SuperBlock> = (0..superblock_count)
-            .map(|_| SuperBlock::new(slots_per_superblock))
-            .collect();
-        let mut bad_superblocks = 0u64;
-        for (idx, sb) in superblocks.iter_mut().enumerate() {
-            let any_bad = (0..geometry.elements()).any(|e| {
-                flash
-                    .element(ElementId(e))
-                    .expect("element in range")
-                    .block(idx as u32)
-                    .expect("block in range")
-                    .is_bad()
-            });
-            if any_bad {
-                sb.bad = true;
-                bad_superblocks += 1;
-            }
-        }
-        let bad_slots = bad_superblocks * slots_per_superblock as u64;
+        let pool = BlockPool::new(superblock_count, slots_per_superblock, |sb| {
+            is_retired(&flash, sb)
+        });
+        let bad_slots = total_slots - pool.free_pages();
         // As in the page-mapped FTL, never export more than is placeable
         // without cleaning: superblocks reserved for GC hold no host data,
         // and retired superblocks hold nothing at all.
@@ -223,36 +174,22 @@ impl StripeFtl {
                 reason: "geometry too small: no logical stripes exported".to_string(),
             });
         }
-        let policy = config.cleaning_policy.build();
-        let free_superblocks: Vec<u32> = (0..superblock_count)
-            .rev()
-            .filter(|&sb| !superblocks[sb as usize].bad)
-            .collect();
-        let mut index = VictimIndex::new(superblock_count, slots_per_superblock);
-        for (sb, state) in superblocks.iter().enumerate() {
-            if state.bad {
-                index.mark_bad(sb as u32);
-            }
-        }
         Ok(StripeFtl {
             flash,
+            policy: config.cleaning_policy.build(),
             config,
             chunk_pages,
             slots_per_superblock,
             logical_pages,
             map: vec![UNMAPPED; logical_pages as usize],
-            superblocks,
-            free_superblocks,
-            active_superblock: None,
+            slot_lpns: vec![UNMAPPED; total_slots as usize],
+            pool,
             open: None,
             coalesce: true,
-            free_slots: total_slots - bad_slots,
-            total_slots,
             stats: FtlStats::default(),
-            policy,
             clock: 0,
             victim_trace: None,
-            index,
+            live: Vec::new(),
             telemetry: TelemetryHandle::noop(),
         })
     }
@@ -302,49 +239,36 @@ impl StripeFtl {
     }
 
     /// Validates the incremental victim index against a from-scratch
-    /// recompute over the superblock table, and proves every built-in
-    /// policy picks the same victim from both representations.  See
-    /// [`crate::PageFtl::check_victim_index`].
+    /// recompute, and proves every built-in policy picks the same victim
+    /// from both representations.  See [`crate::PageFtl::check_victim_index`].
     pub fn check_victim_index(&mut self) -> Result<(), String> {
-        let rows: Vec<crate::indexcheck::CandidateRow> = self
-            .superblocks
-            .iter()
-            .enumerate()
-            .filter(|(_, sb)| !sb.bad && sb.invalid() > 0)
-            .map(|(i, sb)| {
-                (
-                    i as u32,
-                    sb.valid,
-                    sb.invalid(),
-                    sb.erase_count,
-                    sb.last_write,
-                )
+        // Recomputed from what the pool does not own: the live stripes from
+        // the slot table; the rows consumed and the erase count from element
+        // 0's block, which the rest of the gang follows in lockstep.  Block
+        // timestamps live only in the index and are read back from it.
+        let lead = self
+            .flash
+            .element(ElementId(0))
+            .map_err(|e| e.to_string())?;
+        let slots = self.slots_per_superblock as usize;
+        let rows: Vec<crate::indexcheck::CandidateRow> = lead
+            .iter_blocks()
+            .filter(|&(sb, _)| !is_retired(&self.flash, sb))
+            .filter_map(|(sb, block)| {
+                let lpns = &self.slot_lpns[sb as usize * slots..][..slots];
+                let valid = lpns.iter().filter(|&&lpn| lpn != UNMAPPED).count() as u32;
+                let stale = block.write_ptr() / self.chunk_pages - valid;
+                let row = (
+                    sb,
+                    valid,
+                    stale,
+                    block.erase_count(),
+                    self.pool.last_write(sb),
+                );
+                (stale > 0).then_some(row)
             })
             .collect();
-        crate::indexcheck::check_against_recompute(&self.index, &rows, "superblocks")?;
-        let ctx = PickContext {
-            clock: self.clock,
-            exclude: self.active_superblock,
-            exclude2: None,
-        };
-        crate::indexcheck::check_policy_equivalence(
-            &mut self.index,
-            &rows,
-            self.slots_per_superblock,
-            &ctx,
-            "superblocks",
-        )
-    }
-
-    fn check_lpn(&self, lpn: Lpn) -> Result<(), FtlError> {
-        if lpn.0 >= self.logical_pages {
-            Err(FtlError::LpnOutOfRange {
-                lpn,
-                logical_pages: self.logical_pages,
-            })
-        } else {
-            Ok(())
-        }
+        self.pool.check(&rows, self.clock, "superblocks")
     }
 
     fn slot_superblock(&self, slot: u64) -> u32 {
@@ -353,6 +277,22 @@ impl StripeFtl {
 
     fn slot_row(&self, slot: u64) -> u32 {
         (slot % self.slots_per_superblock as u64) as u32
+    }
+
+    /// The flash pages of row `row` of `superblock`, in the order of
+    /// `for chunk in 0..self.chunk_pages { for element in 0..elements {`:
+    /// the order a stripe is programmed in, so the order of its fault
+    /// draws and its ops.
+    fn row_addrs(&self, superblock: u32, row: u32) -> impl Iterator<Item = PhysPageAddr> {
+        let elements = self.flash.geometry().elements();
+        let first = row * self.chunk_pages;
+        (first..first + self.chunk_pages).flat_map(move |page| {
+            (0..elements).map(move |element| PhysPageAddr {
+                element: ElementId(element),
+                block: superblock,
+                page,
+            })
+        })
     }
 
     /// Emits the flash-state mutations and ops for reading `pages` physical
@@ -369,46 +309,32 @@ impl StripeFtl {
         purpose: OpPurpose,
         ops: &mut Vec<FlashOp>,
     ) -> Result<bool, FtlError> {
-        let superblock = self.slot_superblock(slot);
-        let row = self.slot_row(slot);
-        let elements = self.flash.geometry().elements();
-        let mut remaining = pages;
+        let row = self.row_addrs(self.slot_superblock(slot), self.slot_row(slot));
         let mut uncorrectable = false;
-        'outer: for chunk in 0..self.chunk_pages {
-            for element in 0..elements {
-                if remaining == 0 {
-                    break 'outer;
-                }
-                let page = row * self.chunk_pages + chunk;
-                let status = self.flash.read(ossd_flash::PhysPageAddr {
-                    element: ElementId(element),
-                    block: superblock,
-                    page,
-                })?;
-                self.stats.pages_read_host += 1;
+        for addr in row.take(pages as usize) {
+            let status = self.flash.read(addr)?;
+            self.stats.pages_read_host += 1;
+            ops.push(FlashOp {
+                element: addr.element,
+                kind: FlashOpKind::ReadPage,
+                purpose,
+            });
+            for _ in 0..status.retries {
                 ops.push(FlashOp {
-                    element: ElementId(element),
-                    kind: FlashOpKind::ReadPage,
+                    element: addr.element,
+                    kind: FlashOpKind::ReadRetry,
                     purpose,
                 });
-                for _ in 0..status.retries {
-                    ops.push(FlashOp {
-                        element: ElementId(element),
-                        kind: FlashOpKind::ReadRetry,
-                        purpose,
-                    });
-                }
-                if status.retries > 0 {
-                    self.telemetry.instant_now(
-                        Track::Element(element),
-                        EventKind::EccRetry,
-                        status.retries as u64,
-                        element as u64,
-                    );
-                }
-                uncorrectable |= status.uncorrectable;
-                remaining -= 1;
             }
+            if status.retries > 0 {
+                self.telemetry.instant_now(
+                    Track::Element(addr.element.0),
+                    EventKind::EccRetry,
+                    status.retries as u64,
+                    addr.element.0 as u64,
+                );
+            }
+            uncorrectable |= status.uncorrectable;
         }
         Ok(uncorrectable)
     }
@@ -416,54 +342,12 @@ impl StripeFtl {
     /// Invalidates every physical page of the stripe stored in `slot`.
     fn invalidate_slot(&mut self, slot: u64) -> Result<(), FtlError> {
         let superblock = self.slot_superblock(slot);
-        let row = self.slot_row(slot);
-        let elements = self.flash.geometry().elements();
-        for chunk in 0..self.chunk_pages {
-            for element in 0..elements {
-                let page = row * self.chunk_pages + chunk;
-                self.flash.invalidate(ossd_flash::PhysPageAddr {
-                    element: ElementId(element),
-                    block: superblock,
-                    page,
-                })?;
-            }
+        for addr in self.row_addrs(superblock, self.slot_row(slot)) {
+            self.flash.invalidate(addr)?;
         }
-        let sb = &mut self.superblocks[superblock as usize];
-        sb.slot_lpns[row as usize] = UNMAPPED;
-        sb.valid -= 1;
-        self.index.on_invalidate(superblock);
+        self.slot_lpns[slot as usize] = UNMAPPED;
+        self.pool.invalidated(superblock, 1);
         Ok(())
-    }
-
-    fn ensure_active_superblock(&mut self, allow_reserve: bool) -> Result<u32, FtlError> {
-        let need_new = match self.active_superblock {
-            Some(sb) => self.superblocks[sb as usize].is_full(),
-            None => true,
-        };
-        if !need_new {
-            return Ok(self.active_superblock.expect("checked above"));
-        }
-        let reserve = if allow_reserve {
-            0
-        } else {
-            self.config.gc_reserved_blocks as usize
-        };
-        if self.free_superblocks.len() <= reserve {
-            return Err(FtlError::NoFreeBlocks { element: 0 });
-        }
-        // Lowest erase count first.
-        let mut best_idx = 0usize;
-        let mut best_erases = u32::MAX;
-        for (i, &sb) in self.free_superblocks.iter().enumerate() {
-            let erases = self.superblocks[sb as usize].erase_count;
-            if erases < best_erases {
-                best_erases = erases;
-                best_idx = i;
-            }
-        }
-        let sb = self.free_superblocks.swap_remove(best_idx);
-        self.active_superblock = Some(sb);
-        Ok(sb)
     }
 
     /// Programs a whole stripe for `lpn` into the active superblock and
@@ -480,54 +364,40 @@ impl StripeFtl {
         allow_reserve: bool,
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError> {
-        let mut allow_reserve = allow_reserve;
+        let mut reserve = if allow_reserve {
+            0
+        } else {
+            self.config.gc_reserved_blocks
+        };
         'attempt: loop {
-            let superblock = self.ensure_active_superblock(allow_reserve)?;
-            let row = self.superblocks[superblock as usize].write_ptr;
-            let elements = self.flash.geometry().elements();
-            for chunk in 0..self.chunk_pages {
-                for element in 0..elements {
-                    let addr = match self.flash.program(ElementId(element), superblock) {
-                        Ok(addr) => addr,
-                        Err(FlashError::ProgramFailed { .. }) => {
-                            // The failed attempt still occupied the element
-                            // for a full program pass (the erase-failure
-                            // convention); the lockstep padding of the
-                            // remaining positions costs nothing.
-                            ops.push(FlashOp {
-                                element: ElementId(element),
-                                kind: if purpose.is_background() {
-                                    FlashOpKind::CopybackPage
-                                } else {
-                                    FlashOpKind::ProgramPage
-                                },
-                                purpose,
-                            });
-                            self.abandon_row(superblock, row, chunk, element)?;
-                            // Failure recovery may dip into the GC reserve
-                            // even on the host path — re-programming the
-                            // stripe is relocation of data that would
-                            // otherwise be lost.
-                            allow_reserve = true;
-                            continue 'attempt;
-                        }
-                        Err(e) => return Err(e.into()),
-                    };
-                    debug_assert_eq!(addr.page, row * self.chunk_pages + chunk);
-                    ops.push(FlashOp {
-                        element: ElementId(element),
-                        kind: if purpose.is_background() {
-                            FlashOpKind::CopybackPage
-                        } else {
-                            FlashOpKind::ProgramPage
-                        },
-                        purpose,
-                    });
-                    if purpose.is_background() {
-                        self.stats.gc_pages_moved += 1;
-                    } else {
-                        self.stats.pages_programmed_host += 1;
-                    }
+            let superblock = self
+                .pool
+                .allocate(AppendPoint::Data, reserve)
+                .ok_or(FtlError::NoFreeBlocks { element: 0 })?;
+            let lead = self.flash.element(ElementId(0))?.block(superblock)?;
+            let row = lead.write_ptr() / self.chunk_pages;
+            for addr in self.row_addrs(superblock, row) {
+                let landed = match self.flash.program(addr.element, superblock) {
+                    Ok(landed) => Some(landed),
+                    Err(FlashError::ProgramFailed { .. }) => None,
+                    Err(e) => return Err(e.into()),
+                };
+                // A failed attempt still occupied the element for a full
+                // program pass (the erase-failure convention).
+                ops.push(FlashOp::program_for(addr.element, purpose));
+                if landed.is_none() {
+                    self.abandon_row(superblock, row, addr)?;
+                    // Failure recovery may dip into the GC reserve even on
+                    // the host path — re-programming the stripe is
+                    // relocation of data that would otherwise be lost.
+                    reserve = 0;
+                    continue 'attempt;
+                }
+                debug_assert_eq!(landed, Some(addr));
+                if purpose.is_background() {
+                    self.stats.gc_pages_moved += 1;
+                } else {
+                    self.stats.pages_programmed_host += 1;
                 }
             }
             let slot = superblock as u64 * self.slots_per_superblock as u64 + row as u64;
@@ -536,64 +406,41 @@ impl StripeFtl {
             if old != UNMAPPED {
                 self.invalidate_slot(old)?;
             }
-            let sb = &mut self.superblocks[superblock as usize];
-            sb.slot_lpns[row as usize] = lpn.0;
-            sb.write_ptr += 1;
-            sb.valid += 1;
-            sb.last_write = self.clock;
-            self.index.on_program(superblock, self.clock);
+            self.slot_lpns[slot as usize] = lpn.0;
+            // Host or relocated, a stripe is stamped with the current clock.
+            self.pool.programmed(superblock, row..row + 1, self.clock);
             self.map[lpn.index()] = slot;
-            self.free_slots -= 1;
             return Ok(());
         }
     }
 
-    /// Burns the rest of a lockstep row after a program failure at
-    /// `(failed_chunk, failed_element)`: invalidates the siblings already
-    /// programmed for this stripe, pads the positions not yet reached (the
-    /// failed page itself was consumed by the flash), consumes the slot,
-    /// and schedules the superblock for retirement.
+    /// Burns the rest of a lockstep row after the program of `failed`
+    /// failed: invalidates the siblings already programmed for this stripe
+    /// and pads the positions not yet reached — the lockstep padding costs
+    /// nothing, and the failed page itself was consumed by the flash.  The
+    /// burned row is a stale slot of a superblock now scheduled for
+    /// retirement (see [`BlockPool::burned`]).
     fn abandon_row(
         &mut self,
         superblock: u32,
         row: u32,
-        failed_chunk: u32,
-        failed_element: u32,
+        failed: PhysPageAddr,
     ) -> Result<(), FtlError> {
-        let elements = self.flash.geometry().elements();
-        for chunk in 0..self.chunk_pages {
-            for element in 0..elements {
-                let before_failure =
-                    chunk < failed_chunk || (chunk == failed_chunk && element < failed_element);
-                let is_failed = chunk == failed_chunk && element == failed_element;
-                if before_failure {
-                    self.flash.invalidate(ossd_flash::PhysPageAddr {
-                        element: ElementId(element),
-                        block: superblock,
-                        page: row * self.chunk_pages + chunk,
-                    })?;
-                } else if !is_failed {
-                    self.flash.skip_page(ElementId(element), superblock)?;
-                }
-            }
+        let mut row = self.row_addrs(superblock, row);
+        for addr in row.by_ref().take_while(|&addr| addr != failed) {
+            self.flash.invalidate(addr)?;
+        }
+        // `take_while` took `failed` itself: what is left comes after it.
+        for addr in row {
+            self.flash.skip_page(addr.element, superblock)?;
         }
         self.telemetry.instant_now(
-            Track::Element(failed_element),
+            Track::Element(failed.element.0),
             EventKind::ProgramFail,
             superblock as u64,
-            failed_element as u64,
+            failed.element.0 as u64,
         );
-        let sb = &mut self.superblocks[superblock as usize];
-        sb.write_ptr += 1;
-        sb.retire_pending = true;
-        // The burned row is a fresh stale slot: the superblock becomes (or
-        // stays) a cleaning candidate, which is how it gets reclaimed and
-        // then retired.
-        self.index.on_skip(superblock);
-        self.free_slots -= 1;
-        // Stop appending to the suspect superblock; cleaning will reclaim
-        // and retire it.
-        self.active_superblock = None;
+        self.pool.burned(AppendPoint::Data, superblock);
         Ok(())
     }
 
@@ -620,18 +467,11 @@ impl StripeFtl {
         Ok(())
     }
 
-    fn free_slot_fraction(&self) -> f64 {
-        if self.total_slots == 0 {
-            return 0.0;
-        }
-        self.free_slots as f64 / self.total_slots as f64
-    }
-
     /// Policy-driven cleaning of one superblock; returns false when nothing
-    /// could be reclaimed.  The incremental [`VictimIndex`] treats each
-    /// superblock as one "block" of `slots_per_superblock` pages (the
-    /// mapping granularity of this FTL), so the same policy objects drive
-    /// both FTLs; the active superblock is excluded at pick time.
+    /// could be reclaimed.  The pool treats each superblock as one "block"
+    /// of `slots_per_superblock` pages (the mapping granularity of this
+    /// FTL), so the same policy objects drive both FTLs; the active
+    /// superblock is excluded at pick time.
     ///
     /// Deliberate behaviour change vs. the pre-policy cleaner: the shared
     /// `Greedy` breaks equal-staleness ties towards the superblock with
@@ -640,12 +480,7 @@ impl StripeFtl {
     /// pinned bit-for-bit across index refactors
     /// (`greedy_victim_sequence_is_pinned_across_index_refactors`).
     fn clean_one_superblock(&mut self, ops: &mut Vec<FlashOp>) -> Result<bool, FtlError> {
-        let ctx = PickContext {
-            clock: self.clock,
-            exclude: self.active_superblock,
-            exclude2: None,
-        };
-        let Some(victim) = self.policy.select_from_index(&mut self.index, &ctx) else {
+        let Some(victim) = self.pool.pick(&mut self.policy, self.clock, false) else {
             return Ok(false);
         };
         if let Some(trace) = self.victim_trace.as_mut() {
@@ -657,74 +492,63 @@ impl StripeFtl {
             victim as u64,
             OpPurpose::Clean.telemetry_code(),
         );
-        // Move live stripes.
-        let live: Vec<(u32, u64)> = self.superblocks[victim as usize]
-            .slot_lpns
-            .iter()
-            .enumerate()
-            .filter(|(_, &lpn)| lpn != UNMAPPED)
-            .map(|(row, &lpn)| (row as u32, lpn))
-            .collect();
-        for (row, lpn) in live {
-            let slot = victim as u64 * self.slots_per_superblock as u64 + row as u64;
-            // Read the stripe out (internal move) then rewrite it at the
-            // append point.
-            self.read_slot_pages_internal(slot, ops)?;
-            self.program_stripe(Lpn(lpn), OpPurpose::Clean, true, ops)?;
-            let _ = slot;
-        }
-        let elements = self.flash.geometry().elements();
-        let reclaimed = self.superblocks[victim as usize].write_ptr as u64;
+        // Move the live stripes: read each out (an internal move, no bus
+        // transfer) and rewrite it at the append point.
+        let slots = self.slots_per_superblock as usize;
+        let mut live = std::mem::take(&mut self.live);
+        live.clear();
+        live.extend(
+            (0..self.slots_per_superblock)
+                .zip(
+                    self.slot_lpns[victim as usize * slots..][..slots]
+                        .iter()
+                        .copied(),
+                )
+                .filter(|&(_, lpn)| lpn != UNMAPPED),
+        );
+        let moved = live.iter().try_for_each(|&(row, lpn)| {
+            for addr in self.row_addrs(victim, row) {
+                // Cleaning moves the stripe regardless of its raw error
+                // count; the reliability outcome is recorded in the flash
+                // counters but does not abort the relocation.
+                let _ = self.flash.read(addr)?;
+                ops.push(FlashOp::gc_copyback(addr.element));
+            }
+            self.program_stripe(Lpn(lpn), OpPurpose::Clean, true, ops)
+        });
+        self.live = live;
+        moved?;
         // Deferred retirement after a program failure: the live stripes are
         // out, so take the whole lockstep group out of service without
         // spending erases on it.
-        if self.superblocks[victim as usize].retire_pending {
+        if self.pool.retire_pending(victim) {
             self.retire_superblock(victim)?;
             return Ok(true);
         }
         // Erase the victim's block on every element; an erase failure on
         // any element retires the whole group (a grown bad superblock).
-        let mut erase_failed = false;
-        for element in 0..elements {
-            match self.flash.erase(ElementId(element), victim) {
-                Ok(()) => {}
-                Err(FlashError::EraseFailed { .. }) => {
-                    // The failed erase still took the erase latency; stop
-                    // erasing the siblings — the group is dead either way.
-                    ops.push(FlashOp {
-                        element: ElementId(element),
-                        kind: FlashOpKind::EraseBlock,
-                        purpose: OpPurpose::Clean,
-                    });
-                    self.telemetry.instant_now(
-                        Track::Element(element),
-                        EventKind::EraseFail,
-                        victim as u64,
-                        element as u64,
-                    );
-                    erase_failed = true;
-                    break;
-                }
+        let elements = self.flash.geometry().elements();
+        for element in (0..elements).map(ElementId) {
+            let failed = match self.flash.erase(element, victim) {
+                Ok(()) => false,
+                Err(FlashError::EraseFailed { .. }) => true,
                 Err(e) => return Err(e.into()),
+            };
+            // A failed erase still took the erase latency.
+            ops.push(FlashOp::gc_erase(element));
+            if failed {
+                self.telemetry.instant_now(
+                    Track::Element(element.0),
+                    EventKind::EraseFail,
+                    victim as u64,
+                    element.0 as u64,
+                );
+                // The siblings stay unerased: the group is dead either way.
+                self.retire_superblock(victim)?;
+                return Ok(true);
             }
-            ops.push(FlashOp {
-                element: ElementId(element),
-                kind: FlashOpKind::EraseBlock,
-                purpose: OpPurpose::Clean,
-            });
         }
-        if erase_failed {
-            self.retire_superblock(victim)?;
-            return Ok(true);
-        }
-        let sb = &mut self.superblocks[victim as usize];
-        sb.slot_lpns.fill(UNMAPPED);
-        sb.write_ptr = 0;
-        sb.valid = 0;
-        sb.erase_count += 1;
-        self.index.on_erase(victim);
-        self.free_superblocks.push(victim);
-        self.free_slots += reclaimed;
+        self.pool.recycled(victim);
         self.stats.gc_blocks_erased += elements as u64;
         Ok(true)
     }
@@ -733,55 +557,18 @@ impl StripeFtl {
     /// element's block (live data must already have been relocated) and
     /// forfeits its unwritten slots from the free-space accounting.
     fn retire_superblock(&mut self, superblock: u32) -> Result<(), FtlError> {
-        let elements = self.flash.geometry().elements();
-        for element in 0..elements {
+        for element in 0..self.flash.geometry().elements() {
             // Idempotent: the element whose erase failed is already bad.
             self.flash.retire(ElementId(element), superblock)?;
         }
         self.telemetry
             .instant_now(Track::Device, EventKind::BlockRetired, superblock as u64, 0);
-        let sb = &mut self.superblocks[superblock as usize];
-        debug_assert_eq!(sb.valid, 0, "retiring a superblock with live stripes");
-        let unwritten = (sb.slots() - sb.write_ptr) as u64;
-        sb.bad = true;
-        sb.retire_pending = false;
-        self.index.on_retire(superblock);
-        self.free_slots -= unwritten;
-        Ok(())
-    }
-
-    /// Reads every page of a live stripe without bus transfers (GC move).
-    fn read_slot_pages_internal(
-        &mut self,
-        slot: u64,
-        ops: &mut Vec<FlashOp>,
-    ) -> Result<(), FtlError> {
-        let superblock = self.slot_superblock(slot);
-        let row = self.slot_row(slot);
-        let elements = self.flash.geometry().elements();
-        for chunk in 0..self.chunk_pages {
-            for element in 0..elements {
-                let page = row * self.chunk_pages + chunk;
-                // Cleaning moves the stripe regardless of its raw error
-                // count; the reliability outcome is recorded in the flash
-                // counters but does not abort the relocation.
-                let _ = self.flash.read(ossd_flash::PhysPageAddr {
-                    element: ElementId(element),
-                    block: superblock,
-                    page,
-                })?;
-                ops.push(FlashOp {
-                    element: ElementId(element),
-                    kind: FlashOpKind::CopybackPage,
-                    purpose: OpPurpose::Clean,
-                });
-            }
-        }
+        self.pool.retired(superblock);
         Ok(())
     }
 
     fn maybe_clean(&mut self, ops: &mut Vec<FlashOp>) -> Result<(), FtlError> {
-        let free_fraction = self.free_slot_fraction();
+        let free_fraction = self.pool.free_fraction();
         if free_fraction >= self.config.gc_low_watermark {
             return Ok(());
         }
@@ -793,7 +580,9 @@ impl StripeFtl {
             0,
         );
         let mut passes = 0;
-        while self.free_slot_fraction() < self.config.gc_low_watermark && passes < 4 {
+        while self.pool.free_fraction() < self.config.gc_low_watermark
+            && passes < MAX_VICTIMS_PER_PASS
+        {
             if !self.clean_one_superblock(ops)? {
                 break;
             }
@@ -822,7 +611,7 @@ impl Ftl for StripeFtl {
         covered_bytes: u64,
         ops: &mut Vec<FlashOp>,
     ) -> Result<bool, FtlError> {
-        self.check_lpn(lpn)?;
+        lpn.check(self.logical_pages)?;
         self.stats.host_reads += 1;
         // Reads of a stripe still sitting in the open buffer are served from
         // RAM.
@@ -855,7 +644,7 @@ impl Ftl for StripeFtl {
         _ctx: &WriteContext,
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError> {
-        self.check_lpn(lpn)?;
+        lpn.check(self.logical_pages)?;
         self.stats.host_writes += 1;
         self.clock += 1;
         self.maybe_clean(ops)?;
@@ -895,7 +684,7 @@ impl Ftl for StripeFtl {
     }
 
     fn free(&mut self, lpn: Lpn) -> Result<bool, FtlError> {
-        self.check_lpn(lpn)?;
+        lpn.check(self.logical_pages)?;
         if !self.config.honor_free {
             return Ok(false);
         }
@@ -922,21 +711,8 @@ impl Ftl for StripeFtl {
         self.stats
     }
 
-    fn map_stats(&self) -> ossd_mapcache::MapStats {
-        // The stripe map holds one entry per logical *stripe* (not per
-        // flash page), which is exactly why low-end devices get away with
-        // a fully resident table: coarse mapping shrinks it by the
-        // stripe-to-page ratio.  Resident equals total — nothing is paged.
-        let bytes = self.map.len() as u64 * ossd_mapcache::ENTRY_BYTES;
-        ossd_mapcache::MapStats {
-            bytes_resident: bytes,
-            bytes_total: bytes,
-            ..ossd_mapcache::MapStats::default()
-        }
-    }
-
     fn free_page_fraction(&self) -> f64 {
-        self.free_slot_fraction()
+        self.pool.free_fraction()
     }
 
     fn is_mapped(&self, lpn: Lpn) -> bool {
@@ -959,11 +735,11 @@ impl Ftl for StripeFtl {
     }
 
     fn gc_backlog_blocks(&self) -> u64 {
-        self.index.len() as u64
+        self.pool.backlog_blocks()
     }
 
     fn gc_stale_pages(&self) -> u64 {
-        self.index.stale_pages()
+        self.pool.stale_pages()
     }
 }
 

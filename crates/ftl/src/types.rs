@@ -17,6 +17,17 @@ impl Lpn {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The range check every host entry point starts with.
+    pub(crate) fn check(self, logical_pages: u64) -> Result<(), FtlError> {
+        if self.0 >= logical_pages {
+            return Err(FtlError::LpnOutOfRange {
+                lpn: self,
+                logical_pages,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// The kind of a scheduled flash operation.
@@ -131,6 +142,21 @@ impl FlashOp {
             element,
             kind: FlashOpKind::CopybackPage,
             purpose: OpPurpose::Clean,
+        }
+    }
+
+    /// A page program on behalf of `purpose`: a copy-back when the data is
+    /// already in the element (cleaning, wear-leveling), a bus transfer and
+    /// program otherwise.  A failed attempt is billed the same op.
+    pub(crate) fn program_for(element: ElementId, purpose: OpPurpose) -> Self {
+        FlashOp {
+            element,
+            kind: if purpose.is_background() {
+                FlashOpKind::CopybackPage
+            } else {
+                FlashOpKind::ProgramPage
+            },
+            purpose,
         }
     }
 
@@ -489,7 +515,11 @@ pub trait Ftl: Send {
     /// Mapping-table statistics: SRAM footprint (resident vs. full-table
     /// bytes) and, for a demand-paged FTL, the map-cache hit/miss/evict/
     /// writeback counters.  The default reports a fully resident table —
-    /// the whole map in SRAM, no cache traffic.
+    /// the whole map in SRAM, no cache traffic.  That is the stripe FTL's
+    /// answer: its map holds one entry per logical *stripe* (not per flash
+    /// page), which is exactly why low-end devices get away with a fully
+    /// resident table — coarse mapping shrinks it by the stripe-to-page
+    /// ratio.
     fn map_stats(&self) -> ossd_mapcache::MapStats {
         let bytes = self.logical_pages() * ossd_mapcache::ENTRY_BYTES;
         ossd_mapcache::MapStats {

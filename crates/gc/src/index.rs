@@ -199,6 +199,13 @@ impl VictimIndex {
         self.slots[block as usize].erase
     }
 
+    /// Pages of `block` consumed since its last erase: valid plus stale
+    /// (where the block's write pointer stands).
+    pub fn written(&self, block: u32) -> u32 {
+        let slot = &self.slots[block as usize];
+        slot.valid + slot.invalid
+    }
+
     /// Whether `block` is currently a cleaning candidate.
     pub fn is_member(&self, block: u32) -> bool {
         self.slots[block as usize].is_member()

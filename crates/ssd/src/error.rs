@@ -65,11 +65,10 @@ impl From<SsdError> for DeviceError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ossd_ftl::Lpn;
 
     #[test]
     fn conversions_and_display() {
-        let ftl_err: SsdError = FtlError::ReadUnmapped { lpn: Lpn(3) }.into();
+        let ftl_err: SsdError = FtlError::NoFreeBlocks { element: 3 }.into();
         assert!(ftl_err.to_string().contains("FTL error"));
         let dev_err: SsdError = DeviceError::EmptyRequest.into();
         assert!(dev_err.to_string().contains("device error"));

@@ -153,14 +153,6 @@ pub enum EventKind {
     /// Instant: a queue-pair session was arbitrated.  `a` = commands,
     /// `b` = initiators.
     SessionArbitrated,
-    // -- fleet redundancy (device track of the fleet-level recorder) ---------
-    /// Span: one rebuild chunk — survivor reads through the replacement
-    /// write.  `a` = target device, `b` = bytes copied.
-    RebuildCopy,
-    /// Span: a degraded or repair read served by XOR reconstruction across
-    /// the surviving members.  `a` = parent command id, `b` = the member
-    /// whose data was reconstructed.
-    ReconstructRead,
 }
 
 impl EventKind {
@@ -184,8 +176,6 @@ impl EventKind {
                 | EventKind::FlashMapWrite
                 | EventKind::DeviceIdle
                 | EventKind::GcBackgroundWindow
-                | EventKind::RebuildCopy
-                | EventKind::ReconstructRead
         )
     }
 
@@ -218,8 +208,6 @@ impl EventKind {
             EventKind::EraseFail => "erase-fail",
             EventKind::BlockRetired => "block-retired",
             EventKind::SessionArbitrated => "session-arbitrated",
-            EventKind::RebuildCopy => "rebuild-copy",
-            EventKind::ReconstructRead => "reconstruct-read",
         }
     }
 
@@ -252,7 +240,6 @@ impl EventKind {
             | EventKind::EraseFail
             | EventKind::BlockRetired => "reliability",
             EventKind::SessionArbitrated => "session",
-            EventKind::RebuildCopy | EventKind::ReconstructRead => "fleet",
         }
     }
 
@@ -283,8 +270,6 @@ impl EventKind {
                 [Some("block"), Some("element")]
             }
             EventKind::SessionArbitrated => [Some("commands"), Some("initiators")],
-            EventKind::RebuildCopy => [Some("target"), Some("bytes")],
-            EventKind::ReconstructRead => [Some("id"), Some("device")],
         }
     }
 
@@ -337,10 +322,6 @@ mod tests {
         assert!(!EventKind::GcVictimPick.is_span());
         assert!(!EventKind::ProgramFail.is_span());
         assert!(!EventKind::SessionArbitrated.is_span());
-        assert!(EventKind::RebuildCopy.is_span());
-        assert!(EventKind::ReconstructRead.is_span());
-        assert_eq!(EventKind::RebuildCopy.category(), "fleet");
-        assert_eq!(EventKind::ReconstructRead.name(), "reconstruct-read");
     }
 
     #[test]
