@@ -262,10 +262,7 @@ impl FlashArray {
         blk.room_for(element, block, n)?;
         let wear = self.wear_of(element, block)?;
         let model = self.reliability.as_mut().expect("checked above");
-        let mut landed = 0;
-        while landed < n && !model.program_fails(wear) {
-            landed += 1;
-        }
+        let landed = model.programs_landing(wear, n);
         let target = self.element_mut(element)?;
         let pages = target.program_run(block, landed)?;
         if landed < n {

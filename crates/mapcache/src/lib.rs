@@ -22,9 +22,26 @@
 //!
 //! The cache is a pure, deterministic data structure: it never performs
 //! I/O itself but tells its caller (the FTL) exactly which translation
-//! pages to read and write back.  All iteration orders are deterministic
-//! (the internal hash index is only ever probed by key; writeback batches
-//! are sorted), so seeded simulations stay bit-for-bit reproducible.
+//! pages to read and write back.
+//!
+//! # Layout
+//!
+//! Entries live in a slot array threaded by the recency list.  An lpn
+//! finds its slot through a hash index keyed with a fixed multiplicative
+//! hash — one multiply and a fold, no SipHash.  The index is only ever
+//! probed by key and never iterated, so its hash function cannot reach a
+//! result, and seeded simulations stay bit-for-bit reproducible.  Each
+//! translation page's dirty entries form a list threaded through their
+//! slots, headed from a table indexed by tpn: marking an entry dirty or
+//! clean is O(1) and allocates nothing, a writeback walks one list
+//! ([`MapCache::writeback`]), and [`MapCache::drain_dirty`] walks the
+//! table in tpn order.  Memory is O(budget + translation pages): the slots
+//! and index are bounded by the entry budget and the head table holds
+//! 4 bytes per translation page up to the highest one dirtied.  Nothing is
+//! indexed by lpn, which at paper scale would cost more than the map the
+//! cache stands in for; nor does any list keep a buffer, which would grow
+//! to the peak dirty count of every translation page (whole pages, on a
+//! sequential fill) — O(logical pages) again.
 //!
 //! With an infinite budget ([`MapCacheConfig::entry_budget`]` = None`) the
 //! cache never evicts, therefore never writes back, therefore never
@@ -36,11 +53,38 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Bytes per map entry (a packed 64-bit physical page number).
 pub const ENTRY_BYTES: u64 = 8;
 
 const NIL: u32 = u32::MAX;
+
+/// The index's hash: Fibonacci hashing of the `u64` lpn, with the high
+/// half folded into the low half that picks the bucket.  Keys come from
+/// the simulator, not an adversary, so a keyed hash buys nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+struct LpnHasher(u64);
+
+impl Hasher for LpnHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(byte as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type LpnIndex = HashMap<u64, u32, BuildHasherDefault<LpnHasher>>;
 
 /// Eviction policy of the map cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -157,9 +201,10 @@ impl MapStats {
 /// An entry pushed out of the cache by [`MapCache::insert`].
 ///
 /// A dirty eviction obliges the caller to write the entry's translation
-/// page back: call [`MapCache::writeback_batch`] with the evicted pair to
-/// collect every dirty sibling of the same translation page into one
-/// batched read-modify-write.
+/// page back: call [`MapCache::writeback`] (or
+/// [`MapCache::writeback_batch`] with the evicted pair) so that every
+/// dirty sibling of the same translation page rides along in one batched
+/// read-modify-write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Eviction {
     /// Logical page number of the evicted entry.
@@ -181,8 +226,24 @@ struct Slot {
     /// the LRU tail.
     prev: u32,
     next: u32,
-    /// Position in its translation page's dirty-slot vector while dirty.
-    dirty_pos: u32,
+    /// Links of its translation page's dirty list while dirty.
+    dirty_prev: u32,
+    dirty_next: u32,
+}
+
+impl Slot {
+    fn new(lpn: u64, ppn: u64) -> Slot {
+        Slot {
+            lpn,
+            ppn,
+            dirty: false,
+            referenced: true,
+            prev: NIL,
+            next: NIL,
+            dirty_prev: NIL,
+            dirty_next: NIL,
+        }
+    }
 }
 
 /// The SRAM-budgeted map cache.  See the crate docs for the model.
@@ -194,7 +255,7 @@ pub struct MapCache {
     free: Vec<u32>,
     /// lpn → slot.  Only ever probed by key (never iterated), so the
     /// hash map cannot leak nondeterminism into the simulation.
-    index: HashMap<u64, u32>,
+    index: LpnIndex,
     /// MRU end of the recency list.
     head: u32,
     /// LRU end of the recency list.
@@ -202,9 +263,11 @@ pub struct MapCache {
     /// CLOCK hand: the next slot the sweep examines (NIL restarts at the
     /// tail).
     hand: u32,
-    /// tpn → dirty slots of that translation page (batched writeback).
-    /// Only ever probed by key; batch order is sorted by lpn on drain.
-    dirty_by_tpn: HashMap<u64, Vec<u32>>,
+    /// tpn → first slot of that translation page's dirty list (batched
+    /// writeback), NIL when it has none; grown to the highest tpn dirtied.
+    dirty_heads: Vec<u32>,
+    /// Dirty entries across all the dirty lists.
+    dirty_count: usize,
     hits: u64,
     misses: u64,
     evictions_clean: u64,
@@ -222,11 +285,12 @@ impl MapCache {
             entries_per_tp: entries_per_tp.max(1),
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: LpnIndex::default(),
             head: NIL,
             tail: NIL,
             hand: NIL,
-            dirty_by_tpn: HashMap::new(),
+            dirty_heads: Vec::new(),
+            dirty_count: 0,
             hits: 0,
             misses: 0,
             evictions_clean: 0,
@@ -263,7 +327,7 @@ impl MapCache {
 
     /// Dirty entries awaiting writeback.
     pub fn dirty_len(&self) -> usize {
-        self.dirty_by_tpn.values().map(Vec::len).sum()
+        self.dirty_count
     }
 
     /// Looks `lpn` up, counting a hit or miss and touching the entry for
@@ -301,8 +365,7 @@ impl MapCache {
 
     /// Inserts (or updates) `lpn → ppn`, evicting one entry first when the
     /// budget is full.  A returned dirty [`Eviction`] obliges the caller
-    /// to write back its translation page (see
-    /// [`MapCache::writeback_batch`]).
+    /// to write back its translation page (see [`MapCache::writeback`]).
     pub fn insert(&mut self, lpn: u64, ppn: u64, dirty: bool) -> Option<Eviction> {
         if let Some(&slot) = self.index.get(&lpn) {
             self.slots[slot as usize].ppn = ppn;
@@ -317,28 +380,14 @@ impl MapCache {
             _ => None,
         };
         let slot = match self.free.pop() {
-            Some(slot) => slot,
+            Some(slot) => {
+                self.slots[slot as usize] = Slot::new(lpn, ppn);
+                slot
+            }
             None => {
-                self.slots.push(Slot {
-                    lpn: 0,
-                    ppn: 0,
-                    dirty: false,
-                    referenced: false,
-                    prev: NIL,
-                    next: NIL,
-                    dirty_pos: NIL,
-                });
+                self.slots.push(Slot::new(lpn, ppn));
                 (self.slots.len() - 1) as u32
             }
-        };
-        self.slots[slot as usize] = Slot {
-            lpn,
-            ppn,
-            dirty: false,
-            referenced: true,
-            prev: NIL,
-            next: NIL,
-            dirty_pos: NIL,
         };
         self.index.insert(lpn, slot);
         self.push_front(slot);
@@ -364,35 +413,52 @@ impl MapCache {
         true
     }
 
-    /// Collects the batched writeback for translation page `tpn`: every
-    /// dirty cached entry of that page (marked clean, but kept cached)
-    /// plus the just-evicted pair, sorted by lpn.  Counts one writeback.
-    pub fn writeback_batch(&mut self, tpn: u64, evicted: Option<(u64, u64)>) -> Vec<(u64, u64)> {
-        let mut batch: Vec<(u64, u64)> = Vec::new();
-        if let Some(slots) = self.dirty_by_tpn.remove(&tpn) {
-            for slot in slots {
+    /// Writes back translation page `tpn`: marks every dirty cached entry
+    /// of that page clean (they stay cached) and counts one writeback of
+    /// them, plus the just-evicted entry when `evicted`.  Returns how many
+    /// entries the writeback carried.
+    pub fn writeback(&mut self, tpn: u64, evicted: bool) -> usize {
+        let mut written = usize::from(evicted);
+        if let Some(head) = self.dirty_heads.get_mut(tpn as usize) {
+            let mut slot = std::mem::replace(head, NIL);
+            while slot != NIL {
                 let s = &mut self.slots[slot as usize];
                 debug_assert!(s.dirty);
                 s.dirty = false;
-                s.dirty_pos = NIL;
-                batch.push((s.lpn, s.ppn));
+                s.dirty_prev = NIL;
+                slot = std::mem::replace(&mut s.dirty_next, NIL);
+                written += 1;
             }
         }
-        if let Some(pair) = evicted {
-            batch.push(pair);
+        self.dirty_count -= written - usize::from(evicted);
+        self.writebacks += 1;
+        self.entries_written_back += written as u64;
+        written
+    }
+
+    /// [`MapCache::writeback`], returning the batch written: every dirty
+    /// cached entry of `tpn` plus the just-evicted pair, sorted by lpn.
+    pub fn writeback_batch(&mut self, tpn: u64, evicted: Option<(u64, u64)>) -> Vec<(u64, u64)> {
+        let mut batch: Vec<(u64, u64)> = evicted.into_iter().collect();
+        let mut slot = self.dirty_heads.get(tpn as usize).copied().unwrap_or(NIL);
+        while slot != NIL {
+            let s = &self.slots[slot as usize];
+            batch.push((s.lpn, s.ppn));
+            slot = s.dirty_next;
         }
         batch.sort_unstable();
-        self.writebacks += 1;
-        self.entries_written_back += batch.len() as u64;
+        let written = self.writeback(tpn, evicted.is_some());
+        debug_assert_eq!(written, batch.len());
         batch
     }
 
     /// Drains every dirty entry as `(tpn, batch)` groups in ascending tpn
     /// order (flush/shutdown).  All drained entries stay cached, clean.
     pub fn drain_dirty(&mut self) -> Vec<(u64, Vec<(u64, u64)>)> {
-        let mut tpns: Vec<u64> = self.dirty_by_tpn.keys().copied().collect();
-        tpns.sort_unstable();
-        tpns.into_iter()
+        (0..self.dirty_heads.len() as u64)
+            .filter(|&tpn| self.dirty_heads[tpn as usize] != NIL)
+            .collect::<Vec<u64>>()
+            .into_iter()
             .map(|tpn| (tpn, self.writeback_batch(tpn, None)))
             .collect()
     }
@@ -428,36 +494,46 @@ impl MapCache {
         if already {
             return;
         }
-        let tpn = self.tpn_of(lpn);
-        let list = self.dirty_by_tpn.entry(tpn).or_default();
-        self.slots[slot as usize].dirty = true;
-        self.slots[slot as usize].dirty_pos = list.len() as u32;
-        list.push(slot);
+        let tpn = self.tpn_of(lpn) as usize;
+        if tpn >= self.dirty_heads.len() {
+            self.dirty_heads.resize(tpn + 1, NIL);
+        }
+        let next = std::mem::replace(&mut self.dirty_heads[tpn], slot);
+        if next != NIL {
+            self.slots[next as usize].dirty_prev = slot;
+        }
+        let s = &mut self.slots[slot as usize];
+        s.dirty = true;
+        s.dirty_prev = NIL;
+        s.dirty_next = next;
+        self.dirty_count += 1;
     }
 
     fn set_clean(&mut self, slot: u32) {
-        let (lpn, dirty, pos) = {
-            let s = &self.slots[slot as usize];
-            (s.lpn, s.dirty, s.dirty_pos)
-        };
+        let Slot {
+            lpn,
+            dirty,
+            dirty_prev: prev,
+            dirty_next: next,
+            ..
+        } = self.slots[slot as usize];
         if !dirty {
             return;
         }
-        let tpn = self.tpn_of(lpn);
-        let list = self
-            .dirty_by_tpn
-            .get_mut(&tpn)
-            .expect("dirty slot has a tpn list");
-        list.swap_remove(pos as usize);
-        if let Some(&moved) = list.get(pos as usize) {
-            self.slots[moved as usize].dirty_pos = pos;
+        if prev != NIL {
+            self.slots[prev as usize].dirty_next = next;
+        } else {
+            let tpn = self.tpn_of(lpn) as usize;
+            self.dirty_heads[tpn] = next;
         }
-        if list.is_empty() {
-            self.dirty_by_tpn.remove(&tpn);
+        if next != NIL {
+            self.slots[next as usize].dirty_prev = prev;
         }
+        self.dirty_count -= 1;
         let s = &mut self.slots[slot as usize];
         s.dirty = false;
-        s.dirty_pos = NIL;
+        s.dirty_prev = NIL;
+        s.dirty_next = NIL;
     }
 
     fn push_front(&mut self, slot: u32) {
@@ -710,8 +786,8 @@ mod tests {
         c.insert(1, 2, true); // same tpn (entries_per_tp = 4)
         let ev = c.insert(4, 3, false).expect("evicts 0");
         assert_eq!((ev.lpn, ev.dirty), (0, true));
-        // Slot 1 must still be tracked dirty under tpn 0 after slot 0's
-        // swap_remove from the same list.
+        // Slot 1 must still be tracked dirty under tpn 0 after slot 0 was
+        // unlinked from the same list.
         let batch = c.writeback_batch(0, Some((ev.lpn, ev.ppn)));
         assert_eq!(batch, vec![(0, 1), (1, 2)]);
     }

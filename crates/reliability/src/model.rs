@@ -70,6 +70,15 @@ impl FaultInjector {
         self.rng.chance(p)
     }
 
+    /// How many of `n` consecutive page programs on a block at the given
+    /// wear succeed before the first failure: the draws of calling
+    /// [`FaultInjector::program_fails`] until one fails or `n` have
+    /// succeeded, from one computed probability.
+    pub(crate) fn programs_landing(&mut self, wear: f64, n: u32) -> u32 {
+        let p = self.wear_scaled(self.config.program_fail_base, wear);
+        (0..n).take_while(|_| !self.rng.chance(p)).count() as u32
+    }
+
     /// Whether a block erase fails at the given wear.
     pub fn erase_fails(&mut self, wear: f64) -> bool {
         let p = self.wear_scaled(self.config.erase_fail_base, wear);
@@ -133,9 +142,13 @@ impl ReliabilityModel {
         self.injector.factory_bad()
     }
 
-    /// Whether a page program fails at the given wear.
-    pub fn program_fails(&mut self, wear: f64) -> bool {
-        self.injector.program_fails(wear)
+    /// How many of `n` consecutive page programs at the given wear land
+    /// before the first failure, `n` when none fails.  The failure
+    /// probability is computed once for the run; the draws are those of
+    /// calling [`FaultInjector::program_fails`] until one fails or `n`
+    /// have succeeded.
+    pub fn programs_landing(&mut self, wear: f64, n: u32) -> u32 {
+        self.injector.programs_landing(wear, n)
     }
 
     /// Whether a block erase fails at the given wear.
@@ -182,7 +195,8 @@ mod tests {
         let mut b = ReliabilityModel::new(&faulty());
         for i in 0..2000 {
             let wear = i as f64 / 500.0;
-            assert_eq!(a.program_fails(wear), b.program_fails(wear));
+            let n = (i % 5) as u32;
+            assert_eq!(a.programs_landing(wear, n), b.programs_landing(wear, n));
             assert_eq!(a.erase_fails(wear), b.erase_fails(wear));
             assert_eq!(a.read_outcome(wear, i), b.read_outcome(wear, i));
         }
@@ -194,10 +208,41 @@ mod tests {
         // installed model with zero probabilities must be inert.
         let mut m = ReliabilityModel::new(&ReliabilityConfig::none());
         for i in 0..500 {
-            assert!(!m.program_fails(2.0));
+            assert_eq!(m.programs_landing(2.0, 8), 8);
             assert!(!m.erase_fails(2.0));
             assert_eq!(m.read_outcome(2.0, i), ReadStatus::clean());
         }
+    }
+
+    /// The run form is the per-page loop it replaced: same landed count and
+    /// the random stream left where the loop leaves it (the erase draw
+    /// after each run checks that), at wears where failures are common.
+    #[test]
+    fn programs_landing_equals_one_program_fails_draw_per_page() {
+        let config = FaultConfig {
+            program_fail_base: 0.01,
+            fail_wear_growth: 2.0,
+            ..FaultConfig::wearout(11)
+        };
+        let mut run = FaultInjector::new(config);
+        let mut single = FaultInjector::new(config);
+        let (mut short, mut full) = (0, 0);
+        for i in 0..5_000u32 {
+            let wear = (i % 100) as f64 / 100.0;
+            let n = i % 40;
+            let mut landed = 0;
+            while landed < n && !single.program_fails(wear) {
+                landed += 1;
+            }
+            assert_eq!(run.programs_landing(wear, n), landed, "run {i}");
+            assert_eq!(run.erase_fails(wear), single.erase_fails(wear), "run {i}");
+            if landed < n {
+                short += 1;
+            } else {
+                full += 1;
+            }
+        }
+        assert!(short > 1_000 && full > 1_000, "{short} short, {full} full");
     }
 
     #[test]
