@@ -391,13 +391,14 @@ impl HostQueue {
         self.submitted
     }
 
-    /// Device side: consumes every pending submission.  The commands stay
-    /// in the in-flight count until their completions are posted — devices
-    /// call this only for sessions whose completions they are about to
-    /// post ([`complete_session`] pairs the two).  Hosts abandoning
-    /// commands use [`HostQueue::cancel_submissions`] instead.
-    pub fn take_submissions(&mut self) -> Vec<SubmittedCommand> {
-        self.submissions.drain(..).collect()
+    /// Device side: consumes every pending submission in place (a session
+    /// has already read them through [`arbitrate_round_robin`]).  The
+    /// commands stay in the in-flight count until their completions are
+    /// posted — devices call this only for sessions whose completions they
+    /// are about to post ([`complete_session`] pairs the two).  Hosts
+    /// abandoning commands use [`HostQueue::cancel_submissions`] instead.
+    pub fn consume_submissions(&mut self) {
+        self.submissions.clear();
     }
 
     /// Host side: abandons every pending submission (e.g. after a failed
@@ -503,9 +504,7 @@ pub fn post_completions(queues: &mut [HostQueue], mut completed: Vec<(usize, Com
 /// not drain) and posts the completions.  Device `serve` implementations
 /// call this exactly once, after the whole session executed.
 pub fn complete_session(queues: &mut [HostQueue], completed: Vec<(usize, Completion)>) {
-    for queue in queues.iter_mut() {
-        queue.take_submissions();
-    }
+    queues.iter_mut().for_each(HostQueue::consume_submissions);
     post_completions(queues, completed);
 }
 

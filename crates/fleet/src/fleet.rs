@@ -1248,9 +1248,7 @@ impl Fleet {
         // arbitration order.  `completed` is already in finish order but
         // for such ties and the commands that completed at fan-out.
         completed.sort_by_key(|&(seq, _, c)| (c.finish, seq));
-        for queue in queues.iter_mut() {
-            queue.take_submissions();
-        }
+        queues.iter_mut().for_each(HostQueue::consume_submissions);
         for &(_, initiator, completion) in completed.iter() {
             queues[initiator].post_completion(completion);
         }

@@ -5,11 +5,12 @@
 /// All failure probabilities grow with *wear* — the block's erase count
 /// divided by the part's rated endurance — following the exponential
 /// acceleration real NAND exhibits near end-of-life: a probability `p`
-/// at wear `w` is `base · e^(growth · w)`, clamped to 1.  A block at its
-/// rated endurance (`w = 1`) with `growth = 6` is therefore ~400× more
-/// likely to fail an operation than a pristine one, and the probability
-/// keeps compounding past the rating, which is what drives grown-bad-block
-/// retirement in the lifetime experiments.
+/// at wear `w` is `base · e^(growth · w)`, clamped to 1, and zero at any
+/// wear when `base` is zero.  A block at its rated endurance (`w = 1`)
+/// with `growth = 6` is therefore ~400× more likely to fail an operation
+/// than a pristine one, and the probability keeps compounding past the
+/// rating, which is what drives grown-bad-block retirement in the lifetime
+/// experiments.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the fault stream; the same configuration and operation

@@ -17,6 +17,13 @@
 //!   [`ReadStatus`], the per-read outcome (retries used, corrected bits,
 //!   uncorrectable flag).
 //!
+//! A zero base probability (or a zero `raw_ber_base`) is zero at any wear,
+//! and is returned without evaluating the wear factor: a fault switched
+//! off stays off even where `e^(growth · wear)` overflows to infinity, and
+//! costs no `exp`.  A program run whose failure probability is zero steps
+//! the generator once per page, as the per-page draws would, without the
+//! float comparisons.
+//!
 //! Everything draws from the workspace's vendored xoshiro256++ generator
 //! ([`ossd_sim::SimRng`]) seeded from [`FaultConfig::seed`], so a given
 //! configuration produces the same failure sequence bit-for-bit on every

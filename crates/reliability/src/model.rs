@@ -53,7 +53,14 @@ impl FaultInjector {
         &self.config
     }
 
+    /// `base · e^(fail_wear_growth · wear)`, clamped to 1.  A zero base is
+    /// zero at any wear, and costs no `exp`: at extreme wear the factor
+    /// overflows to ∞, and 0 · ∞ = NaN, which `min(1.0)` would turn into a
+    /// certain failure of a fault that is switched off.
     fn wear_scaled(&self, base: f64, wear: f64) -> f64 {
+        if base == 0.0 {
+            return 0.0;
+        }
         (base * (self.config.fail_wear_growth * wear.max(0.0)).exp()).min(1.0)
     }
 
@@ -76,6 +83,14 @@ impl FaultInjector {
     /// succeeded, from one computed probability.
     pub(crate) fn programs_landing(&mut self, wear: f64, n: u32) -> u32 {
         let p = self.wear_scaled(self.config.program_fail_base, wear);
+        if p == 0.0 {
+            // `chance(0)` is one draw that never succeeds: step the stream
+            // without the comparisons.
+            for _ in 0..n {
+                let _ = self.rng.next_f64();
+            }
+            return n;
+        }
         (0..n).take_while(|_| !self.rng.chance(p)).count() as u32
     }
 
@@ -86,9 +101,15 @@ impl FaultInjector {
     }
 
     /// Mean raw bit errors for a read at the given wear and number of reads
-    /// the block has absorbed since its last erase (retention/disturb).
+    /// the block has absorbed since its last erase (retention/disturb).  A
+    /// zero `raw_ber_base` contributes nothing at any wear.
     pub fn raw_ber_mean(&self, wear: f64, reads_since_erase: u64) -> f64 {
-        let wear_term = self.config.raw_ber_base * (self.config.ber_wear_growth * wear).exp();
+        let base = self.config.raw_ber_base;
+        let wear_term = if base == 0.0 {
+            0.0
+        } else {
+            base * (self.config.ber_wear_growth * wear).exp()
+        };
         let disturb_term = self.config.read_disturb_per_read * reads_since_erase as f64;
         (wear_term + disturb_term).min(MAX_BER_MEAN)
     }
@@ -243,6 +264,40 @@ mod tests {
             }
         }
         assert!(short > 1_000 && full > 1_000, "{short} short, {full} full");
+    }
+
+    /// A fault switched off with a zero base stays off at any wear: past
+    /// `growth · wear` ≈ 709.78 the factor is ∞, and 0 · ∞ = NaN once read
+    /// as a certain failure (and a raw-BER mean at the cap).  A zero-base
+    /// run also leaves the stream where `n` zero-probability draws would.
+    #[test]
+    fn a_zero_base_is_zero_at_any_wear() {
+        let config = FaultConfig {
+            program_fail_base: 0.0,
+            erase_fail_base: 0.5,
+            raw_ber_base: 0.0,
+            ..FaultConfig::wearout(17)
+        };
+        let mut run = FaultInjector::new(config);
+        let mut single = FaultInjector::new(config);
+        for wear in [60.0, 100.0, 1e6, f64::MAX] {
+            assert_eq!(run.wear_scaled(0.0, wear), 0.0);
+            assert_eq!(run.raw_ber_mean(wear, 0), 0.0);
+            assert!(!run.program_fails(wear));
+            assert!(!single.program_fails(wear));
+        }
+        for (wear, n) in [(60.0, 100), (100.0, 3), (f64::MAX, 7)] {
+            assert_eq!(run.programs_landing(wear, n), n);
+            (0..n).for_each(|_| assert!(!single.program_fails(wear)));
+            assert_eq!(run.erase_fails(0.01), single.erase_fails(0.01));
+        }
+        let mut model = ReliabilityModel::new(&ReliabilityConfig {
+            faults: config,
+            ..ReliabilityConfig::none()
+        });
+        assert_eq!(model.read_outcome(100.0, 0), ReadStatus::clean());
+        // A non-zero base at such wear is the certainty it always was.
+        assert_eq!(run.wear_scaled(1e-300, 100.0), 1.0);
     }
 
     #[test]

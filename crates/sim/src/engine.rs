@@ -5,8 +5,9 @@
 //! events: a host request *arrives*, a previously dispatched operation
 //! *starts* on its resource, an operation *completes*, or the device goes
 //! *idle*.  [`run`] is the generic dispatch loop that delivers those events
-//! in deterministic time order from an [`EventQueue`] to
-//! anything implementing [`Controller`].
+//! in deterministic time order — arrivals from a cursor over the arrival
+//! slice, op starts and completions from an [`EventQueue`] — to anything
+//! implementing [`Controller`].
 //!
 //! The engine is what lets requests from different hosts overlap on
 //! different flash elements: instead of committing the controller to one
@@ -19,8 +20,12 @@
 //!
 //! # Event protocol
 //!
-//! 1. Every request arrival is scheduled up front; [`Controller::on_arrival`]
-//!    fires when simulated time reaches it.
+//! 1. Arrivals are delivered from a cursor over the arrival slice in
+//!    `(time, index)` order — the slice itself when it is already sorted by
+//!    time, otherwise a stable index sort of it — and never enter the event
+//!    heap.  [`Controller::on_arrival`] fires when simulated time reaches
+//!    an arrival; every arrival due at an instant is delivered before any op
+//!    event at that instant.
 //! 2. After all events at one timestamp have been delivered, the engine calls
 //!    [`Controller::poll_dispatch_into`] with its own (cleared, reused)
 //!    buffer, repeatedly until the controller leaves the buffer empty.  Each
@@ -31,8 +36,8 @@
 //! 3. Before time advances across a gap while [`Controller::in_flight`] is
 //!    zero, [`Controller::on_idle`] announces the idle window.
 //!
-//! Events at equal timestamps are delivered in scheduling order (FIFO), so
-//! repeated runs of the same configuration produce identical schedules.
+//! Op events at equal timestamps are delivered in scheduling order (FIFO),
+//! so repeated runs of the same configuration produce identical schedules.
 //!
 //! # Thread-safety (`Send`) audit
 //!
@@ -41,8 +46,9 @@
 //! every piece of engine and controller state is owned, not shared:
 //!
 //! * The engine itself is this function's locals plus an [`EngineContext`]
-//!   (the [`EventQueue`] and the dispatch buffer) that the caller owns and
-//!   may reuse across runs; nothing else escapes the call.
+//!   (the [`EventQueue`], the dispatch buffer and the arrival order) that
+//!   the caller owns and may reuse across runs; nothing else escapes the
+//!   call.
 //! * Controllers ([`Controller`] implementations) own their queues, flash
 //!   state, and scratch buffers.  The two trait objects a device carries —
 //!   `Box<dyn Ftl>` and `Box<dyn CleaningPolicy>` — declare `Send` as a
@@ -142,8 +148,8 @@ pub trait Controller {
     fn in_flight(&self) -> usize;
 }
 
+/// What the event heap holds: arrivals come from a cursor instead.
 enum Event {
-    Arrival(usize),
     OpStart(u64),
     OpComplete(u64),
 }
@@ -183,20 +189,24 @@ pub struct NoopObserver;
 
 impl EngineObserver for NoopObserver {}
 
-/// The engine's heap-allocated working state: the event queue and the
-/// buffer controllers dispatch into.  A caller that runs many sessions (the
-/// SSD's depth-1 `submit` runs one per request) keeps one and passes it to
-/// [`run_with`], so a run allocates nothing once the buffers have grown.
+/// The engine's heap-allocated working state: the op-event queue, the
+/// buffer controllers dispatch into and the delivery order of an unsorted
+/// arrival slice.  A caller that runs many sessions (the SSD's depth-1
+/// `submit` runs one per request) keeps one and passes it to [`run_with`],
+/// so a run allocates nothing once the buffers have grown.
 #[derive(Default)]
 pub struct EngineContext {
     events: EventQueue<Event>,
     ops: Vec<DispatchedOp>,
+    /// Arrival indices in `(time, index)` order; filled only for a slice
+    /// that is not already sorted by time.
+    order: Vec<usize>,
 }
 
-/// Runs the dispatch loop to completion: schedules one arrival event per
-/// entry of `arrivals` (index-ordered FIFO among ties) and delivers events
-/// until none remain.  Returns the first controller error, abandoning the
-/// remaining events.
+/// Runs the dispatch loop to completion: delivers one arrival per entry of
+/// `arrivals` (index order among ties) and every op event until none
+/// remain.  Returns the first controller error, abandoning the remaining
+/// events.
 pub fn run<C: Controller>(controller: &mut C, arrivals: &[SimTime]) -> Result<(), C::Error> {
     run_observed(controller, arrivals, &mut NoopObserver)
 }
@@ -224,14 +234,27 @@ pub fn run_with<C: Controller, O: EngineObserver>(
     arrivals: &[SimTime],
     observer: &mut O,
 ) -> Result<(), C::Error> {
-    let EngineContext { events, ops } = context;
+    let EngineContext { events, ops, order } = context;
     // A run abandoned on a controller error leaves its events behind.
     events.clear();
-    for (index, &at) in arrivals.iter().enumerate() {
-        events.push(at, Event::Arrival(index));
+    order.clear();
+    let sorted = arrivals.is_sorted();
+    if !sorted {
+        // Stable, so tied arrivals keep index order.
+        order.extend(0..arrivals.len());
+        order.sort_by_key(|&index| arrivals[index]);
     }
+    let index_at = |position: usize| if sorted { position } else { order[position] };
+    // Position in `(time, index)` order of the next arrival to deliver.
+    let mut next = 0;
     let mut now = SimTime::ZERO;
-    while let Some(batch_time) = events.peek_time() {
+    loop {
+        let next_arrival = (next < arrivals.len()).then(|| arrivals[index_at(next)]);
+        let batch_time = match (next_arrival, events.peek_time()) {
+            (Some(arrival), Some(event)) => arrival.min(event),
+            (Some(time), None) | (None, Some(time)) => time,
+            (None, None) => break,
+        };
         // Simulated time must never run backwards: everything scheduled
         // during a poll at `now` carries a timestamp >= `now`.  A violation
         // would silently corrupt traces and stats, so fail loudly in debug.
@@ -248,13 +271,19 @@ pub fn run_with<C: Controller, O: EngineObserver>(
         now = now.max(batch_time);
         // Deliver every event at this timestamp before asking for new work,
         // so schedulers see all simultaneous arrivals when they pick.
+        // Arrivals due now go before op events due now (protocol step 1).
+        while next < arrivals.len() {
+            let index = index_at(next);
+            if arrivals[index] != batch_time {
+                break;
+            }
+            next += 1;
+            controller.on_arrival(index, now)?;
+            observer.observe_arrival(index, now);
+        }
         while events.peek_time() == Some(batch_time) {
             let (_, event) = events.pop().expect("peeked event exists");
             match event {
-                Event::Arrival(index) => {
-                    controller.on_arrival(index, now)?;
-                    observer.observe_arrival(index, now);
-                }
                 Event::OpStart(token) => {
                     controller.on_op_start(token, now)?;
                     observer.observe_op_start(token, now);
@@ -286,6 +315,11 @@ pub fn run_with<C: Controller, O: EngineObserver>(
     }
     Ok(())
 }
+
+/// The loop before arrivals left the event heap, and the differential test
+/// of [`run_with`] against it.
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

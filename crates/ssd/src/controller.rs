@@ -42,9 +42,12 @@
 //! to the scheduler sits in the *ready list* of its class: class 0 holds
 //! commands whose head op needs no flash element (fences, frees, unwritten
 //! reads, out-of-range hints), class `e + 1` those predicted to occupy
-//! element `e`.  Each list is a min-heap on `(arrival, command index)` —
+//! element `e`.  Each list is a FIFO sorted by `(arrival, command index)` —
 //! the order the engine delivers arrivals in, which is the order the
-//! reference picker [`SchedulerKind::pick`] breaks ties by.  A dispatch
+//! reference picker [`SchedulerKind::pick`] breaks ties by.  So an arrival
+//! is a push to the back; only a command a fence releases can belong
+//! further forward (later arrivals of other initiators went ahead of it),
+//! and only that push is inserted at its sorted position.  A dispatch
 //! decision compares the *heads* only: FCFS takes the smallest
 //! `(arrival, index)`, SWTF the smallest `(element wait, arrival, index)`.
 //! That is exact, not approximate: every queued command has already arrived
@@ -79,8 +82,7 @@
 //! session-sized buffer outlives its session (a fleet member parked between
 //! bursts holds nothing).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use ossd_block::{BlockOpKind, BlockRequest, Completion, CompletionStatus, Priority};
 use ossd_sim::engine::{run_with, Controller, DispatchedOp, EngineContext, NoopObserver};
@@ -181,9 +183,9 @@ impl InitiatorGate {
     }
 }
 
-/// A ready list: arrived, fence-eligible commands of one class, smallest
-/// `(arrival, command index)` first.
-type ReadyList = BinaryHeap<Reverse<(SimTime, usize)>>;
+/// A ready list: arrived, fence-eligible commands of one class as
+/// `(arrival, command index)`, sorted, smallest first.
+type ReadyList = VecDeque<(SimTime, usize)>;
 
 /// The per-session controller state that lives on the heap.
 #[derive(Default)]
@@ -194,6 +196,20 @@ struct SessionState {
     gates: Vec<InitiatorGate>,
     /// One completion per command, stored at dispatch.
     completions: Vec<Option<Completion>>,
+}
+
+/// Queues a command a fence released at its sorted position in its ready
+/// list: commands of other initiators that arrived after it may already be
+/// there.
+fn release(list: &mut ReadyList, entry: (SimTime, usize)) {
+    if list.back().is_none_or(|&last| last < entry) {
+        list.push_back(entry);
+    } else {
+        #[cfg(test)]
+        oracle::SORTED_INSERTS.with(|n| n.set(n.get() + 1));
+        let at = list.partition_point(|&queued| queued < entry);
+        list.insert(at, entry);
+    }
 }
 
 /// Every buffer one session needs, owned by whoever calls
@@ -291,10 +307,10 @@ impl<'a> SsdController<'a> {
         let initiators = commands.iter().map(|c| c.initiator + 1).max().unwrap_or(0);
         // An aborted session leaves its queue behind; reset in place so the
         // lists keep their capacity.
-        state.ready.iter_mut().for_each(BinaryHeap::clear);
+        state.ready.iter_mut().for_each(VecDeque::clear);
         state
             .ready
-            .resize_with(ssd.element_queues().len() + 1, BinaryHeap::new);
+            .resize_with(ssd.element_queues().len() + 1, VecDeque::new);
         state.gates.clear();
         state.gates.resize_with(initiators, InitiatorGate::default);
         state.completions.clear();
@@ -428,7 +444,7 @@ impl<'a> SsdController<'a> {
         let queues = self.ssd.element_queues();
         let mut best: Option<((u64, SimTime, usize), usize)> = None;
         for (class, list) in self.state.ready.iter().enumerate() {
-            let Some(&Reverse((arrival, index))) = list.peek() else {
+            let Some(&(arrival, index)) = list.front() else {
                 continue;
             };
             let wait = match self.scheduler {
@@ -481,7 +497,11 @@ impl Controller for SsdController<'_> {
         }
         let gate = &mut self.state.gates[command.initiator];
         if gate.blocked.is_empty() && gate.admit(command) {
-            self.state.ready[class].push(Reverse((command.arrival, index)));
+            // Arrivals come in `(arrival, index)` order, after every release
+            // at their instant: the back is the sorted position.
+            let list = &mut self.state.ready[class];
+            debug_assert!(list.back() < Some(&(command.arrival, index)));
+            list.push_back((command.arrival, index));
         } else {
             debug_assert!(
                 gate.blocked
@@ -521,7 +541,7 @@ impl Controller for SsdController<'_> {
             let Some((class, index)) = picked else {
                 break;
             };
-            self.state.ready[class].pop();
+            self.state.ready[class].pop_front();
             let command = &self.commands[index];
             self.queued -= 1;
             if command.priority == Priority::High {
@@ -606,7 +626,7 @@ impl Controller for SsdController<'_> {
                 break;
             }
             gate.blocked.pop_front();
-            self.state.ready[class].push(Reverse((command.arrival, index)));
+            release(&mut self.state.ready[class], (command.arrival, index));
         }
         Ok(())
     }
@@ -674,7 +694,9 @@ mod tests {
     /// Submits `count` random commands spread over the queues: writes, reads
     /// (a third of them of unwritten pages), frees, barriers and flushes,
     /// one in ten at high priority; ids are per-queue sequence numbers.
-    /// `gaps` are the inter-arrival choices (all zero for a burst).
+    /// `gaps` are the inter-arrival choices (all zero for a burst).  A
+    /// `fence_share` above zero makes that share of the commands barriers,
+    /// on top of the mix's own fences.
     fn submit_session(
         rng: &mut SimRng,
         queues: &mut [HostQueue],
@@ -682,6 +704,7 @@ mod tests {
         start: SimTime,
         gaps: &[u64],
         count: usize,
+        fence_share: f64,
     ) {
         let mut at = start;
         let mut next_id = vec![0u64; queues.len()];
@@ -689,7 +712,12 @@ mod tests {
             at += SimDuration::from_micros(*rng.choose(gaps).unwrap());
             let range = |lpn: u64| ByteRange::new(lpn * PAGE, PAGE);
             let written = rng.next_u64_below(pages / 2);
-            let command = match rng.next_u64_below(100) {
+            let draw = if fence_share > 0.0 && rng.chance(fence_share) {
+                85 // a barrier
+            } else {
+                rng.next_u64_below(100)
+            };
+            let command = match draw {
                 0..=44 => HostCommand::Write {
                     range: range(written),
                     hint: WriteHint::NONE,
@@ -718,8 +746,9 @@ mod tests {
     }
 
     /// Serves the queues (every dispatch decision passes through the
-    /// oracle) and checks fence ordering on the posted completions
-    /// directly: a fence starts after everything its initiator submitted
+    /// oracle) and checks the posted completions directly: each queue's
+    /// come in the order a stable sort by finish over submission order
+    /// gives; a fence starts after everything its initiator submitted
     /// before it finished, and nothing submitted after it starts before it
     /// finishes.  Returns the latest finish.
     fn serve_and_check(ssd: &mut Ssd, queues: &mut [HostQueue]) -> SimTime {
@@ -739,9 +768,13 @@ mod tests {
         assert!(oracle::DECISIONS.get() - decisions >= total as u64);
         let mut latest = SimTime::ZERO;
         for (queue, is_fence) in queues.iter_mut().zip(&fences) {
-            let mut completions = queue.drain_completions();
-            assert_eq!(completions.len(), is_fence.len());
+            let posted = queue.drain_completions();
+            assert_eq!(posted.len(), is_fence.len());
+            let mut completions = posted.clone();
             completions.sort_by_key(|c| c.request_id);
+            let mut by_finish = completions.clone();
+            by_finish.sort_by_key(|c| c.finish);
+            assert_eq!(posted, by_finish, "posted out of (finish, command) order");
             let mut drained = SimTime::ZERO;
             let mut fence_finish = SimTime::ZERO;
             for (completion, &fence) in completions.iter().zip(is_fence) {
@@ -759,6 +792,7 @@ mod tests {
 
     #[test]
     fn ready_lists_match_the_reference_picker_on_every_decision() {
+        let sorted_inserts = oracle::SORTED_INSERTS.get();
         for scheduler in [SchedulerKind::Fcfs, SchedulerKind::Swtf] {
             for depth in [1, 4, 32] {
                 let (mut ssd, pages, prefilled) = device(scheduler, depth);
@@ -768,13 +802,23 @@ mod tests {
                     let mut queues = vec![HostQueue::new(); initiators];
                     // Staggered arrivals, some simultaneous, faster than
                     // the device drains them.
-                    submit_session(&mut rng, &mut queues, pages, now, &[0, 0, 40, 250], 160);
+                    let gaps = [0, 0, 40, 250];
+                    submit_session(&mut rng, &mut queues, pages, now, &gaps, 160, 0.0);
                     now = serve_and_check(&mut ssd, &mut queues);
                     // One burst: everything arrives at the same instant.
-                    submit_session(&mut rng, &mut queues, pages, now, &[0], 512);
+                    submit_session(&mut rng, &mut queues, pages, now, &[0], 512, 0.0);
+                    now = serve_and_check(&mut ssd, &mut queues);
+                    // Fence-heavy: released commands land ahead of other
+                    // initiators' later arrivals.
+                    submit_session(&mut rng, &mut queues, pages, now, &[0, 0, 40], 256, 0.4);
                     now = serve_and_check(&mut ssd, &mut queues);
                 }
             }
         }
+        let sorted_inserts = oracle::SORTED_INSERTS.get() - sorted_inserts;
+        assert!(
+            sorted_inserts > 0,
+            "no fence release took the sorted insert"
+        );
     }
 }

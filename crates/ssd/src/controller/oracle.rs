@@ -10,6 +10,9 @@ use crate::sched::DispatchView;
 thread_local! {
     /// Decisions checked on this thread (tests assert the oracle ran).
     pub(super) static DECISIONS: Cell<u64> = const { Cell::new(0) };
+    /// Fence releases on this thread that landed ahead of a ready list's
+    /// back (tests assert the sorted insert ran).
+    pub(super) static SORTED_INSERTS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The controller's queue as the flat list it used to be, with
