@@ -33,8 +33,9 @@
 //! order.  Every request-processing mode in the workspace is a driver of
 //! this one transport:
 //!
-//! * [`BlockDevice::submit`] — the depth-1
-//!   *closed* driver: one command per session, served to completion.
+//! * [`BlockDevice::submit`] — the depth-1 *closed* driver: one command,
+//!   served to completion as a one-command session would be (a device may
+//!   serve it directly, since it has nothing to be scheduled against).
 //! * [`replay_open`](crate::replay_open) / [`replay_closed`](crate::replay_closed)
 //!   — incremental enqueue-and-poll over one queue pair.
 //! * `Ssd::simulate_open` / `Hdd::simulate_open` — a whole arrival trace

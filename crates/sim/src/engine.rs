@@ -45,10 +45,9 @@
 //! driving it — per device, each on its own OS thread.  That works because
 //! every piece of engine and controller state is owned, not shared:
 //!
-//! * The engine itself is this function's locals plus an [`EngineContext`]
-//!   (the [`EventQueue`], the dispatch buffer and the arrival order) that
-//!   the caller owns and may reuse across runs; nothing else escapes the
-//!   call.
+//! * The engine itself is [`run_observed`]'s locals (the [`EventQueue`],
+//!   the dispatch buffer and the arrival order), built per run and dropped
+//!   with it; nothing escapes the call.
 //! * Controllers ([`Controller`] implementations) own their queues, flash
 //!   state, and scratch buffers.  The two trait objects a device carries —
 //!   `Box<dyn Ftl>` and `Box<dyn CleaningPolicy>` — declare `Send` as a
@@ -189,20 +188,6 @@ pub struct NoopObserver;
 
 impl EngineObserver for NoopObserver {}
 
-/// The engine's heap-allocated working state: the op-event queue, the
-/// buffer controllers dispatch into and the delivery order of an unsorted
-/// arrival slice.  A caller that runs many sessions (the SSD's depth-1
-/// `submit` runs one per request) keeps one and passes it to [`run_with`],
-/// so a run allocates nothing once the buffers have grown.
-#[derive(Default)]
-pub struct EngineContext {
-    events: EventQueue<Event>,
-    ops: Vec<DispatchedOp>,
-    /// Arrival indices in `(time, index)` order; filled only for a slice
-    /// that is not already sorted by time.
-    order: Vec<usize>,
-}
-
 /// Runs the dispatch loop to completion: delivers one arrival per entry of
 /// `arrivals` (index order among ties) and every op event until none
 /// remain.  Returns the first controller error, abandoning the remaining
@@ -218,26 +203,11 @@ pub fn run_observed<C: Controller, O: EngineObserver>(
     arrivals: &[SimTime],
     observer: &mut O,
 ) -> Result<(), C::Error> {
-    run_with(
-        &mut EngineContext::default(),
-        controller,
-        arrivals,
-        observer,
-    )
-}
-
-/// [`run_observed`] over a caller-owned [`EngineContext`].  The context
-/// carries no state from one run to the next — only capacity.
-pub fn run_with<C: Controller, O: EngineObserver>(
-    context: &mut EngineContext,
-    controller: &mut C,
-    arrivals: &[SimTime],
-    observer: &mut O,
-) -> Result<(), C::Error> {
-    let EngineContext { events, ops, order } = context;
-    // A run abandoned on a controller error leaves its events behind.
-    events.clear();
-    order.clear();
+    let mut events = EventQueue::new();
+    let mut ops = Vec::new();
+    // Arrival indices in `(time, index)` order; filled only for a slice
+    // that is not already sorted by time.
+    let mut order = Vec::new();
     let sorted = arrivals.is_sorted();
     if !sorted {
         // Stable, so tied arrivals keep index order.
@@ -296,7 +266,7 @@ pub fn run_with<C: Controller, O: EngineObserver>(
         }
         loop {
             ops.clear();
-            controller.poll_dispatch_into(now, ops)?;
+            controller.poll_dispatch_into(now, &mut ops)?;
             if ops.is_empty() {
                 break;
             }
@@ -317,7 +287,7 @@ pub fn run_with<C: Controller, O: EngineObserver>(
 }
 
 /// The loop before arrivals left the event heap, and the differential test
-/// of [`run_with`] against it.
+/// of [`run_observed`] against it.
 #[cfg(test)]
 mod reference;
 
@@ -519,64 +489,6 @@ mod tests {
         assert_eq!(observer.completes, 2);
         // The observer sees the same idle windows the controller does.
         assert_eq!(observer.idles, c.idle_windows);
-    }
-
-    #[test]
-    fn a_reused_context_carries_no_state_between_runs() {
-        /// Dispatches one op into the engine's buffer, then fails when it
-        /// starts — leaving events behind in the context.
-        struct AbortsMidRun {
-            dispatched: bool,
-        }
-        impl Controller for AbortsMidRun {
-            type Error = &'static str;
-            fn on_arrival(&mut self, _: usize, _: SimTime) -> Result<(), &'static str> {
-                Ok(())
-            }
-            fn poll_dispatch(&mut self, _: SimTime) -> Result<Vec<DispatchedOp>, &'static str> {
-                unreachable!("the engine calls the buffer form")
-            }
-            fn poll_dispatch_into(
-                &mut self,
-                now: SimTime,
-                out: &mut Vec<DispatchedOp>,
-            ) -> Result<(), &'static str> {
-                if !std::mem::replace(&mut self.dispatched, true) {
-                    out.push(DispatchedOp {
-                        token: 0,
-                        start: now + SimDuration::from_micros(1),
-                        complete: now + SimDuration::from_micros(2),
-                    });
-                }
-                Ok(())
-            }
-            fn on_op_start(&mut self, _: u64, _: SimTime) -> Result<(), &'static str> {
-                Err("boom")
-            }
-            fn in_flight(&self) -> usize {
-                1
-            }
-        }
-
-        let arrivals = vec![SimTime::from_micros(5); 3];
-        let service = SimDuration::from_micros(10);
-        let mut fresh = TestController::new(arrivals.clone(), 2, service);
-        run(&mut fresh, &arrivals).unwrap();
-
-        let mut context = EngineContext::default();
-        let aborted = run_with(
-            &mut context,
-            &mut AbortsMidRun { dispatched: false },
-            &arrivals,
-            &mut NoopObserver,
-        );
-        assert_eq!(aborted, Err("boom"));
-        for _ in 0..2 {
-            let mut reused = TestController::new(arrivals.clone(), 2, service);
-            run_with(&mut context, &mut reused, &arrivals, &mut NoopObserver).unwrap();
-            assert_eq!(reused.log, fresh.log);
-            assert_eq!(reused.finishes, fresh.finishes);
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The engine loop as it was before arrivals left the event heap: every
 //! arrival is scheduled up front as a heap event, numbered before any op
 //! event, so at one instant arrivals pop first and in index order.  Kept
-//! as the reference [`run_with`] is differentially tested against: a
+//! as the reference [`run_observed`] is differentially tested against: a
 //! scripted controller logs every callback and the ops of every poll, and
 //! the two loops must produce the same log over seeded sessions.
 
@@ -259,17 +259,11 @@ fn arrivals_for(rng: &mut SimRng, coverage: &mut Coverage) -> Vec<SimTime> {
 
 /// Runs one scripted controller through both loops and asserts equal
 /// results, controller logs and observer logs.
-fn compare(
-    context: &mut EngineContext,
-    arrivals: &[SimTime],
-    seed: u64,
-    fail_at: Option<usize>,
-    coverage: &mut Coverage,
-) {
+fn compare(arrivals: &[SimTime], seed: u64, fail_at: Option<usize>, coverage: &mut Coverage) {
     let mut cursor = Scripted::new(seed, arrivals, fail_at);
     let mut heap = Scripted::new(seed, arrivals, fail_at);
     let (mut cursor_seen, mut heap_seen) = (Recorder::default(), Recorder::default());
-    let got = run_with(context, &mut cursor, arrivals, &mut cursor_seen);
+    let got = run_observed(&mut cursor, arrivals, &mut cursor_seen);
     let want = run_reference(&mut heap, arrivals, &mut heap_seen);
     assert_eq!(got, want, "seed {seed:#x}: results differ");
     assert_eq!(cursor.log, heap.log, "seed {seed:#x}: callbacks differ");
@@ -293,21 +287,19 @@ fn compare(
     }
 }
 
-/// Runs `sessions` seeded sessions through one reused context; about a
-/// third are preceded by a run the controller aborts part-way, which
-/// leaves events and an arrival order behind in the context.
+/// Runs `sessions` seeded sessions; about a third are preceded by a run
+/// the controller aborts part-way, which both loops must abandon alike.
 fn differential(sessions: std::ops::Range<u64>) -> Coverage {
     let mut coverage = Coverage::default();
-    let mut context = EngineContext::default();
     for session in sessions {
         let mut rng = SimRng::seed_from_u64(0xe1e7_0000 + session);
         let arrivals = arrivals_for(&mut rng, &mut coverage);
         let seed = rng.next_u64_below(u64::MAX);
         if rng.chance(0.35) {
             let fail_at = 1 + rng.next_usize_below(2 * arrivals.len() + 2);
-            compare(&mut context, &arrivals, seed, Some(fail_at), &mut coverage);
+            compare(&arrivals, seed, Some(fail_at), &mut coverage);
         }
-        compare(&mut context, &arrivals, seed, None, &mut coverage);
+        compare(&arrivals, seed, None, &mut coverage);
     }
     coverage
 }

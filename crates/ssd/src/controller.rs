@@ -5,11 +5,15 @@
 //! [`SchedulerKind`] picks which eligible command's head op is issued next
 //! into the per-element dispatch queues, ordering fences (`Flush`/`Barrier`)
 //! constrain per-initiator dispatch, and idle windows are donated to
-//! background cleaning.  Every request-processing mode is a driver of this
-//! one pipeline:
+//! background cleaning.  Issuing a command and offering an idle window are
+//! two device steps, `Ssd::dispatch` and `Ssd::idle`, which every
+//! request-processing mode shares:
 //!
-//! * `Ssd::submit` (closed) runs the engine over a single command;
-//! * `Ssd::simulate_open` runs it over a whole open-arrival trace;
+//! * `Ssd::submit` (closed) takes them directly: a lone command has nothing
+//!   to be scheduled against, so it is offered the idle window before its
+//!   arrival and dispatched at that arrival, exactly as a one-command FCFS
+//!   session would be, with no engine or controller;
+//! * `Ssd::simulate_open` runs the engine over a whole open-arrival trace;
 //! * `HostInterface::serve` runs it over the round-robin-arbitrated streams
 //!   of N initiator queue pairs.
 //!
@@ -73,23 +77,17 @@
 //!
 //! # Who owns a session's buffers
 //!
-//! Ready lists, gates, the engine's event heap and dispatch buffer, the
-//! arrival times and the completions live in a [`SessionContext`] owned by
-//! the *caller* of `Ssd::serve_session`.  `BlockDevice::submit` runs one
-//! session per request and keeps its one-command context on the `Ssd`, so
-//! the depth-1 path stops allocating once warm; `HostInterface::serve` and
-//! `Ssd::simulate_open` build a context per session and drop it, so no
-//! session-sized buffer outlives its session (a fleet member parked between
-//! bursts holds nothing).
+//! The session does.  The controller's ready lists, gates and completions
+//! and the engine's event heap and dispatch buffer are built when a session
+//! starts and dropped when it ends, so no session-sized buffer outlives its
+//! session (a fleet member parked between bursts holds nothing).
 
 use std::collections::VecDeque;
 
-use ossd_block::{BlockOpKind, BlockRequest, Completion, CompletionStatus, Priority};
-use ossd_sim::engine::{run_with, Controller, DispatchedOp, EngineContext, NoopObserver};
+use ossd_block::{BlockOpKind, BlockRequest, Completion, Priority};
+use ossd_sim::engine::{run, run_observed, Controller, DispatchedOp};
 use ossd_sim::{SimDuration, SimTime};
-use ossd_telemetry::{
-    BlameBreakdown, BlameCat, BlameRecord, EventKind, ServiceClass, TelemetryHandle, Track,
-};
+use ossd_telemetry::{EngineTrace, EventKind, ServiceClass};
 
 use crate::device::Ssd;
 use crate::error::SsdError;
@@ -110,6 +108,20 @@ pub(crate) enum CommandPayload {
 impl CommandPayload {
     fn is_fence(&self) -> bool {
         matches!(self, CommandPayload::Flush | CommandPayload::Barrier)
+    }
+
+    /// The command's span kind, and its service class (a barrier has none:
+    /// it is not in the service histograms or the per-class blame).
+    pub(crate) fn trace_kind(&self) -> (EventKind, Option<ServiceClass>) {
+        match self {
+            CommandPayload::Data(request) => match request.kind {
+                BlockOpKind::Read => (EventKind::CmdRead, Some(ServiceClass::Read)),
+                BlockOpKind::Write => (EventKind::CmdWrite, Some(ServiceClass::Write)),
+                BlockOpKind::Free => (EventKind::CmdFree, Some(ServiceClass::Free)),
+            },
+            CommandPayload::Flush => (EventKind::CmdFlush, Some(ServiceClass::Flush)),
+            CommandPayload::Barrier => (EventKind::CmdBarrier, None),
+        }
     }
 }
 
@@ -187,17 +199,6 @@ impl InitiatorGate {
 /// `(arrival, command index)`, sorted, smallest first.
 type ReadyList = VecDeque<(SimTime, usize)>;
 
-/// The per-session controller state that lives on the heap.
-#[derive(Default)]
-struct SessionState {
-    /// Ready lists by class (0 = no element, e + 1 = element e).
-    ready: Vec<ReadyList>,
-    /// Fence gates by initiator.
-    gates: Vec<InitiatorGate>,
-    /// One completion per command, stored at dispatch.
-    completions: Vec<Option<Completion>>,
-}
-
 /// Queues a command a fence released at its sorted position in its ready
 /// list: commands of other initiators that arrived after it may already be
 /// there.
@@ -212,20 +213,10 @@ fn release(list: &mut ReadyList, entry: (SimTime, usize)) {
     }
 }
 
-/// Every buffer one session needs, owned by whoever calls
-/// [`Ssd::serve_session`] (see the module docs for who keeps one and who
-/// drops it).  Carries capacity between sessions, never state.
-#[derive(Default)]
-pub(crate) struct SessionContext {
-    engine: EngineContext,
-    arrivals: Vec<SimTime>,
-    state: SessionState,
-}
-
 impl Ssd {
     /// Runs one session of queue-pair commands through the event engine
-    /// under the given scheduler, in the caller's `context`, which then
-    /// yields one completion per command in the input order.
+    /// under the given scheduler, returning one completion per command in
+    /// the input order.
     ///
     /// Commands are held in a controller queue after they arrive; whenever a
     /// dispatch slot frees (see [`SsdConfig::queue_depth`]) the scheduler
@@ -237,35 +228,24 @@ impl Ssd {
     /// background cleaner.
     pub(crate) fn serve_session(
         &mut self,
-        context: &mut SessionContext,
         commands: &[SessionCommand],
         scheduler: SchedulerKind,
-    ) -> Result<(), SsdError> {
-        let SessionContext {
-            engine,
-            arrivals,
-            state,
-        } = context;
-        arrivals.clear();
-        arrivals.extend(commands.iter().map(|c| c.arrival));
-        let mut controller = SsdController::new(self, commands, scheduler, state);
-        if controller.telemetry.is_enabled() {
-            let mut observer = ossd_telemetry::EngineTrace::new(controller.telemetry.clone());
-            run_with(engine, &mut controller, arrivals, &mut observer)
-        } else {
-            run_with(engine, &mut controller, arrivals, &mut NoopObserver)
+    ) -> Result<Vec<Completion>, SsdError> {
+        let arrivals: Vec<SimTime> = commands.iter().map(|c| c.arrival).collect();
+        let trace = self
+            .telemetry()
+            .is_enabled()
+            .then(|| EngineTrace::new(self.telemetry().clone()));
+        let mut controller = SsdController::new(self, commands, scheduler);
+        match trace {
+            Some(mut trace) => run_observed(&mut controller, &arrivals, &mut trace)?,
+            None => run(&mut controller, &arrivals)?,
         }
-    }
-}
-
-impl SessionContext {
-    /// The last session's completions, in command order.  Panics if that
-    /// session did not run to completion.
-    pub(crate) fn completions(&self) -> impl Iterator<Item = Completion> + '_ {
-        self.state
+        Ok(controller
             .completions
-            .iter()
+            .into_iter()
             .map(|c| c.expect("every command was dispatched"))
+            .collect())
     }
 }
 
@@ -275,7 +255,12 @@ struct SsdController<'a> {
     commands: &'a [SessionCommand],
     scheduler: SchedulerKind,
     queue_depth: u32,
-    state: &'a mut SessionState,
+    /// Ready lists by class (0 = no element, e + 1 = element e).
+    ready: Vec<ReadyList>,
+    /// Fence gates by initiator.
+    gates: Vec<InitiatorGate>,
+    /// One completion per command, stored at dispatch.
+    completions: Vec<Option<Completion>>,
     /// Commands that arrived and have not been dispatched (ready or
     /// fence-blocked).
     queued: usize,
@@ -288,44 +273,25 @@ struct SsdController<'a> {
     /// command's finish (a stale element hint) does not keep the flash
     /// busy, so the gap is donated to background cleaning.
     unfinished: usize,
-    /// Clone of the device's telemetry handle (the controller mutably
-    /// borrows the [`Ssd`], so it keeps its own handle for command spans).
-    telemetry: TelemetryHandle,
     #[cfg(test)]
     oracle: oracle::Oracle,
 }
 
 impl<'a> SsdController<'a> {
-    fn new(
-        ssd: &'a mut Ssd,
-        commands: &'a [SessionCommand],
-        scheduler: SchedulerKind,
-        state: &'a mut SessionState,
-    ) -> Self {
-        let queue_depth = ssd.config().queue_depth;
-        let telemetry = ssd.telemetry().clone();
+    fn new(ssd: &'a mut Ssd, commands: &'a [SessionCommand], scheduler: SchedulerKind) -> Self {
         let initiators = commands.iter().map(|c| c.initiator + 1).max().unwrap_or(0);
-        // An aborted session leaves its queue behind; reset in place so the
-        // lists keep their capacity.
-        state.ready.iter_mut().for_each(VecDeque::clear);
-        state
-            .ready
-            .resize_with(ssd.element_queues().len() + 1, VecDeque::new);
-        state.gates.clear();
-        state.gates.resize_with(initiators, InitiatorGate::default);
-        state.completions.clear();
-        state.completions.resize(commands.len(), None);
         SsdController {
+            queue_depth: ssd.config().queue_depth,
+            ready: vec![VecDeque::new(); ssd.element_queues().len() + 1],
+            gates: (0..initiators).map(|_| InitiatorGate::default()).collect(),
+            completions: vec![None; commands.len()],
             ssd,
             commands,
             scheduler,
-            queue_depth,
-            state,
             queued: 0,
             queued_high: 0,
             slots_in_use: 0,
             unfinished: 0,
-            telemetry,
             #[cfg(test)]
             oracle: oracle::Oracle::new(commands),
         }
@@ -334,106 +300,29 @@ impl<'a> SsdController<'a> {
     /// §3.6: cleaning is postponed while high-priority commands are
     /// outstanding at the controller — the one being dispatched or any
     /// still queued.  This holds uniformly for every driver of the
-    /// transport, including the closed one (the pre-redesign `submit`
-    /// never reported pressure; the open driver and the object store
-    /// always did — pinned by
+    /// transport: the closed one, whose lone command is all that is
+    /// outstanding, passes that command's own priority (the pre-redesign
+    /// `submit` never reported pressure; the open driver and the object
+    /// store always did — pinned by
     /// `closed_driver_reports_priority_pressure_uniformly`).
     fn priority_pending(&self, command: &SessionCommand) -> bool {
         command.priority == Priority::High || self.queued_high > 0
     }
 
-    /// Records one dispatched command's lifecycle on its initiator's track:
-    /// a `CmdQueued` span for any time spent waiting at the controller, the
-    /// command span itself (dispatch to finish, carrying the completion
-    /// status), and the response time in the per-class service histogram.
-    fn trace_command(&self, command: &SessionCommand, dispatch: SimTime, completion: &Completion) {
-        let track = Track::Initiator(command.initiator as u32);
-        if dispatch > command.arrival {
-            self.telemetry.span(
-                command.arrival,
-                dispatch,
-                track,
-                EventKind::CmdQueued,
-                command.id,
-                0,
-            );
-        }
-        let status = match completion.status {
-            CompletionStatus::Ok => 0,
-            CompletionStatus::UncorrectableRead => 1,
-        };
-        let (kind, class) = match &command.payload {
-            CommandPayload::Data(request) => match request.kind {
-                BlockOpKind::Read => (EventKind::CmdRead, Some(ServiceClass::Read)),
-                BlockOpKind::Write => (EventKind::CmdWrite, Some(ServiceClass::Write)),
-                BlockOpKind::Free => (EventKind::CmdFree, Some(ServiceClass::Free)),
-            },
-            CommandPayload::Flush => (EventKind::CmdFlush, Some(ServiceClass::Flush)),
-            CommandPayload::Barrier => (EventKind::CmdBarrier, None),
-        };
-        self.telemetry
-            .span(dispatch, completion.finish, track, kind, command.id, status);
-        if let Some(class) = class {
-            self.telemetry
-                .observe_service(class, completion.response_time().as_nanos());
-        }
-    }
-
-    /// Assembles one dispatched command's blame record.  The
-    /// controller-visible wait `[arrival, dispatch)` is split at the instant
-    /// the command became *eligible* — data commands when their nearest
-    /// earlier fence finished, fences when their initiator drained — into
-    /// `Fence` (ordering stall) and `SqWait` (arbitration / dispatch-window
-    /// wait), then joined with the device-side breakdown of
-    /// `[dispatch, finish)` that `issue_request`/`flush` left pending.
-    fn record_attribution(&mut self, index: usize, dispatch: SimTime, completion: &Completion) {
+    /// The instant command `index` became *eligible* — a data command when
+    /// its nearest earlier fence finished, a fence when its initiator
+    /// drained — where its blame splits from `Fence` into `SqWait`.
+    fn eligible_instant(&self, index: usize) -> SimTime {
         let command = &self.commands[index];
-        let gate = &self.state.gates[command.initiator];
+        let gate = &self.gates[command.initiator];
         let eligible = command.arrival.max(match &command.payload {
             CommandPayload::Data(_) => gate.last_fence_finish,
             CommandPayload::Flush | CommandPayload::Barrier => gate.drain,
         });
         #[cfg(test)]
         self.oracle
-            .check_eligible_instant(self.commands, &self.state.completions, index, eligible);
-        let mut breakdown = match &command.payload {
-            // A barrier does no device work; its whole latency is ordering.
-            CommandPayload::Barrier => BlameBreakdown::new(),
-            CommandPayload::Data(_) | CommandPayload::Flush => self
-                .ssd
-                .take_pending_blame()
-                .expect("device left a pending breakdown for the issued command"),
-        };
-        breakdown.add(BlameCat::Fence, eligible.saturating_since(command.arrival));
-        breakdown.add(BlameCat::SqWait, dispatch.saturating_since(eligible));
-        let class = match &command.payload {
-            CommandPayload::Data(request) => match request.kind {
-                BlockOpKind::Read => Some(ServiceClass::Read),
-                BlockOpKind::Write => Some(ServiceClass::Write),
-                BlockOpKind::Free => Some(ServiceClass::Free),
-            },
-            CommandPayload::Flush => Some(ServiceClass::Flush),
-            CommandPayload::Barrier => None,
-        };
-        let record = BlameRecord {
-            id: command.id,
-            initiator: command.initiator as u32,
-            class,
-            arrival: command.arrival,
-            finish: completion.finish,
-            breakdown,
-        };
-        debug_assert!(
-            record.is_exact(),
-            "blame components ({} ns) do not sum to end-to-end latency ({} ns) for command {}",
-            record.total_nanos(),
-            completion
-                .finish
-                .saturating_since(command.arrival)
-                .as_nanos(),
-            command.id
-        );
-        self.ssd.record_blame(record);
+            .check_eligible_instant(self.commands, &self.completions, index, eligible);
+        eligible
     }
 
     /// The ready-list head the scheduler dispatches next at `now`, as
@@ -443,7 +332,7 @@ impl<'a> SsdController<'a> {
     fn pick(&self, now: SimTime) -> Option<(usize, usize)> {
         let queues = self.ssd.element_queues();
         let mut best: Option<((u64, SimTime, usize), usize)> = None;
-        for (class, list) in self.state.ready.iter().enumerate() {
+        for (class, list) in self.ready.iter().enumerate() {
             let Some(&(arrival, index)) = list.front() else {
                 continue;
             };
@@ -495,11 +384,11 @@ impl Controller for SsdController<'_> {
         if command.priority == Priority::High {
             self.queued_high += 1;
         }
-        let gate = &mut self.state.gates[command.initiator];
+        let gate = &mut self.gates[command.initiator];
         if gate.blocked.is_empty() && gate.admit(command) {
             // Arrivals come in `(arrival, index)` order, after every release
             // at their instant: the back is the sorted position.
-            let list = &mut self.state.ready[class];
+            let list = &mut self.ready[class];
             debug_assert!(list.back() < Some(&(command.arrival, index)));
             list.push_back((command.arrival, index));
         } else {
@@ -541,56 +430,33 @@ impl Controller for SsdController<'_> {
             let Some((class, index)) = picked else {
                 break;
             };
-            self.state.ready[class].pop_front();
+            self.ready[class].pop_front();
             let command = &self.commands[index];
             self.queued -= 1;
             if command.priority == Priority::High {
                 self.queued_high -= 1;
             }
             let dispatch = now.max(command.arrival);
-            let (completion, slot_release) = match &command.payload {
-                CommandPayload::Data(request) => {
-                    let priority_pending = self.priority_pending(command);
-                    #[cfg(test)]
-                    self.oracle
-                        .check_priority_pending(self.commands, index, priority_pending);
-                    // The dispatch slot is held until the command's first op
-                    // starts on its target element: at queue depth 1 this is
-                    // what gives FCFS its head-of-line blocking and SWTF its
-                    // advantage.
-                    let head_of_line_wait =
-                        element_wait(self.ssd.element_queues(), class, dispatch);
-                    let completion = self
-                        .ssd
-                        .issue_request(request, dispatch, priority_pending)?;
-                    let slot_release = (dispatch + head_of_line_wait).max(completion.start);
-                    (completion, slot_release)
-                }
-                CommandPayload::Flush => {
-                    let finish = self.ssd.flush(dispatch)?;
-                    let completion = Completion::ok(command.id, command.arrival, dispatch, finish);
-                    (completion, dispatch)
-                }
-                CommandPayload::Barrier => {
-                    // Eligibility already guaranteed the initiator drained;
-                    // the barrier completes at its dispatch instant.
-                    let completion =
-                        Completion::ok(command.id, command.arrival, dispatch, dispatch);
-                    (completion, dispatch)
-                }
-            };
-            if self.telemetry.is_enabled() {
-                self.trace_command(command, dispatch, &completion);
-            }
-            if self.ssd.attribution_enabled() {
-                self.record_attribution(index, dispatch, &completion);
-            }
-            self.state.completions[index] = Some(completion);
+            let priority_pending = self.priority_pending(command);
+            #[cfg(test)]
+            self.oracle
+                .check_priority_pending(self.commands, index, priority_pending);
+            // The dispatch slot is held until the command's first op starts
+            // on its target element: at queue depth 1 this is what gives
+            // FCFS its head-of-line blocking and SWTF its advantage.  Class 0
+            // (fences, element-less commands) waits for nothing, so its slot
+            // frees when its service starts.
+            let head_of_line_wait = element_wait(self.ssd.element_queues(), class, dispatch);
+            let eligible = self.eligible_instant(index);
+            let completion = self
+                .ssd
+                .dispatch(command, dispatch, eligible, priority_pending)?;
+            self.completions[index] = Some(completion);
             self.slots_in_use += 1;
             self.unfinished += 1;
             out.push(DispatchedOp {
                 token: index as u64,
-                start: slot_release,
+                start: (dispatch + head_of_line_wait).max(completion.start),
                 complete: completion.finish,
             });
         }
@@ -608,11 +474,11 @@ impl Controller for SsdController<'_> {
         #[cfg(test)]
         self.oracle.on_complete(index);
         let done = &self.commands[index];
-        let finish = self.state.completions[index]
+        let finish = self.completions[index]
             .as_ref()
             .expect("completion stored at dispatch")
             .finish;
-        let gate = &mut self.state.gates[done.initiator];
+        let gate = &mut self.gates[done.initiator];
         gate.finished += 1;
         gate.drain = gate.drain.max(finish);
         if done.payload.is_fence() {
@@ -626,13 +492,13 @@ impl Controller for SsdController<'_> {
                 break;
             }
             gate.blocked.pop_front();
-            release(&mut self.state.ready[class], (command.arrival, index));
+            release(&mut self.ready[class], (command.arrival, index));
         }
         Ok(())
     }
 
-    fn on_idle(&mut self, _now: SimTime, until: SimTime) -> Result<(), SsdError> {
-        self.ssd.maybe_background_clean(until)
+    fn on_idle(&mut self, now: SimTime, until: SimTime) -> Result<(), SsdError> {
+        self.ssd.idle(now, until)
     }
 
     fn in_flight(&self) -> usize {
@@ -820,5 +686,50 @@ mod tests {
             sorted_inserts > 0,
             "no fence release took the sorted insert"
         );
+    }
+
+    /// A traced idle window is time the device had nothing to do: it starts
+    /// at the device's last activity, not where the engine's clock stood
+    /// (zero, at the start of every session), so it never covers a command
+    /// — of the prefill, of an earlier session, or of closed submits.
+    #[test]
+    fn idle_spans_never_overlap_a_command() {
+        use ossd_telemetry::{Recorder, RecorderConfig, TraceEvent, Track};
+        let (mut ssd, pages, prefilled) = device(SchedulerKind::Swtf, 4);
+        let (handle, recorder) = Recorder::shared(RecorderConfig::default());
+        ssd.set_telemetry(handle);
+        let mut rng = SimRng::seed_from_u64(0x1d1e);
+        let mut now = prefilled;
+        for session in 0..2 {
+            let mut queues = vec![HostQueue::new(); 2];
+            // Gaps long enough for the device to drain and idle.
+            let gaps = [0, 40, 3_000];
+            submit_session(&mut rng, &mut queues, pages, now, &gaps, 96, 0.1);
+            now = serve_and_check(&mut ssd, &mut queues);
+            if session == 0 {
+                for lpn in 0..8 {
+                    let at = now + SimDuration::from_millis(2);
+                    let write = BlockRequest::write(lpn, lpn * PAGE, PAGE, at);
+                    now = ssd.submit(&write).unwrap().finish;
+                }
+            }
+        }
+        let recorder = recorder.lock().unwrap();
+        assert_eq!(recorder.dropped_events(), 0);
+        let (idle, commands): (Vec<&TraceEvent>, Vec<&TraceEvent>) = recorder
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::DeviceIdle || matches!(e.track, Track::Initiator(_)))
+            .partition(|e| e.kind == EventKind::DeviceIdle);
+        assert!(idle.len() > 10 && commands.len() > 192, "too little traced");
+        for window in &idle {
+            assert!(window.start < window.end, "empty idle span {window:?}");
+            for command in &commands {
+                assert!(
+                    command.end <= window.start || window.end <= command.start,
+                    "idle {window:?} overlaps {command:?}"
+                );
+            }
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! An [`Ssd`] owns a flash translation layer and a set of per-element and
 //! per-gang-bus dispatch queues ([`ElementQueue`]) and turns host requests
 //! into timed completions.  Requests are decomposed into per-page flash
-//! operations, issued into the dispatch queues, and driven by the event
-//! engine ([`ossd_sim::engine`]) through the crate's controller module.
-//! See the crate documentation for the two drivers of that pipeline.
+//! operations and issued into the dispatch queues by one dispatch step;
+//! sessions reach it through the event engine ([`ossd_sim::engine`]) and
+//! the crate's controller module, a lone `BlockDevice::submit` directly.
+//! See the crate documentation for the three drivers.
 //!
 //! # Flash-op timing: one stage table
 //!
@@ -51,7 +52,7 @@
 
 use ossd_block::{
     arbitrate_round_robin, BlockDevice, BlockOpKind, BlockRequest, Completion, CompletionStatus,
-    DeviceError, DeviceInfo, HostCommand, HostInterface, HostQueue, StreamTemperature,
+    DeviceError, DeviceInfo, HostCommand, HostInterface, HostQueue, Priority, StreamTemperature,
 };
 use ossd_flash::FlashTiming;
 use ossd_ftl::{
@@ -65,7 +66,7 @@ use ossd_telemetry::{
 };
 
 use crate::config::{MappingKind, SsdConfig};
-use crate::controller::{CommandPayload, SessionCommand, SessionContext};
+use crate::controller::{CommandPayload, SessionCommand};
 use crate::error::SsdError;
 use crate::queue::ElementQueue;
 use crate::sched::SchedulerKind;
@@ -90,10 +91,6 @@ pub struct Ssd {
     /// Reusable flash-op buffer: the serve path appends each command's ops
     /// here instead of allocating a fresh vector per command.
     op_scratch: Vec<FlashOp>,
-    /// The session buffers of [`BlockDevice::submit`], which runs one
-    /// one-command session per request.  Multi-command sessions bring their
-    /// own context and drop it, so this never grows past one command.
-    submit_context: SessionContext,
     /// Telemetry sink shared with the FTL; detached (inert) by default.
     telemetry: TelemetryHandle,
     /// Latency-attribution state; `None` (zero cost beyond one pointer
@@ -201,7 +198,7 @@ struct Attribution {
     /// covering exactly `[floor, finish)` of that batch.
     chain: BlameBreakdown,
     /// Completed device-side breakdown (dispatch → finish) of the command
-    /// just issued, awaiting pickup by the controller.
+    /// just issued, awaiting pickup by `Ssd::dispatch`.
     pending: Option<BlameBreakdown>,
     /// Reusable per-op blame buffer for `schedule_ops`.
     op_scratch: Vec<OpBlame>,
@@ -363,7 +360,6 @@ impl Ssd {
             background,
             last_activity: SimTime::ZERO,
             op_scratch: Vec::new(),
-            submit_context: SessionContext::default(),
             telemetry: TelemetryHandle::noop(),
             attribution: None,
         })
@@ -400,20 +396,6 @@ impl Ssd {
             .as_mut()
             .map(|a| a.collector.take_records())
             .unwrap_or_default()
-    }
-
-    /// Hands the device-side breakdown (dispatch → finish) of the command
-    /// just issued to the controller, which adds SQ/fence components and
-    /// records the completed [`BlameRecord`].
-    pub(crate) fn take_pending_blame(&mut self) -> Option<BlameBreakdown> {
-        self.attribution.as_mut().and_then(|a| a.pending.take())
-    }
-
-    /// Stores one completed attribution record (called by the controller).
-    pub(crate) fn record_blame(&mut self, record: BlameRecord) {
-        if let Some(a) = self.attribution.as_deref_mut() {
-            a.collector.push(record);
-        }
     }
 
     /// Attaches a telemetry sink to the device and its FTL.  Every layer —
@@ -726,20 +708,31 @@ impl Ssd {
         PageSpans::new(self.ftl.logical_page_bytes(), offset, len)
     }
 
-    /// Donates the idle window ending at `now` to background cleaning, if
-    /// background GC is configured, the gap since the last activity is long
-    /// enough, and free space is below the background target.  The cleaning
-    /// work is scheduled inside the idle window (starting at the previous
-    /// activity's end), so it only delays later requests if the window was
-    /// shorter than the budgeted work.
-    pub(crate) fn maybe_background_clean(&mut self, now: SimTime) -> Result<(), SsdError> {
+    /// The idle step, for a window with nothing in flight from `now` (where
+    /// the caller's clock stands) until `until`.  Traces the time the device
+    /// really was idle as a `DeviceIdle` span, from the later of `now` and
+    /// its last activity, when that is not empty: an engine's clock starts
+    /// every session at zero, and a fence finishes without flash work, so
+    /// neither clock alone says when the device went idle.  Then donates
+    /// the window since the last activity to background cleaning, if
+    /// background GC is configured, the gap is long enough, and free space
+    /// is below the background target.  The cleaning work is scheduled
+    /// inside the idle window (starting at the previous activity's end), so
+    /// it only delays later requests if the window was shorter than the
+    /// budgeted work.
+    pub(crate) fn idle(&mut self, now: SimTime, until: SimTime) -> Result<(), SsdError> {
+        let idle_from = now.max(self.last_activity);
+        if until > idle_from {
+            self.telemetry
+                .span(idle_from, until, Track::Device, EventKind::DeviceIdle, 0, 0);
+        }
         // Checked first: without a cleaner nothing below is needed, and the
         // free fraction is a call through the `dyn Ftl` on every idle window.
         let Some(cleaner) = self.background.as_mut() else {
             return Ok(());
         };
         let free = self.ftl.free_page_fraction();
-        let idle_micros = now.saturating_since(self.last_activity).as_nanos() / 1_000;
+        let idle_micros = until.saturating_since(self.last_activity).as_nanos() / 1_000;
         let budget = cleaner.plan(idle_micros, free);
         if budget == 0 {
             return Ok(());
@@ -782,10 +775,14 @@ impl Ssd {
     /// Issues one request into the dispatch queues starting no earlier than
     /// `dispatch`: splits it into logical pages, asks the FTL for the flash
     /// operations, and times them on the per-element/per-bus queues.  Does
-    /// *not* run the background cleaner — the engine delivers idle windows
-    /// separately.  `priority_pending` tells the FTL whether high-priority
-    /// host requests are outstanding (drives priority-aware cleaning).
-    pub(crate) fn issue_request(
+    /// *not* run the background cleaner — the idle step ([`Ssd::idle`])
+    /// does, before the dispatch.  `priority_pending` tells the FTL whether
+    /// high-priority host requests are outstanding (drives priority-aware
+    /// cleaning).
+    // Inlined, with `dispatch`, into `submit`: it then reads the caller's
+    // request in place instead of a copy in a `SessionCommand`.
+    #[inline]
+    fn issue_request(
         &mut self,
         request: &BlockRequest,
         dispatch: SimTime,
@@ -926,6 +923,96 @@ impl Ssd {
         })
     }
 
+    /// The dispatch step of every driver: serves `command` starting at
+    /// `dispatch` — a data command through [`Ssd::issue_request`], a flush
+    /// by draining write buffers, a barrier on the spot (its eligibility
+    /// already waited for its initiator to drain).  With a sink attached
+    /// it traces the command's lifecycle on its initiator's track: a
+    /// `CmdQueued` span for any wait since arrival, the command span
+    /// (dispatch to finish, carrying the completion status) and the
+    /// response time in the per-class service histogram.  With attribution
+    /// on it records the command's [`BlameRecord`]: the wait `[arrival,
+    /// dispatch)` split at `eligible` — when the command stopped being held
+    /// by a fence — into `Fence` and `SqWait`, joined with the device-side
+    /// breakdown of `[dispatch, finish)`.
+    #[inline] // see `issue_request`
+    pub(crate) fn dispatch(
+        &mut self,
+        command: &SessionCommand,
+        dispatch: SimTime,
+        eligible: SimTime,
+        priority_pending: bool,
+    ) -> Result<Completion, SsdError> {
+        let completion = match &command.payload {
+            CommandPayload::Data(request) => {
+                self.issue_request(request, dispatch, priority_pending)?
+            }
+            CommandPayload::Flush => {
+                let finish = self.flush(dispatch)?;
+                Completion::ok(command.id, command.arrival, dispatch, finish)
+            }
+            CommandPayload::Barrier => {
+                Completion::ok(command.id, command.arrival, dispatch, dispatch)
+            }
+        };
+        let (kind, class) = command.payload.trace_kind();
+        let track = Track::Initiator(command.initiator as u32);
+        if self.telemetry.is_enabled() {
+            if dispatch > command.arrival {
+                self.telemetry.span(
+                    command.arrival,
+                    dispatch,
+                    track,
+                    EventKind::CmdQueued,
+                    command.id,
+                    0,
+                );
+            }
+            let status = match completion.status {
+                CompletionStatus::Ok => 0,
+                CompletionStatus::UncorrectableRead => 1,
+            };
+            self.telemetry
+                .span(dispatch, completion.finish, track, kind, command.id, status);
+            if let Some(class) = class {
+                self.telemetry
+                    .observe_service(class, completion.response_time().as_nanos());
+            }
+        }
+        if let Some(a) = self.attribution.as_deref_mut() {
+            let mut breakdown = match &command.payload {
+                // A barrier does no device work; its whole latency is ordering.
+                CommandPayload::Barrier => BlameBreakdown::new(),
+                CommandPayload::Data(_) | CommandPayload::Flush => a
+                    .pending
+                    .take()
+                    .expect("device left a pending breakdown for the issued command"),
+            };
+            breakdown.add(BlameCat::Fence, eligible.saturating_since(command.arrival));
+            breakdown.add(BlameCat::SqWait, dispatch.saturating_since(eligible));
+            let record = BlameRecord {
+                id: command.id,
+                initiator: command.initiator as u32,
+                class,
+                arrival: command.arrival,
+                finish: completion.finish,
+                breakdown,
+            };
+            debug_assert!(
+                record.is_exact(),
+                "blame components ({} ns) do not sum to end-to-end latency ({} ns) for command {}",
+                record.total_nanos(),
+                completion
+                    .finish
+                    .saturating_since(command.arrival)
+                    .as_nanos(),
+                command.id
+            );
+            a.collector.push(record);
+        }
+        Ok(completion)
+    }
+
     /// The element a queued request's head flash op is predicted to occupy:
     /// the mapped location when the FTL knows one, otherwise — for writes —
     /// the element the FTL will allocate on next
@@ -957,9 +1044,7 @@ impl Ssd {
             .enumerate()
             .map(|(seq, r)| SessionCommand::from_request(seq as u64, r))
             .collect();
-        let mut context = SessionContext::default();
-        self.serve_session(&mut context, &commands, scheduler)?;
-        Ok(context.completions().collect())
+        self.serve_session(&commands, scheduler)
     }
 
     /// Records the advisory placement hint of an accepted write command.
@@ -986,19 +1071,26 @@ impl BlockDevice for Ssd {
         self.ftl.exported_bytes()
     }
 
+    /// The closed driver: what a one-command session does, without the
+    /// engine — one command has nothing to be scheduled against.  The
+    /// engine starts its clock at zero, so it offers an idle window exactly
+    /// when the command arrives later than that; then the command
+    /// dispatches at its arrival, under its own priority's pressure (§3.6),
+    /// with no wait to blame on a fence or the queue.
     fn submit(&mut self, request: &BlockRequest) -> Result<Completion, DeviceError> {
-        // Validate before the engine runs: an invalid request must be
-        // rejected before any idle window is donated to background cleaning.
+        // Validate first: an invalid request must be rejected before any
+        // idle window is donated to background cleaning.
         self.check_bounds(request)?;
-        // The closed path is the degenerate queue-pair session: one
-        // command, dispatched FCFS, served to completion.
-        let commands = [SessionCommand::from_request(0, request)];
-        let mut context = std::mem::take(&mut self.submit_context);
-        let completion = self
-            .serve_session(&mut context, &commands, SchedulerKind::Fcfs)
-            .map(|()| context.completions().next());
-        self.submit_context = context;
-        Ok(completion?.expect("one command, one completion"))
+        if request.arrival > SimTime::ZERO {
+            self.idle(SimTime::ZERO, request.arrival)?;
+        }
+        let command = SessionCommand::from_request(0, request);
+        let arrival = request.arrival;
+        let high = request.priority == Priority::High;
+        let completion = self.dispatch(&command, arrival, arrival, high)?;
+        // Where the engine's last event left the sink's clock.
+        self.telemetry.set_now(completion.finish);
+        Ok(completion)
     }
 }
 
@@ -1058,8 +1150,7 @@ impl HostInterface for Ssd {
             commands.len() as u64,
             queues.len() as u64,
         );
-        let mut context = SessionContext::default();
-        self.serve_session(&mut context, &commands, self.config.scheduler)?;
+        let completions = self.serve_session(&commands, self.config.scheduler)?;
         // Hints are advisory; account for them only once the session has
         // actually executed, so an aborted serve (whose submissions stay
         // queued for a retry) never double-counts them.
@@ -1068,7 +1159,7 @@ impl HostInterface for Ssd {
         }
         ossd_block::host::complete_session(
             queues,
-            initiators.into_iter().zip(context.completions()).collect(),
+            initiators.into_iter().zip(completions).collect(),
         );
         Ok(())
     }

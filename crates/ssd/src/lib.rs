@@ -9,18 +9,22 @@
 //! servers to obtain service times.
 //!
 //! All host traffic flows through one queue-pair command protocol
-//! ([`ossd_block::host`]) into one event-driven pipeline: the SSD's
-//! controller implements [`ossd_sim::Controller`], decomposes each command
-//! into per-page flash ops, and issues them into per-element dispatch
-//! queues ([`queue::ElementQueue`]) under an NCQ-style queue depth
-//! ([`SsdConfig::queue_depth`]).  Ordering fences (`Flush`/`Barrier`)
-//! constrain dispatch per initiator, and stream-temperature write hints are
-//! recorded as they cross the interface.  Three drivers exercise that
-//! pipeline:
+//! ([`ossd_block::host`]) into one pipeline: a command is decomposed into
+//! per-page flash ops and issued into per-element dispatch queues
+//! ([`queue::ElementQueue`]) by one dispatch step, and the time before it
+//! with nothing in flight is offered to background cleaning by one idle
+//! step.  Sessions of commands reach those steps through the event engine:
+//! the SSD's controller implements [`ossd_sim::Controller`] and schedules
+//! dispatch under an NCQ-style queue depth ([`SsdConfig::queue_depth`]).
+//! Ordering fences (`Flush`/`Barrier`) constrain dispatch per initiator,
+//! and stream-temperature write hints are recorded as they cross the
+//! interface.  Three drivers exercise that pipeline:
 //!
 //! * `Ssd::submit` (via the [`ossd_block::BlockDevice`] trait) — the
-//!   *closed* driver: a one-command session dispatched FCFS, which is what
-//!   bandwidth-style experiments (Table 2, Figure 2, Tables 3–5) use.
+//!   *closed* driver: one command, which has nothing to be scheduled
+//!   against, so it takes the idle and dispatch steps directly, without
+//!   the engine — exactly what a one-command FCFS session does.  This is
+//!   what bandwidth-style experiments (Table 2, Figure 2, Tables 3–5) use.
 //! * [`Ssd::simulate_open`] — the *open* driver: a whole arrival trace as
 //!   one single-initiator session, with a controller queue, a pluggable
 //!   scheduler ([`SchedulerKind::Fcfs`] or the paper's

@@ -2,11 +2,12 @@
 //! [`TelemetryHandle`].
 //!
 //! Attach an [`EngineTrace`] to `ossd_sim::engine::run_observed` and every
-//! delivered engine event keeps the sink's sim-time register current and
-//! feeds engine-level counters; idle windows become [`EventKind::DeviceIdle`]
-//! spans on the device track.
+//! delivered engine event feeds an engine-level counter, and arrivals and
+//! op events keep the sink's sim-time register current.  Idle windows are
+//! only counted: the engine's window starts wherever its clock stood, which
+//! is not when the device went idle, so the device traces its own idle
+//! time (`EventKind::DeviceIdle` spans on the device track).
 
-use crate::event::{EventKind, Track};
 use crate::TelemetryHandle;
 use ossd_sim::engine::EngineObserver;
 use ossd_sim::SimTime;
@@ -45,10 +46,7 @@ impl EngineObserver for EngineTrace {
         self.handle.add("engine.op_completes", 1);
     }
 
-    fn observe_idle(&mut self, now: SimTime, until: SimTime) {
-        self.handle.set_now(now);
-        self.handle
-            .span(now, until, Track::Device, EventKind::DeviceIdle, 0, 0);
+    fn observe_idle(&mut self, _now: SimTime, _until: SimTime) {
         self.handle.add("engine.idle_windows", 1);
     }
 }
@@ -59,7 +57,7 @@ mod tests {
     use crate::recorder::{Recorder, RecorderConfig};
 
     #[test]
-    fn engine_events_become_counters_and_idle_spans() {
+    fn engine_events_become_counters() {
         let (handle, recorder) = Recorder::shared(RecorderConfig::default());
         let mut trace = EngineTrace::new(handle);
         trace.observe_arrival(0, SimTime::from_micros(1));
@@ -72,12 +70,7 @@ mod tests {
         assert_eq!(r.counters().get("engine.op_starts"), 1);
         assert_eq!(r.counters().get("engine.op_completes"), 1);
         assert_eq!(r.counters().get("engine.idle_windows"), 1);
-        assert_eq!(r.events().len(), 1);
-        let idle = r.events()[0];
-        assert_eq!(idle.kind, EventKind::DeviceIdle);
-        assert_eq!(idle.track, Track::Device);
-        assert_eq!(idle.start, SimTime::from_micros(5));
-        assert_eq!(idle.end, SimTime::from_micros(50));
+        assert!(r.events().is_empty(), "the device traces its idle time");
     }
 
     #[test]
