@@ -85,11 +85,19 @@ impl FixedBitset {
 
     /// Removes every key of `keys`; returns how many were present — what
     /// calling [`FixedBitset::remove`] on each in turn does and counts, a
-    /// word at a time.
+    /// word at a time.  An empty set touches no word.
     ///
     /// # Panics
     /// Panics when `keys` reaches outside the capacity fixed at construction.
     pub fn take_range(&mut self, keys: std::ops::Range<u64>) -> u32 {
+        if self.len == 0 {
+            assert!(
+                keys.is_empty() || keys.end <= self.capacity(),
+                "keys {keys:?} past a capacity of {}",
+                self.capacity()
+            );
+            return 0;
+        }
         let taken = bitmap::take_range(&mut self.words, keys.start as usize..keys.end as usize);
         self.len -= taken as u64;
         taken
@@ -254,6 +262,40 @@ mod tests {
             cut_short += !rest.is_empty() as u32;
         }
         assert!(cut_short > 400, "{cut_short}");
+    }
+
+    /// The empty-set shortcut: nothing taken, no word written, and the
+    /// capacity still checked exactly where the word loop would panic.
+    #[test]
+    fn take_range_on_an_empty_set_touches_nothing() {
+        // 200 keys round up to four words: a capacity of 256.
+        let within = [0..0, 0..200, 60..130, 199..256, 256..256, 300..300];
+        let past = [0..257, 250..300];
+        let empty = FixedBitset::with_capacity(200);
+        // Words that disagree with `len` show whether a word was read or
+        // written: the shortcut must leave them as they are.
+        let mut marked = FixedBitset {
+            words: vec![u64::MAX; 4],
+            len: 0,
+        };
+        for keys in within.clone() {
+            assert_eq!(marked.take_range(keys.clone()), 0, "{keys:?}");
+            assert_eq!(marked.len(), 0);
+            assert_eq!(marked.words, [u64::MAX; 4]);
+        }
+        // A set with a key left outside every range takes the word loop.
+        let mut one = empty.clone();
+        one.insert(255);
+        for keys in within.into_iter().filter(|keys| !keys.contains(&255)) {
+            assert_eq!(one.take_range(keys.clone()), 0, "{keys:?}");
+        }
+        for keys in past {
+            for set in [&empty, &marked, &one] {
+                let (mut set, keys) = (set.clone(), keys.clone());
+                let taken = std::panic::catch_unwind(move || set.take_range(keys));
+                assert!(taken.is_err(), "past the capacity must panic");
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,17 @@
 //! the FTL's to store either: the flash array derives it from each block's
 //! write pointer and one valid bit per page ([`ossd_flash::block`]).
 //!
+//! The reverse map is the simulator's copy of what a real device keeps in
+//! each page's out-of-band (OOB) spare area: the tag a program writes with
+//! the data (the logical page, or `MAP_TAG | tpn` for a translation page)
+//! and nothing rewrites until the page is programmed again.  Invalidation
+//! leaves it, so a stale page still carries the tag of what it once held,
+//! and it is read only where the valid bitmap is set — by the drain, which
+//! walks valid pages only.  A valid page's tag maps back to it (`map[l]` or
+//! the GTD entry of the translation page); a seeded churn suite checks that
+//! after every command.  The host path therefore writes the table once per
+//! program and never at random to clear an entry.
+//!
 //! # Block relocation
 //!
 //! Cleaning (foreground, forced, background) and wear-leveling empty a
@@ -69,8 +80,7 @@
 use std::ops::Range;
 
 use ossd_flash::{
-    bitmap, ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, PhysPageAddr,
-    ReliabilityConfig,
+    bitmap, ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, ReliabilityConfig,
 };
 use ossd_gc::{AnyPolicy, CleaningPolicy, TriggerContext, TriggerDecision};
 use ossd_mapcache::{MapCache, MapStats, ENTRY_BYTES};
@@ -83,7 +93,7 @@ use crate::pool::{AppendPoint, BlockPool, MAX_VICTIMS_PER_PASS};
 use crate::ppn::{Ppn, PpnLayout};
 use crate::types::{FlashOp, FlashOpKind, Ftl, FtlStats, Lpn, OpPurpose, WriteContext};
 
-/// Reverse-map value of a physical page that holds no live data.
+/// Reverse-map value of a physical page never programmed.
 const UNMAPPED: u32 = u32::MAX;
 
 /// Reverse-map tag marking a physical page as a *translation page* of the
@@ -149,9 +159,11 @@ pub struct PageFtl {
     layout: PpnLayout,
     /// Logical-to-physical map; [`Ppn::UNMAPPED`] for never-written pages.
     map: Vec<Ppn>,
-    /// Physical-to-logical reverse map, indexed by page number: the logical
-    /// page a physical page holds, `MAP_TAG | tpn` for a translation page,
-    /// `UNMAPPED` for pages holding no live data.
+    /// Physical-to-logical reverse map, indexed by page number: each page's
+    /// OOB tag, the logical page it was programmed with or `MAP_TAG | tpn`
+    /// for a translation page (`UNMAPPED` until first programmed).  Valid
+    /// only where the page's valid bit is set: invalidation leaves the tag,
+    /// so a stale page's entry names data that has moved on.
     rmap: Vec<u32>,
     /// Each element's block lifecycle: free list, append points, free-page
     /// count, deferred retirements and the incremental victim index.
@@ -387,6 +399,46 @@ impl PageFtl {
         Ok(())
     }
 
+    /// Asserts the reverse map's contract, the mapping half of ROADMAP item
+    /// 1(a)'s invariants: every valid page's tag maps back to it — a data
+    /// tag `l` through `map[l]`, a `MAP_TAG | tpn` tag through `gtd[tpn]` —
+    /// and the valid pages number the mapped logical pages plus the live
+    /// translation pages.  Stale and free pages' tags are not looked at.
+    #[cfg(test)]
+    fn check_reverse_map(&self, at: &str) {
+        let gtd = self.paging.as_ref().map_or(&[][..], |p| &p.gtd[..]);
+        let mut valid = 0;
+        for element in 0..self.pools.len() {
+            let flash_element = self.flash.element(ElementId(element as u32)).unwrap();
+            for (block, _) in flash_element.iter_blocks() {
+                let base = self.layout.block_base(element, block);
+                let words = flash_element.valid_words(block).unwrap();
+                for p in bitmap::runs_of_ones(words, 0)
+                    .flatten()
+                    .map(|page| base + page)
+                {
+                    let tag = self.rmap[p];
+                    let (table, index) = match tag & MAP_TAG {
+                        0 => ("map", self.map.get(tag as usize)),
+                        _ => ("GTD", gtd.get((tag & !MAP_TAG) as usize)),
+                    };
+                    assert_eq!(
+                        index.map(|ppn| ppn.index()),
+                        Some(p),
+                        "{at}: valid page {p} has tag {tag:#x}, which the {table} does not map to it"
+                    );
+                    valid += 1;
+                }
+            }
+        }
+        let live = |table: &[Ppn]| table.iter().filter(|&&ppn| ppn != Ppn::UNMAPPED).count();
+        assert_eq!(
+            valid,
+            live(&self.map) + live(gtd),
+            "{at}: valid pages against mapped logical pages plus live translation pages"
+        );
+    }
+
     /// The element with the most free pages, ties broken in round-robin
     /// order from the cursor.  Free pages of retired blocks were forfeited
     /// at retirement, so a heavily degraded element stops attracting writes.
@@ -461,9 +513,9 @@ impl PageFtl {
     }
 
     /// Programs the next page of the element's active block and returns its
-    /// address, updating the incremental free-page counters and the block's
-    /// age clock.  `data_timestamp` is the logical-clock value of the data
-    /// being written (see [`BlockPool::programmed`]).
+    /// page number, updating the incremental free-page counters and the
+    /// block's age clock.  `data_timestamp` is the logical-clock value of
+    /// the data being written (see [`BlockPool::programmed`]).
     ///
     /// `purpose`/`ops` bill the latency of *failed* program attempts (the
     /// successful program's op is the caller's to emit, as before): a
@@ -476,35 +528,51 @@ impl PageFtl {
         data_timestamp: u64,
         purpose: OpPurpose,
         ops: &mut Vec<FlashOp>,
-    ) -> Result<PhysPageAddr, FtlError> {
+    ) -> Result<Ppn, FtlError> {
         let mut allow_reserve = allow_reserve;
         loop {
             let block = self.ensure_active_block(element, AppendPoint::Data, allow_reserve)?;
-            let addr = match self.flash.program(ElementId(element as u32), block) {
-                Ok(addr) => addr,
-                Err(FlashError::ProgramFailed { .. }) => {
-                    let failed = FlashOp::program_for(ElementId(element as u32), purpose);
-                    self.abandon_after_program_failure(
-                        element,
-                        AppendPoint::Data,
-                        block,
-                        failed,
-                        ops,
-                    );
-                    // The retry may dip into the GC reserve even on the
-                    // host path: re-programming after a failure is
-                    // relocation of data that would otherwise be lost —
-                    // exactly what the reserve exists for.  Without this a
-                    // device at its steady-state watermark dies on the
-                    // first program failure instead of retiring the block.
-                    allow_reserve = true;
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
+            let Some(ppn) = self.program_one(element, block, data_timestamp)? else {
+                let failed = FlashOp::program_for(ElementId(element as u32), purpose);
+                self.abandon_after_program_failure(element, AppendPoint::Data, block, failed, ops);
+                // The retry may dip into the GC reserve even on the host
+                // path: re-programming after a failure is relocation of data
+                // that would otherwise be lost — exactly what the reserve
+                // exists for.  Without this a device at its steady-state
+                // watermark dies on the first program failure instead of
+                // retiring the block.
+                allow_reserve = true;
+                continue;
             };
-            self.note_programmed(element, block, addr.page..addr.page + 1, data_timestamp);
-            return Ok(addr);
+            return Ok(ppn);
         }
+    }
+
+    /// Programs the next page of `block` and accounts it; `None` is a
+    /// program failure (the page is burned, the caller abandons the block).
+    ///
+    /// The page comes from [`FlashArray::program_run`]'s range, whose two
+    /// 4-byte fields the caller reads back as they were stored.  Not from
+    /// [`FlashArray::program`]: the host write path read its block and page
+    /// back as one 8-byte load over two 4-byte stores, which no store can
+    /// forward to, so the load waited for every older store to reach the
+    /// cache.
+    fn program_one(
+        &mut self,
+        element: usize,
+        block: u32,
+        stamp: u64,
+    ) -> Result<Option<Ppn>, FtlError> {
+        let pages = self
+            .flash
+            .program_run(ElementId(element as u32), block, 1)?;
+        if pages.is_empty() {
+            return Ok(None);
+        }
+        self.note_programmed(element, block, pages.clone(), stamp);
+        Ok(Some(Ppn(
+            self.layout.block_base(element, block) as u32 + pages.start
+        )))
     }
 
     /// Accounts the `pages` just programmed into `block`, where `stamp` is
@@ -558,7 +626,8 @@ impl PageFtl {
         Ok(true)
     }
 
-    /// Invalidates the physical page currently mapped to `lpn`, if any.
+    /// Invalidates the physical page currently mapped to `lpn`, if any.  The
+    /// page keeps its reverse-map tag: a stale page's tag is never read.
     fn invalidate_mapping(&mut self, lpn: Lpn, freed_by_host: bool) -> Result<(), FtlError> {
         let ppn = self.map[lpn.index()];
         if ppn == Ppn::UNMAPPED {
@@ -568,7 +637,6 @@ impl PageFtl {
         let change = self.flash.invalidate(addr)?;
         debug_assert!(change.newly_stale, "a mapped page is a valid page");
         self.pools[addr.element.index()].invalidated(addr.block, 1);
-        self.rmap[ppn.index()] = UNMAPPED;
         self.map[lpn.index()] = Ppn::UNMAPPED;
         if freed_by_host {
             self.freed_phys.insert(ppn.0 as u64);
@@ -646,30 +714,24 @@ impl PageFtl {
                 }
                 Err(e) => return Err(e),
             };
-            let addr = match self.flash.program(ElementId(element as u32), block) {
-                Ok(addr) => addr,
-                Err(FlashError::ProgramFailed { .. }) => {
-                    let failed = FlashOp::map_write(ElementId(element as u32), purpose);
-                    self.abandon_after_program_failure(element, point, block, failed, ops);
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
             // Translation pages are metadata written now: they carry the
             // current clock, not a relocated-data age.
-            self.note_programmed(element, block, addr.page..addr.page + 1, self.clock);
-            let new_ppn = self.layout.ppn(addr);
+            let Some(new_ppn) = self.program_one(element, block, self.clock)? else {
+                let failed = FlashOp::map_write(ElementId(element as u32), purpose);
+                self.abandon_after_program_failure(element, point, block, failed, ops);
+                continue;
+            };
             let old_ppn = {
                 let paging = self.paging.as_mut().expect("demand paging enabled");
                 paging.map_writes += 1;
                 std::mem::replace(&mut paging.gtd[tpn as usize], new_ppn)
             };
+            // The superseded version keeps its tag, as a stale page does.
             if old_ppn != Ppn::UNMAPPED {
                 let old_addr = self.layout.addr(old_ppn);
                 let change = self.flash.invalidate(old_addr)?;
                 debug_assert!(change.newly_stale, "the GTD points at a valid page");
                 self.pools[old_addr.element.index()].invalidated(old_addr.block, 1);
-                self.rmap[old_ppn.index()] = UNMAPPED;
             }
             debug_assert!(tpn < (MAP_TAG - 1) as u64, "see MAP_TAG");
             self.rmap[new_ppn.index()] = MAP_TAG | tpn as u32;
@@ -933,7 +995,9 @@ impl PageFtl {
         // Relocated data keeps the source block's age (LFS convention).
         let timestamp = self.pools[element].last_write(block);
         let base = self.layout.block_base(element, block);
-        let is_map_page = |tag: u32| tag != UNMAPPED && tag & MAP_TAG != 0;
+        // Only the valid pages' tags are read, and a valid page's tag is a
+        // logical page or a translation page, never `UNMAPPED`.
+        let is_map_page = |tag: u32| tag & MAP_TAG != 0;
         // Stale and free pages have no bit and are stepped over a word at a
         // time.
         while let Some(first) = bitmap::runs_of_ones(valid, *passed).next() {
@@ -982,8 +1046,12 @@ impl PageFtl {
                 for stretch in bitmap::runs_of_ones(valid, page) {
                     end = stretch.end.min(stretch.start + left);
                     for old_ppn in base + stretch.start..base + end {
-                        let lpn = std::mem::replace(&mut self.rmap[old_ppn], UNMAPPED);
-                        debug_assert_ne!(lpn, UNMAPPED, "valid page with no reverse mapping");
+                        let lpn = self.rmap[old_ppn];
+                        debug_assert_eq!(
+                            self.map[lpn as usize].index(),
+                            old_ppn,
+                            "a valid page's tag maps back to it"
+                        );
                         self.rmap[new_ppn] = lpn;
                         self.map[lpn as usize] = Ppn(new_ppn as u32);
                         self.note_relocation(lpn, Ppn(new_ppn as u32));
@@ -1338,13 +1406,12 @@ impl Ftl for PageFtl {
         if !invalidated_early {
             self.invalidate_mapping(lpn, false)?;
         }
-        let addr = self.program_page(element, false, self.clock, OpPurpose::HostWrite, ops)?;
-        let ppn = self.layout.ppn(addr);
+        let ppn = self.program_page(element, false, self.clock, OpPurpose::HostWrite, ops)?;
         self.map[lpn.index()] = ppn;
         // `check_lpn` bounds it by the logical page count, itself below 2³¹.
         self.rmap[ppn.index()] = lpn.0 as u32;
         self.stats.pages_programmed_host += 1;
-        ops.push(FlashOp::host_program(addr.element));
+        ops.push(FlashOp::host_program(ElementId(element as u32)));
         // The new mapping enters the cache dirty; a dirty eviction here
         // emits the batched translation-page writeback.
         self.map_install(lpn, ppn, true, map_hit, OpPurpose::HostWrite, ops)?;
@@ -1498,6 +1565,7 @@ mod tests {
     fn write_all(ftl: &mut PageFtl, lpns: impl Iterator<Item = u64>) {
         for lpn in lpns {
             ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+            ftl.check_reverse_map(&format!("write {lpn}"));
         }
     }
 
@@ -1614,6 +1682,7 @@ mod tests {
             let idx = ((i * stride) % n) as usize;
             ftl.write(Lpn(lpns[idx]), 4096, &WriteContext::idle())
                 .unwrap();
+            ftl.check_reverse_map(&format!("write {}", lpns[idx]));
         }
     }
 
@@ -2104,7 +2173,9 @@ mod tests {
         for round in 0..rounds as u64 {
             for i in 0..logical {
                 let lpn = (i * 13 + round) % logical;
-                match ftl.write(Lpn(lpn), 4096, &WriteContext::idle()) {
+                let written = ftl.write(Lpn(lpn), 4096, &WriteContext::idle());
+                ftl.check_reverse_map(&format!("round {round} write {lpn}"));
+                match written {
                     Ok(_) => {}
                     Err(FtlError::NoFreeBlocks { .. }) => return true,
                     Err(e) => panic!("unexpected FTL error under faults: {e}"),
@@ -2462,6 +2533,7 @@ mod tests {
                         .write_into(lpn, 512 >> (roll % 3), &WriteContext::idle(), &mut ops)
                         .map(|()| false),
                 };
+                ftl.check_reverse_map(&format!("seed {seed}"));
             }
             discarded.push(ftl.paging.as_ref().unwrap().discarded_rewrites);
         }
@@ -2491,5 +2563,108 @@ mod tests {
             let has_data_read = outcome.ops.iter().any(|o| o.kind == FlashOpKind::ReadPage);
             assert_eq!(has_data_read, lpn % 2 == 1, "lpn {lpn}");
         }
+    }
+
+    /// Drives seeded command streams — writes, host frees, reads, flushes,
+    /// and background cleaning where the cell has it — through one cell of
+    /// {resident, paged} map × faults {off, on} × wear-levelling {off, on}
+    /// × background cleaning {off, on} (bits 0–3 of `cell`), checking the
+    /// reverse map after every command, failed ones included.  Returns
+    /// what the streams exercised: pages moved by cleaning, by
+    /// wear-levelling and by background cleaning, translation pages
+    /// written, and program failures.
+    fn churn_checking_reverse_map(cell: u32, seeds: Range<u64>, commands: u32) -> [u64; 5] {
+        let [paged, faulty, wear_level, background] = [0, 1, 2, 3].map(|bit| cell >> bit & 1 == 1);
+        let mut seen = [0; 5];
+        for seed in seeds {
+            let mut config = FtlConfig::default()
+                .with_overprovisioning(0.25)
+                .with_watermarks(0.3, 0.1)
+                .with_honor_free(true)
+                .with_cleaning_policy(ossd_gc::CleaningPolicyKind::all()[(seed % 4) as usize]);
+            let mut geometry = FlashGeometry::tiny();
+            if paged {
+                geometry = paging_geometry();
+                config = config.with_map_cache(MapCacheConfig::default().with_budget(24));
+            }
+            if wear_level {
+                config.wear_leveling = Some(crate::config::WearLevelConfig {
+                    max_erase_spread: 1,
+                });
+            }
+            let mut faults = ossd_flash::FaultConfig::none();
+            if faulty {
+                faults = ossd_flash::FaultConfig {
+                    seed,
+                    program_fail_base: 0.002,
+                    erase_fail_base: 0.002,
+                    ..faults
+                };
+            }
+            let mut ftl = faulty_ftl_on(geometry, faults, config);
+            let mut rng = super::oracle::Rng::new(seed);
+            let mut below = |bound: u64| rng.below(bound);
+            let logical = ftl.logical_pages();
+            let mut ops = Vec::new();
+            for step in 0..commands {
+                ops.clear();
+                let lpn = Lpn(if below(10) < 7 {
+                    below(logical / 8)
+                } else {
+                    below(logical)
+                });
+                let _ = match below(100) {
+                    0..=7 => ftl.free(lpn).map(drop),
+                    8..=19 => ftl.read_into(lpn, 512, &mut ops).map(drop),
+                    20..=21 => ftl.flush_into(&mut ops),
+                    22..=25 if background => {
+                        ftl.background_clean_into(1 + below(3) as u32, 0.4, &mut ops)
+                    }
+                    _ => ftl.write_into(lpn, 512, &WriteContext::idle(), &mut ops),
+                };
+                ftl.check_reverse_map(&format!("cell {cell:04b} seed {seed} step {step}"));
+            }
+            let stats = ftl.stats();
+            seen[0] += stats.gc_pages_moved;
+            seen[1] += stats.wear_level_moves;
+            seen[2] += stats.bg_pages_moved;
+            seen[3] += ftl.map_stats().map_writes;
+            seen[4] += ftl.reliability_counters().program_fails;
+        }
+        seen
+    }
+
+    /// Every cell, each stream checked after every command; and each cell
+    /// exercised what it switches on.
+    fn reverse_map_matrix(seeds: u64, commands: u32) {
+        for cell in 0..16 {
+            let seen = churn_checking_reverse_map(cell, 1..1 + seeds, commands);
+            println!("cell {cell:04b}: {seen:?}");
+            let [moved, levelled, background, map_writes, failed] = seen;
+            let wanted = [
+                moved + background > 0,
+                levelled > 0 || cell & 4 == 0,
+                background > 0 || cell & 8 == 0,
+                map_writes > 0 || cell & 1 == 0,
+                failed > 0 || cell & 2 == 0,
+            ];
+            assert!(
+                wanted.iter().all(|&w| w),
+                "cell {cell:04b} exercised {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn valid_pages_tags_map_back_under_seeded_churn() {
+        reverse_map_matrix(2, 4_000);
+    }
+
+    /// The long form; CI runs it in release (`cargo test --release -p
+    /// ossd-ftl -- --ignored`).
+    #[test]
+    #[ignore = "long: run in release"]
+    fn valid_pages_tags_map_back_under_seeded_churn_long() {
+        reverse_map_matrix(40, 5_000);
     }
 }

@@ -7,9 +7,11 @@
 //! `program_page`, one `invalidate` and one `on_invalidate` per moved page,
 //! the source block never detached.  It differs from the old wear-leveling
 //! copy in one deliberate way: stale source pages have their host-freed bit
-//! cleared (and counted) there too, which that copy forgot.
+//! cleared (and counted) there too, which that copy forgot.  And, like the
+//! run-based drain, it leaves a moved page's reverse-map tag in place (the
+//! tag of a stale page is never read), so the two `rmap`s stay comparable.
 
-use ossd_flash::{FaultConfig, PageState};
+use ossd_flash::{FaultConfig, PageState, PhysPageAddr};
 use ossd_gc::CleaningPolicyKind;
 use ossd_mapcache::MapCacheConfig;
 
@@ -41,7 +43,7 @@ impl PageFtl {
                 PageState::Valid => {
                     let old_ppn = self.layout.ppn(addr);
                     let lpn = self.rmap[old_ppn.index()];
-                    if lpn != UNMAPPED && lpn & MAP_TAG != 0 {
+                    if lpn & MAP_TAG != 0 {
                         // A live translation page: relocate it through the
                         // map area.  The program supersedes this copy via
                         // the GTD, invalidating it in passing.
@@ -53,21 +55,17 @@ impl PageFtl {
                             .map_gc_moves += 1;
                         continue;
                     }
-                    debug_assert_ne!(lpn, UNMAPPED, "valid page with no reverse mapping");
+                    debug_assert_eq!(self.map[lpn as usize], old_ppn);
                     // Copy the page to the element's append point.
-                    let new_addr =
+                    let new_ppn =
                         self.program_page(element, true, victim_timestamp, purpose, ops)?;
-                    let new_ppn = self.layout.ppn(new_addr);
                     let change = self.flash.invalidate(addr)?;
                     if change.newly_stale {
                         self.pools[element].moved_out(victim, 1);
                     }
-                    self.rmap[old_ppn.index()] = UNMAPPED;
                     self.rmap[new_ppn.index()] = lpn;
-                    if lpn != UNMAPPED {
-                        self.map[lpn as usize] = new_ppn;
-                        self.note_relocation(lpn, new_ppn);
-                    }
+                    self.map[lpn as usize] = new_ppn;
+                    self.note_relocation(lpn, new_ppn);
                     ops.push(FlashOp {
                         element: element_id,
                         kind: FlashOpKind::CopybackPage,
@@ -112,14 +110,14 @@ pub(super) fn note_run(want: u32, moved: u32) {
 }
 
 /// A small deterministic generator for the streams (xorshift64*).
-struct Rng(u64);
+pub(super) struct Rng(u64);
 
 impl Rng {
-    fn new(seed: u64) -> Self {
+    pub(super) fn new(seed: u64) -> Self {
         Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
     }
 
-    fn below(&mut self, bound: u64) -> u64 {
+    pub(super) fn below(&mut self, bound: u64) -> u64 {
         self.0 ^= self.0 >> 12;
         self.0 ^= self.0 << 25;
         self.0 ^= self.0 >> 27;
@@ -284,6 +282,9 @@ fn drive_stream(seed: u64, commands: u32) -> (FtlStats, MapStats, u64) {
         }
         assert_eq!(ops_run, ops_ref, "{at}: ops");
         assert_lockstep(&run, &reference, &at);
+        // The reference's tables and bitmaps are equal, so one check covers
+        // both.
+        run.check_reverse_map(&at);
     }
     let fails = run.reliability_counters().program_fails;
     (run.stats(), run.map_stats(), fails)

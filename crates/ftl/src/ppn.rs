@@ -90,7 +90,7 @@ impl PpnLayout {
     }
 
     /// The page number of `addr`.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn ppn(&self, addr: PhysPageAddr) -> Ppn {
         Ppn(self.block_base(addr.element.index(), addr.block) as u32 + addr.page)
     }

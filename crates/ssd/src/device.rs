@@ -403,7 +403,10 @@ impl Ssd {
     /// reports through the same handle, so one recorder sees the whole
     /// cross-layer picture.  Telemetry never alters timing decisions; with
     /// the default detached handle every hook compiles down to one pointer
-    /// check.
+    /// check, in this crate and in the FTL's alike: each hook is an
+    /// `#[inline]` test for `None` that the calling crate compiles in, and
+    /// the attached body is an outlined (`#[inline(never)]`) function of
+    /// `ossd-telemetry`, so a detached hook makes no call.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
         self.ftl.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;

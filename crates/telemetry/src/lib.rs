@@ -140,6 +140,13 @@ pub trait TelemetrySink: Send {
 /// device's engine on its own thread.  Within one device the simulator is
 /// still single-threaded, so the `Mutex` is uncontended and each call is
 /// one atomic lock plus the sink method.
+///
+/// The one check holds across crates because every hook is split in two:
+/// an `#[inline]` test for `None`, which the calling crate compiles into
+/// its own code, and the attached body, kept out of line (`#[inline(never)]`)
+/// so the inlined part stays one compare and branch.  Without the split a
+/// hook is an ordinary non-generic function of this crate, and a detached
+/// call still pays a real call.
 #[derive(Clone, Default)]
 pub struct TelemetryHandle {
     sink: Option<Arc<Mutex<dyn TelemetrySink>>>,
@@ -154,6 +161,13 @@ impl std::fmt::Debug for TelemetryHandle {
     }
 }
 
+/// Runs `f` on the locked sink: the attached body of every hook, out of
+/// line so that what a hook inlines into its caller is the `None` test.
+#[inline(never)]
+fn locked<R>(sink: &Mutex<dyn TelemetrySink>, f: impl FnOnce(&mut dyn TelemetrySink) -> R) -> R {
+    f(&mut *sink.lock().unwrap())
+}
+
 impl TelemetryHandle {
     /// A detached handle: all operations are no-ops.
     pub fn noop() -> Self {
@@ -166,18 +180,21 @@ impl TelemetryHandle {
     }
 
     /// Whether a sink is attached.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()
     }
 
     /// Update the sink's current-sim-time register (no-op when detached).
+    #[inline]
     pub fn set_now(&self, now: SimTime) {
         if let Some(sink) = &self.sink {
-            sink.lock().unwrap().set_now(now);
+            locked(sink, |sink| sink.set_now(now));
         }
     }
 
     /// Record a span (no-op when detached).
+    #[inline]
     pub fn span(
         &self,
         start: SimTime,
@@ -188,53 +205,57 @@ impl TelemetryHandle {
         b: u64,
     ) {
         if let Some(sink) = &self.sink {
-            sink.lock().unwrap().span(start, end, track, kind, a, b);
+            locked(sink, |sink| sink.span(start, end, track, kind, a, b));
         }
     }
 
     /// Record an instant at an explicit time (no-op when detached).
+    #[inline]
     pub fn instant(&self, at: SimTime, track: Track, kind: EventKind, a: u64, b: u64) {
         if let Some(sink) = &self.sink {
-            sink.lock().unwrap().instant(at, track, kind, a, b);
+            locked(sink, |sink| sink.instant(at, track, kind, a, b));
         }
     }
 
     /// Record an instant stamped with the sink's current-time register —
     /// used by untimed layers such as the FTLs (no-op when detached).
+    #[inline]
     pub fn instant_now(&self, track: Track, kind: EventKind, a: u64, b: u64) {
         if let Some(sink) = &self.sink {
-            let mut sink = sink.lock().unwrap();
-            let at = sink.now();
-            sink.instant(at, track, kind, a, b);
+            locked(sink, |sink| sink.instant(sink.now(), track, kind, a, b));
         }
     }
 
     /// Add to a named counter (no-op when detached).
+    #[inline]
     pub fn add(&self, counter: &'static str, delta: u64) {
         if let Some(sink) = &self.sink {
-            sink.lock().unwrap().add(counter, delta);
+            locked(sink, |sink| sink.add(counter, delta));
         }
     }
 
     /// Record a command response time (no-op when detached).
+    #[inline]
     pub fn observe_service(&self, class: ServiceClass, nanos: u64) {
         if let Some(sink) = &self.sink {
-            sink.lock().unwrap().observe_service(class, nanos);
+            locked(sink, |sink| sink.observe_service(class, nanos));
         }
     }
 
     /// Whether a metrics sample is due (always `false` when detached).
+    #[inline]
     pub fn sample_due(&self, now: SimTime) -> bool {
         match &self.sink {
-            Some(sink) => sink.lock().unwrap().sample_due(now),
+            Some(sink) => locked(sink, |sink| sink.sample_due(now)),
             None => false,
         }
     }
 
     /// Store a metrics sample (no-op when detached).
+    #[inline]
     pub fn push_sample(&self, sample: MetricsSample) {
         if let Some(sink) = &self.sink {
-            sink.lock().unwrap().push_sample(sample);
+            locked(sink, |sink| sink.push_sample(sample));
         }
     }
 }
