@@ -7,12 +7,11 @@
 //! stripe forces a read-modify-write of the whole stripe.
 
 use ossd_block::{BlockDevice, BlockRequest, DeviceError};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
-use ossd_ftl::FtlConfig;
+use ossd_flash::FlashTiming;
 use ossd_sim::{SimDuration, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_ssd::{MappingKind, Ssd, SsdConfig};
 
-use super::Scale;
+use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
 /// The stripe size of the modelled device (1 MB, as on S2slc).
 pub const STRIPE_BYTES: u64 = 1024 * 1024;
@@ -28,15 +27,6 @@ pub struct Figure2Point {
 
 fn device_config(scale: Scale) -> SsdConfig {
     SsdConfig {
-        name: "figure2-s2slc-like".to_string(),
-        geometry: FlashGeometry {
-            packages: 8,
-            dies_per_package: 1,
-            planes_per_die: 1,
-            blocks_per_plane: scale.bytes(128, 512) as u32,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        },
         timing: FlashTiming {
             bus_bytes_per_sec: 40_000_000,
             ..FlashTiming::slc()
@@ -45,16 +35,12 @@ fn device_config(scale: Scale) -> SsdConfig {
             stripe_bytes: STRIPE_BYTES,
             coalesce: true,
         },
-        ftl: FtlConfig::default(),
-        reliability: ReliabilityConfig::none(),
-        background_gc: None,
-        gangs: 1,
-        scheduler: SchedulerKind::Fcfs,
-        queue_depth: 1,
         controller_overhead: SimDuration::from_micros(30),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
         ram_bytes_per_sec: 100_000_000,
+        ..device(
+            "figure2-s2slc-like",
+            geometry(8, scale.bytes(128, 512) as u32, 64),
+        )
     }
 }
 
@@ -72,26 +58,14 @@ fn measure_write_size(
     let region = stride * bursts;
 
     // Prefill the region stripe-aligned so every stripe holds old data.
-    let mut id = 0u64;
-    let mut offset = 0u64;
-    while offset < region {
-        ssd.submit(&BlockRequest::write(
-            id,
-            offset,
-            STRIPE_BYTES,
-            SimTime::ZERO,
-        ))?;
-        id += 1;
-        offset += STRIPE_BYTES;
-    }
+    fill(&mut ssd, region, STRIPE_BYTES, 0, false)?;
     let start = ssd.flush(SimTime::ZERO).map_err(DeviceError::from)?;
 
     // Measured phase: closed-loop bursts of the requested size.
     let mut arrival = start;
     let first_arrival = arrival;
-    for burst in 0..bursts {
+    for (id, burst) in (region / STRIPE_BYTES..).zip(0..bursts) {
         let req = BlockRequest::write(id, burst * stride, write_bytes, arrival);
-        id += 1;
         let completion = ssd.submit(&req)?;
         arrival = completion.finish;
     }
@@ -134,6 +108,22 @@ pub fn bandwidth_at(points: &[Figure2Point], mb: f64) -> Option<f64> {
                 .expect("write sizes are finite")
         })
         .map(|p| p.bandwidth_mbps)
+}
+
+/// Figure 2 as a report: bandwidth per write size.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let table = Table::of(
+        &run(scale)?,
+        &[
+            (col("write", "MB", 2), |p| p.write_mb.into()),
+            (col("bandwidth", "MB/s", 2), |p| p.bandwidth_mbps.into()),
+        ],
+    );
+    let title = "Figure 2: Write Amplification (bandwidth vs write size)";
+    Ok(Report::new("figure2", title, scale, vec![table]).note(
+        "The paper's Figure 2: bandwidth peaks when the write size aligns with the \
+         1 MB stripe and dips just past each multiple (saw-tooth).",
+    ))
 }
 
 #[cfg(test)]

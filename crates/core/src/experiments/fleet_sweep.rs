@@ -24,13 +24,12 @@ use ossd_block::{
     BlockDevice, ByteRange, CompletionStatus, DeviceError, HostCommand, HostInterface, HostQueue,
     LatencyPercentiles, WriteHint,
 };
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
 use ossd_fleet::{Fleet, FleetConfig, RebuildQos};
 use ossd_ftl::FtlConfig;
 use ossd_sim::{LatencyStats, SimDuration, SimRng, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, SsdConfig};
+use ossd_ssd::SsdConfig;
 
-use super::Scale;
+use super::{col, device, geometry, ExperimentError, Report, Scale, Table};
 
 /// One measured grid point: a device count × thread count × stripe unit.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -93,29 +92,12 @@ const INITIATORS: usize = 4;
 
 fn device_config(scale: Scale) -> SsdConfig {
     SsdConfig {
-        name: "fleet-sweep".to_string(),
-        geometry: FlashGeometry {
-            packages: 2,
-            dies_per_package: 1,
-            planes_per_die: 1,
-            blocks_per_plane: scale.count(32, 64) as u32,
-            pages_per_block: 32,
-            page_bytes: 4096,
-        },
-        timing: FlashTiming::slc(),
-        mapping: MappingKind::PageMapped,
         ftl: FtlConfig::default()
             .with_overprovisioning(0.12)
             .with_watermarks(0.10, 0.04),
-        reliability: ReliabilityConfig::none(),
-        background_gc: None,
-        gangs: 1,
-        scheduler: SchedulerKind::Fcfs,
         queue_depth: 8,
         controller_overhead: SimDuration::from_micros(10),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device("fleet-sweep", geometry(2, scale.count(32, 64) as u32, 32))
     }
 }
 
@@ -412,7 +394,7 @@ pub const STRIPE_KIB: [u64; 2] = [4, 32];
 ///
 /// At `Quick` scale the grid shrinks to devices {1, 4} × threads {1, 2} ×
 /// stripe 4 KiB so tests stay fast.
-pub fn run(scale: Scale) -> Result<FleetSweep, DeviceError> {
+pub fn run(scale: Scale) -> Result<FleetSweep, ExperimentError> {
     let mut points = Vec::new();
     let (devices, threads, stripes): (&[usize], &[usize], &[u64]) = match scale {
         Scale::Quick => (&[1, 4], &[1, 2], &STRIPE_KIB[..1]),
@@ -429,7 +411,114 @@ pub fn run(scale: Scale) -> Result<FleetSweep, DeviceError> {
     for (label, qos) in rebuild_budgets() {
         rebuild.push(run_rebuild(scale, label, qos)?);
     }
-    Ok(FleetSweep { points, rebuild })
+    let sweep = FleetSweep { points, rebuild };
+    check(&sweep)?;
+    Ok(sweep)
+}
+
+/// The sweep's own acceptance: degraded serving is invisible to the host,
+/// and the budget trades copy-back rate against survivor tails — the
+/// setting that copies fastest also has the higher survivor p99.9.
+/// Returns the settings it compared: the fastest and the slowest.
+pub fn check(sweep: &FleetSweep) -> Result<(&RebuildPoint, &RebuildPoint), ExperimentError> {
+    let fail = |what: String| {
+        Err(ExperimentError::Check {
+            experiment: "fleet_sweep",
+            what,
+        })
+    };
+    if let Some(r) = sweep.rebuild.iter().find(|r| r.host_errors > 0) {
+        return fail(format!(
+            "{}: degraded/rebuild serving surfaced {} host-visible errors",
+            r.label, r.host_errors
+        ));
+    }
+    let by_rate = |a: &&RebuildPoint, b: &&RebuildPoint| a.rebuild_mbps.total_cmp(&b.rebuild_mbps);
+    let open = sweep.rebuild.iter().max_by(by_rate);
+    let (Some(open), Some(tight)) = (open, sweep.rebuild.iter().min_by(by_rate)) else {
+        return fail("the rebuild sweep is empty".to_string());
+    };
+    if open.rebuild_mbps <= tight.rebuild_mbps || open.degraded.p999_ms <= tight.degraded.p999_ms {
+        return fail(format!(
+            "budget did not move copy-back bandwidth and survivor p99.9 in opposite \
+             directions: {} {:.2} MB/s p99.9 {:.3} ms vs {} {:.2} MB/s p99.9 {:.3} ms",
+            open.label,
+            open.rebuild_mbps,
+            open.degraded.p999_ms,
+            tight.label,
+            tight.rebuild_mbps,
+            tight.degraded.p999_ms
+        ));
+    }
+    Ok((open, tight))
+}
+
+/// The sweep as a report: the scale-out grid and the rebuild settings.
+/// Wall-clock seconds per grid point are timings, not table cells.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let sweep = run(scale)?;
+    let grid = Table {
+        name: "scale-out",
+        ..Table::of(
+            &sweep.points,
+            &[
+                (col("devices", "", 0), |p| p.devices.into()),
+                (col("threads", "", 0), |p| p.threads.into()),
+                (col("stripe", "KiB", 0), |p| p.stripe_kib.into()),
+                (col("bandwidth", "MB/s", 2), |p| p.bandwidth_mbps.into()),
+                (col("p50", "ms", 4), |p| p.p50_ms.into()),
+                (col("p99", "ms", 4), |p| p.p99_ms.into()),
+                (col("ops", "", 0), |p| p.ops.into()),
+            ],
+        )
+    };
+    let rebuild = Table {
+        name: "rebuild",
+        ..Table::of(
+            &sweep.rebuild,
+            &[
+                (col("setting", "", 0), |r| r.label.into()),
+                (col("budget", "MB/s", 1), |r| r.budget_mbps.into()),
+                (col("backoff", "", 0), |r| r.backoff.into()),
+                (col("devices", "", 0), |r| r.devices.into()),
+                (col("healthy_p99", "ms", 4), |r| r.healthy.p99_ms.into()),
+                (col("healthy_p999", "ms", 4), |r| r.healthy.p999_ms.into()),
+                (col("degraded_p99", "ms", 4), |r| r.degraded.p99_ms.into()),
+                (col("degraded_p999", "ms", 4), |r| r.degraded.p999_ms.into()),
+                (col("rebuilt", "MiB", 1), |r| r.rebuilt_mib.into()),
+                (col("rebuild", "MB/s", 2), |r| r.rebuild_mbps.into()),
+                (col("degraded_reads", "", 0), |r| r.degraded_reads.into()),
+                (col("host_errors", "", 0), |r| r.host_errors.into()),
+            ],
+        )
+    };
+    let title = "Fleet sweep: striped scale-out and parity rebuild";
+    let mut report = Report::new("fleet_sweep", title, scale, vec![grid, rebuild]);
+    for p in &sweep.points {
+        report.timings.push(format!(
+            "devices {} threads {} stripe {} KiB: wall {:.4} s",
+            p.devices, p.threads, p.stripe_kib, p.wall_seconds
+        ));
+    }
+    let widest = sweep.points.iter().max_by_key(|p| p.devices);
+    if let (Some(w), Some(n)) = (widest, sweep.points.iter().min_by_key(|p| p.devices)) {
+        let gain = w.bandwidth_mbps / n.bandwidth_mbps;
+        let (from, to) = (n.devices, w.devices);
+        report = report.note(format!(
+            "Striping {from} -> {to} devices scales aggregate bandwidth {gain:.2}x."
+        ));
+    }
+    let (open, tight) = check(&sweep)?;
+    Ok(report.note(format!(
+        "On the degraded parity fleet, opening the rebuild budget {} -> {} raises copy-back \
+         {:.2} -> {:.2} MB/s and survivor p99.9 {:.3} -> {:.3} ms: the QoS trade in one line.",
+        tight.label,
+        open.label,
+        tight.rebuild_mbps,
+        open.rebuild_mbps,
+        tight.degraded.p999_ms,
+        open.degraded.p999_ms
+    )))
 }
 
 #[cfg(test)]
@@ -485,6 +574,39 @@ mod tests {
             open.degraded.p999_ms,
             tight.degraded.p999_ms
         );
+    }
+
+    #[test]
+    fn budgets_that_do_not_separate_fail_the_check() {
+        let p = LatencyPercentiles::default();
+        let point = |label, rebuild_mbps| RebuildPoint {
+            label,
+            budget_mbps: 0.0,
+            backoff: false,
+            devices: 4,
+            healthy: p,
+            degraded: p,
+            rebuilt_mib: 1.0,
+            rebuild_mbps,
+            degraded_reads: 0,
+            host_errors: 0,
+        };
+        let sweep = FleetSweep {
+            points: Vec::new(),
+            rebuild: vec![point("open", 4.0), point("tight", 1.0)],
+        };
+        match check(&sweep) {
+            Err(ExperimentError::Check { experiment, what }) => {
+                assert_eq!(experiment, "fleet_sweep");
+                assert!(what.contains("open 4.00 MB/s"), "{what}");
+            }
+            other => panic!("expected a check failure, got {other:?}"),
+        }
+        let empty = FleetSweep {
+            points: Vec::new(),
+            rebuild: Vec::new(),
+        };
+        assert!(matches!(check(&empty), Err(ExperimentError::Check { .. })));
     }
 
     #[test]

@@ -19,16 +19,16 @@
 //! per completion and blame components summing exactly to each record's
 //! end-to-end latency.
 
-use ossd_block::{BlockDevice, BlockRequest, DeviceError, HostCommand, HostInterface, HostQueue};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
+use ossd_block::{BlockDevice, DeviceError, HostCommand, HostInterface, HostQueue};
+use ossd_flash::ReliabilityConfig;
 use ossd_ftl::{FtlConfig, MapCacheConfig};
 use ossd_gc::BackgroundGcConfig;
 use ossd_sim::{SimDuration, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
-use ossd_telemetry::{to_chrome_counters, BlameCat, TailReport};
+use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
+use ossd_telemetry::{to_chrome_counters, BlameCat, ClassTail, TailReport};
 use ossd_workload::TpccConfig;
 
-use super::Scale;
+use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
 /// Number of initiator queue pairs the workload drives.
 pub const INITIATORS: usize = 4;
@@ -64,65 +64,45 @@ pub struct LatencyBlame {
     pub points: Vec<LatencyBlamePoint>,
 }
 
-/// The GC-active device under test: 8 elements on two gang buses, with the
-/// cleaning watermark raised above what the prefill leaves free so
-/// foreground cleaning runs throughout the measured churn, and the
-/// stressed wear-out fault model so ECC retries appear in the blame.
-fn device_config(scale: Scale, map_budget: Option<usize>) -> SsdConfig {
+/// The GC-active device both telemetry experiments drive: 8 elements on
+/// two gang buses, with the cleaning watermark raised above what the
+/// prefill leaves free so foreground cleaning runs throughout the measured
+/// churn, and the wear-out fault model with the pristine raw bit-error mean
+/// at the edge of the default ECC strength, so a visible fraction of reads
+/// needs a shifted-threshold retry.
+pub(super) fn device_config(scale: Scale, name: &str, map_budget: Option<usize>) -> SsdConfig {
     let mut ftl = FtlConfig::default()
         .with_overprovisioning(0.12)
         .with_watermarks(0.30, 0.15);
     if let Some(budget) = map_budget {
         ftl = ftl.with_map_cache(MapCacheConfig::default().with_budget(budget as u64));
     }
+    let mut reliability = ReliabilityConfig::wearout(0x7e1e);
+    reliability.faults.raw_ber_base = 4.0;
     SsdConfig {
-        name: "latency-blame".to_string(),
-        geometry: FlashGeometry {
-            packages: 8,
-            dies_per_package: 1,
-            planes_per_die: 1,
-            blocks_per_plane: scale.count(128, 512) as u32,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        },
-        timing: FlashTiming::slc(),
-        mapping: MappingKind::PageMapped,
         ftl,
-        reliability: stressed_reliability(),
+        reliability,
         background_gc: Some(BackgroundGcConfig::default()),
         gangs: 2,
         scheduler: SchedulerKind::Swtf,
         queue_depth: 8,
         controller_overhead: SimDuration::from_micros(10),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device(name, geometry(8, scale.count(128, 512) as u32, 64))
     }
 }
 
-/// Same stressed fault model as the trace-capture experiment: the pristine
-/// raw bit-error mean sits at the edge of the default ECC strength, so a
-/// visible fraction of reads needs a shifted-threshold retry.
-fn stressed_reliability() -> ReliabilityConfig {
-    let mut reliability = ReliabilityConfig::wearout(0x7e1e);
-    reliability.faults.raw_ber_base = 4.0;
-    reliability
-}
-
-/// The swept map budgets for `scale` (entry counts; `None` = resident).
-fn budgets(scale: Scale) -> Vec<Option<usize>> {
-    vec![
-        None,
-        Some(scale.count(2048, 16384)),
-        Some(scale.count(256, 2048)),
-    ]
-}
-
-/// Runs one map-budget point: prefill, enable attribution, churn TPC-C
-/// through four initiators, drain and aggregate the blame records.
-fn run_point(scale: Scale, map_budget: Option<usize>) -> Result<LatencyBlamePoint, DeviceError> {
-    let config = device_config(scale, map_budget);
-    let mut ssd = Ssd::new(config).map_err(DeviceError::from)?;
+/// Serves the TPC-C slice both telemetry experiments measure.  The database
+/// and log are sized to the device so both scales stress it equally.  The
+/// database is prefilled *before* `instrument` runs, so what it observes is
+/// the steady-state churn, not the fill.  The transactions are then
+/// arbitrated round-robin across [`INITIATORS`] queue pairs, closing with
+/// one Flush per initiator so the fence path is exercised too.  Returns the
+/// commands completed and the churn's start.
+pub(super) fn serve_tpcc_slice(
+    scale: Scale,
+    ssd: &mut Ssd,
+    instrument: impl FnOnce(&mut Ssd),
+) -> Result<(usize, SimTime), DeviceError> {
     let capacity = ssd.capacity_bytes();
     let page = ssd.logical_page_bytes();
     let database_bytes = (capacity * 8 / 10) / page * page;
@@ -132,21 +112,8 @@ fn run_point(scale: Scale, map_budget: Option<usize>) -> Result<LatencyBlamePoin
         log_bytes: (capacity / 10) / page * page,
         ..TpccConfig::default()
     };
-
-    // Prefill before enabling attribution: the report should describe the
-    // steady-state churn, not the sequential fill.
-    let mut at = SimTime::ZERO;
-    let chunk = 128 * page;
-    let mut id = 1_000_000u64;
-    let mut offset = 0u64;
-    while offset < database_bytes {
-        let len = chunk.min(database_bytes - offset);
-        let c = ssd.submit(&BlockRequest::write(id, offset, len, at))?;
-        at = c.finish;
-        offset += len;
-        id += 1;
-    }
-    ssd.enable_attribution();
+    let at = fill(ssd, database_bytes, 128 * page, 1_000_000, true)?;
+    instrument(ssd);
 
     let base = at + SimDuration::from_millis(1);
     let requests = tpcc.generate().to_requests();
@@ -158,13 +125,40 @@ fn run_point(scale: Scale, map_budget: Option<usize>) -> Result<LatencyBlamePoin
         last_arrival = last_arrival.max(request.arrival);
         queues[i % INITIATORS].submit_request(&request);
     }
-    // One closing Flush per initiator puts the fence path in the blame.
     for queue in &mut queues {
         queue.submit(u64::MAX, HostCommand::Flush, last_arrival);
     }
     ssd.serve(&mut queues)?;
-    let completions: usize = queues.iter_mut().map(|q| q.drain_completions().len()).sum();
+    let completions = queues.iter_mut().map(|q| q.drain_completions().len()).sum();
+    Ok((completions, base))
+}
 
+/// The swept map budgets for `scale` (entry counts; `None` = resident).
+fn budgets(scale: Scale) -> Vec<Option<usize>> {
+    vec![
+        None,
+        Some(scale.count(2048, 16384)),
+        Some(scale.count(256, 2048)),
+    ]
+}
+
+/// A failed self-check of this experiment.
+fn fail<T>(what: String) -> Result<T, ExperimentError> {
+    Err(ExperimentError::Check {
+        experiment: "latency_blame",
+        what,
+    })
+}
+
+/// Runs one map-budget point: the TPC-C slice with attribution enabled
+/// after the prefill, its blame records drained and aggregated.
+fn run_point(
+    scale: Scale,
+    map_budget: Option<usize>,
+) -> Result<LatencyBlamePoint, ExperimentError> {
+    let config = device_config(scale, "latency-blame", map_budget);
+    let mut ssd = Ssd::new(config).map_err(DeviceError::from)?;
+    let (completions, _) = serve_tpcc_slice(scale, &mut ssd, Ssd::enable_attribution)?;
     let records = ssd.take_blame_records();
     let report = TailReport::from_records(&records);
     let point = LatencyBlamePoint {
@@ -181,65 +175,118 @@ fn run_point(scale: Scale, map_budget: Option<usize>) -> Result<LatencyBlamePoin
 
     // Self-validate the subsystem's invariants on the way out.
     if records.len() != completions {
-        return Err(validation_error(format!(
-            "{}: {} blame records for {} completions",
-            point.label,
-            records.len(),
-            completions
-        )));
+        let n = records.len();
+        return fail(format!(
+            "{}: {n} blame records for {completions} completions",
+            point.label
+        ));
     }
     if let Some(bad) = records.iter().find(|r| !r.is_exact()) {
-        return Err(validation_error(format!(
+        return fail(format!(
             "{}: command {} blame sums to {} ns over a {} ns latency",
             point.label,
             bad.id,
             bad.total_nanos(),
             bad.finish.saturating_since(bad.arrival).as_nanos()
-        )));
+        ));
     }
     Ok(point)
-}
-
-fn validation_error(what: String) -> DeviceError {
-    DeviceError::Unsupported {
-        what: Box::leak(what.into_boxed_str()),
-    }
 }
 
 /// Runs the map-budget sweep and checks the headline result: under a
 /// GC-active watermark some of the p99.9 tail is blamed on GC on every
 /// point, and the demand-paged points blame map I/O where the resident
 /// point cannot.
-pub fn run(scale: Scale) -> Result<LatencyBlame, DeviceError> {
+pub fn run(scale: Scale) -> Result<LatencyBlame, ExperimentError> {
     let mut points = Vec::new();
     for map_budget in budgets(scale) {
         points.push(run_point(scale, map_budget)?);
     }
     for point in &points {
+        let label = &point.label;
         if point.tail_share(BlameCat::GcWait) <= 0.0 {
-            return Err(validation_error(format!(
-                "{}: GC-active run blames no tail latency on GC",
-                point.label
-            )));
+            return fail(format!(
+                "{label}: GC-active run blames no tail latency on GC"
+            ));
         }
         let map_blamed: f64 = point
             .report
             .class("all")
             .map_or(0.0, |c| c.blamed_us[BlameCat::Map.index()]);
         if point.map_budget.is_some() && map_blamed <= 0.0 {
-            return Err(validation_error(format!(
-                "{}: demand-paged run blames nothing on map I/O",
-                point.label
-            )));
+            return fail(format!(
+                "{label}: demand-paged run blames nothing on map I/O"
+            ));
         }
         if point.map_budget.is_none() && map_blamed > 0.0 {
-            return Err(validation_error(format!(
-                "{}: resident mapping cannot do map I/O yet map blame is nonzero",
-                point.label
-            )));
+            return fail(format!(
+                "{label}: resident mapping cannot do map I/O yet map blame is nonzero"
+            ));
         }
     }
     Ok(LatencyBlame { points })
+}
+
+/// The sweep as a report: per map budget and request class, the deep-tail
+/// percentiles and the p99.9-tail blame shares.  Artifacts: each point's
+/// blame CSV and the starved point's cumulative blame as counter tracks.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let blame = run(scale)?;
+    let rows: Vec<(&str, &ClassTail)> = blame
+        .points
+        .iter()
+        .flat_map(|p| p.report.classes.iter().map(move |c| (p.label.as_str(), c)))
+        .collect();
+    let table = Table::of(
+        &rows,
+        &[
+            (col("map", "", 0), |(map, _)| (*map).into()),
+            (col("class", "", 0), |(_, c)| c.class.into()),
+            (col("count", "", 0), |(_, c)| c.count.into()),
+            (col("p50", "us", 1), |(_, c)| c.p50_us.into()),
+            (col("p99", "us", 1), |(_, c)| c.p99_us.into()),
+            (col("p99.9", "us", 1), |(_, c)| c.p999_us.into()),
+            (col("p99.99", "us", 1), |(_, c)| c.p9999_us.into()),
+            (col("sq", "%", 1), |(_, c)| {
+                (100.0 * c.share(BlameCat::SqWait)).into()
+            }),
+            (col("flash", "%", 1), |(_, c)| {
+                (100.0 * c.share(BlameCat::Flash)).into()
+            }),
+            (col("gc", "%", 1), |(_, c)| {
+                (100.0 * c.share(BlameCat::GcWait)).into()
+            }),
+            (col("map", "%", 1), |(_, c)| {
+                (100.0 * c.share(BlameCat::Map)).into()
+            }),
+            (col("bus", "%", 1), |(_, c)| {
+                (100.0 * c.share(BlameCat::Bus)).into()
+            }),
+            (col("ecc", "%", 1), |(_, c)| {
+                (100.0 * c.share(BlameCat::Ecc)).into()
+            }),
+        ],
+    );
+    let mut report = Report::new(
+        "latency_blame",
+        "Tail latency: per-request blame for the p99.9",
+        scale,
+        vec![table],
+    );
+    for point in &blame.points {
+        let slug: String = point.label.split_whitespace().collect();
+        let csv = point.blame_csv.clone();
+        report
+            .artifacts
+            .push((format!("BENCH_tail_blame_{slug}.csv"), csv));
+    }
+    if let Some(starved) = blame.points.last() {
+        let counters = starved.counters_json.clone();
+        report
+            .artifacts
+            .push(("BENCH_tail_counters.trace.json".to_string(), counters));
+    }
+    Ok(report.note("Open the counter tracks in https://ui.perfetto.dev."))
 }
 
 #[cfg(test)]

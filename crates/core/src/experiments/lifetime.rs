@@ -21,12 +21,12 @@
 //! end-of-life at measurably different TBW.
 
 use ossd_block::{BlockDevice, BlockRequest, DeviceError};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
+use ossd_flash::{FlashTiming, ReliabilityConfig};
 use ossd_ftl::{CleaningPolicyKind, FtlConfig};
-use ossd_sim::{SimDuration, SimRng, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_sim::{SimRng, SimTime};
+use ossd_ssd::{Ssd, SsdConfig};
 
-use super::Scale;
+use super::{col, device, geometry, Column, ExperimentError, Report, Scale, Table};
 
 /// Why a lifetime run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -101,17 +101,6 @@ pub fn policies() -> [CleaningPolicyKind; 2] {
     [CleaningPolicyKind::Greedy, CleaningPolicyKind::CostBenefit]
 }
 
-fn geometry(scale: Scale) -> FlashGeometry {
-    FlashGeometry {
-        packages: 2,
-        dies_per_package: 1,
-        planes_per_die: 1,
-        blocks_per_plane: scale.count(32, 96) as u32,
-        pages_per_block: scale.count(16, 32) as u32,
-        page_bytes: 4096,
-    }
-}
-
 /// Rated endurance of the test part: low enough that the burn-in reaches
 /// wear-out within the write budget.
 fn endurance(scale: Scale) -> u32 {
@@ -144,28 +133,21 @@ fn device_config(
         None
     };
     SsdConfig {
-        name: format!(
-            "lifetime-{}-op{overprovisioning:.2}-wl{wear_leveling}",
-            policy.name()
-        ),
-        geometry: geometry(scale),
         timing: FlashTiming {
             endurance: endurance(scale),
             ..FlashTiming::slc()
         },
-        mapping: MappingKind::PageMapped,
         ftl,
         // The same fault seed for every configuration: runs differ only in
         // the policy knobs under test, not in their random draws' seed.
         reliability: ReliabilityConfig::wearout(0x11FE_711E),
-        background_gc: None,
-        gangs: 1,
-        scheduler: SchedulerKind::Fcfs,
-        queue_depth: 1,
-        controller_overhead: SimDuration::from_micros(20),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device(
+            format!(
+                "lifetime-{}-op{overprovisioning:.2}-wl{wear_leveling}",
+                policy.name()
+            ),
+            geometry(2, scale.count(32, 96) as u32, scale.count(16, 32) as u32),
+        )
     }
 }
 
@@ -265,6 +247,42 @@ pub fn run(scale: Scale) -> Result<Vec<LifetimePoint>, DeviceError> {
         }
     }
     Ok(points)
+}
+
+/// The sweep as a report: one row per lifetime run.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let uber = Column {
+        scientific: true,
+        ..col("uber", "", 3)
+    };
+    let table = Table::of(
+        &run(scale)?,
+        &[
+            (col("overprovisioning", "", 2), |p| {
+                p.overprovisioning.into()
+            }),
+            (col("policy", "", 0), |p| p.policy.name().into()),
+            (col("wear_leveling", "", 0), |p| p.wear_leveling.into()),
+            (col("end_of_life", "", 0), |p| p.end.name().into()),
+            (col("tbw", "MB", 2), |p| (p.tbw_bytes as f64 / 1e6).into()),
+            (col("lifetime", "s", 3), |p| p.lifetime_secs.into()),
+            (col("write_amp", "x", 3), |p| p.write_amplification.into()),
+            (col("retired_blocks", "", 0), |p| p.retired_blocks.into()),
+            (col("program_fails", "", 0), |p| p.program_fails.into()),
+            (col("erase_fails", "", 0), |p| p.erase_fails.into()),
+            (col("read_retries", "", 0), |p| p.read_retries.into()),
+            (col("uncorrectable_reads", "", 0), |p| {
+                p.uncorrectable_reads.into()
+            }),
+            (uber, |p| p.uber.into()),
+        ],
+    );
+    let title = "Lifetime sweep: TBW/UBER vs over-provisioning";
+    Ok(Report::new("lifetime", title, scale, vec![table]).note(
+        "Reading the curve: over-provisioning lowers write amplification, so the same \
+         per-block erase budget absorbs more host writes (higher TBW) before grown bad \
+         blocks exhaust the spares or the UBER threshold is crossed.",
+    ))
 }
 
 #[cfg(test)]

@@ -21,12 +21,12 @@
 //! is the only option.
 
 use ossd_block::{BlockDevice, BlockRequest, DeviceError};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
+use ossd_flash::FlashGeometry;
 use ossd_ftl::{FtlConfig, MapCacheConfig};
-use ossd_sim::{LatencyStats, SimDuration, SimRng, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_sim::{LatencyStats, SimRng};
+use ossd_ssd::{Ssd, SsdConfig};
 
-use super::Scale;
+use super::{col, device, fill, Cell, ExperimentError, Report, Scale, Table};
 
 /// One measured cell: one cache budget at one workload skew.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -132,20 +132,9 @@ fn device_config(config: &Config, budget: Option<u64>) -> SsdConfig {
         ftl = ftl.with_map_cache(MapCacheConfig::default().with_budget(entries));
     }
     SsdConfig {
-        name: "map-cache".to_string(),
-        geometry: config.geometry,
-        timing: FlashTiming::slc(),
-        mapping: MappingKind::PageMapped,
         ftl,
-        reliability: ReliabilityConfig::none(),
-        background_gc: None,
         gangs: 2,
-        scheduler: SchedulerKind::Fcfs,
-        queue_depth: 1,
-        controller_overhead: SimDuration::from_micros(20),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device("map-cache", config.geometry)
     }
 }
 
@@ -158,27 +147,19 @@ fn run_one(config: &Config, budget: Option<u64>, skew: f64) -> Result<MapCachePo
     // Fill phase: write the working region once, in large requests, so the
     // churn phase overwrites mapped pages (and, with a finite budget, hits
     // materialized translation pages).
-    let mut at = SimTime::ZERO;
-    let mut id = 0u64;
-    let mut lpn = 0u64;
-    while lpn < region {
-        let pages = config.fill_pages_per_request.min(region - lpn);
-        let c = ssd.submit(&BlockRequest::write(id, lpn * page, pages * page, at))?;
-        at = c.finish;
-        id += 1;
-        lpn += pages;
-    }
+    let chunk = config.fill_pages_per_request * page;
+    let mut at = fill(&mut ssd, region * page, chunk, 0, true)?;
+    let first_id = region.div_ceil(config.fill_pages_per_request);
 
     let base = ssd.stats();
     let churn_start = at;
     let mut service = LatencyStats::new();
     let mut rng = SimRng::seed_from_u64(0x0DF7_15EED ^ (skew * 100.0) as u64);
-    for _ in 0..config.churn_ops {
+    for id in first_id..first_id + config.churn_ops {
         let lpn = rng.zipf_usize(region as usize, skew) as u64;
         let c = ssd.submit(&BlockRequest::write(id, lpn * page, page, at))?;
         service.record(c.service_time());
         at = c.finish;
-        id += 1;
     }
     let end = ssd.stats();
 
@@ -221,6 +202,47 @@ pub fn run(scale: Scale) -> Result<Vec<MapCachePoint>, DeviceError> {
         }
     }
     Ok(points)
+}
+
+/// The sweep as a report, with the skewed workload's smallest cache set
+/// against its resident baseline in a note.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let points = run(scale)?;
+    let table = Table::of(
+        &points,
+        &[
+            (col("skew", "", 2), |p| p.skew.into()),
+            (col("budget", "entries", 0), |p| {
+                p.budget_entries.map_or("resident".into(), Cell::Int)
+            }),
+            (col("hit_rate", "", 4), |p| p.hit_rate.into()),
+            (col("write_amp", "x", 4), |p| p.write_amplification.into()),
+            (col("bandwidth", "MB/s", 2), |p| p.bandwidth_mb_s.into()),
+            (col("p99", "ms", 4), |p| p.p99_ms.into()),
+            (col("map_reads", "", 0), |p| p.map_reads.into()),
+            (col("map_writes", "", 0), |p| p.map_writes.into()),
+            (col("map_resident", "B", 0), |p| p.map_bytes_resident.into()),
+            (col("map_total", "B", 0), |p| p.map_bytes_total.into()),
+            (col("sram_fraction", "", 6), |p| p.sram_fraction().into()),
+        ],
+    );
+    let title = "Map-cache sweep: demand-paged mapping vs budget x skew";
+    let mut report = Report::new("map_cache", title, scale, vec![table]);
+    let skewed = || points.iter().filter(|p| p.skew > 0.0);
+    let resident = skewed().find(|p| p.budget_entries.is_none());
+    if let (Some(resident), Some(smallest)) =
+        (resident, skewed().find(|p| p.budget_entries.is_some()))
+    {
+        report = report.note(format!(
+            "At skew {:.1}, caching {:.3}% of the mapping table serves {:.1}% of lookups \
+             from SRAM and delivers {:.1}% of the resident-table bandwidth.",
+            smallest.skew,
+            smallest.sram_fraction() * 100.0,
+            smallest.hit_rate * 100.0,
+            100.0 * smallest.bandwidth_mb_s / resident.bandwidth_mb_s,
+        ));
+    }
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -19,12 +19,11 @@
 //! throughput/latency knee.
 
 use ossd_block::{BlockDevice, BlockRequest, DeviceError};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
-use ossd_ftl::FtlConfig;
+use ossd_flash::FlashTiming;
 use ossd_sim::{LatencyStats, SimDuration, SimRng, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
 
-use super::Scale;
+use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
 /// One measured point: one element count at one queue depth.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -51,15 +50,6 @@ pub const ELEMENT_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 fn device_config(scale: Scale, elements: u32, queue_depth: u32) -> SsdConfig {
     SsdConfig {
-        name: format!("sweep-e{elements}-qd{queue_depth}"),
-        geometry: FlashGeometry {
-            packages: elements,
-            dies_per_package: 1,
-            planes_per_die: 1,
-            blocks_per_plane: scale.count(64, 256) as u32,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        },
         // A modern-speed shared channel (ONFI/Toggle-class, 1 GB/s) keeps
         // 4 KB reads element-bound (25 µs array vs ~4 µs transfer): the
         // contended resource is the die, which is what per-element queues
@@ -69,17 +59,12 @@ fn device_config(scale: Scale, elements: u32, queue_depth: u32) -> SsdConfig {
             bus_bytes_per_sec: 1_000_000_000,
             ..FlashTiming::slc()
         },
-        mapping: MappingKind::PageMapped,
-        ftl: FtlConfig::default(),
-        reliability: ReliabilityConfig::none(),
-        background_gc: None,
-        gangs: 1,
-        scheduler: SchedulerKind::Fcfs,
         queue_depth,
         controller_overhead: SimDuration::from_micros(10),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device(
+            format!("sweep-e{elements}-qd{queue_depth}"),
+            geometry(elements, scale.count(64, 256) as u32, 64),
+        )
     }
 }
 
@@ -119,11 +104,7 @@ fn run_point(
     let region = (ssd.capacity_bytes() / 2).min(16 * 1024 * 1024);
     let chunk = 64 * 1024;
     // Closed-loop prefill so the measured phase starts on a drained device.
-    let mut at = SimTime::ZERO;
-    for i in 0..region / chunk {
-        let c = ssd.submit(&BlockRequest::write(100_000 + i, i * chunk, chunk, at))?;
-        at = c.finish;
-    }
+    let at = fill(&mut ssd, region / chunk * chunk, chunk, 100_000, true)?;
     let requests = read_trace(scale, region, at + SimDuration::from_millis(1));
     let completions = ssd
         .simulate_open(&requests, SchedulerKind::Fcfs)
@@ -164,6 +145,31 @@ pub fn run(scale: Scale) -> Result<Vec<ParallelismPoint>, DeviceError> {
         }
     }
     Ok(out)
+}
+
+/// The sweep as a report: one row per element count and queue depth.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let table = Table::of(
+        &run(scale)?,
+        &[
+            (col("elements", "", 0), |p| p.elements.into()),
+            (col("queue_depth", "", 0), |p| p.queue_depth.into()),
+            (col("bandwidth", "MB/s", 2), |p| p.bandwidth_mbps.into()),
+            (col("mean", "ms", 4), |p| p.mean_ms.into()),
+            (col("p99", "ms", 4), |p| p.p99_ms.into()),
+            (col("peak_element_queue", "", 0), |p| {
+                p.peak_element_queue.into()
+            }),
+        ],
+    );
+    let title = "Parallelism sweep: bandwidth vs queue depth";
+    Ok(
+        Report::new("parallelism_sweep", title, scale, vec![table]).note(
+            "Reading the curve: at queue depth 1 the controller commits to one request until \
+         it starts on its die (head-of-line blocking); deeper NCQ windows overlap requests \
+         across dies until the gang bus saturates.",
+        ),
+    )
 }
 
 #[cfg(test)]

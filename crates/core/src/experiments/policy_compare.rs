@@ -17,13 +17,12 @@
 //! not just staleness.
 
 use ossd_block::{BlockDevice, BlockRequest, DeviceError};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
 use ossd_ftl::{CleaningPolicyKind, FtlConfig};
 use ossd_gc::{analytic_greedy_wa, WriteAmpAccounting};
-use ossd_sim::{SimDuration, SimRng, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_sim::SimRng;
+use ossd_ssd::{Ssd, SsdConfig};
 
-use super::Scale;
+use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
 /// One measured point: one policy at one device utilization.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -61,23 +60,8 @@ pub fn utilizations() -> [f64; 3] {
     [0.70, 0.80, 0.90]
 }
 
-fn geometry(scale: Scale) -> FlashGeometry {
-    FlashGeometry {
-        packages: 2,
-        dies_per_package: 1,
-        planes_per_die: 1,
-        blocks_per_plane: scale.count(64, 256) as u32,
-        pages_per_block: scale.count(32, 64) as u32,
-        page_bytes: 4096,
-    }
-}
-
 fn device_config(scale: Scale, policy: CleaningPolicyKind, utilization: f64) -> SsdConfig {
     SsdConfig {
-        name: format!("policy-compare-{}-{utilization:.2}", policy.name()),
-        geometry: geometry(scale),
-        timing: FlashTiming::slc(),
-        mapping: MappingKind::PageMapped,
         // Utilization is fixed by over-provisioning: once the whole logical
         // space has been written, the live fraction of physical space stays
         // at 1 − OP.  Wear-leveling is disabled so the curves isolate the
@@ -87,15 +71,10 @@ fn device_config(scale: Scale, policy: CleaningPolicyKind, utilization: f64) -> 
             .with_watermarks(0.05, 0.02)
             .with_cleaning_policy(policy)
             .without_wear_leveling(),
-        reliability: ReliabilityConfig::none(),
-        background_gc: None,
-        gangs: 1,
-        scheduler: SchedulerKind::Fcfs,
-        queue_depth: 1,
-        controller_overhead: SimDuration::from_micros(20),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device(
+            format!("policy-compare-{}-{utilization:.2}", policy.name()),
+            geometry(2, scale.count(64, 256) as u32, scale.count(32, 64) as u32),
+        )
     }
 }
 
@@ -106,25 +85,18 @@ fn run_one(
 ) -> Result<PolicyComparePoint, DeviceError> {
     let mut ssd = Ssd::new(device_config(scale, policy, utilization)).map_err(DeviceError::from)?;
     let logical_pages = ssd.capacity_bytes() / 4096;
-    let mut id = 0u64;
-    let mut at = SimTime::ZERO;
     // Fill phase: write the whole logical space once so the device reaches
     // its steady-state utilization.
-    for lpn in 0..logical_pages {
-        let c = ssd.submit(&BlockRequest::write(id, lpn * 4096, 4096, at))?;
-        id += 1;
-        at = c.finish;
-    }
+    let mut at = fill(&mut ssd, logical_pages * 4096, 4096, 0, true)?;
     let base = ssd.stats();
     let churn_start = at;
     // Churn phase: closed-loop uniform random overwrites, several times the
     // logical space, so cleaning reaches steady state and dominates.
     let churn_writes = logical_pages * scale.count(3, 5) as u64;
     let mut rng = SimRng::seed_from_u64(0x9C11_C0DE ^ (utilization * 100.0) as u64);
-    for _ in 0..churn_writes {
+    for id in logical_pages..logical_pages + churn_writes {
         let lpn = rng.next_u64_below(logical_pages);
         let c = ssd.submit(&BlockRequest::write(id, lpn * 4096, 4096, at))?;
-        id += 1;
         at = c.finish;
     }
     let end = ssd.stats();
@@ -170,6 +142,41 @@ pub fn run(scale: Scale) -> Result<Vec<PolicyCurve>, DeviceError> {
             Ok(PolicyCurve { policy, points })
         })
         .collect()
+}
+
+/// The comparison as a report: one row per policy and utilization.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let rows: Vec<(&str, PolicyComparePoint)> = run(scale)?
+        .iter()
+        .flat_map(|c| c.points.iter().map(|p| (c.policy.name(), *p)))
+        .collect();
+    let table = Table::of(
+        &rows,
+        &[
+            (col("policy", "", 0), |(policy, _)| (*policy).into()),
+            (col("utilization", "", 2), |(_, p)| p.utilization.into()),
+            (col("write_amp", "x", 3), |(_, p)| {
+                p.write_amplification.into()
+            }),
+            (col("analytic_greedy", "x", 3), |(_, p)| {
+                p.analytic_greedy.into()
+            }),
+            (col("bandwidth", "MB/s", 2), |(_, p)| {
+                p.bandwidth_mb_s.into()
+            }),
+            (col("cleaning_stall", "ms", 1), |(_, p)| {
+                p.cleaning_stall_ms.into()
+            }),
+            (col("erases", "", 0), |(_, p)| p.blocks_erased.into()),
+        ],
+    );
+    let title = "Cleaning-policy comparison: WA / bandwidth vs. utilization";
+    Ok(
+        Report::new("policy_compare", title, scale, vec![table]).note(
+            "Background cleaning shifts the stall out of the write path; see the ossd-ssd \
+         test `idle_windows_trigger_background_cleaning`.",
+        ),
+    )
 }
 
 #[cfg(test)]

@@ -4,14 +4,13 @@
 //! two-thirds reads and one-third writes and reports that SWTF improves the
 //! average response time by about 8% over FCFS.
 
-use ossd_block::{BlockDevice, BlockRequest, DeviceError};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
-use ossd_ftl::FtlConfig;
-use ossd_sim::{improvement_percent, SimDuration, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_block::DeviceError;
+use ossd_flash::FlashTiming;
+use ossd_sim::{improvement_percent, SimDuration};
+use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
 use ossd_workload::SyntheticConfig;
 
-use super::Scale;
+use super::{col, device, fill, geometry, mean_response_ms, ExperimentError, Report, Scale, Table};
 
 /// Result of the scheduler comparison.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -33,39 +32,14 @@ impl SwtfResult {
 /// configuration where per-element queue-wait knowledge pays off.
 fn device_config(scale: Scale) -> SsdConfig {
     SsdConfig {
-        name: "swtf-testbed".to_string(),
-        geometry: FlashGeometry {
-            packages: 8,
-            dies_per_package: 1,
-            planes_per_die: 1,
-            blocks_per_plane: scale.bytes(64, 256) as u32,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        },
         timing: FlashTiming {
             bus_bytes_per_sec: 100_000_000,
             ..FlashTiming::slc()
         },
-        mapping: MappingKind::PageMapped,
-        ftl: FtlConfig::default(),
-        reliability: ReliabilityConfig::none(),
-        background_gc: None,
         gangs: 4,
-        scheduler: SchedulerKind::Fcfs,
-        queue_depth: 1,
         controller_overhead: SimDuration::from_micros(10),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device("swtf-testbed", geometry(8, scale.bytes(64, 256) as u32, 64))
     }
-}
-
-fn prefill(ssd: &mut Ssd, region: u64) -> Result<(), DeviceError> {
-    let chunk = 256 * 1024;
-    for i in 0..region / chunk {
-        ssd.submit(&BlockRequest::write(i, i * chunk, chunk, SimTime::ZERO))?;
-    }
-    Ok(())
 }
 
 /// Runs the FCFS vs SWTF comparison.
@@ -81,20 +55,32 @@ pub fn run(scale: Scale) -> Result<SwtfResult, DeviceError> {
         .enumerate()
     {
         let mut ssd = Ssd::new(device_config(scale)).map_err(DeviceError::from)?;
-        prefill(&mut ssd, region)?;
+        fill(&mut ssd, region, 256 * 1024, 0, false)?;
         let completions = ssd
             .simulate_open(&requests, *scheduler)
             .map_err(DeviceError::from)?;
-        let total: f64 = completions
-            .iter()
-            .map(|c| c.response_time().as_millis_f64())
-            .sum();
-        mean_ms[i] = total / completions.len() as f64;
+        mean_ms[i] = mean_response_ms(&completions);
     }
     Ok(SwtfResult {
         fcfs_mean_ms: mean_ms[0],
         swtf_mean_ms: mean_ms[1],
     })
+}
+
+/// The comparison as a report, with the paper's improvement.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let mut table = Table::of(
+        &[run(scale)?],
+        &[
+            (col("fcfs_mean", "ms", 3), |r| r.fcfs_mean_ms.into()),
+            (col("swtf_mean", "ms", 3), |r| r.swtf_mean_ms.into()),
+            (col("improvement", "%", 2), |r| r.improvement_pct().into()),
+        ],
+    );
+    table.paper_column("improvement", [8.0]);
+    let title = "Section 3.2: Shortest Wait Time First vs FCFS";
+    Ok(Report::new("swtf", title, scale, vec![table])
+        .note("The paper reports an improvement of about 8 %."))
 }
 
 #[cfg(test)]

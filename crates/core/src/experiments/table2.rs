@@ -1,12 +1,13 @@
 //! Table 2: ratio of sequential to random bandwidth for an HDD and the five
 //! SSD device profiles.
 
-use ossd_block::{replay_closed, BlockRequest, DeviceError, HostInterface};
+use ossd_block::{replay_closed, DeviceError, HostInterface};
 use ossd_hdd::{Hdd, HddConfig};
-use ossd_sim::SimTime;
 use ossd_ssd::{DeviceProfile, Ssd};
 
-use super::Scale;
+use crate::contract::{scattered_requests, sequential_requests};
+
+use super::{col, ExperimentError, Report, Scale, Table};
 
 /// One row of Table 2 (all bandwidths in MB/s).
 #[derive(Clone, Debug, PartialEq)]
@@ -49,32 +50,6 @@ impl Table2Row {
 /// used for every cell to keep the ratios comparable.
 const IO_BYTES: u64 = 4096;
 
-fn sequential(count: u64, size: u64, write: bool) -> Vec<BlockRequest> {
-    (0..count)
-        .map(|i| {
-            if write {
-                BlockRequest::write(i, i * size, size, SimTime::ZERO)
-            } else {
-                BlockRequest::read(i, i * size, size, SimTime::ZERO)
-            }
-        })
-        .collect()
-}
-
-fn scattered(count: u64, size: u64, span: u64, write: bool) -> Vec<BlockRequest> {
-    let slots = (span / size).max(1);
-    (0..count)
-        .map(|i| {
-            let offset = ((i * 2_654_435_761) % slots) * size;
-            if write {
-                BlockRequest::write(i, offset, size, SimTime::ZERO)
-            } else {
-                BlockRequest::read(i, offset, size, SimTime::ZERO)
-            }
-        })
-        .collect()
-}
-
 /// Measures one device.  The measurement order is: sequential write (which
 /// also serves as the prefill so later reads hit real data), sequential
 /// read, random read, random write.
@@ -85,14 +60,20 @@ fn measure<D: HostInterface>(
 ) -> Result<Table2Row, DeviceError> {
     let seq_ops = region / IO_BYTES;
     let rand_ops = (region / IO_BYTES).min(16 * 1024);
-    let seq_write =
-        replay_closed(device, &sequential(seq_ops, IO_BYTES, true))?.write_bandwidth_mbps();
-    let seq_read =
-        replay_closed(device, &sequential(seq_ops, IO_BYTES, false))?.read_bandwidth_mbps();
-    let rand_read =
-        replay_closed(device, &scattered(rand_ops, IO_BYTES, region, false))?.read_bandwidth_mbps();
-    let rand_write =
-        replay_closed(device, &scattered(rand_ops, IO_BYTES, region, true))?.write_bandwidth_mbps();
+    let seq_write = replay_closed(device, &sequential_requests(seq_ops, IO_BYTES, true))?
+        .write_bandwidth_mbps();
+    let seq_read = replay_closed(device, &sequential_requests(seq_ops, IO_BYTES, false))?
+        .read_bandwidth_mbps();
+    let rand_read = replay_closed(
+        device,
+        &scattered_requests(rand_ops, IO_BYTES, region, false),
+    )?
+    .read_bandwidth_mbps();
+    let rand_write = replay_closed(
+        device,
+        &scattered_requests(rand_ops, IO_BYTES, region, true),
+    )?
+    .write_bandwidth_mbps();
     Ok(Table2Row {
         device: name.to_string(),
         seq_read,
@@ -115,6 +96,26 @@ pub fn run(scale: Scale) -> Result<Vec<Table2Row>, DeviceError> {
         rows.push(measure(&mut ssd, profile.name(), region)?);
     }
     Ok(rows)
+}
+
+/// Table 2 as a report, with the paper's ratios beside each device.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let mut table = Table::of(
+        &run(scale)?,
+        &[
+            (col("device", "", 0), |r| r.device.as_str().into()),
+            (col("seq_read", "MB/s", 1), |r| r.seq_read.into()),
+            (col("rand_read", "MB/s", 2), |r| r.rand_read.into()),
+            (col("read_ratio", "x", 1), |r| r.read_ratio().into()),
+            (col("seq_write", "MB/s", 1), |r| r.seq_write.into()),
+            (col("rand_write", "MB/s", 2), |r| r.rand_write.into()),
+            (col("write_ratio", "x", 1), |r| r.write_ratio().into()),
+        ],
+    );
+    table.paper_column("read_ratio", [143.7, 11.0, 9.2, 2.4, 1.1, 3.2]);
+    table.paper_column("write_ratio", [66.8, 3.1, 328.0, 151.6, 1.3, 1.5]);
+    let title = "Table 2: Ratio of Sequential to Random Bandwidth (MB/s)";
+    Ok(Report::new("table2", title, scale, vec![table]))
 }
 
 #[cfg(test)]

@@ -7,14 +7,12 @@
 //! logical page boundaries".  On a fully random stream both behave the same;
 //! as sequentiality grows, alignment wins by more than 50%.
 
-use ossd_block::{BlockDevice, BlockRequest, DeviceError};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
-use ossd_ftl::FtlConfig;
+use ossd_block::{BlockRequest, DeviceError};
 use ossd_sim::{SimDuration, SimTime};
 use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
 use ossd_workload::{InterArrival, SyntheticConfig};
 
-use super::Scale;
+use super::{col, device, fill, geometry, mean_response_ms, ExperimentError, Report, Scale, Table};
 
 /// The logical page (stripe) size of the simulated device.
 pub const LOGICAL_PAGE: u64 = 32 * 1024;
@@ -41,31 +39,13 @@ impl Table3Row {
 /// and 4): eight packages in one gang, 32 KB logical page, with the
 /// device-side merge-and-align scheme switchable via `coalesce`.
 pub fn device_config_for_alignment(scale: Scale, coalesce: bool) -> SsdConfig {
+    let name = format!("table3-{}", if coalesce { "aligned" } else { "unaligned" });
     SsdConfig {
-        name: format!("table3-{}", if coalesce { "aligned" } else { "unaligned" }),
-        geometry: FlashGeometry {
-            packages: 8,
-            dies_per_package: 1,
-            planes_per_die: 1,
-            blocks_per_plane: scale.bytes(64, 256) as u32,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        },
-        timing: FlashTiming::slc(),
         mapping: MappingKind::StripeMapped {
             stripe_bytes: LOGICAL_PAGE,
             coalesce,
         },
-        ftl: FtlConfig::default(),
-        reliability: ReliabilityConfig::none(),
-        background_gc: None,
-        gangs: 1,
-        scheduler: SchedulerKind::Fcfs,
-        queue_depth: 1,
-        controller_overhead: SimDuration::from_micros(20),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device(name, geometry(8, scale.bytes(64, 256) as u32, 64))
     }
 }
 
@@ -80,17 +60,8 @@ fn run_one(
         Ssd::new(device_config_for_alignment(scale, coalesce)).map_err(DeviceError::from)?;
     // Prefill the working set with stripe-aligned writes so partial-stripe
     // overwrites pay the read-modify-write.
-    let mut arrival = SimTime::ZERO;
-    for (i, offset) in (0..working_set).step_by(LOGICAL_PAGE as usize).enumerate() {
-        let c = ssd.submit(&BlockRequest::write(
-            i as u64,
-            offset,
-            LOGICAL_PAGE,
-            arrival,
-        ))?;
-        arrival = c.finish;
-    }
-    let start = ssd.flush(arrival).map_err(DeviceError::from)?;
+    let filled = fill(&mut ssd, working_set, LOGICAL_PAGE, 0, true)?;
+    let start = ssd.flush(filled).map_err(DeviceError::from)?;
 
     let workload = SyntheticConfig {
         name: format!("table3-p{sequential_prob}"),
@@ -120,11 +91,7 @@ fn run_one(
     let completions = ssd
         .simulate_open(&requests, SchedulerKind::Fcfs)
         .map_err(DeviceError::from)?;
-    let total: f64 = completions
-        .iter()
-        .map(|c| c.response_time().as_millis_f64())
-        .sum();
-    Ok(total / completions.len() as f64)
+    Ok(mean_response_ms(&completions))
 }
 
 /// Runs the Table 3 sweep over sequentiality 0–0.8.
@@ -142,6 +109,23 @@ pub fn run(scale: Scale) -> Result<Vec<Table3Row>, DeviceError> {
         });
     }
     Ok(rows)
+}
+
+/// Table 3 as a report, with the paper's response times.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let mut table = Table::of(
+        &run(scale)?,
+        &[
+            (col("p_sequential", "", 1), |r| r.sequential_prob.into()),
+            (col("unaligned", "ms", 2), |r| r.unaligned_ms.into()),
+            (col("aligned", "ms", 2), |r| r.aligned_ms.into()),
+            (col("improvement", "%", 1), |r| r.improvement_pct().into()),
+        ],
+    );
+    table.paper_column("unaligned", [10.6, 10.6, 10.5, 10.2, 10.5]);
+    table.paper_column("aligned", [10.6, 10.4, 8.9, 7.6, 5.6]);
+    let title = "Table 3: Improved Response Time with Write Alignment";
+    Ok(Report::new("table3", title, scale, vec![table]))
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use ossd_ssd::{SchedulerKind, Ssd};
 use ossd_workload::{ExchangeConfig, IozoneConfig, PostmarkConfig, TpccConfig};
 
 use super::table3::{device_config_for_alignment, LOGICAL_PAGE};
-use super::Scale;
+use super::{col, ExperimentError, Report, Scale, Table};
 
 /// One row of Table 4.
 #[derive(Clone, Debug, PartialEq)]
@@ -78,14 +78,7 @@ fn mean_response_ms(
     let completions = ssd
         .simulate_open(requests, SchedulerKind::Fcfs)
         .map_err(DeviceError::from)?;
-    if completions.is_empty() {
-        return Ok(0.0);
-    }
-    let total: f64 = completions
-        .iter()
-        .map(|c| c.response_time().as_millis_f64())
-        .sum();
-    Ok(total / completions.len() as f64)
+    Ok(super::mean_response_ms(&completions))
 }
 
 fn run_workload(
@@ -157,6 +150,23 @@ pub fn required_capacity(scale: Scale) -> u64 {
         + scale.bytes(4 * 1024 * 1024, 16 * 1024 * 1024)
         + FS_METADATA_OFFSET
         + LOGICAL_PAGE
+}
+
+/// Table 4 as a report, with the paper's improvements.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let mut table = Table::of(
+        &run(scale)?,
+        &[
+            (col("workload", "", 0), |r| r.workload.as_str().into()),
+            (col("unaligned", "ms", 2), |r| r.unaligned_ms.into()),
+            (col("aligned", "ms", 2), |r| r.aligned_ms.into()),
+            (col("improvement", "%", 2), |r| r.improvement_pct().into()),
+        ],
+    );
+    table.paper_column("improvement", [1.15, 3.08, 4.89, 36.54]);
+    let title = "Table 4: Macro Benchmarks with Stripe-aligned Writes";
+    Ok(Report::new("table4", title, scale, vec![table])
+        .note("In the paper IOzone benefits most, from its large writes."))
 }
 
 #[cfg(test)]

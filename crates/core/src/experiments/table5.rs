@@ -8,18 +8,17 @@
 //! Informed cleaning moves 50–75% fewer pages and cuts cleaning time by
 //! 30–40%.
 //!
-//! The reproduction scales the device and trace down together (documented
-//! in EXPERIMENTS.md) so that the trace overwrites the device several times
-//! and garbage collection is active, which is the regime the paper measures.
+//! The reproduction scales the device and trace down together (see the
+//! experiment index in README.md) so that the trace overwrites the device
+//! several times and garbage collection is active, which is the regime the
+//! paper measures.
 
 use ossd_block::{replay_open, DeviceError};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
 use ossd_ftl::FtlConfig;
-use ossd_sim::SimDuration;
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_ssd::{Ssd, SsdConfig};
 use ossd_workload::PostmarkConfig;
 
-use super::Scale;
+use super::{col, device, geometry, ExperimentError, Report, Scale, Table};
 
 /// One row of Table 5 (one transaction count).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,30 +62,12 @@ impl Table5Row {
 /// times over (the paper's 8 GB device saw the same relationship with its
 /// multi-gigabyte traces).
 fn device_config(scale: Scale, honor_free: bool) -> SsdConfig {
+    let name = format!("table5-{}", if honor_free { "informed" } else { "default" });
     SsdConfig {
-        name: format!("table5-{}", if honor_free { "informed" } else { "default" }),
-        geometry: FlashGeometry {
-            packages: 2,
-            dies_per_package: 1,
-            planes_per_die: 1,
-            blocks_per_plane: scale.bytes(32, 96) as u32,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        },
-        timing: FlashTiming::slc(),
-        mapping: MappingKind::PageMapped,
         ftl: FtlConfig::default()
             .with_overprovisioning(0.08)
             .with_honor_free(honor_free),
-        reliability: ReliabilityConfig::none(),
-        background_gc: None,
-        gangs: 1,
-        scheduler: SchedulerKind::Fcfs,
-        queue_depth: 1,
-        controller_overhead: SimDuration::from_micros(20),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
+        ..device(name, geometry(2, scale.bytes(32, 96) as u32, 64))
     }
 }
 
@@ -144,6 +125,39 @@ pub fn run(scale: Scale) -> Result<Vec<Table5Row>, DeviceError> {
         .into_iter()
         .map(|t| run_one(scale, t))
         .collect()
+}
+
+/// Table 5 as a report, with the paper's relative figures.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let mut table = Table::of(
+        &run(scale)?,
+        &[
+            (col("transactions", "", 0), |r| r.transactions.into()),
+            (col("default_moved", "pages", 0), |r| {
+                r.default_pages_moved.into()
+            }),
+            (col("informed_moved", "pages", 0), |r| {
+                r.informed_pages_moved.into()
+            }),
+            (col("relative_moved", "x", 2), |r| {
+                r.relative_pages_moved().into()
+            }),
+            (col("default_cleaning", "s", 2), |r| {
+                r.default_cleaning_secs.into()
+            }),
+            (col("informed_cleaning", "s", 2), |r| {
+                r.informed_cleaning_secs.into()
+            }),
+            (col("relative_cleaning", "x", 2), |r| {
+                r.relative_cleaning_time().into()
+            }),
+        ],
+    );
+    table.paper_column("relative_moved", [0.31, 0.25, 0.35, 0.50]);
+    table.paper_column("relative_cleaning", [0.69, 0.60, 0.63, 0.69]);
+    let title = "Table 5: Improved Cleaning with Free-Page Information";
+    Ok(Report::new("table5", title, scale, vec![table])
+        .note("The paper's rows are 5K-8K transactions, the counts of paper scale."))
 }
 
 #[cfg(test)]

@@ -12,23 +12,18 @@
 //!
 //! The result self-validates with the crate's own vendored JSON codec: the
 //! exported trace must parse, and every element and initiator track must
-//! carry at least one complete (`"ph":"X"`) span.  The `trace_capture`
-//! binary writes the two artifacts to disk and fails on any validation
-//! error, which is what the CI smoke step runs.
+//! carry at least one complete (`"ph":"X"`) span.  `ossd-exp trace_capture`
+//! writes the two artifacts to disk and fails on any validation error,
+//! which is what the CI smoke step runs.
 
-use ossd_block::{BlockDevice, BlockRequest, DeviceError, HostCommand, HostInterface, HostQueue};
-use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
-use ossd_ftl::FtlConfig;
-use ossd_gc::BackgroundGcConfig;
-use ossd_sim::{json, SimDuration, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_block::DeviceError;
+use ossd_sim::json;
+use ossd_ssd::Ssd;
 use ossd_telemetry::{to_chrome_trace, Recorder, RecorderConfig};
-use ossd_workload::TpccConfig;
 
-use super::Scale;
+use super::{col, latency_blame, ExperimentError, Report, Scale, Table};
 
-/// Number of initiator queue pairs the capture drives.
-pub const INITIATORS: usize = 4;
+pub use super::latency_blame::INITIATORS;
 
 /// The capture artifacts plus the summary numbers the binary prints and the
 /// tests assert on.
@@ -54,109 +49,19 @@ pub struct TraceCapture {
     pub write_amplification: f64,
 }
 
-/// The 8-element page-mapped device the capture instruments: one die per
-/// package on two gang buses, small enough that the quick slice finishes in
-/// well under a second but busy enough that GC and queueing show up on the
-/// trace.  The stressed wear-out fault model is installed so ECC retries
-/// and (late in life) block retirements appear as reliability instants.
-fn device_config(scale: Scale) -> SsdConfig {
-    SsdConfig {
-        name: "trace-capture".to_string(),
-        geometry: FlashGeometry {
-            packages: 8,
-            dies_per_package: 1,
-            planes_per_die: 1,
-            blocks_per_plane: scale.count(128, 512) as u32,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        },
-        timing: FlashTiming::slc(),
-        mapping: MappingKind::PageMapped,
-        // The low watermark sits above the free fraction the prefill
-        // leaves behind, so foreground cleaning runs throughout the
-        // captured churn and GC spans/instants land on the trace.
-        ftl: FtlConfig::default()
-            .with_overprovisioning(0.12)
-            .with_watermarks(0.30, 0.15),
-        reliability: stressed_reliability(),
-        background_gc: Some(BackgroundGcConfig::default()),
-        gangs: 2,
-        scheduler: SchedulerKind::Swtf,
-        queue_depth: 8,
-        controller_overhead: SimDuration::from_micros(10),
-        random_penalty: SimDuration::ZERO,
-        sequential_prefetch: false,
-        ram_bytes_per_sec: 200_000_000,
-    }
-}
-
-/// The wear-out fault model with the pristine-block raw bit-error mean
-/// raised to the edge of the default ECC strength (8 correctable bits), so
-/// a small but visible fraction of reads needs a shifted-threshold retry
-/// even at low wear and the `EccRetry`/`FlashReadRetry` hooks show up on
-/// the trace.
-fn stressed_reliability() -> ReliabilityConfig {
-    let mut reliability = ReliabilityConfig::wearout(0x7e1e);
-    reliability.faults.raw_ber_base = 4.0;
-    reliability
-}
-
-/// Runs the capture and validates the artifacts.
-pub fn run(scale: Scale) -> Result<TraceCapture, DeviceError> {
-    let config = device_config(scale);
+/// Runs the capture and validates the artifacts.  The device is the
+/// telemetry experiments' GC-active one (see [`latency_blame`]), which puts
+/// GC spans and instants, ECC retries and (late in life) block retirements
+/// on the trace.  The recorder is attached after the prefill: the capture
+/// shows the steady-state workload, and the bounded ring keeps the earliest
+/// events when it overflows.
+pub fn run(scale: Scale) -> Result<TraceCapture, ExperimentError> {
+    let config = latency_blame::device_config(scale, "trace-capture", None);
     let elements = config.elements();
     let mut ssd = Ssd::new(config).map_err(DeviceError::from)?;
-    let capacity = ssd.capacity_bytes();
-
-    // The TPC-C database and log are sized to the device so the paper and
-    // quick scales stress it equally: the prefilled database plus the
-    // wrapping log keep the FTL near its cleaning watermark.
-    let page = ssd.logical_page_bytes();
-    let database_bytes = (capacity * 8 / 10) / page * page;
-    let tpcc = TpccConfig {
-        transactions: scale.count(400, 4000),
-        database_bytes,
-        log_bytes: (capacity / 10) / page * page,
-        ..TpccConfig::default()
-    };
-
-    // Prefill the database region *before* attaching the recorder: the
-    // capture should show the steady-state workload, not the fill, and the
-    // bounded ring keeps the earliest events when it overflows.
-    let mut at = SimTime::ZERO;
-    let chunk = 128 * page;
-    let mut id = 1_000_000u64;
-    let mut offset = 0u64;
-    while offset < database_bytes {
-        let len = chunk.min(database_bytes - offset);
-        let c = ssd.submit(&BlockRequest::write(id, offset, len, at))?;
-        at = c.finish;
-        offset += len;
-        id += 1;
-    }
-
     let (handle, recorder) = Recorder::shared(RecorderConfig::default());
-    ssd.set_telemetry(handle);
-
-    // Arbitrate the TPC-C stream round-robin across the initiators, each
-    // with its own queue pair, closing with one Flush per initiator so the
-    // fence path is on the trace too.
-    let base = at + SimDuration::from_millis(1);
-    let requests = tpcc.generate().to_requests();
-    let mut queues = vec![HostQueue::new(); INITIATORS];
-    let mut last_arrival = base;
-    for (i, r) in requests.iter().enumerate() {
-        let mut request = *r;
-        request.arrival = base + SimDuration::from_nanos(r.arrival.as_nanos());
-        last_arrival = last_arrival.max(request.arrival);
-        queues[i % INITIATORS].submit_request(&request);
-    }
-    for queue in &mut queues {
-        queue.submit(u64::MAX, HostCommand::Flush, last_arrival);
-    }
-    ssd.serve(&mut queues)?;
-
-    let completions: usize = queues.iter_mut().map(|q| q.drain_completions().len()).sum();
+    let attach = |ssd: &mut Ssd| ssd.set_telemetry(handle);
+    let (completions, base) = latency_blame::serve_tpcc_slice(scale, &mut ssd, attach)?;
 
     // Stamp the final device state onto the series so even a capture
     // shorter than one sampling interval exports a non-empty CSV.
@@ -178,10 +83,51 @@ pub fn run(scale: Scale) -> Result<TraceCapture, DeviceError> {
         completions,
         write_amplification: ssd.ftl_stats().write_amplification(),
     };
-    validate(&capture).map_err(|what| DeviceError::Unsupported {
-        what: Box::leak(what.into_boxed_str()),
-    })?;
-    Ok(capture)
+    checked(capture)
+}
+
+/// `capture`, or its first [`validate`] violation as a failed check.
+fn checked(capture: TraceCapture) -> Result<TraceCapture, ExperimentError> {
+    match validate(&capture) {
+        Ok(()) => Ok(capture),
+        Err(what) => Err(ExperimentError::Check {
+            experiment: "trace_capture",
+            what,
+        }),
+    }
+}
+
+/// The capture as a report: its summary row, with the trace and the
+/// metrics CSV as artifacts.
+pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
+    let capture = run(scale)?;
+    let table = Table::of(
+        &[&capture],
+        &[
+            (col("events", "", 0), |c| c.events.into()),
+            (col("dropped_events", "", 0), |c| c.dropped_events.into()),
+            (col("completions", "", 0), |c| c.completions.into()),
+            (col("initiators", "", 0), |_| INITIATORS.into()),
+            (col("samples", "", 0), |c| c.samples.into()),
+            (col("series", "", 0), |c| c.series.into()),
+            (col("write_amp", "x", 3), |c| c.write_amplification.into()),
+        ],
+    );
+    let title = "Trace capture: cross-layer telemetry export";
+    let mut report = Report::new("trace_capture", title, scale, vec![table]);
+    if capture.dropped_events > 0 {
+        report = report.note(format!(
+            "WARNING: event ring overflowed; the span trace is missing {} events (raise \
+             RecorderConfig::ring_capacity for a complete capture; the dropped_events \
+             column of the metrics CSV marks the lossy region)",
+            capture.dropped_events
+        ));
+    }
+    report.artifacts = vec![
+        ("BENCH_trace.trace.json".into(), capture.trace_json),
+        ("BENCH_trace_metrics.csv".into(), capture.metrics_csv),
+    ];
+    Ok(report.note("Open the trace in https://ui.perfetto.dev."))
 }
 
 /// Checks the exported artifacts with the vendored JSON codec: the trace
@@ -256,5 +202,27 @@ mod tests {
             write_amplification: 0.0,
         };
         assert!(validate(&capture).is_err());
+    }
+
+    #[test]
+    fn a_failed_validation_is_a_check_with_its_message() {
+        let capture = TraceCapture {
+            trace_json: "{\"traceEvents\":[]}".to_string(),
+            metrics_csv: String::new(),
+            events: 0,
+            dropped_events: 0,
+            samples: 1,
+            series: 5,
+            elements: 1,
+            completions: 0,
+            write_amplification: 0.0,
+        };
+        match checked(capture) {
+            Err(ExperimentError::Check { experiment, what }) => {
+                assert_eq!(experiment, "trace_capture");
+                assert_eq!(what, "element 0 has no complete spans");
+            }
+            other => panic!("expected a check failure, got {other:?}"),
+        }
     }
 }

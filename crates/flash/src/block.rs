@@ -362,10 +362,13 @@ mod tests {
     fn program_is_sequential() {
         let mut b = block(4);
         for page in 0..4 {
-            assert_eq!(b.program(0).unwrap().page, page);
+            assert_eq!(b.program_run(0, 1).unwrap().start, page);
         }
         assert!(counts(&b).is_full());
-        assert!(matches!(b.program(0), Err(FlashError::BlockFull { .. })));
+        assert!(matches!(
+            b.program_run(0, 1),
+            Err(FlashError::BlockFull { .. })
+        ));
     }
 
     #[test]
@@ -408,7 +411,7 @@ mod tests {
             counts(&b).check_readable(E, 0, 2),
             Err(FlashError::OutOfRange { what: "page", .. })
         ));
-        b.program(0).unwrap();
+        b.program_run(0, 1).unwrap();
         assert!(counts(&b).check_readable(E, 0, 0).is_ok());
         b.invalidate(0, 0).unwrap();
         // Stale pages are still physically readable.
@@ -418,7 +421,7 @@ mod tests {
     #[test]
     fn erase_requires_no_valid_pages() {
         let mut b = block(2);
-        b.program(0).unwrap();
+        b.program_run(0, 1).unwrap();
         assert!(matches!(
             b.erase(0),
             Err(FlashError::EraseWithValidPages { valid: 1, .. })
@@ -430,14 +433,14 @@ mod tests {
         assert_eq!(counts(&b).free_count(), 2);
         assert_eq!(states(&b), [PageState::Free; 2]);
         // Pages can be programmed again after the erase.
-        assert_eq!(b.program(0).unwrap().page, 0);
+        assert_eq!(b.program_run(0, 1).unwrap().start, 0);
     }
 
     #[test]
     fn wear_tracking() {
         let mut b = block(1);
         for _ in 0..5 {
-            b.program(0).unwrap();
+            b.program_run(0, 1).unwrap();
             b.invalidate(0, 0).unwrap();
             b.erase(0).unwrap();
         }
@@ -466,7 +469,7 @@ mod tests {
         assert_eq!(b.page_state(0, 0).unwrap(), PageState::Invalid);
         assert_eq!(counts(&b).valid_count(), 0);
         assert_eq!(counts(&b).invalid_count(), 1);
-        assert_eq!(b.program(0).unwrap().page, 1);
+        assert_eq!(b.program_run(0, 1).unwrap().start, 1);
         // Skips respect the block capacity.
         b.skip_page(0).unwrap();
         b.skip_page(0).unwrap();
@@ -476,7 +479,7 @@ mod tests {
     #[test]
     fn retired_blocks_reject_program_and_erase() {
         let mut b = block(2);
-        b.program(0).unwrap();
+        b.program_run(0, 1).unwrap();
         // Retirement requires live data to be migrated first.
         assert!(matches!(
             b.retire(0),
@@ -485,7 +488,10 @@ mod tests {
         b.invalidate(0, 0).unwrap();
         b.retire(0).unwrap();
         assert!(counts(&b).is_bad());
-        assert!(matches!(b.program(0), Err(FlashError::BadBlock { .. })));
+        assert!(matches!(
+            b.program_run(0, 1),
+            Err(FlashError::BadBlock { .. })
+        ));
         assert!(matches!(b.erase(0), Err(FlashError::BadBlock { .. })));
         // Retire is idempotent.
         b.retire(0).unwrap();
@@ -496,7 +502,7 @@ mod tests {
     #[test]
     fn read_disturb_counter_resets_on_erase() {
         let mut b = block(2);
-        b.program(0).unwrap();
+        b.program_run(0, 1).unwrap();
         b.read(0, 0).unwrap();
         b.read(0, 0).unwrap();
         assert_eq!(counts(&b).reads_since_erase(), 2);
@@ -509,7 +515,7 @@ mod tests {
     fn counts_always_sum_to_block_size() {
         let mut b = block(16);
         for i in 0..16 {
-            b.program(0).unwrap();
+            b.program_run(0, 1).unwrap();
             if i % 3 == 0 {
                 b.invalidate(0, i).unwrap();
             }
@@ -528,7 +534,9 @@ mod tests {
             run.program_run(0, already).unwrap();
             let mut single = run.clone();
             let pages = run.program_run(0, n).unwrap();
-            let expected: Vec<u32> = (0..n).map(|_| single.program(0).unwrap().page).collect();
+            let expected: Vec<u32> = (0..n)
+                .map(|_| single.program_run(0, 1).unwrap().start)
+                .collect();
             assert_eq!(pages.collect::<Vec<u32>>(), expected);
             assert_eq!(states(&run), states(&single));
             assert_eq!(counts(&run), counts(&single));
@@ -538,7 +546,7 @@ mod tests {
     #[test]
     fn program_run_rejections_leave_the_block_untouched() {
         let mut b = block(4);
-        b.program(0).unwrap();
+        b.program_run(0, 1).unwrap();
         let before = states(&b);
         // One more page than the room.
         assert!(matches!(
@@ -570,7 +578,7 @@ mod tests {
                     if stale_mask >> page & 1 == 1 {
                         base.skip_page(0).unwrap();
                     } else {
-                        base.program(0).unwrap();
+                        base.program_run(0, 1).unwrap();
                     }
                 }
                 for start in 0..=PAGES {

@@ -113,16 +113,6 @@ impl FlashElement {
         Ok(())
     }
 
-    /// Programs the next sequential page of `block`; returns the programmed
-    /// page's address.
-    pub fn program(&mut self, block: u32) -> Result<PhysPageAddr, FlashError> {
-        Ok(PhysPageAddr {
-            element: self.id,
-            block,
-            page: self.program_run(block, 1)?.start,
-        })
-    }
-
     /// Programs the next `n` sequential pages of `block`; returns them.
     pub fn program_run(&mut self, block: u32, n: u32) -> Result<Range<u32>, FlashError> {
         let id = self.id;
@@ -274,10 +264,7 @@ mod tests {
     #[test]
     fn program_read_invalidate_erase_cycle() {
         let mut e = elem();
-        let addr = e.program(1).unwrap();
-        assert_eq!(addr.element, ElementId(3));
-        assert_eq!(addr.block, 1);
-        assert_eq!(addr.page, 0);
+        assert_eq!(e.program_run(1, 1).unwrap(), 0..1);
         e.read(1, 0).unwrap();
         assert_eq!(e.page_state(1, 0).unwrap(), PageState::Valid);
         e.invalidate(1, 0).unwrap();
@@ -300,7 +287,7 @@ mod tests {
     #[test]
     fn out_of_range_blocks_are_rejected() {
         let mut e = elem();
-        assert!(e.program(4).is_err());
+        assert!(e.program_run(4, 1).is_err());
         assert!(e.read(9, 0).is_err());
         assert!(e.erase(4).is_err());
         assert!(e.block(4).is_err());
@@ -311,7 +298,7 @@ mod tests {
     fn page_accounting_is_consistent() {
         let mut e = elem();
         for _ in 0..4 {
-            e.program(0).unwrap();
+            e.program_run(0, 1).unwrap();
         }
         e.invalidate(0, 0).unwrap();
         e.invalidate(0, 1).unwrap();
@@ -327,7 +314,7 @@ mod tests {
     #[test]
     fn erase_counts_are_per_block() {
         let mut e = elem();
-        e.program(2).unwrap();
+        e.program_run(2, 1).unwrap();
         e.invalidate(2, 0).unwrap();
         e.erase(2).unwrap();
         e.erase(3).unwrap();
@@ -339,7 +326,7 @@ mod tests {
     #[test]
     fn iter_blocks_exposes_state() {
         let mut e = elem();
-        e.program(1).unwrap();
+        e.program_run(1, 1).unwrap();
         let full: Vec<u32> = e
             .iter_blocks()
             .filter(|(_, b)| b.valid_count() > 0)

@@ -29,7 +29,7 @@
 //! (§3.2).  At larger depths, commands targeting different elements start
 //! concurrently and their flash ops overlap across elements and gang buses
 //! until a shared resource saturates — the effect the `parallelism_sweep`
-//! and `multi_host_sweep` experiments measure.
+//! and `multi_host` experiments measure.
 //!
 //! # Fences
 //!

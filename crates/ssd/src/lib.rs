@@ -34,7 +34,7 @@
 //!   queue-depth parallelism sweep.
 //! * [`ossd_block::HostInterface::serve`] — the *multi-initiator* driver: N
 //!   independent submission/completion queue pairs arbitrated round-robin
-//!   into the controller (the `multi_host_sweep` experiment).
+//!   into the controller (the `multi_host` experiment).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

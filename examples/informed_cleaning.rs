@@ -8,7 +8,7 @@ use ossd::core::experiments::{table5, Scale};
 
 fn main() {
     println!("Informed cleaning with free-page information (Table 5 reproduction)");
-    println!("(quick scale; run the ossd-bench binaries for the full configuration)\n");
+    println!("(quick scale; `ossd-exp table5` runs the full configuration)\n");
     let rows = table5::run(Scale::Quick).expect("experiment runs");
     println!(
         "{:>12} {:>16} {:>16} {:>10} {:>14} {:>14} {:>10}",

@@ -9,7 +9,7 @@ use ossd::core::experiments::{map_cache, Scale};
 
 fn main() {
     println!("Demand-paged mapping (ossd-mapcache) under SRAM pressure");
-    println!("(quick scale; run the map_cache_sweep binary for the TB-class configuration)\n");
+    println!("(quick scale; `ossd-exp map_cache` runs the TB-class configuration)\n");
     let points = map_cache::run(Scale::Quick).expect("experiment runs");
 
     println!(

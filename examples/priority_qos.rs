@@ -8,7 +8,7 @@ use ossd::core::experiments::{figure3, Scale};
 
 fn main() {
     println!("Priority-aware vs priority-agnostic cleaning (Figure 3 / Table 6 reproduction)");
-    println!("(quick scale; run the ossd-bench binaries for the full configuration)\n");
+    println!("(quick scale; `ossd-exp figure3` runs the full configuration)\n");
     let points = figure3::run(Scale::Quick).expect("experiment runs");
     println!(
         "{:>8} {:>14} {:>14} {:>14} {:>14} {:>12}",

@@ -1,6 +1,6 @@
 //! Integration tests asserting the paper-level *shapes* of every experiment
-//! at quick scale.  These are the same drivers the bench harness runs at
-//! paper scale; EXPERIMENTS.md records both.
+//! at quick scale.  These are the same drivers `ossd-exp` runs at paper
+//! scale; the experiment index in README.md lists them.
 
 use ossd::core::contract::ContractTerm;
 use ossd::core::experiments::{

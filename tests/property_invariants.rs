@@ -60,7 +60,7 @@ fn flash_block_counters_are_consistent() {
             let block = element.block(0).unwrap().clone();
             match rng.next_u64_below(3) {
                 0 => {
-                    let _ = element.program(0);
+                    let _ = element.program_run(0, 1);
                 }
                 1 => {
                     if block.write_ptr() > 0 {
