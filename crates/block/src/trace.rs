@@ -388,19 +388,6 @@ impl Trace {
         Ok(Trace { name, ops })
     }
 
-    /// Returns a copy of the trace keeping only operations of `kind`.
-    pub fn filter_kind(&self, kind: TraceKind) -> Trace {
-        Trace {
-            name: self.name.clone(),
-            ops: self
-                .ops
-                .iter()
-                .copied()
-                .filter(|o| o.kind == kind)
-                .collect(),
-        }
-    }
-
     /// Returns a copy of the trace with free notifications removed, which
     /// is how the "default SSD (without free-page information)" baseline of
     /// Table 5 is produced.
@@ -520,8 +507,6 @@ mod tests {
     #[test]
     fn filters() {
         let t = sample_trace();
-        let frees = t.filter_kind(TraceKind::Free);
-        assert_eq!(frees.len(), 1);
         let no_free = t.without_frees();
         assert_eq!(no_free.len(), 2);
         assert!(no_free.ops.iter().all(|o| o.kind != TraceKind::Free));

@@ -143,19 +143,9 @@ impl FlashArray {
         &self.timing
     }
 
-    /// Whether a fault model is installed.
-    pub fn has_reliability_model(&self) -> bool {
-        self.reliability.is_some()
-    }
-
     /// Cumulative reliability counters (fault and recovery events).
     pub fn reliability_counters(&self) -> ReliabilityCounters {
         self.counters
-    }
-
-    /// Number of elements.
-    pub fn element_count(&self) -> u32 {
-        self.elements.len() as u32
     }
 
     /// Immutable access to an element.
@@ -447,11 +437,9 @@ mod tests {
     #[test]
     fn new_array_matches_geometry() {
         let a = array();
-        assert_eq!(a.element_count(), 2);
         assert_eq!(a.total_pages(), 128);
         assert_eq!(a.free_pages(), 128);
         assert_eq!(a.valid_pages(), 0);
-        assert!(!a.has_reliability_model());
         assert_eq!(a.reliability_counters(), ReliabilityCounters::default());
     }
 

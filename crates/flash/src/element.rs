@@ -58,11 +58,6 @@ impl FlashElement {
         self.id
     }
 
-    /// Number of blocks in the element.
-    pub fn block_count(&self) -> u32 {
-        self.blocks.len() as u32
-    }
-
     /// Pages per block.
     pub fn pages_per_block(&self) -> u32 {
         self.pages_per_block
@@ -231,11 +226,6 @@ impl FlashElement {
         self.counters
     }
 
-    /// Erase counts of every block (for wear-leveling statistics).
-    pub fn erase_counts(&self) -> impl Iterator<Item = u32> + '_ {
-        self.blocks.iter().map(|b| b.erase_count())
-    }
-
     /// Iterates over `(block_index, &Block)`.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (u32, &Block)> + '_ {
         self.blocks.iter().enumerate().map(|(i, b)| (i as u32, b))
@@ -254,7 +244,6 @@ mod tests {
     fn new_element_is_fully_free() {
         let e = elem();
         assert_eq!(e.id(), ElementId(3));
-        assert_eq!(e.block_count(), 4);
         assert_eq!(e.total_pages(), 16);
         assert_eq!(e.free_pages(), 16);
         assert_eq!(e.valid_pages(), 0);
@@ -309,18 +298,6 @@ mod tests {
             e.valid_pages() + e.invalid_pages() + e.free_pages(),
             e.total_pages()
         );
-    }
-
-    #[test]
-    fn erase_counts_are_per_block() {
-        let mut e = elem();
-        e.program_run(2, 1).unwrap();
-        e.invalidate(2, 0).unwrap();
-        e.erase(2).unwrap();
-        e.erase(3).unwrap();
-        e.erase(3).unwrap();
-        let counts: Vec<u32> = e.erase_counts().collect();
-        assert_eq!(counts, vec![0, 0, 1, 2]);
     }
 
     #[test]

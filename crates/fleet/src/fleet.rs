@@ -563,8 +563,8 @@ impl Fleet {
 
     /// Drains every live member's per-request blame records, merged into
     /// the fleet's canonical order `(finish, device, initiator, id)` and
-    /// tagged with the member device index.  Per-device aggregates
-    /// (histograms, class totals) stay behind on each device.
+    /// tagged with the member device index.  Per-device aggregates (class
+    /// totals) stay behind on each device.
     pub fn take_blame_records(&mut self) -> Vec<(usize, BlameRecord)> {
         let mut merged: Vec<(usize, BlameRecord)> = Vec::new();
         for (device, slot) in self.slots.iter_mut().enumerate() {

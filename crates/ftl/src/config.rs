@@ -16,7 +16,7 @@
 //!
 //! Background (idle-window) cleaning is a device-level concern and is
 //! configured on `SsdConfig` (`ossd-ssd`), not here: the FTL exposes the
-//! mechanism (`Ftl::background_clean`), the device decides when idle
+//! mechanism (`Ftl::background_clean_into`), the device decides when idle
 //! windows are long enough to use it.
 
 use ossd_gc::CleaningPolicyKind;

@@ -9,7 +9,7 @@
 //! `tests/victim_index_equivalence.rs` calls it throughout randomized
 //! write/free/GC/wear-level/retire sequences with fault injection on.
 
-use ossd_gc::{BlockInfo, CleaningPolicy, CleaningPolicyKind, PickContext, VictimIndex};
+use ossd_gc::{BlockInfo, CleaningPolicyKind, PickContext, VictimIndex};
 
 /// One recomputed candidate row: `(block, valid, invalid, erase_count,
 /// last_write)`, the tuple shape [`VictimIndex::snapshot`] reports.
@@ -62,10 +62,8 @@ pub(crate) fn check_policy_equivalence(
 ) -> Result<(), String> {
     let candidates = legacy_candidates(rows, total_pages, ctx);
     for kind in CleaningPolicyKind::all() {
-        let mut slice_policy = kind.build();
-        let mut index_policy = kind.build();
-        let from_slice = slice_policy.select_victim(&candidates);
-        let from_index = index_policy.select_from_index(index, ctx);
+        let from_slice = kind.select_victim(&candidates);
+        let from_index = kind.select_from_index(index, ctx);
         if from_slice != from_index {
             return Err(format!(
                 "{what}: policy {} picked {from_index:?} from the index but \

@@ -38,11 +38,11 @@ pub use config::{CleaningMode, FtlConfig, WearLevelConfig};
 pub use error::FtlError;
 pub use pagemap::PageFtl;
 pub use stripemap::StripeFtl;
-pub use types::{FlashOp, FlashOpKind, Ftl, FtlStats, Lpn, OpPurpose, ReadOutcome, WriteContext};
+pub use types::{FlashOp, FlashOpKind, Ftl, FtlStats, Lpn, OpPurpose, WriteContext};
 
 // Re-exported so device configuration can name cleaning policies without a
 // direct `ossd-gc` dependency.
-pub use ossd_gc::{CleaningPolicy, CleaningPolicyKind};
+pub use ossd_gc::CleaningPolicyKind;
 
 // Re-exported so device configuration and stats consumers can name the
 // demand-paged mapping types without a direct `ossd-mapcache` dependency.

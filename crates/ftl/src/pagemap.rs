@@ -11,13 +11,14 @@
 //! shares; which element a page or a translation page goes to, and when
 //! to clean, is decided here.
 //!
-//! Victim selection and the cleaning trigger are delegated to the
-//! [`ossd_gc::CleaningPolicy`] chosen by
-//! [`FtlConfig::cleaning_policy`]; the default
-//! ([`ossd_gc::CleaningPolicyKind::Greedy`]) reproduces the historical
-//! hard-coded greedy cleaner bit-for-bit.  Cleaning runs in the write path
-//! when free space falls below the watermark, and additionally through
-//! [`Ftl::background_clean`] when the device donates idle windows.
+//! Victim selection is delegated to the [`ossd_gc::CleaningPolicyKind`]
+//! chosen by [`FtlConfig::cleaning_policy`], and the cleaning trigger is the
+//! paper's watermark scheme ([`ossd_gc::watermark_trigger`]); the default
+//! policy ([`ossd_gc::CleaningPolicyKind::Greedy`]) reproduces the
+//! historical hard-coded greedy cleaner bit-for-bit.  Cleaning runs in the
+//! write path when free space falls below the watermark, and additionally
+//! through [`Ftl::background_clean_into`] when the device donates idle
+//! windows.
 //!
 //! Two of the paper's proposals are implemented as configuration switches:
 //!
@@ -82,7 +83,7 @@ use std::ops::Range;
 use ossd_flash::{
     bitmap, ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, ReliabilityConfig,
 };
-use ossd_gc::{AnyPolicy, CleaningPolicy, TriggerContext, TriggerDecision};
+use ossd_gc::{watermark_trigger, TriggerContext, TriggerDecision};
 use ossd_mapcache::{MapCache, MapStats, ENTRY_BYTES};
 use ossd_telemetry::{EventKind, TelemetryHandle, Track};
 
@@ -179,9 +180,6 @@ pub struct PageFtl {
     total_pages: u64,
     stats: FtlStats,
     writes_since_wear_check: u64,
-    /// The victim-selection / trigger policy (built from
-    /// [`FtlConfig::cleaning_policy`]).
-    policy: AnyPolicy,
     /// Logical clock: host writes served so far.  Block ages are measured
     /// against it.
     clock: u64,
@@ -309,7 +307,6 @@ impl PageFtl {
             .collect();
         Ok(PageFtl {
             flash,
-            policy: config.cleaning_policy.build(),
             config,
             logical_pages,
             layout,
@@ -331,11 +328,6 @@ impl PageFtl {
             #[cfg(test)]
             reference_drain: false,
         })
-    }
-
-    /// The name of the active cleaning policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Starts recording every cleaning victim as `(element, block)`.
@@ -909,7 +901,8 @@ impl PageFtl {
         include_full_active: bool,
         ops: &mut Vec<FlashOp>,
     ) -> Result<bool, FtlError> {
-        let pick = self.pools[element].pick(&mut self.policy, self.clock, include_full_active);
+        let pick =
+            self.pools[element].pick(self.config.cleaning_policy, self.clock, include_full_active);
         let Some(victim) = pick else {
             return Ok(false);
         };
@@ -1100,7 +1093,7 @@ impl PageFtl {
             priority_aware: self.config.cleaning_mode == CleaningMode::PriorityAware,
         };
         let free_ppm = (trigger.free_fraction * 1e6) as u64;
-        match self.policy.should_trigger(&trigger) {
+        match watermark_trigger(&trigger) {
             TriggerDecision::Idle => return Ok(()),
             TriggerDecision::Postponed => {
                 self.stats.gc_postponements += 1;
@@ -1564,7 +1557,8 @@ mod tests {
 
     fn write_all(ftl: &mut PageFtl, lpns: impl Iterator<Item = u64>) {
         for lpn in lpns {
-            ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+            ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new())
+                .unwrap();
             ftl.check_reverse_map(&format!("write {lpn}"));
         }
     }
@@ -1601,21 +1595,26 @@ mod tests {
     #[test]
     fn read_of_unwritten_page_returns_no_ops() {
         let mut ftl = tiny_ftl(FtlConfig::default());
-        assert!(ftl.read(Lpn(0), 4096).unwrap().ops.is_empty());
+        let mut ops = Vec::new();
+        ftl.read_into(Lpn(0), 4096, &mut ops).unwrap();
+        assert!(ops.is_empty());
         assert!(!ftl.is_mapped(Lpn(0)));
     }
 
     #[test]
     fn write_then_read_maps_and_reads_flash() {
         let mut ftl = tiny_ftl(FtlConfig::default());
-        let ops = ftl.write(Lpn(5), 4096, &WriteContext::idle()).unwrap();
+        let mut ops = Vec::new();
+        ftl.write_into(Lpn(5), 4096, &WriteContext::idle(), &mut ops)
+            .unwrap();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].kind, FlashOpKind::ProgramPage);
         assert!(ftl.is_mapped(Lpn(5)));
-        let outcome = ftl.read(Lpn(5), 4096).unwrap();
-        assert_eq!(outcome.ops.len(), 1);
-        assert_eq!(outcome.ops[0].kind, FlashOpKind::ReadPage);
-        assert!(!outcome.uncorrectable);
+        let mut ops = Vec::new();
+        let uncorrectable = ftl.read_into(Lpn(5), 4096, &mut ops).unwrap();
+        assert_eq!(ops.len(), 1);
+        assert_eq!(ops[0].kind, FlashOpKind::ReadPage);
+        assert!(!uncorrectable);
         let s = ftl.stats();
         assert_eq!(s.host_writes, 1);
         assert_eq!(s.host_reads, 1);
@@ -1627,11 +1626,11 @@ mod tests {
         let mut ftl = tiny_ftl(FtlConfig::default());
         let bad = Lpn(ftl.logical_pages());
         assert!(matches!(
-            ftl.read(bad, 4096),
+            ftl.read_into(bad, 4096, &mut Vec::new()),
             Err(FtlError::LpnOutOfRange { .. })
         ));
         assert!(matches!(
-            ftl.write(bad, 4096, &WriteContext::idle()),
+            ftl.write_into(bad, 4096, &WriteContext::idle(), &mut Vec::new()),
             Err(FtlError::LpnOutOfRange { .. })
         ));
         assert!(ftl.free(bad).is_err());
@@ -1640,9 +1639,11 @@ mod tests {
     #[test]
     fn overwrite_invalidates_previous_mapping() {
         let mut ftl = tiny_ftl(FtlConfig::default());
-        ftl.write(Lpn(1), 4096, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(1), 4096, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
         let before = ftl.flash().invalid_pages();
-        ftl.write(Lpn(1), 4096, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(1), 4096, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
         assert_eq!(ftl.flash().invalid_pages(), before + 1);
         // The logical page is still mapped (to the new location).
         assert!(ftl.is_mapped(Lpn(1)));
@@ -1654,7 +1655,9 @@ mod tests {
         let mut ftl = tiny_ftl(FtlConfig::default());
         let mut elements_touched = std::collections::HashSet::new();
         for lpn in 0..8 {
-            let ops = ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+            let mut ops = Vec::new();
+            ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut ops)
+                .unwrap();
             elements_touched.insert(ops.last().unwrap().element);
         }
         // The tiny geometry has 2 elements; round-robin must use both.
@@ -1666,7 +1669,9 @@ mod tests {
         let mut ftl = tiny_ftl(FtlConfig::default());
         for lpn in 0..12 {
             let predicted = ftl.next_write_element().unwrap();
-            let ops = ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+            let mut ops = Vec::new();
+            ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut ops)
+                .unwrap();
             let landed = ops.last().unwrap().element.0;
             assert_eq!(predicted, landed, "write {lpn} landed off the prediction");
         }
@@ -1680,7 +1685,7 @@ mod tests {
         let n = lpns.len() as u64;
         for i in 0..n {
             let idx = ((i * stride) % n) as usize;
-            ftl.write(Lpn(lpns[idx]), 4096, &WriteContext::idle())
+            ftl.write_into(Lpn(lpns[idx]), 4096, &WriteContext::idle(), &mut Vec::new())
                 .unwrap();
             ftl.check_reverse_map(&format!("write {}", lpns[idx]));
         }
@@ -1773,7 +1778,8 @@ mod tests {
         // Overwrites invalidate pages, which un-stalls cleaning on the
         // elements holding the stale pages.
         for lpn in 0..8 {
-            ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+            ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new())
+                .unwrap();
         }
         let after_overwrite = ftl.stats();
         assert!(
@@ -1802,7 +1808,8 @@ mod tests {
         let free_before = ftl.free_page_fraction();
 
         // Budget of one erase: exactly one block reclaimed.
-        let ops = ftl.background_clean(1, 0.9).unwrap();
+        let mut ops = Vec::new();
+        ftl.background_clean_into(1, 0.9, &mut ops).unwrap();
         let erases = ops
             .iter()
             .filter(|o| o.kind == FlashOpKind::EraseBlock)
@@ -1816,14 +1823,18 @@ mod tests {
 
         // An unreachably high target with a huge budget cleans until no
         // block holds a stale page, then stops rather than spinning.
-        ftl.background_clean(10_000, 0.9).unwrap();
+        ftl.background_clean_into(10_000, 0.9, &mut Vec::new())
+            .unwrap();
         assert!(ftl.free_page_fraction() > free_before);
         // Nothing reclaimable is left, so another call is a no-op...
-        assert!(ftl.background_clean(4, 0.9).unwrap().is_empty());
+        let mut ops = Vec::new();
+        ftl.background_clean_into(4, 0.9, &mut ops).unwrap();
+        assert!(ops.is_empty());
         // ...and a target at or below the current free fraction gates the
         // work off entirely.
         let reached = ftl.free_page_fraction();
-        assert!(ftl.background_clean(4, reached).unwrap().is_empty());
+        ftl.background_clean_into(4, reached, &mut ops).unwrap();
+        assert!(ops.is_empty());
         // Mapping integrity is preserved throughout.
         assert_eq!(ftl.flash().valid_pages(), logical);
     }
@@ -1838,7 +1849,6 @@ mod tests {
                 .with_watermarks(0.3, 0.1)
                 .with_cleaning_policy(kind);
             let mut ftl = tiny_ftl(config);
-            assert_eq!(ftl.policy_name(), kind.name());
             let logical = ftl.logical_pages();
             let lpns: Vec<u64> = (0..logical).collect();
             for round in 0..6 {
@@ -1949,8 +1959,13 @@ mod tests {
         let mut postponed = 0;
         for round in 0..8 {
             for lpn in 0..logical {
-                ftl.write(Lpn(lpn), 4096, &WriteContext::with_priority_pending())
-                    .unwrap();
+                ftl.write_into(
+                    Lpn(lpn),
+                    4096,
+                    &WriteContext::with_priority_pending(),
+                    &mut Vec::new(),
+                )
+                .unwrap();
             }
             postponed = ftl.stats().gc_postponements;
             if postponed > 0 {
@@ -1977,7 +1992,8 @@ mod tests {
     #[test]
     fn free_without_honor_is_ignored() {
         let mut ftl = tiny_ftl(FtlConfig::default());
-        ftl.write(Lpn(0), 4096, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(0), 4096, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
         assert!(!ftl.free(Lpn(0)).unwrap());
         assert!(ftl.is_mapped(Lpn(0)));
         assert_eq!(ftl.stats().frees_accepted, 0);
@@ -1986,7 +2002,8 @@ mod tests {
     #[test]
     fn free_with_honor_unmaps_and_invalidates() {
         let mut ftl = tiny_ftl(FtlConfig::informed());
-        ftl.write(Lpn(0), 4096, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(0), 4096, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
         assert!(ftl.free(Lpn(0)).unwrap());
         assert!(!ftl.is_mapped(Lpn(0)));
         assert_eq!(ftl.flash().valid_pages(), 0);
@@ -2004,7 +2021,8 @@ mod tests {
             .with_watermarks(0.3, 0.1);
         let mut ftl = tiny_ftl(config);
         for _ in 0..5_000 {
-            ftl.write(Lpn(0), 4096, &WriteContext::idle()).unwrap();
+            ftl.write_into(Lpn(0), 4096, &WriteContext::idle(), &mut Vec::new())
+                .unwrap();
         }
         let wear = ftl.flash().wear_summary();
         assert!(wear.total_erases > 0);
@@ -2067,7 +2085,7 @@ mod tests {
             assert!(ftl.free(Lpn(lpn)).unwrap());
         }
         for write in 0..20_000u64 {
-            ftl.write(Lpn(write % 4), 4096, &WriteContext::idle())
+            ftl.write_into(Lpn(write % 4), 4096, &WriteContext::idle(), &mut Vec::new())
                 .unwrap();
             if write % 50 != 0 {
                 continue;
@@ -2111,7 +2129,7 @@ mod tests {
         let active = ftl.pools[0].active(AppendPoint::Data).unwrap();
         let room = block_of(&ftl, active).free_count() as usize;
         let victim = ftl.pools[0]
-            .pick(&mut ftl.policy, ftl.clock, false)
+            .pick(ftl.config.cleaning_policy, ftl.clock, false)
             .unwrap();
         let before = block_of(&ftl, victim);
         let live = before.valid_count() as usize;
@@ -2173,7 +2191,8 @@ mod tests {
         for round in 0..rounds as u64 {
             for i in 0..logical {
                 let lpn = (i * 13 + round) % logical;
-                let written = ftl.write(Lpn(lpn), 4096, &WriteContext::idle());
+                let written =
+                    ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new());
                 ftl.check_reverse_map(&format!("round {round} write {lpn}"));
                 match written {
                     Ok(_) => {}
@@ -2287,15 +2306,16 @@ mod tests {
             ..ossd_flash::FaultConfig::none()
         };
         let mut ftl = faulty_ftl(faults, FtlConfig::default());
-        ftl.write(Lpn(0), 4096, &WriteContext::idle()).unwrap();
-        let outcome = ftl.read(Lpn(0), 4096).unwrap();
-        assert!(outcome.uncorrectable, "a 200-bit mean must defeat the ECC");
-        let retries = outcome
-            .ops
+        ftl.write_into(Lpn(0), 4096, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
+        let mut ops = Vec::new();
+        let uncorrectable = ftl.read_into(Lpn(0), 4096, &mut ops).unwrap();
+        assert!(uncorrectable, "a 200-bit mean must defeat the ECC");
+        let retries = ops
             .iter()
             .filter(|o| o.kind == FlashOpKind::ReadRetry)
             .count();
-        assert_eq!(outcome.ops.len(), 1 + retries);
+        assert_eq!(ops.len(), 1 + retries);
         assert!(retries > 0);
         let c = ftl.reliability_counters();
         assert_eq!(c.uncorrectable_reads, 1);
@@ -2347,17 +2367,25 @@ mod tests {
         for _ in 0..6 {
             for i in 0..logical {
                 let lpn = Lpn((i * 13) % logical);
-                let a = baseline.write(lpn, 4096, &WriteContext::idle()).unwrap();
-                let b = paged.write(lpn, 4096, &WriteContext::idle()).unwrap();
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                baseline
+                    .write_into(lpn, 4096, &WriteContext::idle(), &mut a)
+                    .unwrap();
+                paged
+                    .write_into(lpn, 4096, &WriteContext::idle(), &mut b)
+                    .unwrap();
                 assert_eq!(a, b, "write ops diverged at lpn {lpn:?}");
             }
         }
         for lpn in 0..logical {
-            let a = baseline.read(Lpn(lpn), 4096).unwrap();
-            let b = paged.read(Lpn(lpn), 4096).unwrap();
-            assert_eq!(a, b, "read outcome diverged at lpn {lpn}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let a_bad = baseline.read_into(Lpn(lpn), 4096, &mut a).unwrap();
+            let b_bad = paged.read_into(Lpn(lpn), 4096, &mut b).unwrap();
+            assert_eq!((a, a_bad), (b, b_bad), "read outcome diverged at lpn {lpn}");
         }
-        assert!(paged.flush().unwrap().is_empty(), "nothing to make durable");
+        let mut ops = Vec::new();
+        paged.flush_into(&mut ops).unwrap();
+        assert!(ops.is_empty(), "nothing to make durable");
         assert_eq!(baseline.stats(), paged.stats());
         assert_eq!(baseline.wear_summary(), paged.wear_summary());
         // The cache saw every access yet issued no map op and spilled
@@ -2397,7 +2425,9 @@ mod tests {
         for _ in 0..4 {
             for i in 0..logical {
                 let lpn = Lpn((i * 13) % logical);
-                let ops = ftl.write(lpn, 512, &WriteContext::idle()).unwrap();
+                let mut ops = Vec::new();
+                ftl.write_into(lpn, 512, &WriteContext::idle(), &mut ops)
+                    .unwrap();
                 for op in &ops {
                     match op.kind {
                         FlashOpKind::MapRead => saw_map_read = true,
@@ -2428,12 +2458,15 @@ mod tests {
         }
         ftl.check_victim_index().unwrap();
         // Flush makes the dirty tail durable; a second flush is a no-op.
-        let flush_ops = ftl.flush().unwrap();
+        let mut flush_ops = Vec::new();
+        ftl.flush_into(&mut flush_ops).unwrap();
         assert!(!flush_ops.is_empty());
         assert!(flush_ops
             .iter()
             .all(|o| matches!(o.kind, FlashOpKind::MapRead | FlashOpKind::MapWrite)));
-        assert!(ftl.flush().unwrap().is_empty());
+        let mut ops = Vec::new();
+        ftl.flush_into(&mut ops).unwrap();
+        assert!(ops.is_empty());
     }
 
     /// Under churn heavy enough to clean translation blocks, map pages are
@@ -2456,8 +2489,13 @@ mod tests {
         let logical = ftl.logical_pages();
         for _ in 0..8 {
             for i in 0..logical {
-                ftl.write(Lpn((i * 7) % logical), 512, &WriteContext::idle())
-                    .unwrap();
+                ftl.write_into(
+                    Lpn((i * 7) % logical),
+                    512,
+                    &WriteContext::idle(),
+                    &mut Vec::new(),
+                )
+                .unwrap();
             }
         }
         let ms = ftl.map_stats();
@@ -2552,15 +2590,17 @@ mod tests {
         .unwrap();
         let logical = ftl.logical_pages();
         for lpn in 0..logical {
-            ftl.write(Lpn(lpn), 512, &WriteContext::idle()).unwrap();
+            ftl.write_into(Lpn(lpn), 512, &WriteContext::idle(), &mut Vec::new())
+                .unwrap();
         }
         for lpn in (0..logical).step_by(2) {
             assert!(ftl.free(Lpn(lpn)).unwrap());
         }
         for lpn in 0..logical {
             assert_eq!(ftl.is_mapped(Lpn(lpn)), lpn % 2 == 1);
-            let outcome = ftl.read(Lpn(lpn), 512).unwrap();
-            let has_data_read = outcome.ops.iter().any(|o| o.kind == FlashOpKind::ReadPage);
+            let mut ops = Vec::new();
+            ftl.read_into(Lpn(lpn), 512, &mut ops).unwrap();
+            let has_data_read = ops.iter().any(|o| o.kind == FlashOpKind::ReadPage);
             assert_eq!(has_data_read, lpn % 2 == 1, "lpn {lpn}");
         }
     }

@@ -45,7 +45,7 @@
 
 use std::ops::Range;
 
-use ossd_gc::{AnyPolicy, CleaningPolicy, PickContext, VictimIndex};
+use ossd_gc::{CleaningPolicyKind, PickContext, VictimIndex};
 
 use crate::indexcheck::{self, CandidateRow};
 
@@ -340,7 +340,7 @@ impl BlockPool {
     /// append point left on it would hand out its pages twice.
     pub(crate) fn pick(
         &mut self,
-        policy: &mut AnyPolicy,
+        policy: CleaningPolicyKind,
         clock: u64,
         include_full_active: bool,
     ) -> Option<u32> {
@@ -673,7 +673,7 @@ mod tests {
                     age: clock.saturating_sub(last_write),
                 })
                 .collect();
-            kind.build().select_victim(&candidates)
+            kind.select_victim(&candidates)
         }
     }
 
@@ -694,7 +694,6 @@ mod tests {
         pool: BlockPool,
         naive: Naive,
         kind: CleaningPolicyKind,
-        policy: AnyPolicy,
         rng: Rng,
         clock: u64,
         seen: Seen,
@@ -723,7 +722,6 @@ mod tests {
                     stalled: false,
                 },
                 kind,
-                policy: kind.build(),
                 rng,
                 clock: 0,
                 seen: Seen::default(),
@@ -789,9 +787,7 @@ mod tests {
 
         fn clean(&mut self, include_full_active: bool) {
             let expected = self.naive.pick(self.kind, self.clock, include_full_active);
-            let pick = self
-                .pool
-                .pick(&mut self.policy, self.clock, include_full_active);
+            let pick = self.pool.pick(self.kind, self.clock, include_full_active);
             assert_eq!(pick, expected, "{:?} pick", self.kind);
             let Some(victim) = pick else {
                 // A fruitless pass stalls the trigger until an invalidation.

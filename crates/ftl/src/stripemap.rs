@@ -26,7 +26,6 @@
 use ossd_flash::{
     ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, PhysPageAddr, ReliabilityConfig,
 };
-use ossd_gc::AnyPolicy;
 use ossd_telemetry::{EventKind, TelemetryHandle, Track};
 
 use crate::config::FtlConfig;
@@ -75,9 +74,6 @@ pub struct StripeFtl {
     /// §3.4).  When disabled, every write is issued to flash as it arrives.
     coalesce: bool,
     stats: FtlStats,
-    /// Victim-selection policy for superblock reclamation (built from
-    /// [`FtlConfig::cleaning_policy`]).
-    policy: AnyPolicy,
     /// Logical clock: host stripe writes served so far.
     clock: u64,
     /// When enabled, every cleaning victim (superblock index) is appended
@@ -176,7 +172,6 @@ impl StripeFtl {
         }
         Ok(StripeFtl {
             flash,
-            policy: config.cleaning_policy.build(),
             config,
             chunk_pages,
             slots_per_superblock,
@@ -470,17 +465,20 @@ impl StripeFtl {
     /// Policy-driven cleaning of one superblock; returns false when nothing
     /// could be reclaimed.  The pool treats each superblock as one "block"
     /// of `slots_per_superblock` pages (the mapping granularity of this
-    /// FTL), so the same policy objects drive both FTLs; the active
+    /// FTL), so the same policy values drive both FTLs; the active
     /// superblock is excluded at pick time.
     ///
     /// Deliberate behaviour change vs. the pre-policy cleaner: the shared
-    /// `Greedy` breaks equal-staleness ties towards the superblock with
+    /// greedy policy breaks equal-staleness ties towards the superblock with
     /// fewer erases, where the old inline loop kept the first candidate
     /// regardless of wear.  Both FTLs' greedy victim sequences are now
     /// pinned bit-for-bit across index refactors
     /// (`greedy_victim_sequence_is_pinned_across_index_refactors`).
     fn clean_one_superblock(&mut self, ops: &mut Vec<FlashOp>) -> Result<bool, FtlError> {
-        let Some(victim) = self.pool.pick(&mut self.policy, self.clock, false) else {
+        let Some(victim) = self
+            .pool
+            .pick(self.config.cleaning_policy, self.clock, false)
+        else {
             return Ok(false);
         };
         if let Some(trace) = self.victim_trace.as_mut() {
@@ -768,9 +766,10 @@ mod tests {
         let logical = ftl.logical_pages();
         assert_eq!(logical, 56, "1 reserved superblock caps the export");
         for lpn in 0..logical {
-            ftl.write(Lpn(lpn), 8192, &WriteContext::idle()).unwrap();
+            ftl.write_into(Lpn(lpn), 8192, &WriteContext::idle(), &mut Vec::new())
+                .unwrap();
         }
-        ftl.flush().unwrap();
+        ftl.flush_into(&mut Vec::new()).unwrap();
         assert_eq!(ftl.flash().valid_pages(), logical * 2);
     }
 
@@ -792,7 +791,9 @@ mod tests {
     #[test]
     fn full_stripe_write_programs_every_element_once() {
         let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
-        let ops = ftl.write(Lpn(0), 8192, &WriteContext::idle()).unwrap();
+        let mut ops = Vec::new();
+        ftl.write_into(Lpn(0), 8192, &WriteContext::idle(), &mut ops)
+            .unwrap();
         let programs = ops
             .iter()
             .filter(|o| o.kind == FlashOpKind::ProgramPage)
@@ -807,12 +808,16 @@ mod tests {
     fn partial_write_is_buffered_until_another_stripe_is_touched() {
         let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
         // Half a stripe: absorbed in RAM, no flash ops yet.
-        let ops = ftl.write(Lpn(0), 4096, &WriteContext::idle()).unwrap();
+        let mut ops = Vec::new();
+        ftl.write_into(Lpn(0), 4096, &WriteContext::idle(), &mut ops)
+            .unwrap();
         assert!(ops.is_empty());
         assert!(ftl.is_mapped(Lpn(0)), "open stripe counts as mapped");
         // Touching another stripe forces the partial one out (no RMW reads
         // because stripe 0 had never been written before).
-        let ops = ftl.write(Lpn(1), 4096, &WriteContext::idle()).unwrap();
+        let mut ops = Vec::new();
+        ftl.write_into(Lpn(1), 4096, &WriteContext::idle(), &mut ops)
+            .unwrap();
         let programs = ops
             .iter()
             .filter(|o| o.kind == FlashOpKind::ProgramPage)
@@ -825,10 +830,14 @@ mod tests {
     fn sub_stripe_overwrite_causes_read_modify_write() {
         let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
         // Write the full stripe first so an old copy exists.
-        ftl.write(Lpn(0), 8192, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(0), 8192, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
         // Now overwrite half of it and force the flush by touching stripe 1.
-        ftl.write(Lpn(0), 4096, &WriteContext::idle()).unwrap();
-        let ops = ftl.write(Lpn(1), 8192, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(0), 4096, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
+        let mut ops = Vec::new();
+        ftl.write_into(Lpn(1), 8192, &WriteContext::idle(), &mut ops)
+            .unwrap();
         let reads = ops
             .iter()
             .filter(|o| o.kind == FlashOpKind::ReadPage)
@@ -845,9 +854,13 @@ mod tests {
     #[test]
     fn sequential_fill_of_a_stripe_flushes_once_without_reads() {
         let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
-        let first = ftl.write(Lpn(3), 4096, &WriteContext::idle()).unwrap();
+        let mut first = Vec::new();
+        ftl.write_into(Lpn(3), 4096, &WriteContext::idle(), &mut first)
+            .unwrap();
         assert!(first.is_empty());
-        let second = ftl.write(Lpn(3), 4096, &WriteContext::idle()).unwrap();
+        let mut second = Vec::new();
+        ftl.write_into(Lpn(3), 4096, &WriteContext::idle(), &mut second)
+            .unwrap();
         // The stripe is now fully covered and flushed with no reads.
         assert_eq!(
             second
@@ -862,24 +875,37 @@ mod tests {
     #[test]
     fn explicit_flush_drains_the_open_stripe() {
         let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
-        ftl.write(Lpn(0), 4096, &WriteContext::idle()).unwrap();
-        let ops = ftl.flush().unwrap();
+        ftl.write_into(Lpn(0), 4096, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
+        let mut ops = Vec::new();
+        ftl.flush_into(&mut ops).unwrap();
         assert!(!ops.is_empty());
         // A second flush is a no-op.
-        assert!(ftl.flush().unwrap().is_empty());
+        let mut ops = Vec::new();
+        ftl.flush_into(&mut ops).unwrap();
+        assert!(ops.is_empty());
     }
 
     #[test]
     fn reads_touch_only_needed_pages() {
         let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
-        ftl.write(Lpn(0), 8192, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(0), 8192, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
         // 4 KB read needs one page; full-stripe read needs two.
-        assert_eq!(ftl.read(Lpn(0), 4096).unwrap().ops.len(), 1);
-        assert_eq!(ftl.read(Lpn(0), 8192).unwrap().ops.len(), 2);
+        let mut ops = Vec::new();
+        ftl.read_into(Lpn(0), 4096, &mut ops).unwrap();
+        assert_eq!(ops.len(), 1);
+        let mut ops = Vec::new();
+        ftl.read_into(Lpn(0), 8192, &mut ops).unwrap();
+        assert_eq!(ops.len(), 2);
         // Reads of unwritten stripes and of the open buffer cost nothing.
-        assert!(ftl.read(Lpn(5), 4096).unwrap().ops.is_empty());
-        ftl.write(Lpn(6), 4096, &WriteContext::idle()).unwrap();
-        assert!(ftl.read(Lpn(6), 4096).unwrap().ops.is_empty());
+        let mut ops = Vec::new();
+        ftl.read_into(Lpn(5), 4096, &mut ops).unwrap();
+        assert!(ops.is_empty());
+        ftl.write_into(Lpn(6), 4096, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
+        ftl.read_into(Lpn(6), 4096, &mut ops).unwrap();
+        assert!(ops.is_empty());
     }
 
     #[test]
@@ -891,7 +917,8 @@ mod tests {
         let logical = ftl.logical_pages();
         for _ in 0..8 {
             for lpn in 0..logical {
-                ftl.write(Lpn(lpn), 8192, &WriteContext::idle()).unwrap();
+                ftl.write_into(Lpn(lpn), 8192, &WriteContext::idle(), &mut Vec::new())
+                    .unwrap();
             }
         }
         let s = ftl.stats();
@@ -915,7 +942,8 @@ mod tests {
         for round in 0..8u64 {
             for i in 0..logical {
                 let lpn = (i * 13 + round) % logical;
-                ftl.write(Lpn(lpn), 8192, &WriteContext::idle()).unwrap();
+                ftl.write_into(Lpn(lpn), 8192, &WriteContext::idle(), &mut Vec::new())
+                    .unwrap();
             }
         }
         let trace = ftl.victim_trace();
@@ -932,13 +960,15 @@ mod tests {
     #[test]
     fn free_with_honor_invalidates_stripe() {
         let mut ftl = tiny_stripe_ftl(FtlConfig::informed(), 8192);
-        ftl.write(Lpn(2), 8192, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(2), 8192, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
         assert!(ftl.free(Lpn(2)).unwrap());
         assert!(!ftl.is_mapped(Lpn(2)));
         assert_eq!(ftl.flash().valid_pages(), 0);
         // Uninformed configuration ignores frees.
         let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
-        ftl.write(Lpn(2), 8192, &WriteContext::idle()).unwrap();
+        ftl.write_into(Lpn(2), 8192, &WriteContext::idle(), &mut Vec::new())
+            .unwrap();
         assert!(!ftl.free(Lpn(2)).unwrap());
         assert!(ftl.is_mapped(Lpn(2)));
     }
@@ -947,8 +977,10 @@ mod tests {
     fn out_of_range_lpn_rejected() {
         let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
         let bad = Lpn(ftl.logical_pages());
-        assert!(ftl.read(bad, 4096).is_err());
-        assert!(ftl.write(bad, 4096, &WriteContext::idle()).is_err());
+        assert!(ftl.read_into(bad, 4096, &mut Vec::new()).is_err());
+        assert!(ftl
+            .write_into(bad, 4096, &WriteContext::idle(), &mut Vec::new())
+            .is_err());
         assert!(ftl.free(bad).is_err());
     }
 
@@ -980,9 +1012,10 @@ mod tests {
         let logical = ftl.logical_pages();
         assert!(logical < 56, "export {logical} must shrink below 56");
         for lpn in 0..logical {
-            ftl.write(Lpn(lpn), 8192, &WriteContext::idle()).unwrap();
+            ftl.write_into(Lpn(lpn), 8192, &WriteContext::idle(), &mut Vec::new())
+                .unwrap();
         }
-        ftl.flush().unwrap();
+        ftl.flush_into(&mut Vec::new()).unwrap();
         assert_eq!(ftl.flash().valid_pages(), logical * 2);
     }
 
@@ -1001,7 +1034,7 @@ mod tests {
         let mut died = false;
         'churn: for _ in 0..10 {
             for lpn in 0..logical {
-                match ftl.write(Lpn(lpn), 8192, &WriteContext::idle()) {
+                match ftl.write_into(Lpn(lpn), 8192, &WriteContext::idle(), &mut Vec::new()) {
                     Ok(_) => {}
                     Err(FtlError::NoFreeBlocks { .. }) => {
                         died = true;
@@ -1014,7 +1047,7 @@ mod tests {
         let c = ftl.reliability_counters();
         assert!(c.program_fails > 0, "no program failures injected");
         if !died {
-            ftl.flush().unwrap();
+            ftl.flush_into(&mut Vec::new()).unwrap();
             assert_eq!(ftl.flash().valid_pages(), logical * 2);
         }
     }
@@ -1034,7 +1067,7 @@ mod tests {
         let mut died = false;
         'churn: for _ in 0..12 {
             for lpn in 0..logical {
-                match ftl.write(Lpn(lpn), 8192, &WriteContext::idle()) {
+                match ftl.write_into(Lpn(lpn), 8192, &WriteContext::idle(), &mut Vec::new()) {
                     Ok(_) => {}
                     Err(FtlError::NoFreeBlocks { .. }) => {
                         died = true;
@@ -1052,7 +1085,7 @@ mod tests {
         assert_eq!(c.retired_blocks % elements, 0);
         assert!(c.retired_blocks >= elements);
         if !died {
-            ftl.flush().unwrap();
+            ftl.flush_into(&mut Vec::new()).unwrap();
             assert_eq!(ftl.flash().valid_pages(), logical * 2);
         }
     }
@@ -1065,13 +1098,15 @@ mod tests {
             let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
             // Pre-fill every stripe we will touch so overwrites do RMW.
             for &lpn in lpns {
-                ftl.write(Lpn(lpn), 8192, &WriteContext::idle()).unwrap();
+                ftl.write_into(Lpn(lpn), 8192, &WriteContext::idle(), &mut Vec::new())
+                    .unwrap();
             }
             let base = ftl.stats().pages_programmed_host + ftl.stats().pages_read_host;
             for &lpn in lpns {
-                ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+                ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new())
+                    .unwrap();
             }
-            ftl.flush().unwrap();
+            ftl.flush_into(&mut Vec::new()).unwrap();
             let after = ftl.stats().pages_programmed_host + ftl.stats().pages_read_host;
             (after - base) as f64 / lpns.len() as f64
         };
@@ -1081,14 +1116,17 @@ mod tests {
         let sequential_cost = {
             let mut ftl = tiny_stripe_ftl(FtlConfig::default(), 8192);
             for lpn in 0..6u64 {
-                ftl.write(Lpn(lpn), 8192, &WriteContext::idle()).unwrap();
+                ftl.write_into(Lpn(lpn), 8192, &WriteContext::idle(), &mut Vec::new())
+                    .unwrap();
             }
             let base = ftl.stats().pages_programmed_host + ftl.stats().pages_read_host;
             for lpn in 0..6u64 {
-                ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
-                ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+                ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new())
+                    .unwrap();
+                ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new())
+                    .unwrap();
             }
-            ftl.flush().unwrap();
+            ftl.flush_into(&mut Vec::new()).unwrap();
             let after = ftl.stats().pages_programmed_host + ftl.stats().pages_read_host;
             (after - base) as f64 / 12.0
         };

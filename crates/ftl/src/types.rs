@@ -190,38 +190,6 @@ impl FlashOp {
     }
 }
 
-/// The result of one logical-page read: the flash operations to schedule
-/// plus the reliability verdict.
-///
-/// `ops` includes one [`FlashOpKind::ReadRetry`] per ECC retry the
-/// reliability model required, so the device times marginal reads
-/// truthfully.  `uncorrectable` is set when the data stayed unreadable
-/// after every retry; the device completes the request with a typed error
-/// status (`CompletionStatus::UncorrectableRead` in `ossd-block`) instead
-/// of aborting the session.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReadOutcome {
-    /// Flash operations to schedule (empty for unwritten/buffered data).
-    pub ops: Vec<FlashOp>,
-    /// The read failed every ECC retry; the host sees a typed error.
-    pub uncorrectable: bool,
-}
-
-impl ReadOutcome {
-    /// A successful read with the given operations.
-    pub fn ok(ops: Vec<FlashOp>) -> Self {
-        ReadOutcome {
-            ops,
-            uncorrectable: false,
-        }
-    }
-
-    /// A read served without flash work (unwritten or buffered data).
-    pub fn buffered() -> Self {
-        ReadOutcome::ok(Vec::new())
-    }
-}
-
 /// Context the device passes to the FTL alongside a host write.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WriteContext {
@@ -346,14 +314,16 @@ pub trait Ftl: Send {
 
     /// Reads one logical page, *appending* the flash operations to schedule
     /// to `ops` (one [`FlashOpKind::ReadRetry`] per ECC retry after the
-    /// initial read) and returning whether the data stayed uncorrectable.
-    /// `covered_bytes` says how many bytes of the logical page the host
-    /// actually asked for, so a coarse-grained FTL only reads the physical
-    /// pages it needs.
+    /// initial read) and returning whether the data stayed uncorrectable —
+    /// which the device completes with a typed error status
+    /// (`CompletionStatus::UncorrectableRead` in `ossd-block`) instead of
+    /// aborting the session.  `covered_bytes` says how many bytes of the
+    /// logical page the host actually asked for, so a coarse-grained FTL
+    /// only reads the physical pages it needs.
     ///
     /// This is the device's hot path: the caller owns a scratch buffer it
     /// reuses across commands, so steady-state service performs no per-read
-    /// allocation.  [`Ftl::read`] is the allocating convenience wrapper.
+    /// allocation.
     fn read_into(
         &mut self,
         lpn: Lpn,
@@ -361,22 +331,13 @@ pub trait Ftl: Send {
         ops: &mut Vec<FlashOp>,
     ) -> Result<bool, FtlError>;
 
-    /// Allocating wrapper over [`Ftl::read_into`], returning a
-    /// [`ReadOutcome`] (kept for tests and simple callers).
-    fn read(&mut self, lpn: Lpn, covered_bytes: u64) -> Result<ReadOutcome, FtlError> {
-        let mut ops = Vec::new();
-        let uncorrectable = self.read_into(lpn, covered_bytes, &mut ops)?;
-        Ok(ReadOutcome { ops, uncorrectable })
-    }
-
     /// Writes one logical page, *appending* the flash operations to schedule
     /// — including any cleaning or wear-leveling work triggered by the
     /// allocation — to `ops`.  `covered_bytes` says how many bytes of the
     /// logical page the host actually supplied (a sub-page write forces the
     /// stripe FTL into a read-modify-write).
     ///
-    /// Like [`Ftl::read_into`], this is the allocation-free hot path;
-    /// [`Ftl::write`] is the allocating convenience wrapper.
+    /// Like [`Ftl::read_into`], this is the allocation-free hot path.
     fn write_into(
         &mut self,
         lpn: Lpn,
@@ -384,19 +345,6 @@ pub trait Ftl: Send {
         ctx: &WriteContext,
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError>;
-
-    /// Allocating wrapper over [`Ftl::write_into`] (kept for tests and
-    /// simple callers).
-    fn write(
-        &mut self,
-        lpn: Lpn,
-        covered_bytes: u64,
-        ctx: &WriteContext,
-    ) -> Result<Vec<FlashOp>, FtlError> {
-        let mut ops = Vec::new();
-        self.write_into(lpn, covered_bytes, ctx, &mut ops)?;
-        Ok(ops)
-    }
 
     /// Accepts a free (TRIM) notification for one logical page.  Returns
     /// `true` if the FTL used the information (informed cleaning enabled and
@@ -410,13 +358,6 @@ pub trait Ftl: Send {
     fn flush_into(&mut self, ops: &mut Vec<FlashOp>) -> Result<(), FtlError> {
         let _ = ops;
         Ok(())
-    }
-
-    /// Allocating wrapper over [`Ftl::flush_into`].
-    fn flush(&mut self) -> Result<Vec<FlashOp>, FtlError> {
-        let mut ops = Vec::new();
-        self.flush_into(&mut ops)?;
-        Ok(ops)
     }
 
     /// Performs up to `max_erases` block reclamations of background
@@ -435,17 +376,6 @@ pub trait Ftl: Send {
     ) -> Result<(), FtlError> {
         let _ = (max_erases, target_free_fraction, ops);
         Ok(())
-    }
-
-    /// Allocating wrapper over [`Ftl::background_clean_into`].
-    fn background_clean(
-        &mut self,
-        max_erases: u32,
-        target_free_fraction: f64,
-    ) -> Result<Vec<FlashOp>, FtlError> {
-        let mut ops = Vec::new();
-        self.background_clean_into(max_erases, target_free_fraction, &mut ops)?;
-        Ok(ops)
     }
 
     /// Cumulative statistics.

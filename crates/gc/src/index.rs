@@ -14,19 +14,20 @@
 //!   `swap_remove`: O(1), no search, no shift.  The greedy tie-break (most
 //!   stale pages, then fewest erases, then the lowest block index) is the
 //!   minimum key of the highest non-empty bucket, found through the
-//!   `max_invalid` cursor and one scan of that bucket: a
-//!   [`Greedy`](crate::Greedy) pick is O(top bucket), paid once per victim
-//!   where the ordered buckets this replaces paid a search and a shift of
-//!   a much fuller bucket once per invalidated page.
+//!   `max_invalid` cursor and one scan of that bucket: a greedy pick is
+//!   O(top bucket), paid once per victim where the ordered buckets this
+//!   replaces paid a search and a shift of a much fuller bucket once per
+//!   invalidated page.
 //! * **Incremental maintenance.**  The FTL notifies the index on every
 //!   program, invalidation, burned/padded page, erase and retirement; no
 //!   operation ever walks all blocks.
 //! * **Reusable scratch.**  Policies whose score genuinely drifts with age
-//!   ([`CostBenefit`](crate::CostBenefit), [`CostAge`](crate::CostAge))
-//!   select over a scratch buffer filled from the non-empty buckets only —
-//!   no per-pick allocation once the buffer has warmed up, and candidates
-//!   are presented in the ascending-block order the pre-index scan used, so
-//!   victim sequences stay bit-for-bit identical.
+//!   ([`CostBenefit`](crate::CleaningPolicyKind::CostBenefit),
+//!   [`CostAge`](crate::CleaningPolicyKind::CostAge)) select over a
+//!   scratch buffer filled from the non-empty buckets only — no per-pick
+//!   allocation once the buffer has warmed up, and candidates are presented
+//!   in the ascending-block order the pre-index scan used, so victim
+//!   sequences stay bit-for-bit identical.
 //!
 //! A block is a *candidate* (an index member) exactly when it is not
 //! retired and holds at least one stale page; the currently active (append)
@@ -40,7 +41,8 @@
 //! files it under what those have become.  Relocating a victim's pages
 //! thus moves no bucket entry: buckets cost per host invalidation only.
 
-use crate::policy::{BlockInfo, CleaningPolicy};
+use crate::policies::select_greedy;
+use crate::policy::BlockInfo;
 
 /// Everything a pick needs beyond the index itself.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -418,7 +420,7 @@ impl VictimIndex {
     ///
     /// Callers should fall back to [`VictimIndex::pick_greedy`] when the
     /// candidate count (excluding `exclude`) does not exceed the window;
-    /// [`crate::WindowedGreedy`] does.
+    /// [`crate::CleaningPolicyKind::select_from_index`] does.
     pub fn pick_windowed(&mut self, window: usize, ctx: &PickContext) -> Option<u32> {
         self.settle_max();
         self.fill_scratch(ctx, false);
@@ -494,7 +496,7 @@ impl VictimIndex {
 /// Greedy over the `window` oldest entries of `candidates` (which is
 /// consumed as scratch): the age order is `(age descending, block
 /// ascending)`, matching the pre-index windowed scan.  The window is then
-/// re-sorted into the ascending block order [`crate::Greedy`] expects and
+/// re-sorted into the ascending block order the greedy scan expects and
 /// handed to it, so the greedy tie-break lives in exactly one place.
 fn windowed_best(candidates: &mut [BlockInfo], window: usize) -> Option<u32> {
     if candidates.is_empty() || window == 0 {
@@ -511,14 +513,13 @@ fn windowed_best(candidates: &mut [BlockInfo], window: usize) -> Option<u32> {
     let pool_len = window.min(candidates.len());
     let pool = &mut candidates[..pool_len];
     pool.sort_unstable_by_key(|c| c.block);
-    crate::policies::Greedy.select_victim(pool)
+    select_greedy(pool)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::{Greedy, WindowedGreedy};
-    use crate::policy::CleaningPolicy;
+    use crate::CleaningPolicyKind;
 
     /// Builds the legacy candidate slice (ascending block order) from the
     /// index's own snapshot, for equivalence checks.
@@ -559,7 +560,7 @@ mod tests {
         assert_eq!(index.pick_greedy(Some(3), Some(5)), Some(1));
         let ctx = PickContext::at(10);
         let legacy = legacy_candidates(&index, &ctx);
-        assert_eq!(Greedy.select_victim(&legacy), index.pick_greedy(None, None));
+        assert_eq!(select_greedy(&legacy), index.pick_greedy(None, None));
         assert_eq!(index.len(), 3);
         assert_eq!(index.candidates_excluding(&ctx.excluding(Some(3))), 2);
         assert_eq!(index.candidates_excluding(&ctx.excluding(Some(0))), 3);
@@ -686,7 +687,7 @@ mod tests {
         let ctx = PickContext::at(5);
         let mut idx2 = index.clone();
         let legacy = legacy_candidates(&index, &ctx);
-        assert_eq!(Greedy.select_victim(&legacy), idx2.pick_greedy(None, None));
+        assert_eq!(select_greedy(&legacy), idx2.pick_greedy(None, None));
     }
 
     #[test]
@@ -756,7 +757,9 @@ mod tests {
         let ctx = PickContext::at(100);
         let legacy = legacy_candidates(&index, &ctx);
         for window in [1usize, 2, 3, 5, 8, 16] {
-            let mut policy = WindowedGreedy::new(window as u32);
+            let policy = CleaningPolicyKind::WindowedGreedy {
+                window: window as u32,
+            };
             let expected = policy.select_victim(&legacy);
             let got = if legacy.len() <= window {
                 index.pick_greedy(ctx.exclude, ctx.exclude2)
@@ -888,8 +891,8 @@ mod tests {
             let ctx = PickContext::at(step + 1).excluding(Some(next(BLOCKS)));
             let legacy = legacy_candidates(&index, &ctx);
             let greedy = index.pick_greedy(ctx.exclude, ctx.exclude2);
-            assert_eq!(greedy, Greedy.select_victim(&legacy), "step {step}");
-            let mut windowed = WindowedGreedy::new(3);
+            assert_eq!(greedy, select_greedy(&legacy), "step {step}");
+            let windowed = CleaningPolicyKind::WindowedGreedy { window: 3 };
             let from_index = windowed.select_from_index(&mut index, &ctx);
             assert_eq!(from_index, windowed.select_victim(&legacy), "step {step}");
             assert_eq!(index.scan_candidates(&ctx), &legacy[..], "step {step}");

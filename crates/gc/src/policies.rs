@@ -1,69 +1,169 @@
-//! The built-in cleaning policies.
+//! The built-in cleaning policies: [`CleaningPolicyKind`], the one type
+//! that names a policy and picks its victims.
 //!
 //! Four policies spanning the classic design space:
 //!
-//! * [`Greedy`] — most stale pages first; the seed FTL's behaviour and the
-//!   baseline of every analytical write-amplification model.
-//! * [`CostBenefit`] — Rosenblum & Ousterhout's LFS segment cleaner:
-//!   `benefit/cost = age · (1 − u) / (1 + u)`.  Prefers cold, mostly-stale
-//!   blocks; beats greedy under hot/cold skew.
-//! * [`CostAge`] — a wear-aware cost-benefit variant (after Chiang's CAT):
-//!   the cost-benefit score divided by the block's erase count, so victim
-//!   selection doubles as implicit wear-leveling.
-//! * [`WindowedGreedy`] — greedy restricted to the oldest *W* candidates;
-//!   approximates cost-benefit's hot/cold separation at greedy's cost.
+//! * [`CleaningPolicyKind::Greedy`] — most stale pages first; the seed
+//!   FTL's behaviour and the baseline of every analytical
+//!   write-amplification model.
+//! * [`CleaningPolicyKind::CostBenefit`] — Rosenblum & Ousterhout's LFS
+//!   segment cleaner: `benefit/cost = age · (1 − u) / (1 + u)`.  Prefers
+//!   cold, mostly-stale blocks; beats greedy under hot/cold skew.
+//! * [`CleaningPolicyKind::CostAge`] — a wear-aware cost-benefit variant
+//!   (after Chiang's CAT): the cost-benefit score divided by the block's
+//!   erase count, so victim selection doubles as implicit wear-leveling.
+//! * [`CleaningPolicyKind::WindowedGreedy`] — greedy restricted to the
+//!   oldest *W* candidates; approximates cost-benefit's hot/cold separation
+//!   at greedy's cost.
 
 use crate::index::{PickContext, VictimIndex};
-use crate::policy::{BlockInfo, CleaningPolicy};
+use crate::policy::BlockInfo;
 
-/// Greedy cleaning: reclaim the block with the most stale pages; ties break
-/// towards the block with fewer erases, then towards the lower block index.
+/// Which cleaning policy a device uses.  This is the value that travels
+/// through `FtlConfig` → `SsdConfig` → `DeviceProfile`, and the one that
+/// picks victims.
 ///
-/// This reproduces the seed FTL's victim selection bit-for-bit: candidates
-/// are scanned in ascending block order and a candidate replaces the
-/// incumbent only when strictly better.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Greedy;
+/// Every pick is deterministic — the same candidates give the same victim —
+/// because the simulators promise bit-for-bit reproducible experiments.
+///
+/// Victim selection has two tiers.  [`select_from_index`] is the hot path
+/// the FTLs call: greedy and windowed greedy, whose order the index
+/// maintains directly, pick in O(top bucket) / O(candidates), while the
+/// score-drifting cost-benefit and cost-age materialise the candidates into
+/// the index's reusable scratch buffer — no per-pick allocation, candidates
+/// drawn from the non-empty buckets only — and fall through to the slice
+/// tier, [`select_victim`], which is also the reference the index is
+/// checked against.
+///
+/// [`select_from_index`]: CleaningPolicyKind::select_from_index
+/// [`select_victim`]: CleaningPolicyKind::select_victim
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum CleaningPolicyKind {
+    /// Most stale pages first; ties break towards the block with fewer
+    /// erases, then towards the lower block index (the seed FTL's victim
+    /// selection, bit-for-bit).
+    #[default]
+    Greedy,
+    /// Rosenblum-style cost-benefit (LFS, SOSP '91): maximize
+    /// `age · (1 − u) / (1 + u)`.  `1 − u` is the space reclaimed, `1 + u`
+    /// the cost to read the block and rewrite its live fraction, and `age`
+    /// (host writes since the block was last programmed) estimates how long
+    /// the reclaimed space will stay free.  Ages are offset by one so a
+    /// fully-stale block is still worth reclaiming the instant it turns
+    /// stale.
+    CostBenefit,
+    /// Wear-aware cost-benefit (after Chiang et al.'s Cost-Age-Times):
+    /// maximize `age · (1 − u) / ((1 + u) · (1 + erases))`, trading a
+    /// little extra migration for a tighter erase spread.
+    CostAge,
+    /// Greedy over the `window` oldest candidate blocks.  Keeping hot
+    /// blocks — whose remaining live pages are about to be invalidated
+    /// anyway — out of the victim pool approximates cost-benefit's hot/cold
+    /// separation without scoring every block.  A window at least as large
+    /// as the candidate set degenerates to plain greedy.
+    WindowedGreedy {
+        /// Number of oldest candidates greedy may choose from (0 = all).
+        window: u32,
+    },
+}
 
-impl CleaningPolicy for Greedy {
-    fn name(&self) -> &'static str {
-        "greedy"
+impl CleaningPolicyKind {
+    /// The four built-in policies with their default parameters, in the
+    /// order experiments report them.
+    pub fn all() -> [CleaningPolicyKind; 4] {
+        [
+            CleaningPolicyKind::Greedy,
+            CleaningPolicyKind::CostBenefit,
+            CleaningPolicyKind::CostAge,
+            CleaningPolicyKind::WindowedGreedy { window: 8 },
+        ]
     }
 
-    fn select_victim(&mut self, candidates: &[BlockInfo]) -> Option<u32> {
-        let mut best: Option<&BlockInfo> = None;
-        for c in candidates {
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    c.invalid_pages > b.invalid_pages
-                        || (c.invalid_pages == b.invalid_pages && c.erase_count < b.erase_count)
+    /// The policy's report name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            CleaningPolicyKind::Greedy => "greedy",
+            CleaningPolicyKind::CostBenefit => "cost-benefit",
+            CleaningPolicyKind::CostAge => "cost-age",
+            CleaningPolicyKind::WindowedGreedy { .. } => "windowed-greedy",
+        }
+    }
+
+    /// Picks the block to reclaim next from `candidates`, or `None` when
+    /// there is none.  Candidates are in ascending block order and each
+    /// holds at least one stale page.
+    pub fn select_victim(&self, candidates: &[BlockInfo]) -> Option<u32> {
+        match *self {
+            CleaningPolicyKind::Greedy => select_greedy(candidates),
+            CleaningPolicyKind::CostBenefit => select_by_score(candidates, cost_benefit_score),
+            CleaningPolicyKind::CostAge => select_by_score(candidates, |c| {
+                cost_benefit_score(c) / (1.0 + c.erase_count as f64)
+            }),
+            CleaningPolicyKind::WindowedGreedy { window } => {
+                let window = window as usize;
+                if window == 0 || candidates.len() <= window {
+                    return select_greedy(candidates);
                 }
-            };
-            if better {
-                best = Some(c);
+                // Indices of the `window` oldest candidates; age ties keep
+                // the earlier candidate so the scan below stays
+                // deterministic.
+                let mut by_age: Vec<usize> = (0..candidates.len()).collect();
+                by_age.sort_by(|&a, &b| candidates[b].age.cmp(&candidates[a].age).then(a.cmp(&b)));
+                by_age.truncate(window);
+                // Greedy expects candidates in ascending block order.
+                by_age.sort_unstable();
+                let pool: Vec<BlockInfo> = by_age.into_iter().map(|i| candidates[i]).collect();
+                select_greedy(&pool)
             }
         }
-        best.map(|b| b.block)
     }
 
-    /// Index-native fast path: the first entry of the highest non-empty
-    /// bucket, O(1) amortized.
-    fn select_from_index(&mut self, index: &mut VictimIndex, ctx: &PickContext) -> Option<u32> {
-        index.pick_greedy(ctx.exclude, ctx.exclude2)
+    /// Picks the block to reclaim next from the incremental
+    /// [`VictimIndex`], or `None` when there is none.  The choice equals
+    /// what [`CleaningPolicyKind::select_victim`] returns over the
+    /// equivalent snapshot.
+    ///
+    /// Greedy takes the index's greedy pick; windowed greedy partitions the
+    /// `window` oldest candidates out of the index's scratch buffer in
+    /// O(candidates), or takes the greedy pick when the window covers every
+    /// candidate.  The scored policies drain the index's non-empty buckets
+    /// into its scratch buffer (ascending block order, the exact
+    /// presentation of the pre-index full scan) and select over that.
+    pub fn select_from_index(&self, index: &mut VictimIndex, ctx: &PickContext) -> Option<u32> {
+        match *self {
+            CleaningPolicyKind::Greedy => index.pick_greedy(ctx.exclude, ctx.exclude2),
+            CleaningPolicyKind::WindowedGreedy { window } => {
+                let window = window as usize;
+                if window == 0 || index.candidates_excluding(ctx) <= window {
+                    return index.pick_greedy(ctx.exclude, ctx.exclude2);
+                }
+                index.pick_windowed(window, ctx)
+            }
+            CleaningPolicyKind::CostBenefit | CleaningPolicyKind::CostAge => {
+                self.select_victim(index.scan_candidates(ctx))
+            }
+        }
     }
 }
 
-/// Rosenblum-style cost-benefit cleaning (LFS, SOSP '91):
-/// maximize `age · (1 − u) / (1 + u)`.
-///
-/// `1 − u` is the space reclaimed, `1 + u` the cost to read the block and
-/// rewrite its live fraction, and `age` (host writes since the block was
-/// last programmed) estimates how long the reclaimed space will stay free.
-/// Ages are offset by one so a fully-stale block is still worth reclaiming
-/// the instant it turns stale.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostBenefit;
+/// The greedy scan: candidates in ascending block order, and a candidate
+/// replaces the incumbent only when strictly better.
+pub(crate) fn select_greedy(candidates: &[BlockInfo]) -> Option<u32> {
+    let mut best: Option<&BlockInfo> = None;
+    for c in candidates {
+        let better = match best {
+            None => true,
+            Some(b) => {
+                c.invalid_pages > b.invalid_pages
+                    || (c.invalid_pages == b.invalid_pages && c.erase_count < b.erase_count)
+            }
+        };
+        if better {
+            best = Some(c);
+        }
+    }
+    best.map(|b| b.block)
+}
 
 fn cost_benefit_score(c: &BlockInfo) -> f64 {
     let u = c.utilization();
@@ -98,97 +198,6 @@ fn select_by_score(candidates: &[BlockInfo], score: impl Fn(&BlockInfo) -> f64) 
     best.map(|(b, _)| b.block)
 }
 
-impl CleaningPolicy for CostBenefit {
-    fn name(&self) -> &'static str {
-        "cost-benefit"
-    }
-
-    fn select_victim(&mut self, candidates: &[BlockInfo]) -> Option<u32> {
-        select_by_score(candidates, cost_benefit_score)
-    }
-}
-
-/// Wear-aware cost-benefit (after Chiang et al.'s Cost-Age-Times):
-/// maximize `age · (1 − u) / ((1 + u) · (1 + erases))`.
-///
-/// Dividing by the erase count steers cleaning away from already-worn
-/// blocks, trading a little extra migration for a tighter erase spread —
-/// victim selection doubles as implicit wear-leveling.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostAge;
-
-impl CleaningPolicy for CostAge {
-    fn name(&self) -> &'static str {
-        "cost-age"
-    }
-
-    fn select_victim(&mut self, candidates: &[BlockInfo]) -> Option<u32> {
-        select_by_score(candidates, |c| {
-            cost_benefit_score(c) / (1.0 + c.erase_count as f64)
-        })
-    }
-}
-
-/// Greedy over the `window` oldest candidates.
-///
-/// Restricting greedy's scan to the coldest blocks keeps hot blocks — whose
-/// remaining live pages are about to be invalidated anyway — out of the
-/// victim pool, which approximates cost-benefit's hot/cold separation
-/// without scoring every block.  A window at least as large as the
-/// candidate set degenerates to plain greedy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WindowedGreedy {
-    /// Number of oldest candidates greedy may choose from.
-    pub window: u32,
-}
-
-impl WindowedGreedy {
-    /// A windowed-greedy policy over the `window` oldest candidates.
-    pub fn new(window: u32) -> Self {
-        WindowedGreedy { window }
-    }
-}
-
-impl Default for WindowedGreedy {
-    fn default() -> Self {
-        WindowedGreedy { window: 8 }
-    }
-}
-
-impl CleaningPolicy for WindowedGreedy {
-    fn name(&self) -> &'static str {
-        "windowed-greedy"
-    }
-
-    fn select_victim(&mut self, candidates: &[BlockInfo]) -> Option<u32> {
-        let window = self.window as usize;
-        if window == 0 || candidates.len() <= window {
-            return Greedy.select_victim(candidates);
-        }
-        // Indices of the `window` oldest candidates; age ties keep the
-        // earlier candidate so the scan below stays deterministic.
-        let mut by_age: Vec<usize> = (0..candidates.len()).collect();
-        by_age.sort_by(|&a, &b| candidates[b].age.cmp(&candidates[a].age).then(a.cmp(&b)));
-        by_age.truncate(window);
-        // Greedy expects candidates in ascending block order.
-        by_age.sort_unstable();
-        let pool: Vec<BlockInfo> = by_age.into_iter().map(|i| candidates[i]).collect();
-        Greedy.select_victim(&pool)
-    }
-
-    /// Index-native fast path: a window at least as large as the candidate
-    /// set degenerates to the O(1) greedy pick; otherwise the `window`
-    /// oldest candidates are partitioned out of the index's scratch buffer
-    /// in O(candidates) without touching non-candidate blocks.
-    fn select_from_index(&mut self, index: &mut VictimIndex, ctx: &PickContext) -> Option<u32> {
-        let window = self.window as usize;
-        if window == 0 || index.candidates_excluding(ctx) <= window {
-            return index.pick_greedy(ctx.exclude, ctx.exclude2);
-        }
-        index.pick_windowed(window, ctx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,7 +220,10 @@ mod tests {
             block(1, 2, 6, 5, 0), // most stale pages: the victim
             block(2, 3, 5, 0, 0),
         ];
-        assert_eq!(Greedy.select_victim(&candidates), Some(1));
+        assert_eq!(
+            CleaningPolicyKind::Greedy.select_victim(&candidates),
+            Some(1)
+        );
 
         // Equal staleness: fewer erases wins.
         let tied = [
@@ -219,13 +231,13 @@ mod tests {
             block(1, 2, 6, 3, 0),
             block(2, 2, 6, 5, 0),
         ];
-        assert_eq!(Greedy.select_victim(&tied), Some(1));
+        assert_eq!(CleaningPolicyKind::Greedy.select_victim(&tied), Some(1));
 
         // Fully tied: the first candidate wins (seed-compatible scan).
         let all_tied = [block(0, 2, 6, 5, 0), block(1, 2, 6, 5, 0)];
-        assert_eq!(Greedy.select_victim(&all_tied), Some(0));
+        assert_eq!(CleaningPolicyKind::Greedy.select_victim(&all_tied), Some(0));
 
-        assert_eq!(Greedy.select_victim(&[]), None);
+        assert_eq!(CleaningPolicyKind::Greedy.select_victim(&[]), None);
     }
 
     #[test]
@@ -234,8 +246,14 @@ mod tests {
         // (age 100) with almost as much stale space.  Greedy picks 0,
         // cost-benefit picks 1.
         let candidates = [block(0, 3, 5, 0, 1), block(1, 4, 4, 0, 100)];
-        assert_eq!(Greedy.select_victim(&candidates), Some(0));
-        assert_eq!(CostBenefit.select_victim(&candidates), Some(1));
+        assert_eq!(
+            CleaningPolicyKind::Greedy.select_victim(&candidates),
+            Some(0)
+        );
+        assert_eq!(
+            CleaningPolicyKind::CostBenefit.select_victim(&candidates),
+            Some(1)
+        );
     }
 
     #[test]
@@ -255,8 +273,14 @@ mod tests {
         // both pick block 1 here) — so give the worn block a slight edge in
         // staleness that cost-benefit takes and cost-age declines.
         let candidates = [block(0, 3, 5, 40, 10), block(1, 4, 4, 0, 10)];
-        assert_eq!(CostBenefit.select_victim(&candidates), Some(0));
-        assert_eq!(CostAge.select_victim(&candidates), Some(1));
+        assert_eq!(
+            CleaningPolicyKind::CostBenefit.select_victim(&candidates),
+            Some(0)
+        );
+        assert_eq!(
+            CleaningPolicyKind::CostAge.select_victim(&candidates),
+            Some(1)
+        );
     }
 
     #[test]
@@ -268,23 +292,38 @@ mod tests {
             block(1, 3, 5, 0, 40),
             block(2, 1, 7, 0, 1),
         ];
-        assert_eq!(WindowedGreedy::new(2).select_victim(&candidates), Some(1));
+        assert_eq!(
+            CleaningPolicyKind::WindowedGreedy { window: 2 }.select_victim(&candidates),
+            Some(1)
+        );
         // A window covering everything degenerates to greedy.
-        assert_eq!(WindowedGreedy::new(3).select_victim(&candidates), Some(2));
-        assert_eq!(Greedy.select_victim(&candidates), Some(2));
+        assert_eq!(
+            CleaningPolicyKind::WindowedGreedy { window: 3 }.select_victim(&candidates),
+            Some(2)
+        );
+        assert_eq!(
+            CleaningPolicyKind::Greedy.select_victim(&candidates),
+            Some(2)
+        );
         // A zero window is treated as unbounded rather than empty.
-        assert_eq!(WindowedGreedy::new(0).select_victim(&candidates), Some(2));
+        assert_eq!(
+            CleaningPolicyKind::WindowedGreedy { window: 0 }.select_victim(&candidates),
+            Some(2)
+        );
     }
 
     #[test]
     fn policies_report_distinct_names() {
-        let names = [
-            Greedy.name(),
-            CostBenefit.name(),
-            CostAge.name(),
-            WindowedGreedy::default().name(),
-        ];
+        let names = CleaningPolicyKind::all().map(|kind| kind.name());
         let unique: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(unique.len(), names.len());
+    }
+
+    #[test]
+    fn every_kind_picks_nothing_from_no_candidates() {
+        for kind in CleaningPolicyKind::all() {
+            assert_eq!(kind.select_victim(&[]), None);
+        }
+        assert_eq!(CleaningPolicyKind::default(), CleaningPolicyKind::Greedy);
     }
 }

@@ -1,16 +1,13 @@
-//! The cleaning-policy abstraction: block views, trigger decisions and the
-//! [`CleaningPolicy`] trait.
+//! The cleaning-policy inputs: block views, trigger decisions and the
+//! watermark trigger every policy shares.
 //!
 //! The paper's position is that block management — and cleaning above all —
-//! belongs inside the device (§2, §3.5, §3.6).  This module makes the
-//! cleaning *policy* a first-class value: the FTL exposes a snapshot of the
-//! candidate blocks (a slice of [`BlockInfo`]) and delegates both the
-//! trigger decision ("should this write wait for cleaning?") and victim
-//! selection ("which block is cheapest to reclaim?") to a policy object.
-//! The mechanics of moving pages and erasing blocks stay in the FTL; the
-//! policy never touches flash state.
-
-use crate::index::{PickContext, VictimIndex};
+//! belongs inside the device (§2, §3.5, §3.6).  The FTL exposes a snapshot
+//! of the candidate blocks (a slice of [`BlockInfo`]) and asks the policy
+//! ([`crate::CleaningPolicyKind`]) which block is cheapest to reclaim;
+//! whether a host write waits for cleaning is the paper's watermark scheme,
+//! [`watermark_trigger`].  The mechanics of moving pages and erasing blocks
+//! stay in the FTL; the policy never touches flash state.
 
 /// A snapshot of one candidate victim block, as seen by a cleaning policy.
 ///
@@ -47,8 +44,8 @@ impl BlockInfo {
     }
 }
 
-/// Everything a policy may consult when deciding whether to clean ahead of a
-/// host write.
+/// Everything the watermark trigger consults when deciding whether to clean
+/// ahead of a host write.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TriggerContext {
     /// Fraction of physical pages currently free on the allocation target.
@@ -64,7 +61,7 @@ pub struct TriggerContext {
     pub priority_aware: bool,
 }
 
-/// A policy's answer to "should this host write wait for cleaning?".
+/// The trigger's answer to "should this host write wait for cleaning?".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TriggerDecision {
     /// Clean now, ahead of the host write.
@@ -76,10 +73,10 @@ pub enum TriggerDecision {
     Idle,
 }
 
-/// The watermark trigger shared by the built-in policies; reproduces the
-/// paper's scheme exactly (§3.6): clean below the low watermark, but under
-/// priority-aware cleaning postpone until the critical watermark while
-/// high-priority requests are outstanding.
+/// The cleaning trigger every policy shares; reproduces the paper's scheme
+/// exactly (§3.6): clean below the low watermark, but under priority-aware
+/// cleaning postpone until the critical watermark while high-priority
+/// requests are outstanding.
 pub fn watermark_trigger(ctx: &TriggerContext) -> TriggerDecision {
     if ctx.priority_aware && ctx.priority_pending {
         if ctx.free_fraction < ctx.critical_watermark {
@@ -93,56 +90,6 @@ pub fn watermark_trigger(ctx: &TriggerContext) -> TriggerDecision {
         TriggerDecision::Clean
     } else {
         TriggerDecision::Idle
-    }
-}
-
-/// A pluggable cleaning policy: trigger decision plus victim selection.
-///
-/// Implementations must be deterministic — given the same candidate slice
-/// they must return the same victim — because the simulators promise
-/// bit-for-bit reproducible experiments.
-///
-/// Victim selection is a two-tier API.  [`select_from_index`] is the hot
-/// path the FTLs call: policies whose order the index maintains directly
-/// ([`crate::Greedy`], [`crate::WindowedGreedy`]) override it with O(1) /
-/// O(candidates) picks, while score-drifting policies ([`crate::CostBenefit`],
-/// [`crate::CostAge`]) inherit the default, which materialises the
-/// candidates into the index's reusable scratch buffer — no per-pick
-/// allocation, candidates drawn from the non-empty buckets only — and
-/// falls through to the slice tier, [`select_victim`].
-///
-/// Policies must also be `Send`: a boxed policy travels inside its FTL
-/// (and `Ssd`) to a fleet worker thread.
-///
-/// [`select_from_index`]: CleaningPolicy::select_from_index
-/// [`select_victim`]: CleaningPolicy::select_victim
-pub trait CleaningPolicy: Send {
-    /// Human-readable policy name (used in reports and experiment output).
-    fn name(&self) -> &'static str;
-
-    /// Whether a host write should wait for cleaning.  The default is the
-    /// paper's watermark scheme ([`watermark_trigger`]).
-    fn should_trigger(&self, ctx: &TriggerContext) -> TriggerDecision {
-        watermark_trigger(ctx)
-    }
-
-    /// Picks the block to reclaim next from `candidates`, or `None` when
-    /// no candidate is worth cleaning.  Candidates are in ascending block
-    /// order and each holds at least one stale page.
-    fn select_victim(&mut self, candidates: &[BlockInfo]) -> Option<u32>;
-
-    /// Picks the block to reclaim next from the incremental
-    /// [`VictimIndex`], or `None` when no candidate is worth cleaning.
-    ///
-    /// The default drains the index's non-empty buckets into its scratch
-    /// buffer (ascending block order, the exact presentation of the
-    /// pre-index full scan) and delegates to
-    /// [`select_victim`](CleaningPolicy::select_victim); index-native
-    /// policies override it.  Either way the choice must equal what
-    /// `select_victim` would return over the equivalent snapshot.
-    fn select_from_index(&mut self, index: &mut VictimIndex, ctx: &PickContext) -> Option<u32> {
-        let candidates = index.scan_candidates(ctx);
-        self.select_victim(candidates)
     }
 }
 

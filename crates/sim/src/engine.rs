@@ -49,13 +49,14 @@
 //!   the dispatch buffer and the arrival order), built per run and dropped
 //!   with it; nothing escapes the call.
 //! * Controllers ([`Controller`] implementations) own their queues, flash
-//!   state, and scratch buffers.  The two trait objects a device carries —
-//!   `Box<dyn Ftl>` and `Box<dyn CleaningPolicy>` — declare `Send` as a
-//!   supertrait, so a boxed device moves between threads wholesale.
-//! * The telemetry seam was the one shared-ownership holdout: its sink
-//!   moved from `Rc<RefCell<…>>` to `Arc<Mutex<dyn TelemetrySink + Send>>`
-//!   so an attached handle no longer un-`Send`s its device.  Per-device
-//!   sinks keep the mutex uncontended.
+//!   state, and scratch buffers.  The one trait object a device carries,
+//!   `Box<dyn Ftl>`, declares `Send` as a supertrait, and the cleaning
+//!   policy is a plain `Copy` value in the FTL's configuration, so a boxed
+//!   device moves between threads wholesale.
+//! * The telemetry seam was the one shared-ownership holdout: its recorder
+//!   moved from `Rc<RefCell<…>>` to `Arc<Mutex<Recorder>>` so an attached
+//!   handle no longer un-`Send`s its device (`ossd-telemetry` asserts the
+//!   handle is `Send`).  Per-device recorders keep the mutex uncontended.
 //! * Randomness is *sharded, never shared*: each device owns its xoshiro
 //!   [`SimRng`](crate::SimRng), seeded via
 //!   [`derive_stream_seed`](crate::derive_stream_seed) from the experiment

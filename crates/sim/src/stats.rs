@@ -248,21 +248,6 @@ impl Throughput {
         Throughput { bytes, elapsed }
     }
 
-    /// Adds transferred bytes.
-    pub fn add_bytes(&mut self, bytes: u64) {
-        self.bytes += bytes;
-    }
-
-    /// Extends the elapsed time.
-    pub fn add_elapsed(&mut self, elapsed: SimDuration) {
-        self.elapsed = self.elapsed.saturating_add(elapsed);
-    }
-
-    /// Sets the elapsed time (e.g. completion of last request).
-    pub fn set_elapsed(&mut self, elapsed: SimDuration) {
-        self.elapsed = elapsed;
-    }
-
     /// Total bytes transferred.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -435,17 +420,6 @@ mod tests {
         let empty = Throughput::new();
         assert_eq!(empty.megabytes_per_sec(), 0.0);
         assert_eq!(empty.ops_per_sec(5), 0.0);
-    }
-
-    #[test]
-    fn throughput_accumulation() {
-        let mut t = Throughput::new();
-        t.add_bytes(10_000_000);
-        t.add_bytes(10_000_000);
-        t.set_elapsed(SimDuration::from_secs(1));
-        assert!((t.megabytes_per_sec() - 20.0).abs() < 1e-9);
-        t.add_elapsed(SimDuration::from_secs(1));
-        assert!((t.megabytes_per_sec() - 10.0).abs() < 1e-9);
     }
 
     #[test]

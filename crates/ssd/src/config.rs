@@ -209,12 +209,6 @@ impl SsdConfig {
         self
     }
 
-    /// Returns the configuration with background cleaning enabled.
-    pub fn with_background_gc(mut self, bg: BackgroundGcConfig) -> Self {
-        self.background_gc = Some(bg);
-        self
-    }
-
     /// Returns the configuration with the given reliability model.
     pub fn with_reliability(mut self, reliability: ReliabilityConfig) -> Self {
         self.reliability = reliability;

@@ -111,7 +111,7 @@ impl CommandPayload {
     }
 
     /// The command's span kind, and its service class (a barrier has none:
-    /// it is not in the service histograms or the per-class blame).
+    /// it is not in the per-class blame).
     pub(crate) fn trace_kind(&self) -> (EventKind, Option<ServiceClass>) {
         match self {
             CommandPayload::Data(request) => match request.kind {

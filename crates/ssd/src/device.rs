@@ -275,9 +275,9 @@ fn accept_blamed(
 }
 
 // The fleet layer moves whole devices to worker threads, so `Ssd` must stay
-// `Send` (its trait objects carry `Send` supertraits; the telemetry handle
-// is `Arc<Mutex<…>>`).  Regressing this is a compile error here rather than
-// a distant one in `ossd-fleet`.
+// `Send` (its `Box<dyn Ftl>` carries a `Send` supertrait; `ossd-telemetry`
+// asserts the same of the telemetry handle).  Regressing this is a compile
+// error here rather than a distant one in `ossd-fleet`.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Ssd>();
@@ -931,9 +931,8 @@ impl Ssd {
     /// by draining write buffers, a barrier on the spot (its eligibility
     /// already waited for its initiator to drain).  With a sink attached
     /// it traces the command's lifecycle on its initiator's track: a
-    /// `CmdQueued` span for any wait since arrival, the command span
-    /// (dispatch to finish, carrying the completion status) and the
-    /// response time in the per-class service histogram.  With attribution
+    /// `CmdQueued` span for any wait since arrival and the command span
+    /// (dispatch to finish, carrying the completion status).  With attribution
     /// on it records the command's [`BlameRecord`]: the wait `[arrival,
     /// dispatch)` split at `eligible` — when the command stopped being held
     /// by a fence — into `Fence` and `SqWait`, joined with the device-side
@@ -977,10 +976,6 @@ impl Ssd {
             };
             self.telemetry
                 .span(dispatch, completion.finish, track, kind, command.id, status);
-            if let Some(class) = class {
-                self.telemetry
-                    .observe_service(class, completion.response_time().as_nanos());
-            }
         }
         if let Some(a) = self.attribution.as_deref_mut() {
             let mut breakdown = match &command.payload {

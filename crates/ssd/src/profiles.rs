@@ -235,20 +235,6 @@ impl DeviceProfile {
             },
         }
     }
-
-    /// Whether the profile uses SLC flash.
-    pub fn is_slc(&self) -> bool {
-        !matches!(self, DeviceProfile::S5Mlc)
-    }
-
-    /// The profile's configuration with a different cleaning policy — the
-    /// policy-comparison experiments run one device profile across every
-    /// [`ossd_ftl::CleaningPolicyKind`].
-    pub fn config_with_policy(&self, policy: ossd_ftl::CleaningPolicyKind) -> SsdConfig {
-        let config = self.config();
-        let name = format!("{}+{}", config.name, policy.name());
-        config.with_cleaning_policy(policy).with_name(name)
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +268,6 @@ mod tests {
         assert_eq!(devices.len(), 5);
         assert_eq!(devices[0].name(), "S1slc");
         assert_eq!(devices[3].name(), "S4slc_sim");
-        assert!(devices.iter().filter(|d| !d.is_slc()).count() == 1);
     }
 
     #[test]
@@ -302,16 +287,6 @@ mod tests {
             let ssd = Ssd::new(profile.config()).unwrap();
             assert!(ssd.capacity_bytes() > 0);
         }
-    }
-
-    #[test]
-    fn policy_override_keeps_the_profile_but_renames_it() {
-        let policy = ossd_ftl::CleaningPolicyKind::CostBenefit;
-        let config = DeviceProfile::S4SlcSim.config_with_policy(policy);
-        assert_eq!(config.ftl.cleaning_policy, policy);
-        assert_eq!(config.name, "S4slc_sim+cost-benefit");
-        assert_eq!(config.geometry, DeviceProfile::S4SlcSim.config().geometry);
-        config.validate().unwrap();
     }
 
     #[test]

@@ -322,8 +322,7 @@ pub struct BlameRecord {
     pub id: u64,
     /// Submitting initiator.
     pub initiator: u32,
-    /// Service class; `None` for barriers (which have no service histogram
-    /// class).
+    /// Service class; `None` for barriers (which have no service class).
     pub class: Option<ServiceClass>,
     /// When the command arrived at the host interface.
     pub arrival: SimTime,

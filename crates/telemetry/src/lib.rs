@@ -5,18 +5,16 @@
 //! goes inside the device* — cleaning stalls, element-level parallelism,
 //! scheduling.  This crate makes that visible without perturbing it: every
 //! layer of the simulator reports structured events through a
-//! [`TelemetrySink`] reached via a [`TelemetryHandle`], and the handle's
-//! default no-op state is a single `Option` check, so a detached run costs
-//! (and changes) nothing.
+//! [`TelemetryHandle`] to the [`Recorder`] it is attached to, and the
+//! handle's default no-op state is a single `Option` check, so a detached
+//! run costs (and changes) nothing.
 //!
 //! What a recording run captures:
 //!
 //! * **Spans** ([`TraceEvent`]) — the full command lifecycle (queued →
 //!   dispatch → per-element flash ops → completion), GC activity, idle
 //!   windows — each on a [`Track`] per element, bus, and initiator.
-//! * **Counters and service-time histograms** ([`Counters`],
-//!   [`LogHistogram`]) — cheap named tallies plus log-bucketed latency
-//!   distributions per command class.
+//! * **Counters** ([`Counters`]) — cheap named tallies.
 //! * **Time-series** ([`MetricsSeries`]) — periodic sim-time samples of
 //!   write amplification, free-block watermark, GC backlog, per-element
 //!   queue depth and utilization, exported as CSV.
@@ -36,7 +34,6 @@
 pub mod attribution;
 pub mod chrome;
 pub mod event;
-pub mod histogram;
 pub mod metrics;
 pub mod observer;
 pub mod recorder;
@@ -47,7 +44,6 @@ pub use attribution::{
 };
 pub use chrome::{to_chrome_trace, to_chrome_trace_multi};
 pub use event::{purpose, purpose_name, EventKind, TraceEvent, Track};
-pub use histogram::LogHistogram;
 pub use metrics::{Counters, MetricsSample, MetricsSeries};
 pub use observer::EngineTrace;
 pub use recorder::{Recorder, RecorderConfig};
@@ -55,7 +51,7 @@ pub use recorder::{Recorder, RecorderConfig};
 use ossd_sim::SimTime;
 use std::sync::{Arc, Mutex};
 
-/// Latency classes tracked with a dedicated service-time histogram.
+/// Host command classes, the rows of the per-class blame accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServiceClass {
     /// Host read commands.
@@ -69,7 +65,7 @@ pub enum ServiceClass {
 }
 
 impl ServiceClass {
-    /// Number of classes (histogram array size).
+    /// Number of classes (per-class array size).
     pub const COUNT: usize = 4;
 
     /// Dense index for per-class storage.
@@ -81,65 +77,18 @@ impl ServiceClass {
             ServiceClass::Flush => 3,
         }
     }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServiceClass::Read => "read",
-            ServiceClass::Write => "write",
-            ServiceClass::Free => "free",
-            ServiceClass::Flush => "flush",
-        }
-    }
-}
-
-/// Receiver for telemetry emitted by the simulator's layers.
-///
-/// The production implementation is [`Recorder`]; tests may supply their
-/// own.  All methods take `&mut self` because the sink lives behind a
-/// `Mutex` the handle locks around each call.  Sinks must be `Send` so a
-/// device (and the handle it holds) can run on a fleet worker thread.
-pub trait TelemetrySink: Send {
-    /// Update the sink's notion of "current sim time" — used to stamp
-    /// events emitted by untimed layers (the FTLs), which call
-    /// [`TelemetryHandle::instant_now`].
-    fn set_now(&mut self, now: SimTime);
-
-    /// The most recent time passed to [`TelemetrySink::set_now`].
-    fn now(&self) -> SimTime;
-
-    /// Record a span `[start, end)` on `track`.
-    fn span(&mut self, start: SimTime, end: SimTime, track: Track, kind: EventKind, a: u64, b: u64);
-
-    /// Record an instantaneous event at `at` on `track`.
-    fn instant(&mut self, at: SimTime, track: Track, kind: EventKind, a: u64, b: u64);
-
-    /// Add `delta` to the named counter.
-    fn add(&mut self, counter: &'static str, delta: u64);
-
-    /// Record a completed command's response time (nanoseconds) in the
-    /// class histogram.
-    fn observe_service(&mut self, class: ServiceClass, nanos: u64);
-
-    /// Whether a periodic metrics sample is due at `now`.  A `true` return
-    /// advances the sampling deadline, so the caller must follow up with
-    /// [`TelemetrySink::push_sample`].
-    fn sample_due(&mut self, now: SimTime) -> bool;
-
-    /// Store a periodic metrics sample.
-    fn push_sample(&mut self, sample: MetricsSample);
 }
 
 /// Shared, cloneable entry point the simulator layers hold.
 ///
 /// A handle is either *detached* (the default — every call is one `Option`
-/// check and returns immediately) or *attached* to a [`TelemetrySink`].
-/// Handles are `Arc` clones, so the SSD, controller, and FTL can all hold
-/// one and feed the same recorder — and a device carrying an attached
-/// handle stays `Send`, which is what lets the fleet layer run each
-/// device's engine on its own thread.  Within one device the simulator is
-/// still single-threaded, so the `Mutex` is uncontended and each call is
-/// one atomic lock plus the sink method.
+/// check and returns immediately) or *attached* to a [`Recorder`] (see
+/// [`Recorder::shared`]).  Handles are `Arc` clones, so the SSD,
+/// controller, and FTL can all hold one and feed the same recorder — and a
+/// device carrying an attached handle stays `Send`, which is what lets the
+/// fleet layer run each device's engine on its own thread.  Within one
+/// device the simulator is still single-threaded, so the `Mutex` is
+/// uncontended and each call is one atomic lock plus the recorder method.
 ///
 /// The one check holds across crates because every hook is split in two:
 /// an `#[inline]` test for `None`, which the calling crate compiles into
@@ -149,47 +98,54 @@ pub trait TelemetrySink: Send {
 /// call still pays a real call.
 #[derive(Clone, Default)]
 pub struct TelemetryHandle {
-    sink: Option<Arc<Mutex<dyn TelemetrySink>>>,
+    recorder: Option<Arc<Mutex<Recorder>>>,
 }
+
+// The fleet layer moves whole devices, and the handles they hold, to worker
+// threads, so `TelemetryHandle` must stay `Send`.  A non-`Send` field in
+// `Recorder` is a compile error here rather than a distant one in
+// `ossd-fleet`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<TelemetryHandle>();
+};
 
 impl std::fmt::Debug for TelemetryHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.sink {
+        match &self.recorder {
             Some(_) => write!(f, "TelemetryHandle(attached)"),
             None => write!(f, "TelemetryHandle(detached)"),
         }
     }
 }
 
-/// Runs `f` on the locked sink: the attached body of every hook, out of
-/// line so that what a hook inlines into its caller is the `None` test.
+/// Runs `f` on the locked recorder: the attached body of every hook, out
+/// of line so that what a hook inlines into its caller is the `None` test.
 #[inline(never)]
-fn locked<R>(sink: &Mutex<dyn TelemetrySink>, f: impl FnOnce(&mut dyn TelemetrySink) -> R) -> R {
-    f(&mut *sink.lock().unwrap())
+fn locked<R>(recorder: &Mutex<Recorder>, f: impl FnOnce(&mut Recorder) -> R) -> R {
+    f(&mut recorder
+        .lock()
+        .expect("no thread panicked holding the recorder"))
 }
 
 impl TelemetryHandle {
     /// A detached handle: all operations are no-ops.
     pub fn noop() -> Self {
-        TelemetryHandle { sink: None }
+        TelemetryHandle { recorder: None }
     }
 
-    /// A handle attached to `sink`.
-    pub fn attached(sink: Arc<Mutex<dyn TelemetrySink>>) -> Self {
-        TelemetryHandle { sink: Some(sink) }
-    }
-
-    /// Whether a sink is attached.
+    /// Whether a recorder is attached.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.recorder.is_some()
     }
 
-    /// Update the sink's current-sim-time register (no-op when detached).
+    /// Update the recorder's current-sim-time register (no-op when
+    /// detached).
     #[inline]
     pub fn set_now(&self, now: SimTime) {
-        if let Some(sink) = &self.sink {
-            locked(sink, |sink| sink.set_now(now));
+        if let Some(recorder) = &self.recorder {
+            locked(recorder, |r| r.set_now(now));
         }
     }
 
@@ -204,49 +160,41 @@ impl TelemetryHandle {
         a: u64,
         b: u64,
     ) {
-        if let Some(sink) = &self.sink {
-            locked(sink, |sink| sink.span(start, end, track, kind, a, b));
+        if let Some(recorder) = &self.recorder {
+            locked(recorder, |r| r.span(start, end, track, kind, a, b));
         }
     }
 
     /// Record an instant at an explicit time (no-op when detached).
     #[inline]
     pub fn instant(&self, at: SimTime, track: Track, kind: EventKind, a: u64, b: u64) {
-        if let Some(sink) = &self.sink {
-            locked(sink, |sink| sink.instant(at, track, kind, a, b));
+        if let Some(recorder) = &self.recorder {
+            locked(recorder, |r| r.span(at, at, track, kind, a, b));
         }
     }
 
-    /// Record an instant stamped with the sink's current-time register —
+    /// Record an instant stamped with the recorder's current-time register —
     /// used by untimed layers such as the FTLs (no-op when detached).
     #[inline]
     pub fn instant_now(&self, track: Track, kind: EventKind, a: u64, b: u64) {
-        if let Some(sink) = &self.sink {
-            locked(sink, |sink| sink.instant(sink.now(), track, kind, a, b));
+        if let Some(recorder) = &self.recorder {
+            locked(recorder, |r| r.span(r.now(), r.now(), track, kind, a, b));
         }
     }
 
     /// Add to a named counter (no-op when detached).
     #[inline]
     pub fn add(&self, counter: &'static str, delta: u64) {
-        if let Some(sink) = &self.sink {
-            locked(sink, |sink| sink.add(counter, delta));
-        }
-    }
-
-    /// Record a command response time (no-op when detached).
-    #[inline]
-    pub fn observe_service(&self, class: ServiceClass, nanos: u64) {
-        if let Some(sink) = &self.sink {
-            locked(sink, |sink| sink.observe_service(class, nanos));
+        if let Some(recorder) = &self.recorder {
+            locked(recorder, |r| r.add(counter, delta));
         }
     }
 
     /// Whether a metrics sample is due (always `false` when detached).
     #[inline]
     pub fn sample_due(&self, now: SimTime) -> bool {
-        match &self.sink {
-            Some(sink) => locked(sink, |sink| sink.sample_due(now)),
+        match &self.recorder {
+            Some(recorder) => locked(recorder, |r| r.sample_due(now)),
             None => false,
         }
     }
@@ -254,8 +202,8 @@ impl TelemetryHandle {
     /// Store a metrics sample (no-op when detached).
     #[inline]
     pub fn push_sample(&self, sample: MetricsSample) {
-        if let Some(sink) = &self.sink {
-            locked(sink, |sink| sink.push_sample(sample));
+        if let Some(recorder) = &self.recorder {
+            locked(recorder, |r| r.push_sample(sample));
         }
     }
 }
@@ -280,7 +228,6 @@ mod tests {
         );
         h.instant_now(Track::Device, EventKind::GcTrigger, 0, 0);
         h.add("x", 1);
-        h.observe_service(ServiceClass::Read, 100);
         assert!(!h.sample_due(SimTime::from_micros(10)));
     }
 

@@ -1,11 +1,9 @@
-//! The standard [`TelemetrySink`] implementation: a bounded event ring,
-//! counter registry, per-class service histograms, and a sampled metrics
-//! time-series.
+//! The telemetry recorder: a bounded event ring, counter registry, and a
+//! sampled metrics time-series.
 
 use crate::event::{EventKind, TraceEvent, Track};
-use crate::histogram::LogHistogram;
 use crate::metrics::{Counters, MetricsSample, MetricsSeries};
-use crate::{ServiceClass, TelemetryHandle, TelemetrySink};
+use crate::TelemetryHandle;
 use ossd_sim::{SimDuration, SimTime};
 use std::sync::{Arc, Mutex};
 
@@ -32,8 +30,8 @@ impl Default for RecorderConfig {
 /// Records everything the simulator emits through its [`TelemetryHandle`].
 ///
 /// Build one with [`Recorder::shared`], attach the returned handle to the
-/// device, run the workload, then read back events, counters, histograms
-/// and the metrics series for export.
+/// device, run the workload, then read back events, counters and the
+/// metrics series for export.
 #[derive(Debug)]
 pub struct Recorder {
     config: RecorderConfig,
@@ -42,7 +40,6 @@ pub struct Recorder {
     now: SimTime,
     next_sample: SimTime,
     counters: Counters,
-    service: [LogHistogram; ServiceClass::COUNT],
     series: MetricsSeries,
 }
 
@@ -56,7 +53,6 @@ impl Recorder {
             now: SimTime::ZERO,
             next_sample: SimTime::ZERO,
             counters: Counters::new(),
-            service: std::array::from_fn(|_| LogHistogram::new()),
             series: MetricsSeries::new(),
         }
     }
@@ -64,16 +60,10 @@ impl Recorder {
     /// A shared recorder plus a [`TelemetryHandle`] attached to it.
     pub fn shared(config: RecorderConfig) -> (TelemetryHandle, Arc<Mutex<Recorder>>) {
         let recorder = Arc::new(Mutex::new(Recorder::new(config)));
-        let sink: Arc<Mutex<dyn TelemetrySink>> = recorder.clone();
-        (TelemetryHandle::attached(sink), recorder)
-    }
-
-    fn push_event(&mut self, event: TraceEvent) {
-        if self.events.len() >= self.config.ring_capacity {
-            self.dropped += 1;
-        } else {
-            self.events.push(event);
-        }
+        let handle = TelemetryHandle {
+            recorder: Some(recorder.clone()),
+        };
+        (handle, recorder)
     }
 
     /// The recorded events, in emission order.
@@ -91,11 +81,6 @@ impl Recorder {
         &self.counters
     }
 
-    /// The service-time histogram (nanoseconds) for a command class.
-    pub fn service_histogram(&self, class: ServiceClass) -> &LogHistogram {
-        &self.service[class.index()]
-    }
-
     /// The sampled metrics time-series.
     pub fn series(&self) -> &MetricsSeries {
         &self.series
@@ -105,18 +90,22 @@ impl Recorder {
     pub fn config(&self) -> &RecorderConfig {
         &self.config
     }
-}
 
-impl TelemetrySink for Recorder {
-    fn set_now(&mut self, now: SimTime) {
+    // What the handle's hooks call, under the recorder's lock.
+
+    /// Advances the current-sim-time register that stamps the instants of
+    /// untimed layers (the FTLs).  It never moves backwards.
+    pub(crate) fn set_now(&mut self, now: SimTime) {
         self.now = self.now.max(now);
     }
 
-    fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
-    fn span(
+    /// Records the span `[start, end)` on `track` (an instant when `start ==
+    /// end`), or counts it dropped once the ring is full.
+    pub(crate) fn span(
         &mut self,
         start: SimTime,
         end: SimTime,
@@ -125,36 +114,28 @@ impl TelemetrySink for Recorder {
         a: u64,
         b: u64,
     ) {
-        self.push_event(TraceEvent {
-            start,
-            end,
-            track,
-            kind,
-            a,
-            b,
-        });
+        if self.events.len() >= self.config.ring_capacity {
+            self.dropped += 1;
+        } else {
+            self.events.push(TraceEvent {
+                start,
+                end,
+                track,
+                kind,
+                a,
+                b,
+            });
+        }
     }
 
-    fn instant(&mut self, at: SimTime, track: Track, kind: EventKind, a: u64, b: u64) {
-        self.push_event(TraceEvent {
-            start: at,
-            end: at,
-            track,
-            kind,
-            a,
-            b,
-        });
-    }
-
-    fn add(&mut self, counter: &'static str, delta: u64) {
+    pub(crate) fn add(&mut self, counter: &'static str, delta: u64) {
         self.counters.add(counter, delta);
     }
 
-    fn observe_service(&mut self, class: ServiceClass, nanos: u64) {
-        self.service[class.index()].record(nanos);
-    }
-
-    fn sample_due(&mut self, now: SimTime) -> bool {
+    /// Whether a periodic metrics sample is due at `now`.  A `true` return
+    /// advances the sampling deadline, so the caller must follow up with
+    /// [`Recorder::push_sample`].
+    pub(crate) fn sample_due(&mut self, now: SimTime) -> bool {
         if now < self.next_sample {
             return false;
         }
@@ -162,7 +143,7 @@ impl TelemetrySink for Recorder {
         true
     }
 
-    fn push_sample(&mut self, mut sample: MetricsSample) {
+    pub(crate) fn push_sample(&mut self, mut sample: MetricsSample) {
         // The producer can't know how full this recorder's ring is; stamp
         // the running overflow count so the exported CSV records, sample by
         // sample, whether (and since when) the span trace is lossy.
@@ -261,17 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_histograms_accumulate() {
+    fn counters_accumulate() {
         let (handle, recorder) = Recorder::shared(RecorderConfig::default());
         handle.add("ops", 2);
         handle.add("ops", 1);
-        handle.observe_service(ServiceClass::Read, 1_000);
-        handle.observe_service(ServiceClass::Read, 3_000);
-        handle.observe_service(ServiceClass::Write, 5_000);
         let r = recorder.lock().unwrap();
         assert_eq!(r.counters().get("ops"), 3);
-        assert_eq!(r.service_histogram(ServiceClass::Read).count(), 2);
-        assert_eq!(r.service_histogram(ServiceClass::Write).count(), 1);
-        assert_eq!(r.service_histogram(ServiceClass::Free).count(), 0);
     }
 }

@@ -28,9 +28,7 @@ use ossd_ftl::{CleaningMode, MapCacheConfig};
 use ossd_gc::{BackgroundGcConfig, BackgroundGcStats};
 use ossd_sim::{SimDuration, SimRng, SimTime};
 use ossd_ssd::{SchedulerKind, Ssd, SsdConfig, SsdStats};
-use ossd_telemetry::{
-    BlameRecord, EventKind, MetricsSample, Recorder, RecorderConfig, ServiceClass, TraceEvent,
-};
+use ossd_telemetry::{BlameRecord, EventKind, MetricsSample, Recorder, RecorderConfig, TraceEvent};
 
 #[derive(Clone, Copy, Debug)]
 enum FtlKind {
@@ -109,8 +107,6 @@ struct Observed {
     blame: Vec<BlameRecord>,
     events: Vec<TraceEvent>,
     counters: Vec<(&'static str, u64)>,
-    /// Count and sum of each service histogram.
-    service: Vec<(u64, u128)>,
     samples: Vec<MetricsSample>,
 }
 
@@ -133,17 +129,6 @@ fn observe(
             .iter()
             .filter(|(name, _)| !name.starts_with("engine."))
             .collect(),
-        service: [
-            ServiceClass::Read,
-            ServiceClass::Write,
-            ServiceClass::Free,
-            ServiceClass::Flush,
-        ]
-        .map(|class| {
-            let histogram = recorder.service_histogram(class);
-            (histogram.count(), histogram.sum())
-        })
-        .to_vec(),
         samples: recorder.series().samples().to_vec(),
     }
 }
@@ -209,7 +194,6 @@ fn differences(a: &Observed, b: &Observed) -> String {
         ("background", a.background != b.background),
         ("blame", a.blame != b.blame),
         ("counters", a.counters != b.counters),
-        ("service", a.service != b.service),
         ("samples", a.samples != b.samples),
     ];
     let differing: Vec<&str> = parts.iter().filter(|p| p.1).map(|p| p.0).collect();

@@ -103,7 +103,8 @@ fn page_ftl_mapping_invariant() {
         for _ in 0..ops {
             let lpn = rng.next_u64_below(logical);
             if rng.chance(0.5) {
-                ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+                ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new())
+                    .unwrap();
                 mapped.insert(lpn);
             } else {
                 ftl.free(Lpn(lpn)).unwrap();
@@ -152,7 +153,8 @@ fn no_policy_loses_a_valid_page_under_clean_write_interleavings() {
                     // Writes (and overwrites) dominate so cleaning stays
                     // busy.
                     0 | 1 => {
-                        ftl.write(Lpn(lpn), 4096, &WriteContext::idle()).unwrap();
+                        ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new())
+                            .unwrap();
                         mapped.insert(lpn);
                     }
                     2 => {
@@ -163,7 +165,8 @@ fn no_policy_loses_a_valid_page_under_clean_write_interleavings() {
                     // interleaved at an arbitrary point.
                     _ => {
                         let budget = 1 + rng.next_u64_below(3) as u32;
-                        ftl.background_clean(budget, 0.5).unwrap();
+                        ftl.background_clean_into(budget, 0.5, &mut Vec::new())
+                            .unwrap();
                     }
                 }
                 // The invariant holds at every step, not just at the end.

@@ -61,15 +61,14 @@ fn config(kind: CleaningPolicyKind) -> FtlConfig {
 /// under fault injection) ends the sequence gracefully.
 fn random_op(ftl: &mut dyn Ftl, rng: &mut SimRng, logical: u64) -> Result<bool, FtlError> {
     let lpn = Lpn(rng.next_u64_below(logical));
+    let mut ops = Vec::new();
     let outcome = match rng.next_u64_below(10) {
         // Writes dominate so cleaning and wear-leveling actually run.
-        0..=5 => ftl.write(lpn, 4096, &WriteContext::idle()).map(|_| ()),
-        6 => ftl
-            .write(lpn, 4096, &WriteContext::with_priority_pending())
-            .map(|_| ()),
+        0..=5 => ftl.write_into(lpn, 4096, &WriteContext::idle(), &mut ops),
+        6 => ftl.write_into(lpn, 4096, &WriteContext::with_priority_pending(), &mut ops),
         7 => ftl.free(lpn).map(|_| ()),
-        8 => ftl.read(lpn, 4096).map(|_| ()),
-        _ => ftl.background_clean(2, 0.5).map(|_| ()),
+        8 => ftl.read_into(lpn, 4096, &mut ops).map(|_| ()),
+        _ => ftl.background_clean_into(2, 0.5, &mut ops),
     };
     match outcome {
         Ok(()) => Ok(true),
@@ -162,7 +161,7 @@ fn greedy_victim_trace_matches_pre_index_sequence() {
     for round in 0..10u64 {
         for i in 0..logical {
             let lpn = (i * 29 + round) % logical;
-            ftl.write(Lpn(lpn), 4096, &WriteContext::idle())
+            ftl.write_into(Lpn(lpn), 4096, &WriteContext::idle(), &mut Vec::new())
                 .expect("fault-free write");
         }
     }
