@@ -29,7 +29,7 @@ use ossd_ftl::FtlConfig;
 use ossd_sim::{LatencyStats, SimDuration, SimRng, SimTime};
 use ossd_ssd::SsdConfig;
 
-use super::{col, device, geometry, ExperimentError, Report, Scale, Table};
+use super::{col, device, geometry, Cell, ExperimentError, Report, Scale, Table};
 
 /// One measured grid point: a device count × thread count × stripe unit.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -69,9 +69,14 @@ pub struct RebuildPoint {
     pub degraded: LatencyPercentiles,
     /// Bytes reconstructed onto the replacement, MiB.
     pub rebuilt_mib: f64,
-    /// Copy-back bandwidth over the whole rebuild span, MB per simulated
-    /// second.
+    /// Copy-back bandwidth, MB per simulated second, from the failure to
+    /// the finish of the last copy write (to the end of the scenario when
+    /// the rebuild did not finish).
     pub rebuild_mbps: f64,
+    /// Simulated seconds from the failure to the finish of the last copy
+    /// write: the reduced-redundancy window.  `None` when the rebuild did
+    /// not finish inside the scenario.
+    pub rebuild_s: Option<f64>,
     /// Host reads served by XOR reconstruction during the scenario.
     pub degraded_reads: u64,
     /// Host-visible non-`Ok` completions (must stay zero).
@@ -336,6 +341,7 @@ pub fn run_rebuild(
     let mut degraded = LatencyStats::new();
     let mut copied = 0u64;
     let mut next_row = 0u64;
+    let mut last_write = rebuild_start;
     for n in 0..epochs {
         let start = rebuild_start.saturating_add(SimDuration::from_nanos(period.as_nanos() * n));
         let ops = if n % 3 == 2 {
@@ -361,13 +367,15 @@ pub fn run_rebuild(
             if fleet.preview_rebuild_admission(at, chunk) > at {
                 break;
             }
-            fleet.rebuild_range(1, ByteRange::new(next_row * 4096, chunk), at)?;
+            let (_, write) = fleet.rebuild_range(1, ByteRange::new(next_row * 4096, chunk), at)?;
+            last_write = last_write.max(write.finish);
             copied += chunk;
             next_row += chunk / 4096;
             admitted_this_epoch += 1;
         }
     }
-    let span = at.saturating_since(rebuild_start);
+    let rebuilt = (next_row == rows).then(|| last_write.saturating_since(rebuild_start));
+    let span = rebuilt.unwrap_or_else(|| at.saturating_since(rebuild_start));
 
     Ok(RebuildPoint {
         label,
@@ -378,6 +386,7 @@ pub fn run_rebuild(
         degraded: LatencyPercentiles::of(&degraded),
         rebuilt_mib: copied as f64 / (1024.0 * 1024.0),
         rebuild_mbps: copied as f64 / 1e6 / span.as_secs_f64().max(1e-12),
+        rebuild_s: rebuilt.map(|d| d.as_secs_f64()),
         degraded_reads: fleet.degraded_reads(),
         host_errors: errors,
     })
@@ -438,6 +447,19 @@ pub fn check(sweep: &FleetSweep) -> Result<(&RebuildPoint, &RebuildPoint), Exper
     let (Some(open), Some(tight)) = (open, sweep.rebuild.iter().min_by(by_rate)) else {
         return fail("the rebuild sweep is empty".to_string());
     };
+    // The fastest and the slowest setting must each be alone at its rate:
+    // a setting tied with either end could stand in for it, and then the
+    // comparison below would read a tie as a trade.
+    let tied = |end: &RebuildPoint| {
+        let rate = |r: &&RebuildPoint| r.rebuild_mbps == end.rebuild_mbps;
+        sweep.rebuild.iter().filter(rate).count() > 1
+    };
+    if let Some(end) = [open, tight].into_iter().find(|end| tied(end)) {
+        return fail(format!(
+            "{} ties another setting at {:.2} MB/s of copy-back: a tie is not a trade",
+            end.label, end.rebuild_mbps
+        ));
+    }
     if open.rebuild_mbps <= tight.rebuild_mbps || open.degraded.p999_ms <= tight.degraded.p999_ms {
         return fail(format!(
             "budget did not move copy-back bandwidth and survivor p99.9 in opposite \
@@ -487,6 +509,9 @@ pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
                 (col("degraded_p999", "ms", 4), |r| r.degraded.p999_ms.into()),
                 (col("rebuilt", "MiB", 1), |r| r.rebuilt_mib.into()),
                 (col("rebuild", "MB/s", 2), |r| r.rebuild_mbps.into()),
+                (col("time_to_rebuild", "s", 3), |r| {
+                    r.rebuild_s.map_or_else(|| "".into(), Cell::from)
+                }),
                 (col("degraded_reads", "", 0), |r| r.degraded_reads.into()),
                 (col("host_errors", "", 0), |r| r.host_errors.into()),
             ],
@@ -588,6 +613,7 @@ mod tests {
             degraded: p,
             rebuilt_mib: 1.0,
             rebuild_mbps,
+            rebuild_s: None,
             degraded_reads: 0,
             host_errors: 0,
         };
@@ -601,6 +627,26 @@ mod tests {
                 assert!(what.contains("open 4.00 MB/s"), "{what}");
             }
             other => panic!("expected a check failure, got {other:?}"),
+        }
+        // Two settings tied at the fastest rate: each has a higher tail than
+        // the slowest, so whichever one the pick lands on reads as a trade.
+        let with_tail = |label, rebuild_mbps, p999_ms| RebuildPoint {
+            degraded: LatencyPercentiles { p999_ms, ..p },
+            ..point(label, rebuild_mbps)
+        };
+        let tied = FleetSweep {
+            points: Vec::new(),
+            rebuild: vec![
+                with_tail("open", 3.03, 143.2),
+                with_tail("4MBps", 3.03, 140.0),
+                with_tail("tight", 0.54, 134.6),
+            ],
+        };
+        match check(&tied) {
+            Err(ExperimentError::Check { what, .. }) => {
+                assert!(what.contains("ties another setting at 3.03 MB/s"), "{what}");
+            }
+            other => panic!("expected a check failure on a tie, got {other:?}"),
         }
         let empty = FleetSweep {
             points: Vec::new(),
