@@ -382,11 +382,6 @@ impl HostQueue {
         self.submissions.len()
     }
 
-    /// Number of completions waiting to be polled.
-    pub fn pending_completions(&self) -> usize {
-        self.completions.len()
-    }
-
     /// Total commands ever submitted.
     pub fn submitted(&self) -> u64 {
         self.submitted
@@ -491,7 +486,7 @@ pub fn arbitrate_round_robin(queues: &[HostQueue]) -> Vec<ArbitratedCommand> {
 
 /// Posts completions back to their initiators' completion queues in
 /// completion order (ties broken by arbitration order).
-pub fn post_completions(queues: &mut [HostQueue], mut completed: Vec<(usize, Completion)>) {
+pub(crate) fn post_completions(queues: &mut [HostQueue], mut completed: Vec<(usize, Completion)>) {
     // Stable sort: completions finishing at the same instant post in
     // arbitration order.
     completed.sort_by_key(|&(_, c)| c.finish);
@@ -638,7 +633,7 @@ mod tests {
         assert_eq!(q.in_flight(), 2);
         dev.serve(std::slice::from_mut(&mut q)).unwrap();
         assert_eq!(q.pending_submissions(), 0);
-        assert_eq!(q.pending_completions(), 2);
+        assert_eq!(q.completions.len(), 2);
         let a = q.poll().unwrap();
         let b = q.poll().unwrap();
         assert_eq!(a.request_id, 0);
@@ -754,7 +749,7 @@ mod tests {
         assert!(dev.serve(&mut queues).is_err());
         for q in &queues {
             assert_eq!(q.pending_submissions(), 1, "submissions must survive");
-            assert_eq!(q.pending_completions(), 0, "nothing may complete");
+            assert_eq!(q.completions.len(), 0, "nothing may complete");
             assert_eq!(q.in_flight(), 1);
         }
         // Cancelling the bad command lets the good one proceed, and the
@@ -762,7 +757,7 @@ mod tests {
         queues[1].cancel_submissions();
         assert_eq!(queues[1].in_flight(), 0);
         dev.serve(&mut queues).unwrap();
-        assert_eq!(queues[0].pending_completions(), 1);
+        assert_eq!(queues[0].completions.len(), 1);
         assert_eq!(queues[0].in_flight(), 0);
     }
 
@@ -786,7 +781,7 @@ mod tests {
         ));
         q.reset();
         assert_eq!(q.pending_submissions(), 0);
-        assert_eq!(q.pending_completions(), 0);
+        assert_eq!(q.completions.len(), 0);
         assert_eq!((q.submitted(), q.in_flight()), (0, 0));
         q.submit(1, HostCommand::Barrier, SimTime::from_micros(5));
         assert_eq!(q.pending_submissions(), 1);

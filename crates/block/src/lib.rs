@@ -29,7 +29,7 @@
 //!   latency (means and p50/p95/p99 percentiles per class) and throughput.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod device;
 pub mod host;
@@ -40,12 +40,10 @@ pub mod trace;
 
 pub use device::{BlockDevice, DeviceError, DeviceInfo};
 pub use host::{
-    arbitrate_round_robin, complete_session, post_completions, ArbitratedCommand, HostCommand,
-    HostInterface, HostQueue, ObjectAttrs, StreamTemperature, SubmittedCommand, WriteHint,
+    arbitrate_round_robin, complete_session, ArbitratedCommand, HostCommand, HostInterface,
+    HostQueue, ObjectAttrs, StreamTemperature, SubmittedCommand, WriteHint,
 };
 pub use range::ByteRange;
 pub use replay::{replay_closed, replay_open, LatencyPercentiles, ReplayReport, ReportPercentiles};
-pub use request::{
-    BlockOpKind, BlockRequest, Completion, CompletionStatus, Priority, SECTOR_BYTES,
-};
+pub use request::{BlockOpKind, BlockRequest, Completion, CompletionStatus, Priority};
 pub use trace::{Trace, TraceKind, TraceOp, TraceStats};

@@ -27,12 +27,6 @@ impl ByteRange {
         self.len == 0
     }
 
-    /// Whether `other` starts exactly where this range ends (so the two can
-    /// be merged into one sequential access).
-    pub fn is_followed_by(&self, other: &ByteRange) -> bool {
-        self.end() == other.offset
-    }
-
     /// Whether the two ranges overlap.
     pub fn overlaps(&self, other: &ByteRange) -> bool {
         self.offset < other.end() && other.offset < self.end()
@@ -51,18 +45,6 @@ impl ByteRange {
         ByteRange::new(start, end - start)
     }
 
-    /// The range aligned outward to `unit`-byte boundaries (the smallest
-    /// aligned range containing this one). Returns the range unchanged when
-    /// `unit` is zero or one.
-    pub fn align_outward(&self, unit: u64) -> ByteRange {
-        if unit <= 1 || self.is_empty() {
-            return *self;
-        }
-        let start = (self.offset / unit) * unit;
-        let end = self.end().div_ceil(unit) * unit;
-        ByteRange::new(start, end - start)
-    }
-
     /// Index of the first `unit`-sized chunk touched by this range.
     pub fn first_chunk(&self, unit: u64) -> u64 {
         self.offset.checked_div(unit).unwrap_or(0)
@@ -75,14 +57,6 @@ impl ByteRange {
             return self.first_chunk(unit);
         }
         (self.end() - 1) / unit
-    }
-
-    /// Number of `unit`-sized chunks touched by this range.
-    pub fn chunks_touched(&self, unit: u64) -> u64 {
-        if unit == 0 || self.is_empty() {
-            return 0;
-        }
-        self.last_chunk(unit) - self.first_chunk(unit) + 1
     }
 
     /// Splits the range at `unit`-byte boundaries, yielding sub-ranges that
@@ -105,14 +79,6 @@ impl ByteRange {
         }
         out
     }
-
-    /// Whether the range starts and ends on `unit` boundaries.
-    pub fn is_aligned_to(&self, unit: u64) -> bool {
-        if unit <= 1 {
-            return true;
-        }
-        self.offset.is_multiple_of(unit) && self.len.is_multiple_of(unit)
-    }
 }
 
 #[cfg(test)]
@@ -132,8 +98,6 @@ mod tests {
         let a = ByteRange::new(0, 100);
         let b = ByteRange::new(100, 50);
         let c = ByteRange::new(120, 10);
-        assert!(a.is_followed_by(&b));
-        assert!(!a.is_followed_by(&c));
         assert!(!a.overlaps(&b));
         assert!(b.overlaps(&c));
         assert!(b.contains(&c));
@@ -149,27 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn align_outward_snaps_to_unit() {
-        let r = ByteRange::new(4100, 100);
-        let a = r.align_outward(4096);
-        assert_eq!(a, ByteRange::new(4096, 4096));
-        let r = ByteRange::new(4095, 2);
-        assert_eq!(r.align_outward(4096), ByteRange::new(0, 8192));
-        // Degenerate units leave the range unchanged.
-        assert_eq!(r.align_outward(0), r);
-        assert_eq!(r.align_outward(1), r);
-    }
-
-    #[test]
     fn chunk_accounting() {
         let unit = 1 << 20; // 1 MB stripe
-        let r = ByteRange::new(0, unit);
-        assert_eq!(r.chunks_touched(unit), 1);
         let r2 = ByteRange::new(unit - 512, 1024);
-        assert_eq!(r2.chunks_touched(unit), 2);
         assert_eq!(r2.first_chunk(unit), 0);
         assert_eq!(r2.last_chunk(unit), 1);
-        assert_eq!(ByteRange::new(5, 0).chunks_touched(unit), 0);
     }
 
     #[test]
@@ -185,13 +133,5 @@ mod tests {
         }
         assert!(ByteRange::new(0, 0).split_by_chunk(unit).is_empty());
         assert_eq!(r.split_by_chunk(0), vec![r]);
-    }
-
-    #[test]
-    fn alignment_predicate() {
-        assert!(ByteRange::new(8192, 4096).is_aligned_to(4096));
-        assert!(!ByteRange::new(8192, 4000).is_aligned_to(4096));
-        assert!(!ByteRange::new(100, 4096).is_aligned_to(4096));
-        assert!(ByteRange::new(100, 37).is_aligned_to(1));
     }
 }

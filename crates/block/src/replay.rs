@@ -92,7 +92,7 @@ pub struct ReplayReport {
 
 impl ReplayReport {
     /// Time from first arrival to last completion.
-    pub fn makespan(&self) -> SimDuration {
+    pub(crate) fn makespan(&self) -> SimDuration {
         self.last_finish.saturating_since(self.first_arrival)
     }
 
@@ -179,7 +179,7 @@ fn serve_one<D: HostInterface + ?Sized>(
 ///
 /// Requests must be in non-decreasing arrival order — the [`BlockDevice`]
 /// submission contract, now enforced loudly by the queue pair.  Sort
-/// unordered traces first (e.g. [`crate::Trace::sort_by_time`]).
+/// unordered traces first.
 ///
 /// [`BlockDevice`]: crate::device::BlockDevice
 pub fn replay_open<D: HostInterface>(

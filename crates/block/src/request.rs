@@ -5,7 +5,7 @@ use ossd_sim::{SimDuration, SimTime};
 use crate::range::ByteRange;
 
 /// Size of a logical sector (the LBN granularity of SCSI/ATA).
-pub const SECTOR_BYTES: u64 = 512;
+pub(crate) const SECTOR_BYTES: u64 = 512;
 
 /// The kind of a block-level operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -22,7 +22,7 @@ pub enum BlockOpKind {
 impl BlockOpKind {
     /// Whether the operation transfers data (reads and writes do, frees do
     /// not).
-    pub fn transfers_data(self) -> bool {
+    pub(crate) fn transfers_data(self) -> bool {
         matches!(self, BlockOpKind::Read | BlockOpKind::Write)
     }
 
@@ -65,7 +65,7 @@ pub enum Priority {
 
 impl Priority {
     /// Whether this is the high (foreground) priority.
-    pub fn is_high(self) -> bool {
+    pub(crate) fn is_high(self) -> bool {
         matches!(self, Priority::High)
     }
 

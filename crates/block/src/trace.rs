@@ -51,7 +51,7 @@ impl TraceKind {
 
     /// The block-interface kind of a data record (`None` for the ordering
     /// commands, which the narrow block interface cannot express).
-    pub fn block_kind(self) -> Option<BlockOpKind> {
+    pub(crate) fn block_kind(self) -> Option<BlockOpKind> {
         match self {
             TraceKind::Read => Some(BlockOpKind::Read),
             TraceKind::Write => Some(BlockOpKind::Write),
@@ -61,7 +61,7 @@ impl TraceKind {
     }
 
     /// Whether this record transfers or addresses data bytes.
-    pub fn addresses_data(self) -> bool {
+    pub(crate) fn addresses_data(self) -> bool {
         self.block_kind().is_some()
     }
 }
@@ -287,23 +287,13 @@ impl Trace {
 
     /// Converts the data operations into submit-ready requests with
     /// sequential ids.  `Flush`/`Barrier` records are *skipped* — the block
-    /// interface cannot express them; use [`Trace::to_commands`] to replay
-    /// a trace with full fidelity.
+    /// interface cannot express them; submit each op's
+    /// [`TraceOp::to_command`] to replay a trace with full fidelity.
     pub fn to_requests(&self) -> Vec<BlockRequest> {
         self.ops
             .iter()
             .enumerate()
             .filter_map(|(i, op)| op.to_request(i as u64))
-            .collect()
-    }
-
-    /// Converts every operation — data, hints, fences — into queue-pair
-    /// command submissions with sequential ids.
-    pub fn to_commands(&self) -> Vec<SubmittedCommand> {
-        self.ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| op.to_command(i as u64))
             .collect()
     }
 
@@ -345,12 +335,6 @@ impl Trace {
         self.ops
             .windows(2)
             .all(|w| w[0].at_micros <= w[1].at_micros)
-    }
-
-    /// Sorts the operations by arrival time (stable, preserving the relative
-    /// order of simultaneous operations).
-    pub fn sort_by_time(&mut self) {
-        self.ops.sort_by_key(|op| op.at_micros);
     }
 
     /// Serializes the trace as JSON lines: a header line with the name
@@ -456,30 +440,11 @@ mod tests {
     }
 
     #[test]
-    fn to_commands_keeps_full_fidelity() {
-        let t = command_trace();
-        let cmds = t.to_commands();
-        assert_eq!(cmds.len(), 6);
-        assert_eq!(cmds[1].priority, Priority::High);
-        match cmds[3].command {
-            HostCommand::Write { hint, .. } => {
-                assert_eq!(hint.temperature, StreamTemperature::Cold)
-            }
-            ref other => panic!("expected hinted write, got {other:?}"),
-        }
-        assert_eq!(cmds[4].command, HostCommand::Flush);
-        assert_eq!(cmds[5].command, HostCommand::Barrier);
-        assert_eq!(cmds[5].arrival, SimTime::from_micros(500));
-    }
-
-    #[test]
-    fn time_ordering_checks_and_sorting() {
+    fn time_ordering_check() {
         let mut t = sample_trace();
         assert!(t.is_time_ordered());
         t.push(TraceOp::new(50, TraceKind::Read, 8192, 512));
         assert!(!t.is_time_ordered());
-        t.sort_by_time();
-        assert!(t.is_time_ordered());
         assert_eq!(t.len(), 4);
     }
 

@@ -5,8 +5,8 @@
 //! device satisfies it, together with the metric the verdict is based on —
 //! the same T/F summary the paper's Table 1 gives for Disk vs. SSD.
 
+use crate::hdd::{Hdd, HddConfig};
 use ossd_block::{replay_closed, BlockDevice, BlockRequest, DeviceError, HostInterface};
-use ossd_hdd::{Hdd, HddConfig};
 use ossd_sim::SimTime;
 use ossd_ssd::{Ssd, SsdConfig};
 
@@ -229,7 +229,7 @@ fn probe_generic<D: HostInterface>(device: &mut D) -> Result<Vec<TermVerdict>, D
 }
 
 /// Evaluates the contract against a simulated SSD.
-pub fn evaluate_ssd(config: SsdConfig) -> Result<ContractReport, DeviceError> {
+pub(crate) fn evaluate_ssd(config: SsdConfig) -> Result<ContractReport, DeviceError> {
     let mut ssd = Ssd::new(config).map_err(DeviceError::from)?;
     let name = ssd.info().name.clone();
     let mut verdicts = probe_generic(&mut ssd)?;
@@ -290,7 +290,7 @@ pub fn evaluate_ssd(config: SsdConfig) -> Result<ContractReport, DeviceError> {
 }
 
 /// Evaluates the contract against a simulated disk.
-pub fn evaluate_hdd(config: HddConfig) -> Result<ContractReport, DeviceError> {
+pub(crate) fn evaluate_hdd(config: HddConfig) -> Result<ContractReport, DeviceError> {
     let mut hdd = Hdd::new(config);
     let name = hdd.info().name.clone();
     let mut verdicts = probe_generic(&mut hdd)?;

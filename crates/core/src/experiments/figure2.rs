@@ -14,7 +14,7 @@ use ossd_ssd::{MappingKind, Ssd, SsdConfig};
 use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
 /// The stripe size of the modelled device (1 MB, as on S2slc).
-pub const STRIPE_BYTES: u64 = 1024 * 1024;
+pub(crate) const STRIPE_BYTES: u64 = 1024 * 1024;
 
 /// One point of Figure 2.
 #[derive(Clone, Copy, Debug, PartialEq)]

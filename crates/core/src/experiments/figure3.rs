@@ -9,11 +9,11 @@
 //! once writes are frequent enough for cleaning to matter, at the cost of
 //! the background requests.
 
+use crate::workload::SyntheticConfig;
 use ossd_block::{BlockDevice, BlockRequest, Completion, DeviceError, Priority};
 use ossd_ftl::{CleaningMode, FtlConfig};
 use ossd_sim::{improvement_percent, SimDuration, SimTime};
 use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
-use ossd_workload::SyntheticConfig;
 
 use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 

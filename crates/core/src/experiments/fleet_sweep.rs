@@ -33,7 +33,7 @@ use super::{col, device, geometry, Cell, ExperimentError, Report, Scale, Table};
 
 /// One measured grid point: a device count × thread count × stripe unit.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FleetPoint {
+pub(crate) struct FleetPoint {
     /// Devices in the striped array.
     pub devices: usize,
     /// Worker threads serving the per-device engines.
@@ -54,7 +54,7 @@ pub struct FleetPoint {
 
 /// One rebuild-budget setting of the parity failure → rebuild scenario.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RebuildPoint {
+pub(crate) struct RebuildPoint {
     /// Human-readable budget label (`"unthrottled"`, `"64MBps"`, ...).
     pub label: &'static str,
     /// Token-bucket budget in MB/s of copy-back (0 = unthrottled).
@@ -85,7 +85,7 @@ pub struct RebuildPoint {
 
 /// Everything the sweep produces.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FleetSweep {
+pub(crate) struct FleetSweep {
     /// The scale-out grid.
     pub points: Vec<FleetPoint>,
     /// The degraded-mode scenario, one point per rebuild-budget setting.
@@ -247,7 +247,7 @@ fn run_point(
 /// budgets are sized against the simulated array's foreground bandwidth
 /// (single-digit MB per simulated second at these device geometries) so
 /// the token bucket actually binds.
-pub fn rebuild_budgets() -> Vec<(&'static str, RebuildQos)> {
+pub(crate) fn rebuild_budgets() -> Vec<(&'static str, RebuildQos)> {
     vec![
         ("unthrottled", RebuildQos::unthrottled()),
         ("4MBps", RebuildQos::limited(4 * 1024 * 1024)),
@@ -273,7 +273,7 @@ pub fn rebuild_budgets() -> Vec<(&'static str, RebuildQos)> {
 /// session (4 commands per initiator), which is where a pressure-backoff
 /// policy — parked while the heavy sessions keep per-initiator depth at
 /// the threshold — gets to make progress.
-pub fn run_rebuild(
+pub(crate) fn run_rebuild(
     scale: Scale,
     label: &'static str,
     qos: RebuildQos,
@@ -393,17 +393,17 @@ pub fn run_rebuild(
 }
 
 /// The device counts the sweep covers.
-pub const DEVICE_COUNTS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const DEVICE_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// The worker-thread counts the sweep covers.
-pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+pub(crate) const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// The stripe units the sweep covers, KiB.
-pub const STRIPE_KIB: [u64; 2] = [4, 32];
+pub(crate) const STRIPE_KIB: [u64; 2] = [4, 32];
 
 /// Runs the full sweep: the scale-out grid plus the rebuild scenario.
 ///
 /// At `Quick` scale the grid shrinks to devices {1, 4} × threads {1, 2} ×
 /// stripe 4 KiB so tests stay fast.
-pub fn run(scale: Scale) -> Result<FleetSweep, ExperimentError> {
+pub(crate) fn run(scale: Scale) -> Result<FleetSweep, ExperimentError> {
     let mut points = Vec::new();
     let (devices, threads, stripes): (&[usize], &[usize], &[u64]) = match scale {
         Scale::Quick => (&[1, 4], &[1, 2], &STRIPE_KIB[..1]),
@@ -429,7 +429,7 @@ pub fn run(scale: Scale) -> Result<FleetSweep, ExperimentError> {
 /// and the budget trades copy-back rate against survivor tails — the
 /// setting that copies fastest also has the higher survivor p99.9.
 /// Returns the settings it compared: the fastest and the slowest.
-pub fn check(sweep: &FleetSweep) -> Result<(&RebuildPoint, &RebuildPoint), ExperimentError> {
+pub(crate) fn check(sweep: &FleetSweep) -> Result<(&RebuildPoint, &RebuildPoint), ExperimentError> {
     let fail = |what: String| {
         Err(ExperimentError::Check {
             experiment: "fleet_sweep",

@@ -19,6 +19,7 @@
 //! per completion and blame components summing exactly to each record's
 //! end-to-end latency.
 
+use crate::workload::TpccConfig;
 use ossd_block::{BlockDevice, DeviceError, HostCommand, HostInterface, HostQueue};
 use ossd_flash::ReliabilityConfig;
 use ossd_ftl::{FtlConfig, MapCacheConfig};
@@ -26,7 +27,6 @@ use ossd_gc::BackgroundGcConfig;
 use ossd_sim::{SimDuration, SimTime};
 use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
 use ossd_telemetry::{to_chrome_counters, BlameCat, ClassTail, TailReport};
-use ossd_workload::TpccConfig;
 
 use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
@@ -35,13 +35,11 @@ pub const INITIATORS: usize = 4;
 
 /// One swept map-budget configuration's blame report.
 #[derive(Clone, Debug)]
-pub struct LatencyBlamePoint {
+pub(crate) struct LatencyBlamePoint {
     /// Human-readable sweep label (`"resident"` or `"budget <n>"`).
     pub label: String,
     /// Map-cache budget in cached entries (`None` = fully resident table).
     pub map_budget: Option<usize>,
-    /// Commands completed across all initiators (records drained).
-    pub completions: usize,
     /// Per-class deep-tail percentiles and blame shares.
     pub report: TailReport,
     /// The report rendered as CSV (one row per class).
@@ -52,14 +50,14 @@ pub struct LatencyBlamePoint {
 
 impl LatencyBlamePoint {
     /// Share of p99.9-tail latency blamed on `cat` across all classes.
-    pub fn tail_share(&self, cat: BlameCat) -> f64 {
+    pub(crate) fn tail_share(&self, cat: BlameCat) -> f64 {
         self.report.class("all").map_or(0.0, |c| c.share(cat))
     }
 }
 
 /// The sweep: one [`LatencyBlamePoint`] per map budget.
 #[derive(Clone, Debug)]
-pub struct LatencyBlame {
+pub(crate) struct LatencyBlame {
     /// Points in sweep order (resident first, then shrinking budgets).
     pub points: Vec<LatencyBlamePoint>,
 }
@@ -167,7 +165,6 @@ fn run_point(
             Some(budget) => format!("budget {budget}"),
         },
         map_budget,
-        completions,
         blame_csv: report.to_csv(),
         counters_json: to_chrome_counters(&records),
         report,
@@ -197,7 +194,7 @@ fn run_point(
 /// GC-active watermark some of the p99.9 tail is blamed on GC on every
 /// point, and the demand-paged points blame map I/O where the resident
 /// point cannot.
-pub fn run(scale: Scale) -> Result<LatencyBlame, ExperimentError> {
+pub(crate) fn run(scale: Scale) -> Result<LatencyBlame, ExperimentError> {
     let mut points = Vec::new();
     for map_budget in budgets(scale) {
         points.push(run_point(scale, map_budget)?);
@@ -298,9 +295,8 @@ mod tests {
         let blame = run(Scale::Quick).expect("latency blame sweep");
         assert_eq!(blame.points.len(), 3);
         for point in &blame.points {
-            assert!(point.completions > 0);
             let all = point.report.class("all").expect("all row");
-            assert_eq!(all.count as usize, point.completions);
+            assert!(all.count > 0);
             assert!(all.p50_us <= all.p99_us && all.p99_us <= all.p999_us);
             assert!(all.p999_us <= all.p9999_us);
             assert!(all.tail_count > 0);

@@ -30,7 +30,7 @@ use super::{col, device, geometry, Column, ExperimentError, Report, Scale, Table
 
 /// Why a lifetime run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum EndOfLife {
+pub(crate) enum EndOfLife {
     /// A write could no longer allocate: grown bad blocks consumed the
     /// spare pool.
     SparesExhausted,
@@ -44,7 +44,7 @@ pub enum EndOfLife {
 
 impl EndOfLife {
     /// Short name for CSV/report output.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EndOfLife::SparesExhausted => "spares",
             EndOfLife::UberExceeded => "uber",
@@ -57,11 +57,11 @@ impl EndOfLife {
 /// read).  Real datasheets quote 1e-15..1e-17; the experiment's fault
 /// rates are compressed so a toy device dies in simulated minutes, and the
 /// threshold is compressed to match.
-pub const UBER_THRESHOLD: f64 = 1e-7;
+pub(crate) const UBER_THRESHOLD: f64 = 1e-7;
 
 /// One lifetime run: a device written to end-of-life.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LifetimePoint {
+pub(crate) struct LifetimePoint {
     /// Over-provisioning fraction of the run.
     pub overprovisioning: f64,
     /// Cleaning policy of the run.
@@ -92,7 +92,7 @@ pub struct LifetimePoint {
 }
 
 /// The over-provisioning fractions the sweep visits, ascending.
-pub fn overprovisionings() -> [f64; 3] {
+pub(crate) fn overprovisionings() -> [f64; 3] {
     [0.10, 0.20, 0.30]
 }
 
@@ -152,7 +152,7 @@ fn device_config(
 }
 
 /// Runs one configuration to end-of-life.
-pub fn run_one(
+pub(crate) fn run_one(
     scale: Scale,
     overprovisioning: f64,
     policy: CleaningPolicyKind,
@@ -237,7 +237,7 @@ pub fn run_one(
 /// Runs the full sweep: over-provisioning × policy × wear-leveling, in
 /// ascending over-provisioning order within each (policy, wear-leveling)
 /// series.
-pub fn run(scale: Scale) -> Result<Vec<LifetimePoint>, DeviceError> {
+pub(crate) fn run(scale: Scale) -> Result<Vec<LifetimePoint>, DeviceError> {
     let mut points = Vec::new();
     for policy in policies() {
         for wear_leveling in [true, false] {

@@ -65,7 +65,7 @@ impl MapCachePoint {
 }
 
 /// The workload skews the sweep crosses with every budget.
-pub fn skews() -> [f64; 2] {
+pub(crate) fn skews() -> [f64; 2] {
     [0.0, 0.9]
 }
 

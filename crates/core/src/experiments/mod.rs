@@ -4,7 +4,7 @@
 //! Every experiment is a pure function of a [`Scale`] (and, internally, of
 //! fixed seeds).  Its `run` returns typed results for tests and examples;
 //! its `report` turns them into one [`Report`], which the `ossd-exp` binary
-//! (crate `ossd-bench`) prints and whose artifacts it writes.  The module
+//! (in the root package) prints and whose artifacts it writes.  The module
 //! name is the experiment's `ossd-exp` name, and [`EXPERIMENTS`] lists them
 //! in the order of this table:
 //!
@@ -45,7 +45,8 @@ pub mod table4;
 pub mod table5;
 pub mod trace_capture;
 
-pub use report::{col, Cell, Column, ExperimentError, Format, PaperRef, Report, Table};
+pub(crate) use report::col;
+pub use report::{Cell, Column, ExperimentError, Format, PaperRef, Report, Table};
 
 use ossd_block::{BlockDevice, BlockRequest, Completion, DeviceError};
 use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};

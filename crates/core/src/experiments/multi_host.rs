@@ -25,7 +25,7 @@ use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
 /// One measured point: one initiator count at one queue depth.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MultiHostPoint {
+pub(crate) struct MultiHostPoint {
     /// Number of initiators (independent queue pairs).
     pub initiators: u32,
     /// Controller queue depth.
@@ -49,10 +49,10 @@ pub struct MultiHostPoint {
 }
 
 /// The initiator counts the experiment sweeps.
-pub const INITIATOR_COUNTS: [u32; 4] = [1, 2, 4, 8];
+pub(crate) const INITIATOR_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 /// The controller queue depths the experiment sweeps.
-pub const QUEUE_DEPTHS: [u32; 3] = [1, 4, 16];
+pub(crate) const QUEUE_DEPTHS: [u32; 3] = [1, 4, 16];
 
 fn device_config(scale: Scale, queue_depth: u32) -> SsdConfig {
     SsdConfig {
@@ -104,7 +104,7 @@ fn initiator_requests(
 }
 
 /// Jain's fairness index: `(Σx)² / (n · Σx²)`, 1.0 when all equal.
-pub fn jain_fairness(values: &[f64]) -> f64 {
+pub(crate) fn jain_fairness(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 1.0;
     }
@@ -172,7 +172,7 @@ fn run_point(
 }
 
 /// Runs the sweep: every initiator count at every queue depth.
-pub fn run(scale: Scale) -> Result<Vec<MultiHostPoint>, DeviceError> {
+pub(crate) fn run(scale: Scale) -> Result<Vec<MultiHostPoint>, DeviceError> {
     let mut out = Vec::new();
     for &initiators in &INITIATOR_COUNTS {
         for &depth in &QUEUE_DEPTHS {

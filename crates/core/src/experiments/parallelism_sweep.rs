@@ -27,7 +27,7 @@ use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
 /// One measured point: one element count at one queue depth.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ParallelismPoint {
+pub(crate) struct ParallelismPoint {
     /// Number of flash elements (dies) in the device.
     pub elements: u32,
     /// Controller queue depth.
@@ -43,10 +43,10 @@ pub struct ParallelismPoint {
 }
 
 /// The queue depths the experiment sweeps (NCQ depths 1–32).
-pub const QUEUE_DEPTHS: [u32; 6] = [1, 2, 4, 8, 16, 32];
+pub(crate) const QUEUE_DEPTHS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
 /// The element counts the experiment sweeps.
-pub const ELEMENT_COUNTS: [u32; 4] = [1, 2, 4, 8];
+pub(crate) const ELEMENT_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 fn device_config(scale: Scale, elements: u32, queue_depth: u32) -> SsdConfig {
     SsdConfig {
@@ -137,7 +137,7 @@ fn run_point(
 }
 
 /// Runs the sweep: every element count at every queue depth.
-pub fn run(scale: Scale) -> Result<Vec<ParallelismPoint>, DeviceError> {
+pub(crate) fn run(scale: Scale) -> Result<Vec<ParallelismPoint>, DeviceError> {
     let mut out = Vec::new();
     for &elements in &ELEMENT_COUNTS {
         for &depth in &QUEUE_DEPTHS {

@@ -26,7 +26,7 @@ use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
 
 /// One measured point: one policy at one device utilization.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PolicyComparePoint {
+pub(crate) struct PolicyComparePoint {
     /// Device utilization (live fraction of physical pages).
     pub utilization: f64,
     /// Measured write amplification over the steady-state churn phase.
@@ -48,7 +48,7 @@ pub struct PolicyComparePoint {
 
 /// The measured curve of one policy across all utilizations.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PolicyCurve {
+pub(crate) struct PolicyCurve {
     /// The policy.
     pub policy: CleaningPolicyKind,
     /// One point per utilization, in ascending utilization order.
@@ -131,7 +131,7 @@ fn run_one(
 }
 
 /// Runs the comparison: every policy at every utilization.
-pub fn run(scale: Scale) -> Result<Vec<PolicyCurve>, DeviceError> {
+pub(crate) fn run(scale: Scale) -> Result<Vec<PolicyCurve>, DeviceError> {
     CleaningPolicyKind::all()
         .into_iter()
         .map(|policy| {

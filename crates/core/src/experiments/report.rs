@@ -96,7 +96,7 @@ pub struct Column {
 }
 
 /// A fixed-point column.
-pub const fn col(name: &'static str, unit: &'static str, precision: usize) -> Column {
+pub(crate) const fn col(name: &'static str, unit: &'static str, precision: usize) -> Column {
     Column {
         name,
         unit,
@@ -137,7 +137,7 @@ pub struct PaperRef {
 }
 
 /// A column and the getter that reads its cell from a row.
-pub type Getter<T> = (Column, fn(&T) -> Cell);
+pub(crate) type Getter<T> = (Column, fn(&T) -> Cell);
 
 /// One table of a report.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -166,7 +166,7 @@ impl Table {
     }
 
     /// Records the paper's values for `column`, one per row from the first.
-    pub fn paper_column<V: Into<Cell>>(
+    pub(crate) fn paper_column<V: Into<Cell>>(
         &mut self,
         column: &'static str,
         values: impl IntoIterator<Item = V>,

@@ -4,11 +4,11 @@
 //! two-thirds reads and one-third writes and reports that SWTF improves the
 //! average response time by about 8% over FCFS.
 
+use crate::workload::SyntheticConfig;
 use ossd_block::DeviceError;
 use ossd_flash::FlashTiming;
 use ossd_sim::{improvement_percent, SimDuration};
 use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
-use ossd_workload::SyntheticConfig;
 
 use super::{col, device, fill, geometry, mean_response_ms, ExperimentError, Report, Scale, Table};
 

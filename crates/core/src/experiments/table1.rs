@@ -5,10 +5,10 @@
 //! columns of the paper are literature summaries, not measurements, and are
 //! out of scope).
 
+use crate::hdd::HddConfig;
 use ossd_block::DeviceError;
 use ossd_flash::FlashGeometry;
 use ossd_ftl::FtlConfig;
-use ossd_hdd::HddConfig;
 use ossd_ssd::{MappingKind, SsdConfig};
 
 use crate::contract::{evaluate_hdd, evaluate_ssd, ContractReport, ContractTerm, TermVerdict};

@@ -1,8 +1,8 @@
 //! Table 2: ratio of sequential to random bandwidth for an HDD and the five
 //! SSD device profiles.
 
+use crate::hdd::{Hdd, HddConfig};
 use ossd_block::{replay_closed, DeviceError, HostInterface};
-use ossd_hdd::{Hdd, HddConfig};
 use ossd_ssd::{DeviceProfile, Ssd};
 
 use crate::contract::{scattered_requests, sequential_requests};

@@ -7,15 +7,15 @@
 //! logical page boundaries".  On a fully random stream both behave the same;
 //! as sequentiality grows, alignment wins by more than 50%.
 
+use crate::workload::{InterArrival, SyntheticConfig};
 use ossd_block::{BlockRequest, DeviceError};
 use ossd_sim::{SimDuration, SimTime};
 use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
-use ossd_workload::{InterArrival, SyntheticConfig};
 
 use super::{col, device, fill, geometry, mean_response_ms, ExperimentError, Report, Scale, Table};
 
 /// The logical page (stripe) size of the simulated device.
-pub const LOGICAL_PAGE: u64 = 32 * 1024;
+pub(crate) const LOGICAL_PAGE: u64 = 32 * 1024;
 
 /// One row of Table 3 (one sequentiality setting).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,7 +38,7 @@ impl Table3Row {
 /// The simulated striped device used by both alignment studies (Tables 3
 /// and 4): eight packages in one gang, 32 KB logical page, with the
 /// device-side merge-and-align scheme switchable via `coalesce`.
-pub fn device_config_for_alignment(scale: Scale, coalesce: bool) -> SsdConfig {
+pub(crate) fn device_config_for_alignment(scale: Scale, coalesce: bool) -> SsdConfig {
     let name = format!("table3-{}", if coalesce { "aligned" } else { "unaligned" });
     SsdConfig {
         mapping: MappingKind::StripeMapped {

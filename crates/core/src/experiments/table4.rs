@@ -7,10 +7,10 @@
 //! synthetic reconstructions (see `ossd-workload`), so the reproduced
 //! numbers match in *ordering and magnitude class*, not to two decimals.
 
+use crate::workload::{ExchangeConfig, IozoneConfig, PostmarkConfig, TpccConfig};
 use ossd_block::{BlockRequest, DeviceError, Trace};
 use ossd_sim::improvement_percent;
 use ossd_ssd::{SchedulerKind, Ssd};
-use ossd_workload::{ExchangeConfig, IozoneConfig, PostmarkConfig, TpccConfig};
 
 use super::table3::{device_config_for_alignment, LOGICAL_PAGE};
 use super::{col, ExperimentError, Report, Scale, Table};
@@ -143,15 +143,6 @@ pub fn run(scale: Scale) -> Result<Vec<Table4Row>, DeviceError> {
     ])
 }
 
-/// Sanity helper used by tests and the bench harness: the device capacity
-/// must exceed the largest workload footprint plus the metadata shift.
-pub fn required_capacity(scale: Scale) -> u64 {
-    scale.bytes(24 * 1024 * 1024, 128 * 1024 * 1024)
-        + scale.bytes(4 * 1024 * 1024, 16 * 1024 * 1024)
-        + FS_METADATA_OFFSET
-        + LOGICAL_PAGE
-}
-
 /// Table 4 as a report, with the paper's improvements.
 pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
     let mut table = Table::of(
@@ -222,12 +213,5 @@ mod tests {
             assert!(v > -10.0, "{name} regressed by {v:.1}%");
             assert!(v < 30.0, "{name} improvement {v:.1}% implausibly large");
         }
-    }
-
-    #[test]
-    fn device_fits_the_workloads() {
-        let config = device_config_for_alignment(Scale::Quick, true);
-        let capacity = (config.geometry.capacity_bytes() as f64 * 0.9) as u64;
-        assert!(capacity > required_capacity(Scale::Quick));
     }
 }

@@ -13,10 +13,10 @@
 //! several times and garbage collection is active, which is the regime the
 //! paper measures.
 
+use crate::workload::PostmarkConfig;
 use ossd_block::{replay_open, DeviceError};
 use ossd_ftl::FtlConfig;
 use ossd_ssd::{Ssd, SsdConfig};
-use ossd_workload::PostmarkConfig;
 
 use super::{col, device, geometry, ExperimentError, Report, Scale, Table};
 
@@ -83,7 +83,7 @@ fn postmark_config(scale: Scale, transactions: usize) -> PostmarkConfig {
 }
 
 /// Transaction counts for the four columns of Table 5.
-pub fn transaction_counts(scale: Scale) -> [usize; 4] {
+pub(crate) fn transaction_counts(scale: Scale) -> [usize; 4] {
     match scale {
         Scale::Quick => [2000, 2500, 3000, 3500],
         Scale::Paper => [5000, 6000, 7000, 8000],

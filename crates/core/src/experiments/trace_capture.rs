@@ -28,7 +28,7 @@ pub use super::latency_blame::INITIATORS;
 /// The capture artifacts plus the summary numbers the binary prints and the
 /// tests assert on.
 #[derive(Clone, Debug)]
-pub struct TraceCapture {
+pub(crate) struct TraceCapture {
     /// The Chrome-trace-event JSON document (open it in Perfetto).
     pub trace_json: String,
     /// The metrics time-series as CSV.
@@ -55,7 +55,7 @@ pub struct TraceCapture {
 /// on the trace.  The recorder is attached after the prefill: the capture
 /// shows the steady-state workload, and the bounded ring keeps the earliest
 /// events when it overflows.
-pub fn run(scale: Scale) -> Result<TraceCapture, ExperimentError> {
+pub(crate) fn run(scale: Scale) -> Result<TraceCapture, ExperimentError> {
     let config = latency_blame::device_config(scale, "trace-capture", None);
     let elements = config.elements();
     let mut ssd = Ssd::new(config).map_err(DeviceError::from)?;
@@ -134,7 +134,7 @@ pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
 /// must parse, every element track and every initiator track must carry at
 /// least one complete (`"ph":"X"`) span, and the CSV must hold at least
 /// five sampled series.  Returns a description of the first violation.
-pub fn validate(capture: &TraceCapture) -> Result<(), String> {
+pub(crate) fn validate(capture: &TraceCapture) -> Result<(), String> {
     let doc = json::Value::parse(&capture.trace_json)
         .map_err(|e| format!("trace JSON does not parse: {e}"))?;
     let events = doc

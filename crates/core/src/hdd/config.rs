@@ -59,22 +59,17 @@ impl HddConfig {
     }
 
     /// Full revolution time.
-    pub fn rotation_time(&self) -> SimDuration {
+    pub(crate) fn rotation_time(&self) -> SimDuration {
         if self.rpm == 0 {
             return SimDuration::ZERO;
         }
         SimDuration::from_secs_f64(60.0 / self.rpm as f64)
     }
 
-    /// Average rotational latency (half a revolution).
-    pub fn avg_rotational_latency(&self) -> SimDuration {
-        self.rotation_time() / 2
-    }
-
     /// Media rate at a given byte offset: interpolates linearly from the
     /// outer (fast) zone at offset 0 to the inner (slow) zone at the end of
     /// the device, modelling zoned recording (§3.3).
-    pub fn media_rate_at(&self, offset: u64) -> u64 {
+    pub(crate) fn media_rate_at(&self, offset: u64) -> u64 {
         if self.capacity_bytes == 0 {
             return self.outer_zone_bytes_per_sec;
         }
@@ -87,7 +82,7 @@ impl HddConfig {
     /// Seek time for a given seek distance, expressed as a fraction of the
     /// full stroke.  Uses the standard square-root-of-distance model with a
     /// minimum of the track-to-track time; zero distance means no seek.
-    pub fn seek_time(&self, distance_fraction: f64) -> SimDuration {
+    pub(crate) fn seek_time(&self, distance_fraction: f64) -> SimDuration {
         if distance_fraction <= 0.0 {
             return SimDuration::ZERO;
         }
@@ -106,7 +101,6 @@ mod tests {
     fn rotation_times() {
         let c = HddConfig::default();
         assert!((c.rotation_time().as_millis_f64() - 8.333).abs() < 0.01);
-        assert!((c.avg_rotational_latency().as_millis_f64() - 4.166).abs() < 0.01);
         let zero = HddConfig {
             rpm: 0,
             ..HddConfig::default()

@@ -7,7 +7,7 @@ use ossd_block::{
 use ossd_sim::engine::{Controller, DispatchedOp};
 use ossd_sim::{Server, SimDuration, SimRng, SimTime};
 
-use crate::config::HddConfig;
+use super::config::HddConfig;
 
 /// Cumulative disk statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -16,14 +16,21 @@
 //!   disk and a simulated SSD.
 //! * [`experiments`] — drivers that regenerate every table and figure of the
 //!   paper's evaluation (Tables 2–6, Figures 2–3, §3.2's scheduler study),
-//!   shared by the benchmark binaries and the integration tests.
+//!   shared by the `ossd-exp` binary and the integration tests.
+//!
+//! Two modules hold what those drivers run against besides the SSD:
+//!
+//! * [`hdd`] — the analytic disk simulator, the paper's baseline device.
+//! * [`workload`] — the synthetic and macro-benchmark workload generators.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod contract;
 pub mod experiments;
+pub mod hdd;
 pub mod osd;
+pub mod workload;
 
 pub use contract::{ContractReport, ContractTerm, TermVerdict};
 pub use experiments::Scale;

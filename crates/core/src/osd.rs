@@ -28,11 +28,11 @@
 
 use std::collections::BTreeMap;
 
+use crate::workload::fslite::{FsError, FsLite};
 use ossd_block::{Completion, HostCommand, HostInterface, HostQueue, Priority, WriteHint};
 use ossd_ftl::FtlConfig;
 use ossd_sim::SimTime;
 use ossd_ssd::{Ssd, SsdConfig, SsdError, SsdStats};
-use ossd_workload::fslite::{FsError, FsLite};
 
 pub use ossd_block::{ObjectAttrs as ObjectAttributes, StreamTemperature as Temperature};
 
@@ -121,7 +121,7 @@ impl From<SsdError> for OsdError {
 #[derive(Clone, Debug)]
 struct ObjectState {
     /// File id inside the internal allocator.
-    file: ossd_workload::fslite::FileId,
+    file: crate::workload::fslite::FileId,
     size: u64,
     attrs: ObjectAttributes,
 }
@@ -188,16 +188,6 @@ impl OsdDevice {
         self.objects.len()
     }
 
-    /// Current size of an object in bytes.
-    pub fn object_size(&self, object: ObjectId) -> Result<u64, OsdError> {
-        Ok(self.state(object)?.size)
-    }
-
-    /// The attributes of an object.
-    pub fn get_attributes(&self, object: ObjectId) -> Result<ObjectAttributes, OsdError> {
-        Ok(self.state(object)?.attrs)
-    }
-
     /// Replaces the attributes of an object.
     pub fn set_attributes(
         &mut self,
@@ -234,7 +224,7 @@ impl OsdDevice {
 
     /// Creates an empty object under a host-chosen id (the
     /// [`HostCommand::ObjectCreate`] path).
-    pub fn create_object_with_id(
+    pub(crate) fn create_object_with_id(
         &mut self,
         object: ObjectId,
         attrs: ObjectAttributes,
@@ -258,7 +248,7 @@ impl OsdDevice {
                 // A zero-byte create can only fail on a zero-capacity device;
                 // fall back to an empty placeholder id that the first write
                 // will replace.
-                ossd_workload::fslite::FileId(u64::MAX)
+                crate::workload::fslite::FileId(u64::MAX)
             });
         self.objects.insert(
             id,
@@ -532,10 +522,10 @@ mod tests {
     fn create_write_read_roundtrip() {
         let mut dev = osd();
         let obj = dev.create_object(ObjectAttributes::default());
-        assert_eq!(dev.object_size(obj).unwrap(), 0);
+        assert_eq!(dev.state(obj).unwrap().size, 0);
         let w = dev.write(obj, 0, 16 * 1024, SimTime::ZERO).unwrap();
         assert!(w.finish > SimTime::ZERO);
-        assert_eq!(dev.object_size(obj).unwrap(), 16 * 1024);
+        assert_eq!(dev.state(obj).unwrap().size, 16 * 1024);
         let r = dev.read(obj, 4096, 8192, dev.now()).unwrap();
         assert!(r.finish >= w.finish);
         assert_eq!(dev.object_count(), 1);
@@ -571,10 +561,7 @@ mod tests {
         ));
         // Reads still work.
         dev.read(obj, 0, 4096, dev.now()).unwrap();
-        assert_eq!(
-            dev.get_attributes(obj).unwrap().temperature,
-            Temperature::Cold
-        );
+        assert_eq!(dev.state(obj).unwrap().attrs.temperature, Temperature::Cold);
     }
 
     #[test]
@@ -602,7 +589,7 @@ mod tests {
     fn high_priority_objects_issue_high_priority_requests() {
         let mut dev = osd();
         let obj = dev.create_object(ObjectAttributes::high_priority());
-        assert_eq!(dev.get_attributes(obj).unwrap().priority, Priority::High);
+        assert_eq!(dev.state(obj).unwrap().attrs.priority, Priority::High);
         dev.write(obj, 0, 4096, SimTime::ZERO).unwrap();
         // The write succeeded; priority is carried per-request (observable
         // through priority-aware cleaning in the experiments).
@@ -616,10 +603,10 @@ mod tests {
         for i in 0..8u64 {
             dev.write(obj, i * 4096, 4096, dev.now()).unwrap();
         }
-        assert_eq!(dev.object_size(obj).unwrap(), 8 * 4096);
+        assert_eq!(dev.state(obj).unwrap().size, 8 * 4096);
         // Overwrites inside the existing size do not grow the object.
         dev.write(obj, 0, 4096, dev.now()).unwrap();
-        assert_eq!(dev.object_size(obj).unwrap(), 8 * 4096);
+        assert_eq!(dev.state(obj).unwrap().size, 8 * 4096);
     }
 
     #[test]
@@ -672,7 +659,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            dev.get_attributes(ObjectId(42)).unwrap().priority,
+            dev.state(ObjectId(42)).unwrap().attrs.priority,
             Priority::High
         );
         // Creating the same id again fails loudly.
@@ -737,6 +724,6 @@ mod tests {
         assert_eq!(w.arrival, SimTime::from_micros(5));
         let r = dev.read(obj, 0, 0, SimTime::from_micros(6)).unwrap();
         assert_eq!(r.finish, SimTime::from_micros(6));
-        assert_eq!(dev.object_size(obj).unwrap(), 0);
+        assert_eq!(dev.state(obj).unwrap().size, 0);
     }
 }

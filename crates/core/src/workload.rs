@@ -12,25 +12,21 @@
 //!   (large sequential file writes) — used by Tables 4 and 5.
 //!
 //! Macro workloads that create and delete files route their allocations
-//! through [`fslite::FsLite`], a miniature extent allocator, so the emitted
+//! through `fslite::FsLite`, a miniature extent allocator, so the emitted
 //! traces contain realistic *free* (TRIM-style) notifications — the
 //! information informed cleaning (§3.5) depends on.
 //!
 //! All generators are deterministic given their seed.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod exchange;
-pub mod fslite;
-pub mod iozone;
+pub(crate) mod exchange;
+pub(crate) mod fslite;
+pub(crate) mod iozone;
 pub mod postmark;
 pub mod synthetic;
 pub mod tpcc;
 
-pub use exchange::ExchangeConfig;
-pub use fslite::FsLite;
-pub use iozone::IozoneConfig;
+pub(crate) use exchange::ExchangeConfig;
+pub(crate) use iozone::IozoneConfig;
 pub use postmark::PostmarkConfig;
 pub use synthetic::{InterArrival, SyntheticConfig};
 pub use tpcc::TpccConfig;

@@ -12,7 +12,7 @@ use ossd_sim::SimRng;
 
 /// Exchange model parameters.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ExchangeConfig {
+pub(crate) struct ExchangeConfig {
     /// Number of client operations.
     pub operations: usize,
     /// Mailbox database size in bytes.
@@ -55,7 +55,7 @@ impl Default for ExchangeConfig {
 
 impl ExchangeConfig {
     /// Generates the block trace.
-    pub fn generate(&self) -> Trace {
+    pub(crate) fn generate(&self) -> Trace {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut trace = Trace::new(format!("exchange-{}", self.operations));
         let pages = (self.database_bytes / self.page_bytes).max(1) as usize;
@@ -107,11 +107,6 @@ impl ExchangeConfig {
         }
         trace
     }
-
-    /// Total volume size the trace assumes.
-    pub fn volume_bytes(&self) -> u64 {
-        self.database_bytes + self.log_bytes
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +123,7 @@ mod tests {
         let stats = trace.stats();
         assert!(stats.reads > 0 && stats.writes > 0);
         assert_eq!(stats.frees, 0);
-        assert!(stats.max_offset <= cfg.volume_bytes());
+        assert!(stats.max_offset <= cfg.database_bytes + cfg.log_bytes);
         // Database accesses are 32 KB.
         let db_sizes: Vec<u64> = trace
             .ops

@@ -14,11 +14,11 @@ use ossd_block::ByteRange;
 
 /// Identifier of a file inside an [`FsLite`] instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FileId(pub u64);
+pub(crate) struct FileId(pub u64);
 
 /// Errors the allocator can report.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FsError {
+pub(crate) enum FsError {
     /// Not enough contiguous-or-fragmented free space for an allocation.
     OutOfSpace {
         /// Bytes requested.
@@ -50,7 +50,7 @@ impl std::error::Error for FsError {}
 /// cursor, as Ext-style allocators use, so freed space is not immediately
 /// reused), with per-file extent lists.
 #[derive(Clone, Debug)]
-pub struct FsLite {
+pub(crate) struct FsLite {
     block_bytes: u64,
     capacity_bytes: u64,
     /// Free extents keyed by start offset (coalesced on free).
@@ -64,7 +64,7 @@ pub struct FsLite {
 impl FsLite {
     /// Creates an empty file system over `capacity_bytes`, allocating in
     /// units of `block_bytes`.
-    pub fn new(capacity_bytes: u64, block_bytes: u64) -> Self {
+    pub(crate) fn new(capacity_bytes: u64, block_bytes: u64) -> Self {
         let block = block_bytes.max(1);
         let usable = (capacity_bytes / block) * block;
         let mut free = BTreeMap::new();
@@ -82,40 +82,30 @@ impl FsLite {
     }
 
     /// Total capacity managed.
-    pub fn capacity_bytes(&self) -> u64 {
+    pub(crate) fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
     }
 
     /// Bytes currently free.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.free.values().sum()
     }
 
     /// Bytes currently allocated to files.
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.capacity_bytes - self.free_bytes()
     }
 
-    /// Number of live files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// The extents of a file, in allocation order.
-    pub fn extents(&self, file: FileId) -> Result<&[ByteRange], FsError> {
+    pub(crate) fn extents(&self, file: FileId) -> Result<&[ByteRange], FsError> {
         self.files
             .get(&file)
             .map(|v| v.as_slice())
             .ok_or(FsError::NoSuchFile { file })
     }
 
-    /// Logical size of a file in bytes.
-    pub fn file_size(&self, file: FileId) -> Result<u64, FsError> {
-        Ok(self.extents(file)?.iter().map(|e| e.len).sum())
-    }
-
     /// All live file ids (ascending).
-    pub fn file_ids(&self) -> Vec<FileId> {
+    pub(crate) fn file_ids(&self) -> Vec<FileId> {
         self.files.keys().copied().collect()
     }
 
@@ -184,7 +174,7 @@ impl FsLite {
 
     /// Creates a file of `bytes` and returns its id together with the
     /// extents that must be written to materialise it on the device.
-    pub fn create(&mut self, bytes: u64) -> Result<(FileId, Vec<ByteRange>), FsError> {
+    pub(crate) fn create(&mut self, bytes: u64) -> Result<(FileId, Vec<ByteRange>), FsError> {
         let extents = self.allocate(bytes)?;
         let id = FileId(self.next_file);
         self.next_file += 1;
@@ -193,7 +183,7 @@ impl FsLite {
     }
 
     /// Appends `bytes` to a file, returning the newly allocated extents.
-    pub fn append(&mut self, file: FileId, bytes: u64) -> Result<Vec<ByteRange>, FsError> {
+    pub(crate) fn append(&mut self, file: FileId, bytes: u64) -> Result<Vec<ByteRange>, FsError> {
         if !self.files.contains_key(&file) {
             return Err(FsError::NoSuchFile { file });
         }
@@ -207,7 +197,7 @@ impl FsLite {
 
     /// Deletes a file, returning the extents that are now free (and should
     /// be reported to the device as `Free` notifications).
-    pub fn delete(&mut self, file: FileId) -> Result<Vec<ByteRange>, FsError> {
+    pub(crate) fn delete(&mut self, file: FileId) -> Result<Vec<ByteRange>, FsError> {
         let extents = self
             .files
             .remove(&file)
@@ -231,10 +221,13 @@ mod tests {
     fn create_allocates_rounded_extents() {
         let mut f = fs();
         let (id, extents) = f.create(10_000).unwrap();
-        assert_eq!(f.file_size(id).unwrap(), 12_288); // rounded to 3 blocks
+        assert_eq!(
+            f.extents(id).unwrap().iter().map(|e| e.len).sum::<u64>(),
+            12_288
+        ); // rounded to 3 blocks
         assert_eq!(extents.iter().map(|e| e.len).sum::<u64>(), 12_288);
         assert_eq!(f.used_bytes(), 12_288);
-        assert_eq!(f.file_count(), 1);
+        assert_eq!(f.files.len(), 1);
     }
 
     #[test]
@@ -244,7 +237,7 @@ mod tests {
         let freed = f.delete(id).unwrap();
         assert_eq!(freed.iter().map(|e| e.len).sum::<u64>(), 8192);
         assert_eq!(f.used_bytes(), 0);
-        assert_eq!(f.file_count(), 0);
+        assert_eq!(f.files.len(), 0);
         assert!(matches!(f.delete(id), Err(FsError::NoSuchFile { .. })));
     }
 
@@ -253,7 +246,10 @@ mod tests {
         let mut f = fs();
         let (id, _) = f.create(4096).unwrap();
         f.append(id, 4096).unwrap();
-        assert_eq!(f.file_size(id).unwrap(), 8192);
+        assert_eq!(
+            f.extents(id).unwrap().iter().map(|e| e.len).sum::<u64>(),
+            8192
+        );
         assert_eq!(f.extents(id).unwrap().len(), 2);
         assert!(matches!(
             f.append(FileId(999), 1),
@@ -319,6 +315,6 @@ mod tests {
             f.delete(*id).unwrap();
         }
         assert_eq!(f.used_bytes() + f.free_bytes(), f.capacity_bytes());
-        assert_eq!(f.file_ids().len(), f.file_count());
+        assert_eq!(f.file_ids().len(), 9);
     }
 }

@@ -12,7 +12,7 @@ use ossd_sim::SimRng;
 
 /// IOzone model parameters.
 #[derive(Clone, Debug, PartialEq)]
-pub struct IozoneConfig {
+pub(crate) struct IozoneConfig {
     /// Size of the test file in bytes.
     pub file_bytes: u64,
     /// Record (request) size in bytes.
@@ -45,7 +45,7 @@ impl Default for IozoneConfig {
 
 impl IozoneConfig {
     /// Generates the block trace: write, rewrite, read, then random mix.
-    pub fn generate(&self) -> Trace {
+    pub(crate) fn generate(&self) -> Trace {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut trace = Trace::new("iozone".to_string());
         let record = self.record_bytes.max(4096);

@@ -11,7 +11,7 @@
 use ossd_block::{Trace, TraceKind, TraceOp};
 use ossd_sim::SimRng;
 
-use crate::fslite::FsLite;
+use super::fslite::FsLite;
 
 /// Postmark model parameters (defaults follow the benchmark's classic
 /// configuration scaled to the paper's transaction counts).
@@ -64,14 +64,6 @@ impl Default for PostmarkConfig {
 }
 
 impl PostmarkConfig {
-    /// The Table 5 configurations: `transactions` ∈ {5000, 6000, 7000, 8000}.
-    pub fn paper_table5(transactions: usize) -> Self {
-        PostmarkConfig {
-            transactions,
-            ..PostmarkConfig::default()
-        }
-    }
-
     /// Generates the block trace (reads, writes and frees).
     pub fn generate(&self) -> Trace {
         let mut rng = SimRng::seed_from_u64(self.seed);
@@ -179,8 +171,12 @@ mod tests {
 
     #[test]
     fn more_transactions_mean_more_operations() {
-        let small = PostmarkConfig::paper_table5(1000).generate();
-        let large = PostmarkConfig::paper_table5(2000).generate();
+        let with = |transactions| PostmarkConfig {
+            transactions,
+            ..PostmarkConfig::default()
+        };
+        let small = with(1000).generate();
+        let large = with(2000).generate();
         assert!(large.len() > small.len());
         assert!(large.name.contains("2000"));
     }

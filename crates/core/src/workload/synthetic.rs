@@ -112,7 +112,7 @@ impl SyntheticConfig {
 
     /// The QoS workload of §3.6: 4 KB requests, inter-arrival uniform in
     /// `[0, 0.1 ms)`, 10% high-priority, with the given write fraction.
-    pub fn qos_workload(count: usize, write_fraction: f64, working_set_bytes: u64) -> Self {
+    pub(crate) fn qos_workload(count: usize, write_fraction: f64, working_set_bytes: u64) -> Self {
         SyntheticConfig {
             name: format!("qos-{}pct-writes", (write_fraction * 100.0).round()),
             request_count: count,

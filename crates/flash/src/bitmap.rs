@@ -21,7 +21,7 @@ fn for_words(words: &mut [u64], bits: Range<usize>, mut f: impl FnMut(&mut u64, 
 }
 
 /// Sets every bit of `bits`.
-pub fn set_range(words: &mut [u64], bits: Range<usize>) {
+pub(crate) fn set_range(words: &mut [u64], bits: Range<usize>) {
     for_words(words, bits, |word, mask| *word |= mask);
 }
 

@@ -210,7 +210,7 @@ impl Block {
 
     /// Checks that reading `page` would return defined data: anything below
     /// the write pointer, stale pages included.
-    pub fn check_readable(
+    pub(crate) fn check_readable(
         &self,
         element: ElementId,
         block: u32,
@@ -315,11 +315,6 @@ impl Block {
     /// Number of times this block has been erased.
     pub fn erase_count(&self) -> u32 {
         self.erase_count
-    }
-
-    /// Whether the block has exceeded the given endurance.
-    pub fn is_worn_out(&self, endurance: u32) -> bool {
-        self.erase_count >= endurance
     }
 }
 
@@ -445,8 +440,6 @@ mod tests {
             b.erase(0).unwrap();
         }
         assert_eq!(counts(&b).erase_count(), 5);
-        assert!(counts(&b).is_worn_out(5));
-        assert!(!counts(&b).is_worn_out(6));
     }
 
     #[test]

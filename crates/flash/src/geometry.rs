@@ -62,20 +62,6 @@ impl FlashGeometry {
         }
     }
 
-    /// Geometry of one 4 GB SLC package modelled on the Samsung K9XXG08XXM
-    /// large-block part referenced by the paper: 4 planes × 4096 blocks ×
-    /// 64 pages × 4 KB per die.
-    pub fn one_package_4gb() -> Self {
-        FlashGeometry {
-            packages: 1,
-            dies_per_package: 1,
-            planes_per_die: 4,
-            blocks_per_plane: 4096,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        }
-    }
-
     /// Geometry used by the paper's 32 GB simulated SSD: one gang of eight
     /// 4 GB packages (§3.4).
     pub fn gang_of_eight_4gb() -> Self {
@@ -118,7 +104,7 @@ impl FlashGeometry {
     }
 
     /// Total number of physical blocks.
-    pub fn total_blocks(&self) -> u64 {
+    pub(crate) fn total_blocks(&self) -> u64 {
         self.elements() as u64 * self.blocks_per_element() as u64
     }
 
@@ -137,18 +123,8 @@ impl FlashGeometry {
         self.total_pages() * self.page_bytes as u64
     }
 
-    /// The element a package/die pair maps to.
-    pub fn element_of(&self, package: u32, die: u32) -> ElementId {
-        ElementId(package * self.dies_per_package + die)
-    }
-
-    /// The package an element belongs to.
-    pub fn package_of(&self, element: ElementId) -> u32 {
-        element.0 / self.dies_per_package
-    }
-
     /// Validates that an address is within this geometry.
-    pub fn check_addr(&self, addr: PhysPageAddr) -> Result<(), FlashError> {
+    pub(crate) fn check_addr(&self, addr: PhysPageAddr) -> Result<(), FlashError> {
         if addr.element.0 >= self.elements() {
             return Err(FlashError::OutOfRange {
                 what: "element",
@@ -215,28 +191,11 @@ mod tests {
 
     #[test]
     fn paper_geometries_have_expected_capacity() {
-        let one = FlashGeometry::one_package_4gb();
-        assert_eq!(one.capacity_bytes(), 4 * 1024 * 1024 * 1024);
         let gang = FlashGeometry::gang_of_eight_4gb();
         assert_eq!(gang.capacity_bytes(), 32 * 1024 * 1024 * 1024);
         assert_eq!(gang.elements(), 8);
         let two = FlashGeometry::two_packages_8gb();
         assert_eq!(two.capacity_bytes(), 8 * 1024 * 1024 * 1024);
-    }
-
-    #[test]
-    fn element_and_package_mapping_roundtrip() {
-        let g = FlashGeometry {
-            packages: 4,
-            dies_per_package: 2,
-            ..FlashGeometry::tiny()
-        };
-        assert_eq!(g.elements(), 8);
-        assert_eq!(g.element_of(0, 0), ElementId(0));
-        assert_eq!(g.element_of(0, 1), ElementId(1));
-        assert_eq!(g.element_of(3, 1), ElementId(7));
-        assert_eq!(g.package_of(ElementId(7)), 3);
-        assert_eq!(g.package_of(ElementId(2)), 1);
     }
 
     #[test]

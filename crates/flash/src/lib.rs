@@ -21,7 +21,7 @@
 //! any scheduling policy.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod array;
 pub mod bitmap;

@@ -495,7 +495,7 @@ impl Fleet {
     }
 
     /// Indices of the live member devices, ascending.
-    pub fn live_indices(&self) -> Vec<usize> {
+    pub(crate) fn live_indices(&self) -> Vec<usize> {
         self.slots
             .iter()
             .enumerate()
@@ -587,12 +587,6 @@ impl Fleet {
     /// per-device queue-depth signal for the metrics series).
     pub fn last_fanout(&self) -> &[u32] {
         &self.last_fanout
-    }
-
-    /// Max per-initiator command count of the last serve session — the
-    /// host-pressure signal fed to the rebuild governor.
-    pub fn last_pressure(&self) -> u32 {
-        self.last_pressure
     }
 
     /// Total bytes copied onto rebuild targets by [`Fleet::rebuild_range`]

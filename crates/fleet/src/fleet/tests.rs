@@ -42,7 +42,7 @@ fn a_rejected_session_leaves_the_last_sessions_signals_alone() {
     assert_eq!(drained(&mut queues), 6);
     let log = fleet.last_session_log().to_vec();
     let fanout = fleet.last_fanout().to_vec();
-    let pressure = fleet.last_pressure();
+    let pressure = fleet.last_pressure;
     assert!(!log.is_empty() && fanout.iter().all(|&n| n > 0) && pressure == 3);
 
     let capacity = fleet.capacity_bytes();
@@ -59,7 +59,7 @@ fn a_rejected_session_leaves_the_last_sessions_signals_alone() {
         assert!(fleet.serve(&mut queues).is_err(), "{what}");
         assert_eq!(fleet.last_session_log(), log, "{what}");
         assert_eq!(fleet.last_fanout(), fanout, "{what}");
-        assert_eq!(fleet.last_pressure(), pressure, "{what}");
+        assert_eq!(fleet.last_pressure, pressure, "{what}");
         // Every submission stayed queued, nothing was posted.
         let queued: usize = queues.iter().map(|q| q.pending_submissions()).sum();
         assert_eq!((queued, drained(&mut queues)), (2, 0), "{what}");

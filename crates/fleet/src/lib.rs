@@ -44,7 +44,7 @@
 //! pipeline.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod config;
 pub mod fleet;
@@ -55,7 +55,7 @@ pub mod telemetry;
 
 pub use config::{FleetConfig, FleetLayout};
 pub use fleet::{Fleet, FleetSubCompletion};
-pub use parity::{DegradedView, ParityGeometry, ParityModel, ParityPlan, ScrubReport, SubOpKind};
-pub use qos::{RebuildGovernor, RebuildQos};
-pub use router::{split_striped, striped_capacity, DeviceSlice};
+pub use parity::{DegradedView, ParityGeometry, ParityPlan, ScrubReport, SubOpKind};
+pub use qos::RebuildQos;
+pub use router::{split_striped, DeviceSlice};
 pub use telemetry::{fleet_chrome_trace, FleetSample, FleetSeries};

@@ -35,7 +35,7 @@
 //!
 //! The simulator's protocol is timing-only — commands carry no payloads —
 //! so "degraded reads return the pre-failure data" cannot be checked at
-//! the device level.  [`ParityModel`] keeps one `u64` fingerprint per
+//! the device level.  `ParityModel` keeps one `u64` fingerprint per
 //! stored unit per device plus an oracle of every exported unit's expected
 //! fingerprint, mirrors the parity math the array performs (incremental
 //! XOR updates, loss on failure, XOR reconstruction on rebuild), and lets
@@ -54,7 +54,7 @@ pub struct ParityGeometry {
 
 impl ParityGeometry {
     /// Data units per row (`devices - 1`).
-    pub fn data_units(&self) -> u64 {
+    pub(crate) fn data_units(&self) -> u64 {
         self.devices as u64 - 1
     }
 
@@ -97,7 +97,7 @@ impl ParityGeometry {
     }
 
     /// Exported unit index of `(row, slot)` (the content-model address).
-    pub fn unit_index(&self, row: u64, slot: u64) -> u64 {
+    pub(crate) fn unit_index(&self, row: u64, slot: u64) -> u64 {
         row * self.data_units() + slot
     }
 }
@@ -115,7 +115,7 @@ pub struct DegradedView {
 
 impl DegradedView {
     /// Whether `device`'s unit of `row` must be routed around.
-    pub fn is_degraded(&self, device: usize, row: u64) -> bool {
+    pub(crate) fn is_degraded(&self, device: usize, row: u64) -> bool {
         device == self.device && row >= self.rebuilt_rows
     }
 }
@@ -177,7 +177,7 @@ pub fn plan(
 /// the plan's coalesced, sorted sub-operations, so a router planning one
 /// command after another allocates nothing.  Returns the plan's
 /// `(degraded_rows, reconstruction_read_bytes)`.
-pub fn plan_into(
+pub(crate) fn plan_into(
     ops: &mut Vec<SubOp>,
     geom: &ParityGeometry,
     degraded: Option<DegradedView>,
@@ -401,7 +401,7 @@ pub fn plan_into(
 /// The read windows [`plan`] issues on `device` for this command —
 /// re-derived so the uncorrectable-repair path knows exactly which
 /// device-local bytes a failed read sub-command covered.
-pub fn read_specs(
+pub(crate) fn read_specs(
     geom: &ParityGeometry,
     degraded: Option<DegradedView>,
     cmd: SubOpKind,
@@ -473,7 +473,7 @@ impl ScrubReport {
 /// [`ParityModel::rebuild_rows`] reconstructs by XOR of the survivors —
 /// exactly what the device-level rebuild models in time.
 #[derive(Clone, Debug)]
-pub struct ParityModel {
+pub(crate) struct ParityModel {
     geom: ParityGeometry,
     rows: u64,
     /// `stored[device][row]`: fingerprint of the unit the device holds.
@@ -493,7 +493,7 @@ fn mix(mut x: u64) -> u64 {
 
 impl ParityModel {
     /// A model for `rows` rows of the given geometry, all-zero content.
-    pub fn new(geom: ParityGeometry, rows: u64) -> Self {
+    pub(crate) fn new(geom: ParityGeometry, rows: u64) -> Self {
         ParityModel {
             geom,
             rows,
@@ -504,7 +504,7 @@ impl ParityModel {
     }
 
     /// Applies one exported-range write under the given degraded view.
-    pub fn apply_write(&mut self, range: ByteRange, degraded: Option<DegradedView>) {
+    pub(crate) fn apply_write(&mut self, range: ByteRange, degraded: Option<DegradedView>) {
         let first = range.offset / self.geom.stripe_bytes;
         let last = (range.end() - 1) / self.geom.stripe_bytes;
         for unit in first..=last {
@@ -537,12 +537,12 @@ impl ParityModel {
     }
 
     /// Member `device` failed: its stored units are gone.
-    pub fn fail(&mut self, device: usize) {
+    pub(crate) fn fail(&mut self, device: usize) {
         self.stored[device].fill(0);
     }
 
     /// Reconstructs rows `r0..r1` onto `target` by XOR of the survivors.
-    pub fn rebuild_rows(&mut self, target: usize, r0: u64, r1: u64) {
+    pub(crate) fn rebuild_rows(&mut self, target: usize, r0: u64, r1: u64) {
         for row in r0..r1 {
             let mut acc = 0;
             for (device, units) in self.stored.iter().enumerate() {
@@ -557,7 +557,7 @@ impl ParityModel {
     /// The fingerprint a read of the unit containing exported `offset`
     /// returns: the stored data unit, or its XOR reconstruction when the
     /// owning device is degraded.
-    pub fn read_word(&self, offset: u64, degraded: Option<DegradedView>) -> u64 {
+    pub(crate) fn read_word(&self, offset: u64, degraded: Option<DegradedView>) -> u64 {
         let (row, slot, _) = self.geom.locate(offset);
         let d = self.geom.data_device(row, slot);
         if degraded.is_some_and(|v| v.is_degraded(d, row)) {
@@ -573,14 +573,14 @@ impl ParityModel {
     }
 
     /// The oracle fingerprint for the unit containing exported `offset`.
-    pub fn expected_word(&self, offset: u64) -> u64 {
+    pub(crate) fn expected_word(&self, offset: u64) -> u64 {
         let (row, slot, _) = self.geom.locate(offset);
         self.expected[self.geom.unit_index(row, slot) as usize]
     }
 
     /// Recomputes parity across every row and checks every readable unit
     /// against the oracle (degraded units via reconstruction).
-    pub fn scrub(&self, degraded: Option<DegradedView>) -> ScrubReport {
+    pub(crate) fn scrub(&self, degraded: Option<DegradedView>) -> ScrubReport {
         let mut report = ScrubReport {
             rows: self.rows,
             ..ScrubReport::default()

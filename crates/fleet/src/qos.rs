@@ -3,7 +3,7 @@
 //!
 //! Rebuild copy-back competes with host I/O on the surviving members; an
 //! unthrottled rebuild minimizes the window of reduced redundancy but
-//! wrecks the survivors' tail latency.  [`RebuildGovernor`] lets the
+//! wrecks the survivors' tail latency.  `RebuildGovernor` lets the
 //! caller pick the trade: each rebuild chunk is *admitted* at a sim time
 //! no earlier than its request time, delayed until the token bucket holds
 //! enough bytes (and further, when the host's per-initiator queue depth is
@@ -78,7 +78,7 @@ impl Default for RebuildQos {
 
 /// The stateful admission controller for one fleet's rebuild traffic.
 #[derive(Clone, Debug)]
-pub struct RebuildGovernor {
+pub(crate) struct RebuildGovernor {
     qos: RebuildQos,
     /// Bytes currently in the bucket.
     tokens: u64,
@@ -88,7 +88,7 @@ pub struct RebuildGovernor {
 
 impl RebuildGovernor {
     /// A governor starting with a full bucket.
-    pub fn new(qos: RebuildQos) -> Self {
+    pub(crate) fn new(qos: RebuildQos) -> Self {
         RebuildGovernor {
             qos,
             tokens: qos.burst_bytes,
@@ -103,7 +103,7 @@ impl RebuildGovernor {
     /// driven below a full chunk (chunks larger than the burst simply wait
     /// proportionally), so long-run admitted bandwidth never exceeds the
     /// budget.
-    pub fn admit(&mut self, at: SimTime, bytes: u64, pressure: u32) -> SimTime {
+    pub(crate) fn admit(&mut self, at: SimTime, bytes: u64, pressure: u32) -> SimTime {
         let mut t = at.max(self.refilled);
         if let Some(depth) = self.qos.pressure_depth {
             if pressure >= depth {

@@ -77,12 +77,12 @@ pub(crate) fn striped_slices(
 /// The stripe-aligned capacity each member device contributes to a striped
 /// fleet: full stripe slots only, so every exported stripe maps inside the
 /// device.
-pub fn striped_device_slots(device_capacity: u64, stripe_bytes: u64) -> u64 {
+pub(crate) fn striped_device_slots(device_capacity: u64, stripe_bytes: u64) -> u64 {
     device_capacity / stripe_bytes
 }
 
 /// Exported capacity of a striped fleet.
-pub fn striped_capacity(device_capacity: u64, devices: usize, stripe_bytes: u64) -> u64 {
+pub(crate) fn striped_capacity(device_capacity: u64, devices: usize, stripe_bytes: u64) -> u64 {
     striped_device_slots(device_capacity, stripe_bytes) * stripe_bytes * devices as u64
 }
 

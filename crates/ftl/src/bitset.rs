@@ -119,7 +119,7 @@ impl FixedBitset {
     /// Removes the keys one by one in ascending order, yielding each — a
     /// sorted, de-duplicated list without a sort.  Keys not yet yielded
     /// when the iterator is dropped stay in the set.
-    pub fn drain_ascending(&mut self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn drain_ascending(&mut self) -> impl Iterator<Item = u64> + '_ {
         let mut word = 0;
         std::iter::from_fn(move || {
             while let Some(w) = self.words.get_mut(word) {

@@ -21,7 +21,7 @@
 //! `ossd-ssd` assigns start/finish times to them.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod bitset;
 pub mod config;
@@ -30,7 +30,7 @@ mod indexcheck;
 pub mod pagemap;
 mod pool;
 mod ppn;
-pub mod stripemap;
+pub(crate) mod stripemap;
 pub mod types;
 
 pub use bitset::FixedBitset;

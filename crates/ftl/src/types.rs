@@ -78,7 +78,7 @@ pub enum OpPurpose {
 
 impl OpPurpose {
     /// Whether the operation is non-host work (cleaning or wear-leveling).
-    pub fn is_background(self) -> bool {
+    pub(crate) fn is_background(self) -> bool {
         matches!(
             self,
             OpPurpose::Clean | OpPurpose::BackgroundClean | OpPurpose::WearLevel
@@ -110,7 +110,7 @@ pub struct FlashOp {
 
 impl FlashOp {
     /// Convenience constructor for a host read of one page.
-    pub fn host_read(element: ElementId) -> Self {
+    pub(crate) fn host_read(element: ElementId) -> Self {
         FlashOp {
             element,
             kind: FlashOpKind::ReadPage,
@@ -119,7 +119,7 @@ impl FlashOp {
     }
 
     /// Convenience constructor for a host program of one page.
-    pub fn host_program(element: ElementId) -> Self {
+    pub(crate) fn host_program(element: ElementId) -> Self {
         FlashOp {
             element,
             kind: FlashOpKind::ProgramPage,
@@ -128,7 +128,7 @@ impl FlashOp {
     }
 
     /// Convenience constructor for an ECC read-retry of one page.
-    pub fn host_read_retry(element: ElementId) -> Self {
+    pub(crate) fn host_read_retry(element: ElementId) -> Self {
         FlashOp {
             element,
             kind: FlashOpKind::ReadRetry,
@@ -137,7 +137,7 @@ impl FlashOp {
     }
 
     /// Convenience constructor for a GC copy-back move.
-    pub fn gc_copyback(element: ElementId) -> Self {
+    pub(crate) fn gc_copyback(element: ElementId) -> Self {
         FlashOp {
             element,
             kind: FlashOpKind::CopybackPage,
@@ -161,7 +161,7 @@ impl FlashOp {
     }
 
     /// Convenience constructor for a GC erase.
-    pub fn gc_erase(element: ElementId) -> Self {
+    pub(crate) fn gc_erase(element: ElementId) -> Self {
         FlashOp {
             element,
             kind: FlashOpKind::EraseBlock,
@@ -171,7 +171,7 @@ impl FlashOp {
 
     /// Convenience constructor for a translation-page read (map-cache
     /// miss) on behalf of `purpose`.
-    pub fn map_read(element: ElementId, purpose: OpPurpose) -> Self {
+    pub(crate) fn map_read(element: ElementId, purpose: OpPurpose) -> Self {
         FlashOp {
             element,
             kind: FlashOpKind::MapRead,
@@ -181,7 +181,7 @@ impl FlashOp {
 
     /// Convenience constructor for a translation-page program (writeback
     /// or relocation) on behalf of `purpose`.
-    pub fn map_write(element: ElementId, purpose: OpPurpose) -> Self {
+    pub(crate) fn map_write(element: ElementId, purpose: OpPurpose) -> Self {
         FlashOp {
             element,
             kind: FlashOpKind::MapWrite,

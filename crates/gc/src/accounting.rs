@@ -57,25 +57,6 @@ impl WriteAmpAccounting {
         self.flash_programs() as f64 / self.host_pages as f64
     }
 
-    /// Fraction of all cleaning migrations done in the background (0 when
-    /// no cleaning ran).
-    pub fn background_fraction(&self) -> f64 {
-        let total = self.cleaning_moves + self.background_moves;
-        if total == 0 {
-            return 0.0;
-        }
-        self.background_moves as f64 / total as f64
-    }
-
-    /// Mean host-visible cleaning stall per host page write, in
-    /// microseconds.
-    pub fn stall_micros_per_write(&self) -> f64 {
-        if self.host_pages == 0 {
-            return 0.0;
-        }
-        self.stall_nanos as f64 / 1_000.0 / self.host_pages as f64
-    }
-
     /// Merges another ledger into this one (e.g. per-element ledgers).
     pub fn merge(&mut self, other: &WriteAmpAccounting) {
         self.host_pages += other.host_pages;
@@ -130,10 +111,7 @@ mod tests {
         assert_eq!(acct.flash_programs(), 150);
         assert_eq!(acct.total_erases(), 8);
         assert!((acct.write_amplification() - 1.5).abs() < 1e-12);
-        assert!((acct.background_fraction() - 0.25).abs() < 1e-12);
-        assert!((acct.stall_micros_per_write() - 20.0).abs() < 1e-12);
         assert_eq!(WriteAmpAccounting::default().write_amplification(), 0.0);
-        assert_eq!(WriteAmpAccounting::default().background_fraction(), 0.0);
     }
 
     #[test]

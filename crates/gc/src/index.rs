@@ -69,18 +69,6 @@ impl PickContext {
         }
     }
 
-    /// Returns this context with `exclude` set.
-    pub fn excluding(mut self, block: Option<u32>) -> Self {
-        self.exclude = block;
-        self
-    }
-
-    /// Returns this context with the second exclusion slot set.
-    pub fn excluding2(mut self, block: Option<u32>) -> Self {
-        self.exclude2 = block;
-        self
-    }
-
     /// Whether `block` is excluded from this pick.
     pub fn excludes(&self, block: u32) -> bool {
         Some(block) == self.exclude || Some(block) == self.exclude2
@@ -176,7 +164,7 @@ impl VictimIndex {
     }
 
     /// Number of candidates a pick under `ctx`'s exclusions would consider.
-    pub fn candidates_excluding(&self, ctx: &PickContext) -> usize {
+    pub(crate) fn candidates_excluding(&self, ctx: &PickContext) -> usize {
         let mut excluded = 0usize;
         let mut counted: Option<u32> = None;
         for block in [ctx.exclude, ctx.exclude2].into_iter().flatten() {
@@ -407,7 +395,7 @@ impl VictimIndex {
     /// candidate except the excluded block, in ascending block order,
     /// built in the index's reusable scratch buffer (no allocation once
     /// the buffer is warm).
-    pub fn scan_candidates(&mut self, ctx: &PickContext) -> &[BlockInfo] {
+    pub(crate) fn scan_candidates(&mut self, ctx: &PickContext) -> &[BlockInfo] {
         self.settle_max();
         self.fill_scratch(ctx, true);
         &self.scratch
@@ -421,7 +409,7 @@ impl VictimIndex {
     /// Callers should fall back to [`VictimIndex::pick_greedy`] when the
     /// candidate count (excluding `exclude`) does not exceed the window;
     /// [`crate::CleaningPolicyKind::select_from_index`] does.
-    pub fn pick_windowed(&mut self, window: usize, ctx: &PickContext) -> Option<u32> {
+    pub(crate) fn pick_windowed(&mut self, window: usize, ctx: &PickContext) -> Option<u32> {
         self.settle_max();
         self.fill_scratch(ctx, false);
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -562,14 +550,34 @@ mod tests {
         let legacy = legacy_candidates(&index, &ctx);
         assert_eq!(select_greedy(&legacy), index.pick_greedy(None, None));
         assert_eq!(index.len(), 3);
-        assert_eq!(index.candidates_excluding(&ctx.excluding(Some(3))), 2);
-        assert_eq!(index.candidates_excluding(&ctx.excluding(Some(0))), 3);
         assert_eq!(
-            index.candidates_excluding(&ctx.excluding(Some(3)).excluding2(Some(5))),
+            index.candidates_excluding(&PickContext {
+                exclude: Some(3),
+                ..ctx
+            }),
+            2
+        );
+        assert_eq!(
+            index.candidates_excluding(&PickContext {
+                exclude: Some(0),
+                ..ctx
+            }),
+            3
+        );
+        assert_eq!(
+            index.candidates_excluding(&PickContext {
+                exclude: Some(3),
+                exclude2: Some(5),
+                ..ctx
+            }),
             1
         );
         assert_eq!(
-            index.candidates_excluding(&ctx.excluding(Some(3)).excluding2(Some(3))),
+            index.candidates_excluding(&PickContext {
+                exclude: Some(3),
+                exclude2: Some(3),
+                ..ctx
+            }),
             2,
             "the same block in both slots is excluded once"
         );
@@ -730,7 +738,10 @@ mod tests {
             index.on_program(block, block as u64);
             index.on_invalidate(block);
         }
-        let ctx = PickContext::at(20).excluding(Some(4));
+        let ctx = PickContext {
+            exclude: Some(4),
+            ..PickContext::at(20)
+        };
         let blocks: Vec<u32> = index
             .scan_candidates(&ctx)
             .iter()
@@ -888,7 +899,10 @@ mod tests {
             assert_eq!(index.snapshot(), expected, "step {step}");
             assert_eq!(index.len(), expected.len());
             assert_eq!(index.erase_count(block), model[block as usize].erase);
-            let ctx = PickContext::at(step + 1).excluding(Some(next(BLOCKS)));
+            let ctx = PickContext {
+                exclude: Some(next(BLOCKS)),
+                ..PickContext::at(step + 1)
+            };
             let legacy = legacy_candidates(&index, &ctx);
             let greedy = index.pick_greedy(ctx.exclude, ctx.exclude2);
             assert_eq!(greedy, select_greedy(&legacy), "step {step}");

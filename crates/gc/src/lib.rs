@@ -32,7 +32,7 @@
 //! states.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod accounting;
 pub mod background;

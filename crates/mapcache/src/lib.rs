@@ -50,7 +50,7 @@
 //! equivalence suite pins.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -12,7 +12,7 @@
 //!   scaling), [`EccConfig`] (correctable bits per codeword, read-retry
 //!   budget) and the combined [`ReliabilityConfig`] threaded through
 //!   `SsdConfig` → `FlashArray`.
-//! * [`model`] — [`FaultInjector`] (the seeded random source) and
+//! * [`model`] — `FaultInjector` (the seeded random source) and
 //!   [`ReliabilityModel`] (injector + ECC decode loop), plus
 //!   [`ReadStatus`], the per-read outcome (retries used, corrected bits,
 //!   uncorrectable flag).
@@ -32,10 +32,10 @@
 //! code paths and make zero random draws.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod config;
 pub mod model;
 
 pub use config::{EccConfig, FaultConfig, ReliabilityConfig};
-pub use model::{FaultInjector, ReadStatus, ReliabilityModel};
+pub use model::{ReadStatus, ReliabilityModel};

@@ -34,23 +34,18 @@ impl ReadStatus {
 /// deterministic operation order, so a `(FaultConfig, workload)` pair
 /// reproduces the identical failure sequence on every run.
 #[derive(Clone, Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     rng: SimRng,
     config: FaultConfig,
 }
 
 impl FaultInjector {
     /// Builds an injector seeded from [`FaultConfig::seed`].
-    pub fn new(config: FaultConfig) -> Self {
+    pub(crate) fn new(config: FaultConfig) -> Self {
         FaultInjector {
             rng: SimRng::seed_from_u64(config.seed ^ 0xBAD_B10C_5EED),
             config,
         }
-    }
-
-    /// The configuration the injector draws from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
     }
 
     /// `base · e^(fail_wear_growth · wear)`, clamped to 1.  A zero base is
@@ -66,21 +61,14 @@ impl FaultInjector {
 
     /// Whether a block is factory-marked bad (drawn once per block at array
     /// construction).
-    pub fn factory_bad(&mut self) -> bool {
+    pub(crate) fn factory_bad(&mut self) -> bool {
         self.rng.chance(self.config.factory_bad_prob)
     }
 
-    /// Whether a page program fails on a block at the given wear
-    /// (erase count / endurance).
-    pub fn program_fails(&mut self, wear: f64) -> bool {
-        let p = self.wear_scaled(self.config.program_fail_base, wear);
-        self.rng.chance(p)
-    }
-
     /// How many of `n` consecutive page programs on a block at the given
-    /// wear succeed before the first failure: the draws of calling
-    /// [`FaultInjector::program_fails`] until one fails or `n` have
-    /// succeeded, from one computed probability.
+    /// wear succeed before the first failure: one draw per page against one
+    /// computed failure probability, until one fails or `n` have
+    /// succeeded.
     pub(crate) fn programs_landing(&mut self, wear: f64, n: u32) -> u32 {
         let p = self.wear_scaled(self.config.program_fail_base, wear);
         if p == 0.0 {
@@ -95,7 +83,7 @@ impl FaultInjector {
     }
 
     /// Whether a block erase fails at the given wear.
-    pub fn erase_fails(&mut self, wear: f64) -> bool {
+    pub(crate) fn erase_fails(&mut self, wear: f64) -> bool {
         let p = self.wear_scaled(self.config.erase_fail_base, wear);
         self.rng.chance(p)
     }
@@ -103,7 +91,7 @@ impl FaultInjector {
     /// Mean raw bit errors for a read at the given wear and number of reads
     /// the block has absorbed since its last erase (retention/disturb).  A
     /// zero `raw_ber_base` contributes nothing at any wear.
-    pub fn raw_ber_mean(&self, wear: f64, reads_since_erase: u64) -> f64 {
+    pub(crate) fn raw_ber_mean(&self, wear: f64, reads_since_erase: u64) -> f64 {
         let base = self.config.raw_ber_base;
         let wear_term = if base == 0.0 {
             0.0
@@ -117,7 +105,7 @@ impl FaultInjector {
     /// Samples a raw bit-error count from a Poisson distribution with the
     /// given mean (Knuth's product method; the mean is capped well below
     /// any regime where it matters).
-    pub fn sample_bit_errors(&mut self, mean: f64) -> u32 {
+    pub(crate) fn sample_bit_errors(&mut self, mean: f64) -> u32 {
         if mean <= 0.0 {
             return 0;
         }
@@ -165,9 +153,8 @@ impl ReliabilityModel {
 
     /// How many of `n` consecutive page programs at the given wear land
     /// before the first failure, `n` when none fails.  The failure
-    /// probability is computed once for the run; the draws are those of
-    /// calling [`FaultInjector::program_fails`] until one fails or `n`
-    /// have succeeded.
+    /// probability is computed once for the run, and each page takes one
+    /// draw until one fails or `n` have succeeded.
     pub fn programs_landing(&mut self, wear: f64, n: u32) -> u32 {
         self.injector.programs_landing(wear, n)
     }
@@ -235,6 +222,13 @@ mod tests {
         }
     }
 
+    /// Whether one page program fails: the per-page draw `programs_landing`
+    /// replaced, kept as its reference.
+    fn program_fails(injector: &mut FaultInjector, wear: f64) -> bool {
+        let p = injector.wear_scaled(injector.config.program_fail_base, wear);
+        injector.rng.chance(p)
+    }
+
     /// The run form is the per-page loop it replaced: same landed count and
     /// the random stream left where the loop leaves it (the erase draw
     /// after each run checks that), at wears where failures are common.
@@ -252,7 +246,7 @@ mod tests {
             let wear = (i % 100) as f64 / 100.0;
             let n = i % 40;
             let mut landed = 0;
-            while landed < n && !single.program_fails(wear) {
+            while landed < n && !program_fails(&mut single, wear) {
                 landed += 1;
             }
             assert_eq!(run.programs_landing(wear, n), landed, "run {i}");
@@ -283,12 +277,12 @@ mod tests {
         for wear in [60.0, 100.0, 1e6, f64::MAX] {
             assert_eq!(run.wear_scaled(0.0, wear), 0.0);
             assert_eq!(run.raw_ber_mean(wear, 0), 0.0);
-            assert!(!run.program_fails(wear));
-            assert!(!single.program_fails(wear));
+            assert!(!program_fails(&mut run, wear));
+            assert!(!program_fails(&mut single, wear));
         }
         for (wear, n) in [(60.0, 100), (100.0, 3), (f64::MAX, 7)] {
             assert_eq!(run.programs_landing(wear, n), n);
-            (0..n).for_each(|_| assert!(!single.program_fails(wear)));
+            (0..n).for_each(|_| assert!(!program_fails(&mut single, wear)));
             assert_eq!(run.erase_fails(0.01), single.erase_fails(0.01));
         }
         let mut model = ReliabilityModel::new(&ReliabilityConfig {

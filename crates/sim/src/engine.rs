@@ -185,7 +185,7 @@ pub trait EngineObserver {
 
 /// The do-nothing observer [`run`] uses.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObserver;
+pub(crate) struct NoopObserver;
 
 impl EngineObserver for NoopObserver {}
 

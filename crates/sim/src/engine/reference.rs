@@ -242,7 +242,7 @@ fn arrivals_for(rng: &mut SimRng, coverage: &mut Coverage) -> Vec<SimTime> {
         })
         .collect();
     match rng.next_u64_below(4) {
-        0 => rng.shuffle(&mut arrivals),
+        0 => shuffle(rng, &mut arrivals),
         1 => arrivals
             .iter_mut()
             .for_each(|a| *a = SimTime::from_nanos(100)),
@@ -337,4 +337,12 @@ fn cursor_loop_matches_the_all_in_heap_loop() {
 #[ignore = "long form (~4,000 sessions); CI runs it in release with --ignored"]
 fn cursor_loop_matches_the_all_in_heap_loop_long() {
     assert_covered(&differential(200..4_200));
+}
+
+/// Shuffles a slice in place (Fisher–Yates).
+fn shuffle<T>(rng: &mut SimRng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        let j = rng.next_usize_below(i + 1);
+        items.swap(i, j);
+    }
 }

@@ -77,7 +77,7 @@ impl<T> EventQueue<T> {
     }
 
     /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
 

@@ -86,14 +86,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The value of a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Escapes a string into a quoted JSON string literal.
@@ -368,10 +360,7 @@ mod tests {
             v.get("b").unwrap().get("c").and_then(Value::as_str),
             Some("hi\nthere")
         );
-        assert_eq!(
-            v.get("b").unwrap().get("d").and_then(Value::as_bool),
-            Some(true)
-        );
+        assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Bool(true)));
         assert_eq!(v.get("e"), Some(&Value::Null));
     }
 

@@ -25,7 +25,7 @@
 //! threads, no I/O, no `unsafe`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod engine;
 pub mod event;
@@ -35,11 +35,9 @@ pub mod server;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Controller, DispatchedOp, EngineObserver, NoopObserver};
+pub use engine::{Controller, DispatchedOp, EngineObserver};
 pub use event::EventQueue;
 pub use rng::{derive_stream_seed, SimRng};
 pub use server::{Server, Service};
-pub use stats::{
-    improvement_percent, nearest_rank, LatencySample, LatencyStats, Summary, Throughput,
-};
+pub use stats::{improvement_percent, nearest_rank, LatencyStats, Summary, Throughput};
 pub use time::{SimDuration, SimTime};

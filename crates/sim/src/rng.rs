@@ -83,13 +83,6 @@ impl SimRng {
         result
     }
 
-    /// Derives an independent child generator; useful to give each workload
-    /// phase or device its own stream without correlated draws.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let seed = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from_u64(seed)
-    }
-
     /// Uniform integer in `[0, bound)`. Returns 0 when `bound == 0`.
     pub fn next_u64_below(&mut self, bound: u64) -> u64 {
         if bound == 0 {
@@ -182,17 +175,6 @@ impl SimRng {
         } else {
             let idx = self.next_usize_below(items.len());
             Some(&items[idx])
-        }
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.len() < 2 {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.next_usize_below(i + 1);
-            items.swap(i, j);
         }
     }
 }
@@ -296,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle() {
+    fn choose_picks_a_member() {
         let mut rng = SimRng::seed_from_u64(23);
         let items = [1, 2, 3, 4, 5];
         for _ in 0..100 {
@@ -305,14 +287,6 @@ mod tests {
         }
         let empty: [u32; 0] = [];
         assert!(rng.choose(&empty).is_none());
-
-        let mut v: Vec<u32> = (0..100).collect();
-        let orig = v.clone();
-        rng.shuffle(&mut v);
-        assert_ne!(v, orig);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, orig);
     }
 
     #[test]
@@ -338,16 +312,6 @@ mod tests {
         let va: Vec<u64> = (0..32).map(|_| a.next_u64_below(1000)).collect();
         let vb: Vec<u64> = (0..32).map(|_| b.next_u64_below(1000)).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = SimRng::seed_from_u64(99);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let v1: Vec<u64> = (0..16).map(|_| c1.next_u64_below(u64::MAX)).collect();
-        let v2: Vec<u64> = (0..16).map(|_| c2.next_u64_below(u64::MAX)).collect();
-        assert_ne!(v1, v2);
     }
 
     #[test]

@@ -87,17 +87,6 @@ impl Server {
         (first, last_completion)
     }
 
-    /// Reserves the server until at least `until` without counting an
-    /// operation (used to model background activity blocking a resource).
-    pub fn block_until(&mut self, until: SimTime) {
-        if until > self.next_free {
-            self.busy_total = self
-                .busy_total
-                .saturating_add(until.saturating_since(self.next_free));
-            self.next_free = until;
-        }
-    }
-
     /// Total busy time accumulated.
     pub fn busy_total(&self) -> SimDuration {
         self.busy_total
@@ -189,18 +178,6 @@ mod tests {
             assert_eq!(run.busy_total(), single.busy_total());
             assert_eq!(run.served_ops(), single.served_ops());
         }
-    }
-
-    #[test]
-    fn block_until_extends_busy() {
-        let mut s = Server::new();
-        s.block_until(SimTime::from_micros(40));
-        assert_eq!(s.next_free(), SimTime::from_micros(40));
-        assert_eq!(s.busy_total(), SimDuration::from_micros(40));
-        // Blocking to an earlier time is a no-op.
-        s.block_until(SimTime::from_micros(10));
-        assert_eq!(s.next_free(), SimTime::from_micros(40));
-        assert_eq!(s.served_ops(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! pages moved, and cleaning times in seconds.  These helpers keep the
 //! accounting in one, well-tested place.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Online mean/min/max/variance accumulator (Welford's algorithm).
 #[derive(Clone, Debug, Default)]
@@ -55,20 +55,6 @@ impl Summary {
         }
     }
 
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (0 when empty).
     pub fn min(&self) -> f64 {
         if self.count == 0 {
@@ -107,23 +93,6 @@ impl Summary {
         self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// A single latency observation, tagged with the class of request it
-/// belongs to (used to split foreground/background in Figure 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencySample {
-    /// When the request arrived.
-    pub arrival: SimTime,
-    /// When the request completed.
-    pub completion: SimTime,
-}
-
-impl LatencySample {
-    /// The response time of the sample.
-    pub fn response(&self) -> SimDuration {
-        self.completion.saturating_since(self.arrival)
     }
 }
 
@@ -215,11 +184,6 @@ impl LatencyStats {
         SimDuration::from_nanos(nearest_rank(&sorted, p))
     }
 
-    /// Standard deviation of response times.
-    pub fn stddev(&self) -> SimDuration {
-        SimDuration::from_nanos(self.summary.stddev().round() as u64)
-    }
-
     /// Merges another collection into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.samples_ns.extend_from_slice(&other.samples_ns);
@@ -268,16 +232,6 @@ impl Throughput {
             self.bytes as f64 / 1e6 / secs
         }
     }
-
-    /// I/O operations per second given an operation count.
-    pub fn ops_per_sec(&self, ops: u64) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            ops as f64 / secs
-        }
-    }
 }
 
 /// Computes the relative improvement of `candidate` over `baseline`
@@ -305,7 +259,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.stddev() - 2.0).abs() < 1e-9);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -314,7 +267,6 @@ mod tests {
     fn summary_empty_is_zero() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
@@ -338,7 +290,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-6);
     }
 
     #[test]
@@ -363,21 +314,6 @@ mod tests {
         assert!(l.is_empty());
         assert_eq!(l.mean(), SimDuration::ZERO);
         assert_eq!(l.percentile(99.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn latency_sample_response() {
-        let s = LatencySample {
-            arrival: SimTime::from_micros(10),
-            completion: SimTime::from_micros(35),
-        };
-        assert_eq!(s.response(), SimDuration::from_micros(25));
-        // Completion before arrival (should not happen, but never panics).
-        let s = LatencySample {
-            arrival: SimTime::from_micros(35),
-            completion: SimTime::from_micros(10),
-        };
-        assert_eq!(s.response(), SimDuration::ZERO);
     }
 
     #[test]
@@ -414,12 +350,10 @@ mod tests {
 
     #[test]
     fn throughput_mbps() {
-        let t = Throughput::from_totals(100_000_000, SimDuration::from_secs(2));
+        let t = Throughput::from_totals(100_000_000, SimDuration::from_millis(2_000));
         assert!((t.megabytes_per_sec() - 50.0).abs() < 1e-9);
-        assert!((t.ops_per_sec(1000) - 500.0).abs() < 1e-9);
         let empty = Throughput::new();
         assert_eq!(empty.megabytes_per_sec(), 0.0);
-        assert_eq!(empty.ops_per_sec(5), 0.0);
     }
 
     #[test]

@@ -11,11 +11,11 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of nanoseconds in a microsecond.
-pub const NANOS_PER_MICRO: u64 = 1_000;
+pub(crate) const NANOS_PER_MICRO: u64 = 1_000;
 /// Number of nanoseconds in a millisecond.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
+pub(crate) const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Number of nanoseconds in a second.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+pub(crate) const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// A point in simulated time, measured in nanoseconds from simulation start.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -44,11 +44,6 @@ impl SimTime {
     /// Creates a time from milliseconds.
     pub const fn from_millis(millis: u64) -> Self {
         SimTime(millis * NANOS_PER_MILLI)
-    }
-
-    /// Creates a time from whole seconds.
-    pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * NANOS_PER_SEC)
     }
 
     /// Raw nanosecond count since simulation start.
@@ -120,11 +115,6 @@ impl SimDuration {
     /// Creates a duration from milliseconds.
     pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * NANOS_PER_MILLI)
-    }
-
-    /// Creates a duration from whole seconds.
-    pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * NANOS_PER_SEC)
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
@@ -204,22 +194,8 @@ impl SimDuration {
 
     /// Multiplies the duration by an integer factor, saturating at the
     /// maximum representable duration.
-    pub fn saturating_mul(self, factor: u64) -> SimDuration {
+    pub(crate) fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
-    }
-
-    /// Scales the duration by a floating-point factor (used for derating
-    /// bandwidths); negative or non-finite factors yield zero.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        if !factor.is_finite() || factor <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        let scaled = self.0 as f64 * factor;
-        if scaled >= u64::MAX as f64 {
-            SimDuration::MAX
-        } else {
-            SimDuration(scaled.round() as u64)
-        }
     }
 
     /// Computes the time to move `bytes` at `bytes_per_sec`.
@@ -349,10 +325,8 @@ mod tests {
     fn constructors_are_consistent() {
         assert_eq!(SimTime::from_micros(1).as_nanos(), 1_000);
         assert_eq!(SimTime::from_millis(1).as_nanos(), 1_000_000);
-        assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_micros(2).as_nanos(), 2_000);
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimDuration::from_secs(4).as_nanos(), 4_000_000_000);
     }
 
     #[test]
@@ -396,13 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_micros(100);
-        assert_eq!(d.mul_f64(0.5).as_nanos(), 50_000);
-        assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
-    }
-
-    #[test]
     fn ordering_and_min_max() {
         let a = SimTime::from_micros(1);
         let b = SimTime::from_micros(2);
@@ -420,7 +387,7 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_nanos(500)), "500ns");
         assert_eq!(format!("{}", SimDuration::from_micros(25)), "25.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(2)), "2.000ms");
-        assert_eq!(format!("{}", SimDuration::from_secs(3)), "3.000s");
+        assert_eq!(format!("{}", SimDuration::from_millis(3_000)), "3.000s");
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl SsdConfig {
     }
 
     /// Number of elements sharing each gang bus.
-    pub fn elements_per_gang(&self) -> u32 {
+    pub(crate) fn elements_per_gang(&self) -> u32 {
         self.elements() / self.gangs.max(1)
     }
 
@@ -194,12 +194,6 @@ impl SsdConfig {
     /// Returns the configuration with a different controller queue depth.
     pub fn with_queue_depth(mut self, depth: u32) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Returns the configuration with a different FTL policy.
-    pub fn with_ftl(mut self, ftl: FtlConfig) -> Self {
-        self.ftl = ftl;
         self
     }
 
@@ -287,10 +281,8 @@ mod tests {
     fn builders() {
         let c = SsdConfig::tiny_page_mapped()
             .with_name("x")
-            .with_scheduler(SchedulerKind::Swtf)
-            .with_ftl(FtlConfig::informed());
+            .with_scheduler(SchedulerKind::Swtf);
         assert_eq!(c.name, "x");
         assert_eq!(c.scheduler, SchedulerKind::Swtf);
-        assert!(c.ftl.honor_free);
     }
 }

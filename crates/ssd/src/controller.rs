@@ -145,7 +145,7 @@ pub(crate) struct SessionCommand {
 
 impl SessionCommand {
     /// A single-initiator data command wrapping a block request.
-    pub fn from_request(seq: u64, request: &BlockRequest) -> Self {
+    pub(crate) fn from_request(seq: u64, request: &BlockRequest) -> Self {
         SessionCommand {
             initiator: 0,
             seq,

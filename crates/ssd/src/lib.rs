@@ -37,7 +37,7 @@
 //!   into the controller (the `multi_host` experiment).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod config;
 pub(crate) mod controller;

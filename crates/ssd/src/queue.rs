@@ -27,11 +27,11 @@
 //! is a split there plus a shift of the tail (and of the server's
 //! `next_free`) by the read's service time.
 //!
-//! With latency attribution enabled ([`ElementQueue::enable_blame`]), each
+//! With latency attribution enabled (`ElementQueue::enable_blame`), each
 //! queue additionally keeps a [`BlameLedger`] of the busy segments accepted
 //! ops occupy, so a later op's wait can be split by *what ran ahead of it*
 //! (host data vs GC vs map vs ECC traffic).  The ledger is purely
-//! observational — [`ElementQueue::accept_run_tagged`] computes the
+//! observational — `ElementQueue::accept_run_tagged` computes the
 //! identical schedule as [`ElementQueue::accept_run`].
 
 use std::collections::VecDeque;
@@ -130,7 +130,7 @@ impl ElementQueue {
     /// Start keeping a busy-segment ledger so
     /// [`ElementQueue::accept_run_tagged`] can attribute waits.  Idempotent;
     /// never affects schedules.
-    pub fn enable_blame(&mut self) {
+    pub(crate) fn enable_blame(&mut self) {
         if self.ledger.is_none() {
             self.ledger = Some(BlameLedger::new());
         }
@@ -148,7 +148,7 @@ impl ElementQueue {
     ///
     /// Timing is byte-identical to the untagged path; when no ledger is
     /// enabled this *is* the untagged path.
-    pub fn accept_run_tagged(
+    pub(crate) fn accept_run_tagged(
         &mut self,
         arrival: SimTime,
         service: SimDuration,
@@ -185,7 +185,7 @@ impl ElementQueue {
     }
 
     /// Number of accepted ops still waiting to start at `now`.
-    pub fn depth_at(&self, now: SimTime) -> usize {
+    pub(crate) fn depth_at(&self, now: SimTime) -> usize {
         let mut depth = self.waiting;
         for run in &self.pending {
             let started = run.started_by(now);

@@ -395,16 +395,6 @@ impl BlameCollector {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Blamed totals for a service class (`None` = barriers).
-    pub fn class_totals(&self, class: Option<ServiceClass>) -> &BlameBreakdown {
-        &self.by_class[class.map(|c| c.index()).unwrap_or(ServiceClass::COUNT)]
-    }
-
-    /// Blamed totals per initiator, indexed by initiator id.
-    pub fn initiator_totals(&self) -> &[BlameBreakdown] {
-        &self.by_initiator
-    }
 }
 
 /// Tail summary for one service class.
@@ -677,12 +667,9 @@ mod tests {
         c.push(record(Some(ServiceClass::Write), 1, 5, 20));
         c.push(record(None, 1, 9, 2));
         assert_eq!(c.len(), 3);
-        assert_eq!(
-            c.class_totals(Some(ServiceClass::Read)).total_nanos(),
-            10_000
-        );
-        assert_eq!(c.class_totals(None).total_nanos(), 2_000);
-        assert_eq!(c.initiator_totals()[1].total_nanos(), 22_000);
+        assert_eq!(c.by_class[ServiceClass::Read.index()].total_nanos(), 10_000);
+        assert_eq!(c.by_class[ServiceClass::COUNT].total_nanos(), 2_000);
+        assert_eq!(c.by_initiator[1].total_nanos(), 22_000);
         for r in c.records() {
             assert!(r.is_exact());
         }
@@ -690,7 +677,7 @@ mod tests {
         assert_eq!(drained.len(), 3);
         assert!(c.is_empty());
         // Aggregates survive the drain.
-        assert_eq!(c.initiator_totals()[0].total_nanos(), 10_000);
+        assert_eq!(c.by_initiator[0].total_nanos(), 10_000);
     }
 
     #[test]

@@ -16,7 +16,7 @@ const PID: u32 = 1;
 ///
 /// Device = 0, elements from 1, buses from 1001, initiators from 2001 —
 /// disjoint ranges so sorting by tid groups rows by resource type.
-pub fn track_tid(track: Track) -> u32 {
+pub(crate) fn track_tid(track: Track) -> u32 {
     match track {
         Track::Device => 0,
         Track::Element(e) => 1 + e,
@@ -130,7 +130,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
 ///
 /// `devices` pairs each device's label with its recorded events; device
 /// `i` becomes pid `PID + i` so Perfetto groups its tracks together while
-/// tids stay the stable per-device values of [`track_tid`].
+/// tids stay the stable per-device values of `track_tid`.
 pub fn to_chrome_trace_multi(devices: &[(&str, &[TraceEvent])]) -> String {
     let total: usize = devices.iter().map(|(_, e)| e.len()).sum();
     let mut entries: Vec<String> = Vec::with_capacity(total + 16 * devices.len());

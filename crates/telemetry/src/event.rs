@@ -39,7 +39,7 @@ impl Track {
 ///
 /// The telemetry crate sits below the FTL in the dependency graph, so the
 /// purpose travels as a plain code in an event's argument slot; these
-/// constants and [`purpose_name`] keep the encoding in one place.
+/// constants and `purpose_name` keep the encoding in one place.
 pub mod purpose {
     /// Servicing a host read.
     pub const HOST_READ: u64 = 0;
@@ -54,7 +54,7 @@ pub mod purpose {
 }
 
 /// The display name of a purpose code (see [`purpose`]).
-pub fn purpose_name(code: u64) -> &'static str {
+pub(crate) fn purpose_name(code: u64) -> &'static str {
     match code {
         purpose::HOST_READ => "host-read",
         purpose::HOST_WRITE => "host-write",
@@ -68,9 +68,9 @@ pub fn purpose_name(code: u64) -> &'static str {
 /// What a trace event records.
 ///
 /// Kinds are either *spans* (a duration: `start < end` is meaningful) or
-/// *instants* (a point in time); [`EventKind::is_span`] distinguishes them.
+/// *instants* (a point in time); `EventKind::is_span` distinguishes them.
 /// The meaning of the two argument slots `a`/`b` of a [`TraceEvent`] depends
-/// on the kind (see [`EventKind::arg_names`]).
+/// on the kind (see `EventKind::arg_names`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
     // -- command lifecycle (initiator tracks) -------------------------------
@@ -157,7 +157,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Whether the kind is a span (has a duration) rather than an instant.
-    pub fn is_span(&self) -> bool {
+    pub(crate) fn is_span(&self) -> bool {
         matches!(
             self,
             EventKind::CmdQueued
@@ -244,7 +244,7 @@ impl EventKind {
     }
 
     /// Names of the two argument slots (`None` = the slot is unused).
-    pub fn arg_names(&self) -> [Option<&'static str>; 2] {
+    pub(crate) fn arg_names(&self) -> [Option<&'static str>; 2] {
         match self {
             EventKind::CmdQueued
             | EventKind::CmdFree
@@ -293,7 +293,7 @@ impl EventKind {
 /// One recorded trace event.
 ///
 /// Spans carry `start < end`; instants carry `start == end`.  The `a`/`b`
-/// slots are kind-specific (see [`EventKind::arg_names`]).
+/// slots are kind-specific (see `EventKind::arg_names`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When the event (or span) begins.

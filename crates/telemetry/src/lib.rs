@@ -29,7 +29,7 @@
 //! validated with the workspace's one parser, [`ossd_sim::json`].
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod attribution;
 pub mod chrome;
@@ -43,7 +43,7 @@ pub use attribution::{
     BlameSource, ClassTail, TailReport,
 };
 pub use chrome::{to_chrome_trace, to_chrome_trace_multi};
-pub use event::{purpose, purpose_name, EventKind, TraceEvent, Track};
+pub use event::{purpose, EventKind, TraceEvent, Track};
 pub use metrics::{Counters, MetricsSample, MetricsSeries};
 pub use observer::EngineTrace;
 pub use recorder::{Recorder, RecorderConfig};

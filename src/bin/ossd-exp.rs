@@ -5,7 +5,7 @@
 //! ossd-exp <name|all> [--quick] [--csv]
 //! ```
 //!
-//! Each experiment in `ossd_core::experiments::EXPERIMENTS` builds one
+//! Each experiment in `ossd::core::experiments::EXPERIMENTS` builds one
 //! report, and this binary prints it: aligned text by default, CSV with
 //! `--csv`.  `--quick` selects the fast scale the tests use; without it the
 //! experiments run at paper scale.  Artifacts (traces, blame CSVs) are
@@ -17,7 +17,7 @@
 
 use std::process::ExitCode;
 
-use ossd_core::experiments::{Driver, Format, Scale, EXPERIMENTS};
+use ossd::core::experiments::{Driver, Format, Scale, EXPERIMENTS};
 
 /// What to run, in registry order, and how to print it.
 #[derive(Debug)]

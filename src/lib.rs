@@ -17,12 +17,13 @@
 //! * [`fleet`] — multi-device arrays: striped/replicated routing over
 //!   member `Ssd`s, per-device engine threads with a deterministic
 //!   completion merge, device failure/replacement/rebuild.
-//! * [`hdd`] — the disk simulator used as the paper's baseline.
 //! * [`block`] — the queue-pair host interface (commands, hints, fences,
 //!   per-initiator queue pairs), traces and replay helpers.
-//! * [`workload`] — synthetic and macro-benchmark workload generators.
 //! * [`core`] — the paper's contribution: the object-based storage layer,
-//!   the unwritten-contract evaluator and the experiment drivers.
+//!   the unwritten-contract evaluator and the experiment drivers, with the
+//!   two modules those drivers run against besides the SSD, re-exported
+//!   here as [`hdd`] (the disk simulator used as the paper's baseline) and
+//!   [`workload`] (synthetic and macro-benchmark workload generators).
 //!
 //! # Quickstart
 //!
@@ -38,15 +39,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use ossd_block as block;
 pub use ossd_core as core;
+pub use ossd_core::{hdd, workload};
 pub use ossd_flash as flash;
 pub use ossd_fleet as fleet;
 pub use ossd_ftl as ftl;
 pub use ossd_gc as gc;
-pub use ossd_hdd as hdd;
 pub use ossd_reliability as reliability;
 pub use ossd_sim as sim;
 pub use ossd_ssd as ssd;
-pub use ossd_workload as workload;

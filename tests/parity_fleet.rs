@@ -20,6 +20,7 @@
 //!    offending device and layout; failing an already-failed device is
 //!    the typed no-op `DeviceError::AlreadyFailed`.
 
+use ossd::workload::TpccConfig;
 use ossd_block::{
     BlockDevice, ByteRange, Completion, CompletionStatus, DeviceError, HostCommand, HostInterface,
     HostQueue, WriteHint,
@@ -29,7 +30,6 @@ use ossd_fleet::{Fleet, FleetConfig, FleetSubCompletion};
 use ossd_ftl::FtlConfig;
 use ossd_sim::{SimDuration, SimRng, SimTime};
 use ossd_ssd::{MappingKind, SchedulerKind, SsdConfig};
-use ossd_workload::TpccConfig;
 
 const PAGE: u32 = 4096;
 const STRIPE: u64 = PAGE as u64;
