@@ -2,9 +2,10 @@
 //! experiments beyond it.
 //!
 //! Every experiment is a pure function of a [`Scale`] (and, internally, of
-//! fixed seeds).  Its `run` returns typed results for tests and examples;
-//! its `report` turns them into one [`Report`], which the `ossd-exp` binary
-//! (in the root package) prints and whose artifacts it writes.  The module
+//! fixed seeds).  Its `run` returns typed results (public where an
+//! integration test or example reads them); its `report` turns them into
+//! one [`Report`], which the `ossd-exp` binary (in the root package)
+//! prints and whose artifacts it writes.  The module
 //! name is the experiment's `ossd-exp` name, and [`EXPERIMENTS`] lists them
 //! in the order of this table:
 //!

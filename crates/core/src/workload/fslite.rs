@@ -221,10 +221,11 @@ mod tests {
     fn create_allocates_rounded_extents() {
         let mut f = fs();
         let (id, extents) = f.create(10_000).unwrap();
+        // Rounded up to 3 blocks.
         assert_eq!(
             f.extents(id).unwrap().iter().map(|e| e.len).sum::<u64>(),
             12_288
-        ); // rounded to 3 blocks
+        );
         assert_eq!(extents.iter().map(|e| e.len).sum::<u64>(), 12_288);
         assert_eq!(f.used_bytes(), 12_288);
         assert_eq!(f.files.len(), 1);

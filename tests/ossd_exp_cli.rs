@@ -1,13 +1,12 @@
 //! The `ossd-exp` binary end to end: the one this package builds, run as a
 //! process.
 
-use std::path::PathBuf;
 use std::process::{Command, Output};
 
 /// Runs `ossd-exp` with `args` in a directory of its own, so any artifact
 /// it writes lands there and not in the checkout.
 fn ossd_exp(args: &[&str], dir: &str) -> Output {
-    let cwd: PathBuf = std::env::temp_dir().join(format!("ossd_exp_cli_{dir}_{}", std::process::id()));
+    let cwd = std::env::temp_dir().join(format!("ossd_exp_cli_{dir}_{}", std::process::id()));
     std::fs::create_dir_all(&cwd).unwrap();
     let output = Command::new(env!("CARGO_BIN_EXE_ossd-exp"))
         .args(args)
@@ -22,7 +21,11 @@ fn ossd_exp(args: &[&str], dir: &str) -> Output {
 fn an_experiment_at_quick_scale_prints_its_report() {
     let output = ossd_exp(&["table1", "--quick"], "table1");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(output.status.success(), "exit {:?}: {stdout}", output.status);
+    assert!(
+        output.status.success(),
+        "exit {:?}: {stdout}",
+        output.status
+    );
     assert!(
         stdout.contains("Table 1: Unwritten Contract (Disk vs SSD)"),
         "{stdout}"
