@@ -494,6 +494,72 @@ mod tests {
     }
 
     #[test]
+    fn fences_in_a_multi_initiator_session() {
+        // Two initiators write at random offsets 50 ms apart, at the same
+        // instants, so the first write of each instant finds the arm idle
+        // and is absorbed by the write-back cache.  With its last write,
+        // initiator 0 submits a barrier and then a flush.
+        let offset = |i: u64| ((i * 2_654_435_761) % 1_000_000) * 4096;
+        let mut queues = vec![HostQueue::new(), HostQueue::new()];
+        for i in 0..8u64 {
+            let arrival = SimTime::from_millis(i / 2 * 50);
+            queues[(i % 2) as usize].submit_request(&BlockRequest::write(
+                i,
+                offset(i),
+                4096,
+                arrival,
+            ));
+        }
+        let last = SimTime::from_millis(150);
+        queues[0].submit(100, HostCommand::Barrier, last);
+        queues[0].submit(101, HostCommand::Flush, last);
+        let arbitrated = arbitrate_round_robin(&queues);
+
+        let mut d = hdd();
+        d.serve(&mut queues).unwrap();
+        assert!(d.stats().cached_writes > 0);
+        let mut served: Vec<(usize, Completion)> = Vec::new();
+        for (initiator, queue) in queues.iter_mut().enumerate() {
+            served.extend(
+                queue
+                    .drain_completions()
+                    .into_iter()
+                    .map(|c| (initiator, c)),
+            );
+        }
+        let completion = |initiator: usize, id: u64| {
+            served
+                .iter()
+                .find(|&&(i, c)| i == initiator && c.request_id == id)
+                .expect("every command completes")
+                .1
+        };
+
+        // Each data command completes as `submit` in arbitration order
+        // would complete it.
+        let mut reference = hdd();
+        let mut initiator_finish = [SimTime::ZERO; 2];
+        for cmd in &arbitrated {
+            let sub = cmd.submission;
+            if let Some(request) = sub.command.to_request(sub.id, sub.arrival, sub.priority) {
+                let expected = reference.submit(&request).unwrap();
+                assert_eq!(completion(cmd.initiator, sub.id), expected);
+                if sub.id < 100 {
+                    let finish = &mut initiator_finish[cmd.initiator];
+                    *finish = (*finish).max(expected.finish);
+                }
+            }
+        }
+        // The barrier completes when its initiator's last command does.
+        let barrier = completion(0, 100);
+        assert_eq!(barrier.finish, initiator_finish[0]);
+        // The flush waits for the arm to destage the cached writes.
+        let flush = completion(0, 101);
+        assert!(d.arm.next_free() > barrier.finish);
+        assert!(flush.finish >= d.arm.next_free());
+    }
+
+    #[test]
     fn determinism_with_same_seed() {
         let run = || {
             let mut d = hdd();
