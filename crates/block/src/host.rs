@@ -38,8 +38,8 @@
 //!   serve it directly, since it has nothing to be scheduled against).
 //! * [`replay_open`](crate::replay_open) / [`replay_closed`](crate::replay_closed)
 //!   — incremental enqueue-and-poll over one queue pair.
-//! * `Ssd::simulate_open` / `Hdd::simulate_open` — a whole arrival trace
-//!   submitted up front, one initiator.
+//! * `Ssd::simulate_open` — a whole arrival trace submitted up front, one
+//!   initiator.
 //! * The object store (`ossd-core`) — a command *translator*: object
 //!   operations become block commands over the identical transport.
 //!
@@ -506,11 +506,13 @@ pub fn complete_session(queues: &mut [HostQueue], completed: Vec<(usize, Complet
 
 /// A device that speaks the queue-pair command protocol.
 ///
-/// The provided [`serve`](HostInterface::serve) is a reference
-/// implementation over [`BlockDevice::submit`]: commands are arbitrated
-/// round-robin and served one at a time in arrival order, fences complete
-/// when every earlier command of their initiator has (flush performs no
-/// work), and object commands are rejected.  `Ssd` and `Hdd` override it to
+/// The provided [`serve`](HostInterface::serve) is an implementation over
+/// [`BlockDevice::submit`]: commands are arbitrated round-robin and served
+/// one at a time in arrival order, fences complete when every earlier
+/// command of their initiator has (a flush then waits as long as
+/// [`flush_finish`](HostInterface::flush_finish) says), and object commands
+/// are rejected.  The disk serves its sessions this way: its one arm
+/// already serves in arrival order.  `Ssd` and the fleet override it to
 /// feed the merged command stream through their event-driven controllers,
 /// which is where queue depths, schedulers and idle-window cleaning live.
 ///
@@ -528,6 +530,12 @@ pub fn complete_session(queues: &mut [HostQueue], completed: Vec<(usize, Complet
 /// one `serve` call: commands served by an earlier call have already
 /// completed from the protocol's point of view.
 pub trait HostInterface: BlockDevice {
+    /// When a flush whose initiator's earlier commands finished at `at`
+    /// completes: a device with a write-back cache waits for it to destage.
+    fn flush_finish(&self, at: SimTime) -> SimTime {
+        at
+    }
+
     /// Serves every submitted command in `queues`, posting completions to
     /// each initiator's completion side.
     fn serve(&mut self, queues: &mut [HostQueue]) -> Result<(), DeviceError> {
@@ -550,7 +558,10 @@ pub trait HostInterface: BlockDevice {
             let sub = cmd.submission;
             let completion = match sub.command {
                 HostCommand::Flush | HostCommand::Barrier => {
-                    let at = sub.arrival.max(last_finish[cmd.initiator]);
+                    let mut at = sub.arrival.max(last_finish[cmd.initiator]);
+                    if sub.command == HostCommand::Flush {
+                        at = self.flush_finish(at);
+                    }
                     Completion::ok(sub.id, sub.arrival, at, at)
                 }
                 ref c => {

@@ -1,10 +1,8 @@
 //! The analytic disk device.
 
 use ossd_block::{
-    arbitrate_round_robin, BlockDevice, BlockOpKind, BlockRequest, Completion, DeviceError,
-    DeviceInfo, HostCommand, HostInterface, HostQueue,
+    BlockDevice, BlockOpKind, BlockRequest, Completion, DeviceError, DeviceInfo, HostInterface,
 };
-use ossd_sim::engine::{Controller, DispatchedOp};
 use ossd_sim::{Server, SimDuration, SimRng, SimTime};
 
 use super::config::HddConfig;
@@ -86,186 +84,14 @@ impl Hdd {
             sequential,
         )
     }
-
-    /// Runs one session of queue-pair commands through the event engine,
-    /// returning one completion per command in the input order.
-    fn serve_session(&mut self, commands: &[HddCommand]) -> Result<Vec<Completion>, DeviceError> {
-        let arrivals: Vec<SimTime> = commands.iter().map(|c| c.arrival).collect();
-        let initiators = commands.iter().map(|c| c.initiator + 1).max().unwrap_or(0);
-        let mut controller = HddController {
-            hdd: self,
-            commands,
-            ready: Vec::new(),
-            unfinished: 0,
-            initiator_finish: vec![SimTime::ZERO; initiators],
-            completions: vec![None; commands.len()],
-        };
-        ossd_sim::engine::run(&mut controller, &arrivals)?;
-        Ok(controller
-            .completions
-            .into_iter()
-            .map(|c| c.expect("every command was dispatched"))
-            .collect())
-    }
-
-    /// Runs an open-arrival simulation of `requests` through the event
-    /// engine, returning one completion per request in the input order.
-    ///
-    /// The disk has a single mechanical resource (the arm), so its
-    /// controller dispatches in arrival order: each arrival is issued
-    /// immediately and the arm's busy-until-time accounting serializes
-    /// service.  The value of routing the disk through the same
-    /// [`Controller`] engine as the SSD is that mixed-device experiments
-    /// share one notion of arrivals, completions and idle windows.
-    pub fn simulate_open(
-        &mut self,
-        requests: &[BlockRequest],
-    ) -> Result<Vec<Completion>, DeviceError> {
-        let commands: Vec<HddCommand> = requests
-            .iter()
-            .map(|r| HddCommand {
-                initiator: 0,
-                id: r.id,
-                arrival: r.arrival,
-                payload: HddPayload::Data(*r),
-            })
-            .collect();
-        self.serve_session(&commands)
-    }
-}
-
-/// What one session command asks the disk to do.
-#[derive(Clone, Copy, Debug)]
-enum HddPayload {
-    /// A block data operation.
-    Data(BlockRequest),
-    /// Ordering fence: completes when every earlier command of its
-    /// initiator has (the arm's serial service already enforces the
-    /// ordering for data that follows).
-    Barrier,
-    /// Like a barrier, but additionally waits for the write-back cache to
-    /// destage: cached writes complete at interface speed while the arm
-    /// keeps working, and a flush forces that dirty data to stable media,
-    /// so it cannot return before the arm goes idle.
-    Flush,
-}
-
-/// One queue-pair command in a disk session.
-#[derive(Clone, Copy, Debug)]
-struct HddCommand {
-    initiator: usize,
-    id: u64,
-    arrival: SimTime,
-    payload: HddPayload,
-}
-
-/// Engine controller over an [`Hdd`] for one session of commands.
-struct HddController<'a> {
-    hdd: &'a mut Hdd,
-    commands: &'a [HddCommand],
-    /// Arrived commands not yet issued to the arm.
-    ready: Vec<usize>,
-    unfinished: usize,
-    /// Latest finish time of each initiator's dispatched commands (what a
-    /// fence reports as its completion).
-    initiator_finish: Vec<SimTime>,
-    completions: Vec<Option<Completion>>,
-}
-
-impl Controller for HddController<'_> {
-    type Error = DeviceError;
-
-    fn on_arrival(&mut self, index: usize, _now: SimTime) -> Result<(), DeviceError> {
-        self.ready.push(index);
-        Ok(())
-    }
-
-    fn poll_dispatch(&mut self, _now: SimTime) -> Result<Vec<DispatchedOp>, DeviceError> {
-        let mut out = Vec::new();
-        for index in std::mem::take(&mut self.ready) {
-            let command = &self.commands[index];
-            let completion = match command.payload {
-                HddPayload::Data(ref request) => self.hdd.submit(request)?,
-                HddPayload::Barrier | HddPayload::Flush => {
-                    // Commands dispatch in arrival order, so every earlier
-                    // command of this initiator has already been timed; the
-                    // fence completes once the last of them finishes.  A
-                    // flush additionally waits for the arm to finish
-                    // destaging cached writes to the platters.
-                    let mut drained = command
-                        .arrival
-                        .max(self.initiator_finish[command.initiator]);
-                    if matches!(command.payload, HddPayload::Flush) {
-                        drained = drained.max(self.hdd.arm.next_free());
-                    }
-                    Completion::ok(command.id, command.arrival, drained, drained)
-                }
-            };
-            self.initiator_finish[command.initiator] =
-                self.initiator_finish[command.initiator].max(completion.finish);
-            self.unfinished += 1;
-            out.push(DispatchedOp {
-                token: index as u64,
-                start: completion.start,
-                complete: completion.finish,
-            });
-            self.completions[index] = Some(completion);
-        }
-        Ok(out)
-    }
-
-    fn on_op_complete(&mut self, _token: u64, _now: SimTime) -> Result<(), DeviceError> {
-        self.unfinished -= 1;
-        Ok(())
-    }
-
-    fn in_flight(&self) -> usize {
-        self.unfinished + self.ready.len()
-    }
 }
 
 impl HostInterface for Hdd {
-    /// Serves the initiator queues through the event engine: submissions
-    /// are arbitrated round-robin into one session and completions are
-    /// posted back to each initiator's completion queue in completion
-    /// order.  Object commands are rejected — a disk only speaks the block
-    /// subset of the protocol.
-    fn serve(&mut self, queues: &mut [HostQueue]) -> Result<(), DeviceError> {
-        let arbitrated = arbitrate_round_robin(queues);
-        let mut initiators = Vec::with_capacity(arbitrated.len());
-        let mut commands = Vec::with_capacity(arbitrated.len());
-        for cmd in &arbitrated {
-            let sub = cmd.submission;
-            let payload = match sub.command {
-                HostCommand::Flush => HddPayload::Flush,
-                HostCommand::Barrier => HddPayload::Barrier,
-                ref c if c.is_object_command() => {
-                    return Err(DeviceError::Unsupported {
-                        what: "object commands on a block device",
-                    });
-                }
-                ref c => {
-                    let request = c
-                        .to_request(sub.id, sub.arrival, sub.priority)
-                        .expect("block data command");
-                    self.check_bounds(&request)?;
-                    HddPayload::Data(request)
-                }
-            };
-            initiators.push(cmd.initiator);
-            commands.push(HddCommand {
-                initiator: cmd.initiator,
-                id: sub.id,
-                arrival: sub.arrival,
-                payload,
-            });
-        }
-        let completions = self.serve_session(&commands)?;
-        ossd_block::host::complete_session(
-            queues,
-            initiators.into_iter().zip(completions).collect(),
-        );
-        Ok(())
+    /// Cached writes complete at interface speed while the arm keeps
+    /// working; a flush forces that dirty data to stable media, so it
+    /// cannot return before the arm goes idle.
+    fn flush_finish(&self, at: SimTime) -> SimTime {
+        at.max(self.arm.next_free())
     }
 }
 
@@ -352,7 +178,7 @@ impl BlockDevice for Hdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ossd_block::{replay_closed, BlockRequest};
+    use ossd_block::{arbitrate_round_robin, replay_closed, HostCommand, HostQueue};
     use ossd_sim::SimTime;
 
     fn hdd() -> Hdd {
@@ -476,24 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn open_simulation_matches_sequential_submission() {
-        // The engine-driven open simulation must agree with submitting the
-        // same trace directly: the arm's busy-until-time accounting is the
-        // only scheduler either path has.
-        let reqs: Vec<BlockRequest> = (0..64u64)
-            .map(|i| {
-                let offset = ((i * 2_654_435_761) % 1_000_000) * 4096;
-                BlockRequest::read(i, offset, 4096, SimTime::from_micros(i * 500))
-            })
-            .collect();
-        let mut direct = hdd();
-        let expected: Vec<Completion> = reqs.iter().map(|r| direct.submit(r).unwrap()).collect();
-        let mut open = hdd();
-        let got = open.simulate_open(&reqs).unwrap();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn fences_in_a_multi_initiator_session() {
         // Two initiators write at random offsets 50 ms apart, at the same
         // instants, so the first write of each instant finds the arm idle
@@ -544,10 +352,8 @@ mod tests {
             if let Some(request) = sub.command.to_request(sub.id, sub.arrival, sub.priority) {
                 let expected = reference.submit(&request).unwrap();
                 assert_eq!(completion(cmd.initiator, sub.id), expected);
-                if sub.id < 100 {
-                    let finish = &mut initiator_finish[cmd.initiator];
-                    *finish = (*finish).max(expected.finish);
-                }
+                let finish = &mut initiator_finish[cmd.initiator];
+                *finish = (*finish).max(expected.finish);
             }
         }
         // The barrier completes when its initiator's last command does.

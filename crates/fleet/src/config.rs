@@ -16,11 +16,6 @@ pub enum FleetLayout {
         /// device's logical page size and no larger than one device.
         stripe_bytes: u64,
     },
-    /// N-way replication: every write (and free, and fence) is mirrored to
-    /// every live device; reads are routed deterministically to one replica
-    /// by page index.  Capacity is one device's capacity; any single
-    /// device's data survives on the others.
-    Replicated,
     /// RAID-5-style rotating parity: each row of `devices - 1` data units
     /// keeps an XOR parity unit on a rotating member (see
     /// [`crate::parity`]).  Capacity is `devices - 1` devices' worth; any
@@ -38,7 +33,6 @@ impl FleetLayout {
     pub fn name(&self) -> &'static str {
         match self {
             FleetLayout::Striped { .. } => "striped",
-            FleetLayout::Replicated => "replicated",
             FleetLayout::Parity { .. } => "parity",
         }
     }
@@ -70,7 +64,7 @@ pub struct FleetConfig {
     /// Base seed for per-device RNG sharding.  Each device's
     /// fault-injection seed is [`derive_stream_seed`]`(seed, stream)` where
     /// the stream number encodes the device index and its replacement
-    /// generation, so replicas never share a fault schedule and a replaced
+    /// generation, so members never share a fault schedule and a replaced
     /// device gets a fresh one.
     pub seed: u64,
 }
@@ -84,19 +78,6 @@ impl FleetConfig {
             device,
             devices,
             layout: FleetLayout::Striped { stripe_bytes },
-            threads: 1,
-            seed: 0xF1EE_7000,
-        }
-    }
-
-    /// A fleet of `devices` replicas of `device`, single-threaded by
-    /// default.
-    pub fn replicated(device: SsdConfig, devices: usize) -> Self {
-        FleetConfig {
-            name: "fleet".to_string(),
-            device,
-            devices,
-            layout: FleetLayout::Replicated,
             threads: 1,
             seed: 0xF1EE_7000,
         }
@@ -156,25 +137,22 @@ impl FleetConfig {
         if self.threads == 0 {
             return Err("fleet needs at least one worker thread".to_string());
         }
-        match self.layout {
-            FleetLayout::Striped { stripe_bytes } | FleetLayout::Parity { stripe_bytes } => {
-                if stripe_bytes == 0 {
-                    return Err("stripe_bytes must be positive".to_string());
-                }
-                let page = self.device.geometry.page_bytes as u64;
-                if stripe_bytes % page != 0 {
-                    return Err(format!(
-                        "stripe_bytes ({stripe_bytes}) must be a multiple of the page size ({page})"
-                    ));
-                }
-                if matches!(self.layout, FleetLayout::Parity { .. }) && self.devices < 3 {
-                    return Err(format!(
-                        "parity layout needs at least 3 devices, got {}",
-                        self.devices
-                    ));
-                }
-            }
-            FleetLayout::Replicated => {}
+        let (FleetLayout::Striped { stripe_bytes } | FleetLayout::Parity { stripe_bytes }) =
+            self.layout;
+        if stripe_bytes == 0 {
+            return Err("stripe_bytes must be positive".to_string());
+        }
+        let page = self.device.geometry.page_bytes as u64;
+        if stripe_bytes % page != 0 {
+            return Err(format!(
+                "stripe_bytes ({stripe_bytes}) must be a multiple of the page size ({page})"
+            ));
+        }
+        if matches!(self.layout, FleetLayout::Parity { .. }) && self.devices < 3 {
+            return Err(format!(
+                "parity layout needs at least 3 devices, got {}",
+                self.devices
+            ));
         }
         Ok(())
     }
@@ -201,7 +179,7 @@ mod tests {
 
     #[test]
     fn device_configs_without_reliability_keep_the_template_seed() {
-        let config = FleetConfig::replicated(SsdConfig::tiny_page_mapped(), 2);
+        let config = FleetConfig::striped(SsdConfig::tiny_page_mapped(), 2, 8192);
         let c0 = config.device_config(0, 0);
         assert!(c0.reliability.is_none());
     }

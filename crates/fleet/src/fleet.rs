@@ -13,11 +13,10 @@
 //!    semantics, preserved at fleet scope).
 //! 3. **Fan out** each command into per-device sub-commands.  Striping
 //!    maps a contiguous exported range to at most one contiguous
-//!    device-local range per device (see [`crate::router`]); replication
-//!    mirrors writes and routes reads to one replica; rotating parity
-//!    plans data + parity updates, routing around a degraded member (see
-//!    [`crate::parity`]) — a parity command may issue several coalesced
-//!    sub-commands per device.  Sub-commands preserve the parent's
+//!    device-local range per device (see [`crate::router`]); rotating
+//!    parity plans data + parity updates, routing around a degraded
+//!    member (see [`crate::parity`]) — a parity command may issue several
+//!    coalesced sub-commands per device.  Sub-commands preserve the parent's
 //!    arrival, priority and write hint, and carry the parent's arbitration
 //!    sequence number as their correlation id.
 //! 4. **Execute** the touched members' sessions on the fleet's *engine
@@ -371,8 +370,6 @@ pub struct Fleet {
     slots: Vec<Slot>,
     capacity: u64,
     supports_free: bool,
-    /// Routing granularity for replicated reads (one device logical page).
-    route_unit: u64,
     merged_log: Vec<FleetSubCompletion>,
     last_fanout: Vec<u32>,
     rebuilt_bytes: u64,
@@ -381,7 +378,7 @@ pub struct Fleet {
     /// Whether latency attribution is enabled fleet-wide (sticky, so
     /// replacement devices inherit it).
     attribution: bool,
-    /// Parity bookkeeping (`None` for striped/replicated layouts).
+    /// Parity bookkeeping (`None` for a striped layout).
     parity: Option<ParityState>,
     /// Admission control for rebuild traffic.
     governor: RebuildGovernor,
@@ -435,7 +432,6 @@ impl Fleet {
                 }
                 striped_capacity(device_info.capacity_bytes, config.devices, stripe_bytes)
             }
-            FleetLayout::Replicated => device_info.capacity_bytes,
             FleetLayout::Parity { stripe_bytes } => {
                 if stripe_bytes > device_info.capacity_bytes {
                     return Err(SsdError::InvalidConfig {
@@ -462,14 +458,12 @@ impl Fleet {
                 geom.exported_capacity(device_info.capacity_bytes)
             }
         };
-        let route_unit = slots[0].ssd().expect("fresh device").logical_page_bytes();
         let devices = config.devices;
         Ok(Fleet {
             config,
             slots,
             capacity,
             supports_free: device_info.supports_free,
-            route_unit,
             merged_log: Vec::new(),
             last_fanout: vec![0; devices],
             rebuilt_bytes: 0,
@@ -492,15 +486,6 @@ impl Fleet {
     /// Number of member slots (live or failed).
     pub fn devices(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Indices of the live member devices, ascending.
-    pub(crate) fn live_indices(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.member.as_ref().map(|_| i))
-            .collect()
     }
 
     /// The concrete configuration device `index` is currently running
@@ -697,9 +682,8 @@ impl Fleet {
     }
 
     /// Fails member `index`: the device and its data vanish.  Striped
-    /// fleets reject failure outright (no redundancy); replicated fleets
-    /// must keep one live replica; parity fleets tolerate exactly one
-    /// degraded member at a time.  Failing an already-failed device is the
+    /// fleets reject failure outright (no redundancy); parity fleets
+    /// tolerate exactly one degraded member at a time.  Failing an already-failed device is the
     /// typed no-op [`DeviceError::AlreadyFailed`].
     pub fn fail_device(&mut self, index: usize) -> Result<(), DeviceError> {
         if index >= self.slots.len() {
@@ -721,18 +705,6 @@ impl Fleet {
                     self.config.name
                 ),
             }),
-            FleetLayout::Replicated => {
-                if self.live_indices().len() <= 1 {
-                    return Err(DeviceError::Redundancy {
-                        what: format!(
-                            "failing device {index} would leave fleet '{}' with no live replica",
-                            self.config.name
-                        ),
-                    });
-                }
-                self.slots[index].member = None;
-                Ok(())
-            }
             FleetLayout::Parity { .. } => {
                 let ps = self.parity.as_mut().expect("parity state");
                 if let Some(view) = ps.degraded {
@@ -757,10 +729,9 @@ impl Fleet {
 
     /// Replaces failed member `index` with a factory-fresh device on the
     /// next seed-stream generation.  The replacement holds no data until
-    /// [`Fleet::rebuild_range`] copies it back (replica copy or parity
-    /// reconstruction); a parity fleet stays degraded — serving the
-    /// not-yet-rebuilt rows from the survivors — until the rebuild
-    /// watermark reaches the last row.
+    /// [`Fleet::rebuild_range`] reconstructs it; the fleet stays degraded
+    /// — serving the not-yet-rebuilt rows from the survivors — until the
+    /// rebuild watermark reaches the last row.
     pub fn replace_device(&mut self, index: usize) -> Result<(), DeviceError> {
         if index >= self.slots.len() {
             return Err(DeviceError::Redundancy {
@@ -790,22 +761,17 @@ impl Fleet {
         Ok(())
     }
 
-    /// Rebuilds one range onto device `target`, admitted through the
-    /// rebuild QoS governor (token-bucket budget + host-pressure backoff).
+    /// Rebuilds one range onto device `target` of a parity fleet, admitted
+    /// through the rebuild QoS governor (token-bucket budget +
+    /// host-pressure backoff).  `range` is *device-local* and must continue
+    /// stripe-aligned at the rebuild watermark; the rows are re-read from
+    /// every surviving member, XOR-reconstructed and written to the
+    /// replacement, advancing the watermark (the fleet leaves degraded
+    /// mode when the watermark passes the last row).
     ///
-    /// * **Replicated**: copies the exported range from the lowest-indexed
-    ///   other live replica (read, then a write arriving as the read
-    ///   completes).
-    /// * **Parity**: `range` is *device-local* and must continue
-    ///   stripe-aligned at the rebuild watermark; the rows are re-read
-    ///   from every surviving member, XOR-reconstructed and written to the
-    ///   replacement, advancing the watermark (the fleet leaves degraded
-    ///   mode when the watermark passes the last row).
-    ///
-    /// Returns the `(read, write)` completions — for parity the read is
-    /// the aggregate over the survivors (earliest start, latest finish,
-    /// worst status) — so callers can account rebuild bandwidth in sim
-    /// time.
+    /// Returns the `(read, write)` completions — the read is the aggregate
+    /// over the survivors (earliest start, latest finish, worst status) —
+    /// so callers can account rebuild bandwidth in sim time.
     pub fn rebuild_range(
         &mut self,
         target: usize,
@@ -829,38 +795,6 @@ impl Fleet {
                     self.config.name
                 ),
             }),
-            FleetLayout::Replicated => {
-                let source = self
-                    .live_indices()
-                    .into_iter()
-                    .find(|&i| i != target)
-                    .ok_or_else(|| DeviceError::Redundancy {
-                        what: format!(
-                            "rebuild of device {target} on fleet '{}' has no live source replica",
-                            self.config.name
-                        ),
-                    })?;
-                if self.slots[target].member.is_none() {
-                    return Err(DeviceError::Redundancy {
-                        what: format!(
-                            "rebuild onto failed device {target} of fleet '{}': replace it first",
-                            self.config.name
-                        ),
-                    });
-                }
-                let admitted = self.governor.admit(at, range.len, self.last_pressure);
-                let read_id = self.next_rebuild_id;
-                let write_id = self.next_rebuild_id + 1;
-                self.next_rebuild_id += 2;
-                let read = self.slots[source].ssd_mut().expect("live source").submit(
-                    &BlockRequest::read(read_id, range.offset, range.len, admitted),
-                )?;
-                let write = self.slots[target].ssd_mut().expect("checked live").submit(
-                    &BlockRequest::write(write_id, range.offset, range.len, read.finish),
-                )?;
-                self.rebuilt_bytes += range.len;
-                Ok((read, write))
-            }
             FleetLayout::Parity { .. } => self.rebuild_parity_range(target, range, at),
         }
     }
@@ -993,9 +927,9 @@ impl Fleet {
     }
 
     /// Step 3: fans the validated session out into the live members'
-    /// mirrored queues and fills `session.parents`.  Striped and
-    /// replicated layouts produce at most one sub-command per device;
-    /// parity planning may produce several (coalesced, deterministic
+    /// mirrored queues and fills `session.parents`.  A striped layout
+    /// produces at most one sub-command per device; parity planning may
+    /// produce several (coalesced, deterministic
     /// order).  Sub-commands use the parent's arbitration sequence as
     /// correlation id, and inherit arrival/priority, so each device's own
     /// arbitration sees the same arrival-ordered stream the global arbiter
@@ -1049,16 +983,6 @@ impl Fleet {
                     for slice in striped_slices(range, self.config.devices, stripe_bytes) {
                         emit(slice.device, sub_command(kind, slice.range, hint));
                     }
-                }
-                // One replica serves the read; the choice is a pure
-                // function of the address and the live set.
-                (FleetLayout::Replicated, Some((SubOpKind::Read, range, _))) => {
-                    let replica = live[(range.offset / self.route_unit) as usize % live.len()];
-                    emit(replica, sub.command);
-                }
-                // Writes and frees mirror to every live replica.
-                (FleetLayout::Replicated, Some(_)) => {
-                    live.iter().for_each(|&d| emit(d, sub.command))
                 }
                 (FleetLayout::Parity { .. }, Some((kind, range, hint))) => {
                     let ps = self.parity.as_mut().expect("parity state");

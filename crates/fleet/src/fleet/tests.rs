@@ -99,9 +99,11 @@ fn a_member_that_errors_comes_back_to_its_slot() {
             other => panic!("threads={threads}: expected an internal error, got {other:?}"),
         }
         assert_eq!(fleet.devices(), DEVICES);
-        assert_eq!(fleet.live_indices(), [0, 1, 2, 3], "threads={threads}");
+        assert!(
+            (0..DEVICES).all(|d| fleet.device_stats(d).is_some()),
+            "threads={threads}"
+        );
         assert_eq!(fleet.device_stats(device), stats, "it never ran");
-        assert!((0..DEVICES).all(|d| fleet.device_stats(d).is_some()));
         assert!(fleet.last_session_log().is_empty());
         assert_eq!(drained(&mut queues), 0);
 
@@ -131,7 +133,10 @@ fn a_member_panic_resumes_on_the_calling_thread_with_every_member_back() {
         );
         // No slot was left empty, no worker died: the same fleet serves
         // the same session.
-        assert_eq!(fleet.live_indices(), [0, 1, 2, 3], "threads={threads}");
+        assert!(
+            (0..DEVICES).all(|d| fleet.device_stats(d).is_some()),
+            "threads={threads}"
+        );
         fleet.serve(&mut queues).expect("the fleet still serves");
         assert_eq!(drained(&mut queues), 4);
     }

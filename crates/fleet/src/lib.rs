@@ -10,17 +10,15 @@
 //!
 //! * **striped** (RAID-0): stripes dealt round-robin, aggregate capacity
 //!   and bandwidth, no redundancy; or
-//! * **replicated**: every write mirrored to all live replicas, reads
-//!   routed deterministically to one, survivable device failure with
-//!   online rebuild ([`Fleet::fail_device`] / [`Fleet::replace_device`] /
-//!   [`Fleet::rebuild_range`]); or
 //! * **parity** (RAID-5): rotating XOR parity over `devices - 1` data
 //!   units per row ([`parity`]), `devices - 1` devices' worth of
 //!   capacity, and degraded-mode serving — a failed member's data is
 //!   reconstructed from the survivors online, uncorrectable reads on
-//!   live members are transparently repaired from parity, and rebuild
-//!   onto a replacement runs under a QoS governor ([`qos`]) that trades
-//!   copy-back bandwidth against survivor tail latency.
+//!   live members are transparently repaired from parity, and a
+//!   replacement is rebuilt online ([`Fleet::fail_device`] /
+//!   [`Fleet::replace_device`] / [`Fleet::rebuild_range`]) under a QoS
+//!   governor ([`qos`]) that trades copy-back bandwidth against survivor
+//!   tail latency.
 //!
 //! ```text
 //!  initiators ─► HostQueues ─► global round-robin arbitration

@@ -87,12 +87,11 @@ pub struct FtlConfig {
     pub gc_reserved_blocks: u32,
     /// Demand-paged mapping (page-mapped FTL only): `Some` stores the
     /// translation table in on-flash translation pages behind an
-    /// SRAM-budgeted map cache (`ossd-mapcache`).  A finite entry budget
-    /// reserves map-area capacity out of the exported space and issues
-    /// real `MapRead`/`MapWrite` flash ops for misses and dirty-entry
-    /// writebacks; an infinite budget (`entry_budget: None`) is bit-for-bit
-    /// identical to the resident table.  `None` (the default) keeps the
-    /// historical fully resident map.
+    /// SRAM-budgeted map cache (`ossd-mapcache`).  It reserves map-area
+    /// capacity out of the exported space and issues real
+    /// `MapRead`/`MapWrite` flash ops for misses and dirty-entry
+    /// writebacks.  `None` (the default) keeps the historical fully
+    /// resident map.
     pub map_cache: Option<MapCacheConfig>,
 }
 
@@ -298,8 +297,9 @@ mod tests {
     #[test]
     fn map_cache_defaults_off_and_composes() {
         assert!(FtlConfig::default().map_cache.is_none());
-        let c = FtlConfig::default().with_map_cache(MapCacheConfig::infinite());
-        assert_eq!(c.map_cache, Some(MapCacheConfig::infinite()));
+        let budget = MapCacheConfig::default().with_budget(64);
+        let c = FtlConfig::default().with_map_cache(budget);
+        assert_eq!(c.map_cache, Some(budget));
         c.validate().unwrap();
     }
 }

@@ -46,4 +46,4 @@ pub use ossd_gc::CleaningPolicyKind;
 
 // Re-exported so device configuration and stats consumers can name the
 // demand-paged mapping types without a direct `ossd-mapcache` dependency.
-pub use ossd_mapcache::{EvictionPolicy, MapCacheConfig, MapStats};
+pub use ossd_mapcache::{MapCacheConfig, MapStats};

@@ -118,11 +118,7 @@ const WEAR_CHECK_INTERVAL: u64 = 256;
 /// translation pages model the *traffic and timing* of demand paging (a
 /// miss costs a map read, a dirty eviction costs a read-modify-write
 /// program), while mapping values are always served from the authoritative
-/// arrays.  This keeps correctness independent of the paging model and
-/// makes the infinite-budget configuration bit-for-bit identical to the
-/// resident table: with no budget there are no evictions, no entry is
-/// ever written back, the GTD never materializes, and therefore no map
-/// flash op is ever issued.
+/// arrays.  This keeps correctness independent of the paging model.
 #[derive(Clone, Debug)]
 struct DemandPaging {
     cache: MapCache,
@@ -195,7 +191,7 @@ pub struct PageFtl {
     paging: Option<DemandPaging>,
     /// Blocks per element withheld from host-path allocation: the
     /// configured GC reserve, plus one for the map-area append point when
-    /// the translation table spills to flash (finite cache budget).
+    /// the translation table spills to flash (demand paging).
     data_reserve_blocks: u32,
     /// Scratch: the valid-page bitmap of the block being drained, as it
     /// stood when the drain began.
@@ -241,12 +237,11 @@ impl PageFtl {
         // nothing at all, and a device must survive a pure sequential fill
         // of everything it advertises (no overwrites means no stale pages,
         // so cleaning cannot help there).
-        let finite_paging = config.map_cache.is_some_and(|mc| mc.entry_budget.is_some());
-        // A finite map cache spills the table to flash, and the map area
-        // appends through its own per-element block: one extra reserved
-        // block per element funds that append point so map writebacks and
-        // host data never fight over the last free block.
-        let data_reserve_blocks = config.gc_reserved_blocks + u32::from(finite_paging);
+        // A map cache spills the table to flash, and the map area appends
+        // through its own per-element block: one extra reserved block per
+        // element funds that append point so map writebacks and host data
+        // never fight over the last free block.
+        let data_reserve_blocks = config.gc_reserved_blocks + u32::from(config.map_cache.is_some());
         let reserved_pages = geometry.elements() as u64
             * data_reserve_blocks as u64
             * geometry.pages_per_block as u64;
@@ -259,17 +254,15 @@ impl PageFtl {
         let mut paging = None;
         if let Some(map_cache) = config.map_cache {
             let entries_per_tp = (geometry.page_bytes as u64 / ENTRY_BYTES).max(1);
-            if map_cache.entry_budget.is_some() {
-                // The map area comes out of the exported capacity: one
-                // translation page per `entries_per_tp` logical pages,
-                // doubled because the map is itself a log — superseded
-                // translation-page versions linger as stale pages until
-                // cleaning reclaims them, so the map log needs its own
-                // over-provisioning.  (The per-element append block is
-                // funded by `data_reserve_blocks` above.)
-                let tp_pages = logical_pages.div_ceil(entries_per_tp);
-                logical_pages = logical_pages.saturating_sub(tp_pages * 2);
-            }
+            // The map area comes out of the exported capacity: one
+            // translation page per `entries_per_tp` logical pages, doubled
+            // because the map is itself a log — superseded translation-page
+            // versions linger as stale pages until cleaning reclaims them,
+            // so the map log needs its own over-provisioning.  (The
+            // per-element append block is funded by `data_reserve_blocks`
+            // above.)
+            let tp_pages = logical_pages.div_ceil(entries_per_tp);
+            logical_pages = logical_pages.saturating_sub(tp_pages * 2);
             if logical_pages == 0 {
                 return Err(FtlError::InvalidConfig {
                     reason: "geometry too small for the demand-paged map area".to_string(),
@@ -637,15 +630,6 @@ impl PageFtl {
     }
 
     // ---- Demand-paged mapping (DFTL-style) -----------------------------
-
-    /// Whether demand paging runs with a *finite* cache budget.  Only a
-    /// finite budget spills the table to flash; an infinite budget is the
-    /// resident table in all but bookkeeping and must issue no flash op.
-    fn paging_finite(&self) -> bool {
-        self.paging
-            .as_ref()
-            .is_some_and(|p| p.cache.config().entry_budget.is_some())
-    }
 
     /// Programs the next version of translation page `tpn` into the map
     /// area of `element`, superseding (invalidating) the previous on-flash
@@ -1441,22 +1425,13 @@ impl Ftl for PageFtl {
     }
 
     fn flush_into(&mut self, ops: &mut Vec<FlashOp>) -> Result<(), FtlError> {
-        // Only a finite-budget map cache has on-flash state to make
-        // durable; with an infinite budget the cache *is* the table and no
-        // flash op may be issued (bit-for-bit resident-table equivalence).
-        if !self.paging_finite() {
-            return Ok(());
-        }
         // Staled tps queued by earlier relocations drain first, then every
-        // dirty cached entry.
+        // dirty cached entry.  A resident table has neither.
         self.flush_pending_tpns(OpPurpose::HostWrite, ops)?;
-        let batches = self
-            .paging
-            .as_mut()
-            .expect("finite paging checked")
-            .cache
-            .drain_dirty();
-        for (tpn, _entries) in batches {
+        let Some(paging) = self.paging.as_mut() else {
+            return Ok(());
+        };
+        for (tpn, _entries) in paging.cache.drain_dirty() {
             self.map_writeback(tpn, OpPurpose::HostWrite, true, ops)?;
         }
         Ok(())
@@ -1518,14 +1493,8 @@ impl Ftl for PageFtl {
                 let mut stats = MapStats {
                     bytes_total: total,
                     // SRAM the paged design holds besides the cached
-                    // entries: the GTD, once the table actually spills
-                    // (finite budget).  An infinite budget never
-                    // materializes it.
-                    bytes_resident: if paging.cache.config().entry_budget.is_some() {
-                        paging.gtd.len() as u64 * ENTRY_BYTES
-                    } else {
-                        0
-                    },
+                    // entries: the GTD.
+                    bytes_resident: paging.gtd.len() as u64 * ENTRY_BYTES,
                     map_reads: paging.map_reads,
                     map_writes: paging.map_writes,
                     map_gc_moves: paging.map_gc_moves,
@@ -2039,7 +2008,7 @@ mod tests {
 
     /// What the reverse map's three kinds of value rely on, at the limits
     /// of the largest legal device: logical pages number at most 2³¹, and a
-    /// finite map budget takes two translation pages per translation page's
+    /// map budget takes two translation pages per translation page's
     /// worth of them out of the export, so translation pages number far
     /// fewer.
     #[test]
@@ -2336,7 +2305,7 @@ mod tests {
 
     // ---- Demand-paged mapping ------------------------------------------
 
-    use ossd_mapcache::{EvictionPolicy, MapCacheConfig};
+    use ossd_mapcache::MapCacheConfig;
 
     /// A geometry with small (512 B) pages so that a translation page
     /// holds only 64 entries and a unit test exercises many translation
@@ -2352,54 +2321,7 @@ mod tests {
         }
     }
 
-    /// An infinite-budget map cache must be *bit-for-bit* identical to the
-    /// resident table: same ops from every call, same stats, same wear —
-    /// while still counting cache traffic.
-    #[test]
-    fn infinite_budget_map_cache_is_bit_for_bit_inert() {
-        let config = FtlConfig::default()
-            .with_overprovisioning(0.25)
-            .with_watermarks(0.3, 0.1);
-        let mut baseline = tiny_ftl(config.clone());
-        let mut paged = tiny_ftl(config.with_map_cache(MapCacheConfig::infinite()));
-        assert_eq!(baseline.logical_pages(), paged.logical_pages());
-        let logical = baseline.logical_pages();
-        for _ in 0..6 {
-            for i in 0..logical {
-                let lpn = Lpn((i * 13) % logical);
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                baseline
-                    .write_into(lpn, 4096, &WriteContext::idle(), &mut a)
-                    .unwrap();
-                paged
-                    .write_into(lpn, 4096, &WriteContext::idle(), &mut b)
-                    .unwrap();
-                assert_eq!(a, b, "write ops diverged at lpn {lpn:?}");
-            }
-        }
-        for lpn in 0..logical {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            let a_bad = baseline.read_into(Lpn(lpn), 4096, &mut a).unwrap();
-            let b_bad = paged.read_into(Lpn(lpn), 4096, &mut b).unwrap();
-            assert_eq!((a, a_bad), (b, b_bad), "read outcome diverged at lpn {lpn}");
-        }
-        let mut ops = Vec::new();
-        paged.flush_into(&mut ops).unwrap();
-        assert!(ops.is_empty(), "nothing to make durable");
-        assert_eq!(baseline.stats(), paged.stats());
-        assert_eq!(baseline.wear_summary(), paged.wear_summary());
-        // The cache saw every access yet issued no map op and spilled
-        // nothing.
-        let ms = paged.map_stats();
-        assert!(ms.hits > 0);
-        assert_eq!(ms.misses, logical, "one compulsory miss per lpn");
-        assert_eq!(ms.map_reads, 0);
-        assert_eq!(ms.map_writes, 0);
-        assert_eq!(ms.writebacks, 0);
-        assert_eq!(ms.evictions_clean + ms.evictions_dirty, 0);
-    }
-
-    /// A finite budget reserves the map area out of the exported capacity
+    /// A budget reserves the map area out of the exported capacity
     /// and issues real map reads (misses) and map writes (writebacks),
     /// while every logical page stays intact through GC of both data and
     /// translation blocks.
@@ -2479,11 +2401,7 @@ mod tests {
             FlashTiming::slc(),
             FtlConfig::default()
                 .with_overprovisioning(0.25)
-                .with_map_cache(
-                    MapCacheConfig::default()
-                        .with_budget(16)
-                        .with_policy(EvictionPolicy::Lru),
-                ),
+                .with_map_cache(MapCacheConfig::default().with_budget(16)),
         )
         .unwrap();
         let logical = ftl.logical_pages();

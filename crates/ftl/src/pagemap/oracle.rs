@@ -127,8 +127,7 @@ impl Rng {
 
 /// The device and configuration of stream `seed`.  The cleaning policy
 /// cycles so every block of four streams covers all four; everything else
-/// is drawn: resident map / infinite cache / finite budget (translation
-/// pages in the victims, relocations queueing rewrites), fault model off or
+/// is drawn: resident map / map cache (translation pages in the victims, relocations queueing rewrites), fault model off or
 /// on with program failures frequent enough to land inside runs, free
 /// hints honoured or not, and a wear-leveling bound tight enough to trigger
 /// within a few hundred writes.
@@ -142,9 +141,8 @@ fn scenario(seed: u64, rng: &mut Rng) -> PageFtl {
         max_erase_spread: 1 + rng.below(3) as u32,
     });
     let mut geometry = FlashGeometry::tiny();
-    match rng.below(3) {
+    match rng.below(2) {
         0 => {}
-        1 => config = config.with_map_cache(MapCacheConfig::infinite()),
         _ => {
             // 64-entry translation pages against a 24-entry budget.
             geometry = FlashGeometry {

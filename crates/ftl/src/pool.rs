@@ -55,7 +55,7 @@ pub(crate) const MAX_VICTIMS_PER_PASS: u32 = 4;
 
 /// The two logs a pool appends to.  Translation pages get their own append
 /// block so they and host data do not share blocks; it stays unused unless
-/// demand paging runs with a finite budget (and always on the stripe FTL).
+/// demand paging runs (and always on the stripe FTL).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum AppendPoint {
     /// Host data, and data relocated by cleaning or wear-leveling.

@@ -211,11 +211,6 @@ impl StripeFtl {
         self.coalesce = coalesce;
     }
 
-    /// Whether write coalescing is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.coalesce
-    }
-
     /// Stripe (logical page) size in bytes.
     pub fn stripe_bytes(&self) -> u64 {
         self.flash.geometry().elements() as u64

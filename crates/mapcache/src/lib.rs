@@ -14,7 +14,7 @@
 //!   this crate) maps each tpn to the flash page holding its current
 //!   version;
 //! * the **map cache** (this crate) holds individual `lpn → ppn` entries
-//!   under a configurable entry budget with CLOCK or LRU eviction; a miss
+//!   under a configurable entry budget with CLOCK eviction; a miss
 //!   costs a real map-read flash operation, and evicting a *dirty* entry
 //!   costs a read-modify-write of its translation page — batched, so every
 //!   dirty entry of the same translation page rides along and is cleaned
@@ -26,9 +26,10 @@
 //!
 //! # Layout
 //!
-//! Entries live in a slot array threaded by the recency list.  An lpn
-//! finds its slot through a hash index keyed with a fixed multiplicative
-//! hash — one multiply and a fold, no SipHash.  The index is only ever
+//! Entries live in a slot array threaded by an insertion-order list, the
+//! order the CLOCK hand sweeps.  An lpn finds its slot through a hash
+//! index keyed with a fixed multiplicative hash — one multiply and a
+//! fold, no SipHash.  The index is only ever
 //! probed by key and never iterated, so its hash function cannot reach a
 //! result, and seeded simulations stay bit-for-bit reproducible.  Each
 //! translation page's dirty entries form a list threaded through their
@@ -42,12 +43,6 @@
 //! cache stands in for; nor does any list keep a buffer, which would grow
 //! to the peak dirty count of every translation page (whole pages, on a
 //! sequential fill) — O(logical pages) again.
-//!
-//! With an infinite budget ([`MapCacheConfig::entry_budget`]` = None`) the
-//! cache never evicts, therefore never writes back, therefore never
-//! materializes a translation page on flash — and a demand-paged FTL
-//! degenerates to its resident-table behavior exactly, which is what the
-//! equivalence suite pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
@@ -86,61 +81,29 @@ impl Hasher for LpnHasher {
 
 type LpnIndex = HashMap<u64, u32, BuildHasherDefault<LpnHasher>>;
 
-/// Eviction policy of the map cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EvictionPolicy {
-    /// CLOCK (second chance): a hand sweeps the entries oldest-first,
-    /// clearing reference bits; the first unreferenced entry is evicted.
-    /// O(1) amortized and within a few percent of LRU's hit rate — what
-    /// real controllers ship.
-    #[default]
-    Clock,
-    /// Strict least-recently-used via an intrusive recency list.
-    Lru,
-}
-
-impl EvictionPolicy {
-    /// Short lowercase name for CSV/report columns.
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionPolicy::Clock => "clock",
-            EvictionPolicy::Lru => "lru",
-        }
-    }
-}
-
 /// Configuration of the demand-paged map cache.
+///
+/// Once the budget is full, an insert evicts by CLOCK (second chance): a
+/// hand sweeps the entries oldest-first, clearing reference bits, and the
+/// first unreferenced entry is evicted — O(1) amortized and within a few
+/// percent of LRU's hit rate, which is what real controllers ship.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MapCacheConfig {
-    /// Maximum cached entries; `None` means infinite (every entry fits, no
-    /// eviction ever happens, and the FTL behaves exactly like its
-    /// resident-table variant while still exercising the cache code).
-    pub entry_budget: Option<u64>,
-    /// Eviction policy once the budget is reached.
-    pub policy: EvictionPolicy,
+    /// Maximum cached entries (at least 1; the default 0 is unset and
+    /// fails [`MapCacheConfig::validate`]).
+    pub entry_budget: u64,
 }
 
 impl MapCacheConfig {
-    /// An infinite-budget cache (resident-table equivalent).
-    pub fn infinite() -> Self {
-        MapCacheConfig::default()
-    }
-
     /// Returns this config with the entry budget set.
     pub fn with_budget(mut self, entries: u64) -> Self {
-        self.entry_budget = Some(entries);
-        self
-    }
-
-    /// Returns this config with the eviction policy set.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
+        self.entry_budget = entries;
         self
     }
 
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.entry_budget == Some(0) {
+        if self.entry_budget == 0 {
             return Err("map cache entry budget must be at least 1".to_string());
         }
         Ok(())
@@ -222,8 +185,8 @@ struct Slot {
     ppn: u64,
     dirty: bool,
     referenced: bool,
-    /// Recency list: `prev` points towards the MRU head, `next` towards
-    /// the LRU tail.
+    /// Insertion-order list: `prev` points towards the newest entry (the
+    /// head), `next` towards the oldest (the tail).
     prev: u32,
     next: u32,
     /// Links of its translation page's dirty list while dirty.
@@ -256,9 +219,9 @@ pub struct MapCache {
     /// lpn → slot.  Only ever probed by key (never iterated), so the
     /// hash map cannot leak nondeterminism into the simulation.
     index: LpnIndex,
-    /// MRU end of the recency list.
+    /// Newest end of the insertion-order list.
     head: u32,
-    /// LRU end of the recency list.
+    /// Oldest end of the insertion-order list.
     tail: u32,
     /// CLOCK hand: the next slot the sweep examines (NIL restarts at the
     /// tail).
@@ -277,8 +240,9 @@ pub struct MapCache {
 }
 
 impl MapCache {
-    /// Builds a cache; `entries_per_tp` is the number of map entries one
-    /// translation page packs (`page_bytes / 8`, at least 1).
+    /// Builds a cache from a `config` that passes
+    /// [`MapCacheConfig::validate`]; `entries_per_tp` is the number of map
+    /// entries one translation page packs (`page_bytes / 8`, at least 1).
     pub fn new(config: MapCacheConfig, entries_per_tp: u64) -> Self {
         MapCache {
             config,
@@ -298,11 +262,6 @@ impl MapCache {
             writebacks: 0,
             entries_written_back: 0,
         }
-    }
-
-    /// The configuration the cache was built with.
-    pub fn config(&self) -> &MapCacheConfig {
-        &self.config
     }
 
     /// Map entries per translation page.
@@ -330,8 +289,8 @@ impl MapCache {
         self.dirty_count
     }
 
-    /// Looks `lpn` up, counting a hit or miss and touching the entry for
-    /// the eviction policy.  On a miss the caller fetches the entry (a
+    /// Looks `lpn` up, counting a hit or miss and setting the entry's
+    /// CLOCK reference bit.  On a miss the caller fetches the entry (a
     /// map-read flash op if the translation page is materialized) and
     /// calls [`MapCache::insert`].
     pub fn lookup(&mut self, lpn: u64) -> Option<u64> {
@@ -375,9 +334,10 @@ impl MapCache {
             self.touch(slot);
             return None;
         }
-        let evicted = match self.config.entry_budget {
-            Some(budget) if self.index.len() as u64 >= budget => Some(self.evict_one()),
-            _ => None,
+        let evicted = if self.index.len() as u64 >= self.config.entry_budget {
+            Some(self.evict_one())
+        } else {
+            None
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -475,15 +435,7 @@ impl MapCache {
     }
 
     fn touch(&mut self, slot: u32) {
-        match self.config.policy {
-            EvictionPolicy::Clock => self.slots[slot as usize].referenced = true,
-            EvictionPolicy::Lru => {
-                if self.head != slot {
-                    self.detach(slot);
-                    self.push_front(slot);
-                }
-            }
-        }
+        self.slots[slot as usize].referenced = true;
     }
 
     fn mark_dirty(&mut self, slot: u32) {
@@ -568,36 +520,29 @@ impl MapCache {
             self.tail = prev;
         }
         if self.hand == slot {
-            // The hand sweeps towards the MRU head; resume past the
-            // removed slot.
+            // The hand sweeps towards the head; resume past the removed
+            // slot.
             self.hand = prev;
         }
     }
 
-    /// Evicts one entry per policy.  Only called with a non-empty cache at
-    /// a finite budget.
+    /// Evicts one entry by CLOCK.  Only called with a non-empty cache.
     fn evict_one(&mut self) -> Eviction {
-        let victim = match self.config.policy {
-            EvictionPolicy::Lru => self.tail,
-            EvictionPolicy::Clock => {
-                // Sweep LRU-tail → MRU-head, wrapping, clearing reference
-                // bits; the first unreferenced slot is the victim.
-                // Terminates within two laps (the first lap clears every
-                // bit it passes).
-                let mut cursor = if self.hand != NIL {
-                    self.hand
-                } else {
-                    self.tail
-                };
-                loop {
-                    if !self.slots[cursor as usize].referenced {
-                        break cursor;
-                    }
-                    self.slots[cursor as usize].referenced = false;
-                    let prev = self.slots[cursor as usize].prev;
-                    cursor = if prev != NIL { prev } else { self.tail };
-                }
+        // Sweep tail → head, wrapping, clearing reference bits; the first
+        // unreferenced slot is the victim.  Terminates within two laps
+        // (the first lap clears every bit it passes).
+        let mut cursor = if self.hand != NIL {
+            self.hand
+        } else {
+            self.tail
+        };
+        let victim = loop {
+            if !self.slots[cursor as usize].referenced {
+                break cursor;
             }
+            self.slots[cursor as usize].referenced = false;
+            let prev = self.slots[cursor as usize].prev;
+            cursor = if prev != NIL { prev } else { self.tail };
         };
         debug_assert_ne!(victim, NIL, "evict_one on an empty cache");
         let Slot {
@@ -620,25 +565,20 @@ impl MapCache {
 mod tests {
     use super::*;
 
-    fn cache(budget: u64, policy: EvictionPolicy) -> MapCache {
-        MapCache::new(
-            MapCacheConfig::default()
-                .with_budget(budget)
-                .with_policy(policy),
-            4,
-        )
+    fn cache(budget: u64) -> MapCache {
+        MapCache::new(MapCacheConfig::default().with_budget(budget), 4)
     }
 
     #[test]
     fn config_validation() {
-        assert!(MapCacheConfig::infinite().validate().is_ok());
         assert!(MapCacheConfig::default().with_budget(1).validate().is_ok());
         assert!(MapCacheConfig::default().with_budget(0).validate().is_err());
+        assert!(MapCacheConfig::default().validate().is_err());
     }
 
     #[test]
     fn lookup_counts_hits_and_misses() {
-        let mut c = cache(4, EvictionPolicy::Lru);
+        let mut c = cache(4);
         assert_eq!(c.lookup(7), None);
         assert!(c.insert(7, 70, false).is_none());
         assert_eq!(c.lookup(7), Some(70));
@@ -650,38 +590,8 @@ mod tests {
     }
 
     #[test]
-    fn infinite_budget_never_evicts() {
-        let mut c = MapCache::new(MapCacheConfig::infinite(), 4);
-        for lpn in 0..10_000u64 {
-            assert!(c.insert(lpn, lpn * 10, true).is_none());
-        }
-        assert_eq!(c.len(), 10_000);
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used() {
-        let mut c = cache(3, EvictionPolicy::Lru);
-        for lpn in 0..3 {
-            assert!(c.insert(lpn, lpn, false).is_none());
-        }
-        // Touch 0 so 1 becomes the LRU.
-        assert_eq!(c.lookup(0), Some(0));
-        let ev = c.insert(3, 3, false).expect("budget full");
-        assert_eq!(
-            ev,
-            Eviction {
-                lpn: 1,
-                ppn: 1,
-                dirty: false
-            }
-        );
-        assert!(c.peek(1).is_none());
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
     fn clock_gives_referenced_entries_a_second_chance() {
-        let mut c = cache(3, EvictionPolicy::Clock);
+        let mut c = cache(3);
         for lpn in 0..3 {
             c.insert(lpn, lpn, false);
         }
@@ -699,7 +609,7 @@ mod tests {
 
     #[test]
     fn upsert_updates_in_place_without_eviction() {
-        let mut c = cache(2, EvictionPolicy::Lru);
+        let mut c = cache(2);
         c.insert(1, 10, false);
         c.insert(2, 20, false);
         assert!(c.insert(1, 11, true).is_none());
@@ -711,7 +621,7 @@ mod tests {
     #[test]
     fn writeback_batches_every_dirty_sibling_of_the_translation_page() {
         // entries_per_tp = 4: lpns 0..4 share tpn 0, 4..8 share tpn 1.
-        let mut c = cache(8, EvictionPolicy::Lru);
+        let mut c = cache(8);
         c.insert(0, 100, true);
         c.insert(2, 102, true);
         c.insert(3, 103, false);
@@ -731,7 +641,7 @@ mod tests {
 
     #[test]
     fn drain_dirty_flushes_in_ascending_tpn_order() {
-        let mut c = cache(16, EvictionPolicy::Clock);
+        let mut c = cache(16);
         for lpn in [9u64, 1, 6, 14] {
             c.insert(lpn, lpn * 10, true);
         }
@@ -752,7 +662,7 @@ mod tests {
 
     #[test]
     fn update_marks_dirty_only_when_present() {
-        let mut c = cache(4, EvictionPolicy::Lru);
+        let mut c = cache(4);
         c.insert(1, 10, false);
         assert!(c.update(1, 11, true));
         assert!(c.is_dirty(1));
@@ -767,7 +677,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_counters_split_clean_and_dirty() {
-        let mut c = cache(1, EvictionPolicy::Lru);
+        let mut c = cache(1);
         c.insert(1, 10, true);
         let ev = c.insert(2, 20, false).expect("evicts 1");
         assert!(ev.dirty);
@@ -781,7 +691,7 @@ mod tests {
 
     #[test]
     fn eviction_of_dirty_entry_leaves_dirty_bookkeeping_consistent() {
-        let mut c = cache(2, EvictionPolicy::Lru);
+        let mut c = cache(2);
         c.insert(0, 1, true);
         c.insert(1, 2, true); // same tpn (entries_per_tp = 4)
         let ev = c.insert(4, 3, false).expect("evicts 0");

@@ -3,19 +3,18 @@
 //! dirty vectors and a sorted batch built for every writeback.  Each stream
 //! mixes every public operation; after every call the two must agree on
 //! the call's return value, `len`, `dirty_len` and every counter
-//! `stats_into` reports.  The cells cover both policies × budgets {1, 2,
-//! 3, 64, ∞} × translation pages of {1, 4, 512} entries.
+//! `stats_into` reports.  The cells cover budgets {1, 2, 3, 64} ×
+//! translation pages of {1, 4, 512} entries.
 
 mod reference;
 
-use ossd_mapcache::{EvictionPolicy, MapCache, MapCacheConfig, MapStats};
+use ossd_mapcache::{MapCache, MapCacheConfig, MapStats};
 use ossd_sim::SimRng;
 use reference::ReferenceCache;
 
-const POLICIES: [EvictionPolicy; 2] = [EvictionPolicy::Clock, EvictionPolicy::Lru];
-const BUDGETS: [Option<u64>; 5] = [Some(1), Some(2), Some(3), Some(64), None];
+const BUDGETS: [u64; 4] = [1, 2, 3, 64];
 const ENTRIES_PER_TP: [u64; 3] = [1, 4, 512];
-const CELLS: u64 = (POLICIES.len() * BUDGETS.len() * ENTRIES_PER_TP.len()) as u64;
+const CELLS: u64 = (BUDGETS.len() * ENTRIES_PER_TP.len()) as u64;
 const OPS: usize = 1_500;
 
 /// What one stream exercised, summed over streams.
@@ -36,19 +35,15 @@ fn stats(fill: impl FnOnce(&mut MapStats)) -> MapStats {
 /// Runs stream `stream` in cell `stream % CELLS`.
 fn run_stream(stream: u64, coverage: &mut Coverage) {
     let cell = stream % CELLS;
-    let policy = POLICIES[(cell % 2) as usize];
-    let budget = BUDGETS[(cell / 2 % 5) as usize];
-    let entries_per_tp = ENTRIES_PER_TP[(cell / 10) as usize];
-    let config = MapCacheConfig {
-        entry_budget: budget,
-        policy,
-    };
+    let budget = BUDGETS[(cell % 4) as usize];
+    let entries_per_tp = ENTRIES_PER_TP[(cell / 4) as usize];
+    let config = MapCacheConfig::default().with_budget(budget);
     let mut cache = MapCache::new(config, entries_per_tp);
     let mut reference = ReferenceCache::new(config, entries_per_tp);
     let mut rng = SimRng::seed_from_u64(stream);
     // A pool of lpns a few times the budget, spread over several
     // translation pages however many entries a page holds.
-    let pool_len = budget.map_or(100, |b| 2 * b + 3);
+    let pool_len = 2 * budget + 3;
     let span = pool_len.max(6 * entries_per_tp);
     let pool: Vec<u64> = (0..pool_len).map(|_| rng.next_u64_below(span)).collect();
     let max_tpn = (span - 1) / entries_per_tp;
@@ -56,7 +51,7 @@ fn run_stream(stream: u64, coverage: &mut Coverage) {
         let lpn = pool[rng.next_usize_below(pool.len())];
         let ppn = rng.next_u64_below(1 << 40);
         let dirty = rng.chance(0.5);
-        let at = format!("stream {stream} ({policy:?}, {budget:?}, {entries_per_tp}) step {step}");
+        let at = format!("stream {stream} ({budget}, {entries_per_tp}) step {step}");
         match rng.next_u64_below(100) {
             0..=24 => {
                 let got = cache.lookup(lpn);

@@ -1,6 +1,6 @@
 //! Seeded eviction-correctness property suite: under randomized churn the
 //! cache + translation-page store must round-trip every entry — no dirty
-//! update may ever be lost, under either eviction policy.
+//! update may ever be lost.
 //!
 //! The test drives the cache exactly the way the demand-paged FTL does:
 //! lookups before every access, inserts on misses (loading from the
@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use ossd_mapcache::{EvictionPolicy, MapCache, MapCacheConfig, MapStats};
+use ossd_mapcache::{MapCache, MapCacheConfig, MapStats};
 use ossd_sim::SimRng;
 
 const UNMAPPED: u64 = u64::MAX;
@@ -58,12 +58,10 @@ fn handle_eviction(
     apply_batch(store, tpn, &batch, reference);
 }
 
-fn churn(policy: EvictionPolicy, budget: u64, seed: u64) {
+fn churn(budget: u64, seed: u64) {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut cache = MapCache::new(
-        MapCacheConfig::default()
-            .with_budget(budget)
-            .with_policy(policy),
+        MapCacheConfig::default().with_budget(budget),
         ENTRIES_PER_TP,
     );
     let mut store: TpStore = HashMap::new();
@@ -134,7 +132,7 @@ fn churn(policy: EvictionPolicy, budget: u64, seed: u64) {
         assert_eq!(
             store_get(&store, tpn, lpn),
             ppn,
-            "lpn {lpn} lost its last dirty update (policy {policy:?}, budget {budget}, seed {seed})"
+            "lpn {lpn} lost its last dirty update (budget {budget}, seed {seed})"
         );
     }
 
@@ -151,22 +149,13 @@ fn churn(policy: EvictionPolicy, budget: u64, seed: u64) {
 }
 
 #[test]
-fn randomized_churn_round_trips_every_entry_clock() {
+fn randomized_churn_round_trips_every_entry() {
     for seed in [1u64, 7, 42] {
-        churn(EvictionPolicy::Clock, 32, seed);
+        churn(32, seed);
     }
 }
 
 #[test]
-fn randomized_churn_round_trips_every_entry_lru() {
-    for seed in [1u64, 7, 42] {
-        churn(EvictionPolicy::Lru, 32, seed);
-    }
-}
-
-#[test]
-fn tiny_budget_survives_heavy_churn_under_both_policies() {
-    for policy in [EvictionPolicy::Clock, EvictionPolicy::Lru] {
-        churn(policy, 2, 9);
-    }
+fn tiny_budget_survives_heavy_churn() {
+    churn(2, 9);
 }

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use ossd_mapcache::{Eviction, EvictionPolicy, MapCacheConfig, MapStats, ENTRY_BYTES};
+use ossd_mapcache::{Eviction, MapCacheConfig, MapStats, ENTRY_BYTES};
 
 const NIL: u32 = u32::MAX;
 
@@ -109,9 +109,10 @@ impl ReferenceCache {
             self.touch(slot);
             return None;
         }
-        let evicted = match self.config.entry_budget {
-            Some(budget) if self.index.len() as u64 >= budget => Some(self.evict_one()),
-            _ => None,
+        let evicted = if self.index.len() as u64 >= self.config.entry_budget {
+            Some(self.evict_one())
+        } else {
+            None
         };
         let slot = match self.free.pop() {
             Some(slot) => slot,
@@ -195,15 +196,7 @@ impl ReferenceCache {
     }
 
     fn touch(&mut self, slot: u32) {
-        match self.config.policy {
-            EvictionPolicy::Clock => self.slots[slot as usize].referenced = true,
-            EvictionPolicy::Lru => {
-                if self.head != slot {
-                    self.detach(slot);
-                    self.push_front(slot);
-                }
-            }
-        }
+        self.slots[slot as usize].referenced = true;
     }
 
     fn mark_dirty(&mut self, slot: u32) {
@@ -283,23 +276,18 @@ impl ReferenceCache {
     }
 
     fn evict_one(&mut self) -> Eviction {
-        let victim = match self.config.policy {
-            EvictionPolicy::Lru => self.tail,
-            EvictionPolicy::Clock => {
-                let mut cursor = if self.hand != NIL {
-                    self.hand
-                } else {
-                    self.tail
-                };
-                loop {
-                    if !self.slots[cursor as usize].referenced {
-                        break cursor;
-                    }
-                    self.slots[cursor as usize].referenced = false;
-                    let prev = self.slots[cursor as usize].prev;
-                    cursor = if prev != NIL { prev } else { self.tail };
-                }
+        let mut cursor = if self.hand != NIL {
+            self.hand
+        } else {
+            self.tail
+        };
+        let victim = loop {
+            if !self.slots[cursor as usize].referenced {
+                break cursor;
             }
+            self.slots[cursor as usize].referenced = false;
+            let prev = self.slots[cursor as usize].prev;
+            cursor = if prev != NIL { prev } else { self.tail };
         };
         debug_assert_ne!(victim, NIL, "evict_one on an empty cache");
         let Slot {

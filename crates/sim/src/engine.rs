@@ -1,10 +1,9 @@
 //! Event-driven controller engine.
 //!
-//! Storage controllers in this workspace (the SSD's flash controller, the
-//! HDD's arm scheduler) are state machines that react to a small set of
-//! events: a host request *arrives*, a previously dispatched operation
-//! *starts* on its resource, an operation *completes*, or the device goes
-//! *idle*.  [`run`] is the generic dispatch loop that delivers those events
+//! A storage controller (the SSD's flash controller in this workspace) is
+//! a state machine that reacts to a small set of events: a host request
+//! *arrives*, a previously dispatched operation *starts* on its resource,
+//! an operation *completes*, or the device goes *idle*.  [`run`] is the generic dispatch loop that delivers those events
 //! in deterministic time order — arrivals from a cursor over the arrival
 //! slice, op starts and completions from an [`EventQueue`] — to anything
 //! implementing [`Controller`].
@@ -92,8 +91,8 @@ pub struct DispatchedOp {
 /// Implementations queue arrivals, decide in [`poll_dispatch`] which queued
 /// work may start at the current time (this is where scheduling policies and
 /// queue-depth limits live), and account op lifecycle events.  See
-/// `ossd-ssd`'s open-queue controller and `ossd-hdd`'s arm controller for
-/// the two implementations in this workspace.
+/// `ossd-ssd`'s open-queue controller for the implementation in this
+/// workspace.
 ///
 /// [`poll_dispatch`]: Controller::poll_dispatch
 pub trait Controller {

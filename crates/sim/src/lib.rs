@@ -1,11 +1,11 @@
 //! Deterministic discrete-event simulation foundation for the `ossd` crates.
 //!
-//! The storage simulators in this workspace (`ossd-ssd`, `ossd-hdd`) are
-//! trace-driven, deterministic simulators in the style of the simulator used
-//! by Agrawal et al. (*Design Tradeoffs for SSD Performance*, USENIX ATC
-//! 2008) and by the paper reproduced here (Rajimwale et al., *Block
-//! Management in Solid-State Devices*, USENIX ATC 2009).  This crate provides
-//! the shared, device-independent pieces:
+//! The storage simulators in this workspace (`ossd-ssd`, the disk in
+//! `ossd-core`) are trace-driven, deterministic simulators in the style of
+//! the simulator used by Agrawal et al. (*Design Tradeoffs for SSD
+//! Performance*, USENIX ATC 2008) and by the paper reproduced here
+//! (Rajimwale et al., *Block Management in Solid-State Devices*, USENIX
+//! ATC 2009).  This crate provides the shared, device-independent pieces:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution simulated clock.
 //! * [`SimRng`] — a seeded, reproducible random number generator with the

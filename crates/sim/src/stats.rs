@@ -8,12 +8,11 @@
 
 use crate::time::SimDuration;
 
-/// Online mean/min/max/variance accumulator (Welford's algorithm).
+/// Online mean/min/max accumulator (Welford's running mean).
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -24,7 +23,6 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -33,10 +31,7 @@ impl Summary {
     /// Adds one observation.
     pub fn record(&mut self, value: f64) {
         self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        let delta2 = value - self.mean;
-        self.m2 += delta * delta2;
+        self.mean += (value - self.mean) / self.count as f64;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -84,13 +79,8 @@ impl Summary {
         }
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
+        self.mean += delta * other.count as f64 / total as f64;
         self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }

@@ -14,7 +14,7 @@
 //! * [`ftl`] — page-mapped and stripe-mapped flash translation layers with
 //!   cleaning, wear-leveling, informed cleaning and priority-aware cleaning.
 //! * [`ssd`] — the SSD device model (gangs, schedulers, device profiles).
-//! * [`fleet`] — multi-device arrays: striped/replicated routing over
+//! * [`fleet`] — multi-device arrays: striped and parity routing over
 //!   member `Ssd`s, per-device engine threads with a deterministic
 //!   completion merge, device failure/replacement/rebuild.
 //! * [`block`] — the queue-pair host interface (commands, hints, fences,

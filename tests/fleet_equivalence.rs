@@ -291,40 +291,46 @@ fn multi_device_fleet_is_thread_count_invariant() {
     }
 }
 
-/// Replicated fleets are deterministic across thread counts too, including
-/// through a failure + replacement + rebuild cycle.
+/// Parity fleets are deterministic across thread counts too, including
+/// through a failure + replacement + full rebuild cycle.
 #[test]
-fn replicated_fleet_failure_cycle_is_thread_count_invariant() {
+fn parity_fleet_failure_cycle_is_thread_count_invariant() {
     let mut runs = Vec::new();
     for threads in [1usize, 3] {
-        let config = FleetConfig::replicated(
+        let config = FleetConfig::parity(
             device_config(MappingKind::PageMapped, SchedulerKind::Fcfs),
             3,
+            PAGE as u64,
         )
         .with_threads(threads)
         .with_seed(0xF1EE_5EED);
         let mut fleet = Fleet::new(config).expect("fleet");
         let capacity = ossd_block::BlockDevice::capacity_bytes(&fleet);
         let (result, _) = run_sessions(&mut fleet, capacity, |_, _| {});
-        // Fail a replica, replace it, rebuild a slice of the space.
-        fleet.fail_device(1).expect("fail replica");
-        fleet.replace_device(1).expect("replace replica");
+        // Fail a member, replace it, rebuild every row in stripe-aligned
+        // chunks from the watermark.
+        fleet.fail_device(1).expect("fail member");
+        fleet.replace_device(1).expect("replace member");
         let page = PAGE as u64;
+        let rows = fleet.parity_rows().expect("parity fleet");
         let mut at = SimTime::from_micros(1);
         let mut rebuild_finishes = Vec::new();
-        for chunk in 0..16u64 {
-            let range = ossd_block::ByteRange::new(chunk * 8 * page, 8 * page);
+        for row in (0..rows).step_by(8) {
+            let range = ossd_block::ByteRange::new(row * page, 8.min(rows - row) * page);
             let (r, w) = fleet.rebuild_range(1, range, at).expect("rebuild chunk");
             at = w.finish;
             rebuild_finishes.push((r.finish, w.finish));
         }
+        assert_eq!(fleet.degraded_device(), None, "threads={threads}");
+        let scrub = fleet.scrub().expect("parity fleet");
+        assert!(scrub.is_clean(), "threads={threads}: {scrub:?}");
         runs.push((threads, result, rebuild_finishes, fleet.rebuilt_bytes()));
     }
     let (_, ref first_result, ref first_rebuild, first_bytes) = runs[0];
     for (threads, result, rebuild, bytes) in &runs[1..] {
         assert_eq!(
             first_result, result,
-            "threads={threads}: replicated completion schedules diverge"
+            "threads={threads}: parity completion schedules diverge"
         );
         assert_eq!(
             first_rebuild, rebuild,
