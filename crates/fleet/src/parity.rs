@@ -604,6 +604,9 @@ impl ParityModel {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
