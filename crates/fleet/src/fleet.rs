@@ -60,6 +60,12 @@
 //! scratch, every member's mirrored queues, the engines' runs, the merged
 //! log and the completion list — live on the fleet from one session to
 //! the next, so a session allocates nothing per command.
+//!
+//! A parity fleet's content model ([`crate::parity`]) follows every write
+//! at step 3.  It keeps one expected word per data unit and derives what
+//! each member stores from them; only a member that can hold something
+//! else is materialised, one word per row, from [`Fleet::fail_device`]
+//! until the [`Fleet::rebuild_range`] that reaches its last row.
 
 use ossd_block::{
     arbitrate_round_robin, ArbitratedCommand, BlockDevice, BlockRequest, ByteRange, Completion,

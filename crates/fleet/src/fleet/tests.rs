@@ -1,6 +1,7 @@
 //! What only the inside of the fleet can check: a member that fails or
-//! panics on an engine thread, a session rejected by validation, and the
-//! run merge against the sort it replaced.
+//! panics on an engine thread, a session rejected by validation, the run
+//! merge against the sort it replaced, and how much of the content model
+//! is materialised.
 
 use super::*;
 use ossd_sim::SimRng;
@@ -190,5 +191,63 @@ fn merging_runs_equals_sorting_them_before_and_after_a_repair() {
         merged.sort_by_key(FleetSubCompletion::key);
         from_scratch.sort_by_key(FleetSubCompletion::key);
         assert_eq!(merged, from_scratch, "round {round}, after repair");
+    }
+}
+
+/// Serves `writes` seeded writes of 1–3 pages in one session.
+fn churn(fleet: &mut Fleet, rng: &mut SimRng, writes: u64, at: SimTime) {
+    let pages = fleet.capacity_bytes() / PAGE;
+    let mut queues = [HostQueue::new()];
+    for id in 0..writes {
+        let first = rng.next_u64_below(pages);
+        let len = (1 + rng.next_u64_below(3)).min(pages - first) * PAGE;
+        let range = ByteRange::new(first * PAGE, len);
+        let hint = WriteHint::NONE;
+        queues[0].submit(id, HostCommand::Write { range, hint }, at);
+    }
+    fleet.serve(&mut queues).expect("churn serves");
+    assert_eq!(drained(&mut queues), writes as usize);
+}
+
+fn materialised(fleet: &Fleet) -> usize {
+    fleet
+        .parity
+        .as_ref()
+        .expect("parity fleet")
+        .model
+        .materialised()
+}
+
+#[test]
+fn only_a_failed_member_until_its_rebuild_completes_is_materialised() {
+    let mut fleet = fleet(2);
+    let rows = fleet.parity_rows().expect("parity fleet");
+    let mut queues = [HostQueue::new(), HostQueue::new()];
+    queue_rows(&mut queues, 0..rows, SimTime::ZERO);
+    fleet.serve(&mut queues).expect("fill serves");
+    assert_eq!(drained(&mut queues), rows as usize);
+    let mut rng = SimRng::seed_from_u64(0x4D41_5445);
+    churn(&mut fleet, &mut rng, 400, SimTime::from_millis(100));
+    assert_eq!(materialised(&fleet), 0, "healthy after a fill and churn");
+    assert!(fleet.scrub().expect("parity fleet").is_clean());
+
+    for (cycle, failed) in [1, 3].into_iter().enumerate() {
+        let at = SimTime::from_millis(1_000 * (1 + cycle as u64));
+        fleet.fail_device(failed).expect("one failure is tolerated");
+        assert_eq!(materialised(&fleet), 1, "degraded on {failed}");
+        churn(&mut fleet, &mut rng, 200, at);
+        fleet.replace_device(failed).expect("replace");
+        let chunk = 16;
+        let mut row = 0;
+        while row < rows {
+            assert_eq!(materialised(&fleet), 1, "rebuilt to row {row} of {rows}");
+            let n = chunk.min(rows - row);
+            let range = ByteRange::new(row * PAGE, n * PAGE);
+            fleet.rebuild_range(failed, range, at).expect("rebuild");
+            row += n;
+        }
+        assert_eq!(fleet.degraded_device(), None);
+        assert!(fleet.scrub().expect("parity fleet").is_clean());
+        assert_eq!(materialised(&fleet), 0, "rebuilt {failed}");
     }
 }

@@ -35,11 +35,16 @@
 //!
 //! The simulator's protocol is timing-only — commands carry no payloads —
 //! so "degraded reads return the pre-failure data" cannot be checked at
-//! the device level.  `ParityModel` keeps one `u64` fingerprint per
-//! stored unit per device plus an oracle of every exported unit's expected
-//! fingerprint, mirrors the parity math the array performs (incremental
-//! XOR updates, loss on failure, XOR reconstruction on rebuild), and lets
-//! tests and scrub assert bit-identical reconstruction.
+//! the device level.  `ParityModel` keeps an oracle of every exported
+//! unit's expected `u64` fingerprint, mirrors the parity math the array
+//! performs (incremental XOR updates, loss on failure, XOR reconstruction
+//! on rebuild), and lets tests and scrub assert bit-identical
+//! reconstruction.  What a member stores is derived from the oracle (a
+//! data unit holds its expected word, a parity unit its row's XOR) except
+//! while it can differ: a failed member's words are materialised, zeroed,
+//! at the failure and dropped when a rebuild that reaches the last row
+//! leaves them equal to the derived ones.  A healthy array's model is one
+//! word per data unit.
 
 use ossd_block::ByteRange;
 
@@ -462,8 +467,18 @@ impl ScrubReport {
     }
 }
 
-/// Fleet-level shadow content: one `u64` fingerprint per stored unit per
-/// device, plus the oracle of what every exported unit should read as.
+/// Fleet-level shadow content: the oracle of what every exported unit
+/// should read as, plus the stored words of any member that can differ
+/// from it.
+///
+/// A consistent array needs no stored words: a live data unit holds its
+/// `expected` word and a live parity unit the XOR of its row's, so those
+/// are derived on every query.  Only a member that has lost its content is
+/// *materialised* — one `u64` per row, from [`ParityModel::fail`] (all
+/// zeros) until a [`ParityModel::rebuild_rows`] that reaches the last row
+/// leaves every word equal to the derived one, when the words are dropped.
+/// So a healthy array costs one word per data unit, and writes keep only
+/// the oracle and the materialised members current.
 ///
 /// Writes update fingerprints at unit granularity (a partial-unit write
 /// renews the whole unit's fingerprint) and mirror the array's parity
@@ -476,8 +491,9 @@ impl ScrubReport {
 pub(crate) struct ParityModel {
     geom: ParityGeometry,
     rows: u64,
-    /// `stored[device][row]`: fingerprint of the unit the device holds.
-    stored: Vec<Vec<u64>>,
+    /// `held[device]`: the member's stored words by row, while they can
+    /// differ from the derived ones; `None` when they cannot.
+    held: Vec<Option<Vec<u64>>>,
     /// `expected[unit]`: the oracle — what a read of the unit must return.
     expected: Vec<u64>,
     /// Monotone write sequence feeding fresh fingerprints.
@@ -497,7 +513,7 @@ impl ParityModel {
         ParityModel {
             geom,
             rows,
-            stored: vec![vec![0; rows as usize]; geom.devices],
+            held: vec![None; geom.devices],
             expected: vec![0; (rows * geom.data_units()) as usize],
             seq: 0,
         }
@@ -514,15 +530,18 @@ impl ParityModel {
             let word = mix(self.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ unit);
             self.expected[unit as usize] = word;
             let d = self.geom.data_device(row, slot);
-            if !degraded.is_some_and(|v| v.is_degraded(d, row)) {
-                self.stored[d][row as usize] = word;
+            if let Some(words) = &mut self.held[d] {
+                if !degraded.is_some_and(|v| v.is_degraded(d, row)) {
+                    words[row as usize] = word;
+                }
             }
             // Units ascend, so a row's writes are all in once its last
             // slot or the range's last unit is: refresh its parity then.
             if slot + 1 == self.geom.data_units() || unit == last {
                 let p = self.geom.parity_device(row);
-                if !degraded.is_some_and(|v| v.is_degraded(p, row)) {
-                    self.stored[p][row as usize] = self.row_parity(row);
+                if self.held[p].is_some() && !degraded.is_some_and(|v| v.is_degraded(p, row)) {
+                    let parity = self.row_parity(row);
+                    self.held[p].as_mut().expect("checked held")[row as usize] = parity;
                 }
             }
         }
@@ -536,21 +555,48 @@ impl ParityModel {
             .fold(0, |acc, w| acc ^ w)
     }
 
-    /// Member `device` failed: its stored units are gone.
-    pub(crate) fn fail(&mut self, device: usize) {
-        self.stored[device].fill(0);
+    /// What a consistent array stores in `device`'s unit of `row`: the data
+    /// unit's expected word, or the row's parity.
+    fn derived(&self, device: usize, row: u64) -> u64 {
+        let p = self.geom.parity_device(row);
+        if device == p {
+            return self.row_parity(row);
+        }
+        let slot = if device < p { device } else { device - 1 };
+        self.expected[self.geom.unit_index(row, slot as u64) as usize]
     }
 
-    /// Reconstructs rows `r0..r1` onto `target` by XOR of the survivors.
+    /// The word `device` stores for `row`.
+    fn stored(&self, device: usize, row: u64) -> u64 {
+        match &self.held[device] {
+            Some(words) => words[row as usize],
+            None => self.derived(device, row),
+        }
+    }
+
+    /// Member `device` failed: its stored units are gone.
+    pub(crate) fn fail(&mut self, device: usize) {
+        self.held[device] = Some(vec![0; self.rows as usize]);
+    }
+
+    /// Reconstructs rows `r0..r1` onto `target`, a failed member, by XOR
+    /// of the survivors.  A rebuild that reaches the last row drops the
+    /// target's words if it left every one equal to the derived word, as a
+    /// rebuild from row 0 does.
     pub(crate) fn rebuild_rows(&mut self, target: usize, r0: u64, r1: u64) {
         for row in r0..r1 {
-            let mut acc = 0;
-            for (device, units) in self.stored.iter().enumerate() {
-                if device != target {
-                    acc ^= units[row as usize];
-                }
-            }
-            self.stored[target][row as usize] = acc;
+            let acc = (0..self.geom.devices)
+                .filter(|&m| m != target)
+                .fold(0, |acc, m| acc ^ self.stored(m, row));
+            let words = self.held[target]
+                .as_mut()
+                .expect("only a failed member is rebuilt");
+            words[row as usize] = acc;
+        }
+        if r1 >= self.rows
+            && (0..self.rows).all(|row| self.stored(target, row) == self.derived(target, row))
+        {
+            self.held[target] = None;
         }
     }
 
@@ -561,14 +607,11 @@ impl ParityModel {
         let (row, slot, _) = self.geom.locate(offset);
         let d = self.geom.data_device(row, slot);
         if degraded.is_some_and(|v| v.is_degraded(d, row)) {
-            self.stored
-                .iter()
-                .enumerate()
-                .filter(|&(m, _)| m != d)
-                .map(|(_, units)| units[row as usize])
-                .fold(0, |acc, w| acc ^ w)
+            (0..self.geom.devices)
+                .filter(|&m| m != d)
+                .fold(0, |acc, m| acc ^ self.stored(m, row))
         } else {
-            self.stored[d][row as usize]
+            self.stored(d, row)
         }
     }
 
@@ -594,12 +637,18 @@ impl ParityModel {
             }
             let p = self.geom.parity_device(row);
             if !degraded.is_some_and(|v| v.is_degraded(p, row))
-                && self.stored[p][row as usize] != self.row_parity(row)
+                && self.stored(p, row) != self.row_parity(row)
             {
                 report.parity_mismatches += 1;
             }
         }
         report
+    }
+
+    /// How many members' words are materialised.
+    #[cfg(test)]
+    pub(crate) fn materialised(&self) -> usize {
+        self.held.iter().filter(|words| words.is_some()).count()
     }
 }
 
