@@ -23,7 +23,10 @@
 //!    threads*: [`FleetConfig::threads`] of them, counting the thread that
 //!    called `serve`.  The others are long-lived workers the fleet spawns
 //!    when a session first needs them and joins when it is dropped; between
-//!    sessions they are parked on an empty channel.  The touched members
+//!    sessions they are parked on an empty channel.  A session of one
+//!    command (every [`BlockDevice::submit`]) is served on the calling
+//!    thread alone: its members' work is smaller than a worker's wake and
+//!    hand-back.  Otherwise the touched members
 //!    are dealt, in device order, into one chunk per engine; the caller
 //!    keeps the first chunk and hands each other one to a worker by
 //!    *moving* the members — each `Ssd` with its mirrored queues — out of
@@ -1043,7 +1046,14 @@ impl Fleet {
     /// simulation state, so the partition cannot affect results.
     fn execute(&mut self, session: &mut Session) -> Result<usize, DeviceError> {
         let touched = self.last_fanout.iter().filter(|&&n| n > 0).count();
-        let engines = self.config.threads.min(touched).max(1);
+        // A one-command session is served where it was submitted: waking a
+        // worker and taking its chunk back costs more than the members'
+        // share of one command.
+        let engines = if session.parents.len() == 1 {
+            1
+        } else {
+            self.config.threads.min(touched).max(1)
+        };
         let per_chunk = touched.div_ceil(engines).max(1);
         let used = touched.div_ceil(per_chunk);
         while self.workers.len() + 1 < used {

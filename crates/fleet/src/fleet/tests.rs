@@ -251,3 +251,39 @@ fn only_a_failed_member_until_its_rebuild_completes_is_materialised() {
         assert_eq!(materialised(&fleet), 0, "rebuilt {failed}");
     }
 }
+
+#[test]
+fn submit_serves_on_the_calling_thread_and_matches_one_thread() {
+    let (mut one, mut two) = (fleet(1), fleet(2));
+    let pages = one.capacity_bytes() / PAGE;
+    let mut rng = SimRng::seed_from_u64(0x5B3D_1701);
+    let mut at = SimTime::ZERO;
+    for id in 0..600 {
+        // Single pages, partial rows and runs across rows.
+        let first = rng.next_u64_below(pages);
+        let len = (1 + rng.next_u64_below(8)).min(pages - first) * PAGE;
+        let request = match rng.next_u64_below(4) {
+            0 => BlockRequest::read(id, first * PAGE, len, at),
+            _ => BlockRequest::write(id, first * PAGE, len, at),
+        };
+        let c = one.submit(&request).expect("one thread");
+        assert_eq!(two.submit(&request), Ok(c), "request {id}");
+        assert_eq!(two.last_session_log(), one.last_session_log());
+        at = c.finish;
+    }
+    assert!(
+        two.workers.is_empty(),
+        "a one-command session woke a worker"
+    );
+    for d in 0..DEVICES {
+        assert_eq!(two.device_stats(d), one.device_stats(d), "device {d}");
+        assert_eq!(two.device_ftl_stats(d), one.device_ftl_stats(d));
+    }
+    assert_eq!(two.scrub(), one.scrub());
+
+    // A session of more than one command still uses the worker.
+    let mut queues = [HostQueue::new()];
+    queue_rows(&mut queues, 0..2, at);
+    two.serve(&mut queues).expect("session serves");
+    assert_eq!(two.workers.len(), 1);
+}
