@@ -530,20 +530,26 @@ impl ParityModel {
             let word = mix(self.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ unit);
             self.expected[unit as usize] = word;
             let d = self.geom.data_device(row, slot);
-            if let Some(words) = &mut self.held[d] {
-                if !degraded.is_some_and(|v| v.is_degraded(d, row)) {
-                    words[row as usize] = word;
-                }
+            if !degraded.is_some_and(|v| v.is_degraded(d, row)) {
+                self.store(d, row, word);
             }
             // Units ascend, so a row's writes are all in once its last
-            // slot or the range's last unit is: refresh its parity then.
+            // slot or the range's last unit is: refresh its parity then
+            // (a derived parity unit needs no refresh).
             if slot + 1 == self.geom.data_units() || unit == last {
                 let p = self.geom.parity_device(row);
                 if self.held[p].is_some() && !degraded.is_some_and(|v| v.is_degraded(p, row)) {
-                    let parity = self.row_parity(row);
-                    self.held[p].as_mut().expect("checked held")[row as usize] = parity;
+                    self.store(p, row, self.row_parity(row));
                 }
             }
+        }
+    }
+
+    /// Stores `word` in `device`'s unit of `row` if the member is
+    /// materialised; a derived member follows `expected` by itself.
+    fn store(&mut self, device: usize, row: u64, word: u64) {
+        if let Some(words) = &mut self.held[device] {
+            words[row as usize] = word;
         }
     }
 
@@ -574,7 +580,8 @@ impl ParityModel {
         }
     }
 
-    /// Member `device` failed: its stored units are gone.
+    /// Member `device` failed: its stored units are gone, so its words are
+    /// materialised, all zero.
     pub(crate) fn fail(&mut self, device: usize) {
         self.held[device] = Some(vec![0; self.rows as usize]);
     }
