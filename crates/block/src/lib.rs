@@ -44,6 +44,6 @@ pub use host::{
     HostQueue, ObjectAttrs, StreamTemperature, SubmittedCommand, WriteHint,
 };
 pub use range::ByteRange;
-pub use replay::{replay_closed, replay_open, LatencyPercentiles, ReplayReport, ReportPercentiles};
+pub use replay::{replay_closed, replay_open, LatencyPercentiles, ReplayReport};
 pub use request::{BlockOpKind, BlockRequest, Completion, CompletionStatus, Priority};
 pub use trace::{Trace, TraceKind, TraceOp, TraceStats};

@@ -44,22 +44,6 @@ impl LatencyPercentiles {
     }
 }
 
-/// Percentile summaries for every request class of a [`ReplayReport`] —
-/// the tail-latency view the multi-initiator fairness experiments report.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ReportPercentiles {
-    /// All data-transferring requests.
-    pub all: LatencyPercentiles,
-    /// Reads only.
-    pub reads: LatencyPercentiles,
-    /// Writes only.
-    pub writes: LatencyPercentiles,
-    /// High-priority (foreground) requests.
-    pub high_priority: LatencyPercentiles,
-    /// Normal-priority (background) requests.
-    pub normal_priority: LatencyPercentiles,
-}
-
 /// Metrics collected while replaying a request stream.
 #[derive(Clone, Debug, Default)]
 pub struct ReplayReport {
@@ -110,17 +94,6 @@ impl ReplayReport {
     /// Write bandwidth in MB/s over the whole replay.
     pub fn write_bandwidth_mbps(&self) -> f64 {
         Throughput::from_totals(self.bytes_written, self.makespan()).megabytes_per_sec()
-    }
-
-    /// p50/p95/p99/p99.9/p99.99 response times per request class.
-    pub fn percentiles(&self) -> ReportPercentiles {
-        ReportPercentiles {
-            all: LatencyPercentiles::of(&self.all),
-            reads: LatencyPercentiles::of(&self.reads),
-            writes: LatencyPercentiles::of(&self.writes),
-            high_priority: LatencyPercentiles::of(&self.high_priority),
-            normal_priority: LatencyPercentiles::of(&self.normal_priority),
-        }
     }
 
     /// Records one completed request into the report.
@@ -343,27 +316,29 @@ mod tests {
         assert_eq!(report.all.count(), 0);
         assert_eq!(report.makespan(), SimDuration::ZERO);
         assert_eq!(report.bandwidth_mbps(), 0.0);
-        let p = report.percentiles();
-        assert_eq!(p.all.p99_ms, 0.0);
-        assert_eq!(p.all.p999_ms, 0.0);
-        assert_eq!(p.all.p9999_ms, 0.0);
+        let p = LatencyPercentiles::of(&report.all);
+        assert_eq!(p.p99_ms, 0.0);
+        assert_eq!(p.p999_ms, 0.0);
+        assert_eq!(p.p9999_ms, 0.0);
     }
 
     #[test]
     fn percentiles_summarise_each_class() {
         let mut dev = FixedDevice::new(SimDuration::from_millis(1));
         let report = replay_open(&mut dev, &requests()).unwrap();
-        let p = report.percentiles();
+        let all = LatencyPercentiles::of(&report.all);
         // Responses are 1, 2, 3 ms; the median is 2 ms and the p99 is the
         // maximum.
-        assert!((p.all.p50_ms - 2.0).abs() < 1e-9);
-        assert!((p.all.p99_ms - 3.0).abs() < 1e-9);
-        assert!(p.all.p50_ms <= p.all.p95_ms && p.all.p95_ms <= p.all.p99_ms);
+        assert!((all.p50_ms - 2.0).abs() < 1e-9);
+        assert!((all.p99_ms - 3.0).abs() < 1e-9);
+        assert!(all.p50_ms <= all.p95_ms && all.p95_ms <= all.p99_ms);
         // With only 3 samples, the deep-tail points collapse onto the max.
-        assert!((p.all.p999_ms - 3.0).abs() < 1e-9);
-        assert!(p.all.p99_ms <= p.all.p999_ms && p.all.p999_ms <= p.all.p9999_ms);
+        assert!((all.p999_ms - 3.0).abs() < 1e-9);
+        assert!(all.p99_ms <= all.p999_ms && all.p999_ms <= all.p9999_ms);
         // The one high-priority read finished at 2 ms.
-        assert!((p.high_priority.p99_ms - 2.0).abs() < 1e-9);
-        assert!(p.reads.p50_ms > 0.0 && p.writes.p50_ms > 0.0);
+        let high_priority = LatencyPercentiles::of(&report.high_priority);
+        assert!((high_priority.p99_ms - 2.0).abs() < 1e-9);
+        assert!(LatencyPercentiles::of(&report.reads).p50_ms > 0.0);
+        assert!(LatencyPercentiles::of(&report.writes).p50_ms > 0.0);
     }
 }

@@ -109,6 +109,16 @@ impl Scale {
             Scale::Paper => paper,
         }
     }
+
+    /// The file an artifact named `name` is written to: `name` with
+    /// `_quick` before its first dot at quick scale, so a quick run never
+    /// overwrites a paper-scale artifact.
+    pub fn artifact_file(&self, name: &str) -> String {
+        match (self, name.split_once('.')) {
+            (Scale::Quick, Some((stem, extension))) => format!("{stem}_quick.{extension}"),
+            _ => name.to_string(),
+        }
+    }
 }
 
 /// Writes `[0, bytes)` in `chunk`-byte requests (the last one shorter)

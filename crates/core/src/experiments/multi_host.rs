@@ -16,7 +16,9 @@
 //! starve an initiator, so fairness stays near 1 while aggregate bandwidth
 //! follows the same queue-depth curve as the single-host parallelism sweep.
 
-use ossd_block::{BlockRequest, DeviceError, HostInterface, HostQueue, ReplayReport};
+use ossd_block::{
+    BlockRequest, DeviceError, HostInterface, HostQueue, LatencyPercentiles, ReplayReport,
+};
 use ossd_flash::FlashTiming;
 use ossd_sim::{SimDuration, SimRng, SimTime};
 use ossd_ssd::{Ssd, SsdConfig};
@@ -153,7 +155,7 @@ fn run_point(
         }
         per_initiator_mbps.push(report.read_bandwidth_mbps());
     }
-    let percentiles = aggregate.percentiles().all;
+    let percentiles = LatencyPercentiles::of(&aggregate.all);
     Ok(MultiHostPoint {
         initiators,
         queue_depth,

@@ -18,7 +18,7 @@
 
 use ossd_block::{BlockDevice, BlockRequest, DeviceError};
 use ossd_ftl::{CleaningPolicyKind, FtlConfig};
-use ossd_gc::{analytic_greedy_wa, WriteAmpAccounting};
+use ossd_gc::analytic_greedy_wa;
 use ossd_sim::SimRng;
 use ossd_ssd::{Ssd, SsdConfig};
 
@@ -42,8 +42,6 @@ pub(crate) struct PolicyComparePoint {
     pub cleaning_stall_ms: f64,
     /// Blocks erased during the churn phase.
     pub blocks_erased: u64,
-    /// The full ledger for the churn phase.
-    pub accounting: WriteAmpAccounting,
 }
 
 /// The measured curve of one policy across all utilizations.
@@ -111,14 +109,6 @@ fn run_one(
     let bytes = churn_writes * 4096;
     let bandwidth_mb_s = bytes as f64 / 1e6 / elapsed.as_secs_f64().max(1e-12);
 
-    let mut accounting = end.accounting();
-    let base_acct = base.accounting();
-    accounting.host_pages -= base_acct.host_pages;
-    accounting.host_programs -= base_acct.host_programs;
-    accounting.cleaning_moves -= base_acct.cleaning_moves;
-    accounting.cleaning_erases -= base_acct.cleaning_erases;
-    accounting.stall_nanos -= base_acct.stall_nanos;
-
     Ok(PolicyComparePoint {
         utilization,
         write_amplification,
@@ -126,7 +116,6 @@ fn run_one(
         bandwidth_mb_s,
         cleaning_stall_ms: stall.as_secs_f64() * 1e3,
         blocks_erased: end.ftl.gc_blocks_erased - base.ftl.gc_blocks_erased,
-        accounting,
     })
 }
 

@@ -90,7 +90,6 @@ use crate::parity::{
 };
 use crate::qos::{RebuildGovernor, RebuildQos};
 use crate::router::{striped_capacity, striped_slices};
-use crate::telemetry::{FleetSample, FleetSeries};
 
 /// One live member: the device and the queues the fleet mirrors each
 /// session into.
@@ -383,7 +382,6 @@ pub struct Fleet {
     last_fanout: Vec<u32>,
     rebuilt_bytes: u64,
     next_rebuild_id: u64,
-    series: FleetSeries,
     /// Whether latency attribution is enabled fleet-wide (sticky, so
     /// replacement devices inherit it).
     attribution: bool,
@@ -477,7 +475,6 @@ impl Fleet {
             last_fanout: vec![0; devices],
             rebuilt_bytes: 0,
             next_rebuild_id: 1 << 48,
-            series: FleetSeries::new(),
             attribution: false,
             parity,
             governor: RebuildGovernor::new(RebuildQos::unthrottled()),
@@ -524,7 +521,8 @@ impl Fleet {
 
     /// Attaches one fresh [`Recorder`] to every live member and returns the
     /// recorder handles, indexed by device.  Failed slots still occupy an
-    /// entry (an empty recorder) so indices line up.
+    /// entry (an empty recorder) so indices line up.  Each recorder renders
+    /// its member's trace with [`ossd_telemetry::to_chrome_trace`].
     pub fn attach_recorders(&mut self, config: RecorderConfig) -> Vec<Arc<Mutex<Recorder>>> {
         self.slots
             .iter_mut()
@@ -578,7 +576,7 @@ impl Fleet {
     }
 
     /// Sub-commands fanned to each device in the last serve session (a
-    /// per-device queue-depth signal for the metrics series).
+    /// per-device queue-depth signal).
     pub fn last_fanout(&self) -> &[u32] {
         &self.last_fanout
     }
@@ -654,40 +652,6 @@ impl Fleet {
     /// only).
     pub fn scrub(&self) -> Option<ScrubReport> {
         self.parity.as_ref().map(|ps| ps.model.scrub(ps.degraded))
-    }
-
-    /// Fleet-level metrics series (populated by
-    /// [`Fleet::sample_metrics`]).
-    pub fn series(&self) -> &FleetSeries {
-        &self.series
-    }
-
-    /// Pushes one fleet-level metrics sample: cumulative per-device host
-    /// bytes, the last session's per-device fan-out depth, rebuild
-    /// progress and degraded/repair counters.
-    pub fn sample_metrics(&mut self, now: SimTime) {
-        let device_bytes: Vec<u64> = self
-            .slots
-            .iter()
-            .map(|slot| {
-                slot.ssd()
-                    .map(|d| {
-                        let stats = d.stats();
-                        stats.bytes_read + stats.bytes_written
-                    })
-                    .unwrap_or(0)
-            })
-            .collect();
-        let host_bytes_total = device_bytes.iter().sum();
-        self.series.push(FleetSample {
-            at: now,
-            host_bytes_total,
-            device_bytes,
-            device_depth: self.last_fanout.clone(),
-            rebuilt_bytes: self.rebuilt_bytes,
-            degraded_reads: self.degraded_reads(),
-            repaired_reads: self.repaired_reads(),
-        });
     }
 
     /// Fails member `index`: the device and its data vanish.  Striped

@@ -49,11 +49,9 @@ pub mod fleet;
 pub mod parity;
 pub mod qos;
 pub mod router;
-pub mod telemetry;
 
 pub use config::{FleetConfig, FleetLayout};
 pub use fleet::{Fleet, FleetSubCompletion};
 pub use parity::{DegradedView, ParityGeometry, ParityPlan, ScrubReport, SubOpKind};
 pub use qos::RebuildQos;
 pub use router::{split_striped, DeviceSlice};
-pub use telemetry::{fleet_chrome_trace, FleetSample, FleetSeries};

@@ -270,26 +270,6 @@ impl FtlStats {
             + self.wear_level_moves) as f64
             / self.host_writes as f64
     }
-
-    /// Converts the counters into a [`ossd_gc::WriteAmpAccounting`] ledger
-    /// (the timed device model adds stall time on top).
-    pub fn accounting(&self) -> ossd_gc::WriteAmpAccounting {
-        ossd_gc::WriteAmpAccounting {
-            host_pages: self.host_writes,
-            host_programs: self.pages_programmed_host,
-            cleaning_moves: self.gc_pages_moved,
-            background_moves: self.bg_pages_moved,
-            wear_moves: self.wear_level_moves,
-            cleaning_erases: self.gc_blocks_erased,
-            background_erases: self.bg_blocks_erased,
-            // The page-mapped FTL erases exactly one block per wear-level
-            // migration; the move counter tracks pages, so erases are
-            // reported by the device stats instead.
-            wear_erases: 0,
-            stall_nanos: 0,
-            background_nanos: 0,
-        }
-    }
 }
 
 /// The interface both FTLs expose to the SSD device model.
@@ -503,25 +483,6 @@ mod tests {
         assert!((s.write_amplification() - 2.0).abs() < 1e-9);
         s.bg_pages_moved = 100;
         assert!((s.write_amplification() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stats_convert_to_an_accounting_ledger() {
-        let s = FtlStats {
-            host_writes: 10,
-            pages_programmed_host: 10,
-            gc_pages_moved: 4,
-            bg_pages_moved: 2,
-            wear_level_moves: 4,
-            gc_blocks_erased: 3,
-            bg_blocks_erased: 1,
-            ..FtlStats::default()
-        };
-        let acct = s.accounting();
-        assert_eq!(acct.host_pages, 10);
-        assert_eq!(acct.flash_programs(), 20);
-        assert_eq!(acct.total_erases(), 4);
-        assert!((acct.write_amplification() - s.write_amplification()).abs() < 1e-12);
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //!   (candidates drawn from the non-empty buckets only).
 //! * [`background`] — [`BackgroundCleaner`]: erase-budgeted incremental
 //!   cleaning during idle windows instead of only stalling host writes.
-//! * [`accounting`] — [`WriteAmpAccounting`]: host-writes vs.
-//!   flash-writes, erase counts and cleaning stall time per policy, plus
-//!   the analytical greedy write-amplification curve
+//! * [`analytic`] — the analytical greedy write-amplification curve
 //!   ([`analytic_greedy_wa`]) measured results are validated against.
 //!
 //! The crate is dependency-free and untimed: policies see logical clocks
@@ -34,13 +32,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
 
-pub mod accounting;
+pub mod analytic;
 pub mod background;
 pub mod index;
 pub mod policies;
 pub mod policy;
 
-pub use accounting::{analytic_greedy_wa, WriteAmpAccounting};
+pub use analytic::analytic_greedy_wa;
 pub use background::{BackgroundCleaner, BackgroundGcConfig, BackgroundGcStats};
 pub use index::{PickContext, VictimIndex};
 pub use policies::CleaningPolicyKind;

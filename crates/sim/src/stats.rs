@@ -103,8 +103,8 @@ pub fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
 /// Percentile queries sort a cached copy of the samples once and reuse it
 /// until the next observation is recorded (the collection is append-only,
 /// so a length mismatch is exactly a staleness signal).  Reports that read
-/// several percentiles per class — `ReplayReport::percentiles()` asks for
-/// p50/p95/p99 — therefore sort once instead of once per query.
+/// several percentiles of one collection — `LatencyPercentiles::of` asks
+/// for p50 to p99.99 — therefore sort once instead of once per query.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyStats {
     samples_ns: Vec<u64>,

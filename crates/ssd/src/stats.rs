@@ -2,7 +2,6 @@
 
 use ossd_flash::ReliabilityCounters;
 use ossd_ftl::{FtlStats, MapStats};
-use ossd_gc::WriteAmpAccounting;
 use ossd_sim::SimDuration;
 
 /// Statistics accumulated by an [`crate::Ssd`] over its lifetime.
@@ -76,15 +75,6 @@ impl SsdStats {
     pub fn write_amplification(&self) -> f64 {
         self.ftl.write_amplification()
     }
-
-    /// The full write-amplification ledger: the FTL's page/erase counters
-    /// plus this device's timed stall and background-work accounting.
-    pub fn accounting(&self) -> WriteAmpAccounting {
-        let mut acct = self.ftl.accounting();
-        acct.stall_nanos = self.cleaning_busy.as_nanos();
-        acct.background_nanos = self.background_cleaning_busy.as_nanos();
-        acct
-    }
 }
 
 #[cfg(test)]
@@ -103,10 +93,6 @@ mod tests {
         assert_eq!(s.cleaning_pages_moved(), 12);
         assert_eq!(s.background_busy(), SimDuration::from_millis(6));
         assert!((s.write_amplification() - 2.2).abs() < 1e-9);
-        let acct = s.accounting();
-        assert_eq!(acct.stall_nanos, 3_000_000);
-        assert_eq!(acct.background_nanos, 1_000_000);
-        assert_eq!(acct.cleaning_moves, 12);
     }
 
     #[test]

@@ -25,15 +25,15 @@ pub(crate) fn track_tid(track: Track) -> u32 {
     }
 }
 
-fn metadata_entries(pid: u32, label_prefix: &str, track: Track, entries: &mut Vec<String>) {
+fn metadata_entries(track: Track, entries: &mut Vec<String>) {
     let tid = track_tid(track);
     entries.push(format!(
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-         \"args\":{{\"name\":\"{label_prefix}{}\"}}}}",
+        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
+         \"args\":{{\"name\":\"{}\"}}}}",
         track.label()
     ));
     entries.push(format!(
-        "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
+        "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
          \"args\":{{\"sort_index\":{tid}}}}}"
     ));
 }
@@ -62,33 +62,31 @@ fn push_args(out: &mut String, event: &TraceEvent) {
     out.push('}');
 }
 
-/// Emit one process's worth of entries: process-name metadata, per-track
-/// thread metadata (names prefixed with `label_prefix`), then the events.
-fn push_process(
-    entries: &mut Vec<String>,
-    pid: u32,
-    process_name: &str,
-    label_prefix: &str,
-    events: &[TraceEvent],
-) {
+/// Render events as a Chrome-trace JSON document (`{"traceEvents":[...]}`):
+/// process-name metadata, thread metadata once per distinct track in tid
+/// order, then the events.
+///
+/// Timestamps are microseconds with nanosecond precision (fractional `ts`
+/// values are valid trace-event JSON and Perfetto keeps the precision).
+pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
+    let mut entries: Vec<String> = Vec::with_capacity(events.len() + 16);
     entries.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\
-         \"args\":{{\"name\":\"{process_name}\"}}}}"
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\
+         \"args\":{{\"name\":\"ossd\"}}}}"
     ));
 
-    // Thread metadata once per distinct track, in tid order.
     let mut tracks: Vec<Track> = events.iter().map(|e| e.track).collect();
     tracks.sort_by_key(|t| track_tid(*t));
     tracks.dedup();
     for track in tracks {
-        metadata_entries(pid, label_prefix, track, entries);
+        metadata_entries(track, &mut entries);
     }
 
     for event in events {
         let tid = track_tid(event.track);
         let ts_us = event.start.as_nanos() as f64 / 1_000.0;
         let mut entry = format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{pid},\"tid\":{tid},\
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{PID},\"tid\":{tid},\
              \"ts\":{ts_us:.3},",
             event_name(event),
             event.kind.category(),
@@ -104,41 +102,12 @@ fn push_process(
         entry.push('}');
         entries.push(entry);
     }
-}
 
-fn finish_document(entries: Vec<String>) -> String {
     let mut out = String::with_capacity(entries.len() * 128 + 64);
     out.push_str("{\"traceEvents\":[\n");
     out.push_str(&entries.join(",\n"));
     out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
     out
-}
-
-/// Render events as a Chrome-trace JSON document (`{"traceEvents":[...]}`).
-///
-/// Timestamps are microseconds with nanosecond precision (fractional `ts`
-/// values are valid trace-event JSON and Perfetto keeps the precision).
-pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut entries: Vec<String> = Vec::with_capacity(events.len() + 16);
-    push_process(&mut entries, PID, "ossd", "", events);
-    finish_document(entries)
-}
-
-/// Render a multi-device (fleet) trace: one Chrome-trace process per
-/// device, with every track name prefixed by the device label so rows read
-/// `dev0/element 2`, `dev1/initiator 0`, …
-///
-/// `devices` pairs each device's label with its recorded events; device
-/// `i` becomes pid `PID + i` so Perfetto groups its tracks together while
-/// tids stay the stable per-device values of `track_tid`.
-pub fn to_chrome_trace_multi(devices: &[(&str, &[TraceEvent])]) -> String {
-    let total: usize = devices.iter().map(|(_, e)| e.len()).sum();
-    let mut entries: Vec<String> = Vec::with_capacity(total + 16 * devices.len());
-    for (index, (label, events)) in devices.iter().enumerate() {
-        let prefix = format!("{label}/");
-        push_process(&mut entries, PID + index as u32, label, &prefix, events);
-    }
-    finish_document(entries)
 }
 
 #[cfg(test)]
@@ -231,52 +200,6 @@ mod tests {
             .filter_map(|e| e.get("args")?.get("name")?.as_str())
             .collect();
         assert_eq!(names, vec!["device", "element 2", "initiator 0"]);
-    }
-
-    #[test]
-    fn multi_device_export_namespaces_tracks_per_device() {
-        let dev0 = sample_events();
-        let dev1 = vec![TraceEvent {
-            start: SimTime::from_micros(7),
-            end: SimTime::from_micros(9),
-            track: Track::Element(0),
-            kind: EventKind::FlashRead,
-            a: purpose::HOST_READ,
-            b: 0,
-        }];
-        let doc = to_chrome_trace_multi(&[("dev0", &dev0), ("dev1", &dev1)]);
-        let value = Value::parse(&doc).expect("valid JSON");
-        let events = value.get("traceEvents").and_then(Value::as_array).unwrap();
-
-        let process_names: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("name").and_then(Value::as_str) == Some("process_name"))
-            .filter_map(|e| e.get("args")?.get("name")?.as_str())
-            .collect();
-        assert_eq!(process_names, vec!["dev0", "dev1"]);
-
-        let thread_names: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name"))
-            .filter_map(|e| e.get("args")?.get("name")?.as_str())
-            .collect();
-        assert_eq!(
-            thread_names,
-            vec![
-                "dev0/device",
-                "dev0/element 2",
-                "dev0/initiator 0",
-                "dev1/element 0",
-            ]
-        );
-
-        // Each device's events carry its own pid; tids stay per-device.
-        let dev1_read = events
-            .iter()
-            .find(|e| e.get("name").and_then(Value::as_str) == Some("flash-read/host-read"))
-            .expect("dev1 span present");
-        assert_eq!(dev1_read.get("pid").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(dev1_read.get("tid").and_then(Value::as_f64), Some(1.0));
     }
 
     #[test]

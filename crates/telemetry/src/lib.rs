@@ -42,7 +42,7 @@ pub use attribution::{
     to_chrome_counters, BlameBreakdown, BlameCat, BlameCollector, BlameLedger, BlameRecord,
     BlameSource, ClassTail, TailReport,
 };
-pub use chrome::{to_chrome_trace, to_chrome_trace_multi};
+pub use chrome::to_chrome_trace;
 pub use event::{purpose, EventKind, TraceEvent, Track};
 pub use metrics::{Counters, MetricsSample, MetricsSeries};
 pub use observer::EngineTrace;

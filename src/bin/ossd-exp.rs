@@ -53,15 +53,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     })
 }
 
-/// `name` with `_quick` before its first dot at quick scale, so a quick run
-/// never overwrites a paper-scale artifact.
-fn file_name(name: &str, scale: Scale) -> String {
-    match (scale, name.split_once('.')) {
-        (Scale::Quick, Some((stem, extension))) => format!("{stem}_quick.{extension}"),
-        _ => name.to_string(),
-    }
-}
-
 /// Runs one experiment, prints its report and writes its artifacts.
 fn run(name: &str, driver: Driver, options: &Options) -> Result<(), String> {
     let report = driver(options.scale).map_err(|e| e.to_string())?;
@@ -71,7 +62,7 @@ fn run(name: &str, driver: Driver, options: &Options) -> Result<(), String> {
         eprintln!("{name}: {timing}");
     }
     for (file, contents) in &report.artifacts {
-        let path = file_name(file, options.scale);
+        let path = options.scale.artifact_file(file);
         std::fs::write(&path, contents).map_err(|e| format!("writing {path}: {e}"))?;
         let line = format!("wrote {path} ({} bytes)", contents.len());
         match options.format {
@@ -147,9 +138,9 @@ mod tests {
     fn quick_artifacts_carry_a_suffix() {
         let trace = "BENCH_trace.trace.json";
         assert_eq!(
-            file_name(trace, Scale::Quick),
+            Scale::Quick.artifact_file(trace),
             "BENCH_trace_quick.trace.json"
         );
-        assert_eq!(file_name(trace, Scale::Paper), trace);
+        assert_eq!(Scale::Paper.artifact_file(trace), trace);
     }
 }

@@ -9,8 +9,8 @@
 //!   grown bad blocks, raw bit errors and the ECC/read-retry parameters.
 //! * [`flash`] — NAND geometry, timing and wear model.
 //! * [`gc`] — the pluggable cleaning-policy subsystem: victim-selection
-//!   policies, background (idle-window) cleaning and write-amplification
-//!   accounting.
+//!   policies, background (idle-window) cleaning and the analytical greedy
+//!   write-amplification curve.
 //! * [`ftl`] — page-mapped and stripe-mapped flash translation layers with
 //!   cleaning, wear-leveling, informed cleaning and priority-aware cleaning.
 //! * [`ssd`] — the SSD device model (gangs, schedulers, device profiles).

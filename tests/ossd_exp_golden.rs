@@ -85,10 +85,7 @@ fn check_scale(scale: Scale, stem: &str) {
             );
         }
         for (file, contents) in &report.artifacts {
-            let path = match (scale, file.split_once('.')) {
-                (Scale::Quick, Some((stem, extension))) => format!("{stem}_quick.{extension}"),
-                _ => file.clone(),
-            };
+            let path = scale.artifact_file(file);
             let len = contents.len();
             let _ = writeln!(text, "wrote {path} ({len} bytes)");
             let _ = writeln!(
