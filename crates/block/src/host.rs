@@ -75,30 +75,6 @@ pub enum StreamTemperature {
     Cold,
 }
 
-impl StreamTemperature {
-    /// The variant name used by the trace serialization.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StreamTemperature::Hot => "Hot",
-            StreamTemperature::Warm => "Warm",
-            StreamTemperature::Cold => "Cold",
-        }
-    }
-}
-
-impl std::str::FromStr for StreamTemperature {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "Hot" => Ok(StreamTemperature::Hot),
-            "Warm" => Ok(StreamTemperature::Warm),
-            "Cold" => Ok(StreamTemperature::Cold),
-            other => Err(format!("unknown stream temperature {other:?}")),
-        }
-    }
-}
-
 /// A multi-stream-style write hint: advisory placement information the
 /// device may use to segregate data by expected lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -822,13 +798,5 @@ mod tests {
         let cold = ObjectAttrs::cold_read_only();
         assert!(cold.read_only);
         assert_eq!(cold.temperature, StreamTemperature::Cold);
-        for t in [
-            StreamTemperature::Hot,
-            StreamTemperature::Warm,
-            StreamTemperature::Cold,
-        ] {
-            assert_eq!(t.as_str().parse::<StreamTemperature>().unwrap(), t);
-        }
-        assert!("Tepid".parse::<StreamTemperature>().is_err());
     }
 }

@@ -21,12 +21,10 @@
 //! * [`BlockRequest`] / [`BlockOpKind`] / [`Priority`] — a single narrow
 //!   block I/O; [`BlockDevice::submit`] is the depth-1 closed driver of the
 //!   queue-pair transport.
-//! * [`ByteRange`] — offset/length arithmetic with alignment helpers.
-//! * [`trace`] — serializable command traces, including the `Free` records
-//!   the informed-cleaning study depends on plus the hint/flush/barrier
-//!   records of the richer protocol.
-//! * [`replay`] — incremental enqueue-and-poll trace runners that collect
-//!   latency (means and p50/p95/p99 percentiles per class) and throughput.
+//! * [`ByteRange`] — a byte offset and length.
+//! * [`replay`] — incremental enqueue-and-poll runners over a request
+//!   stream that collect latency (means and p50/p95/p99 percentiles per
+//!   class) and throughput.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
@@ -36,7 +34,6 @@ pub mod host;
 pub mod range;
 pub mod replay;
 pub mod request;
-pub mod trace;
 
 pub use device::{BlockDevice, DeviceError, DeviceInfo};
 pub use host::{
@@ -46,4 +43,3 @@ pub use host::{
 pub use range::ByteRange;
 pub use replay::{replay_closed, replay_open, LatencyPercentiles, ReplayReport};
 pub use request::{BlockOpKind, BlockRequest, Completion, CompletionStatus, Priority};
-pub use trace::{Trace, TraceKind, TraceOp, TraceStats};

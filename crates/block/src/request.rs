@@ -25,28 +25,6 @@ impl BlockOpKind {
     pub(crate) fn transfers_data(self) -> bool {
         matches!(self, BlockOpKind::Read | BlockOpKind::Write)
     }
-
-    /// The variant name used by the trace serialization.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BlockOpKind::Read => "Read",
-            BlockOpKind::Write => "Write",
-            BlockOpKind::Free => "Free",
-        }
-    }
-}
-
-impl std::str::FromStr for BlockOpKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "Read" => Ok(BlockOpKind::Read),
-            "Write" => Ok(BlockOpKind::Write),
-            "Free" => Ok(BlockOpKind::Free),
-            other => Err(format!("unknown block op kind {other:?}")),
-        }
-    }
 }
 
 /// Request priority as exposed by the host.
@@ -67,26 +45,6 @@ impl Priority {
     /// Whether this is the high (foreground) priority.
     pub(crate) fn is_high(self) -> bool {
         matches!(self, Priority::High)
-    }
-
-    /// The variant name used by the trace serialization.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Priority::High => "High",
-            Priority::Normal => "Normal",
-        }
-    }
-}
-
-impl std::str::FromStr for Priority {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "High" => Ok(Priority::High),
-            "Normal" => Ok(Priority::Normal),
-            other => Err(format!("unknown priority {other:?}")),
-        }
     }
 }
 
@@ -303,17 +261,5 @@ mod tests {
             ..Completion::ok(1, SimTime::ZERO, SimTime::ZERO, SimTime::ZERO)
         };
         assert!(!c.is_ok());
-    }
-
-    #[test]
-    fn priority_and_kind_string_roundtrip() {
-        for p in [Priority::High, Priority::Normal] {
-            assert_eq!(p.as_str().parse::<Priority>().unwrap(), p);
-        }
-        for k in [BlockOpKind::Read, BlockOpKind::Write, BlockOpKind::Free] {
-            assert_eq!(k.as_str().parse::<BlockOpKind>().unwrap(), k);
-        }
-        assert!("Bogus".parse::<Priority>().is_err());
-        assert!("Bogus".parse::<BlockOpKind>().is_err());
     }
 }

@@ -94,7 +94,6 @@ fn run_point(scale: Scale, write_pct: u32) -> Result<Figure3Point, DeviceError> 
             SyntheticConfig::qos_workload(count, write_pct as f64 / 100.0, capacity - 256 * 1024);
         let requests: Vec<BlockRequest> = workload
             .generate()
-            .to_requests()
             .into_iter()
             .map(|mut r| {
                 r.arrival += fill_end.saturating_since(SimTime::ZERO);

@@ -114,7 +114,7 @@ pub(super) fn serve_tpcc_slice(
     instrument(ssd);
 
     let base = at + SimDuration::from_millis(1);
-    let requests = tpcc.generate().to_requests();
+    let requests = tpcc.generate();
     let mut queues = vec![HostQueue::new(); INITIATORS];
     let mut last_arrival = base;
     for (i, r) in requests.iter().enumerate() {

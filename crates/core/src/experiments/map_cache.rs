@@ -26,7 +26,9 @@ use ossd_ftl::{FtlConfig, MapCacheConfig};
 use ossd_sim::{LatencyStats, SimRng};
 use ossd_ssd::{Ssd, SsdConfig};
 
-use super::{col, device, fill, Cell, ExperimentError, Report, Scale, Table};
+use super::{
+    col, device, fill, window_write_amplification, Cell, ExperimentError, Report, Scale, Table,
+};
 
 /// One measured cell: one cache budget at one workload skew.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -164,9 +166,6 @@ fn run_one(config: &Config, budget: Option<u64>, skew: f64) -> Result<MapCachePo
     let end = ssd.stats();
 
     // Churn-phase deltas.
-    let host_pages = end.ftl.host_writes - base.ftl.host_writes;
-    let programs = (end.ftl.pages_programmed_host + end.ftl.gc_pages_moved + end.map.map_writes)
-        - (base.ftl.pages_programmed_host + base.ftl.gc_pages_moved + base.map.map_writes);
     let accesses = (end.map.hits + end.map.misses) - (base.map.hits + base.map.misses);
     let hits = end.map.hits - base.map.hits;
     let hit_rate = if accesses == 0 {
@@ -180,7 +179,7 @@ fn run_one(config: &Config, budget: Option<u64>, skew: f64) -> Result<MapCachePo
         budget_entries: budget,
         skew,
         hit_rate,
-        write_amplification: programs as f64 / host_pages as f64,
+        write_amplification: window_write_amplification(&base, &end),
         bandwidth_mb_s: bytes as f64 / 1e6 / elapsed.as_secs_f64().max(1e-12),
         p99_ms: service.percentile(99.0).as_nanos() as f64 / 1e6,
         map_reads: end.map.map_reads - base.map.map_reads,

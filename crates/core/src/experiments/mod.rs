@@ -53,7 +53,7 @@ use ossd_block::{BlockDevice, BlockRequest, Completion, DeviceError};
 use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
 use ossd_ftl::FtlConfig;
 use ossd_sim::{SimDuration, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, SsdConfig};
+use ossd_ssd::{MappingKind, SchedulerKind, SsdConfig, SsdStats};
 
 /// An experiment's report driver.
 pub type Driver = fn(Scale) -> Result<Report, ExperimentError>;
@@ -153,6 +153,23 @@ fn mean_response_ms(completions: &[Completion]) -> f64 {
         .map(|c| c.response_time().as_millis_f64())
         .sum();
     total / completions.len() as f64
+}
+
+/// Write amplification between two stats snapshots of one device: every
+/// page it programmed in the window (host data, foreground and background
+/// cleaning moves, wear-levelling moves and translation pages) per host
+/// page written.
+fn window_write_amplification(base: &SsdStats, end: &SsdStats) -> f64 {
+    let programs = |s: &SsdStats| {
+        let f = &s.ftl;
+        f.pages_programmed_host
+            + f.gc_pages_moved
+            + f.bg_pages_moved
+            + f.wear_level_moves
+            + s.map.map_writes
+    };
+    let host_pages = end.ftl.host_writes - base.ftl.host_writes;
+    (programs(end) - programs(base)) as f64 / host_pages as f64
 }
 
 /// `packages` single-die, single-plane packages of `blocks_per_plane`

@@ -22,7 +22,9 @@ use ossd_gc::analytic_greedy_wa;
 use ossd_sim::SimRng;
 use ossd_ssd::{Ssd, SsdConfig};
 
-use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
+use super::{
+    col, device, fill, geometry, window_write_amplification, ExperimentError, Report, Scale, Table,
+};
 
 /// One measured point: one policy at one device utilization.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,10 +102,7 @@ fn run_one(
     let end = ssd.stats();
 
     // Churn-phase deltas.
-    let host_writes = end.ftl.host_writes - base.ftl.host_writes;
-    let programs = (end.ftl.pages_programmed_host + end.ftl.gc_pages_moved)
-        - (base.ftl.pages_programmed_host + base.ftl.gc_pages_moved);
-    let write_amplification = programs as f64 / host_writes as f64;
+    let write_amplification = window_write_amplification(&base, &end);
     let stall = end.cleaning_busy.saturating_sub(base.cleaning_busy);
     let elapsed = at.saturating_since(churn_start);
     let bytes = churn_writes * 4096;

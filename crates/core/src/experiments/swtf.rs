@@ -47,7 +47,7 @@ pub fn run(scale: Scale) -> Result<SwtfResult, DeviceError> {
     let region = scale.bytes(16 * 1024 * 1024, 48 * 1024 * 1024);
     let count = scale.count(4000, 20_000);
     let workload = SyntheticConfig::swtf_workload(count, region, SimDuration::from_micros(55));
-    let requests = workload.generate().to_requests();
+    let requests = workload.generate();
 
     let mut mean_ms = [0.0f64; 2];
     for (i, scheduler) in [SchedulerKind::Fcfs, SchedulerKind::Swtf]

@@ -64,7 +64,6 @@ fn run_one(
     let start = ssd.flush(filled).map_err(DeviceError::from)?;
 
     let workload = SyntheticConfig {
-        name: format!("table3-p{sequential_prob}"),
         request_count: count,
         request_bytes: 4096,
         read_fraction: 0.0,
@@ -80,7 +79,6 @@ fn run_one(
     };
     let requests: Vec<BlockRequest> = workload
         .generate()
-        .to_requests()
         .into_iter()
         .map(|mut r| {
             // Shift the measured phase to start after the prefill finished.

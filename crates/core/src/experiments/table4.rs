@@ -8,7 +8,7 @@
 //! numbers match in *ordering and magnitude class*, not to two decimals.
 
 use crate::workload::{ExchangeConfig, IozoneConfig, PostmarkConfig, TpccConfig};
-use ossd_block::{BlockRequest, DeviceError, Trace};
+use ossd_block::{BlockRequest, ByteRange, DeviceError};
 use ossd_sim::improvement_percent;
 use ossd_ssd::{SchedulerKind, Ssd};
 
@@ -48,10 +48,14 @@ const FS_METADATA_OFFSET: u64 = LOGICAL_PAGE;
 /// directly and are not split.
 const BLOCK_LAYER_MAX_IO: u64 = 16 * 1024;
 
-fn shifted_requests(trace: &Trace, shift: u64, max_io: Option<u64>) -> Vec<BlockRequest> {
+fn shifted_requests(
+    requests: &[BlockRequest],
+    shift: u64,
+    max_io: Option<u64>,
+) -> Vec<BlockRequest> {
     let mut out = Vec::new();
     let mut id = 0u64;
-    for req in trace.to_requests() {
+    for &req in requests {
         let mut offset = req.range.offset + shift;
         let mut remaining = req.range.len;
         while remaining > 0 {
@@ -59,7 +63,7 @@ fn shifted_requests(trace: &Trace, shift: u64, max_io: Option<u64>) -> Vec<Block
             let mut piece = req;
             piece.id = id;
             id += 1;
-            piece.range = ossd_block::ByteRange::new(offset, chunk);
+            piece.range = ByteRange::new(offset, chunk);
             out.push(piece);
             offset += chunk;
             remaining -= chunk;
@@ -84,10 +88,10 @@ fn mean_response_ms(
 fn run_workload(
     scale: Scale,
     name: &str,
-    trace: &Trace,
+    workload: &[BlockRequest],
     max_io: Option<u64>,
 ) -> Result<Table4Row, DeviceError> {
-    let requests = shifted_requests(trace, FS_METADATA_OFFSET, max_io);
+    let requests = shifted_requests(workload, FS_METADATA_OFFSET, max_io);
     let unaligned_ms = mean_response_ms(scale, &requests, false)?;
     let aligned_ms = mean_response_ms(scale, &requests, true)?;
     Ok(Table4Row {

@@ -14,7 +14,7 @@
 //! paper measures.
 
 use crate::workload::PostmarkConfig;
-use ossd_block::{replay_open, DeviceError};
+use ossd_block::{replay_open, BlockOpKind, BlockRequest, DeviceError};
 use ossd_ftl::FtlConfig;
 use ossd_ssd::{Ssd, SsdConfig};
 
@@ -91,18 +91,22 @@ pub(crate) fn transaction_counts(scale: Scale) -> [usize; 4] {
 }
 
 fn run_one(scale: Scale, transactions: usize) -> Result<Table5Row, DeviceError> {
-    let trace = postmark_config(scale, transactions).generate();
+    let informed = postmark_config(scale, transactions).generate();
+    // The default SSD never receives the free notifications at all (the
+    // block interface has no way to convey them); the informed SSD does.
+    let uninformed: Vec<BlockRequest> = (informed.iter())
+        .filter(|r| r.kind != BlockOpKind::Free)
+        .enumerate()
+        .map(|(id, r)| BlockRequest {
+            id: id as u64,
+            ..*r
+        })
+        .collect();
     let mut results = [(0u64, 0.0f64); 2];
     for (i, honor_free) in [false, true].iter().enumerate() {
         let mut ssd = Ssd::new(device_config(scale, *honor_free)).map_err(DeviceError::from)?;
-        // The default SSD never receives the free notifications at all (the
-        // block interface has no way to convey them); the informed SSD does.
-        let requests = if *honor_free {
-            trace.to_requests()
-        } else {
-            trace.without_frees().to_requests()
-        };
-        replay_open(&mut ssd, &requests)?;
+        let requests = if *honor_free { &informed } else { &uninformed };
+        replay_open(&mut ssd, requests)?;
         // Drain any open buffers so both runs account identical host work.
         let stats = ssd.stats();
         results[i] = (

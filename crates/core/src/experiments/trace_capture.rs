@@ -10,7 +10,7 @@
 //! instants, and the sampled metrics series (write amplification, free
 //! space, GC backlog, queue depths, utilisations).
 //!
-//! The result self-validates with the crate's own vendored JSON codec: the
+//! The result self-validates with the crate's own vendored JSON parser: the
 //! exported trace must parse, and every element and initiator track must
 //! carry at least one complete (`"ph":"X"`) span.  `ossd-exp trace_capture`
 //! writes the two artifacts to disk and fails on any validation error,
@@ -130,7 +130,7 @@ pub fn report(scale: Scale) -> Result<Report, ExperimentError> {
     Ok(report.note("Open the trace in https://ui.perfetto.dev."))
 }
 
-/// Checks the exported artifacts with the vendored JSON codec: the trace
+/// Checks the exported artifacts with the vendored JSON parser: the trace
 /// must parse, every element track and every initiator track must carry at
 /// least one complete (`"ph":"X"`) span, and the CSV must hold at least
 /// five sampled series.  Returns a description of the first violation.

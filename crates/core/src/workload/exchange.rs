@@ -7,8 +7,10 @@
 //! improvement from stripe-aligned writes on its Exchange trace — more than
 //! TPC-C (larger writes merge better) but far less than IOzone.
 
-use ossd_block::{Trace, TraceKind, TraceOp};
+use ossd_block::{BlockOpKind, BlockRequest};
 use ossd_sim::SimRng;
+
+use super::push;
 
 /// Exchange model parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,11 +56,12 @@ impl Default for ExchangeConfig {
 }
 
 impl ExchangeConfig {
-    /// Generates the block trace.
-    pub(crate) fn generate(&self) -> Trace {
+    /// Generates the requests.
+    pub(crate) fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
-        let mut trace = Trace::new(format!("exchange-{}", self.operations));
-        let pages = (self.database_bytes / self.page_bytes).max(1) as usize;
+        let mut requests = Vec::new();
+        let size = self.page_bytes;
+        let pages = (self.database_bytes / size).max(1) as usize;
         let log_base = self.database_bytes;
         let mut log_cursor = 0u64;
         let mut now = 0u64;
@@ -69,43 +72,30 @@ impl ExchangeConfig {
                     .zipf_usize(pages.saturating_sub(self.burst_pages as usize), self.skew)
                     as u64;
                 for i in 0..self.burst_pages {
-                    trace.push(TraceOp::new(
-                        now,
-                        TraceKind::Write,
-                        (start + i) * self.page_bytes,
-                        self.page_bytes,
-                    ));
+                    let offset = (start + i) * size;
+                    push(&mut requests, now, BlockOpKind::Write, offset, size);
                 }
             } else {
                 let page = rng.zipf_usize(pages, self.skew) as u64;
                 let kind = if rng.chance(self.read_fraction) {
-                    TraceKind::Read
+                    BlockOpKind::Read
                 } else {
-                    TraceKind::Write
+                    BlockOpKind::Write
                 };
-                trace.push(TraceOp::new(
-                    now,
-                    kind,
-                    page * self.page_bytes,
-                    self.page_bytes,
-                ));
-                if kind == TraceKind::Write {
+                push(&mut requests, now, kind, page * size, size);
+                if kind == BlockOpKind::Write {
                     // Each database write is accompanied by a log append.
                     if log_cursor + 4096 > self.log_bytes {
                         log_cursor = 0;
                     }
-                    trace.push(TraceOp::new(
-                        now,
-                        TraceKind::Write,
-                        log_base + log_cursor,
-                        4096,
-                    ));
+                    let offset = log_base + log_cursor;
+                    push(&mut requests, now, BlockOpKind::Write, offset, 4096);
                     log_cursor += 4096;
                 }
             }
             now += 1 + rng.next_u64_below(2 * self.mean_gap_micros.max(1));
         }
-        trace
+        requests
     }
 }
 
@@ -119,20 +109,16 @@ mod tests {
             operations: 1000,
             ..ExchangeConfig::default()
         };
-        let trace = cfg.generate();
-        let stats = trace.stats();
-        assert!(stats.reads > 0 && stats.writes > 0);
-        assert_eq!(stats.frees, 0);
-        assert!(stats.max_offset <= cfg.database_bytes + cfg.log_bytes);
+        let requests = cfg.generate();
+        let has = |kind| requests.iter().any(|r| r.kind == kind);
+        assert!(has(BlockOpKind::Read) && has(BlockOpKind::Write));
+        assert!(!has(BlockOpKind::Free));
+        let volume = cfg.database_bytes + cfg.log_bytes;
+        assert!(requests.iter().all(|r| r.range.end() <= volume));
         // Database accesses are 32 KB.
-        let db_sizes: Vec<u64> = trace
-            .ops
-            .iter()
-            .filter(|o| o.offset < cfg.database_bytes)
-            .map(|o| o.len)
-            .collect();
-        assert!(db_sizes.iter().all(|&s| s == 32 * 1024));
-        assert!(trace.is_time_ordered());
+        assert!((requests.iter())
+            .filter(|r| r.range.offset < cfg.database_bytes)
+            .all(|r| r.range.len == 32 * 1024));
     }
 
     #[test]
@@ -142,14 +128,14 @@ mod tests {
             burst_probability: 0.2,
             ..ExchangeConfig::default()
         };
-        let trace = cfg.generate();
+        let requests = cfg.generate();
         // At least one run of 8 contiguous 32 KB writes must exist.
         let mut best_run = 1;
         let mut run = 1;
-        for pair in trace.ops.windows(2) {
-            if pair[1].kind == TraceKind::Write
-                && pair[0].kind == TraceKind::Write
-                && pair[1].offset == pair[0].offset + pair[0].len
+        for pair in requests.windows(2) {
+            if pair[1].kind == BlockOpKind::Write
+                && pair[0].kind == BlockOpKind::Write
+                && pair[1].range.offset == pair[0].range.end()
             {
                 run += 1;
                 best_run = best_run.max(run);
@@ -168,14 +154,12 @@ mod tests {
             read_fraction: 0.7,
             ..ExchangeConfig::default()
         };
-        let trace = cfg.generate();
-        let db_ops: Vec<_> = trace
-            .ops
-            .iter()
-            .filter(|o| o.offset < cfg.database_bytes)
+        let requests = cfg.generate();
+        let db: Vec<&BlockRequest> = (requests.iter())
+            .filter(|r| r.range.offset < cfg.database_bytes)
             .collect();
-        let reads = db_ops.iter().filter(|o| o.kind == TraceKind::Read).count();
-        let frac = reads as f64 / db_ops.len() as f64;
+        let reads = db.iter().filter(|r| r.kind == BlockOpKind::Read).count();
+        let frac = reads as f64 / db.len() as f64;
         assert!((frac - 0.7).abs() < 0.05, "read fraction {frac}");
     }
 

@@ -6,7 +6,7 @@
 //! the synthetic macro-benchmarks: it allocates extents for files, maps file
 //! operations to block offsets, and — crucially — reports exactly which
 //! byte ranges become free when a file is deleted or truncated, so the
-//! generated traces contain the `Free` records informed cleaning consumes.
+//! generated requests contain the frees informed cleaning consumes.
 
 use std::collections::BTreeMap;
 

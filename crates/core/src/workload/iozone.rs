@@ -7,8 +7,10 @@
 //! reports a 36.54% response-time improvement (Table 4), an order of
 //! magnitude more than the small-write workloads.
 
-use ossd_block::{Trace, TraceKind, TraceOp};
+use ossd_block::{BlockOpKind, BlockRequest};
 use ossd_sim::SimRng;
+
+use super::push;
 
 /// IOzone model parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,10 +46,10 @@ impl Default for IozoneConfig {
 }
 
 impl IozoneConfig {
-    /// Generates the block trace: write, rewrite, read, then random mix.
-    pub(crate) fn generate(&self) -> Trace {
+    /// Generates the requests: write, rewrite, read, then random mix.
+    pub(crate) fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
-        let mut trace = Trace::new("iozone".to_string());
+        let mut requests = Vec::new();
         let record = self.record_bytes.max(4096);
         let records = (self.file_bytes / record).max(1);
         let mut now = 0u64;
@@ -57,20 +59,20 @@ impl IozoneConfig {
 
         // Phase 1: sequential write.
         for i in 0..records {
-            trace.push(TraceOp::new(now, TraceKind::Write, i * record, record));
+            push(&mut requests, now, BlockOpKind::Write, i * record, record);
             gap(&mut rng, &mut now);
         }
         // Phase 2: sequential rewrite.
         if self.include_rewrite {
             for i in 0..records {
-                trace.push(TraceOp::new(now, TraceKind::Write, i * record, record));
+                push(&mut requests, now, BlockOpKind::Write, i * record, record);
                 gap(&mut rng, &mut now);
             }
         }
         // Phase 3: sequential read.
         if self.include_read {
             for i in 0..records {
-                trace.push(TraceOp::new(now, TraceKind::Read, i * record, record));
+                push(&mut requests, now, BlockOpKind::Read, i * record, record);
                 gap(&mut rng, &mut now);
             }
         }
@@ -78,14 +80,14 @@ impl IozoneConfig {
         for _ in 0..self.random_ops {
             let rec = rng.next_u64_below(records);
             let kind = if rng.chance(0.5) {
-                TraceKind::Read
+                BlockOpKind::Read
             } else {
-                TraceKind::Write
+                BlockOpKind::Write
             };
-            trace.push(TraceOp::new(now, kind, rec * record, record));
+            push(&mut requests, now, kind, rec * record, record);
             gap(&mut rng, &mut now);
         }
-        trace
+        requests
     }
 }
 
@@ -101,26 +103,25 @@ mod tests {
             random_ops: 10,
             ..IozoneConfig::default()
         };
-        let trace = cfg.generate();
-        let stats = trace.stats();
+        let requests = cfg.generate();
+        let count = |kind| requests.iter().filter(|r| r.kind == kind).count();
         // 8 writes + 8 rewrites + 8 reads + ~10 random.
-        assert_eq!(trace.len(), 8 + 8 + 8 + 10);
-        assert!(stats.writes >= 16);
-        assert!(stats.reads >= 8);
-        assert_eq!(stats.frees, 0);
-        assert!(stats.max_offset <= cfg.file_bytes);
-        assert!(trace.is_time_ordered());
+        assert_eq!(requests.len(), 8 + 8 + 8 + 10);
+        assert!(count(BlockOpKind::Write) >= 16);
+        assert!(count(BlockOpKind::Read) >= 8);
+        assert_eq!(count(BlockOpKind::Free), 0);
+        assert!(requests.iter().all(|r| r.range.end() <= cfg.file_bytes));
     }
 
     #[test]
     fn writes_are_large_and_sequential_in_phase_one() {
         let cfg = IozoneConfig::default();
-        let trace = cfg.generate();
+        let requests = cfg.generate();
         let records = (cfg.file_bytes / cfg.record_bytes) as usize;
-        for (i, op) in trace.ops.iter().take(records).enumerate() {
-            assert_eq!(op.kind, TraceKind::Write);
-            assert_eq!(op.len, cfg.record_bytes);
-            assert_eq!(op.offset, i as u64 * cfg.record_bytes);
+        for (i, r) in requests.iter().take(records).enumerate() {
+            assert_eq!(r.kind, BlockOpKind::Write);
+            assert_eq!(r.range.len, cfg.record_bytes);
+            assert_eq!(r.range.offset, i as u64 * cfg.record_bytes);
         }
     }
 
@@ -134,9 +135,9 @@ mod tests {
             random_ops: 0,
             ..IozoneConfig::default()
         };
-        let trace = cfg.generate();
-        assert_eq!(trace.len(), 4);
-        assert!(trace.ops.iter().all(|o| o.kind == TraceKind::Write));
+        let requests = cfg.generate();
+        assert_eq!(requests.len(), 4);
+        assert!(requests.iter().all(|r| r.kind == BlockOpKind::Write));
     }
 
     #[test]
@@ -155,7 +156,6 @@ mod tests {
             include_rewrite: false,
             ..IozoneConfig::default()
         };
-        let trace = cfg.generate();
-        assert!(trace.ops.iter().all(|o| o.len >= 4096));
+        assert!(cfg.generate().iter().all(|r| r.range.len >= 4096));
     }
 }

@@ -8,10 +8,11 @@
 //! File deletion is what produces the stream of block-free notifications
 //! informed cleaning feeds on.
 
-use ossd_block::{Trace, TraceKind, TraceOp};
+use ossd_block::{BlockOpKind, BlockRequest, ByteRange};
 use ossd_sim::SimRng;
 
 use super::fslite::FsLite;
+use super::push;
 
 /// Postmark model parameters (defaults follow the benchmark's classic
 /// configuration scaled to the paper's transaction counts).
@@ -64,40 +65,39 @@ impl Default for PostmarkConfig {
 }
 
 impl PostmarkConfig {
-    /// Generates the block trace (reads, writes and frees).
-    pub fn generate(&self) -> Trace {
+    /// Generates the requests (reads, writes and frees).
+    pub fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut fs = FsLite::new(self.volume_bytes, self.block_bytes);
-        let mut trace = Trace::new(format!("postmark-{}", self.transactions));
+        let mut requests = Vec::new();
         let mut now: u64 = 0;
         let metadata_region = (self.volume_bytes / 16).max(self.block_bytes);
         let metadata_slots = (metadata_region / self.block_bytes).max(1);
 
-        let emit_write_extents =
-            |trace: &mut Trace, now: u64, extents: &[ossd_block::ByteRange]| {
-                for e in extents {
-                    trace.push(TraceOp::new(now, TraceKind::Write, e.offset, e.len));
-                }
-            };
-        let emit_metadata = |trace: &mut Trace, rng: &mut SimRng, now: u64, enabled: bool| {
-            if !enabled {
-                return;
+        let emit_extents = |requests: &mut Vec<BlockRequest>,
+                            now: u64,
+                            kind: BlockOpKind,
+                            extents: &[ByteRange]| {
+            for e in extents {
+                push(requests, now, kind, e.offset, e.len);
             }
-            let slot = rng.next_u64_below(metadata_slots);
-            trace.push(TraceOp::new(
-                now,
-                TraceKind::Write,
-                slot * self.block_bytes,
-                self.block_bytes,
-            ));
         };
+        let emit_metadata =
+            |requests: &mut Vec<BlockRequest>, rng: &mut SimRng, now: u64, enabled: bool| {
+                if !enabled {
+                    return;
+                }
+                let slot = rng.next_u64_below(metadata_slots);
+                let offset = slot * self.block_bytes;
+                push(requests, now, BlockOpKind::Write, offset, self.block_bytes);
+            };
 
         // Initial pool.
         for _ in 0..self.initial_files {
             let size = rng.uniform_u64(self.min_file_bytes, self.max_file_bytes + 1);
             if let Ok((_, extents)) = fs.create(size) {
-                emit_write_extents(&mut trace, now, &extents);
-                emit_metadata(&mut trace, &mut rng, now, self.metadata_writes);
+                emit_extents(&mut requests, now, BlockOpKind::Write, &extents);
+                emit_metadata(&mut requests, &mut rng, now, self.metadata_writes);
                 now += 1 + rng.next_u64_below(self.mean_gap_micros.max(1));
             }
         }
@@ -108,7 +108,7 @@ impl PostmarkConfig {
             if files.is_empty() {
                 let size = rng.uniform_u64(self.min_file_bytes, self.max_file_bytes + 1);
                 if let Ok((_, extents)) = fs.create(size) {
-                    emit_write_extents(&mut trace, now, &extents);
+                    emit_extents(&mut requests, now, BlockOpKind::Write, &extents);
                 }
                 now += 1 + rng.next_u64_below(self.mean_gap_micros.max(1));
                 continue;
@@ -117,35 +117,31 @@ impl PostmarkConfig {
             if rng.chance(self.read_bias) {
                 // Read the whole file.
                 if let Ok(extents) = fs.extents(target) {
-                    for e in extents.iter().copied() {
-                        trace.push(TraceOp::new(now, TraceKind::Read, e.offset, e.len));
-                    }
+                    emit_extents(&mut requests, now, BlockOpKind::Read, extents);
                 }
             } else {
                 // Append a small amount.
                 let grow = rng.uniform_u64(512, 8 * 1024);
                 if let Ok(extents) = fs.append(target, grow) {
-                    emit_write_extents(&mut trace, now, &extents);
-                    emit_metadata(&mut trace, &mut rng, now, self.metadata_writes);
+                    emit_extents(&mut requests, now, BlockOpKind::Write, &extents);
+                    emit_metadata(&mut requests, &mut rng, now, self.metadata_writes);
                 }
             }
             if rng.chance(self.create_delete_bias) {
                 // Delete one file (emitting frees) and create a fresh one.
                 let victim = *rng.choose(&files).expect("files is non-empty");
                 if let Ok(freed) = fs.delete(victim) {
-                    for e in freed {
-                        trace.push(TraceOp::new(now, TraceKind::Free, e.offset, e.len));
-                    }
+                    emit_extents(&mut requests, now, BlockOpKind::Free, &freed);
                 }
                 let size = rng.uniform_u64(self.min_file_bytes, self.max_file_bytes + 1);
                 if let Ok((_, extents)) = fs.create(size) {
-                    emit_write_extents(&mut trace, now, &extents);
-                    emit_metadata(&mut trace, &mut rng, now, self.metadata_writes);
+                    emit_extents(&mut requests, now, BlockOpKind::Write, &extents);
+                    emit_metadata(&mut requests, &mut rng, now, self.metadata_writes);
                 }
             }
             now += 1 + rng.next_u64_below(2 * self.mean_gap_micros.max(1));
         }
-        trace
+        requests
     }
 }
 
@@ -155,18 +151,19 @@ mod tests {
 
     #[test]
     fn produces_reads_writes_and_frees() {
-        let trace = PostmarkConfig {
+        let requests = PostmarkConfig {
             transactions: 500,
             initial_files: 100,
             ..PostmarkConfig::default()
         }
         .generate();
-        let stats = trace.stats();
-        assert!(stats.reads > 0, "no reads generated");
-        assert!(stats.writes > 0, "no writes generated");
-        assert!(stats.frees > 0, "no free notifications generated");
-        assert!(trace.is_time_ordered());
-        assert!(stats.max_offset <= 256 * 1024 * 1024);
+        for kind in [BlockOpKind::Read, BlockOpKind::Write, BlockOpKind::Free] {
+            assert!(
+                requests.iter().any(|r| r.kind == kind),
+                "no {kind:?} generated"
+            );
+        }
+        assert!(requests.iter().all(|r| r.range.end() <= 256 * 1024 * 1024));
     }
 
     #[test]
@@ -175,10 +172,7 @@ mod tests {
             transactions,
             ..PostmarkConfig::default()
         };
-        let small = with(1000).generate();
-        let large = with(2000).generate();
-        assert!(large.len() > small.len());
-        assert!(large.name.contains("2000"));
+        assert!(with(2000).generate().len() > with(1000).generate().len());
     }
 
     #[test]
@@ -193,8 +187,8 @@ mod tests {
     #[test]
     fn frees_match_previously_written_space() {
         // Every freed byte range must have been written at some earlier
-        // point in the trace (the file existed before it was deleted).
-        let trace = PostmarkConfig {
+        // point in the stream (the file existed before it was deleted).
+        let requests = PostmarkConfig {
             transactions: 400,
             initial_files: 50,
             ..PostmarkConfig::default()
@@ -202,42 +196,33 @@ mod tests {
         .generate();
         use std::collections::HashSet;
         let mut written: HashSet<u64> = HashSet::new();
-        for op in &trace.ops {
-            match op.kind {
-                TraceKind::Write => {
-                    let mut b = op.offset;
-                    while b < op.offset + op.len {
-                        written.insert(b / 4096);
-                        b += 4096;
-                    }
-                }
-                TraceKind::Free => {
-                    let mut b = op.offset;
-                    while b < op.offset + op.len {
+        for r in &requests {
+            let blocks = (r.range.offset..r.range.end()).step_by(4096);
+            match r.kind {
+                BlockOpKind::Write => written.extend(blocks.map(|b| b / 4096)),
+                BlockOpKind::Free => {
+                    for b in blocks {
                         assert!(
                             written.contains(&(b / 4096)),
                             "freed block {b} was never written"
                         );
-                        b += 4096;
                     }
                 }
-                TraceKind::Read | TraceKind::Flush | TraceKind::Barrier => {}
+                BlockOpKind::Read => {}
             }
         }
     }
 
     #[test]
     fn small_files_dominate_write_sizes() {
-        let trace = PostmarkConfig {
+        let requests = PostmarkConfig {
             transactions: 500,
             ..PostmarkConfig::default()
         }
         .generate();
-        let mut write_sizes: Vec<u64> = trace
-            .ops
-            .iter()
-            .filter(|o| o.kind == TraceKind::Write)
-            .map(|o| o.len)
+        let mut write_sizes: Vec<u64> = (requests.iter())
+            .filter(|r| r.kind == BlockOpKind::Write)
+            .map(|r| r.range.len)
             .collect();
         write_sizes.sort_unstable();
         let median = write_sizes[write_sizes.len() / 2];

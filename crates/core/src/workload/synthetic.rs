@@ -1,7 +1,9 @@
 //! Parameterised synthetic workloads.
 
-use ossd_block::{Priority, Trace, TraceKind, TraceOp};
+use ossd_block::{BlockOpKind, BlockRequest, Priority};
 use ossd_sim::{SimDuration, SimRng};
+
+use super::push;
 
 /// The arrival process of a synthetic workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,8 +29,6 @@ pub enum InterArrival {
 /// Configuration of a synthetic block workload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SyntheticConfig {
-    /// Trace name.
-    pub name: String,
     /// Number of requests to generate.
     pub request_count: usize,
     /// Size of every request in bytes.
@@ -53,7 +53,6 @@ pub struct SyntheticConfig {
 impl Default for SyntheticConfig {
     fn default() -> Self {
         SyntheticConfig {
-            name: "synthetic".to_string(),
             request_count: 1000,
             request_bytes: 4096,
             read_fraction: 0.5,
@@ -71,7 +70,6 @@ impl SyntheticConfig {
     /// A fully sequential stream of `count` accesses of `bytes` each.
     pub fn sequential(count: usize, bytes: u64, read_fraction: f64) -> Self {
         SyntheticConfig {
-            name: "sequential".to_string(),
             request_count: count,
             request_bytes: bytes,
             read_fraction,
@@ -85,7 +83,6 @@ impl SyntheticConfig {
     /// `working_set_bytes` region.
     pub fn random(count: usize, bytes: u64, read_fraction: f64, working_set_bytes: u64) -> Self {
         SyntheticConfig {
-            name: "random".to_string(),
             request_count: count,
             request_bytes: bytes,
             read_fraction,
@@ -99,7 +96,6 @@ impl SyntheticConfig {
     /// writes) used to compare SWTF with FCFS.
     pub fn swtf_workload(count: usize, working_set_bytes: u64, mean_gap: SimDuration) -> Self {
         SyntheticConfig {
-            name: "swtf-random".to_string(),
             request_count: count,
             request_bytes: 4096,
             read_fraction: 2.0 / 3.0,
@@ -114,7 +110,6 @@ impl SyntheticConfig {
     /// `[0, 0.1 ms)`, 10% high-priority, with the given write fraction.
     pub(crate) fn qos_workload(count: usize, write_fraction: f64, working_set_bytes: u64) -> Self {
         SyntheticConfig {
-            name: format!("qos-{}pct-writes", (write_fraction * 100.0).round()),
             request_count: count,
             request_bytes: 4096,
             read_fraction: 1.0 - write_fraction,
@@ -129,10 +124,10 @@ impl SyntheticConfig {
         }
     }
 
-    /// Generates the trace.
-    pub fn generate(&self) -> Trace {
+    /// Generates the requests.
+    pub fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
-        let mut trace = Trace::new(self.name.clone());
+        let mut requests = Vec::with_capacity(self.request_count);
         let align = self.align_bytes.max(1);
         let span = self.working_set_bytes.max(self.request_bytes);
         let slots = (span / align).max(1);
@@ -152,18 +147,16 @@ impl SyntheticConfig {
             };
             next_offset = offset + self.request_bytes;
             let kind = if rng.chance(self.read_fraction) {
-                TraceKind::Read
+                BlockOpKind::Read
             } else {
-                TraceKind::Write
+                BlockOpKind::Write
             };
             let priority = if rng.chance(self.priority_fraction) {
                 Priority::High
             } else {
                 Priority::Normal
             };
-            trace.push(
-                TraceOp::new(now_micros, kind, offset, self.request_bytes).with_priority(priority),
-            );
+            push(&mut requests, now_micros, kind, offset, self.request_bytes).priority = priority;
             let gap = match self.inter_arrival {
                 InterArrival::Closed => SimDuration::ZERO,
                 InterArrival::Uniform { lo, hi } => rng.uniform_duration(lo, hi),
@@ -174,13 +167,17 @@ impl SyntheticConfig {
                 _ => 1,
             });
         }
-        trace
+        requests
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn share(requests: &[BlockRequest], pick: impl Fn(&BlockRequest) -> bool) -> f64 {
+        requests.iter().filter(|r| pick(r)).count() as f64 / requests.len() as f64
+    }
 
     #[test]
     fn generates_requested_count_and_mix() {
@@ -189,60 +186,55 @@ mod tests {
             read_fraction: 0.75,
             ..SyntheticConfig::default()
         };
-        let trace = cfg.generate();
-        assert_eq!(trace.len(), 2000);
-        let stats = trace.stats();
-        let read_frac = stats.reads as f64 / trace.len() as f64;
+        let requests = cfg.generate();
+        assert_eq!(requests.len(), 2000);
+        let read_frac = share(&requests, |r| r.kind == BlockOpKind::Read);
         assert!((read_frac - 0.75).abs() < 0.05, "read fraction {read_frac}");
-        assert!(trace.is_time_ordered());
     }
 
     #[test]
     fn sequential_config_produces_contiguous_offsets() {
         let cfg = SyntheticConfig::sequential(100, 8192, 0.0);
-        let trace = cfg.generate();
-        for pair in trace.ops.windows(2) {
-            assert_eq!(pair[1].offset, pair[0].offset + 8192);
+        let requests = cfg.generate();
+        for pair in requests.windows(2) {
+            assert_eq!(pair[1].range.offset, pair[0].range.offset + 8192);
         }
-        assert!(trace.ops.iter().all(|o| o.kind == TraceKind::Write));
+        assert!(requests.iter().all(|r| r.kind == BlockOpKind::Write));
     }
 
     #[test]
     fn random_offsets_stay_inside_working_set_and_are_aligned() {
         let cfg = SyntheticConfig::random(1000, 4096, 0.5, 1 << 20);
-        let trace = cfg.generate();
-        for op in &trace.ops {
-            assert!(op.offset + op.len <= 1 << 20);
-            assert_eq!(op.offset % 4096, 0);
+        let requests = cfg.generate();
+        for r in &requests {
+            assert!(r.range.end() <= 1 << 20);
+            assert_eq!(r.range.offset % 4096, 0);
         }
         // The stream must actually be scattered (not all the same offset).
-        let distinct: std::collections::HashSet<u64> = trace.ops.iter().map(|o| o.offset).collect();
+        let distinct: std::collections::HashSet<u64> =
+            requests.iter().map(|r| r.range.offset).collect();
         assert!(distinct.len() > 100);
     }
 
     #[test]
     fn qos_workload_matches_paper_parameters() {
         let cfg = SyntheticConfig::qos_workload(5000, 0.5, 1 << 24);
-        let trace = cfg.generate();
-        let stats = trace.stats();
-        let write_frac = stats.writes as f64 / trace.len() as f64;
+        let requests = cfg.generate();
+        let write_frac = share(&requests, |r| r.kind == BlockOpKind::Write);
         assert!((write_frac - 0.5).abs() < 0.05);
-        let hp_frac = stats.high_priority as f64 / trace.len() as f64;
+        let hp_frac = share(&requests, |r| r.priority == Priority::High);
         assert!((hp_frac - 0.10).abs() < 0.02, "priority fraction {hp_frac}");
         // Mean inter-arrival ≈ 50 µs.
-        let span = trace.ops.last().unwrap().at_micros;
-        let mean_gap = span as f64 / (trace.len() - 1) as f64;
+        let span = requests.last().unwrap().arrival.as_nanos() as f64 / 1e3;
+        let mean_gap = span / (requests.len() - 1) as f64;
         assert!((mean_gap - 50.0).abs() < 5.0, "mean gap {mean_gap} µs");
     }
 
     #[test]
     fn swtf_workload_mix() {
         let cfg = SyntheticConfig::swtf_workload(3000, 1 << 24, SimDuration::from_micros(80));
-        let trace = cfg.generate();
-        let stats = trace.stats();
-        let read_frac = stats.reads as f64 / trace.len() as f64;
+        let read_frac = share(&cfg.generate(), |r| r.kind == BlockOpKind::Read);
         assert!((read_frac - 2.0 / 3.0).abs() < 0.05);
-        assert!(trace.is_time_ordered());
     }
 
     #[test]
@@ -254,11 +246,8 @@ mod tests {
                 seed: 7,
                 ..SyntheticConfig::default()
             };
-            let trace = cfg.generate();
-            trace
-                .ops
-                .windows(2)
-                .filter(|w| w[1].offset == w[0].offset + w[0].len)
+            (cfg.generate().windows(2))
+                .filter(|w| w[1].range.offset == w[0].range.end())
                 .count()
         };
         let none = count_contiguous(0.0);
@@ -268,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_reproduces_trace() {
+    fn same_seed_reproduces_the_requests() {
         let cfg = SyntheticConfig::default();
         assert_eq!(cfg.generate(), cfg.generate());
         let other = SyntheticConfig {

@@ -6,9 +6,15 @@
 //! the paper replays such a trace to measure how much device-side
 //! stripe-aligned write merging helps (answer: a little — 3.08% — because
 //! most writes are small and random).
+//!
+//! The log is rewritten constantly as it wraps: a textbook hot stream.  A
+//! block request cannot say so; a host that can sends its writes with a
+//! `StreamTemperature::Hot` hint through `HostCommand::Write`.
 
-use ossd_block::{StreamTemperature, Trace, TraceKind, TraceOp};
+use ossd_block::{BlockOpKind, BlockRequest};
 use ossd_sim::SimRng;
+
+use super::push;
 
 /// TPC-C model parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,56 +59,44 @@ impl Default for TpccConfig {
 }
 
 impl TpccConfig {
-    /// Generates the block trace.  The log region is laid out after the
+    /// Generates the requests.  The log region is laid out after the
     /// database region.
-    pub fn generate(&self) -> Trace {
+    pub fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
-        let mut trace = Trace::new(format!("tpcc-{}", self.transactions));
-        let pages = (self.database_bytes / self.page_bytes).max(1) as usize;
+        let mut requests = Vec::new();
+        let size = self.page_bytes;
+        let pages = (self.database_bytes / size).max(1) as usize;
         let log_base = self.database_bytes;
         let mut log_cursor = 0u64;
         let mut now = 0u64;
         for _ in 0..self.transactions {
             for _ in 0..self.reads_per_txn {
                 let page = rng.zipf_usize(pages, self.skew) as u64;
-                trace.push(TraceOp::new(
-                    now,
-                    TraceKind::Read,
-                    page * self.page_bytes,
-                    self.page_bytes,
-                ));
+                push(&mut requests, now, BlockOpKind::Read, page * size, size);
             }
             for _ in 0..self.writes_per_txn {
                 let page = rng.zipf_usize(pages, self.skew) as u64;
-                trace.push(TraceOp::new(
-                    now,
-                    TraceKind::Write,
-                    page * self.page_bytes,
-                    self.page_bytes,
-                ));
+                push(&mut requests, now, BlockOpKind::Write, page * size, size);
             }
             // Sequential commit record in the log (wraps around).
-            if log_cursor + self.log_write_bytes > self.log_bytes {
+            let len = self.log_write_bytes;
+            if log_cursor + len > self.log_bytes {
                 log_cursor = 0;
             }
-            // The log wraps and is rewritten constantly: a textbook hot
-            // stream, advertised to the device through the write hint.
-            trace.push(
-                TraceOp::new(
-                    now,
-                    TraceKind::Write,
-                    log_base + log_cursor,
-                    self.log_write_bytes,
-                )
-                .with_hint(StreamTemperature::Hot),
+            push(
+                &mut requests,
+                now,
+                BlockOpKind::Write,
+                log_base + log_cursor,
+                len,
             );
-            log_cursor += self.log_write_bytes;
+            log_cursor += len;
             now += 1 + rng.next_u64_below(2 * self.mean_gap_micros.max(1));
         }
-        trace
+        requests
     }
 
-    /// Total volume size the trace assumes (database plus log).
+    /// Total volume size the requests assume (database plus log).
     pub fn volume_bytes(&self) -> u64 {
         self.database_bytes + self.log_bytes
     }
@@ -118,16 +112,13 @@ mod tests {
             transactions: 500,
             ..TpccConfig::default()
         };
-        let trace = cfg.generate();
-        let stats = trace.stats();
+        let requests = cfg.generate();
+        let count = |kind| requests.iter().filter(|r| r.kind == kind).count();
         // 4 reads + 2 data writes + 1 log write per transaction.
-        assert_eq!(stats.reads, 500 * 4);
-        assert_eq!(stats.writes, 500 * 3);
-        assert_eq!(stats.frees, 0);
-        // Every log append carries the hot-stream hint.
-        assert_eq!(stats.hinted_writes, 500);
-        assert!(stats.max_offset <= cfg.volume_bytes());
-        assert!(trace.is_time_ordered());
+        assert_eq!(count(BlockOpKind::Read), 500 * 4);
+        assert_eq!(count(BlockOpKind::Write), 500 * 3);
+        assert_eq!(count(BlockOpKind::Free), 0);
+        assert!(requests.iter().all(|r| r.range.end() <= cfg.volume_bytes()));
     }
 
     #[test]
@@ -136,17 +127,15 @@ mod tests {
             transactions: 200,
             ..TpccConfig::default()
         };
-        let trace = cfg.generate();
-        let log_ops: Vec<&TraceOp> = trace
-            .ops
-            .iter()
-            .filter(|o| o.offset >= cfg.database_bytes)
+        let requests = cfg.generate();
+        let log: Vec<&BlockRequest> = (requests.iter())
+            .filter(|r| r.range.offset >= cfg.database_bytes)
             .collect();
-        assert_eq!(log_ops.len(), 200);
-        for pair in log_ops.windows(2) {
+        assert_eq!(log.len(), 200);
+        for pair in log.windows(2) {
             // Either contiguous or wrapped back to the start of the log.
-            let contiguous = pair[1].offset == pair[0].offset + pair[0].len;
-            let wrapped = pair[1].offset == cfg.database_bytes;
+            let contiguous = pair[1].range.offset == pair[0].range.end();
+            let wrapped = pair[1].range.offset == cfg.database_bytes;
             assert!(contiguous || wrapped);
         }
     }
@@ -158,19 +147,16 @@ mod tests {
             skew: 0.8,
             ..TpccConfig::default()
         };
-        let trace = cfg.generate();
+        let requests = cfg.generate();
         let pages = cfg.database_bytes / cfg.page_bytes;
         let hot_cutoff = pages / 10;
-        let data_ops: Vec<&TraceOp> = trace
-            .ops
-            .iter()
-            .filter(|o| o.offset < cfg.database_bytes)
+        let data: Vec<&BlockRequest> = (requests.iter())
+            .filter(|r| r.range.offset < cfg.database_bytes)
             .collect();
-        let hot = data_ops
-            .iter()
-            .filter(|o| o.offset / cfg.page_bytes < hot_cutoff)
+        let hot = (data.iter())
+            .filter(|r| r.range.offset / cfg.page_bytes < hot_cutoff)
             .count();
-        let frac = hot as f64 / data_ops.len() as f64;
+        let frac = hot as f64 / data.len() as f64;
         assert!(frac > 0.25, "hot-decile fraction {frac} not skewed");
     }
 

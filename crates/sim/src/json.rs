@@ -1,5 +1,5 @@
-//! The workspace's one vendored JSON codec: trace files are written and
-//! read through it, and trace exports are validated with it.
+//! The workspace's one vendored JSON parser: trace exports are validated
+//! with it.
 //!
 //! [`Value::parse`] supports the full JSON value grammar (objects, arrays,
 //! strings with escapes, numbers, booleans, null).  It is a
@@ -7,8 +7,7 @@
 //! integer token (no sign, fraction or exponent) that fits `u64` is kept
 //! exactly as [`Value::Integer`] — trace timestamps are nanosecond counts
 //! and pass 2^53 after 104 simulated days — and every other number is held
-//! as `f64`.  The encoding side is the two helpers the flat trace records
-//! need, [`encode_str`] and [`encode_object`].
+//! as `f64`.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,19 +61,11 @@ impl Value {
     }
 
     /// The numeric value of a number (an [`Value::Integer`] beyond 2^53 is
-    /// rounded; use [`Value::as_u64`] for those).
+    /// rounded; match the variant for the exact value).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Integer(n) => Some(*n as f64),
             Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The exact value of an unsigned integer token.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Integer(n) => Some(*n),
             _ => None,
         }
     }
@@ -86,42 +77,6 @@ impl Value {
             _ => None,
         }
     }
-}
-
-/// Escapes a string into a quoted JSON string literal.
-pub fn encode_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Encodes an object from `(key, encoded value)` pairs, in the given order.
-/// Each value is already JSON text: a number's `to_string()`, or a string
-/// through [`encode_str`].
-pub fn encode_object(fields: &[(&str, String)]) -> String {
-    let mut out = String::from("{");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&encode_str(key));
-        out.push(':');
-        out.push_str(value);
-    }
-    out.push('}');
-    out
 }
 
 struct Parser<'a> {
@@ -411,20 +366,25 @@ mod tests {
     fn unsigned_integers_are_exact_up_to_u64_max() {
         // 2^53 + 1 and u64::MAX are not representable as f64.
         for n in [0, (1u64 << 53) + 1, u64::MAX] {
-            assert_eq!(Value::parse(&n.to_string()).unwrap().as_u64(), Some(n));
+            assert_eq!(Value::parse(&n.to_string()).unwrap(), Value::Integer(n));
         }
         // One past u64::MAX, and anything signed or fractional, is a float.
         for text in ["18446744073709551616", "-1", "1.0", "1e3"] {
             let v = Value::parse(text).unwrap();
-            assert_eq!(v.as_u64(), None, "{text}");
+            assert!(matches!(v, Value::Number(_)), "{text}");
             assert!(v.as_f64().is_some(), "{text}");
         }
     }
 
     #[test]
-    fn string_roundtrip_with_escapes() {
-        for s in ["plain", "has \"quotes\"", "tabs\tand\nnewlines", "païges ☃"] {
-            assert_eq!(decode_str(&encode_str(s)).as_deref(), Some(s));
+    fn strings_decode_with_escapes() {
+        for (text, s) in [
+            (r#""plain""#, "plain"),
+            (r#""has \"quotes\"""#, "has \"quotes\""),
+            (r#""tabs\tand\nnewlines""#, "tabs\tand\nnewlines"),
+            ("\"païges ☃\"", "païges ☃"),
+        ] {
+            assert_eq!(decode_str(text).as_deref(), Some(s));
         }
         assert_eq!(decode_str("\"\\u0041\"").as_deref(), Some("A"));
         // Non-BMP characters arrive as UTF-16 surrogate pairs from
@@ -450,11 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn object_roundtrip() {
-        let fields = [("at_micros", 42.to_string()), ("kind", encode_str("Read"))];
-        let line = encode_object(&fields);
-        assert_eq!(line, r#"{"at_micros":42,"kind":"Read"}"#);
-        let parsed = Value::parse(&line).unwrap();
+    fn object_members_parse() {
+        let parsed = Value::parse(r#"{"at_micros":42,"kind":"Read"}"#).unwrap();
         assert_eq!(parsed.get("at_micros"), Some(&Value::Integer(42)));
         assert_eq!(parsed.get("kind"), Some(&Value::String("Read".to_string())));
     }

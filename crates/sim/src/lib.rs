@@ -15,8 +15,8 @@
 //! * [`server`] — busy-until-time accounting for single-server resources
 //!   (flash elements, gang buses, disk arms).
 //! * [`event`] — a deterministic event queue for open-arrival simulations.
-//! * [`json`] — the workspace's one vendored JSON codec (trace files, trace
-//!   export validation).
+//! * [`json`] — the workspace's one vendored JSON parser (trace export
+//!   validation).
 //! * [`engine`] — the event-driven controller engine: a generic dispatch
 //!   loop delivering arrival, op-start, op-complete and idle events to a
 //!   device [`Controller`].

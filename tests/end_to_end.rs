@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full write/read/trim flows through the
 //! block interface and the object interface, across the HDD and SSD models.
 
-use ossd::block::{replay_closed, BlockDevice, BlockRequest, Trace, TraceKind, TraceOp};
+use ossd::block::{replay_closed, BlockDevice, BlockOpKind, BlockRequest};
 use ossd::core::{ObjectAttributes, OsdDevice};
 use ossd::ftl::FtlConfig;
 use ossd::hdd::{Hdd, HddConfig};
@@ -20,7 +20,7 @@ fn medium_ssd_config() -> SsdConfig {
 #[test]
 fn synthetic_workload_runs_on_both_device_families() {
     let workload = SyntheticConfig::random(2000, 4096, 0.5, 8 * 1024 * 1024);
-    let requests = workload.generate().to_requests();
+    let requests = workload.generate();
 
     let mut ssd = Ssd::new(medium_ssd_config()).unwrap();
     let ssd_report = replay_closed(&mut ssd, &requests).unwrap();
@@ -36,43 +36,26 @@ fn synthetic_workload_runs_on_both_device_families() {
 
 #[test]
 fn postmark_trace_replays_with_frees_on_an_informed_ssd() {
-    let trace = PostmarkConfig {
+    let requests = PostmarkConfig {
         transactions: 600,
         initial_files: 150,
         volume_bytes: 16 * 1024 * 1024,
         ..PostmarkConfig::default()
     }
     .generate();
-    assert!(trace.stats().frees > 0);
+    let frees = (requests.iter())
+        .filter(|r| r.kind == BlockOpKind::Free)
+        .count() as u64;
+    assert!(frees > 0);
 
     let mut config = medium_ssd_config();
     config.ftl = FtlConfig::informed();
     let mut ssd = Ssd::new(config).unwrap();
-    let report = ossd::block::replay_open(&mut ssd, &trace.to_requests()).unwrap();
-    assert!(report.frees > 0);
-    assert_eq!(report.frees, trace.stats().frees);
+    let report = ossd::block::replay_open(&mut ssd, &requests).unwrap();
+    assert_eq!(report.frees, frees);
     let stats = ssd.stats();
     assert!(stats.ftl.frees_accepted > 0);
-    assert_eq!(stats.host_frees, trace.stats().frees);
-}
-
-#[test]
-fn trace_round_trips_through_jsonl_and_replays_identically() {
-    let trace = SyntheticConfig::random(500, 8192, 0.3, 4 * 1024 * 1024).generate();
-    let mut buffer = Vec::new();
-    trace.write_jsonl(&mut buffer).unwrap();
-    let reloaded = Trace::read_jsonl(std::io::BufReader::new(buffer.as_slice())).unwrap();
-    assert_eq!(trace, reloaded);
-
-    let run = |t: &Trace| {
-        let mut ssd = Ssd::new(medium_ssd_config()).unwrap();
-        replay_closed(&mut ssd, &t.to_requests())
-            .unwrap()
-            .all
-            .mean_millis()
-    };
-    // Determinism: the same trace on a fresh device gives the same timing.
-    assert_eq!(run(&trace), run(&reloaded));
+    assert_eq!(stats.host_frees, frees);
 }
 
 #[test]
@@ -96,25 +79,14 @@ fn object_store_and_raw_block_interface_agree_on_free_accounting() {
 
 #[test]
 fn stripe_mapped_profile_respects_trim_only_when_informed() {
-    // The same trace with frees: the default S2-like device ignores them,
-    // the informed one uses them.
-    let mut trace = Trace::new("trim-check");
-    for i in 0..64u64 {
-        trace.push(TraceOp::new(
-            i * 1000,
-            TraceKind::Write,
-            i * 32 * 1024,
-            32 * 1024,
-        ));
-    }
-    for i in 0..32u64 {
-        trace.push(TraceOp::new(
-            100_000 + i * 1000,
-            TraceKind::Free,
-            i * 32 * 1024,
-            32 * 1024,
-        ));
-    }
+    // The same requests with frees: the default S2-like device ignores
+    // them, the informed one uses them.
+    let at = |micros| SimTime::from_micros(micros);
+    let stripe = 32 * 1024;
+    let writes = (0..64).map(|i| BlockRequest::write(i, i * stripe, stripe, at(i * 1000)));
+    let frees =
+        (0..32).map(|i| BlockRequest::free(64 + i, i * stripe, stripe, at(100_000 + i * 1000)));
+    let requests: Vec<BlockRequest> = writes.chain(frees).collect();
     let run = |informed: bool| {
         let mut config = SsdConfig::tiny_stripe_mapped();
         config.geometry.packages = 8;
@@ -125,7 +97,7 @@ fn stripe_mapped_profile_respects_trim_only_when_informed() {
         };
         config.ftl = config.ftl.with_honor_free(informed);
         let mut ssd = Ssd::new(config).unwrap();
-        ossd::block::replay_open(&mut ssd, &trace.to_requests()).unwrap();
+        ossd::block::replay_open(&mut ssd, &requests).unwrap();
         ssd.stats().ftl.frees_accepted
     };
     assert_eq!(run(false), 0);
@@ -139,7 +111,7 @@ fn open_queue_simulation_is_deterministic_across_schedulers() {
         8 * 1024 * 1024,
         ossd::sim::SimDuration::from_micros(80),
     );
-    let requests = workload.generate().to_requests();
+    let requests = workload.generate();
     let run = |scheduler: SchedulerKind| {
         let mut ssd = Ssd::new(medium_ssd_config()).unwrap();
         // Prefill so reads find mapped data.

@@ -8,10 +8,9 @@
 //! rendered in both formats exactly as `ossd-exp` prints it.  Paper scale
 //! takes ~25 s in release and runs under `--ignored`.
 //!
-//! The examples are run from the binaries `cargo test` builds next to this
-//! test's own (`target/<profile>/examples/`); `cargo test --test
-//! ossd_exp_golden` alone does not build them, so run `cargo build
-//! --examples` first in that case.
+//! The example check first runs `cargo build --examples` in this test's own
+//! profile and target directory, so it never runs a stale binary, however
+//! narrowly `cargo test` was invoked.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -113,14 +112,30 @@ fn paper_scale_output_matches_the_goldens() {
     check_scale(Scale::Paper, "paper");
 }
 
+/// Builds every example in the profile this test was built in (the
+/// directory above `deps/`) and returns the directory they land in.
+fn build_examples() -> PathBuf {
+    let this = std::env::current_exe().unwrap();
+    let profile_dir = this.parent().and_then(Path::parent).unwrap();
+    let profile = match profile_dir.file_name().unwrap().to_str().unwrap() {
+        "debug" => "dev",
+        name => name,
+    };
+    let command = format!("cargo build --examples --profile {profile}");
+    let status = Command::new(env!("CARGO"))
+        .args(["build", "--quiet", "--examples", "--profile", profile])
+        .arg("--target-dir")
+        .arg(profile_dir.parent().unwrap())
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .status()
+        .unwrap_or_else(|e| panic!("`{command}`: {e}"));
+    assert!(status.success(), "`{command}` failed: {status}");
+    profile_dir.join("examples")
+}
+
 #[test]
 fn example_stdout_matches_the_goldens() {
-    let this = std::env::current_exe().unwrap();
-    let examples_dir = this
-        .parent()
-        .and_then(Path::parent)
-        .unwrap()
-        .join("examples");
+    let examples_dir = build_examples();
     let sources =
         std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("examples")).unwrap();
     let mut names: Vec<String> = (sources.map(|entry| entry.unwrap().path()))
@@ -131,12 +146,8 @@ fn example_stdout_matches_the_goldens() {
     let outputs: Vec<(String, String)> = (names.iter())
         .map(|name| {
             let binary = examples_dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
-            let output = Command::new(&binary).output().unwrap_or_else(|e| {
-                panic!(
-                    "{}: {e} (`cargo build --examples` builds it)",
-                    binary.display()
-                )
-            });
+            let output = (Command::new(&binary).output())
+                .unwrap_or_else(|e| panic!("{}: {e}", binary.display()));
             assert!(output.status.success(), "{name}: {:?}", output.status);
             let stdout = String::from_utf8(output.stdout).unwrap();
             (format!("examples/{name}.txt"), stdout)

@@ -534,18 +534,16 @@ fn tpcc_slice_serves_degraded_with_zero_errors() {
             seed: 0x7CC_0F1EE,
             ..TpccConfig::default()
         };
-        let trace = tpcc.generate();
         let mut queues: Vec<HostQueue> = (0..INITIATORS).map(|_| HostQueue::new()).collect();
         let mut pending = 0usize;
-        for (k, op) in trace.ops.iter().enumerate() {
-            let cmd = op.to_command(id);
-            id += 1;
+        for (k, request) in tpcc.generate().iter().enumerate() {
             queues[k % INITIATORS].submit_with_priority(
-                cmd.id,
-                cmd.command,
-                cmd.arrival,
-                cmd.priority,
+                id,
+                HostCommand::from_request(request),
+                request.arrival,
+                request.priority,
             );
+            id += 1;
             pending += 1;
             if pending == 64 {
                 serve_and_drain(&mut fleet, &mut queues, &mut completions, &mut merged);

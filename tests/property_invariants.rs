@@ -6,7 +6,7 @@
 //! failure message includes the case seed so a counterexample reproduces
 //! exactly.
 
-use ossd::block::{BlockDevice, BlockRequest, ByteRange};
+use ossd::block::{BlockDevice, BlockRequest};
 use ossd::flash::{ElementId, FlashElement, FlashGeometry};
 use ossd::ftl::{Ftl, FtlConfig, Lpn, PageFtl, WriteContext};
 use ossd::sim::{SimDuration, SimRng, SimTime, Summary};
@@ -18,33 +18,6 @@ fn for_each_case(cases: u64, mut property: impl FnMut(u64, &mut SimRng)) {
         let mut rng = SimRng::seed_from_u64(0xB10C_0000 ^ seed);
         property(seed, &mut rng);
     }
-}
-
-/// Splitting a byte range at chunk boundaries loses no bytes and keeps
-/// every piece inside one chunk.
-#[test]
-fn byte_range_chunking_is_lossless() {
-    for_each_case(300, |seed, rng| {
-        let offset = rng.next_u64_below(1_000_000);
-        let len = 1 + rng.next_u64_below(100_000);
-        let unit = 1 + rng.next_u64_below(65_535);
-        let range = ByteRange::new(offset, len);
-        let pieces = range.split_by_chunk(unit);
-        assert_eq!(
-            pieces.iter().map(|p| p.len).sum::<u64>(),
-            len,
-            "case {seed}: bytes lost splitting {range:?} by {unit}"
-        );
-        assert_eq!(pieces.first().unwrap().offset, offset, "case {seed}");
-        assert_eq!(pieces.last().unwrap().end(), range.end(), "case {seed}");
-        for piece in pieces {
-            assert_eq!(
-                piece.first_chunk(unit),
-                piece.last_chunk(unit),
-                "case {seed}: piece {piece:?} spans chunks of {unit}"
-            );
-        }
-    });
 }
 
 /// A flash block's page-state counters always sum to the block size, no
