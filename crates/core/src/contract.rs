@@ -5,7 +5,7 @@
 //! device satisfies it, together with the metric the verdict is based on —
 //! the same T/F summary the paper's Table 1 gives for Disk vs. SSD.
 
-use crate::hdd::{Hdd, HddConfig};
+use crate::hdd::Hdd;
 use ossd_block::{replay_closed, BlockDevice, BlockRequest, DeviceError, HostInterface};
 use ossd_sim::SimTime;
 use ossd_ssd::{Ssd, SsdConfig};
@@ -290,8 +290,8 @@ pub(crate) fn evaluate_ssd(config: SsdConfig) -> Result<ContractReport, DeviceEr
 }
 
 /// Evaluates the contract against a simulated disk.
-pub(crate) fn evaluate_hdd(config: HddConfig) -> Result<ContractReport, DeviceError> {
-    let mut hdd = Hdd::new(config);
+pub(crate) fn evaluate_hdd() -> Result<ContractReport, DeviceError> {
+    let mut hdd = Hdd::barracuda_7200();
     let name = hdd.info().name.clone();
     let mut verdicts = probe_generic(&mut hdd)?;
     // Term 4: a disk writes exactly what it is told to write.
@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn hdd_satisfies_the_disk_contract() {
-        let report = evaluate_hdd(HddConfig::default()).unwrap();
+        let report = evaluate_hdd().unwrap();
         assert_eq!(report.verdicts.len(), 6);
         // Terms 1, 2, 4, 5, 6 hold on a disk; term 3 fails because of zoned
         // recording.

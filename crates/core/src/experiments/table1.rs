@@ -5,7 +5,6 @@
 //! columns of the paper are literature summaries, not measurements, and are
 //! out of scope).
 
-use crate::hdd::HddConfig;
 use ossd_block::DeviceError;
 use ossd_flash::FlashGeometry;
 use ossd_ftl::FtlConfig;
@@ -49,7 +48,7 @@ fn ssd_config(scale: Scale, mapping: MappingKind) -> SsdConfig {
 
 /// Runs the Table 1 evaluation.
 pub fn run(scale: Scale) -> Result<Table1Result, DeviceError> {
-    let hdd = evaluate_hdd(HddConfig::barracuda_7200())?;
+    let hdd = evaluate_hdd()?;
     let ssd_page_mapped = evaluate_ssd(ssd_config(scale, MappingKind::PageMapped))?;
     let ssd_stripe_mapped = evaluate_ssd(ssd_config(
         scale,

@@ -1,7 +1,7 @@
 //! Table 2: ratio of sequential to random bandwidth for an HDD and the five
 //! SSD device profiles.
 
-use crate::hdd::{Hdd, HddConfig};
+use crate::hdd::Hdd;
 use ossd_block::{replay_closed, DeviceError, HostInterface};
 use ossd_ssd::{DeviceProfile, Ssd};
 
@@ -88,7 +88,7 @@ pub fn run(scale: Scale) -> Result<Vec<Table2Row>, DeviceError> {
     let region = scale.bytes(8 * 1024 * 1024, 64 * 1024 * 1024);
     let mut rows = Vec::new();
 
-    let mut hdd = Hdd::new(HddConfig::barracuda_7200());
+    let mut hdd = Hdd::barracuda_7200();
     rows.push(measure(&mut hdd, "HDD", region)?);
 
     for profile in DeviceProfile::table2_devices() {

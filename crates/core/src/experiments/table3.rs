@@ -69,7 +69,6 @@ fn run_one(
         read_fraction: 0.0,
         sequential_prob,
         working_set_bytes: working_set,
-        align_bytes: 4096,
         inter_arrival: InterArrival::Uniform {
             lo: SimDuration::ZERO,
             hi: SimDuration::from_millis_f64(4.0),

@@ -132,7 +132,6 @@ pub fn run(scale: Scale) -> Result<Vec<Table4Row>, DeviceError> {
     .generate();
     let iozone = IozoneConfig {
         file_bytes: scale.bytes(24 * 1024 * 1024, 128 * 1024 * 1024),
-        record_bytes: 1024 * 1024,
         random_ops: scale.count(16, 64),
         mean_gap_micros: 20_000,
         ..IozoneConfig::default()

@@ -76,8 +76,6 @@ fn postmark_config(scale: Scale, transactions: usize) -> PostmarkConfig {
         transactions,
         initial_files: scale.count(800, 2500),
         volume_bytes: scale.bytes(14 * 1024 * 1024, 42 * 1024 * 1024),
-        min_file_bytes: 512,
-        max_file_bytes: 16 * 1024,
         ..PostmarkConfig::default()
     }
 }
@@ -107,7 +105,6 @@ fn run_one(scale: Scale, transactions: usize) -> Result<Table5Row, DeviceError> 
         let mut ssd = Ssd::new(device_config(scale, *honor_free)).map_err(DeviceError::from)?;
         let requests = if *honor_free { &informed } else { &uninformed };
         replay_open(&mut ssd, requests)?;
-        // Drain any open buffers so both runs account identical host work.
         let stats = ssd.stats();
         results[i] = (
             stats.cleaning_pages_moved(),

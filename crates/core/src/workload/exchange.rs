@@ -12,6 +12,18 @@ use ossd_sim::SimRng;
 
 use super::push;
 
+/// Database page size (Exchange uses 32 KB pages in this era).
+const PAGE_BYTES: u64 = 32 * 1024;
+/// Fraction of database operations that are reads.
+const READ_FRACTION: f64 = 0.55;
+/// Probability that an operation is a maintenance burst (a larger
+/// sequential write of several pages).
+const BURST_PROBABILITY: f64 = 0.05;
+/// Pages per maintenance burst.
+const BURST_PAGES: u64 = 8;
+/// Access skew towards hot mailboxes (0 = uniform).
+const SKEW: f64 = 0.5;
+
 /// Exchange model parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct ExchangeConfig {
@@ -19,19 +31,8 @@ pub(crate) struct ExchangeConfig {
     pub operations: usize,
     /// Mailbox database size in bytes.
     pub database_bytes: u64,
-    /// Database page size (Exchange uses 32 KB pages in this era).
-    pub page_bytes: u64,
     /// Log region size.
     pub log_bytes: u64,
-    /// Fraction of database operations that are reads.
-    pub read_fraction: f64,
-    /// Probability that an operation is a maintenance burst (a larger
-    /// sequential write of several pages).
-    pub burst_probability: f64,
-    /// Pages per maintenance burst.
-    pub burst_pages: u64,
-    /// Access skew towards hot mailboxes (0 = uniform).
-    pub skew: f64,
     /// Mean gap between operations in microseconds.
     pub mean_gap_micros: u64,
     /// RNG seed.
@@ -43,12 +44,7 @@ impl Default for ExchangeConfig {
         ExchangeConfig {
             operations: 3000,
             database_bytes: 512 * 1024 * 1024,
-            page_bytes: 32 * 1024,
             log_bytes: 64 * 1024 * 1024,
-            read_fraction: 0.55,
-            burst_probability: 0.05,
-            burst_pages: 8,
-            skew: 0.5,
             mean_gap_micros: 400,
             seed: 0xE8C,
         }
@@ -60,24 +56,22 @@ impl ExchangeConfig {
     pub(crate) fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut requests = Vec::new();
-        let size = self.page_bytes;
+        let size = PAGE_BYTES;
         let pages = (self.database_bytes / size).max(1) as usize;
         let log_base = self.database_bytes;
         let mut log_cursor = 0u64;
         let mut now = 0u64;
         for _ in 0..self.operations {
-            if rng.chance(self.burst_probability) {
+            if rng.chance(BURST_PROBABILITY) {
                 // Maintenance burst: several contiguous pages rewritten.
-                let start = rng
-                    .zipf_usize(pages.saturating_sub(self.burst_pages as usize), self.skew)
-                    as u64;
-                for i in 0..self.burst_pages {
+                let start = rng.zipf_usize(pages.saturating_sub(BURST_PAGES as usize), SKEW) as u64;
+                for i in 0..BURST_PAGES {
                     let offset = (start + i) * size;
                     push(&mut requests, now, BlockOpKind::Write, offset, size);
                 }
             } else {
-                let page = rng.zipf_usize(pages, self.skew) as u64;
-                let kind = if rng.chance(self.read_fraction) {
+                let page = rng.zipf_usize(pages, SKEW) as u64;
+                let kind = if rng.chance(READ_FRACTION) {
                     BlockOpKind::Read
                 } else {
                     BlockOpKind::Write
@@ -125,7 +119,6 @@ mod tests {
     fn bursts_generate_contiguous_runs() {
         let cfg = ExchangeConfig {
             operations: 2000,
-            burst_probability: 0.2,
             ..ExchangeConfig::default()
         };
         let requests = cfg.generate();
@@ -143,24 +136,23 @@ mod tests {
                 run = 1;
             }
         }
-        assert!(best_run >= cfg.burst_pages as usize, "best run {best_run}");
+        assert!(best_run >= BURST_PAGES as usize, "best run {best_run}");
     }
 
     #[test]
     fn read_fraction_is_respected() {
+        // Every read is one single-page operation that is not a burst.
         let cfg = ExchangeConfig {
             operations: 4000,
-            burst_probability: 0.0,
-            read_fraction: 0.7,
             ..ExchangeConfig::default()
         };
         let requests = cfg.generate();
-        let db: Vec<&BlockRequest> = (requests.iter())
-            .filter(|r| r.range.offset < cfg.database_bytes)
-            .collect();
-        let reads = db.iter().filter(|r| r.kind == BlockOpKind::Read).count();
-        let frac = reads as f64 / db.len() as f64;
-        assert!((frac - 0.7).abs() < 0.05, "read fraction {frac}");
+        let reads = (requests.iter())
+            .filter(|r| r.kind == BlockOpKind::Read)
+            .count();
+        let frac = reads as f64 / cfg.operations as f64;
+        let expected = (1.0 - BURST_PROBABILITY) * READ_FRACTION;
+        assert!((frac - expected).abs() < 0.03, "read fraction {frac}");
     }
 
     #[test]

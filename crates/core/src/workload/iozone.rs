@@ -12,19 +12,16 @@ use ossd_sim::SimRng;
 
 use super::push;
 
+/// Record (request) size in bytes.
+const RECORD_BYTES: u64 = 1024 * 1024;
+
 /// IOzone model parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct IozoneConfig {
     /// Size of the test file in bytes.
     pub file_bytes: u64,
-    /// Record (request) size in bytes.
-    pub record_bytes: u64,
     /// Number of operations in the final random phase.
     pub random_ops: usize,
-    /// Whether to include the sequential re-write phase.
-    pub include_rewrite: bool,
-    /// Whether to include the sequential read phase.
-    pub include_read: bool,
     /// Mean gap between requests in microseconds.
     pub mean_gap_micros: u64,
     /// RNG seed.
@@ -35,10 +32,7 @@ impl Default for IozoneConfig {
     fn default() -> Self {
         IozoneConfig {
             file_bytes: 64 * 1024 * 1024,
-            record_bytes: 1024 * 1024,
             random_ops: 64,
-            include_rewrite: true,
-            include_read: true,
             mean_gap_micros: 200,
             seed: 0x102,
         }
@@ -50,29 +44,16 @@ impl IozoneConfig {
     pub(crate) fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut requests = Vec::new();
-        let record = self.record_bytes.max(4096);
-        let records = (self.file_bytes / record).max(1);
+        let records = (self.file_bytes / RECORD_BYTES).max(1);
         let mut now = 0u64;
         let gap = |rng: &mut SimRng, now: &mut u64| {
             *now += 1 + rng.next_u64_below(2 * self.mean_gap_micros.max(1));
         };
 
-        // Phase 1: sequential write.
-        for i in 0..records {
-            push(&mut requests, now, BlockOpKind::Write, i * record, record);
-            gap(&mut rng, &mut now);
-        }
-        // Phase 2: sequential rewrite.
-        if self.include_rewrite {
+        // Phases 1-3: sequential write, rewrite and read of every record.
+        for kind in [BlockOpKind::Write, BlockOpKind::Write, BlockOpKind::Read] {
             for i in 0..records {
-                push(&mut requests, now, BlockOpKind::Write, i * record, record);
-                gap(&mut rng, &mut now);
-            }
-        }
-        // Phase 3: sequential read.
-        if self.include_read {
-            for i in 0..records {
-                push(&mut requests, now, BlockOpKind::Read, i * record, record);
+                push(&mut requests, now, kind, i * RECORD_BYTES, RECORD_BYTES);
                 gap(&mut rng, &mut now);
             }
         }
@@ -84,7 +65,7 @@ impl IozoneConfig {
             } else {
                 BlockOpKind::Write
             };
-            push(&mut requests, now, kind, rec * record, record);
+            push(&mut requests, now, kind, rec * RECORD_BYTES, RECORD_BYTES);
             gap(&mut rng, &mut now);
         }
         requests
@@ -99,7 +80,6 @@ mod tests {
     fn phases_are_present_and_sized() {
         let cfg = IozoneConfig {
             file_bytes: 8 * 1024 * 1024,
-            record_bytes: 1024 * 1024,
             random_ops: 10,
             ..IozoneConfig::default()
         };
@@ -117,27 +97,27 @@ mod tests {
     fn writes_are_large_and_sequential_in_phase_one() {
         let cfg = IozoneConfig::default();
         let requests = cfg.generate();
-        let records = (cfg.file_bytes / cfg.record_bytes) as usize;
+        let records = (cfg.file_bytes / RECORD_BYTES) as usize;
         for (i, r) in requests.iter().take(records).enumerate() {
             assert_eq!(r.kind, BlockOpKind::Write);
-            assert_eq!(r.range.len, cfg.record_bytes);
-            assert_eq!(r.range.offset, i as u64 * cfg.record_bytes);
+            assert_eq!(r.range.len, RECORD_BYTES);
+            assert_eq!(r.range.offset, i as u64 * RECORD_BYTES);
         }
     }
 
     #[test]
-    fn phases_can_be_disabled() {
+    fn phases_run_write_rewrite_read_in_order() {
         let cfg = IozoneConfig {
             file_bytes: 4 * 1024 * 1024,
-            record_bytes: 1024 * 1024,
-            include_rewrite: false,
-            include_read: false,
             random_ops: 0,
             ..IozoneConfig::default()
         };
         let requests = cfg.generate();
-        assert_eq!(requests.len(), 4);
-        assert!(requests.iter().all(|r| r.kind == BlockOpKind::Write));
+        let (w, r) = (BlockOpKind::Write, BlockOpKind::Read);
+        let kinds: Vec<BlockOpKind> = requests.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [w, w, w, w, w, w, w, w, r, r, r, r]);
+        let offsets: Vec<u64> = requests.iter().map(|r| r.range.offset >> 20).collect();
+        assert_eq!(offsets, [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
@@ -147,15 +127,14 @@ mod tests {
     }
 
     #[test]
-    fn tiny_record_sizes_are_clamped() {
+    fn every_request_is_one_whole_record() {
         let cfg = IozoneConfig {
-            file_bytes: 64 * 1024,
-            record_bytes: 512,
-            random_ops: 0,
-            include_read: false,
-            include_rewrite: false,
+            file_bytes: 8 * 1024 * 1024,
             ..IozoneConfig::default()
         };
-        assert!(cfg.generate().iter().all(|r| r.range.len >= 4096));
+        let whole = |r: &BlockRequest| {
+            r.range.len == RECORD_BYTES && r.range.offset.is_multiple_of(RECORD_BYTES)
+        };
+        assert!(cfg.generate().iter().all(whole));
     }
 }

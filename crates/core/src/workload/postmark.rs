@@ -14,6 +14,18 @@ use ossd_sim::SimRng;
 use super::fslite::FsLite;
 use super::push;
 
+/// File-system allocation block size.
+const BLOCK_BYTES: u64 = 4096;
+/// Smallest file size in bytes.
+const MIN_FILE_BYTES: u64 = 512;
+/// Largest file size in bytes.
+const MAX_FILE_BYTES: u64 = 16 * 1024;
+/// Probability that a transaction is a read (vs. an append).
+const READ_BIAS: f64 = 0.5;
+/// Probability that a transaction also creates one file and deletes
+/// another (keeping the pool size roughly constant).
+const CREATE_DELETE_BIAS: f64 = 0.5;
+
 /// Postmark model parameters (defaults follow the benchmark's classic
 /// configuration scaled to the paper's transaction counts).
 #[derive(Clone, Debug, PartialEq)]
@@ -22,26 +34,10 @@ pub struct PostmarkConfig {
     pub transactions: usize,
     /// Number of files created up front.
     pub initial_files: usize,
-    /// Minimum file size in bytes.
-    pub min_file_bytes: u64,
-    /// Maximum file size in bytes.
-    pub max_file_bytes: u64,
     /// Size of the volume the files live on.
     pub volume_bytes: u64,
-    /// File-system allocation block size.
-    pub block_bytes: u64,
-    /// Probability that a transaction is a read (vs. an append).
-    pub read_bias: f64,
-    /// Probability that a transaction also creates one file and deletes
-    /// another (keeping the pool size roughly constant).
-    pub create_delete_bias: f64,
     /// Mean gap between transactions in microseconds.
     pub mean_gap_micros: u64,
-    /// Whether each create/append/delete also emits a small metadata write
-    /// (inode table / block bitmap / journal), as an Ext3-backed trace
-    /// contains.  Metadata writes land in the first sixteenth of the volume
-    /// and break the contiguity of the data stream.
-    pub metadata_writes: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -51,28 +47,24 @@ impl Default for PostmarkConfig {
         PostmarkConfig {
             transactions: 5000,
             initial_files: 500,
-            min_file_bytes: 512,
-            max_file_bytes: 16 * 1024,
             volume_bytes: 256 * 1024 * 1024,
-            block_bytes: 4096,
-            read_bias: 0.5,
-            create_delete_bias: 0.5,
             mean_gap_micros: 300,
-            metadata_writes: true,
             seed: 0xB05,
         }
     }
 }
 
 impl PostmarkConfig {
-    /// Generates the requests (reads, writes and frees).
+    /// Generates the requests (reads, writes and frees).  Each create and
+    /// append also emits a small metadata write (inode table / block bitmap
+    /// / journal), as an Ext3-backed trace contains: it lands in the first
+    /// sixteenth of the volume and breaks the contiguity of the data stream.
     pub fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
-        let mut fs = FsLite::new(self.volume_bytes, self.block_bytes);
+        let mut fs = FsLite::new(self.volume_bytes, BLOCK_BYTES);
         let mut requests = Vec::new();
         let mut now: u64 = 0;
-        let metadata_region = (self.volume_bytes / 16).max(self.block_bytes);
-        let metadata_slots = (metadata_region / self.block_bytes).max(1);
+        let metadata_slots = (self.volume_bytes / 16 / BLOCK_BYTES).max(1);
 
         let emit_extents = |requests: &mut Vec<BlockRequest>,
                             now: u64,
@@ -82,22 +74,17 @@ impl PostmarkConfig {
                 push(requests, now, kind, e.offset, e.len);
             }
         };
-        let emit_metadata =
-            |requests: &mut Vec<BlockRequest>, rng: &mut SimRng, now: u64, enabled: bool| {
-                if !enabled {
-                    return;
-                }
-                let slot = rng.next_u64_below(metadata_slots);
-                let offset = slot * self.block_bytes;
-                push(requests, now, BlockOpKind::Write, offset, self.block_bytes);
-            };
+        let emit_metadata = |requests: &mut Vec<BlockRequest>, rng: &mut SimRng, now: u64| {
+            let offset = rng.next_u64_below(metadata_slots) * BLOCK_BYTES;
+            push(requests, now, BlockOpKind::Write, offset, BLOCK_BYTES);
+        };
 
         // Initial pool.
         for _ in 0..self.initial_files {
-            let size = rng.uniform_u64(self.min_file_bytes, self.max_file_bytes + 1);
+            let size = rng.uniform_u64(MIN_FILE_BYTES, MAX_FILE_BYTES + 1);
             if let Ok((_, extents)) = fs.create(size) {
                 emit_extents(&mut requests, now, BlockOpKind::Write, &extents);
-                emit_metadata(&mut requests, &mut rng, now, self.metadata_writes);
+                emit_metadata(&mut requests, &mut rng, now);
                 now += 1 + rng.next_u64_below(self.mean_gap_micros.max(1));
             }
         }
@@ -106,7 +93,7 @@ impl PostmarkConfig {
         for _ in 0..self.transactions {
             let files = fs.file_ids();
             if files.is_empty() {
-                let size = rng.uniform_u64(self.min_file_bytes, self.max_file_bytes + 1);
+                let size = rng.uniform_u64(MIN_FILE_BYTES, MAX_FILE_BYTES + 1);
                 if let Ok((_, extents)) = fs.create(size) {
                     emit_extents(&mut requests, now, BlockOpKind::Write, &extents);
                 }
@@ -114,7 +101,7 @@ impl PostmarkConfig {
                 continue;
             }
             let target = *rng.choose(&files).expect("files is non-empty");
-            if rng.chance(self.read_bias) {
+            if rng.chance(READ_BIAS) {
                 // Read the whole file.
                 if let Ok(extents) = fs.extents(target) {
                     emit_extents(&mut requests, now, BlockOpKind::Read, extents);
@@ -124,19 +111,19 @@ impl PostmarkConfig {
                 let grow = rng.uniform_u64(512, 8 * 1024);
                 if let Ok(extents) = fs.append(target, grow) {
                     emit_extents(&mut requests, now, BlockOpKind::Write, &extents);
-                    emit_metadata(&mut requests, &mut rng, now, self.metadata_writes);
+                    emit_metadata(&mut requests, &mut rng, now);
                 }
             }
-            if rng.chance(self.create_delete_bias) {
+            if rng.chance(CREATE_DELETE_BIAS) {
                 // Delete one file (emitting frees) and create a fresh one.
                 let victim = *rng.choose(&files).expect("files is non-empty");
                 if let Ok(freed) = fs.delete(victim) {
                     emit_extents(&mut requests, now, BlockOpKind::Free, &freed);
                 }
-                let size = rng.uniform_u64(self.min_file_bytes, self.max_file_bytes + 1);
+                let size = rng.uniform_u64(MIN_FILE_BYTES, MAX_FILE_BYTES + 1);
                 if let Ok((_, extents)) = fs.create(size) {
                     emit_extents(&mut requests, now, BlockOpKind::Write, &extents);
-                    emit_metadata(&mut requests, &mut rng, now, self.metadata_writes);
+                    emit_metadata(&mut requests, &mut rng, now);
                 }
             }
             now += 1 + rng.next_u64_below(2 * self.mean_gap_micros.max(1));

@@ -26,6 +26,9 @@ pub enum InterArrival {
     },
 }
 
+/// Offsets of non-sequential requests are aligned to this many bytes.
+const ALIGN_BYTES: u64 = 4096;
+
 /// Configuration of a synthetic block workload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SyntheticConfig {
@@ -40,8 +43,6 @@ pub struct SyntheticConfig {
     pub sequential_prob: f64,
     /// Size of the address region the workload touches.
     pub working_set_bytes: u64,
-    /// Offsets of non-sequential requests are aligned to this many bytes.
-    pub align_bytes: u64,
     /// Arrival process.
     pub inter_arrival: InterArrival,
     /// Fraction of requests marked high priority (foreground).
@@ -58,7 +59,6 @@ impl Default for SyntheticConfig {
             read_fraction: 0.5,
             sequential_prob: 0.0,
             working_set_bytes: 64 * 1024 * 1024,
-            align_bytes: 4096,
             inter_arrival: InterArrival::Closed,
             priority_fraction: 0.0,
             seed: 1,
@@ -67,18 +67,6 @@ impl Default for SyntheticConfig {
 }
 
 impl SyntheticConfig {
-    /// A fully sequential stream of `count` accesses of `bytes` each.
-    pub fn sequential(count: usize, bytes: u64, read_fraction: f64) -> Self {
-        SyntheticConfig {
-            request_count: count,
-            request_bytes: bytes,
-            read_fraction,
-            sequential_prob: 1.0,
-            working_set_bytes: (count as u64 * bytes).max(bytes),
-            ..SyntheticConfig::default()
-        }
-    }
-
     /// A uniformly random stream of `count` accesses of `bytes` each over a
     /// `working_set_bytes` region.
     pub fn random(count: usize, bytes: u64, read_fraction: f64, working_set_bytes: u64) -> Self {
@@ -128,9 +116,8 @@ impl SyntheticConfig {
     pub fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut requests = Vec::with_capacity(self.request_count);
-        let align = self.align_bytes.max(1);
         let span = self.working_set_bytes.max(self.request_bytes);
-        let slots = (span / align).max(1);
+        let slots = (span / ALIGN_BYTES).max(1);
         let max_start = span.saturating_sub(self.request_bytes);
         let mut now_micros = 0u64;
         let mut next_offset = 0u64;
@@ -143,7 +130,7 @@ impl SyntheticConfig {
                     next_offset
                 }
             } else {
-                (rng.next_u64_below(slots) * align).min(max_start)
+                (rng.next_u64_below(slots) * ALIGN_BYTES).min(max_start)
             };
             next_offset = offset + self.request_bytes;
             let kind = if rng.chance(self.read_fraction) {
@@ -194,7 +181,14 @@ mod tests {
 
     #[test]
     fn sequential_config_produces_contiguous_offsets() {
-        let cfg = SyntheticConfig::sequential(100, 8192, 0.0);
+        let cfg = SyntheticConfig {
+            request_count: 100,
+            request_bytes: 8192,
+            read_fraction: 0.0,
+            sequential_prob: 1.0,
+            working_set_bytes: 100 * 8192,
+            ..SyntheticConfig::default()
+        };
         let requests = cfg.generate();
         for pair in requests.windows(2) {
             assert_eq!(pair[1].range.offset, pair[0].range.offset + 8192);

@@ -16,6 +16,17 @@ use ossd_sim::SimRng;
 
 use super::push;
 
+/// Database page size (8 KB is the classic OLTP page).
+const PAGE_BYTES: u64 = 8192;
+/// Pages read per transaction.
+const READS_PER_TXN: usize = 4;
+/// Pages written per transaction.
+const WRITES_PER_TXN: usize = 2;
+/// Log bytes written per transaction.
+const LOG_WRITE_BYTES: u64 = 2048;
+/// Zipf-like skew of page accesses (0 = uniform).
+const SKEW: f64 = 0.6;
+
 /// TPC-C model parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TpccConfig {
@@ -23,18 +34,8 @@ pub struct TpccConfig {
     pub transactions: usize,
     /// Database size in bytes (the data region of the volume).
     pub database_bytes: u64,
-    /// Database page size (8 KB is the classic OLTP page).
-    pub page_bytes: u64,
     /// Size of the log region appended to sequentially.
     pub log_bytes: u64,
-    /// Pages read per transaction.
-    pub reads_per_txn: usize,
-    /// Pages written per transaction.
-    pub writes_per_txn: usize,
-    /// Log bytes written per transaction.
-    pub log_write_bytes: u64,
-    /// Zipf-like skew of page accesses (0 = uniform).
-    pub skew: f64,
     /// Mean gap between transactions in microseconds.
     pub mean_gap_micros: u64,
     /// RNG seed.
@@ -46,12 +47,7 @@ impl Default for TpccConfig {
         TpccConfig {
             transactions: 2000,
             database_bytes: 512 * 1024 * 1024,
-            page_bytes: 8192,
             log_bytes: 64 * 1024 * 1024,
-            reads_per_txn: 4,
-            writes_per_txn: 2,
-            log_write_bytes: 2048,
-            skew: 0.6,
             mean_gap_micros: 500,
             seed: 0x7CC,
         }
@@ -64,22 +60,22 @@ impl TpccConfig {
     pub fn generate(&self) -> Vec<BlockRequest> {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut requests = Vec::new();
-        let size = self.page_bytes;
+        let size = PAGE_BYTES;
         let pages = (self.database_bytes / size).max(1) as usize;
         let log_base = self.database_bytes;
         let mut log_cursor = 0u64;
         let mut now = 0u64;
         for _ in 0..self.transactions {
-            for _ in 0..self.reads_per_txn {
-                let page = rng.zipf_usize(pages, self.skew) as u64;
+            for _ in 0..READS_PER_TXN {
+                let page = rng.zipf_usize(pages, SKEW) as u64;
                 push(&mut requests, now, BlockOpKind::Read, page * size, size);
             }
-            for _ in 0..self.writes_per_txn {
-                let page = rng.zipf_usize(pages, self.skew) as u64;
+            for _ in 0..WRITES_PER_TXN {
+                let page = rng.zipf_usize(pages, SKEW) as u64;
                 push(&mut requests, now, BlockOpKind::Write, page * size, size);
             }
             // Sequential commit record in the log (wraps around).
-            let len = self.log_write_bytes;
+            let len = LOG_WRITE_BYTES;
             if log_cursor + len > self.log_bytes {
                 log_cursor = 0;
             }
@@ -142,19 +138,15 @@ mod tests {
 
     #[test]
     fn accesses_are_skewed_towards_hot_pages() {
-        let cfg = TpccConfig {
-            transactions: 2000,
-            skew: 0.8,
-            ..TpccConfig::default()
-        };
+        let cfg = TpccConfig::default();
         let requests = cfg.generate();
-        let pages = cfg.database_bytes / cfg.page_bytes;
+        let pages = cfg.database_bytes / PAGE_BYTES;
         let hot_cutoff = pages / 10;
         let data: Vec<&BlockRequest> = (requests.iter())
             .filter(|r| r.range.offset < cfg.database_bytes)
             .collect();
         let hot = (data.iter())
-            .filter(|r| r.range.offset / cfg.page_bytes < hot_cutoff)
+            .filter(|r| r.range.offset / PAGE_BYTES < hot_cutoff)
             .count();
         let frac = hot as f64 / data.len() as f64;
         assert!(frac > 0.25, "hot-decile fraction {frac} not skewed");

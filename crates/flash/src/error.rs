@@ -1,10 +1,10 @@
 //! Error type for flash state-machine violations.
 //!
 //! These errors indicate bugs in a flash translation layer (programming a
-//! non-free page, reading an unwritten page, addressing outside the
-//! geometry) rather than recoverable runtime conditions, but they are
-//! surfaced as `Result`s so that simulator users get a diagnosable error
-//! instead of a panic.
+//! full block, reading an unwritten page, addressing outside the geometry)
+//! rather than recoverable runtime conditions, but they are surfaced as
+//! `Result`s so that simulator users get a diagnosable error instead of a
+//! panic.
 
 use std::fmt;
 
@@ -22,19 +22,6 @@ pub enum FlashError {
         index: u64,
         /// The exclusive bound that was violated.
         bound: u64,
-    },
-    /// A program targeted a page that is not free (violates the
-    /// erase-before-write constraint).
-    ProgramNotFree {
-        /// The page that was already programmed.
-        addr: PhysPageAddr,
-    },
-    /// A program skipped ahead of the block's sequential write pointer.
-    ProgramOutOfOrder {
-        /// The page that was requested.
-        addr: PhysPageAddr,
-        /// The page the block expected to program next.
-        expected_page: u32,
     },
     /// A program was issued to a block with no free pages left.
     BlockFull {
@@ -94,16 +81,6 @@ impl fmt::Display for FlashError {
             FlashError::OutOfRange { what, index, bound } => {
                 write!(f, "{what} index {index} out of range (bound {bound})")
             }
-            FlashError::ProgramNotFree { addr } => {
-                write!(f, "program to non-free page {addr:?}")
-            }
-            FlashError::ProgramOutOfOrder {
-                addr,
-                expected_page,
-            } => write!(
-                f,
-                "out-of-order program to {addr:?}; block expected page {expected_page}"
-            ),
             FlashError::BlockFull { element, block } => {
                 write!(f, "program to full block {block} on element {element}")
             }
@@ -157,14 +134,6 @@ mod tests {
                     bound: 8,
                 },
                 "out of range",
-            ),
-            (FlashError::ProgramNotFree { addr }, "non-free"),
-            (
-                FlashError::ProgramOutOfOrder {
-                    addr,
-                    expected_page: 0,
-                },
-                "out-of-order",
             ),
             (
                 FlashError::BlockFull {

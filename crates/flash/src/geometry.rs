@@ -62,19 +62,6 @@ impl FlashGeometry {
         }
     }
 
-    /// Geometry used by the paper's 32 GB simulated SSD: one gang of eight
-    /// 4 GB packages (§3.4).
-    pub fn gang_of_eight_4gb() -> Self {
-        FlashGeometry {
-            packages: 8,
-            dies_per_package: 1,
-            planes_per_die: 4,
-            blocks_per_plane: 4096,
-            pages_per_block: 64,
-            page_bytes: 4096,
-        }
-    }
-
     /// Geometry of the 8 GB SSD used by the informed-cleaning study
     /// (Table 5): two 4 GB packages.
     pub fn two_packages_8gb() -> Self {
@@ -191,9 +178,6 @@ mod tests {
 
     #[test]
     fn paper_geometries_have_expected_capacity() {
-        let gang = FlashGeometry::gang_of_eight_4gb();
-        assert_eq!(gang.capacity_bytes(), 32 * 1024 * 1024 * 1024);
-        assert_eq!(gang.elements(), 8);
         let two = FlashGeometry::two_packages_8gb();
         assert_eq!(two.capacity_bytes(), 8 * 1024 * 1024 * 1024);
     }

@@ -13,7 +13,7 @@ use ossd_flash::bitmap;
 
 /// A fixed-capacity set of `u64` keys in `[0, capacity)`, one bit each.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FixedBitset {
+pub(crate) struct FixedBitset {
     words: Vec<u64>,
     /// Number of set bits (kept so emptiness/cardinality are O(1)).
     len: u64,
@@ -21,7 +21,7 @@ pub struct FixedBitset {
 
 impl FixedBitset {
     /// An empty set over keys `0..capacity`.
-    pub fn with_capacity(capacity: u64) -> Self {
+    pub(crate) fn with_capacity(capacity: u64) -> Self {
         FixedBitset {
             words: vec![0; capacity.div_ceil(64) as usize],
             len: 0,
@@ -29,17 +29,18 @@ impl FixedBitset {
     }
 
     /// Number of keys the set can hold.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.words.len() as u64 * 64
     }
 
     /// Number of keys currently in the set.
-    pub fn len(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
     /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -53,7 +54,7 @@ impl FixedBitset {
     /// # Panics
     /// Panics when `key` is outside the capacity fixed at construction.
     #[inline]
-    pub fn insert(&mut self, key: u64) -> bool {
+    pub(crate) fn insert(&mut self, key: u64) -> bool {
         let (word, mask) = Self::split(key);
         let w = &mut self.words[word];
         let newly = *w & mask == 0;
@@ -67,12 +68,13 @@ impl FixedBitset {
         newly
     }
 
-    /// Removes `key`; returns `true` when it was present.
+    /// Removes `key`; returns `true` when it was present.  The tests'
+    /// reference for [`FixedBitset::take_range`].
     ///
     /// # Panics
     /// Panics when `key` is outside the capacity fixed at construction.
-    #[inline]
-    pub fn remove(&mut self, key: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, key: u64) -> bool {
         let (word, mask) = Self::split(key);
         let w = &mut self.words[word];
         let present = *w & mask != 0;
@@ -84,12 +86,11 @@ impl FixedBitset {
     }
 
     /// Removes every key of `keys`; returns how many were present — what
-    /// calling [`FixedBitset::remove`] on each in turn does and counts, a
-    /// word at a time.  An empty set touches no word.
+    /// calling `remove` on each in turn does and counts, a word at a time.  An empty set touches no word.
     ///
     /// # Panics
     /// Panics when `keys` reaches outside the capacity fixed at construction.
-    pub fn take_range(&mut self, keys: std::ops::Range<u64>) -> u32 {
+    pub(crate) fn take_range(&mut self, keys: std::ops::Range<u64>) -> u32 {
         if self.len == 0 {
             assert!(
                 keys.is_empty() || keys.end <= self.capacity(),
@@ -104,14 +105,14 @@ impl FixedBitset {
     }
 
     /// Whether `key` is in the set (keys beyond the capacity are absent).
-    #[inline]
-    pub fn contains(&self, key: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: u64) -> bool {
         let (word, mask) = Self::split(key);
         self.words.get(word).map(|w| w & mask != 0).unwrap_or(false)
     }
 
     /// Removes every key.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.words.fill(0);
         self.len = 0;
     }

@@ -23,17 +23,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
 
-pub mod bitset;
+mod bitset;
 pub mod config;
 pub mod error;
 mod indexcheck;
-pub mod pagemap;
+mod pagemap;
 mod pool;
 mod ppn;
 pub(crate) mod stripemap;
 pub mod types;
 
-pub use bitset::FixedBitset;
 pub use config::{CleaningMode, FtlConfig, WearLevelConfig};
 pub use error::FtlError;
 pub use pagemap::PageFtl;

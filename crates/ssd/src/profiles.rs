@@ -1,5 +1,4 @@
-//! Device profiles modelling the SSDs of Table 2 and the paper's simulated
-//! configurations.
+//! Device profiles modelling the SSDs of Table 2.
 //!
 //! The engineering samples the paper measured are anonymised (S1slc–S5mlc),
 //! so the profiles here are *architectural reconstructions*: each profile
@@ -16,8 +15,7 @@ use ossd_sim::SimDuration;
 use crate::config::{MappingKind, SsdConfig};
 use crate::sched::SchedulerKind;
 
-/// The SSDs evaluated by the paper, plus the two simulated configurations
-/// its own experiments use.
+/// The SSDs of the paper's Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeviceProfile {
     /// High-end SLC engineering sample: many channels, read-ahead, write
@@ -34,11 +32,6 @@ pub enum DeviceProfile {
     S4SlcSim,
     /// MLC sample: page-mapped but with MLC program/erase times.
     S5Mlc,
-    /// The 32 GB simulated SSD of §3.4/§3.6: one gang of eight 4 GB
-    /// packages, 32 KB logical page striped across the gang.
-    Paper32GbStriped,
-    /// The 8 GB simulated SSD of §3.5 (informed cleaning): page-mapped.
-    Paper8GbPageMapped,
 }
 
 impl DeviceProfile {
@@ -61,8 +54,6 @@ impl DeviceProfile {
             DeviceProfile::S3Slc => "S3slc",
             DeviceProfile::S4SlcSim => "S4slc_sim",
             DeviceProfile::S5Mlc => "S5mlc",
-            DeviceProfile::Paper32GbStriped => "sim_32gb_striped",
-            DeviceProfile::Paper8GbPageMapped => "sim_8gb_page",
         }
     }
 
@@ -198,41 +189,6 @@ impl DeviceProfile {
                 sequential_prefetch: true,
                 ram_bytes_per_sec: 80_000_000,
             },
-            DeviceProfile::Paper32GbStriped => SsdConfig {
-                name: self.name().to_string(),
-                geometry: FlashGeometry::gang_of_eight_4gb(),
-                timing: FlashTiming::slc(),
-                mapping: MappingKind::StripeMapped {
-                    stripe_bytes: 32 * 1024,
-                    coalesce: true,
-                },
-                ftl: FtlConfig::default(),
-                reliability: ReliabilityConfig::none(),
-                background_gc: None,
-                gangs: 1,
-                scheduler: SchedulerKind::Fcfs,
-                queue_depth: 1,
-                controller_overhead: SimDuration::from_micros(20),
-                random_penalty: SimDuration::ZERO,
-                sequential_prefetch: false,
-                ram_bytes_per_sec: 200_000_000,
-            },
-            DeviceProfile::Paper8GbPageMapped => SsdConfig {
-                name: self.name().to_string(),
-                geometry: FlashGeometry::two_packages_8gb(),
-                timing: FlashTiming::slc(),
-                mapping: MappingKind::PageMapped,
-                ftl: FtlConfig::default(),
-                reliability: ReliabilityConfig::none(),
-                background_gc: None,
-                gangs: 1,
-                scheduler: SchedulerKind::Fcfs,
-                queue_depth: 1,
-                controller_overhead: SimDuration::from_micros(20),
-                random_penalty: SimDuration::ZERO,
-                sequential_prefetch: false,
-                ram_bytes_per_sec: 200_000_000,
-            },
         }
     }
 }
@@ -251,8 +207,6 @@ mod tests {
             DeviceProfile::S3Slc,
             DeviceProfile::S4SlcSim,
             DeviceProfile::S5Mlc,
-            DeviceProfile::Paper32GbStriped,
-            DeviceProfile::Paper8GbPageMapped,
         ] {
             let config = profile.config();
             config
@@ -271,18 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_configs_match_stated_capacities() {
-        let striped = DeviceProfile::Paper32GbStriped.config();
-        assert_eq!(striped.geometry.capacity_bytes(), 32 << 30);
-        assert_eq!(striped.elements(), 8);
-        let informed = DeviceProfile::Paper8GbPageMapped.config();
-        assert_eq!(informed.geometry.capacity_bytes(), 8 << 30);
-    }
-
-    #[test]
     fn profiles_can_be_instantiated_cheaply_enough_for_tests() {
-        // Only the small profiles are instantiated here (the 32 GB ones
-        // allocate large mapping tables and are exercised by the benches).
+        // Two of the profiles are instantiated here; building each one
+        // allocates its full mapping tables.
         for profile in [DeviceProfile::S1Slc, DeviceProfile::S5Mlc] {
             let ssd = Ssd::new(profile.config()).unwrap();
             assert!(ssd.capacity_bytes() > 0);

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ossd::block::{replay_closed, BlockRequest, HostInterface};
-use ossd::hdd::{Hdd, HddConfig};
+use ossd::hdd::Hdd;
 use ossd::sim::SimTime;
 use ossd::ssd::{DeviceProfile, Ssd};
 
@@ -36,7 +36,7 @@ fn main() {
     let ops = span / 4096;
 
     // A conventional 7200 RPM disk.
-    let mut hdd = Hdd::new(HddConfig::barracuda_7200());
+    let mut hdd = Hdd::barracuda_7200();
     prefill(&mut hdd, span);
     let hdd_seq = replay_closed(&mut hdd, &sequential_reads(ops, 4096))
         .unwrap()

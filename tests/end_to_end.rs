@@ -4,7 +4,7 @@
 use ossd::block::{replay_closed, BlockDevice, BlockOpKind, BlockRequest};
 use ossd::core::{ObjectAttributes, OsdDevice};
 use ossd::ftl::FtlConfig;
-use ossd::hdd::{Hdd, HddConfig};
+use ossd::hdd::Hdd;
 use ossd::sim::SimTime;
 use ossd::ssd::{DeviceProfile, MappingKind, SchedulerKind, Ssd, SsdConfig};
 use ossd::workload::{PostmarkConfig, SyntheticConfig};
@@ -27,7 +27,7 @@ fn synthetic_workload_runs_on_both_device_families() {
     assert_eq!(ssd_report.all.count(), 2000);
     assert!(ssd_report.bandwidth_mbps() > 1.0);
 
-    let mut hdd = Hdd::new(HddConfig::default());
+    let mut hdd = Hdd::barracuda_7200();
     let hdd_report = replay_closed(&mut hdd, &requests).unwrap();
     assert_eq!(hdd_report.all.count(), 2000);
     // Random 4 KB I/O: the SSD is far faster than the disk.
@@ -143,4 +143,24 @@ fn device_profiles_expose_sensible_capacities_and_names() {
         assert!(config.geometry.capacity_bytes() >= 1 << 30);
         assert!(!profile.name().is_empty());
     }
+}
+
+#[test]
+fn every_device_profile_is_a_table2_device() {
+    use DeviceProfile::*;
+    // The match has no wildcard, so a new profile does not compile until it
+    // is given its Table 2 row here, and then fails below unless
+    // `table2_devices()` (which Table 2 runs) lists it there.
+    let row = |profile: DeviceProfile| match profile {
+        S1Slc => 0,
+        S2Slc => 1,
+        S3Slc => 2,
+        S4SlcSim => 3,
+        S5Mlc => 4,
+    };
+    let rows: Vec<usize> = DeviceProfile::table2_devices()
+        .into_iter()
+        .map(row)
+        .collect();
+    assert_eq!(rows, [0, 1, 2, 3, 4]);
 }
