@@ -86,7 +86,8 @@ impl FixedBitset {
     }
 
     /// Removes every key of `keys`; returns how many were present — what
-    /// calling `remove` on each in turn does and counts, a word at a time.  An empty set touches no word.
+    /// calling `remove` on each in turn does and counts, a word at a time.
+    /// An empty set touches no word.
     ///
     /// # Panics
     /// Panics when `keys` reaches outside the capacity fixed at construction.

@@ -61,8 +61,8 @@ function is_ident(t) { return t ~ /^[A-Za-z_][A-Za-z0-9_]*$/ }
 function cur_impl(d) { for (d = depth; d > 0; d--) if (d in implat) return implat[d]; return "" }
 function cur_fn(d) { for (d = depth; d > 0; d--) if (d in fnat) return fnat[d]; return "" }
 
-# A counted site: `kind` is field, variant or preset; `key` names the
-# knob; `crate` defines it.  Test code of the defining crate is skipped.
+# A counted site: `kind` is field or variant; `key` names the knob;
+# `crate` defines it.  Test code of the defining crate is skipped.
 function site(kind, key, crate) {
     if (testcode && group == crate) return
     sites[kind, key]++
@@ -199,7 +199,7 @@ function token(t, ty, fn, im, d, f, fa, n, k, ks) {
     if (t == ")" && mparen && nest < mparen) mparen = 0
 
     # A field named in a literal: shorthand, or `field: value` up to the
-    # next comma or brace at the literal own nesting.
+    # next comma or brace at the nesting of the literal.
     if (pendfield != "") {
         f = pendfield; pendfield = ""
         if (t == ":") { capture = 1; capnest = nest; captext = ""; capty = lit[depth]; capf = f; return }
@@ -262,7 +262,7 @@ function token(t, ty, fn, im, d, f, fa, n, k, ks) {
         }
     if (t == "(" && p2 == "::") {
         ty = p3; if (ty == "Self") ty = im
-        if ((ty, p1) in preset && !(im == ty && fn == p1)) { site("preset", ty "::" p1, cfgcrate[ty]); if (!testcode || group != cfgcrate[ty]) used[ty, p1] = 1 }
+        if ((ty, p1) in preset && !(im == ty && fn == p1) && !(testcode && group == cfgcrate[ty])) used[ty, p1] = 1
     }
     if (p1 == "::" && is_ident(t)) {
         ty = p2; if (ty == "Self") ty = im; if (ty in alias) ty = alias[ty]
