@@ -4,9 +4,11 @@
 //! information a device needs for block management, and that richer
 //! interfaces — free notifications (§3.5), hints (§3.4, §3.6), object-based
 //! storage (§3.7) — let the device manage its own blocks.  This module is
-//! that richer interface as one transport: an NVMe-style *queue pair* per
-//! initiator, carrying a [`HostCommand`] vocabulary that spans block traffic,
-//! write hints, ordering fences and object management.
+//! the block side of that interface as one transport: an NVMe-style *queue
+//! pair* per initiator, carrying a [`HostCommand`] vocabulary of block
+//! traffic, free notifications, write hints and ordering fences.  Objects
+//! are not part of it: the object store (`ossd-core`) manages them through
+//! its own typed API and sends their I/O over this transport.
 //!
 //! ```text
 //!   initiator 0        initiator 1        initiator N-1
@@ -36,12 +38,12 @@
 //! * [`BlockDevice::submit`] — the depth-1 *closed* driver: one command,
 //!   served to completion as a one-command session would be (a device may
 //!   serve it directly, since it has nothing to be scheduled against).
-//! * [`replay_open`](crate::replay_open) / [`replay_closed`](crate::replay_closed)
-//!   — incremental enqueue-and-poll over one queue pair.
+//!   [`replay_open`](crate::replay_open) and
+//!   [`replay_closed`](crate::replay_closed) call it once per request.
 //! * `Ssd::simulate_open` — a whole arrival trace submitted up front, one
 //!   initiator.
-//! * The object store (`ossd-core`) — a command *translator*: object
-//!   operations become block commands over the identical transport.
+//! * The object store (`ossd-core`) — each block command an object
+//!   operation needs crosses one queue pair.
 //!
 //! # Command vocabulary (paper §3 → protocol)
 //!
@@ -51,7 +53,6 @@
 //! | free notifications (§3.5) | [`HostCommand::Free`] |
 //! | stream/temperature hints (§3.4, §3.6) | [`WriteHint`] on `Write` |
 //! | ordering / durability control | [`HostCommand::Flush`], [`HostCommand::Barrier`] |
-//! | object-based storage (§3.7) | [`HostCommand::ObjectCreate`] / [`HostCommand::ObjectDelete`] / [`HostCommand::ObjectSetAttr`] |
 
 use std::collections::VecDeque;
 
@@ -62,8 +63,7 @@ use crate::range::ByteRange;
 use crate::request::{BlockOpKind, BlockRequest, Completion, Priority};
 
 /// How frequently the host expects data to change: the stream-temperature
-/// payload of write hints and object attributes (§3.4's "patterns of usage",
-/// §3.7's read-only/cold attributes).
+/// payload of write hints (§3.4's "patterns of usage").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum StreamTemperature {
     /// Frequently rewritten.
@@ -100,44 +100,8 @@ impl WriteHint {
     }
 }
 
-/// Host-visible attributes of an object, carried by the object management
-/// commands (§3.7: attributes convey priorities and read-only/cold data).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ObjectAttrs {
-    /// Priority attached to every I/O the object generates.
-    pub priority: Priority,
-    /// Expected update frequency.
-    pub temperature: StreamTemperature,
-    /// Whether the object is read-only (its pages are candidates for cold
-    /// placement during wear-leveling).
-    pub read_only: bool,
-}
-
-impl ObjectAttrs {
-    /// Attributes of a latency-sensitive (foreground) object.
-    pub fn high_priority() -> Self {
-        ObjectAttrs {
-            priority: Priority::High,
-            ..ObjectAttrs::default()
-        }
-    }
-
-    /// Attributes of cold, read-only data.
-    pub fn cold_read_only() -> Self {
-        ObjectAttrs {
-            temperature: StreamTemperature::Cold,
-            read_only: true,
-            ..ObjectAttrs::default()
-        }
-    }
-}
-
-/// One command of the queue-pair protocol.
-///
-/// Block devices (`Ssd`, `Hdd`) serve the block commands and fences and
-/// reject the object commands with [`DeviceError::Unsupported`]; the object
-/// store accepts the object commands and translates them into block
-/// commands over the same transport.
+/// One command of the queue-pair protocol: a block data command or a
+/// fence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HostCommand {
     /// Read the addressed bytes.
@@ -168,39 +132,9 @@ pub enum HostCommand {
     /// from that initiator is dispatched before it completes.  Performs no
     /// device work.
     Barrier,
-    /// Create an empty object with the given host-assigned id.
-    ObjectCreate {
-        /// Host-assigned object id.
-        object: u64,
-        /// Initial attributes.
-        attrs: ObjectAttrs,
-    },
-    /// Delete an object; every byte it occupied is released to the device
-    /// (informed cleaning without TRIM, §3.7).
-    ObjectDelete {
-        /// The object to delete.
-        object: u64,
-    },
-    /// Replace the attributes of an object.
-    ObjectSetAttr {
-        /// The object to modify.
-        object: u64,
-        /// New attributes.
-        attrs: ObjectAttrs,
-    },
 }
 
 impl HostCommand {
-    /// Whether this is one of the object-management commands.
-    pub fn is_object_command(&self) -> bool {
-        matches!(
-            self,
-            HostCommand::ObjectCreate { .. }
-                | HostCommand::ObjectDelete { .. }
-                | HostCommand::ObjectSetAttr { .. }
-        )
-    }
-
     /// Whether this command is an ordering fence (barrier or flush).
     pub fn is_fence(&self) -> bool {
         matches!(self, HostCommand::Flush | HostCommand::Barrier)
@@ -233,7 +167,7 @@ impl HostCommand {
     }
 
     /// The block request a block data command corresponds to (`None` for
-    /// fences and object commands).
+    /// fences).
     pub fn to_request(
         &self,
         id: u64,
@@ -486,15 +420,14 @@ pub fn complete_session(queues: &mut [HostQueue], completed: Vec<(usize, Complet
 /// [`BlockDevice::submit`]: commands are arbitrated round-robin and served
 /// one at a time in arrival order, fences complete when every earlier
 /// command of their initiator has (a flush then waits as long as
-/// [`flush_finish`](HostInterface::flush_finish) says), and object commands
-/// are rejected.  The disk serves its sessions this way: its one arm
+/// [`flush_finish`](HostInterface::flush_finish) says).  The disk serves its sessions this way: its one arm
 /// already serves in arrival order.  `Ssd` and the fleet override it to
 /// feed the merged command stream through their event-driven controllers,
 /// which is where queue depths, schedulers and idle-window cleaning live.
 ///
 /// # Error semantics
 ///
-/// The session is validated up front (bounds, object-command support); a
+/// The session is validated up front (bounds, zero-length data); a
 /// validation failure returns the failing command's error with **no**
 /// submissions consumed and **no** completions posted — every initiator's
 /// commands stay queued, so one initiator's malformed command never
@@ -519,11 +452,6 @@ pub trait HostInterface: BlockDevice {
         // Validate the whole session before executing any of it.
         for cmd in &commands {
             let sub = cmd.submission;
-            if sub.command.is_object_command() {
-                return Err(DeviceError::Unsupported {
-                    what: "object commands on a block device",
-                });
-            }
             if let Some(request) = sub.command.to_request(sub.id, sub.arrival, sub.priority) {
                 self.check_bounds(&request)?;
             }
@@ -561,6 +489,8 @@ mod tests {
     use crate::device::DeviceInfo;
     use ossd_sim::SimDuration;
 
+    const CAPACITY: u64 = 1 << 20;
+
     /// Fixed-service device used to exercise the default `serve`.
     struct FixedDevice {
         service: SimDuration,
@@ -571,7 +501,7 @@ mod tests {
         fn info(&self) -> DeviceInfo {
             DeviceInfo {
                 name: "fixed".into(),
-                capacity_bytes: u64::MAX,
+                capacity_bytes: CAPACITY,
                 supports_free: true,
             }
         }
@@ -700,26 +630,9 @@ mod tests {
     }
 
     #[test]
-    fn object_commands_are_rejected_by_block_devices() {
-        let mut dev = fixed();
-        let mut q = HostQueue::new();
-        q.submit(
-            0,
-            HostCommand::ObjectCreate {
-                object: 7,
-                attrs: ObjectAttrs::default(),
-            },
-            SimTime::ZERO,
-        );
-        assert!(matches!(
-            dev.serve(std::slice::from_mut(&mut q)),
-            Err(DeviceError::Unsupported { .. })
-        ));
-    }
-
-    #[test]
     fn failed_serve_consumes_nothing_and_posts_nothing() {
-        // One initiator submits valid traffic, another a rejected command:
+        // One initiator submits valid traffic, another a read past the end
+        // of the device:
         // the serve fails as a whole, and the valid initiator's submission
         // must still be queued (nothing consumed, nothing completed), so a
         // bad neighbour cannot destroy its traffic.
@@ -732,8 +645,20 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        queues[1].submit(0, HostCommand::ObjectDelete { object: 3 }, SimTime::ZERO);
-        assert!(dev.serve(&mut queues).is_err());
+        queues[1].submit(
+            0,
+            HostCommand::Read {
+                range: ByteRange::new(CAPACITY, 512),
+            },
+            SimTime::ZERO,
+        );
+        assert_eq!(
+            dev.serve(&mut queues),
+            Err(DeviceError::OutOfBounds {
+                end: CAPACITY + 512,
+                capacity: CAPACITY,
+            })
+        );
         for q in &queues {
             assert_eq!(q.pending_submissions(), 1, "submissions must survive");
             assert_eq!(q.completions.len(), 0, "nothing may complete");
@@ -787,16 +712,11 @@ mod tests {
             .is_none());
         assert!(HostCommand::Flush.is_fence());
         assert!(!cmd.is_fence());
-        assert!(HostCommand::ObjectDelete { object: 1 }.is_object_command());
     }
 
     #[test]
-    fn write_hint_and_attrs_helpers() {
+    fn write_hint_helpers() {
         assert!(!WriteHint::NONE.is_hinted());
         assert!(WriteHint::with_temperature(StreamTemperature::Cold).is_hinted());
-        assert_eq!(ObjectAttrs::high_priority().priority, Priority::High);
-        let cold = ObjectAttrs::cold_read_only();
-        assert!(cold.read_only);
-        assert_eq!(cold.temperature, StreamTemperature::Cold);
     }
 }

@@ -1,15 +1,13 @@
-//! Trace replay over the queue-pair host interface, collecting the metrics
+//! Trace replay through the depth-1 closed driver, collecting the metrics
 //! the paper reports: per-class response times, percentiles and bandwidths.
 //!
-//! Both replay modes are *incremental enqueue-and-poll* drivers of one
-//! [`HostQueue`] session: each request is submitted into the queue pair,
-//! the device serves it, and the completion is polled back out before the
-//! next command is enqueued.
+//! Both replay modes hand the device one request at a time through
+//! [`BlockDevice::submit`], which serves it as a one-command queue-pair
+//! session would.
 
 use ossd_sim::{LatencyStats, SimDuration, SimTime, Throughput};
 
-use crate::device::DeviceError;
-use crate::host::{HostInterface, HostQueue};
+use crate::device::{BlockDevice, DeviceError};
 use crate::request::{BlockOpKind, BlockRequest, Completion};
 
 /// p50/p95/p99/p99.9/p99.99 response times of one request class, in
@@ -134,35 +132,30 @@ impl ReplayReport {
     }
 }
 
-/// Submits one request through a queue pair and returns its completion.
-fn serve_one<D: HostInterface + ?Sized>(
-    device: &mut D,
-    queue: &mut HostQueue,
-    request: &BlockRequest,
-) -> Result<crate::request::Completion, DeviceError> {
-    queue.submit_request(request);
-    device.serve(std::slice::from_mut(queue))?;
-    Ok(queue
-        .poll()
-        .expect("serve posts one completion per command"))
-}
-
 /// Replays requests with the arrival times they carry (an *open* arrival
 /// process: requests arrive regardless of whether earlier ones finished).
 ///
 /// Requests must be in non-decreasing arrival order — the [`BlockDevice`]
-/// submission contract, now enforced loudly by the queue pair.  Sort
-/// unordered traces first.
+/// submission contract, checked here.  Sort unordered traces first.
 ///
-/// [`BlockDevice`]: crate::device::BlockDevice
-pub fn replay_open<D: HostInterface>(
+/// # Panics
+///
+/// Panics if a request arrives before the one ahead of it.
+pub fn replay_open<D: BlockDevice>(
     device: &mut D,
     requests: &[BlockRequest],
 ) -> Result<ReplayReport, DeviceError> {
     let mut report = ReplayReport::default();
-    let mut queue = HostQueue::new();
+    let mut last_arrival = SimTime::ZERO;
     for req in requests {
-        let completion = serve_one(device, &mut queue, req)?;
+        assert!(
+            req.arrival >= last_arrival,
+            "requests must be replayed in non-decreasing arrival order \
+             ({:?} after {last_arrival:?})",
+            req.arrival
+        );
+        last_arrival = req.arrival;
+        let completion = device.submit(req)?;
         report.record(req, &completion);
     }
     Ok(report)
@@ -172,18 +165,17 @@ pub fn replay_open<D: HostInterface>(
 /// request): each request is issued the moment the previous one completes.
 /// Arrival times carried by the requests are ignored except for the first.
 /// This is how steady-state bandwidth (Table 2, Figure 2) is measured.
-pub fn replay_closed<D: HostInterface>(
+pub fn replay_closed<D: BlockDevice>(
     device: &mut D,
     requests: &[BlockRequest],
 ) -> Result<ReplayReport, DeviceError> {
     let mut report = ReplayReport::default();
-    let mut queue = HostQueue::new();
     let mut next_arrival = requests.first().map(|r| r.arrival).unwrap_or(SimTime::ZERO);
     let mut first_start: Option<SimTime> = None;
     for req in requests {
         let mut adjusted = *req;
         adjusted.arrival = next_arrival;
-        let completion = serve_one(device, &mut queue, &adjusted)?;
+        let completion = device.submit(&adjusted)?;
         report.record(&adjusted, &completion);
         if first_start.is_none() {
             first_start = Some(completion.start);
@@ -203,7 +195,7 @@ pub fn replay_closed<D: HostInterface>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{BlockDevice, DeviceInfo};
+    use crate::device::DeviceInfo;
     use crate::request::{Completion, Priority};
 
     /// A device with a fixed service time per request and no parallelism.
@@ -242,8 +234,6 @@ mod tests {
         }
     }
 
-    impl HostInterface for FixedDevice {}
-
     fn requests() -> Vec<BlockRequest> {
         vec![
             BlockRequest::write(0, 0, 1_000_000, SimTime::ZERO),
@@ -279,6 +269,17 @@ mod tests {
         assert_eq!(report.all.max(), SimDuration::from_millis(3));
         // Mean of 1, 2, 3 ms.
         assert!((report.all.mean_millis() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing arrival order")]
+    fn open_replay_rejects_an_earlier_arrival() {
+        let mut dev = FixedDevice::new(SimDuration::from_millis(1));
+        let requests = [
+            BlockRequest::read(0, 0, 4096, SimTime::from_micros(10)),
+            BlockRequest::read(1, 0, 4096, SimTime::from_micros(5)),
+        ];
+        let _ = replay_open(&mut dev, &requests);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the same T/F summary the paper's Table 1 gives for Disk vs. SSD.
 
 use crate::hdd::Hdd;
-use ossd_block::{replay_closed, BlockDevice, BlockRequest, DeviceError, HostInterface};
+use ossd_block::{replay_closed, BlockDevice, BlockRequest, DeviceError};
 use ossd_sim::SimTime;
 use ossd_ssd::{Ssd, SsdConfig};
 
@@ -136,7 +136,7 @@ pub(crate) fn scattered_requests(
         .collect()
 }
 
-fn bandwidth_of<D: HostInterface>(
+fn bandwidth_of<D: BlockDevice>(
     device: &mut D,
     requests: &[BlockRequest],
 ) -> Result<f64, DeviceError> {
@@ -145,7 +145,7 @@ fn bandwidth_of<D: HostInterface>(
 
 /// Probes terms 1–3 on any block device (they only need the block
 /// interface).  Returns (term1, term2, term3) verdicts.
-fn probe_generic<D: HostInterface>(device: &mut D) -> Result<Vec<TermVerdict>, DeviceError> {
+fn probe_generic<D: BlockDevice>(device: &mut D) -> Result<Vec<TermVerdict>, DeviceError> {
     let region = probe_region(device);
     let capacity = device.capacity_bytes();
 

@@ -2,7 +2,7 @@
 //! SSD device profiles.
 
 use crate::hdd::Hdd;
-use ossd_block::{replay_closed, DeviceError, HostInterface};
+use ossd_block::{replay_closed, BlockDevice, DeviceError};
 use ossd_ssd::{DeviceProfile, Ssd};
 
 use crate::contract::{scattered_requests, sequential_requests};
@@ -53,7 +53,7 @@ const IO_BYTES: u64 = 4096;
 /// Measures one device.  The measurement order is: sequential write (which
 /// also serves as the prefill so later reads hit real data), sequential
 /// read, random read, random write.
-fn measure<D: HostInterface>(
+fn measure<D: BlockDevice>(
     device: &mut D,
     name: &str,
     region: u64,

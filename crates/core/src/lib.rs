@@ -10,7 +10,8 @@
 //!   the device performs allocation and layout for objects, object deletion
 //!   immediately releases pages to the FTL (informed cleaning without TRIM),
 //!   and object attributes carry priorities that the device's cleaning
-//!   respects.
+//!   respects.  Objects are managed through its typed API alone; their
+//!   I/O reaches the SSD as block commands over the queue-pair transport.
 //! * [`contract`] — an executable version of the paper's Table 1: probes
 //!   that test each term of the "unwritten contract" against a simulated
 //!   disk and a simulated SSD.
@@ -34,4 +35,4 @@ pub mod workload;
 
 pub use contract::{ContractReport, ContractTerm, TermVerdict};
 pub use experiments::Scale;
-pub use osd::{ObjectAttributes, ObjectId, OsdDevice, OsdError, Temperature};
+pub use osd::{ObjectAttrs, ObjectId, OsdDevice, OsdError};

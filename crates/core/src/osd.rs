@@ -18,23 +18,55 @@
 //! * the `temperature`/`read_only` attributes travel to the device as
 //!   stream-temperature write hints on every object write.
 //!
-//! Since the queue-pair redesign, [`OsdDevice`] is a thin *command
-//! translator* over the [`ossd_block::host`] protocol: its object API (and
-//! the object-management commands it accepts through
-//! [`OsdDevice::submit_command`]) are translated into block commands and
-//! served over the identical [`HostInterface`] transport the raw block
-//! experiments use — there is no private side door into the SSD, so
-//! block-vs-object comparisons measure the interface, not the plumbing.
+//! Objects are managed only through [`OsdDevice`]'s typed API; the block
+//! protocol ([`ossd_block::host`]) knows nothing of them.  Their data path
+//! does cross it: every read, write, free and flush an object operation
+//! needs is a block command sent through a [`HostQueue`] and served by the
+//! SSD's [`HostInterface::serve`], the transport the raw block experiments
+//! use — there is no private side door into the SSD, so block-vs-object
+//! comparisons measure the interface, not the plumbing.
 
 use std::collections::BTreeMap;
 
 use crate::workload::fslite::{FsError, FsLite};
-use ossd_block::{Completion, HostCommand, HostInterface, HostQueue, Priority, WriteHint};
+use ossd_block::{
+    Completion, HostCommand, HostInterface, HostQueue, Priority, StreamTemperature, WriteHint,
+};
 use ossd_ftl::FtlConfig;
 use ossd_sim::SimTime;
 use ossd_ssd::{Ssd, SsdConfig, SsdError, SsdStats};
 
-pub use ossd_block::{ObjectAttrs as ObjectAttributes, StreamTemperature as Temperature};
+/// Host-visible attributes of an object (§3.7: attributes convey
+/// priorities and read-only/cold data).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ObjectAttrs {
+    /// Priority attached to every I/O the object generates.
+    pub priority: Priority,
+    /// Expected update frequency.
+    pub temperature: StreamTemperature,
+    /// Whether the object is read-only (its pages are candidates for cold
+    /// placement during wear-leveling).
+    pub read_only: bool,
+}
+
+impl ObjectAttrs {
+    /// Attributes of a latency-sensitive (foreground) object.
+    pub fn high_priority() -> Self {
+        ObjectAttrs {
+            priority: Priority::High,
+            ..ObjectAttrs::default()
+        }
+    }
+
+    /// Attributes of cold, read-only data.
+    pub fn cold_read_only() -> Self {
+        ObjectAttrs {
+            temperature: StreamTemperature::Cold,
+            read_only: true,
+            ..ObjectAttrs::default()
+        }
+    }
+}
 
 /// Identifier of an object stored on an [`OsdDevice`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,17 +79,6 @@ pub enum OsdError {
     NoSuchObject {
         /// The missing object.
         object: ObjectId,
-    },
-    /// An [`HostCommand::ObjectCreate`] named an id that is already live.
-    ObjectExists {
-        /// The conflicting object.
-        object: ObjectId,
-    },
-    /// A command kind the object store does not accept (device-addressed
-    /// block commands: the host of an OSD addresses objects, not LBNs).
-    UnsupportedCommand {
-        /// Description of the rejected command.
-        what: &'static str,
     },
     /// A read or write addressed bytes beyond the end of the object.
     OutOfRange {
@@ -86,12 +107,6 @@ impl std::fmt::Display for OsdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OsdError::NoSuchObject { object } => write!(f, "no such object: {}", object.0),
-            OsdError::ObjectExists { object } => {
-                write!(f, "object {} already exists", object.0)
-            }
-            OsdError::UnsupportedCommand { what } => {
-                write!(f, "unsupported command: {what}")
-            }
             OsdError::OutOfRange {
                 object,
                 requested_end,
@@ -123,7 +138,7 @@ struct ObjectState {
     /// File id inside the internal allocator.
     file: crate::workload::fslite::FileId,
     size: u64,
-    attrs: ObjectAttributes,
+    attrs: ObjectAttrs,
 }
 
 /// An object-based storage device backed by a simulated SSD.
@@ -189,11 +204,7 @@ impl OsdDevice {
     }
 
     /// Replaces the attributes of an object.
-    pub fn set_attributes(
-        &mut self,
-        object: ObjectId,
-        attrs: ObjectAttributes,
-    ) -> Result<(), OsdError> {
+    pub fn set_attributes(&mut self, object: ObjectId, attrs: ObjectAttrs) -> Result<(), OsdError> {
         let state = self
             .objects
             .get_mut(&object)
@@ -216,28 +227,9 @@ impl OsdDevice {
 
     /// Creates an empty object with the given attributes, letting the
     /// device assign the id.
-    pub fn create_object(&mut self, attrs: ObjectAttributes) -> ObjectId {
+    pub fn create_object(&mut self, attrs: ObjectAttrs) -> ObjectId {
         let id = ObjectId(self.next_object);
-        self.insert_object(id, attrs);
-        id
-    }
-
-    /// Creates an empty object under a host-chosen id (the
-    /// [`HostCommand::ObjectCreate`] path).
-    pub(crate) fn create_object_with_id(
-        &mut self,
-        object: ObjectId,
-        attrs: ObjectAttributes,
-    ) -> Result<(), OsdError> {
-        if self.objects.contains_key(&object) {
-            return Err(OsdError::ObjectExists { object });
-        }
-        self.insert_object(object, attrs);
-        Ok(())
-    }
-
-    fn insert_object(&mut self, id: ObjectId, attrs: ObjectAttributes) {
-        self.next_object = self.next_object.max(id.0 + 1);
+        self.next_object += 1;
         // Zero-byte objects own no extents yet; the allocator file is
         // created lazily on first write.
         let file = self
@@ -258,6 +250,7 @@ impl OsdDevice {
                 attrs,
             },
         );
+        id
     }
 
     /// Maps `offset..offset+len` of an object onto device byte ranges.
@@ -458,56 +451,6 @@ impl OsdDevice {
         self.transport(HostCommand::Flush, Priority::Normal, self.clock)?;
         Ok(())
     }
-
-    /// Accepts one protocol command addressed to the object store and
-    /// translates it: object-management commands mutate the object table
-    /// (deletes free device space through the block transport), fences
-    /// order trivially between calls, and device-addressed block commands
-    /// are rejected — the host of an object store addresses objects, not
-    /// LBNs (§3.7).
-    pub fn submit_command(
-        &mut self,
-        command: HostCommand,
-        at: SimTime,
-    ) -> Result<Completion, OsdError> {
-        let arrival = at.max(self.clock);
-        let metadata_completion = |dev: &mut Self| {
-            let id = dev.next_request_id();
-            dev.clock = dev.clock.max(arrival);
-            Completion::ok(id, arrival, arrival, arrival)
-        };
-        match command {
-            HostCommand::ObjectCreate { object, attrs } => {
-                self.create_object_with_id(ObjectId(object), attrs)?;
-                Ok(metadata_completion(self))
-            }
-            HostCommand::ObjectSetAttr { object, attrs } => {
-                self.set_attributes(ObjectId(object), attrs)?;
-                Ok(metadata_completion(self))
-            }
-            HostCommand::ObjectDelete { object } => {
-                self.delete_object(ObjectId(object), arrival)?;
-                let id = self.next_request_id();
-                Ok(Completion::ok(
-                    id,
-                    arrival,
-                    arrival,
-                    self.clock.max(arrival),
-                ))
-            }
-            HostCommand::Flush => self.transport(HostCommand::Flush, Priority::Normal, arrival),
-            HostCommand::Barrier => {
-                // The store serves commands to completion between calls, so
-                // a barrier is already drained when it arrives.
-                Ok(metadata_completion(self))
-            }
-            HostCommand::Read { .. } | HostCommand::Write { .. } | HostCommand::Free { .. } => {
-                Err(OsdError::UnsupportedCommand {
-                    what: "device-addressed block commands on an object store",
-                })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -521,7 +464,7 @@ mod tests {
     #[test]
     fn create_write_read_roundtrip() {
         let mut dev = osd();
-        let obj = dev.create_object(ObjectAttributes::default());
+        let obj = dev.create_object(ObjectAttrs::default());
         assert_eq!(dev.state(obj).unwrap().size, 0);
         let w = dev.write(obj, 0, 16 * 1024, SimTime::ZERO).unwrap();
         assert!(w.finish > SimTime::ZERO);
@@ -535,7 +478,7 @@ mod tests {
     #[test]
     fn reads_beyond_object_size_are_rejected() {
         let mut dev = osd();
-        let obj = dev.create_object(ObjectAttributes::default());
+        let obj = dev.create_object(ObjectAttrs::default());
         dev.write(obj, 0, 4096, SimTime::ZERO).unwrap();
         assert!(matches!(
             dev.read(obj, 0, 8192, SimTime::ZERO),
@@ -551,9 +494,9 @@ mod tests {
     #[test]
     fn read_only_objects_reject_writes() {
         let mut dev = osd();
-        let obj = dev.create_object(ObjectAttributes::default());
+        let obj = dev.create_object(ObjectAttrs::default());
         dev.write(obj, 0, 4096, SimTime::ZERO).unwrap();
-        dev.set_attributes(obj, ObjectAttributes::cold_read_only())
+        dev.set_attributes(obj, ObjectAttrs::cold_read_only())
             .unwrap();
         assert!(matches!(
             dev.write(obj, 0, 4096, dev.now()),
@@ -561,13 +504,16 @@ mod tests {
         ));
         // Reads still work.
         dev.read(obj, 0, 4096, dev.now()).unwrap();
-        assert_eq!(dev.state(obj).unwrap().attrs.temperature, Temperature::Cold);
+        assert_eq!(
+            dev.state(obj).unwrap().attrs.temperature,
+            StreamTemperature::Cold
+        );
     }
 
     #[test]
     fn delete_releases_space_and_informs_the_ftl() {
         let mut dev = osd();
-        let obj = dev.create_object(ObjectAttributes::default());
+        let obj = dev.create_object(ObjectAttrs::default());
         dev.write(obj, 0, 32 * 1024, SimTime::ZERO).unwrap();
         let used_before = dev.used_bytes();
         assert!(used_before >= 32 * 1024);
@@ -588,7 +534,7 @@ mod tests {
     #[test]
     fn high_priority_objects_issue_high_priority_requests() {
         let mut dev = osd();
-        let obj = dev.create_object(ObjectAttributes::high_priority());
+        let obj = dev.create_object(ObjectAttrs::high_priority());
         assert_eq!(dev.state(obj).unwrap().attrs.priority, Priority::High);
         dev.write(obj, 0, 4096, SimTime::ZERO).unwrap();
         // The write succeeded; priority is carried per-request (observable
@@ -599,7 +545,7 @@ mod tests {
     #[test]
     fn growing_writes_extend_objects_incrementally() {
         let mut dev = osd();
-        let obj = dev.create_object(ObjectAttributes::default());
+        let obj = dev.create_object(ObjectAttrs::default());
         for i in 0..8u64 {
             dev.write(obj, i * 4096, 4096, dev.now()).unwrap();
         }
@@ -616,7 +562,7 @@ mod tests {
         let mut created = Vec::new();
         let mut wrote = 0u64;
         loop {
-            let obj = dev.create_object(ObjectAttributes::default());
+            let obj = dev.create_object(ObjectAttrs::default());
             match dev.write(obj, 0, 16 * 4096, dev.now()) {
                 Ok(_) => {
                     created.push(obj);
@@ -636,76 +582,22 @@ mod tests {
     }
 
     #[test]
-    fn object_commands_translate_through_the_protocol() {
-        let mut dev = osd();
-        // Create under a host-chosen id, write, set attributes, delete —
-        // all as protocol commands.
-        dev.submit_command(
-            HostCommand::ObjectCreate {
-                object: 42,
-                attrs: ObjectAttributes::default(),
-            },
-            SimTime::ZERO,
-        )
-        .unwrap();
-        assert_eq!(dev.object_count(), 1);
-        dev.write(ObjectId(42), 0, 16 * 1024, dev.now()).unwrap();
-        dev.submit_command(
-            HostCommand::ObjectSetAttr {
-                object: 42,
-                attrs: ObjectAttributes::high_priority(),
-            },
-            dev.now(),
-        )
-        .unwrap();
-        assert_eq!(
-            dev.state(ObjectId(42)).unwrap().attrs.priority,
-            Priority::High
-        );
-        // Creating the same id again fails loudly.
-        assert!(matches!(
-            dev.submit_command(
-                HostCommand::ObjectCreate {
-                    object: 42,
-                    attrs: ObjectAttributes::default(),
-                },
-                dev.now(),
-            ),
-            Err(OsdError::ObjectExists { .. })
-        ));
-        // Auto-assigned ids skip past host-chosen ones.
-        let auto = dev.create_object(ObjectAttributes::default());
-        assert!(auto.0 > 42);
-        let delete = dev
-            .submit_command(HostCommand::ObjectDelete { object: 42 }, dev.now())
-            .unwrap();
-        assert!(delete.finish >= delete.arrival);
-        assert_eq!(dev.object_count(), 1);
-        assert!(dev.device_stats().ftl.frees_accepted > 0);
-        // Device-addressed block commands cannot cross the object boundary.
-        assert!(matches!(
-            dev.submit_command(
-                HostCommand::Read {
-                    range: ossd_block::ByteRange::new(0, 4096)
-                },
-                dev.now(),
-            ),
-            Err(OsdError::UnsupportedCommand { .. })
-        ));
-        // Fences are accepted and drain trivially between calls.
-        let barrier = dev.submit_command(HostCommand::Barrier, dev.now()).unwrap();
-        assert_eq!(barrier.start, barrier.finish);
+    fn attribute_presets() {
+        assert_eq!(ObjectAttrs::high_priority().priority, Priority::High);
+        let cold = ObjectAttrs::cold_read_only();
+        assert!(cold.read_only);
+        assert_eq!(cold.temperature, StreamTemperature::Cold);
     }
 
     #[test]
     fn object_temperature_reaches_the_device_as_write_hints() {
         let mut dev = osd();
-        let hot = dev.create_object(ObjectAttributes {
-            temperature: Temperature::Hot,
-            ..ObjectAttributes::default()
+        let hot = dev.create_object(ObjectAttrs {
+            temperature: StreamTemperature::Hot,
+            ..ObjectAttrs::default()
         });
         dev.write(hot, 0, 8 * 4096, SimTime::ZERO).unwrap();
-        let warm = dev.create_object(ObjectAttributes::default());
+        let warm = dev.create_object(ObjectAttrs::default());
         dev.write(warm, 0, 4096, dev.now()).unwrap();
         let stats = dev.device_stats();
         assert!(
@@ -719,7 +611,7 @@ mod tests {
     #[test]
     fn zero_length_operations_are_noops() {
         let mut dev = osd();
-        let obj = dev.create_object(ObjectAttributes::default());
+        let obj = dev.create_object(ObjectAttrs::default());
         let w = dev.write(obj, 0, 0, SimTime::from_micros(5)).unwrap();
         assert_eq!(w.arrival, SimTime::from_micros(5));
         let r = dev.read(obj, 0, 0, SimTime::from_micros(6)).unwrap();

@@ -1298,13 +1298,7 @@ impl HostInterface for Fleet {
         // rejected command leaves every submission queued on every queue
         // and the last session's log, fan-out and pressure as they were.
         for cmd in &arbitrated {
-            let command = &cmd.submission.command;
-            if command.is_object_command() {
-                return Err(DeviceError::Unsupported {
-                    what: "object commands on a block device",
-                });
-            }
-            if let Some(range) = command.range() {
+            if let Some(range) = cmd.submission.command.range() {
                 if range.len == 0 {
                     return Err(DeviceError::EmptyRequest);
                 }

@@ -47,17 +47,24 @@ fn a_rejected_session_leaves_the_last_sessions_signals_alone() {
     assert!(!log.is_empty() && fanout.iter().all(|&n| n > 0) && pressure == 3);
 
     let capacity = fleet.capacity_bytes();
-    let beyond = HostCommand::Read {
-        range: ByteRange::new(capacity, PAGE),
+    let read = |offset, len| HostCommand::Read {
+        range: ByteRange::new(offset, len),
     };
     let rejections = [
-        (beyond, "out of bounds"),
-        (HostCommand::ObjectDelete { object: 1 }, "object command"),
+        (
+            read(capacity, PAGE),
+            DeviceError::OutOfBounds {
+                end: capacity + PAGE,
+                capacity,
+            },
+        ),
+        (read(0, 0), DeviceError::EmptyRequest),
     ];
-    for (command, what) in rejections {
+    for (command, error) in rejections {
+        let what = error.to_string();
         queue_rows(&mut queues, 6..7, SimTime::from_micros(1));
         queues[1].submit(99, command, SimTime::from_micros(1));
-        assert!(fleet.serve(&mut queues).is_err(), "{what}");
+        assert_eq!(fleet.serve(&mut queues), Err(error), "{what}");
         assert_eq!(fleet.last_session_log(), log, "{what}");
         assert_eq!(fleet.last_fanout(), fanout, "{what}");
         assert_eq!(fleet.last_pressure, pressure, "{what}");

@@ -16,7 +16,8 @@
 
 use ossd_sim::{SimDuration, SimTime};
 
-/// Rebuild bandwidth/backoff policy.
+/// Rebuild bandwidth/backoff policy, built by [`RebuildQos::unthrottled`]
+/// or [`RebuildQos::limited`] and, optionally, [`RebuildQos::with_backoff`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RebuildQos {
     /// Token refill rate in bytes of copy-back per simulated second;
@@ -24,13 +25,13 @@ pub struct RebuildQos {
     pub bytes_per_sec: Option<u64>,
     /// Bucket capacity: how many bytes of budget can accumulate while
     /// rebuild is idle (bounds the burst after a quiet period).
-    pub burst_bytes: u64,
+    burst_bytes: u64,
     /// Host-pressure threshold: when the last serve session's maximum
     /// per-initiator command count is at or above this, rebuild backs
     /// off.  `None` disables pressure backoff.
     pub pressure_depth: Option<u32>,
     /// How long an admission is postponed per pressure event.
-    pub backoff: SimDuration,
+    backoff: SimDuration,
 }
 
 impl RebuildQos {
@@ -53,12 +54,6 @@ impl RebuildQos {
             pressure_depth: None,
             backoff: SimDuration::ZERO,
         }
-    }
-
-    /// Overrides the bucket capacity.
-    pub fn with_burst(mut self, burst_bytes: u64) -> Self {
-        self.burst_bytes = burst_bytes;
-        self
     }
 
     /// Enables host-pressure backoff: admissions requested while the
@@ -145,21 +140,25 @@ mod tests {
 
     #[test]
     fn budget_paces_sustained_chunks_at_the_configured_rate() {
-        // 1 MiB/s, tiny burst: 10 chunks of 64 KiB must span ~10 * 64 ms.
-        let qos = RebuildQos::limited(1 << 20).with_burst(64 * 1024);
+        // 256 KiB/s, whose quarter-second burst is the 64 KiB floor: 10
+        // chunks of 64 KiB must span ~10 * 250 ms.
+        let qos = RebuildQos::limited(256 * 1024);
+        assert_eq!(qos.burst_bytes, 64 * 1024);
         let mut gov = RebuildGovernor::new(qos);
         let mut last = SimTime::ZERO;
         for _ in 0..10 {
             last = gov.admit(last, 64 * 1024, 0);
         }
         let elapsed = last.saturating_since(SimTime::ZERO).as_secs_f64();
-        // First chunk rides the initial burst; nine refills of 1/16 s.
-        assert!((elapsed - 9.0 / 16.0).abs() < 1e-6, "elapsed {elapsed} s");
+        // First chunk rides the initial burst; nine refills of 1/4 s.
+        assert!((elapsed - 9.0 / 4.0).abs() < 1e-6, "elapsed {elapsed} s");
     }
 
     #[test]
     fn idle_time_refills_at_most_the_burst() {
-        let qos = RebuildQos::limited(1 << 20).with_burst(128 * 1024);
+        // 512 KiB/s: a quarter second of budget is 128 KiB.
+        let qos = RebuildQos::limited(512 * 1024);
+        assert_eq!(qos.burst_bytes, 128 * 1024);
         let mut gov = RebuildGovernor::new(qos);
         // Drain the bucket, then go idle for 10 s: only 128 KiB accrues.
         gov.admit(SimTime::ZERO, 128 * 1024, 0);
@@ -184,7 +183,7 @@ mod tests {
 
     #[test]
     fn admission_clock_is_monotone() {
-        let qos = RebuildQos::limited(1 << 20).with_burst(64 * 1024);
+        let qos = RebuildQos::limited(256 * 1024);
         let mut gov = RebuildGovernor::new(qos);
         let t1 = gov.admit(SimTime::from_micros(1000), 64 * 1024, 0);
         // A request at an earlier sim time cannot be admitted before the

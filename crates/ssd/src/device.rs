@@ -1111,11 +1111,6 @@ impl HostInterface for Ssd {
             let payload = match sub.command {
                 HostCommand::Flush => CommandPayload::Flush,
                 HostCommand::Barrier => CommandPayload::Barrier,
-                ref c if c.is_object_command() => {
-                    return Err(DeviceError::Unsupported {
-                        what: "object commands on a block device",
-                    });
-                }
                 ref c => {
                     let request = c
                         .to_request(sub.id, sub.arrival, sub.priority)

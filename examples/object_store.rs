@@ -1,12 +1,12 @@
 //! Object-based storage on an SSD: create objects, let the device place
 //! them, and watch deletion feed informed cleaning (§3.7 of the paper).
-//! The store is a thin translator over the queue-pair command protocol, so
-//! object management can also be driven by protocol commands directly.
+//! Objects are managed through the store's typed API; every read, write
+//! and free it issues crosses the SSD's queue-pair command protocol.
 //!
 //! Run with: `cargo run --release --example object_store`
 
-use ossd::block::HostCommand;
-use ossd::core::{ObjectAttributes, ObjectId, OsdDevice, Temperature};
+use ossd::block::StreamTemperature;
+use ossd::core::{ObjectAttrs, OsdDevice};
 use ossd::sim::SimTime;
 use ossd::ssd::SsdConfig;
 
@@ -24,18 +24,18 @@ fn main() {
 
     // Create a mix of objects: a high-priority database-like object, a
     // cold read-only archive, and a set of ordinary files.
-    let db = store.create_object(ObjectAttributes::high_priority());
+    let db = store.create_object(ObjectAttrs::high_priority());
     store.write(db, 0, 64 * 1024, SimTime::ZERO).unwrap();
 
-    let archive = store.create_object(ObjectAttributes::default());
+    let archive = store.create_object(ObjectAttrs::default());
     store.write(archive, 0, 128 * 1024, store.now()).unwrap();
     store
-        .set_attributes(archive, ObjectAttributes::cold_read_only())
+        .set_attributes(archive, ObjectAttrs::cold_read_only())
         .unwrap();
 
     let mut files = Vec::new();
     for _ in 0..16 {
-        let f = store.create_object(ObjectAttributes::default());
+        let f = store.create_object(ObjectAttrs::default());
         store.write(f, 0, 16 * 1024, store.now()).unwrap();
         files.push(f);
     }
@@ -67,27 +67,14 @@ fn main() {
         stats.write_amplification()
     );
 
-    // The same operations as raw protocol commands: create a hot scratch
-    // object under a host-chosen id, write it (its temperature rides along
-    // as a write hint), then delete it.
-    store
-        .submit_command(
-            HostCommand::ObjectCreate {
-                object: 1000,
-                attrs: ObjectAttributes {
-                    temperature: Temperature::Hot,
-                    ..ObjectAttributes::default()
-                },
-            },
-            store.now(),
-        )
-        .expect("create via command");
-    store
-        .write(ObjectId(1000), 0, 32 * 1024, store.now())
-        .unwrap();
-    store
-        .submit_command(HostCommand::ObjectDelete { object: 1000 }, store.now())
-        .expect("delete via command");
+    // A hot scratch object: its temperature rides along as a write hint
+    // on every write command that crosses the queue pair.
+    let scratch = store.create_object(ObjectAttrs {
+        temperature: StreamTemperature::Hot,
+        ..ObjectAttrs::default()
+    });
+    store.write(scratch, 0, 32 * 1024, store.now()).unwrap();
+    store.delete_object(scratch, store.now()).unwrap();
     let stats = store.device_stats();
     println!(
         "after the command-driven scratch object: {} hot-hinted writes \

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ossd::block::{replay_closed, BlockRequest, HostInterface};
+use ossd::block::{replay_closed, BlockDevice, BlockRequest};
 use ossd::hdd::Hdd;
 use ossd::sim::SimTime;
 use ossd::ssd::{DeviceProfile, Ssd};
@@ -24,7 +24,7 @@ fn random_reads(count: u64, size: u64, span: u64) -> Vec<BlockRequest> {
         .collect()
 }
 
-fn prefill<D: HostInterface>(device: &mut D, span: u64) {
+fn prefill<D: BlockDevice>(device: &mut D, span: u64) {
     let reqs: Vec<BlockRequest> = (0..span / (64 * 1024))
         .map(|i| BlockRequest::write(i, i * 64 * 1024, 64 * 1024, SimTime::ZERO))
         .collect();

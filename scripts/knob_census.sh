@@ -1,16 +1,29 @@
 #!/bin/sh
 # Lists the settable values that nothing but defaults and tests set: the
-# config fields, enum variants and presets that are candidates to become
-# constants or to go.
+# config fields, enum variants, presets and builders that are candidates
+# to become constants or to go.
 #
 #   scripts/knob_census.sh           # one line per candidate, then a summary
 #
-# What is counted, from `crates/<name>/src` outside `#[cfg(test)]` items:
-#   - every `pub` or `pub(crate)` field of a struct whose name ends in
-#     `Config`;
+# What is counted, from `crates/<name>/src` outside `#[cfg(test)]` items.
+# A config struct is a `pub` or `pub(crate)` struct with named fields
+# whose name ends in `Config` or that has a preset:
+#   - every `pub` or `pub(crate)` field of a config struct;
 #   - every variant of a `pub enum`;
-#   - every preset: an associated fn of such a struct that takes no `self`,
-#     returns `Self` and is not `default`.
+#   - every preset: an associated fn of a struct's inherent impl that
+#     takes no `self`, returns `Self` and is neither `default` nor `new`
+#     (a `new` builds a value from its parts; a preset names a setting);
+#   - every builder: a method of a config struct's inherent impl that
+#     takes `self` and returns `Self`.
+#
+# Census before and after the change that deleted the three object
+# commands, two object-store errors and `RebuildQos::with_burst`, and
+# widened this rule (it used to count `*Config` structs only, and no
+# builders): the old rule read 247 settable values (76 fields, 158
+# variants, 13 presets) with 4 candidates before and 242 (76, 153, 13)
+# with 4 after; this rule reads 356 (132 fields, 158 variants, 47
+# presets, 19 builders) with 11 candidates before, `with_burst` among
+# them, and 348 (130, 153, 47, 18) with 6 after.
 #
 # Where they are set: every `.rs` file of the workspace, the root package's
 # `src/`, `tests/` and `examples/`, and the benchmark's sources, except the
@@ -31,11 +44,14 @@
 #     constructed.  A pattern is not a construction: the variant, with
 #     any `(..)` or `{..}` after it, followed by `=>`, `|`, `if` or `=`,
 #     or the second argument of `matches!`;
-#   - a preset is used where `Type::preset(` is called outside its own body.
+#   - a preset is used where `Type::preset(` is called outside its own body;
+#   - a builder is used where `.builder(` is called outside its own body
+#     (by name: a name two config structs share is used for both).
 #
 # A candidate is a field that no site sets, a variant that no site
-# constructs, or a preset that is unused, whose body is `Self::default()`,
-# or whose body is the same as another preset's.  Candidates are not
+# constructs, a builder that is unused, or a preset that is unused, whose
+# body is `Self::default()`, or whose body is the same as another
+# preset's.  Candidates are not
 # verdicts: CHANGES.md says why each one that stays is kept.  Strings and
 # `//` comments are blanked first; a pattern split over lines or a variant
 # built through `use Enum::*` is read as a construction or missed, so the
@@ -59,6 +75,7 @@ function group_of(f, g) {
 }
 function is_ident(t) { return t ~ /^[A-Za-z_][A-Za-z0-9_]*$/ }
 function cur_impl(d) { for (d = depth; d > 0; d--) if (d in implat) return implat[d]; return "" }
+function cur_trait(d) { for (d = depth; d > 0; d--) if (d in implat) return traitat[d]; return 0 }
 function cur_fn(d) { for (d = depth; d > 0; d--) if (d in fnat) return fnat[d]; return "" }
 
 # A counted site: `kind` is field or variant; `key` names the knob;
@@ -102,7 +119,7 @@ FNR == 1 {
     until = -1; pending = 0; ldepth = 0
     depth = 0; nest = 0; p1 = p2 = p3 = ""; pendfn = ""; pendimpl = 0; pendfield = ""
     capture = 0; vpend = 0; mparen = 0
-    delete implat; delete fnat; delete lit; delete litnest; delete fpos
+    delete implat; delete traitat; delete fnat; delete lit; delete litnest; delete fpos
     instruct = inenum = ""
 }
 {
@@ -137,8 +154,8 @@ FNR == 1 {
     } else ldepth += opens - closes
     testcode = testfile || intest
 }
-# Pass 1: the config structs, their fields, and the pub enums with their
-# variants (top-level items, formatted by rustfmt).
+# Pass 1: the structs that may be config structs, their fields, and the
+# pub enums with their variants (top-level items, formatted by rustfmt).
 pass == 1 && FILENAME ~ /^crates\/[^\/]+\/src\// && !testcode {
     if (instruct != "") {
         if (line ~ /^}/) instruct = ""
@@ -152,7 +169,7 @@ pass == 1 && FILENAME ~ /^crates\/[^\/]+\/src\// && !testcode {
             v = substr(line, 5, RLENGTH - 4)
             variant[inenum, v] = 1; order[++nknobs] = "variant\t" group "\t" inenum "::" v
         }
-    } else if (match(line, /^pub(\(crate\))? struct [A-Za-z0-9_]*Config \{/)) {
+    } else if (match(line, /^pub(\(crate\))? struct [A-Za-z0-9_]+ \{/)) {
         instruct = substr(line, RSTART, RLENGTH); sub(/ \{$/, "", instruct); sub(/.* /, "", instruct)
         cfgcrate[instruct] = group
     } else if (match(line, /^pub enum [A-Za-z0-9_]+/)) {
@@ -209,11 +226,11 @@ function token(t, ty, fn, im, d, f, fa, n, k, ks) {
         capture = 0; field_set(capty, capf, captext)
     } else if (capture) captext = captext t
 
-    if (t == "impl" && pendfn == "") { pendimpl = 1; implty = ""; implangle = 0; return }
+    if (t == "impl" && pendfn == "") { pendimpl = 1; implty = ""; implangle = 0; implfor = 0; return }
     if (pendimpl && t != "{") {
         if (t == "<") implangle++
         else if (t == ">") implangle--
-        else if (t == "for") implty = ""
+        else if (t == "for") { implty = ""; implfor = 1 }
         else if (is_ident(t) && implangle == 0 && implty == "") implty = t
         return
     }
@@ -227,13 +244,15 @@ function token(t, ty, fn, im, d, f, fa, n, k, ks) {
     }
     if (t == "{") {
         depth++
-        if (pendimpl) { implat[depth] = implty; pendimpl = 0; return }
+        if (pendimpl) { implat[depth] = implty; traitat[depth] = implfor; pendimpl = 0; return }
         if (pendfn != "" && pendfn != "?") {
             fnat[depth] = pendfn; im = cur_impl()
-            if (pass == 2 && im in cfgcrate && group == cfgcrate[im] && !testcode && (ret == "Self" || ret == im)) {
-                if (recv == "self") builder[im, pendfn] = 1
-                else if (pendfn != "default" && recv == "none") {
-                    preset[im, pendfn] = 1; presets[++npresets] = im SUBSEP pendfn
+            if (pass == 2 && im in cfgcrate && group == cfgcrate[im] && !testcode && !cur_trait() && (ret == "Self" || ret == im)) {
+                if (recv == "self") {
+                    builder[im, pendfn] = 1; bname[pendfn] = 1
+                    order[++nknobs] = "builder\t" group "\t" im "::" pendfn
+                } else if (pendfn != "default" && pendfn != "new" && recv == "none") {
+                    preset[im, pendfn] = 1; presets[++npresets] = im SUBSEP pendfn; haspreset[im] = 1
                     order[++nknobs] = "preset\t" group "\t" im "::" pendfn
                 }
             }
@@ -260,6 +279,9 @@ function token(t, ty, fn, im, d, f, fa, n, k, ks) {
             n = split(bfields[k], fa, " ")
             for (d = 1; d <= n; d++) site("field", ks[1] "." fa[d], cfgcrate[ks[1]])
         }
+    if (t == "(" && p2 == "." && (p1 in bname))
+        for (ty in cfgcrate)
+            if ((ty, p1) in builder && !(im == ty && fn == p1) && !(testcode && group == cfgcrate[ty])) bused[ty, p1] = 1
     if (t == "(" && p2 == "::") {
         ty = p3; if (ty == "Self") ty = im
         if ((ty, p1) in preset && !(im == ty && fn == p1) && !(testcode && group == cfgcrate[ty])) used[ty, p1] = 1
@@ -282,10 +304,15 @@ END {
     total = 0; candidates = 0
     for (i = 1; i <= nknobs; i++) {
         split(order[i], part, "\t"); kind = part[1]; key = part[3]
+        if (kind == "field" || kind == "builder") {
+            ty = key; sub(/[.:].*/, "", ty)
+            if (ty !~ /Config$/ && !(ty in haspreset)) continue
+        }
         total++; kinds[kind]++
         why = ""
         if (kind == "field" && !(("field", key) in sites)) why = "set only by its default, presets or tests"
         if (kind == "variant" && !(("variant", key) in sites)) why = "constructed only in tests"
+        if (kind == "builder") { split(key, kp, "::"); if (!((kp[1], kp[2]) in bused)) why = "called only in tests" }
         if (kind == "preset") {
             split(key, kp, "::")
             body = pbody[kp[1], kp[2]]
@@ -298,6 +325,6 @@ END {
         }
         if (why != "") { printf "%s\t%s\t%s\t%s\n", kind, part[2], key, why; candidates++ }
     }
-    printf "%d settable values (%d config fields, %d enum variants, %d presets); %d candidates\n", total, kinds["field"], kinds["variant"], kinds["preset"], candidates
+    printf "%d settable values (%d config fields, %d enum variants, %d presets, %d builders); %d candidates\n", total, kinds["field"], kinds["variant"], kinds["preset"], kinds["builder"], candidates
 }
 ' pass=1 $files pass=2 $files pass=3 $files

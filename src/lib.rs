@@ -18,7 +18,7 @@
 //!   member `Ssd`s, per-device engine threads with a deterministic
 //!   completion merge, device failure/replacement/rebuild.
 //! * [`block`] — the queue-pair host interface (commands, hints, fences,
-//!   per-initiator queue pairs), traces and replay helpers.
+//!   per-initiator queue pairs) and replay helpers.
 //! * [`core`] — the paper's contribution: the object-based storage layer,
 //!   the unwritten-contract evaluator and the experiment drivers, with the
 //!   two modules those drivers run against besides the SSD, re-exported

@@ -2,7 +2,7 @@
 //! block interface and the object interface, across the HDD and SSD models.
 
 use ossd::block::{replay_closed, BlockDevice, BlockOpKind, BlockRequest};
-use ossd::core::{ObjectAttributes, OsdDevice};
+use ossd::core::{ObjectAttrs, OsdDevice};
 use ossd::ftl::FtlConfig;
 use ossd::hdd::Hdd;
 use ossd::sim::SimTime;
@@ -63,7 +63,7 @@ fn object_store_and_raw_block_interface_agree_on_free_accounting() {
     let mut store = OsdDevice::new(medium_ssd_config()).unwrap();
     let mut objects = Vec::new();
     for _ in 0..12 {
-        let obj = store.create_object(ObjectAttributes::default());
+        let obj = store.create_object(ObjectAttrs::default());
         store.write(obj, 0, 64 * 1024, store.now()).unwrap();
         objects.push(obj);
     }
