@@ -40,8 +40,9 @@
 //!   serve it directly, since it has nothing to be scheduled against).
 //!   [`replay_open`](crate::replay_open) and
 //!   [`replay_closed`](crate::replay_closed) call it once per request.
-//! * `Ssd::simulate_open` — a whole arrival trace submitted up front, one
-//!   initiator.
+//! * [`HostInterface::serve`] itself — the one *open* driver: whole
+//!   arrival traces submitted up front, one initiator or several (a single
+//!   trace is one initiator's queue).
 //! * The object store (`ossd-core`) — each block command an object
 //!   operation needs crosses one queue pair.
 //!

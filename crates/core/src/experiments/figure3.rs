@@ -13,9 +13,9 @@ use crate::workload::SyntheticConfig;
 use ossd_block::{BlockDevice, BlockRequest, Completion, DeviceError, Priority};
 use ossd_ftl::{CleaningMode, FtlConfig};
 use ossd_sim::{improvement_percent, SimDuration, SimTime};
-use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
+use ossd_ssd::{Ssd, SsdConfig};
 
-use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
+use super::{col, device, fill, geometry, serve_open, ExperimentError, Report, Scale, Table};
 
 /// One point of Figure 3 (one write percentage).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,9 +100,7 @@ fn run_point(scale: Scale, write_pct: u32) -> Result<Figure3Point, DeviceError> 
                 r
             })
             .collect();
-        let completions = ssd
-            .simulate_open(&requests, SchedulerKind::Fcfs)
-            .map_err(DeviceError::from)?;
+        let completions = serve_open(&mut ssd, &requests)?;
         out[i] = (
             mean_ms(&completions, &requests, Priority::High),
             mean_ms(&completions, &requests, Priority::Normal),

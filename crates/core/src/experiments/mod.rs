@@ -49,7 +49,9 @@ pub mod trace_capture;
 pub(crate) use report::col;
 pub use report::{Cell, Column, ExperimentError, Format, PaperRef, Report, Table};
 
-use ossd_block::{BlockDevice, BlockRequest, Completion, DeviceError};
+use std::collections::HashMap;
+
+use ossd_block::{BlockDevice, BlockRequest, Completion, DeviceError, HostInterface, HostQueue};
 use ossd_flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
 use ossd_ftl::FtlConfig;
 use ossd_sim::{SimDuration, SimTime};
@@ -141,6 +143,24 @@ fn fill<D: BlockDevice>(
             .finish;
     }
     Ok(finish)
+}
+
+/// Serves `requests` (in arrival order, with unique ids) as one initiator's
+/// queue and returns their completions in input order.
+fn serve_open<D: HostInterface>(
+    device: &mut D,
+    requests: &[BlockRequest],
+) -> Result<Vec<Completion>, DeviceError> {
+    let mut queue = HostQueue::new();
+    requests.iter().for_each(|r| queue.submit_request(r));
+    device.serve(std::slice::from_mut(&mut queue))?;
+    let position: HashMap<u64, usize> = (requests.iter().enumerate())
+        .map(|(i, r)| (r.id, i))
+        .collect();
+    assert_eq!(position.len(), requests.len(), "request ids must be unique");
+    let mut completions = queue.drain_completions();
+    completions.sort_unstable_by_key(|c| position[&c.request_id]);
+    Ok(completions)
 }
 
 /// Mean response time of `completions` in milliseconds (0 when empty).

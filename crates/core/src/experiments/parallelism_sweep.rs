@@ -21,9 +21,9 @@
 use ossd_block::{BlockDevice, BlockRequest, DeviceError};
 use ossd_flash::FlashTiming;
 use ossd_sim::{LatencyStats, SimDuration, SimRng, SimTime};
-use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
+use ossd_ssd::{Ssd, SsdConfig};
 
-use super::{col, device, fill, geometry, ExperimentError, Report, Scale, Table};
+use super::{col, device, fill, geometry, serve_open, ExperimentError, Report, Scale, Table};
 
 /// One measured point: one element count at one queue depth.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -106,9 +106,7 @@ fn run_point(
     // Closed-loop prefill so the measured phase starts on a drained device.
     let at = fill(&mut ssd, region / chunk * chunk, chunk, 100_000, true)?;
     let requests = read_trace(scale, region, at + SimDuration::from_millis(1));
-    let completions = ssd
-        .simulate_open(&requests, SchedulerKind::Fcfs)
-        .map_err(DeviceError::from)?;
+    let completions = serve_open(&mut ssd, &requests)?;
 
     let mut latency = LatencyStats::new();
     let mut first = SimTime::MAX;

@@ -10,7 +10,10 @@ use ossd_flash::FlashTiming;
 use ossd_sim::{improvement_percent, SimDuration};
 use ossd_ssd::{SchedulerKind, Ssd, SsdConfig};
 
-use super::{col, device, fill, geometry, mean_response_ms, ExperimentError, Report, Scale, Table};
+use super::{
+    col, device, fill, geometry, mean_response_ms, serve_open, ExperimentError, Report, Scale,
+    Table,
+};
 
 /// Result of the scheduler comparison.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,8 +32,9 @@ impl SwtfResult {
 }
 
 /// A page-mapped SSD with several independently schedulable elements — the
-/// configuration where per-element queue-wait knowledge pays off.
-fn device_config(scale: Scale) -> SsdConfig {
+/// configuration where per-element queue-wait knowledge pays off — under
+/// `scheduler`.
+fn device_config(scale: Scale, scheduler: SchedulerKind) -> SsdConfig {
     SsdConfig {
         timing: FlashTiming {
             bus_bytes_per_sec: 100_000_000,
@@ -38,6 +42,7 @@ fn device_config(scale: Scale) -> SsdConfig {
         },
         gangs: 4,
         controller_overhead: SimDuration::from_micros(10),
+        scheduler,
         ..device("swtf-testbed", geometry(8, scale.bytes(64, 256) as u32, 64))
     }
 }
@@ -51,14 +56,12 @@ pub fn run(scale: Scale) -> Result<SwtfResult, DeviceError> {
 
     let mut mean_ms = [0.0f64; 2];
     for (i, scheduler) in [SchedulerKind::Fcfs, SchedulerKind::Swtf]
-        .iter()
+        .into_iter()
         .enumerate()
     {
-        let mut ssd = Ssd::new(device_config(scale)).map_err(DeviceError::from)?;
+        let mut ssd = Ssd::new(device_config(scale, scheduler)).map_err(DeviceError::from)?;
         fill(&mut ssd, region, 256 * 1024, 0, false)?;
-        let completions = ssd
-            .simulate_open(&requests, *scheduler)
-            .map_err(DeviceError::from)?;
+        let completions = serve_open(&mut ssd, &requests)?;
         mean_ms[i] = mean_response_ms(&completions);
     }
     Ok(SwtfResult {

@@ -10,9 +10,12 @@
 use crate::workload::{InterArrival, SyntheticConfig};
 use ossd_block::{BlockRequest, DeviceError};
 use ossd_sim::{SimDuration, SimTime};
-use ossd_ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_ssd::{MappingKind, Ssd, SsdConfig};
 
-use super::{col, device, fill, geometry, mean_response_ms, ExperimentError, Report, Scale, Table};
+use super::{
+    col, device, fill, geometry, mean_response_ms, serve_open, ExperimentError, Report, Scale,
+    Table,
+};
 
 /// The logical page (stripe) size of the simulated device.
 pub(crate) const LOGICAL_PAGE: u64 = 32 * 1024;
@@ -85,9 +88,7 @@ fn run_one(
             r
         })
         .collect();
-    let completions = ssd
-        .simulate_open(&requests, SchedulerKind::Fcfs)
-        .map_err(DeviceError::from)?;
+    let completions = serve_open(&mut ssd, &requests)?;
     Ok(mean_response_ms(&completions))
 }
 

@@ -10,7 +10,7 @@
 use crate::workload::{ExchangeConfig, IozoneConfig, PostmarkConfig, TpccConfig};
 use ossd_block::{BlockRequest, ByteRange, DeviceError};
 use ossd_sim::improvement_percent;
-use ossd_ssd::{SchedulerKind, Ssd};
+use ossd_ssd::Ssd;
 
 use super::table3::{device_config_for_alignment, LOGICAL_PAGE};
 use super::{col, ExperimentError, Report, Scale, Table};
@@ -79,9 +79,7 @@ fn mean_response_ms(
 ) -> Result<f64, DeviceError> {
     let mut ssd =
         Ssd::new(device_config_for_alignment(scale, coalesce)).map_err(DeviceError::from)?;
-    let completions = ssd
-        .simulate_open(requests, SchedulerKind::Fcfs)
-        .map_err(DeviceError::from)?;
+    let completions = super::serve_open(&mut ssd, requests)?;
     Ok(super::mean_response_ms(&completions))
 }
 

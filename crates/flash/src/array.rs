@@ -177,8 +177,8 @@ impl FlashArray {
 
     /// Reads the page at `addr`, returning the reliability outcome: how
     /// many ECC read-retries the controller needed and whether the data was
-    /// ultimately uncorrectable.  Fault-free arrays always return
-    /// [`ReadStatus::clean`].
+    /// ultimately uncorrectable.  Fault-free arrays always return the
+    /// default (clean) [`ReadStatus`].
     pub fn read(&mut self, addr: PhysPageAddr) -> Result<ReadStatus, FlashError> {
         self.geometry.check_addr(addr)?;
         if self.reliability.is_none() {
@@ -186,7 +186,7 @@ impl FlashArray {
             // lookup, no draws.
             self.element_mut(addr.element)?
                 .read(addr.block, addr.page)?;
-            return Ok(ReadStatus::clean());
+            return Ok(ReadStatus::default());
         }
         let (wear, reads) = {
             let block = self.element(addr.element)?.block(addr.block)?;
@@ -457,8 +457,8 @@ mod tests {
         let p1 = a.program(ElementId(1), 3).unwrap();
         assert_eq!(p0.element, ElementId(0));
         assert_eq!(p1.element, ElementId(1));
-        assert_eq!(a.read(p0).unwrap(), ReadStatus::clean());
-        assert_eq!(a.read(p1).unwrap(), ReadStatus::clean());
+        assert_eq!(a.read(p0).unwrap(), ReadStatus::default());
+        assert_eq!(a.read(p1).unwrap(), ReadStatus::default());
         a.invalidate(p0).unwrap();
         a.erase(ElementId(0), 0).unwrap();
         let c = a.counters();

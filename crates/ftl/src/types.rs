@@ -276,7 +276,9 @@ impl FtlStats {
 ///
 /// `Send` is a supertrait so a boxed FTL (and the `Ssd` holding it) can be
 /// moved to a fleet worker thread; both concrete FTLs own all their state,
-/// so the bound costs nothing.
+/// so the bound costs nothing.  The four provided methods are what the
+/// stripe FTL, with no background cleaner, no per-page location and no
+/// map cache, answers; every other method is required.
 pub trait Ftl: Send {
     /// The geometry of the flash array the FTL manages.
     fn geometry(&self) -> &FlashGeometry;
@@ -332,13 +334,9 @@ pub trait Ftl: Send {
     fn free(&mut self, lpn: Lpn) -> Result<bool, FtlError>;
 
     /// Flushes any data held in the FTL's volatile buffers to flash,
-    /// *appending* the flash operations to schedule to `ops`.  The default
-    /// implementation does nothing; the stripe-mapped FTL uses this to
-    /// drain its open-stripe coalescing buffer.
-    fn flush_into(&mut self, ops: &mut Vec<FlashOp>) -> Result<(), FtlError> {
-        let _ = ops;
-        Ok(())
-    }
+    /// *appending* the flash operations to schedule to `ops`.  The
+    /// stripe-mapped FTL drains its open-stripe coalescing buffer here.
+    fn flush_into(&mut self, ops: &mut Vec<FlashOp>) -> Result<(), FtlError>;
 
     /// Performs up to `max_erases` block reclamations of background
     /// cleaning, stopping early once the free-page fraction reaches
@@ -346,8 +344,8 @@ pub trait Ftl: Send {
     /// flash operations performed to `ops`.  Called by the device during
     /// idle windows (see [`ossd_gc::BackgroundCleaner`]); the operations
     /// carry [`OpPurpose::BackgroundClean`] so the device accounts their
-    /// time separately from host-visible stalls.  The default
-    /// implementation does nothing.
+    /// time separately from host-visible stalls.  The provided body does
+    /// nothing.
     fn background_clean_into(
         &mut self,
         max_erases: u32,
@@ -363,8 +361,8 @@ pub trait Ftl: Send {
 
     /// The element a read of `lpn` would primarily occupy, if the page is
     /// mapped.  Schedulers (SWTF, §3.2) use this to estimate per-request
-    /// queue wait times; `None` means the scheduler should treat the target
-    /// as unknown/idle.
+    /// queue wait times; `None` (the provided answer) means the scheduler
+    /// should treat the target as unknown/idle.
     fn locate(&self, lpn: Lpn) -> Option<u32> {
         let _ = lpn;
         None
@@ -375,7 +373,7 @@ pub trait Ftl: Send {
     /// hint for queued writes to pages with no current mapping, where
     /// [`Ftl::locate`] has nothing to report — SWTF then estimates the wait
     /// of the element the allocation will actually land on instead of
-    /// guessing.  `None` (the default, and the stripe FTL's answer, since a
+    /// guessing.  `None` (the provided answer, the stripe FTL's, since a
     /// stripe spans every element) means the target is unknown.
     fn next_write_element(&self) -> Option<u32> {
         None
@@ -388,48 +386,34 @@ pub trait Ftl: Send {
     fn is_mapped(&self, lpn: Lpn) -> bool;
 
     /// Cumulative media-reliability counters (program/erase failures,
-    /// retired blocks, ECC retries, uncorrectable reads).  The default
-    /// implementation reports a fault-free medium.
-    fn reliability_counters(&self) -> ossd_flash::ReliabilityCounters {
-        ossd_flash::ReliabilityCounters::default()
-    }
+    /// retired blocks, ECC retries, uncorrectable reads).
+    fn reliability_counters(&self) -> ossd_flash::ReliabilityCounters;
 
     /// Aggregate wear statistics of the managed flash, including the
-    /// retired-block population.  The default reports a pristine medium.
-    fn wear_summary(&self) -> ossd_flash::WearSummary {
-        ossd_flash::WearSummary::default()
-    }
+    /// retired-block population.
+    fn wear_summary(&self) -> ossd_flash::WearSummary;
 
     /// Attaches a telemetry handle the FTL uses to emit GC and reliability
     /// instants (victim picks, trigger decisions, ECC retries, failures).
-    /// The default implementation discards it — an FTL without hooks simply
-    /// stays silent.
-    fn set_telemetry(&mut self, telemetry: ossd_telemetry::TelemetryHandle) {
-        let _ = telemetry;
-    }
+    fn set_telemetry(&mut self, telemetry: ossd_telemetry::TelemetryHandle);
 
     /// Number of blocks (superblocks on the stripe FTL) currently holding
     /// at least one stale page — the cleaning backlog.  Sampled by the
-    /// device's metrics time-series; the default reports none.
-    fn gc_backlog_blocks(&self) -> u64 {
-        0
-    }
+    /// device's metrics time-series.
+    fn gc_backlog_blocks(&self) -> u64;
 
     /// Total stale pages awaiting reclamation across the backlog.  O(blocks);
-    /// sampled periodically, not read on the hot path.  The default reports
-    /// none.
-    fn gc_stale_pages(&self) -> u64 {
-        0
-    }
+    /// sampled periodically, not read on the hot path.
+    fn gc_stale_pages(&self) -> u64;
 
     /// Mapping-table statistics: SRAM footprint (resident vs. full-table
     /// bytes) and, for a demand-paged FTL, the map-cache hit/miss/evict/
-    /// writeback counters.  The default reports a fully resident table —
-    /// the whole map in SRAM, no cache traffic.  That is the stripe FTL's
-    /// answer: its map holds one entry per logical *stripe* (not per flash
-    /// page), which is exactly why low-end devices get away with a fully
-    /// resident table — coarse mapping shrinks it by the stripe-to-page
-    /// ratio.
+    /// writeback counters.  The provided body reports a fully resident
+    /// table — the whole map in SRAM, no cache traffic.  That is the stripe
+    /// FTL's answer: its map holds one entry per logical *stripe* (not per
+    /// flash page), which is exactly why low-end devices get away with a
+    /// fully resident table — coarse mapping shrinks it by the
+    /// stripe-to-page ratio.
     fn map_stats(&self) -> ossd_mapcache::MapStats {
         let bytes = self.logical_pages() * ossd_mapcache::ENTRY_BYTES;
         ossd_mapcache::MapStats {

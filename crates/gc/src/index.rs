@@ -60,15 +60,6 @@ pub struct PickContext {
 }
 
 impl PickContext {
-    /// A pick context with the given clock and no exclusion.
-    pub fn at(clock: u64) -> Self {
-        PickContext {
-            clock,
-            exclude: None,
-            exclude2: None,
-        }
-    }
-
     /// Whether `block` is excluded from this pick.
     pub fn excludes(&self, block: u32) -> bool {
         Some(block) == self.exclude || Some(block) == self.exclude2
@@ -546,7 +537,10 @@ mod tests {
         assert_eq!(index.pick_greedy(Some(3), None), Some(5));
         // A second exclusion slot skips both append points.
         assert_eq!(index.pick_greedy(Some(3), Some(5)), Some(1));
-        let ctx = PickContext::at(10);
+        let ctx = PickContext {
+            clock: 10,
+            ..PickContext::default()
+        };
         let legacy = legacy_candidates(&index, &ctx);
         assert_eq!(select_greedy(&legacy), index.pick_greedy(None, None));
         assert_eq!(index.len(), 3);
@@ -692,7 +686,10 @@ mod tests {
             index.on_invalidate(block);
         }
         assert_eq!(index.pick_greedy(None, None), Some(2));
-        let ctx = PickContext::at(5);
+        let ctx = PickContext {
+            clock: 5,
+            ..PickContext::default()
+        };
         let mut idx2 = index.clone();
         let legacy = legacy_candidates(&index, &ctx);
         assert_eq!(select_greedy(&legacy), idx2.pick_greedy(None, None));
@@ -740,7 +737,8 @@ mod tests {
         }
         let ctx = PickContext {
             exclude: Some(4),
-            ..PickContext::at(20)
+            clock: 20,
+            ..PickContext::default()
         };
         let blocks: Vec<u32> = index
             .scan_candidates(&ctx)
@@ -765,7 +763,10 @@ mod tests {
                 index.on_invalidate(block);
             }
         }
-        let ctx = PickContext::at(100);
+        let ctx = PickContext {
+            clock: 100,
+            ..PickContext::default()
+        };
         let legacy = legacy_candidates(&index, &ctx);
         for window in [1usize, 2, 3, 5, 8, 16] {
             let policy = CleaningPolicyKind::WindowedGreedy {
@@ -901,7 +902,8 @@ mod tests {
             assert_eq!(index.erase_count(block), model[block as usize].erase);
             let ctx = PickContext {
                 exclude: Some(next(BLOCKS)),
-                ..PickContext::at(step + 1)
+                clock: step + 1,
+                ..PickContext::default()
             };
             let legacy = legacy_candidates(&index, &ctx);
             let greedy = index.pick_greedy(ctx.exclude, ctx.exclude2);

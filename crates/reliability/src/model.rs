@@ -8,7 +8,8 @@ use crate::config::{EccConfig, FaultConfig, ReliabilityConfig};
 /// sampler; a page with hundreds of raw errors is uncorrectable regardless.
 const MAX_BER_MEAN: f64 = 512.0;
 
-/// The outcome of one page read under the reliability model.
+/// The outcome of one page read under the reliability model; the default is
+/// a clean read (no retries, no corrections).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadStatus {
     /// Read-retry attempts the controller needed (0 = first read decoded).
@@ -19,13 +20,6 @@ pub struct ReadStatus {
     /// The read failed every retry: the data is lost and the error is
     /// surfaced to the host as a typed completion status.
     pub uncorrectable: bool,
-}
-
-impl ReadStatus {
-    /// A clean read: no retries, no corrections.
-    pub fn clean() -> Self {
-        ReadStatus::default()
-    }
 }
 
 /// The seeded random source of media faults.
@@ -218,7 +212,7 @@ mod tests {
         for i in 0..500 {
             assert_eq!(m.programs_landing(2.0, 8), 8);
             assert!(!m.erase_fails(2.0));
-            assert_eq!(m.read_outcome(2.0, i), ReadStatus::clean());
+            assert_eq!(m.read_outcome(2.0, i), ReadStatus::default());
         }
     }
 
@@ -289,7 +283,7 @@ mod tests {
             faults: config,
             ..ReliabilityConfig::none()
         });
-        assert_eq!(model.read_outcome(100.0, 0), ReadStatus::clean());
+        assert_eq!(model.read_outcome(100.0, 0), ReadStatus::default());
         // A non-zero base at such wear is the certainty it always was.
         assert_eq!(run.wear_scaled(1e-300, 100.0), 1.0);
     }

@@ -19,12 +19,11 @@
 //!
 //! # Event protocol
 //!
-//! 1. Arrivals are delivered from a cursor over the arrival slice in
-//!    `(time, index)` order — the slice itself when it is already sorted by
-//!    time, otherwise a stable index sort of it — and never enter the event
-//!    heap.  [`Controller::on_arrival`] fires when simulated time reaches
-//!    an arrival; every arrival due at an instant is delivered before any op
-//!    event at that instant.
+//! 1. The arrival slice must be sorted by time ([`run`] asserts it), and
+//!    arrivals are delivered from a cursor over it, in index order; they
+//!    never enter the event heap.  [`Controller::on_arrival`] fires when
+//!    simulated time reaches an arrival; every arrival due at an instant is
+//!    delivered before any op event at that instant.
 //! 2. After all events at one timestamp have been delivered, the engine calls
 //!    [`Controller::poll_dispatch_into`] with its own (cleared, reused)
 //!    buffer, repeatedly until the controller leaves the buffer empty.  Each
@@ -44,8 +43,8 @@
 //! driving it — per device, each on its own OS thread.  That works because
 //! every piece of engine and controller state is owned, not shared:
 //!
-//! * The engine itself is [`run_observed`]'s locals (the [`EventQueue`],
-//!   the dispatch buffer and the arrival order), built per run and dropped
+//! * The engine itself is [`run`]'s locals (the [`EventQueue`], the
+//!   dispatch buffer and the arrival cursor), built per run and dropped
 //!   with it; nothing escapes the call.
 //! * Controllers ([`Controller`] implementations) own their queues, flash
 //!   state, and scratch buffers.  The one trait object a device carries,
@@ -153,73 +152,23 @@ enum Event {
     OpComplete(u64),
 }
 
-/// Passive observer of the engine's delivered events.
-///
-/// Observers see exactly what the controller sees — arrivals, op starts and
-/// completions, idle windows — but cannot influence the run: every method
-/// returns `()` and the engine calls the observer *after* the controller
-/// handled the event.  The telemetry layer uses this to trace a run without
-/// perturbing its schedule.
-pub trait EngineObserver {
-    /// Request `index` arrived at `now`.
-    fn observe_arrival(&mut self, index: usize, now: SimTime) {
-        let _ = (index, now);
-    }
-
-    /// Dispatched op `token` started occupying its resource.
-    fn observe_op_start(&mut self, token: u64, now: SimTime) {
-        let _ = (token, now);
-    }
-
-    /// Dispatched op `token` completed.
-    fn observe_op_complete(&mut self, token: u64, now: SimTime) {
-        let _ = (token, now);
-    }
-
-    /// The device is idle from `now` until `until`.
-    fn observe_idle(&mut self, now: SimTime, until: SimTime) {
-        let _ = (now, until);
-    }
-}
-
-/// The do-nothing observer [`run`] uses.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct NoopObserver;
-
-impl EngineObserver for NoopObserver {}
-
 /// Runs the dispatch loop to completion: delivers one arrival per entry of
 /// `arrivals` (index order among ties) and every op event until none
 /// remain.  Returns the first controller error, abandoning the remaining
 /// events.
+///
+/// # Panics
+///
+/// Panics if `arrivals` is not sorted by time.
 pub fn run<C: Controller>(controller: &mut C, arrivals: &[SimTime]) -> Result<(), C::Error> {
-    run_observed(controller, arrivals, &mut NoopObserver)
-}
-
-/// [`run`] with an [`EngineObserver`] attached: every delivered event is
-/// mirrored to `observer` after the controller has handled it.
-pub fn run_observed<C: Controller, O: EngineObserver>(
-    controller: &mut C,
-    arrivals: &[SimTime],
-    observer: &mut O,
-) -> Result<(), C::Error> {
+    assert!(arrivals.is_sorted(), "arrivals must be sorted by time");
     let mut events = EventQueue::new();
     let mut ops = Vec::new();
-    // Arrival indices in `(time, index)` order; filled only for a slice
-    // that is not already sorted by time.
-    let mut order = Vec::new();
-    let sorted = arrivals.is_sorted();
-    if !sorted {
-        // Stable, so tied arrivals keep index order.
-        order.extend(0..arrivals.len());
-        order.sort_by_key(|&index| arrivals[index]);
-    }
-    let index_at = |position: usize| if sorted { position } else { order[position] };
-    // Position in `(time, index)` order of the next arrival to deliver.
+    // Index of the next arrival to deliver.
     let mut next = 0;
     let mut now = SimTime::ZERO;
     loop {
-        let next_arrival = (next < arrivals.len()).then(|| arrivals[index_at(next)]);
+        let next_arrival = arrivals.get(next).copied();
         let batch_time = match (next_arrival, events.peek_time()) {
             (Some(arrival), Some(event)) => arrival.min(event),
             (Some(time), None) | (None, Some(time)) => time,
@@ -236,32 +185,20 @@ pub fn run_observed<C: Controller, O: EngineObserver>(
         );
         if batch_time > now && controller.in_flight() == 0 {
             controller.on_idle(now, batch_time)?;
-            observer.observe_idle(now, batch_time);
         }
         now = now.max(batch_time);
         // Deliver every event at this timestamp before asking for new work,
         // so schedulers see all simultaneous arrivals when they pick.
         // Arrivals due now go before op events due now (protocol step 1).
-        while next < arrivals.len() {
-            let index = index_at(next);
-            if arrivals[index] != batch_time {
-                break;
-            }
+        while arrivals.get(next) == Some(&batch_time) {
+            controller.on_arrival(next, now)?;
             next += 1;
-            controller.on_arrival(index, now)?;
-            observer.observe_arrival(index, now);
         }
         while events.peek_time() == Some(batch_time) {
             let (_, event) = events.pop().expect("peeked event exists");
             match event {
-                Event::OpStart(token) => {
-                    controller.on_op_start(token, now)?;
-                    observer.observe_op_start(token, now);
-                }
-                Event::OpComplete(token) => {
-                    controller.on_op_complete(token, now)?;
-                    observer.observe_op_complete(token, now);
-                }
+                Event::OpStart(token) => controller.on_op_start(token, now)?,
+                Event::OpComplete(token) => controller.on_op_complete(token, now)?,
             }
         }
         loop {
@@ -287,7 +224,7 @@ pub fn run_observed<C: Controller, O: EngineObserver>(
 }
 
 /// The loop before arrivals left the event heap, and the differential test
-/// of [`run_observed`] against it.
+/// of [`run`] against it.
 #[cfg(test)]
 mod reference;
 
@@ -385,26 +322,26 @@ mod tests {
     #[test]
     fn delivers_events_in_time_order_and_completes_all_requests() {
         let arrivals = vec![
+            SimTime::from_micros(5),
+            SimTime::from_micros(5),
             SimTime::from_micros(10),
-            SimTime::from_micros(5),
-            SimTime::from_micros(5),
         ];
-        let mut c = TestController::new(arrivals, 1, SimDuration::from_micros(100));
-        run(
-            &mut c,
-            &[
-                SimTime::from_micros(10),
-                SimTime::from_micros(5),
-                SimTime::from_micros(5),
-            ],
-        )
-        .unwrap();
+        let mut c = TestController::new(arrivals.clone(), 1, SimDuration::from_micros(100));
+        run(&mut c, &arrivals).unwrap();
         assert!(c.finishes.iter().all(Option::is_some));
-        // Requests 1 and 2 (t=5 µs) are served before request 0 (t=10 µs);
+        // Requests 0 and 1 (t=5 µs) are served before request 2 (t=10 µs);
         // the single server serializes them back to back.
-        assert_eq!(c.finishes[1], Some(SimTime::from_micros(105)));
-        assert_eq!(c.finishes[2], Some(SimTime::from_micros(205)));
-        assert_eq!(c.finishes[0], Some(SimTime::from_micros(305)));
+        assert_eq!(c.finishes[0], Some(SimTime::from_micros(105)));
+        assert_eq!(c.finishes[1], Some(SimTime::from_micros(205)));
+        assert_eq!(c.finishes[2], Some(SimTime::from_micros(305)));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be sorted by time")]
+    fn unsorted_arrivals_are_rejected() {
+        let arrivals = vec![SimTime::from_micros(10), SimTime::from_micros(5)];
+        let mut c = TestController::new(arrivals.clone(), 1, SimDuration::from_micros(100));
+        let _ = run(&mut c, &arrivals);
     }
 
     #[test]
@@ -454,41 +391,6 @@ mod tests {
         assert!(issues[1] < first_start, "two issues before any op starts");
         assert!(issues[2] > first_start, "third issue waits for a free slot");
         assert!(c.finishes.iter().all(Option::is_some));
-    }
-
-    #[test]
-    fn observer_mirrors_every_delivered_event() {
-        #[derive(Default)]
-        struct CountingObserver {
-            arrivals: usize,
-            starts: usize,
-            completes: usize,
-            idles: Vec<(SimTime, SimTime)>,
-        }
-        impl EngineObserver for CountingObserver {
-            fn observe_arrival(&mut self, _index: usize, _now: SimTime) {
-                self.arrivals += 1;
-            }
-            fn observe_op_start(&mut self, _token: u64, _now: SimTime) {
-                self.starts += 1;
-            }
-            fn observe_op_complete(&mut self, _token: u64, _now: SimTime) {
-                self.completes += 1;
-            }
-            fn observe_idle(&mut self, now: SimTime, until: SimTime) {
-                self.idles.push((now, until));
-            }
-        }
-
-        let arrivals = vec![SimTime::from_micros(50), SimTime::from_micros(5000)];
-        let mut c = TestController::new(arrivals.clone(), 1, SimDuration::from_micros(100));
-        let mut observer = CountingObserver::default();
-        run_observed(&mut c, &arrivals, &mut observer).unwrap();
-        assert_eq!(observer.arrivals, 2);
-        assert_eq!(observer.starts, 2);
-        assert_eq!(observer.completes, 2);
-        // The observer sees the same idle windows the controller does.
-        assert_eq!(observer.idles, c.idle_windows);
     }
 
     #[test]

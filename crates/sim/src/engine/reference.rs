@@ -1,7 +1,7 @@
 //! The engine loop as it was before arrivals left the event heap: every
 //! arrival is scheduled up front as a heap event, numbered before any op
 //! event, so at one instant arrivals pop first and in index order.  Kept
-//! as the reference [`run_observed`] is differentially tested against: a
+//! as the reference [`run`] is differentially tested against: a
 //! scripted controller logs every callback and the ops of every poll, and
 //! the two loops must produce the same log over seeded sessions.
 
@@ -18,11 +18,7 @@ enum HeapEvent {
 }
 
 /// The all-in-heap loop, over fresh state.
-fn run_reference<C: Controller, O: EngineObserver>(
-    controller: &mut C,
-    arrivals: &[SimTime],
-    observer: &mut O,
-) -> Result<(), C::Error> {
+fn run_reference<C: Controller>(controller: &mut C, arrivals: &[SimTime]) -> Result<(), C::Error> {
     let mut events = EventQueue::new();
     let mut ops = Vec::new();
     for (index, &at) in arrivals.iter().enumerate() {
@@ -33,24 +29,14 @@ fn run_reference<C: Controller, O: EngineObserver>(
         assert!(batch_time >= now, "event time regressed");
         if batch_time > now && controller.in_flight() == 0 {
             controller.on_idle(now, batch_time)?;
-            observer.observe_idle(now, batch_time);
         }
         now = now.max(batch_time);
         while events.peek_time() == Some(batch_time) {
             let (_, event) = events.pop().expect("peeked event exists");
             match event {
-                HeapEvent::Arrival(index) => {
-                    controller.on_arrival(index, now)?;
-                    observer.observe_arrival(index, now);
-                }
-                HeapEvent::OpStart(token) => {
-                    controller.on_op_start(token, now)?;
-                    observer.observe_op_start(token, now);
-                }
-                HeapEvent::OpComplete(token) => {
-                    controller.on_op_complete(token, now)?;
-                    observer.observe_op_complete(token, now);
-                }
+                HeapEvent::Arrival(index) => controller.on_arrival(index, now)?,
+                HeapEvent::OpStart(token) => controller.on_op_start(token, now)?,
+                HeapEvent::OpComplete(token) => controller.on_op_complete(token, now)?,
             }
         }
         loop {
@@ -82,7 +68,6 @@ enum Entry {
 /// sessions reach every case the differential is meant to cover.
 #[derive(Debug, Default)]
 struct Coverage {
-    unsorted: u64,
     tied_arrivals: u64,
     at_arrival_instant: u64,
     zero_length: u64,
@@ -210,27 +195,8 @@ impl Controller for Scripted<'_> {
     }
 }
 
-/// Mirrors what the engine hands its observer.
-#[derive(Default)]
-struct Recorder(Vec<Entry>);
-
-impl EngineObserver for Recorder {
-    fn observe_arrival(&mut self, index: usize, now: SimTime) {
-        self.0.push(Entry::Arrive(index, now));
-    }
-    fn observe_op_start(&mut self, token: u64, now: SimTime) {
-        self.0.push(Entry::Start(token, now));
-    }
-    fn observe_op_complete(&mut self, token: u64, now: SimTime) {
-        self.0.push(Entry::Complete(token, now));
-    }
-    fn observe_idle(&mut self, now: SimTime, until: SimTime) {
-        self.0.push(Entry::Idle(now, until));
-    }
-}
-
 /// A session's arrival instants: sorted with gaps (some wide enough to
-/// open idle windows), shuffled, or all at one instant.
+/// open idle windows), or all at one instant.
 fn arrivals_for(rng: &mut SimRng, coverage: &mut Coverage) -> Vec<SimTime> {
     let n = rng.next_usize_below(48);
     let mut at = SimTime::from_nanos(rng.next_u64_below(3) * 500);
@@ -241,15 +207,10 @@ fn arrivals_for(rng: &mut SimRng, coverage: &mut Coverage) -> Vec<SimTime> {
             at
         })
         .collect();
-    match rng.next_u64_below(4) {
-        0 => shuffle(rng, &mut arrivals),
-        1 => arrivals
+    if rng.next_u64_below(4) == 0 {
+        arrivals
             .iter_mut()
-            .for_each(|a| *a = SimTime::from_nanos(100)),
-        _ => {}
-    }
-    if !arrivals.is_sorted() {
-        coverage.unsorted += 1;
+            .for_each(|a| *a = SimTime::from_nanos(100));
     }
     if arrivals.windows(2).any(|w| w[0] == w[1]) {
         coverage.tied_arrivals += 1;
@@ -258,19 +219,14 @@ fn arrivals_for(rng: &mut SimRng, coverage: &mut Coverage) -> Vec<SimTime> {
 }
 
 /// Runs one scripted controller through both loops and asserts equal
-/// results, controller logs and observer logs.
+/// results and controller logs.
 fn compare(arrivals: &[SimTime], seed: u64, fail_at: Option<usize>, coverage: &mut Coverage) {
     let mut cursor = Scripted::new(seed, arrivals, fail_at);
     let mut heap = Scripted::new(seed, arrivals, fail_at);
-    let (mut cursor_seen, mut heap_seen) = (Recorder::default(), Recorder::default());
-    let got = run_observed(&mut cursor, arrivals, &mut cursor_seen);
-    let want = run_reference(&mut heap, arrivals, &mut heap_seen);
+    let got = run(&mut cursor, arrivals);
+    let want = run_reference(&mut heap, arrivals);
     assert_eq!(got, want, "seed {seed:#x}: results differ");
     assert_eq!(cursor.log, heap.log, "seed {seed:#x}: callbacks differ");
-    assert_eq!(
-        cursor_seen.0, heap_seen.0,
-        "seed {seed:#x}: observers differ"
-    );
     coverage.aborted += got.is_err() as u64;
     for entry in &heap.log {
         match entry {
@@ -306,7 +262,6 @@ fn differential(sessions: std::ops::Range<u64>) -> Coverage {
 
 fn assert_covered(coverage: &Coverage) {
     let Coverage {
-        unsorted,
         tied_arrivals,
         at_arrival_instant,
         zero_length,
@@ -315,7 +270,6 @@ fn assert_covered(coverage: &Coverage) {
     } = *coverage;
     assert!(
         [
-            unsorted,
             tied_arrivals,
             at_arrival_instant,
             zero_length,
@@ -337,12 +291,4 @@ fn cursor_loop_matches_the_all_in_heap_loop() {
 #[ignore = "long form (~4,000 sessions); CI runs it in release with --ignored"]
 fn cursor_loop_matches_the_all_in_heap_loop_long() {
     assert_covered(&differential(200..4_200));
-}
-
-/// Shuffles a slice in place (Fisher–Yates).
-fn shuffle<T>(rng: &mut SimRng, items: &mut [T]) {
-    for i in (1..items.len()).rev() {
-        let j = rng.next_usize_below(i + 1);
-        items.swap(i, j);
-    }
 }

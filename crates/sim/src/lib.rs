@@ -35,7 +35,7 @@ pub mod server;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Controller, DispatchedOp, EngineObserver};
+pub use engine::{Controller, DispatchedOp};
 pub use event::EventQueue;
 pub use rng::{derive_stream_seed, SimRng};
 pub use server::{Server, Service};

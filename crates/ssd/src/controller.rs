@@ -13,9 +13,14 @@
 //!   to be scheduled against, so it is offered the idle window before its
 //!   arrival and dispatched at that arrival, exactly as a one-command FCFS
 //!   session would be, with no engine or controller;
-//! * `Ssd::simulate_open` runs the engine over a whole open-arrival trace;
-//! * `HostInterface::serve` runs it over the round-robin-arbitrated streams
-//!   of N initiator queue pairs.
+//! * `HostInterface::serve` (open) runs the engine over the
+//!   round-robin-arbitrated streams of N initiator queue pairs; a whole
+//!   open-arrival trace is one initiator's queue.
+//!
+//! The controller books the engine's activity to the device's telemetry
+//! itself (`engine.arrivals`, `engine.op_starts`, `engine.op_completes`,
+//! `engine.idle_windows`), after handling each callback, and keeps the
+//! sink's sim-time register at the instant of each arrival and op event.
 //!
 //! # Queue depth
 //!
@@ -63,17 +68,17 @@
 //! # The fence gate
 //!
 //! Ordering is per-initiator state, not per-command state.  An initiator's
-//! commands arrive in submission order (`HostQueue` enforces it; the
-//! fence-free `simulate_open` traces need not), and a command that a fence holds
-//! back also holds back everything the initiator submitted after it, so the
-//! fence-blocked commands of an initiator are a FIFO of which only a
-//! *prefix* can ever become eligible.  The gate keeps that FIFO, a count of
-//! finished commands (a fence with sequence number `s` is eligible exactly
-//! when `s` commands have finished — nothing after it can overtake it),
-//! whether a fence is currently eligible-but-unfinished (at most one can
-//! be), and the finish time of the last fence (where a data command's wait
-//! stops being `Fence` blame and starts being `SqWait`).  Completions release
-//! the FIFO from the front; nothing is rescanned.
+//! commands arrive in submission order (`HostQueue` enforces it), and a
+//! command that a fence holds back also holds back everything the
+//! initiator submitted after it, so the fence-blocked commands of an
+//! initiator are a FIFO of which only a *prefix* can ever become eligible.
+//! The gate keeps that FIFO, a count of finished commands (a fence with
+//! sequence number `s` is eligible exactly when `s` commands have finished
+//! — nothing after it can overtake it), whether a fence is currently
+//! eligible-but-unfinished (at most one can be), and the finish time of the
+//! last fence (where a data command's wait stops being `Fence` blame and
+//! starts being `SqWait`).  Completions release the FIFO from the front;
+//! nothing is rescanned.
 //!
 //! # Who owns a session's buffers
 //!
@@ -85,9 +90,9 @@
 use std::collections::VecDeque;
 
 use ossd_block::{BlockOpKind, BlockRequest, Completion, Priority};
-use ossd_sim::engine::{run, run_observed, Controller, DispatchedOp};
+use ossd_sim::engine::{run, Controller, DispatchedOp};
 use ossd_sim::{SimDuration, SimTime};
-use ossd_telemetry::{EngineTrace, EventKind, ServiceClass};
+use ossd_telemetry::{EventKind, ServiceClass};
 
 use crate::device::Ssd;
 use crate::error::SsdError;
@@ -144,11 +149,12 @@ pub(crate) struct SessionCommand {
 }
 
 impl SessionCommand {
-    /// A single-initiator data command wrapping a block request.
-    pub(crate) fn from_request(seq: u64, request: &BlockRequest) -> Self {
+    /// A single-initiator data command wrapping a block request, first in
+    /// its stream.
+    pub(crate) fn from_request(request: &BlockRequest) -> Self {
         SessionCommand {
             initiator: 0,
-            seq,
+            seq: 0,
             id: request.id,
             arrival: request.arrival,
             priority: request.priority,
@@ -215,8 +221,8 @@ fn release(list: &mut ReadyList, entry: (SimTime, usize)) {
 
 impl Ssd {
     /// Runs one session of queue-pair commands through the event engine
-    /// under the given scheduler, returning one completion per command in
-    /// the input order.
+    /// under the configured scheduler, returning one completion per command
+    /// in the input order.
     ///
     /// Commands are held in a controller queue after they arrive; whenever a
     /// dispatch slot frees (see [`SsdConfig::queue_depth`]) the scheduler
@@ -229,18 +235,10 @@ impl Ssd {
     pub(crate) fn serve_session(
         &mut self,
         commands: &[SessionCommand],
-        scheduler: SchedulerKind,
     ) -> Result<Vec<Completion>, SsdError> {
         let arrivals: Vec<SimTime> = commands.iter().map(|c| c.arrival).collect();
-        let trace = self
-            .telemetry()
-            .is_enabled()
-            .then(|| EngineTrace::new(self.telemetry().clone()));
-        let mut controller = SsdController::new(self, commands, scheduler);
-        match trace {
-            Some(mut trace) => run_observed(&mut controller, &arrivals, &mut trace)?,
-            None => run(&mut controller, &arrivals)?,
-        }
+        let mut controller = SsdController::new(self, commands);
+        run(&mut controller, &arrivals)?;
         Ok(controller
             .completions
             .into_iter()
@@ -278,16 +276,16 @@ struct SsdController<'a> {
 }
 
 impl<'a> SsdController<'a> {
-    fn new(ssd: &'a mut Ssd, commands: &'a [SessionCommand], scheduler: SchedulerKind) -> Self {
+    fn new(ssd: &'a mut Ssd, commands: &'a [SessionCommand]) -> Self {
         let initiators = commands.iter().map(|c| c.initiator + 1).max().unwrap_or(0);
         SsdController {
+            scheduler: ssd.config().scheduler,
             queue_depth: ssd.config().queue_depth,
             ready: vec![VecDeque::new(); ssd.element_queues().len() + 1],
             gates: (0..initiators).map(|_| InitiatorGate::default()).collect(),
             completions: vec![None; commands.len()],
             ssd,
             commands,
-            scheduler,
             queued: 0,
             queued_high: 0,
             slots_in_use: 0,
@@ -347,6 +345,14 @@ impl<'a> SsdController<'a> {
         }
         best.map(|((_, _, index), class)| (class, index))
     }
+
+    /// Books a handled engine event to `counter` and moves the telemetry
+    /// sink's sim-time register to it.
+    fn book(&self, now: SimTime, counter: &'static str) {
+        let telemetry = self.ssd.telemetry();
+        telemetry.set_now(now);
+        telemetry.add(counter, 1);
+    }
 }
 
 /// The ready class of an element hint.
@@ -368,7 +374,7 @@ fn element_wait(queues: &[ElementQueue], class: usize, at: SimTime) -> SimDurati
 impl Controller for SsdController<'_> {
     type Error = SsdError;
 
-    fn on_arrival(&mut self, index: usize, _now: SimTime) -> Result<(), SsdError> {
+    fn on_arrival(&mut self, index: usize, now: SimTime) -> Result<(), SsdError> {
         let command = &self.commands[index];
         // The element is fixed at admission, like the mapping lookup a real
         // controller performs when the command is accepted (see
@@ -401,6 +407,7 @@ impl Controller for SsdController<'_> {
             );
             gate.blocked.push_back((index, class));
         }
+        self.book(now, "engine.arrivals");
         Ok(())
     }
 
@@ -463,12 +470,13 @@ impl Controller for SsdController<'_> {
         Ok(())
     }
 
-    fn on_op_start(&mut self, _token: u64, _now: SimTime) -> Result<(), SsdError> {
+    fn on_op_start(&mut self, _token: u64, now: SimTime) -> Result<(), SsdError> {
         self.slots_in_use -= 1;
+        self.book(now, "engine.op_starts");
         Ok(())
     }
 
-    fn on_op_complete(&mut self, token: u64, _now: SimTime) -> Result<(), SsdError> {
+    fn on_op_complete(&mut self, token: u64, now: SimTime) -> Result<(), SsdError> {
         self.unfinished -= 1;
         let index = token as usize;
         #[cfg(test)]
@@ -494,11 +502,17 @@ impl Controller for SsdController<'_> {
             gate.blocked.pop_front();
             release(&mut self.ready[class], (command.arrival, index));
         }
+        self.book(now, "engine.op_completes");
         Ok(())
     }
 
     fn on_idle(&mut self, now: SimTime, until: SimTime) -> Result<(), SsdError> {
-        self.ssd.idle(now, until)
+        self.ssd.idle(now, until)?;
+        // The window is only counted: it starts wherever the engine's clock
+        // stood, not when the device went idle, so `Ssd::idle` traces the
+        // device's own idle span.
+        self.ssd.telemetry().add("engine.idle_windows", 1);
+        Ok(())
     }
 
     fn in_flight(&self) -> usize {
@@ -686,6 +700,35 @@ mod tests {
             sorted_inserts > 0,
             "no fence release took the sorted insert"
         );
+    }
+
+    /// The controller books the engine's events itself: one arrival, one op
+    /// start and one op completion per command, and one idle window per gap
+    /// the device drains across — here one before each of eight bursts (the
+    /// engine's clock starts at zero, before the first).
+    #[test]
+    fn a_session_books_its_engine_events() {
+        use ossd_telemetry::{Recorder, RecorderConfig};
+        let (mut ssd, pages, prefilled) = device(SchedulerKind::Fcfs, 1);
+        let (handle, recorder) = Recorder::shared(RecorderConfig::default());
+        ssd.set_telemetry(handle);
+        let mut queue = HostQueue::new();
+        for burst in 0..8u64 {
+            let at = prefilled + SimDuration::from_millis(10 * (burst + 1));
+            for k in 0..4 {
+                let id = burst * 4 + k;
+                let range = ByteRange::new(id % (pages / 2) * PAGE, PAGE);
+                queue.submit(id, HostCommand::Read { range }, at);
+            }
+        }
+        ssd.serve(std::slice::from_mut(&mut queue)).unwrap();
+        assert_eq!(queue.drain_completions().len(), 32);
+        let recorder = recorder.lock().unwrap();
+        let counters = recorder.counters();
+        assert_eq!(counters.get("engine.arrivals"), 32);
+        assert_eq!(counters.get("engine.op_starts"), 32);
+        assert_eq!(counters.get("engine.op_completes"), 32);
+        assert_eq!(counters.get("engine.idle_windows"), 8);
     }
 
     /// A traced idle window is time the device had nothing to do: it starts

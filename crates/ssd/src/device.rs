@@ -69,7 +69,6 @@ use crate::config::{MappingKind, SsdConfig};
 use crate::controller::{CommandPayload, SessionCommand};
 use crate::error::SsdError;
 use crate::queue::ElementQueue;
-use crate::sched::SchedulerKind;
 use crate::stats::SsdStats;
 
 /// A simulated solid-state device.
@@ -1030,21 +1029,6 @@ impl Ssd {
         None
     }
 
-    /// Runs an open-arrival simulation of `requests` under the given
-    /// scheduler, as a single-initiator session of the queue-pair pipeline.
-    pub fn simulate_open(
-        &mut self,
-        requests: &[BlockRequest],
-        scheduler: SchedulerKind,
-    ) -> Result<Vec<Completion>, SsdError> {
-        let commands: Vec<SessionCommand> = requests
-            .iter()
-            .enumerate()
-            .map(|(seq, r)| SessionCommand::from_request(seq as u64, r))
-            .collect();
-        self.serve_session(&commands, scheduler)
-    }
-
     /// Records the advisory placement hint of an accepted write command.
     fn record_hint(&mut self, hint: ossd_block::WriteHint) {
         match hint.temperature {
@@ -1082,7 +1066,7 @@ impl BlockDevice for Ssd {
         if request.arrival > SimTime::ZERO {
             self.idle(SimTime::ZERO, request.arrival)?;
         }
-        let command = SessionCommand::from_request(0, request);
+        let command = SessionCommand::from_request(request);
         let arrival = request.arrival;
         let high = request.priority == Priority::High;
         let completion = self.dispatch(&command, arrival, arrival, high)?;
@@ -1143,7 +1127,7 @@ impl HostInterface for Ssd {
             commands.len() as u64,
             queues.len() as u64,
         );
-        let completions = self.serve_session(&commands, self.config.scheduler)?;
+        let completions = self.serve_session(&commands)?;
         // Hints are advisory; account for them only once the session has
         // actually executed, so an aborted serve (whose submissions stay
         // queued for a retry) never double-counts them.
@@ -1172,6 +1156,17 @@ mod tests {
 
     fn stripe_ssd() -> Ssd {
         Ssd::new(SsdConfig::tiny_stripe_mapped()).unwrap()
+    }
+
+    /// Serves `requests` as one initiator's queue and returns the
+    /// completions in input order (the requests' ids count up from 0).
+    fn serve_open(ssd: &mut Ssd, requests: &[BlockRequest]) -> Vec<Completion> {
+        let mut queue = HostQueue::new();
+        requests.iter().for_each(|r| queue.submit_request(r));
+        ssd.serve(std::slice::from_mut(&mut queue)).unwrap();
+        let mut completions = queue.drain_completions();
+        completions.sort_by_key(|c| c.request_id);
+        completions
     }
 
     #[test]
@@ -1378,12 +1373,12 @@ mod tests {
     }
 
     #[test]
-    fn simulate_open_returns_one_completion_per_request_in_order() {
+    fn an_open_session_completes_every_request_after_its_arrival() {
         let mut ssd = page_ssd();
         let requests: Vec<BlockRequest> = (0..32u64)
             .map(|i| BlockRequest::write(i, (i % 50) * 4096, 4096, SimTime::from_micros(i * 50)))
             .collect();
-        let completions = ssd.simulate_open(&requests, SchedulerKind::Fcfs).unwrap();
+        let completions = serve_open(&mut ssd, &requests);
         assert_eq!(completions.len(), requests.len());
         for (req, c) in requests.iter().zip(&completions) {
             assert_eq!(req.id, c.request_id);
@@ -1396,8 +1391,9 @@ mod tests {
     fn swtf_is_not_worse_than_fcfs_on_random_reads() {
         // Prepare a device with data, then read it back under heavy load
         // with both schedulers.
-        let prepare = || -> (Ssd, Vec<BlockRequest>) {
-            let mut ssd = page_ssd();
+        let prepare = |scheduler| -> (Ssd, Vec<BlockRequest>) {
+            let config = SsdConfig::tiny_page_mapped().with_scheduler(scheduler);
+            let mut ssd = Ssd::new(config).unwrap();
             for i in 0..100u64 {
                 ssd.submit(&BlockRequest::write(i, i * 4096, 4096, SimTime::ZERO))
                     .unwrap();
@@ -1410,10 +1406,10 @@ mod tests {
                 .collect();
             (ssd, reqs)
         };
-        let (mut a, reqs) = prepare();
-        let fcfs = a.simulate_open(&reqs, SchedulerKind::Fcfs).unwrap();
-        let (mut b, reqs) = prepare();
-        let swtf = b.simulate_open(&reqs, SchedulerKind::Swtf).unwrap();
+        let (mut a, reqs) = prepare(crate::SchedulerKind::Fcfs);
+        let fcfs = serve_open(&mut a, &reqs);
+        let (mut b, reqs) = prepare(crate::SchedulerKind::Swtf);
+        let swtf = serve_open(&mut b, &reqs);
         let mean = |cs: &[Completion]| -> f64 {
             cs.iter()
                 .map(|c| c.response_time().as_micros_f64())
@@ -1787,7 +1783,7 @@ mod tests {
                 BlockRequest::write(i, lpn * 4096, 4096, SimTime::from_micros(i * 150))
             })
             .collect();
-        ssd.simulate_open(&requests, SchedulerKind::Fcfs).unwrap();
+        serve_open(&mut ssd, &requests);
         let (ops, in_runs) = oracle::BOOKED.get();
         assert!(
             ops - ops_before > 1_000 && in_runs - in_runs_before > 200,

@@ -18,23 +18,23 @@
 //! dispatch under an NCQ-style queue depth ([`SsdConfig::queue_depth`]).
 //! Ordering fences (`Flush`/`Barrier`) constrain dispatch per initiator,
 //! and stream-temperature write hints are recorded as they cross the
-//! interface.  Three drivers exercise that pipeline:
+//! interface.  Two drivers exercise that pipeline:
 //!
 //! * `Ssd::submit` (via the [`ossd_block::BlockDevice`] trait) — the
 //!   *closed* driver: one command, which has nothing to be scheduled
 //!   against, so it takes the idle and dispatch steps directly, without
 //!   the engine — exactly what a one-command FCFS session does.  This is
 //!   what bandwidth-style experiments (Table 2, Figure 2, Tables 3–5) use.
-//! * [`Ssd::simulate_open`] — the *open* driver: a whole arrival trace as
-//!   one single-initiator session, with a controller queue, a pluggable
-//!   scheduler ([`SchedulerKind::Fcfs`] or the paper's
-//!   shortest-wait-time-first [`SchedulerKind::Swtf`], §3.2) and
-//!   engine-delivered idle windows for background cleaning; also used by
-//!   the priority-aware cleaning study (Figure 3 / Table 6) and the
-//!   queue-depth parallelism sweep.
-//! * [`ossd_block::HostInterface::serve`] — the *multi-initiator* driver: N
+//! * [`ossd_block::HostInterface::serve`] — the one *open* driver: N
 //!   independent submission/completion queue pairs arbitrated round-robin
-//!   into the controller (the `multi_host` experiment).
+//!   into the controller, with a scheduler chosen by
+//!   [`SsdConfig::scheduler`] ([`SchedulerKind::Fcfs`] or the paper's
+//!   shortest-wait-time-first [`SchedulerKind::Swtf`], §3.2) and
+//!   engine-delivered idle windows for background cleaning.  A whole
+//!   arrival trace is one initiator's queue: the SWTF study, the
+//!   priority-aware cleaning study (Figure 3 / Table 6) and the queue-depth
+//!   parallelism sweep serve theirs that way; the `multi_host` experiment
+//!   serves several.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]

@@ -35,7 +35,6 @@ pub mod attribution;
 pub mod chrome;
 pub mod event;
 pub mod metrics;
-pub mod observer;
 pub mod recorder;
 
 pub use attribution::{
@@ -45,7 +44,6 @@ pub use attribution::{
 pub use chrome::to_chrome_trace;
 pub use event::{purpose, EventKind, TraceEvent, Track};
 pub use metrics::{Counters, MetricsSample, MetricsSeries};
-pub use observer::EngineTrace;
 pub use recorder::{Recorder, RecorderConfig};
 
 use ossd_sim::SimTime;

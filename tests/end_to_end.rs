@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: full write/read/trim flows through the
 //! block interface and the object interface, across the HDD and SSD models.
 
-use ossd::block::{replay_closed, BlockDevice, BlockOpKind, BlockRequest};
+use ossd::block::{
+    replay_closed, BlockDevice, BlockOpKind, BlockRequest, HostInterface, HostQueue,
+};
 use ossd::core::{ObjectAttrs, OsdDevice};
 use ossd::ftl::FtlConfig;
 use ossd::hdd::Hdd;
@@ -113,7 +115,7 @@ fn open_queue_simulation_is_deterministic_across_schedulers() {
     );
     let requests = workload.generate();
     let run = |scheduler: SchedulerKind| {
-        let mut ssd = Ssd::new(medium_ssd_config()).unwrap();
+        let mut ssd = Ssd::new(medium_ssd_config().with_scheduler(scheduler)).unwrap();
         // Prefill so reads find mapped data.
         for i in 0..(8 * 1024 * 1024 / (256 * 1024)) {
             ssd.submit(&BlockRequest::write(
@@ -124,9 +126,10 @@ fn open_queue_simulation_is_deterministic_across_schedulers() {
             ))
             .unwrap();
         }
-        let completions = ssd.simulate_open(&requests, scheduler).unwrap();
-        completions
-            .iter()
+        let mut queue = HostQueue::new();
+        requests.iter().for_each(|r| queue.submit_request(r));
+        ssd.serve(std::slice::from_mut(&mut queue)).unwrap();
+        (queue.drain_completions().iter())
             .map(|c| c.response_time().as_nanos())
             .sum::<u64>()
     };

@@ -1,9 +1,11 @@
 //! Golden pin: the event-driven engine at FCFS / queue-depth 1 must
 //! reproduce, bit for bit, the completion sequence the pre-refactor
 //! request-at-a-time controller produced on deterministic traces.  These
-//! fixtures were captured from the sequential `simulate_open` implementation
+//! fixtures were captured from the sequential whole-trace open replay
 //! before the engine refactor; they keep Tables 2-5 and the open-arrival
-//! experiments reproducible across controller changes.
+//! experiments reproducible across controller changes.  Each trace is
+//! served as one initiator's queue (`HostInterface::serve`, the open
+//! driver), with the scheduler set in the device's configuration.
 //!
 //! Three traces are pinned:
 //! * `GOLDEN_FCFS`  - mixed reads/overwrites of a mapped region, tight
@@ -18,7 +20,7 @@
 //!   background-GC behaviour is pinned separately by
 //!   `idle_windows_trigger_background_cleaning` in `ossd-ssd`.
 
-use ossd::block::{BlockDevice, BlockRequest, Completion};
+use ossd::block::{BlockDevice, BlockRequest, Completion, HostInterface, HostQueue};
 use ossd::flash::{FlashGeometry, FlashTiming, ReliabilityConfig};
 use ossd::ftl::FtlConfig;
 use ossd::gc::BackgroundGcConfig;
@@ -120,6 +122,17 @@ fn bg_trace(logical_pages: u64) -> Vec<BlockRequest> {
         at += SimDuration::from_millis(1);
     }
     out
+}
+
+/// Serves `requests` as one initiator's queue and returns the completions
+/// in input order (the traces number their requests from 0).
+fn serve_open(ssd: &mut Ssd, requests: &[BlockRequest]) -> Vec<Completion> {
+    let mut queue = HostQueue::new();
+    requests.iter().for_each(|r| queue.submit_request(r));
+    ssd.serve(std::slice::from_mut(&mut queue)).unwrap();
+    let mut completions = queue.drain_completions();
+    completions.sort_by_key(|c| c.request_id);
+    completions
 }
 
 fn assert_matches(completions: &[Completion], expected: &[(u64, u64)], label: &str) {
@@ -300,19 +313,15 @@ const GOLDEN_BG_FCFS: [(u64, u64); 60] = [
 fn engine_fcfs_qd1_matches_pre_refactor_schedule() {
     let mut ssd = Ssd::new(golden_config()).unwrap();
     prefill(&mut ssd);
-    let completions = ssd
-        .simulate_open(&golden_trace(), SchedulerKind::Fcfs)
-        .unwrap();
+    let completions = serve_open(&mut ssd, &golden_trace());
     assert_matches(&completions, &GOLDEN_FCFS, "fcfs");
 }
 
 #[test]
 fn engine_swtf_qd1_matches_pre_refactor_schedule() {
-    let mut ssd = Ssd::new(golden_config()).unwrap();
+    let mut ssd = Ssd::new(golden_config().with_scheduler(SchedulerKind::Swtf)).unwrap();
     prefill(&mut ssd);
-    let completions = ssd
-        .simulate_open(&golden_trace(), SchedulerKind::Swtf)
-        .unwrap();
+    let completions = serve_open(&mut ssd, &golden_trace());
     assert_matches(&completions, &GOLDEN_SWTF, "swtf");
 }
 
@@ -329,9 +338,7 @@ fn engine_idle_windows_match_pre_refactor_background_cleaning() {
         ))
         .unwrap();
     }
-    let completions = ssd
-        .simulate_open(&bg_trace(logical_pages), SchedulerKind::Fcfs)
-        .unwrap();
+    let completions = serve_open(&mut ssd, &bg_trace(logical_pages));
     assert_matches(&completions, &GOLDEN_BG_FCFS, "bg-fcfs");
     // The idle windows must actually have been donated to background GC.
     let bg = ssd.background_gc_stats().expect("background GC configured");

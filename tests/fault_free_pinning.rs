@@ -18,7 +18,7 @@
 //! — for both FTL kinds × both schedulers × closed and open drivers, and
 //! every completion carries `CompletionStatus::Ok`.
 
-use ossd::block::{BlockDevice, BlockOpKind, BlockRequest, Completion};
+use ossd::block::{BlockDevice, BlockOpKind, BlockRequest, Completion, HostInterface, HostQueue};
 use ossd::flash::ReliabilityConfig;
 use ossd::sim::{SimDuration, SimRng, SimTime};
 use ossd::ssd::{SchedulerKind, Ssd, SsdConfig};
@@ -56,6 +56,15 @@ fn trace(seed: u64, pages: u64) -> Vec<BlockRequest> {
         out.push(req);
     }
     out
+}
+
+/// Serves `requests` as one initiator's queue; completions in posting
+/// order.
+fn serve_open(ssd: &mut Ssd, requests: &[BlockRequest]) -> Vec<Completion> {
+    let mut queue = HostQueue::new();
+    requests.iter().for_each(|r| queue.submit_request(r));
+    ssd.serve(std::slice::from_mut(&mut queue)).unwrap();
+    queue.drain_completions()
 }
 
 fn run_closed(ssd: &mut Ssd, requests: &[BlockRequest]) -> Vec<Completion> {
@@ -106,8 +115,8 @@ fn explicit_none_model_is_bit_for_bit_the_default_device() {
                 let mut explicit_ssd =
                     Ssd::new(config(ftl, scheduler).with_reliability(ReliabilityConfig::none()))
                         .unwrap();
-                let open_default = default_ssd.simulate_open(&requests, scheduler).unwrap();
-                let open_explicit = explicit_ssd.simulate_open(&requests, scheduler).unwrap();
+                let open_default = serve_open(&mut default_ssd, &requests);
+                let open_explicit = serve_open(&mut explicit_ssd, &requests);
                 assert_eq!(
                     open_default, open_explicit,
                     "open schedules diverged: seed {seed}, {ftl:?}, {scheduler:?}"

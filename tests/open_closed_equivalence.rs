@@ -1,4 +1,4 @@
-//! Property: the closed driver leaves the device exactly as the open engine
+//! Property: the closed driver leaves the device exactly as the open driver
 //! does.
 //!
 //! When each request arrives no earlier than the previous one finished, the
@@ -7,11 +7,12 @@
 //! [`BlockDevice::submit`] does not run the engine — a lone command has
 //! nothing to be scheduled against, so it takes the device's idle step and
 //! dispatch step itself — and the engine is the reference it is held to:
-//! submitting the requests one at a time and handing them to
-//! `simulate_open` as one trace must give the same completions (statuses
-//! included), device and FTL statistics, wear, background-cleaning
-//! counters, blame records, and everything an attached recorder sees
-//! except the engine's own `engine.*` counters.  That holds for both FTL
+//! submitting the requests one at a time and serving them as one
+//! initiator's queue (`HostInterface::serve`, the open driver) must give
+//! the same completions (statuses included), device and FTL statistics,
+//! wear, background-cleaning counters, blame records, and everything an
+//! attached recorder sees except the engine's own `engine.*` counters and
+//! the one `SessionArbitrated` instant a session records.  That holds for both FTL
 //! kinds, both schedulers and two queue depths; on a plain device and on
 //! one with background GC, a finite map budget, the wear-out fault preset
 //! and high-priority commands; with arrivals spaced apart and back to back
@@ -22,7 +23,10 @@
 //! Seeded-loop style: each seed generates a different mix of reads and
 //! overwrites with different gaps.
 
-use ossd_block::{BlockDevice, BlockRequest, Completion, CompletionStatus, DeviceError, Priority};
+use ossd_block::{
+    BlockDevice, BlockRequest, Completion, CompletionStatus, DeviceError, HostInterface, HostQueue,
+    Priority,
+};
 use ossd_flash::{FaultConfig, FlashTiming, WearSummary};
 use ossd_ftl::{CleaningMode, MapCacheConfig};
 use ossd_gc::{BackgroundGcConfig, BackgroundGcStats};
@@ -123,7 +127,10 @@ fn observe(
         wear: ssd.wear_summary(),
         background: ssd.background_gc_stats(),
         blame: ssd.take_blame_records(),
-        events: recorder.events().to_vec(),
+        events: (recorder.events().iter())
+            .filter(|e| e.kind != EventKind::SessionArbitrated)
+            .copied()
+            .collect(),
         counters: recorder
             .counters()
             .iter()
@@ -205,12 +212,21 @@ fn differences(a: &Observed, b: &Observed) -> String {
     )
 }
 
-/// The same requests as one open trace.
+/// The same requests as one initiator's queue, served under `scheduler`.
 fn open_run(config: &SsdConfig, scheduler: SchedulerKind, requests: &[BlockRequest]) -> Observed {
-    let (mut ssd, recorder) = device(config);
-    let completions = ssd
-        .simulate_open(requests, scheduler)
-        .map_err(DeviceError::from);
+    let (mut ssd, recorder) = device(&config.clone().with_scheduler(scheduler));
+    let mut queue = HostQueue::new();
+    requests.iter().for_each(|r| queue.submit_request(r));
+    let completions = ssd.serve(std::slice::from_mut(&mut queue)).map(|()| {
+        // Posted in completion order; the ids count up in input order.
+        let mut completions = queue.drain_completions();
+        completions.sort_by_key(|c| c.request_id);
+        completions
+    });
+    let arbitrated = (recorder.lock().unwrap().events().iter())
+        .filter(|e| e.kind == EventKind::SessionArbitrated)
+        .count();
+    assert_eq!(arbitrated, 1, "one session, one arbitration instant");
     observe(&mut ssd, &recorder, completions)
 }
 

@@ -5,11 +5,12 @@
 //!    the pre-redesign request-at-a-time implementation.  `submit` is now
 //!    the depth-1 closed driver of the queue-pair protocol, so these pin
 //!    the whole transport at depth 1.
-//! 2. `single_initiator_session_matches_legacy_open_replay` — a seeded
-//!    property: serving a trace through one `HostQueue` session equals
-//!    `simulate_open` (itself golden-pinned in `engine_golden.rs`) for both
-//!    FTL kinds × both schedulers — the protocol layer adds nothing at
-//!    N = 1.
+//! 2. `single_initiator_session_matches_legacy_open_replay` — serving a
+//!    trace through one `HostQueue` session reproduces, hash for hash, the
+//!    completions of the legacy whole-trace open replay (golden-pinned in
+//!    `engine_golden.rs`, and retired once this session was shown equal
+//!    to it) for both FTL kinds × both schedulers × two queue depths —
+//!    the protocol layer adds nothing at N = 1.
 //! 3. Queue-pair-only behaviours: per-command submit/poll equivalence with
 //!    `submit`, fence ordering, and multi-initiator determinism.
 
@@ -251,53 +252,91 @@ fn open_trace(seed: u64, pages: u64) -> Vec<BlockRequest> {
     out
 }
 
-/// Property: an N = 1 initiator session over `HostInterface::serve` equals
-/// the legacy open replay (`simulate_open`) exactly — both FTLs × both
-/// schedulers × several seeds and queue depths.
+/// FNV-1a 64 over each completion's id, arrival, start and finish (in
+/// nanoseconds) and status, in input order.
+fn completions_hash(completions: &[Completion]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for c in completions {
+        let words = [
+            c.request_id,
+            c.arrival.as_nanos(),
+            c.start.as_nanos(),
+            c.finish.as_nanos(),
+            c.status as u64,
+        ];
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// `completions_hash` of the legacy open replay's completions per
+/// `(seed, FTL, scheduler, queue depth)`, captured before that replay was
+/// retired in favour of one-queue sessions.  On the stripe FTL the two
+/// schedulers gave the same completions.
+const GOLDEN_OPEN_REPLAY: [(u64, FtlKind, SchedulerKind, u32, u64); 24] = {
+    use FtlKind::{Page, Stripe};
+    use SchedulerKind::{Fcfs, Swtf};
+    [
+        (0xb, Page, Fcfs, 1, 0x5b42eb5d63ff9fb1),
+        (0xb, Page, Fcfs, 8, 0xe632d0fd03827f82),
+        (0xb, Page, Swtf, 1, 0xadd50c422a9791fd),
+        (0xb, Page, Swtf, 8, 0x47b6418f0755353a),
+        (0xb, Stripe, Fcfs, 1, 0xc88c8e7a1659e78c),
+        (0xb, Stripe, Fcfs, 8, 0xb6dd6ababb4d2f17),
+        (0xb, Stripe, Swtf, 1, 0xc88c8e7a1659e78c),
+        (0xb, Stripe, Swtf, 8, 0xb6dd6ababb4d2f17),
+        (0x1d, Page, Fcfs, 1, 0x940ce235ebb3bcf2),
+        (0x1d, Page, Fcfs, 8, 0x2ad83e90efc31a3b),
+        (0x1d, Page, Swtf, 1, 0xc8518ed5ba990f9f),
+        (0x1d, Page, Swtf, 8, 0xe5a1c33e3eb2f2f7),
+        (0x1d, Stripe, Fcfs, 1, 0xbde8ed7fd7214a62),
+        (0x1d, Stripe, Fcfs, 8, 0x336fa7742bab0016),
+        (0x1d, Stripe, Swtf, 1, 0xbde8ed7fd7214a62),
+        (0x1d, Stripe, Swtf, 8, 0x336fa7742bab0016),
+        (0xbeef, Page, Fcfs, 1, 0xec0e06b23e9cefff),
+        (0xbeef, Page, Fcfs, 8, 0xa95d037e9d22b6cc),
+        (0xbeef, Page, Swtf, 1, 0x2ec9129daf12e295),
+        (0xbeef, Page, Swtf, 8, 0x32d5a4d4364f52e0),
+        (0xbeef, Stripe, Fcfs, 1, 0xe5418d7cc258ad4b),
+        (0xbeef, Stripe, Fcfs, 8, 0x344d8155faac8982),
+        (0xbeef, Stripe, Swtf, 1, 0xe5418d7cc258ad4b),
+        (0xbeef, Stripe, Swtf, 8, 0x344d8155faac8982),
+    ]
+};
+
+/// An N = 1 initiator session over `HostInterface::serve` reproduces the
+/// legacy open replay's completions exactly — both FTLs × both schedulers
+/// × several seeds and queue depths.
 #[test]
 fn single_initiator_session_matches_legacy_open_replay() {
-    for seed in [11u64, 29, 0xBEEF] {
-        for ftl in [FtlKind::Page, FtlKind::Stripe] {
-            for scheduler in [SchedulerKind::Fcfs, SchedulerKind::Swtf] {
-                for queue_depth in [1u32, 8] {
-                    let make = || {
-                        let base = match ftl {
-                            FtlKind::Page => page_config(),
-                            FtlKind::Stripe => stripe_config(),
-                        };
-                        let mut config =
-                            base.with_scheduler(scheduler).with_queue_depth(queue_depth);
-                        config.geometry.blocks_per_plane = 64;
-                        let mut ssd = Ssd::new(config).unwrap();
-                        prefill(&mut ssd);
-                        ssd
-                    };
-                    let pages = make().capacity_bytes() / 4096 / 2;
-                    let requests = open_trace(seed, pages);
-
-                    let mut legacy = make();
-                    let expected = legacy.simulate_open(&requests, scheduler).unwrap();
-
-                    let mut via_session = make();
-                    let mut queue = HostQueue::new();
-                    for req in &requests {
-                        queue.submit_request(req);
-                    }
-                    via_session.serve(std::slice::from_mut(&mut queue)).unwrap();
-                    let mut got = queue.drain_completions();
-                    assert_eq!(got.len(), expected.len());
-                    // The session posts completions in completion order;
-                    // simulate_open returns input order.  Compare as sets
-                    // keyed by request id.
-                    got.sort_by_key(|c| c.request_id);
-                    assert_eq!(
-                        got, expected,
-                        "session != simulate_open for seed {seed}, {ftl:?}, \
-                         {scheduler:?}, qd {queue_depth}"
-                    );
-                }
-            }
+    for (seed, ftl, scheduler, queue_depth, expected) in GOLDEN_OPEN_REPLAY {
+        let base = match ftl {
+            FtlKind::Page => page_config(),
+            FtlKind::Stripe => stripe_config(),
+        };
+        let mut config = base.with_scheduler(scheduler).with_queue_depth(queue_depth);
+        config.geometry.blocks_per_plane = 64;
+        let mut ssd = Ssd::new(config).unwrap();
+        prefill(&mut ssd);
+        let requests = open_trace(seed, ssd.capacity_bytes() / 4096 / 2);
+        let mut queue = HostQueue::new();
+        for req in &requests {
+            queue.submit_request(req);
         }
+        ssd.serve(std::slice::from_mut(&mut queue)).unwrap();
+        // The session posts completions in completion order; the replay
+        // returned input order, and the trace's ids count up from 0.
+        let mut got = queue.drain_completions();
+        got.sort_by_key(|c| c.request_id);
+        assert_eq!(got.len(), requests.len());
+        assert_eq!(
+            completions_hash(&got),
+            expected,
+            "session != legacy open replay for seed {seed:#x}, {ftl:?}, \
+             {scheduler:?}, qd {queue_depth}"
+        );
     }
 }
 
