@@ -101,12 +101,10 @@ impl ReplayReport {
         if !completion.is_ok() {
             self.uncorrectable_reads += 1;
         }
-        if self.all.is_empty() || req.arrival < self.first_arrival {
-            if self.all.is_empty() {
-                self.first_arrival = req.arrival;
-            } else {
-                self.first_arrival = self.first_arrival.min(req.arrival);
-            }
+        // Frees never enter `all`, so "nothing recorded yet" counts them.
+        let first = self.all.is_empty() && self.frees == 0;
+        if first || req.arrival < self.first_arrival {
+            self.first_arrival = req.arrival;
         }
         self.last_finish = self.last_finish.max(finish);
         match req.kind {
@@ -257,6 +255,22 @@ mod tests {
         assert!((report.bandwidth_mbps() - 1000.0).abs() < 1.0);
         assert!((report.read_bandwidth_mbps() - 1000.0 / 3.0).abs() < 1.0);
         assert!((report.write_bandwidth_mbps() - 2000.0 / 3.0).abs() < 1.0);
+    }
+
+    /// A trace that opens with a free: the makespan runs from the free's
+    /// arrival, not from the first read or write's.
+    #[test]
+    fn a_leading_free_opens_the_makespan() {
+        let mut dev = FixedDevice::new(SimDuration::from_millis(1));
+        let requests = [
+            BlockRequest::free(0, 0, 4096, SimTime::ZERO),
+            BlockRequest::free(1, 4096, 4096, SimTime::from_millis(2)),
+            BlockRequest::write(2, 0, 1_000_000, SimTime::from_millis(5)),
+        ];
+        let report = replay_open(&mut dev, &requests).unwrap();
+        assert_eq!(report.first_arrival, SimTime::ZERO);
+        assert_eq!(report.makespan(), SimDuration::from_millis(6));
+        assert!((report.bandwidth_mbps() - 1000.0 / 6.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Range operations on bitmaps kept as `u64` words: bit `i` of the map is
 //! bit `i % 64` of word `i / 64`.
 //!
-//! The page-state bitmap of a [`crate::FlashElement`] and the FTL's
-//! host-freed set are both such maps, and both are updated a span of pages
-//! at a time; these are the word-at-a-time forms of those updates.  A range
-//! past the end of `words` panics, as indexing does.
+//! The page-state bitmap of a [`crate::FlashElement`] is such a map,
+//! updated a span of pages at a time, and the FTL's drain walks a copy of
+//! it run by run; these are the word-at-a-time forms of those operations.
+//! A range past the end of `words` panics, as indexing does.
 
 use std::ops::Range;
 
@@ -26,7 +26,7 @@ pub(crate) fn set_range(words: &mut [u64], bits: Range<usize>) {
 }
 
 /// Clears every bit of `bits` and returns how many were set.
-pub fn take_range(words: &mut [u64], bits: Range<usize>) -> u32 {
+pub(crate) fn take_range(words: &mut [u64], bits: Range<usize>) -> u32 {
     let mut taken = 0;
     for_words(words, bits, |word, mask| {
         taken += (*word & mask).count_ones();

@@ -58,11 +58,9 @@
 //! passed over, as far as the append block has room.  The drain works on a
 //! copy of the block's valid-bitmap words taken as it starts: stale and
 //! free pages are zero bits stepped over with `trailing_zeros`, stretches
-//! of valid pages are found with `trailing_ones`, and the host-freed marks
-//! of the pages passed are cleared and counted by one
-//! [`FixedBitset::take_range`] per block.  A run costs one
+//! of valid pages are found with `trailing_ones`.  A run costs one
 //! `ensure_active_block`, one [`FlashArray::program_run`], one bulk
-//! invalidation, one update each of the free-page counters, the
+//! invalidation, one update each of the pool's free-page count, the
 //! [`ossd_gc::VictimIndex`], the statistics and the op list, and a page-order loop
 //! over `rmap`/`map`.  A live translation page ends a run and moves through
 //! the map area on its own.  What the per-page loop it replaced guaranteed
@@ -77,8 +75,6 @@
 //!   bucket for the drain — no bucket move per page, no pick returns it —
 //!   and back under its current counts when the drain ends, *however* it
 //!   ends: an aborted drain leaves the index truthful.
-
-use std::ops::Range;
 
 use ossd_flash::{
     bitmap, ElementId, FlashArray, FlashError, FlashGeometry, FlashTiming, ReliabilityConfig,
@@ -167,12 +163,6 @@ pub struct PageFtl {
     pools: Vec<BlockPool>,
     /// Round-robin allocation cursor over elements.
     cursor: usize,
-    /// Physical pages invalidated because the host freed their logical page;
-    /// used to report how much work informed cleaning avoided.  A flat
-    /// bitset over the (dense, geometry-bounded) physical page numbers, so
-    /// the free-hint path of every write costs a mask instead of a hash.
-    freed_phys: FixedBitset,
-    total_free_pages: u64,
     total_pages: u64,
     stats: FtlStats,
     writes_since_wear_check: u64,
@@ -307,8 +297,6 @@ impl PageFtl {
             rmap: vec![UNMAPPED; total_pages as usize],
             pools,
             cursor: 0,
-            freed_phys: FixedBitset::with_capacity(total_pages),
-            total_free_pages: usable_pages,
             total_pages,
             stats: FtlStats::default(),
             writes_since_wear_check: 0,
@@ -487,7 +475,6 @@ impl PageFtl {
         ops: &mut Vec<FlashOp>,
     ) {
         ops.push(failed);
-        self.total_free_pages -= 1;
         self.pools[element].burned(point, block);
         self.telemetry.instant_now(
             Track::Element(element as u32),
@@ -554,22 +541,15 @@ impl PageFtl {
         if pages.is_empty() {
             return Ok(None);
         }
-        self.note_programmed(element, block, pages.clone(), stamp);
+        self.pools[element].programmed(block, pages.clone(), stamp);
         Ok(Some(Ppn(
             self.layout.block_base(element, block) as u32 + pages.start
         )))
     }
 
-    /// Accounts the `pages` just programmed into `block`, where `stamp` is
-    /// the timestamp of the youngest data among them.
-    fn note_programmed(&mut self, element: usize, block: u32, pages: Range<u32>, stamp: u64) {
-        self.total_free_pages -= pages.len() as u64;
-        self.pools[element].programmed(block, pages, stamp);
-    }
-
     /// Accounts a retirement of `block` the flash has carried out.
     fn note_retired(&mut self, element: usize, block: u32) {
-        self.total_free_pages -= self.pools[element].retired(block);
+        self.pools[element].retired(block);
         self.telemetry.instant_now(
             Track::Element(element as u32),
             EventKind::BlockRetired,
@@ -593,7 +573,7 @@ impl PageFtl {
             return Ok(false);
         }
         match self.flash.erase(element_id, block) {
-            Ok(()) => self.total_free_pages += self.pools[element].recycled(block),
+            Ok(()) => self.pools[element].recycled(block),
             Err(FlashError::EraseFailed { .. }) => {
                 // Grown bad block: the flash retired it on the spot and it
                 // never returns to the free list; the failed erase still
@@ -613,7 +593,7 @@ impl PageFtl {
 
     /// Invalidates the physical page currently mapped to `lpn`, if any.  The
     /// page keeps its reverse-map tag: a stale page's tag is never read.
-    fn invalidate_mapping(&mut self, lpn: Lpn, freed_by_host: bool) -> Result<(), FtlError> {
+    fn invalidate_mapping(&mut self, lpn: Lpn) -> Result<(), FtlError> {
         let ppn = self.map[lpn.index()];
         if ppn == Ppn::UNMAPPED {
             return Ok(());
@@ -623,9 +603,6 @@ impl PageFtl {
         debug_assert!(change.newly_stale, "a mapped page is a valid page");
         self.pools[addr.element.index()].invalidated(addr.block, 1);
         self.map[lpn.index()] = Ppn::UNMAPPED;
-        if freed_by_host {
-            self.freed_phys.insert(ppn.0 as u64);
-        }
         Ok(())
     }
 
@@ -938,29 +915,19 @@ impl PageFtl {
         valid.clear();
         valid.extend_from_slice(source.valid_words(block)?);
         self.pools[element].detach(block);
-        let mut passed = 0;
-        let drained = self.drain_pages(element, block, &valid, &mut passed, purpose, ops);
+        let drained = self.drain_pages(element, block, &valid, purpose, ops);
         self.pools[element].attach(block);
         self.drain_valid = valid;
-        // The stale pages the drain passed over whose logical page the host
-        // had freed are moves informed cleaning avoided.  (Only stale pages
-        // carry the bit: it is set at invalidation and cleared here.)
-        let base = self.layout.block_base(element, block) as u64;
-        let skipped = self.freed_phys.take_range(base..base + passed as u64);
-        self.stats.gc_pages_skipped_free += skipped as u64;
         drained
     }
 
     /// The body of [`PageFtl::drain_block`], over the snapshot `valid` of
     /// the detached block's bitmap (only the drain changes it meanwhile).
-    /// `passed` is left at the number of leading source pages dealt with:
-    /// all of them, unless the drain fails part-way.
     fn drain_pages(
         &mut self,
         element: usize,
         block: u32,
         valid: &[u64],
-        passed: &mut usize,
         purpose: OpPurpose,
         ops: &mut Vec<FlashOp>,
     ) -> Result<(), FtlError> {
@@ -976,10 +943,10 @@ impl PageFtl {
         // logical page or a translation page, never `UNMAPPED`.
         let is_map_page = |tag: u32| tag & MAP_TAG != 0;
         // Stale and free pages have no bit and are stepped over a word at a
-        // time.
-        while let Some(first) = bitmap::runs_of_ones(valid, *passed).next() {
+        // time.  `passed` counts the leading source pages dealt with.
+        let mut passed = 0;
+        while let Some(first) = bitmap::runs_of_ones(valid, passed).next() {
             let page = first.start;
-            *passed = page;
             let tag = self.rmap[base + page];
             if is_map_page(tag) {
                 // A live translation page: relocate it through the map
@@ -993,7 +960,7 @@ impl PageFtl {
                     .as_mut()
                     .expect("tagged page implies paging")
                     .map_gc_moves += 1;
-                *passed += 1;
+                passed = page + 1;
                 continue;
             }
             // A run: the valid data pages from here on — stale pages
@@ -1016,7 +983,7 @@ impl PageFtl {
             #[cfg(test)]
             oracle::note_run(want, moved);
             if moved > 0 {
-                self.note_programmed(element, dest, landed.clone(), timestamp);
+                self.pools[element].programmed(dest, landed.clone(), timestamp);
                 let mut new_ppn = self.layout.block_base(element, dest) + landed.start as usize;
                 let mut left = moved as usize;
                 let mut end = page;
@@ -1042,7 +1009,7 @@ impl PageFtl {
                 let span = page as u32..end as u32;
                 let staled = (self.flash.element_mut(element_id)?).invalidate_span(block, span)?;
                 debug_assert_eq!(staled, moved, "a run stales exactly what it moved");
-                *passed = end;
+                passed = end;
                 self.pools[element].moved_out(block, moved);
                 ops.extend(std::iter::repeat_n(copy, moved as usize));
                 match purpose {
@@ -1057,7 +1024,6 @@ impl PageFtl {
                 self.abandon_after_program_failure(element, AppendPoint::Data, dest, copy, ops);
             }
         }
-        *passed = self.flash.geometry().pages_per_block as usize;
         Ok(())
     }
 
@@ -1332,7 +1298,7 @@ impl Ftl for PageFtl {
                         let old_ppn = self.map[lpn.index()];
                         if !invalidated_early && old_ppn != Ppn::UNMAPPED {
                             element = self.layout.addr(old_ppn).element.index();
-                            self.invalidate_mapping(lpn, false)?;
+                            self.invalidate_mapping(lpn)?;
                             invalidated_early = true;
                             continue;
                         }
@@ -1381,7 +1347,7 @@ impl Ftl for PageFtl {
         // Supersede any previous version of this logical page (unless the
         // forced-cleaning fallback already did).
         if !invalidated_early {
-            self.invalidate_mapping(lpn, false)?;
+            self.invalidate_mapping(lpn)?;
         }
         let ppn = self.program_page(element, false, self.clock, OpPurpose::HostWrite, ops)?;
         self.map[lpn.index()] = ppn;
@@ -1404,7 +1370,7 @@ impl Ftl for PageFtl {
         if self.map[lpn.index()] == Ppn::UNMAPPED {
             return Ok(false);
         }
-        self.invalidate_mapping(lpn, true)?;
+        self.invalidate_mapping(lpn)?;
         // Demand paging: a cached entry goes (dirty) unmapped.  An uncached
         // entry's stale on-flash translation page is left for the next
         // natural rewrite — TRIM is advisory and mapping values are always
@@ -1445,7 +1411,8 @@ impl Ftl for PageFtl {
         if self.total_pages == 0 {
             return 0.0;
         }
-        self.total_free_pages as f64 / self.total_pages as f64
+        let free: u64 = self.pools.iter().map(BlockPool::free_pages).sum();
+        free as f64 / self.total_pages as f64
     }
 
     fn is_mapped(&self, lpn: Lpn) -> bool {
@@ -2036,46 +2003,6 @@ mod tests {
         ));
     }
 
-    /// Regression test: wear-leveling used to pass over the stale pages of
-    /// the block it migrated without clearing their host-freed bit, so the
-    /// bit survived the erase and a later cleaning of the reused block
-    /// counted it as a move informed cleaning had avoided.  A set bit must
-    /// always sit on a stale page.
-    #[test]
-    fn freed_bits_do_not_survive_a_wear_level_erase() {
-        let mut config = FtlConfig::informed();
-        config.wear_leveling = Some(crate::config::WearLevelConfig {
-            max_erase_spread: 2,
-        });
-        let mut ftl = tiny_ftl(config);
-        let logical = ftl.logical_pages();
-        write_all(&mut ftl, 0..logical);
-        for lpn in (4..logical).step_by(7) {
-            assert!(ftl.free(Lpn(lpn)).unwrap());
-        }
-        for write in 0..20_000u64 {
-            ftl.write_into(Lpn(write % 4), 4096, &WriteContext::idle(), &mut Vec::new())
-                .unwrap();
-            if write % 50 != 0 {
-                continue;
-            }
-            for ppn in 0..ftl.total_pages {
-                let addr = ftl.layout.addr(Ppn(ppn as u32));
-                let element = ftl.flash.element(addr.element).unwrap();
-                let state = element.page_state(addr.block, addr.page).unwrap();
-                assert!(
-                    !ftl.freed_phys.contains(ppn) || state == ossd_flash::PageState::Invalid,
-                    "after {write} writes page {addr:?} is {state:?} with its freed bit set"
-                );
-            }
-        }
-        assert!(
-            ftl.stats().wear_level_moves > 100,
-            "wear-leveling never ran"
-        );
-        assert!(ftl.stats().gc_pages_skipped_free > 0);
-    }
-
     /// A drain that fails part-way must leave the victim index describing
     /// the flash: the half-drained block back in the bucket of its current
     /// stale count, and still pickable once there is room again.
@@ -2531,7 +2458,11 @@ mod tests {
     /// what the streams exercised: pages moved by cleaning, by
     /// wear-levelling and by background cleaning, translation pages
     /// written, and program failures.
-    fn churn_checking_reverse_map(cell: u32, seeds: Range<u64>, commands: u32) -> [u64; 5] {
+    fn churn_checking_reverse_map(
+        cell: u32,
+        seeds: std::ops::Range<u64>,
+        commands: u32,
+    ) -> [u64; 5] {
         let [paged, faulty, wear_level, background] = [0, 1, 2, 3].map(|bit| cell >> bit & 1 == 1);
         let mut seen = [0; 5];
         for seed in seeds {

@@ -3,13 +3,11 @@
 //! [`PageFtl::drain_block`], and the seeded differential suite that drives
 //! two clones of one FTL — one draining through each — in lockstep.
 //!
-//! The reference is the cleaning copy of the loop, verbatim: one
-//! `program_page`, one `invalidate` and one `on_invalidate` per moved page,
-//! the source block never detached.  It differs from the old wear-leveling
-//! copy in one deliberate way: stale source pages have their host-freed bit
-//! cleared (and counted) there too, which that copy forgot.  And, like the
-//! run-based drain, it leaves a moved page's reverse-map tag in place (the
-//! tag of a stale page is never read), so the two `rmap`s stay comparable.
+//! The reference is the cleaning copy of the loop: one `program_page`, one
+//! `invalidate` and one `on_invalidate` per moved page, the source block
+//! never detached.  Like the run-based drain, it leaves a moved page's
+//! reverse-map tag in place (the tag of a stale page is never read), so the
+//! two `rmap`s stay comparable.
 
 use ossd_flash::{FaultConfig, PageState, PhysPageAddr};
 use ossd_gc::CleaningPolicyKind;
@@ -30,8 +28,7 @@ impl PageFtl {
         let victim_timestamp = self.pools[element].last_write(victim);
         let element_id = ElementId(element as u32);
         let pages_per_block = self.flash.geometry().pages_per_block;
-        // Move every valid page; count stale pages that the host had freed
-        // (work informed cleaning avoided performing).
+        // Move every valid page.
         for page in 0..pages_per_block {
             let addr = PhysPageAddr {
                 element: element_id,
@@ -39,51 +36,42 @@ impl PageFtl {
                 page,
             };
             let state = self.flash.element(element_id)?.page_state(victim, page)?;
-            match state {
-                PageState::Valid => {
-                    let old_ppn = self.layout.ppn(addr);
-                    let lpn = self.rmap[old_ppn.index()];
-                    if lpn & MAP_TAG != 0 {
-                        // A live translation page: relocate it through the
-                        // map area.  The program supersedes this copy via
-                        // the GTD, invalidating it in passing.
-                        let tpn = (lpn & !MAP_TAG) as u64;
-                        self.program_map_page(element, tpn, purpose, false, ops)?;
-                        self.paging
-                            .as_mut()
-                            .expect("tagged page implies paging")
-                            .map_gc_moves += 1;
-                        continue;
-                    }
-                    debug_assert_eq!(self.map[lpn as usize], old_ppn);
-                    // Copy the page to the element's append point.
-                    let new_ppn =
-                        self.program_page(element, true, victim_timestamp, purpose, ops)?;
-                    let change = self.flash.invalidate(addr)?;
-                    if change.newly_stale {
-                        self.pools[element].moved_out(victim, 1);
-                    }
-                    self.rmap[new_ppn.index()] = lpn;
-                    self.map[lpn as usize] = new_ppn;
-                    self.note_relocation(lpn, new_ppn);
-                    ops.push(FlashOp {
-                        element: element_id,
-                        kind: FlashOpKind::CopybackPage,
-                        purpose,
-                    });
-                    match purpose {
-                        OpPurpose::WearLevel => self.stats.wear_level_moves += 1,
-                        OpPurpose::BackgroundClean => self.stats.bg_pages_moved += 1,
-                        _ => self.stats.gc_pages_moved += 1,
-                    }
-                }
-                PageState::Invalid => {
-                    let ppn = self.layout.ppn(addr);
-                    if self.freed_phys.remove(ppn.0 as u64) {
-                        self.stats.gc_pages_skipped_free += 1;
-                    }
-                }
-                PageState::Free => {}
+            if state != PageState::Valid {
+                continue;
+            }
+            let old_ppn = self.layout.ppn(addr);
+            let lpn = self.rmap[old_ppn.index()];
+            if lpn & MAP_TAG != 0 {
+                // A live translation page: relocate it through the map
+                // area.  The program supersedes this copy via the GTD,
+                // invalidating it in passing.
+                let tpn = (lpn & !MAP_TAG) as u64;
+                self.program_map_page(element, tpn, purpose, false, ops)?;
+                self.paging
+                    .as_mut()
+                    .expect("tagged page implies paging")
+                    .map_gc_moves += 1;
+                continue;
+            }
+            debug_assert_eq!(self.map[lpn as usize], old_ppn);
+            // Copy the page to the element's append point.
+            let new_ppn = self.program_page(element, true, victim_timestamp, purpose, ops)?;
+            let change = self.flash.invalidate(addr)?;
+            if change.newly_stale {
+                self.pools[element].moved_out(victim, 1);
+            }
+            self.rmap[new_ppn.index()] = lpn;
+            self.map[lpn as usize] = new_ppn;
+            self.note_relocation(lpn, new_ppn);
+            ops.push(FlashOp {
+                element: element_id,
+                kind: FlashOpKind::CopybackPage,
+                purpose,
+            });
+            match purpose {
+                OpPurpose::WearLevel => self.stats.wear_level_moves += 1,
+                OpPurpose::BackgroundClean => self.stats.bg_pages_moved += 1,
+                _ => self.stats.gc_pages_moved += 1,
             }
         }
         Ok(())
@@ -173,7 +161,6 @@ fn scenario(seed: u64, rng: &mut Rng) -> PageFtl {
 fn assert_lockstep(run: &PageFtl, reference: &PageFtl, at: &str) {
     assert_eq!(run.map, reference.map, "{at}: map");
     assert_eq!(run.rmap, reference.rmap, "{at}: rmap");
-    assert_eq!(run.freed_phys, reference.freed_phys, "{at}: freed_phys");
     assert_eq!(run.stats, reference.stats, "{at}: FtlStats");
     assert_eq!(run.map_stats(), reference.map_stats(), "{at}: MapStats");
     assert_eq!(
@@ -191,7 +178,6 @@ fn assert_lockstep(run: &PageFtl, reference: &PageFtl, at: &str) {
         reference.victim_trace(),
         "{at}: victims"
     );
-    assert_eq!(run.total_free_pages, reference.total_free_pages, "{at}");
     assert_eq!(
         (run.cursor, run.clock, run.writes_since_wear_check),
         (
@@ -292,14 +278,13 @@ fn drive_stream(seed: u64, commands: u32) -> (FtlStats, MapStats, u64) {
 /// what the drain has to get right.
 fn drive_streams(streams: std::ops::Range<u64>, commands: u32) {
     RUNS.set([0; 4]);
-    let (mut wear_moves, mut bg_moves, mut gc_moves, mut skipped) = (0, 0, 0, 0);
+    let (mut wear_moves, mut bg_moves, mut gc_moves) = (0, 0, 0);
     let (mut map_moves, mut fails) = (0, 0);
     for seed in streams {
         let (stats, map_stats, program_fails) = drive_stream(seed, commands);
         wear_moves += stats.wear_level_moves;
         bg_moves += stats.bg_pages_moved;
         gc_moves += stats.gc_pages_moved;
-        skipped += stats.gc_pages_skipped_free;
         map_moves += map_stats.map_gc_moves;
         fails += program_fails;
     }
@@ -307,15 +292,14 @@ fn drive_streams(streams: std::ops::Range<u64>, commands: u32) {
     println!(
         "{runs} runs of {:.1} pages, {failed_first} failed on their first page, \
          {failed_inside} further in; moves: {gc_moves} gc, {bg_moves} background, \
-         {wear_moves} wear-level, {map_moves} translation pages; {skipped} freed pages \
-         skipped; {fails} program failures",
+         {wear_moves} wear-level, {map_moves} translation pages; {fails} program \
+         failures",
         wanted as f64 / runs as f64
     );
     assert!(wanted > 2 * runs, "runs are no longer than a page");
     assert!(failed_first > 20 && failed_inside > 20);
     assert!(wear_moves > 100 && bg_moves > 100 && gc_moves > 100);
     assert!(map_moves > 100, "no translation page split a run");
-    assert!(skipped > 100);
 }
 
 #[test]

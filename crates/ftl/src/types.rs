@@ -69,8 +69,8 @@ pub enum OpPurpose {
     /// Foreground garbage collection (cleaning in the write path; the host
     /// write waits for it).
     Clean,
-    /// Background garbage collection (idle-window cleaning driven by the
-    /// device's [`ossd_gc::BackgroundCleaner`]; no host request waits).
+    /// Background garbage collection (idle-window cleaning under the
+    /// device's [`ossd_gc::BackgroundGcConfig`]; no host request waits).
     BackgroundClean,
     /// Explicit wear-leveling migration.
     WearLevel,
@@ -230,9 +230,6 @@ pub struct FtlStats {
     pub pages_read_host: u64,
     /// Valid pages moved by foreground cleaning.
     pub gc_pages_moved: u64,
-    /// Pages that cleaning skipped because the host had freed them
-    /// (informed cleaning, §3.5).
-    pub gc_pages_skipped_free: u64,
     /// Blocks erased by foreground cleaning.
     pub gc_blocks_erased: u64,
     /// Valid pages moved by background (idle-window) cleaning.
@@ -342,7 +339,7 @@ pub trait Ftl: Send {
     /// cleaning, stopping early once the free-page fraction reaches
     /// `target_free_fraction` or nothing is reclaimable, *appending* the
     /// flash operations performed to `ops`.  Called by the device during
-    /// idle windows (see [`ossd_gc::BackgroundCleaner`]); the operations
+    /// idle windows (see [`ossd_gc::BackgroundGcConfig::erase_budget()`]); the operations
     /// carry [`OpPurpose::BackgroundClean`] so the device accounts their
     /// time separately from host-visible stalls.  The provided body does
     /// nothing.

@@ -6,7 +6,10 @@
 //! block-lifecycle bookkeeping of the two FTLs moved into one pool, with
 //! program failures, erase failures and factory-bad blocks all on, so a
 //! change to which block is allocated, burned, picked, recycled or retired,
-//! or to when, moves them.
+//! or to when, moves them.  They were re-captured once since, when
+//! `FtlStats` lost its count of host-freed pages that cleaning passed over:
+//! the code before that change, hashing its statistics with that field cut
+//! from their rendering, gives the constants below.
 
 use std::fmt::{Debug, Write};
 
@@ -236,12 +239,12 @@ fn stripe_ftl_under_faults_is_pinned() {
     assert_eq!(
         got,
         [
-            (1, 2_048, 0xb1d3_4aff_973d_ac57),
-            (1, 8_192, 0xa3d7_d7f9_d371_5047),
-            (2, 2_048, 0x001a_1879_0156_a51c),
-            (2, 8_192, 0xb91a_0df0_0c4d_59fe),
-            (3, 2_048, 0x4c68_f7a2_c83e_e673),
-            (3, 8_192, 0x16bd_7aa1_3d8b_a8e9),
+            (1, 2_048, 0x1c78_c463_0672_f4e8),
+            (1, 8_192, 0x52a7_3fdd_5eb8_6f5e),
+            (2, 2_048, 0x6a5a_8942_89ad_caf9),
+            (2, 8_192, 0x95d4_c8d5_b3c4_906b),
+            (3, 2_048, 0x6b2b_7241_e028_e75a),
+            (3, 8_192, 0x992e_1b77_22c1_fd74),
         ]
     );
 }
@@ -260,9 +263,9 @@ fn page_ftl_with_paged_map_and_wear_leveling_under_faults_is_pinned() {
     assert_eq!(
         got,
         [
-            (1, 0xc038_9bb7_84cb_b555),
-            (2, 0xef2f_9bc5_65da_cf70),
-            (3, 0x3c13_5c1b_4f7b_5244),
+            (1, 0x7824_65d9_f475_de14),
+            (2, 0x8fce_1754_0cc1_14b9),
+            (3, 0x981c_0671_9f36_ef7c),
         ]
     );
 }

@@ -4,13 +4,15 @@
 //! paid for by a stalled host write.  Nagel et al. (*Time-efficient Garbage
 //! Collection in SSDs*) observe that most cleaning can instead run during
 //! idle windows, bounded by an erase budget so a long idle gap is never
-//! followed by a cleaning storm when traffic resumes.  [`BackgroundCleaner`]
-//! is the device-side controller for that scheme: the device reports idle
-//! gaps, the cleaner answers with an erase budget, and the FTL performs at
-//! most that many block reclamations towards a free-space target above the
-//! foreground watermark.
+//! followed by a cleaning storm when traffic resumes.
+//! [`BackgroundGcConfig::erase_budget()`] is the device-side rule for that
+//! scheme: the device reports an idle gap and its free fraction, the rule
+//! answers with an erase budget, and the FTL performs at most that many
+//! block reclamations towards a free-space target above the foreground
+//! watermark.  What cleaning did is counted once, in the FTL's statistics
+//! (`bg_blocks_erased`, `bg_pages_moved`).
 
-/// Configuration of the background cleaner.
+/// Configuration of idle-window background cleaning.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BackgroundGcConfig {
     /// Minimum idle gap before background cleaning may start.  Short gaps
@@ -48,75 +50,16 @@ impl BackgroundGcConfig {
         }
         Ok(())
     }
-}
 
-/// Cumulative background-cleaning statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BackgroundGcStats {
-    /// Idle windows in which cleaning ran.
-    pub windows_cleaned: u64,
-    /// Idle windows long enough to clean but with nothing to do (already at
-    /// the free-space target).
-    pub windows_idle: u64,
-    /// Block erases performed in the background.
-    pub erases: u64,
-    /// Pages migrated in the background.
-    pub pages_moved: u64,
-}
-
-/// Decides when and how much to clean during idle windows.
-#[derive(Clone, Copy, Debug)]
-pub struct BackgroundCleaner {
-    config: BackgroundGcConfig,
-    stats: BackgroundGcStats,
-}
-
-impl BackgroundCleaner {
-    /// A cleaner with the given configuration.
-    pub fn new(config: BackgroundGcConfig) -> Self {
-        BackgroundCleaner {
-            config,
-            stats: BackgroundGcStats::default(),
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &BackgroundGcConfig {
-        &self.config
-    }
-
-    /// The free-space target background cleaning works towards.
-    pub fn target_free_fraction(&self) -> f64 {
-        self.config.target_free_fraction
-    }
-
-    /// Given an idle gap and the device's current free fraction, returns
-    /// the erase budget for this window (0 = do nothing).
-    pub fn plan(&mut self, idle_micros: u64, free_fraction: f64) -> u32 {
-        if idle_micros < self.config.min_idle_micros {
+    /// The erase budget of an idle window `idle_micros` long on a device
+    /// whose free fraction is `free_fraction`: nothing for a gap shorter
+    /// than [`BackgroundGcConfig::min_idle_micros`] or a device already at
+    /// its free-space target, else the configured budget.
+    pub fn erase_budget(&self, idle_micros: u64, free_fraction: f64) -> u32 {
+        if idle_micros < self.min_idle_micros || free_fraction >= self.target_free_fraction {
             return 0;
         }
-        if free_fraction >= self.config.target_free_fraction {
-            self.stats.windows_idle += 1;
-            return 0;
-        }
-        self.config.erase_budget
-    }
-
-    /// Records the outcome of one planned window.
-    pub fn record(&mut self, erases: u64, pages_moved: u64) {
-        if erases == 0 && pages_moved == 0 {
-            self.stats.windows_idle += 1;
-            return;
-        }
-        self.stats.windows_cleaned += 1;
-        self.stats.erases += erases;
-        self.stats.pages_moved += pages_moved;
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> BackgroundGcStats {
-        self.stats
+        self.erase_budget
     }
 }
 
@@ -126,27 +69,15 @@ mod tests {
 
     #[test]
     fn short_gaps_and_healthy_devices_are_left_alone() {
-        let mut bc = BackgroundCleaner::new(BackgroundGcConfig::default());
+        let config = BackgroundGcConfig::default();
         // Gap below the idle threshold: no budget.
-        assert_eq!(bc.plan(1_000, 0.01), 0);
+        assert_eq!(config.erase_budget(1_000, 0.01), 0);
         // Long gap but free space already at target: no budget.
-        assert_eq!(bc.plan(10_000, 0.5), 0);
-        assert_eq!(bc.stats().windows_cleaned, 0);
-        // Long gap and low free space: full budget.
-        assert_eq!(bc.plan(10_000, 0.01), 4);
-    }
-
-    #[test]
-    fn record_accumulates_and_classifies_windows() {
-        let mut bc = BackgroundCleaner::new(BackgroundGcConfig::default());
-        bc.record(3, 12);
-        bc.record(0, 0);
-        bc.record(1, 0);
-        let s = bc.stats();
-        assert_eq!(s.windows_cleaned, 2);
-        assert_eq!(s.windows_idle, 1);
-        assert_eq!(s.erases, 4);
-        assert_eq!(s.pages_moved, 12);
+        assert_eq!(config.erase_budget(10_000, 0.5), 0);
+        assert_eq!(config.erase_budget(10_000, 0.10), 0);
+        // Long gap and low free space: full budget, from the threshold on.
+        assert_eq!(config.erase_budget(10_000, 0.01), 4);
+        assert_eq!(config.erase_budget(2_000, 0.01), 4);
     }
 
     #[test]

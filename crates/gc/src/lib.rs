@@ -18,7 +18,7 @@
 //!   index the FTLs maintain on every page-state change, making a greedy
 //!   victim pick O(top bucket) and scan-tier picks allocation-free
 //!   (candidates drawn from the non-empty buckets only).
-//! * [`background`] — [`BackgroundCleaner`]: erase-budgeted incremental
+//! * [`background`] — [`BackgroundGcConfig`]: erase-budgeted incremental
 //!   cleaning during idle windows instead of only stalling host writes.
 //! * [`analytic`] — the analytical greedy write-amplification curve
 //!   ([`analytic_greedy_wa`]) measured results are validated against.
@@ -39,7 +39,7 @@ pub mod policies;
 pub mod policy;
 
 pub use analytic::analytic_greedy_wa;
-pub use background::{BackgroundCleaner, BackgroundGcConfig, BackgroundGcStats};
+pub use background::BackgroundGcConfig;
 pub use index::{PickContext, VictimIndex};
 pub use policies::CleaningPolicyKind;
 pub use policy::{watermark_trigger, BlockInfo, TriggerContext, TriggerDecision};

@@ -3,10 +3,9 @@
 //! The SSD simulator models each independently operating flash element (die)
 //! and each shared gang bus as a single server that processes one operation
 //! at a time.  The HDD simulator models the disk arm the same way.  A
-//! [`Server`] tracks when the resource next becomes free and accumulates
-//! utilisation statistics; callers ask it to serve an operation arriving at
-//! some time with some service demand and get back the start and completion
-//! times.
+//! [`Server`] tracks when the resource next becomes free and how long it has
+//! been busy; callers ask it to serve an operation arriving at some time
+//! with some service demand and get back the start and completion times.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -15,7 +14,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct Server {
     next_free: SimTime,
     busy_total: SimDuration,
-    served_ops: u64,
 }
 
 /// The outcome of scheduling one operation on a [`Server`].
@@ -25,8 +23,6 @@ pub struct Service {
     pub start: SimTime,
     /// When the operation completed.
     pub completion: SimTime,
-    /// How long the operation waited before starting.
-    pub queue_wait: SimDuration,
 }
 
 impl Server {
@@ -35,7 +31,6 @@ impl Server {
         Server {
             next_free: SimTime::ZERO,
             busy_total: SimDuration::ZERO,
-            served_ops: 0,
         }
     }
 
@@ -78,11 +73,9 @@ impl Server {
         let last_completion = start + service * n;
         self.next_free = last_completion;
         self.busy_total = self.busy_total.saturating_add(service.saturating_mul(n));
-        self.served_ops += n;
         let first = Service {
             start,
             completion: start + service,
-            queue_wait: start.saturating_since(arrival),
         };
         (first, last_completion)
     }
@@ -90,11 +83,6 @@ impl Server {
     /// Total busy time accumulated.
     pub fn busy_total(&self) -> SimDuration {
         self.busy_total
-    }
-
-    /// Number of operations served.
-    pub fn served_ops(&self) -> u64 {
-        self.served_ops
     }
 
     /// Utilisation over a horizon `[0, end]`; clamped to `[0, 1]`.
@@ -122,7 +110,6 @@ mod tests {
         let svc = s.serve(SimTime::from_micros(5), SimDuration::from_micros(10));
         assert_eq!(svc.start, SimTime::from_micros(5));
         assert_eq!(svc.completion, SimTime::from_micros(15));
-        assert_eq!(svc.queue_wait, SimDuration::ZERO);
         assert_eq!(s.next_free(), SimTime::from_micros(15));
     }
 
@@ -133,7 +120,6 @@ mod tests {
         let svc = s.serve(SimTime::from_micros(10), SimDuration::from_micros(20));
         assert_eq!(svc.start, SimTime::from_micros(100));
         assert_eq!(svc.completion, SimTime::from_micros(120));
-        assert_eq!(svc.queue_wait, SimDuration::from_micros(90));
     }
 
     #[test]
@@ -156,7 +142,6 @@ mod tests {
         s.serve(SimTime::ZERO, SimDuration::from_micros(25));
         s.serve(SimTime::ZERO, SimDuration::from_micros(25));
         assert_eq!(s.busy_total(), SimDuration::from_micros(50));
-        assert_eq!(s.served_ops(), 2);
         assert!((s.utilisation(SimTime::from_micros(100)) - 0.5).abs() < 1e-9);
         assert_eq!(s.utilisation(SimTime::ZERO), 0.0);
     }
@@ -176,7 +161,6 @@ mod tests {
             assert_eq!(last, each.last().unwrap().completion);
             assert_eq!(run.next_free(), single.next_free());
             assert_eq!(run.busy_total(), single.busy_total());
-            assert_eq!(run.served_ops(), single.served_ops());
         }
     }
 
@@ -187,6 +171,5 @@ mod tests {
         s.reset();
         assert_eq!(s.next_free(), SimTime::ZERO);
         assert_eq!(s.busy_total(), SimDuration::ZERO);
-        assert_eq!(s.served_ops(), 0);
     }
 }

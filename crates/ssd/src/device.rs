@@ -58,11 +58,10 @@ use ossd_flash::FlashTiming;
 use ossd_ftl::{
     FlashOp, FlashOpKind, Ftl, FtlStats, Lpn, OpPurpose, PageFtl, StripeFtl, WriteContext,
 };
-use ossd_gc::{BackgroundCleaner, BackgroundGcStats};
 use ossd_sim::{Service, SimDuration, SimTime};
 use ossd_telemetry::{
-    BlameBreakdown, BlameCat, BlameCollector, BlameRecord, BlameSource, EventKind, MetricsSample,
-    TelemetryHandle, Track,
+    BlameBreakdown, BlameCat, BlameRecord, BlameSource, EventKind, MetricsSample, TelemetryHandle,
+    Track,
 };
 
 use crate::config::{MappingKind, SsdConfig};
@@ -82,8 +81,6 @@ pub struct Ssd {
     stats: SsdStats,
     last_read_end: Option<u64>,
     last_write_end: Option<u64>,
-    /// Idle-window background cleaning, when configured.
-    background: Option<BackgroundCleaner>,
     /// When the device last finished any work; the gap to the next request
     /// is the idle window background cleaning may use.
     last_activity: SimTime,
@@ -188,7 +185,8 @@ struct OpBlame {
 /// Device-side latency-attribution state (see `ossd_telemetry::attribution`).
 #[derive(Default)]
 struct Attribution {
-    collector: BlameCollector,
+    /// The attributed completions, in completion order.
+    records: Vec<BlameRecord>,
     /// Monotonic owner token for ledger self-matching.  Request ids can
     /// collide across initiators and sessions, so ledger segments are owned
     /// by this counter instead.
@@ -346,7 +344,6 @@ impl Ssd {
             .collect();
         let buses = (0..config.gangs).map(|_| ElementQueue::new()).collect();
         let stages = stage_table(&config.timing, config.geometry.page_bytes as u64);
-        let background = config.background_gc.map(BackgroundCleaner::new);
         Ok(Ssd {
             config,
             ftl,
@@ -356,7 +353,6 @@ impl Ssd {
             stats: SsdStats::default(),
             last_read_end: None,
             last_write_end: None,
-            background,
             last_activity: SimTime::ZERO,
             op_scratch: Vec::new(),
             telemetry: TelemetryHandle::noop(),
@@ -387,13 +383,13 @@ impl Ssd {
         self.attribution.is_some()
     }
 
-    /// Drains the attributed completions, leaving per-class/per-initiator
-    /// aggregates in place.  Experiments drain after a prefill phase so the
-    /// measured records cover only the workload of interest.
+    /// Drains the attributed completions.  Experiments drain after a
+    /// prefill phase so the measured records cover only the workload of
+    /// interest.
     pub fn take_blame_records(&mut self) -> Vec<BlameRecord> {
         self.attribution
             .as_mut()
-            .map(|a| a.collector.take_records())
+            .map(|a| std::mem::take(&mut a.records))
             .unwrap_or_default()
     }
 
@@ -451,11 +447,6 @@ impl Ssd {
                 .map(|q| q.server().utilisation(now))
                 .collect(),
         });
-    }
-
-    /// Background-cleaning statistics, when background GC is configured.
-    pub fn background_gc_stats(&self) -> Option<BackgroundGcStats> {
-        self.background.as_ref().map(|b| b.stats())
     }
 
     /// The device configuration.
@@ -715,62 +706,63 @@ impl Ssd {
     /// really was idle as a `DeviceIdle` span, from the later of `now` and
     /// its last activity, when that is not empty: an engine's clock starts
     /// every session at zero, and a fence finishes without flash work, so
-    /// neither clock alone says when the device went idle.  Then donates
-    /// the window since the last activity to background cleaning, if
-    /// background GC is configured, the gap is long enough, and free space
-    /// is below the background target.  The cleaning work is scheduled
-    /// inside the idle window (starting at the previous activity's end), so
-    /// it only delays later requests if the window was shorter than the
-    /// budgeted work.
+    /// neither clock alone says when the device went idle.  Then, when
+    /// background GC is configured, donates the window since the last
+    /// activity to background cleaning under the erase budget
+    /// [`BackgroundGcConfig::erase_budget()`] gives it: none for a short gap
+    /// or a device already at its free-space target.  The cleaning work is
+    /// scheduled inside the idle window (starting at the previous
+    /// activity's end), so it only delays later requests if the window was
+    /// shorter than the budgeted work.  Its erases and moves are counted in
+    /// the FTL's statistics (`bg_blocks_erased`, `bg_pages_moved`); an
+    /// attached sink also gets a `GcBackgroundWindow` span carrying the
+    /// window's two counts.
+    ///
+    /// [`BackgroundGcConfig::erase_budget()`]: ossd_gc::BackgroundGcConfig::erase_budget
     pub(crate) fn idle(&mut self, now: SimTime, until: SimTime) -> Result<(), SsdError> {
         let idle_from = now.max(self.last_activity);
         if until > idle_from {
             self.telemetry
                 .span(idle_from, until, Track::Device, EventKind::DeviceIdle, 0, 0);
         }
-        // Checked first: without a cleaner nothing below is needed, and the
-        // free fraction is a call through the `dyn Ftl` on every idle window.
-        let Some(cleaner) = self.background.as_mut() else {
+        // Checked first: without background GC nothing below is needed, and
+        // the free fraction is a call through the `dyn Ftl` on every idle
+        // window.
+        let Some(background) = self.config.background_gc else {
             return Ok(());
         };
         let free = self.ftl.free_page_fraction();
         let idle_micros = until.saturating_since(self.last_activity).as_nanos() / 1_000;
-        let budget = cleaner.plan(idle_micros, free);
+        let budget = background.erase_budget(idle_micros, free);
         if budget == 0 {
             return Ok(());
         }
-        let target = cleaner.target_free_fraction();
         let mut ops = std::mem::take(&mut self.op_scratch);
         ops.clear();
-        self.ftl.background_clean_into(budget, target, &mut ops)?;
-        let erases = ops
-            .iter()
-            .filter(|o| o.kind == FlashOpKind::EraseBlock)
-            .count() as u64;
-        let moves = ops
-            .iter()
-            .filter(|o| o.kind == FlashOpKind::CopybackPage)
-            .count() as u64;
+        self.ftl
+            .background_clean_into(budget, background.target_free_fraction, &mut ops)?;
         if !ops.is_empty() {
             let floor = self.last_activity;
             let (_, bg_finish) = self.schedule_ops(&ops, floor);
-            self.telemetry.span(
-                floor,
-                bg_finish,
-                Track::Device,
-                EventKind::GcBackgroundWindow,
-                erases,
-                moves,
-            );
+            if self.telemetry.is_enabled() {
+                // The FTL's statistics count the window's erases and moves;
+                // the span carries them only for the trace.
+                let count = |kind| ops.iter().filter(|o| o.kind == kind).count() as u64;
+                self.telemetry.span(
+                    floor,
+                    bg_finish,
+                    Track::Device,
+                    EventKind::GcBackgroundWindow,
+                    count(FlashOpKind::EraseBlock),
+                    count(FlashOpKind::CopybackPage),
+                );
+            }
             // Background work is activity: fold its finish time back so the
             // next request's idle-gap measurement doesn't count time the
             // device spent erasing as idle.
             self.last_activity = self.last_activity.max(bg_finish);
         }
         self.op_scratch = ops;
-        if let Some(cleaner) = self.background.as_mut() {
-            cleaner.record(erases, moves);
-        }
         Ok(())
     }
 
@@ -841,7 +833,6 @@ impl Ssd {
                         let uncorrectable = self.ftl.read_into(lpn, covered, &mut ops)?;
                         if uncorrectable && status.is_ok() {
                             status = CompletionStatus::UncorrectableRead;
-                            self.stats.failed_reads += 1;
                         }
                     }
                     let finish = if ops.is_empty() {
@@ -1005,7 +996,7 @@ impl Ssd {
                     .as_nanos(),
                 command.id
             );
-            a.collector.push(record);
+            a.records.push(record);
         }
         Ok(completion)
     }
@@ -1251,12 +1242,12 @@ mod tests {
             }
         }
         let before = ssd.stats();
-        let bg_before = ssd.background_gc_stats().unwrap();
         let cap = ssd.capacity_bytes();
         let bad = BlockRequest::read(u64::MAX, cap, 4096, at + SimDuration::from_millis(10));
         assert!(ssd.submit(&bad).is_err());
+        // The FTL's statistics, background cleaning's erases and moves
+        // among them, are part of the device's.
         assert_eq!(ssd.stats(), before);
-        assert_eq!(ssd.background_gc_stats().unwrap(), bg_before);
     }
 
     #[test]
@@ -1438,7 +1429,7 @@ mod tests {
         use ossd_gc::BackgroundGcConfig;
         // Same churn with and without background GC; idle gaps are inserted
         // between requests so the background cleaner has windows to use.
-        let run = |background: bool| -> (SsdStats, Option<ossd_gc::BackgroundGcStats>) {
+        let run = |background: bool| -> SsdStats {
             let mut config = SsdConfig::tiny_page_mapped();
             config.ftl = config
                 .ftl
@@ -1466,19 +1457,16 @@ mod tests {
                     at = c.finish + SimDuration::from_millis(1);
                 }
             }
-            (ssd.stats(), ssd.background_gc_stats())
+            ssd.stats()
         };
 
-        let (fg_only, none) = run(false);
-        assert!(none.is_none());
-        assert!(fg_only.ftl.bg_blocks_erased == 0);
+        let fg_only = run(false);
+        assert_eq!(fg_only.ftl.bg_blocks_erased, 0);
+        assert_eq!(fg_only.ftl.bg_pages_moved, 0);
         assert!(fg_only.cleaning_busy > SimDuration::ZERO);
 
-        let (with_bg, bg_stats) = run(true);
-        let bg_stats = bg_stats.unwrap();
-        assert!(bg_stats.windows_cleaned > 0, "background GC never ran");
-        assert!(with_bg.ftl.bg_blocks_erased > 0);
-        assert_eq!(with_bg.ftl.bg_blocks_erased, bg_stats.erases);
+        let with_bg = run(true);
+        assert!(with_bg.ftl.bg_blocks_erased > 0, "background GC never ran");
         assert!(with_bg.background_cleaning_busy > SimDuration::ZERO);
         // Moving cleaning into idle windows reduces the time host writes
         // stall behind foreground cleaning.
@@ -1507,22 +1495,29 @@ mod tests {
         };
         let mut ssd = Ssd::new(config).unwrap();
         let w = ssd
-            .submit(&BlockRequest::write(0, 0, 4096, SimTime::ZERO))
+            .submit(&BlockRequest::write(0, 0, 8192, SimTime::ZERO))
             .unwrap();
         assert!(w.is_ok(), "writes carry no read-path error");
+        // One two-page read: both pages stay uncorrectable, and the one
+        // command completes with the error.
         let r = ssd
-            .submit(&BlockRequest::read(1, 0, 4096, w.finish))
+            .submit(&BlockRequest::read(1, 0, 8192, w.finish))
             .expect("an uncorrectable read is a completion, not a serve error");
         assert_eq!(r.status, CompletionStatus::UncorrectableRead);
         let s = ssd.stats();
-        assert_eq!(s.failed_reads, 1);
-        assert_eq!(s.reliability.uncorrectable_reads, 1);
+        assert_eq!(s.reliability.uncorrectable_reads, 2);
         assert!(s.reliability.read_retries > 0);
         // The device remains serviceable afterwards.
-        let r2 = ssd
-            .submit(&BlockRequest::write(2, 4096, 4096, r.finish))
+        let w2 = ssd
+            .submit(&BlockRequest::write(2, 8192, 4096, r.finish))
             .unwrap();
-        assert!(r2.is_ok());
+        assert!(w2.is_ok());
+        // Failed commands are counted from the completions' statuses.
+        let failed = [w, r, w2]
+            .iter()
+            .filter(|c| c.status == CompletionStatus::UncorrectableRead)
+            .count();
+        assert_eq!(failed, 1);
     }
 
     #[test]

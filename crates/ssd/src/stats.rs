@@ -29,11 +29,6 @@ pub struct SsdStats {
     pub background_cleaning_busy: SimDuration,
     /// Flash busy time spent on explicit wear-leveling migrations.
     pub wear_level_busy: SimDuration,
-    /// Host read *requests* that completed with
-    /// `CompletionStatus::UncorrectableRead` (at least one of their pages
-    /// stayed uncorrectable; the per-page count is in
-    /// [`SsdStats::reliability`]).
-    pub failed_reads: u64,
     /// Host reads served from the sequential read-ahead buffer.
     pub prefetch_hits: u64,
     /// Host writes absorbed by controller RAM without immediate flash work.

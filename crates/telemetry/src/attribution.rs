@@ -22,8 +22,8 @@
 //! — the ledger observes dispatch, it never alters it, so attribution-off
 //! and attribution-on schedules are bit-identical.
 //!
-//! Aggregation lives in [`BlameCollector`] (per-class and per-initiator
-//! blamed totals plus the raw per-request records) and [`TailReport`]
+//! The device keeps one [`BlameRecord`] per attributed completion;
+//! aggregation lives in [`TailReport`], built from those records
 //! (p50/p99/p99.9/p99.99 per class, and the share of latency in the p99.9
 //! tail blamed on each category).  Export: [`TailReport::to_csv`] and
 //! Perfetto counter tracks via [`to_chrome_counters`].
@@ -345,58 +345,6 @@ impl BlameRecord {
     }
 }
 
-/// Accumulates [`BlameRecord`]s with per-class and per-initiator blamed
-/// totals.
-#[derive(Clone, Debug, Default)]
-pub struct BlameCollector {
-    records: Vec<BlameRecord>,
-    // Index 0..COUNT are ServiceClass rows; the last row collects barriers.
-    by_class: [BlameBreakdown; ServiceClass::COUNT + 1],
-    by_initiator: Vec<BlameBreakdown>,
-}
-
-impl BlameCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one attributed completion.
-    pub fn push(&mut self, record: BlameRecord) {
-        let class_row = record
-            .class
-            .map(|c| c.index())
-            .unwrap_or(ServiceClass::COUNT);
-        self.by_class[class_row].merge(&record.breakdown);
-        let init = record.initiator as usize;
-        if init >= self.by_initiator.len() {
-            self.by_initiator.resize(init + 1, BlameBreakdown::new());
-        }
-        self.by_initiator[init].merge(&record.breakdown);
-        self.records.push(record);
-    }
-
-    /// The raw records, in push order.
-    pub fn records(&self) -> &[BlameRecord] {
-        &self.records
-    }
-
-    /// Drain the raw records, leaving the aggregates intact.
-    pub fn take_records(&mut self) -> Vec<BlameRecord> {
-        std::mem::take(&mut self.records)
-    }
-
-    /// Number of records pushed (including any since drained).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no record is currently held.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
 /// Tail summary for one service class.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClassTail {
@@ -658,26 +606,6 @@ mod tests {
             finish: t(arrival_us + total_us),
             breakdown,
         }
-    }
-
-    #[test]
-    fn collector_aggregates_by_class_and_initiator() {
-        let mut c = BlameCollector::new();
-        c.push(record(Some(ServiceClass::Read), 0, 0, 10));
-        c.push(record(Some(ServiceClass::Write), 1, 5, 20));
-        c.push(record(None, 1, 9, 2));
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.by_class[ServiceClass::Read.index()].total_nanos(), 10_000);
-        assert_eq!(c.by_class[ServiceClass::COUNT].total_nanos(), 2_000);
-        assert_eq!(c.by_initiator[1].total_nanos(), 22_000);
-        for r in c.records() {
-            assert!(r.is_exact());
-        }
-        let drained = c.take_records();
-        assert_eq!(drained.len(), 3);
-        assert!(c.is_empty());
-        // Aggregates survive the drain.
-        assert_eq!(c.by_initiator[0].total_nanos(), 10_000);
     }
 
     #[test]

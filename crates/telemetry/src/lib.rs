@@ -21,8 +21,9 @@
 //! * **Latency attribution** ([`attribution`]) — per-request blame
 //!   accounting: every completion's `(finish − arrival)` decomposed into
 //!   components (SQ wait, fences, controller, own flash/bus/ECC/map time,
-//!   GC interference, plain queueing) that sum exactly, aggregated into a
-//!   per-class [`TailReport`] with p99.9 blame shares.
+//!   GC interference, plain queueing) that sum exactly, kept as one
+//!   [`BlameRecord`] per completion; [`TailReport`] aggregates the records
+//!   per class, with p99.9 blame shares.
 //!
 //! The [`chrome`] module renders recorded events as Chrome-trace-event JSON
 //! that opens directly in Perfetto or `chrome://tracing`; the exports are
@@ -38,8 +39,8 @@ pub mod metrics;
 pub mod recorder;
 
 pub use attribution::{
-    to_chrome_counters, BlameBreakdown, BlameCat, BlameCollector, BlameLedger, BlameRecord,
-    BlameSource, ClassTail, TailReport,
+    to_chrome_counters, BlameBreakdown, BlameCat, BlameLedger, BlameRecord, BlameSource, ClassTail,
+    TailReport,
 };
 pub use chrome::to_chrome_trace;
 pub use event::{purpose, EventKind, TraceEvent, Track};

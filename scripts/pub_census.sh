@@ -5,9 +5,13 @@
 #   scripts/pub_census.sh            # one line per item, then a summary
 #
 # An item is a `pub` fn, struct, enum, trait, type alias, const, static,
-# union or module under `crates/<name>/src` (fields, enum variants and
-# `pub use` re-exports are not counted; `pub(crate)` and narrower are not
-# `pub`).  Code under `#[cfg(test)]` is skipped, including the files of
+# union or module under `crates/<name>/src` (enum variants and `pub use`
+# re-exports are not counted; `pub(crate)` and narrower are not `pub`).
+# Fields are counted in one place: a ledger, a `pub` struct whose name
+# ends in `Stats`, `Counters` or `Summary`, has each of its `pub` fields
+# reported like an item, so a counter that only its own crate reads (a
+# second count, or one kept for a number nothing prints) shows here.
+# Code under `#[cfg(test)]` is skipped, including the files of
 # `#[cfg(test)] mod name;` modules.  "Outside" is every other crate's
 # source, every crate's integration tests (the crate's own included),
 # the root package's `src/`, `tests/` and `examples/`, the benchmark's
@@ -23,6 +27,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 total=0
+fields=0
 crates=0
 for dir in crates/*/; do
     dir=${dir%/}
@@ -36,7 +41,7 @@ for dir in crates/*/; do
     found=$(find "$dir/src" -name '*.rs' | LC_ALL=C sort | xargs awk -v crate="$crate" '
         # Files of `#[cfg(test)] mod name;` modules, seen in an earlier file
         # (a parent sorts before its children), are test-only.
-        FNR == 1 { testfile = (FILENAME in testonly); depth = 0; pending = 0; until = -1 }
+        FNR == 1 { testfile = (FILENAME in testonly); depth = 0; pending = 0; until = -1; ledger = "" }
         testfile { next }
         {
             line = $0
@@ -75,18 +80,29 @@ for dir in crates/*/; do
                 item = substr(line, RSTART, RLENGTH)
                 sub(/^[ \t]*pub (const |async |unsafe )*/, "", item)
                 print crate "\t" FILENAME ":" FNR "\t" item
+                # A ledger with named fields: its `pub` fields follow, one
+                # level deeper, until its braces balance.
+                if (item ~ /^struct [A-Za-z0-9_]*(Stats|Counters|Summary)$/ && opens > closes) {
+                    ledger = item; sub(/^struct /, "", ledger); ledger_depth = depth
+                }
+            } else if (ledger != "" && match(line, /^[ \t]*pub [a-z_][a-z0-9_]*:/)) {
+                field = substr(line, RSTART, RLENGTH)
+                sub(/^[ \t]*pub /, "", field); sub(/:$/, "", field)
+                print crate "\t" FILENAME ":" FNR "\tfield " ledger "." field
             }
             depth += opens - closes
+            if (ledger != "" && depth <= ledger_depth) ledger = ""
         }
     ' | awk -F '\t' -v words="${TMPDIR:-/tmp}/pub_census_words.$$" '
         BEGIN { while ((getline w < words) > 0) named[w] = 1 }
-        { n = split($3, part, / +/); if (!(part[n] in named)) print }
+        { n = split($3, part, / +/); name = part[n]; sub(/.*\./, "", name); if (!(name in named)) print }
     ')
     rm -f "${TMPDIR:-/tmp}/pub_census_words.$$"
     if [ -n "$found" ]; then
         printf '%s\n' "$found"
         total=$((total + $(printf '%s\n' "$found" | wc -l)))
+        fields=$((fields + $(printf '%s\n' "$found" | grep -c '	field ' || true)))
         crates=$((crates + 1))
     fi
 done
-echo "$total pub items named nowhere outside their crate, in $crates crates"
+echo "$((total - fields)) pub items and $fields ledger fields named nowhere outside their crate, in $crates crates"

@@ -26,6 +26,7 @@ use ossd::ftl::FtlConfig;
 use ossd::gc::BackgroundGcConfig;
 use ossd::sim::{SimDuration, SimRng, SimTime};
 use ossd::ssd::{MappingKind, SchedulerKind, Ssd, SsdConfig};
+use ossd_telemetry::{EventKind, Recorder, RecorderConfig};
 
 fn golden_config() -> SsdConfig {
     SsdConfig {
@@ -328,6 +329,10 @@ fn engine_swtf_qd1_matches_pre_refactor_schedule() {
 #[test]
 fn engine_idle_windows_match_pre_refactor_background_cleaning() {
     let mut ssd = Ssd::new(bg_config()).unwrap();
+    // Telemetry never alters the schedule; the recorder sees each cleaned
+    // idle window as one span.
+    let (handle, recorder) = Recorder::shared(RecorderConfig::default());
+    ssd.set_telemetry(handle);
     let logical_pages = ssd.capacity_bytes() / 4096;
     for i in 0..logical_pages {
         ssd.submit(&BlockRequest::write(
@@ -341,8 +346,16 @@ fn engine_idle_windows_match_pre_refactor_background_cleaning() {
     let completions = serve_open(&mut ssd, &bg_trace(logical_pages));
     assert_matches(&completions, &GOLDEN_BG_FCFS, "bg-fcfs");
     // The idle windows must actually have been donated to background GC.
-    let bg = ssd.background_gc_stats().expect("background GC configured");
-    assert_eq!(bg.windows_cleaned, 12);
-    assert_eq!(bg.erases, 24);
-    assert_eq!(bg.pages_moved, 145);
+    let ftl = ssd.ftl_stats();
+    assert_eq!(ftl.bg_blocks_erased, 24);
+    assert_eq!(ftl.bg_pages_moved, 145);
+    let recorder = recorder.lock().unwrap();
+    assert_eq!(recorder.dropped_events(), 0);
+    let windows: Vec<(u64, u64)> = (recorder.events().iter())
+        .filter(|e| e.kind == EventKind::GcBackgroundWindow)
+        .map(|e| (e.a, e.b))
+        .collect();
+    assert_eq!(windows.len(), 12);
+    let erases_and_moves = windows.iter().fold((0, 0), |t, w| (t.0 + w.0, t.1 + w.1));
+    assert_eq!(erases_and_moves, (24, 145));
 }

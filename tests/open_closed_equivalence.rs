@@ -9,10 +9,11 @@
 //! dispatch step itself — and the engine is the reference it is held to:
 //! submitting the requests one at a time and serving them as one
 //! initiator's queue (`HostInterface::serve`, the open driver) must give
-//! the same completions (statuses included), device and FTL statistics,
-//! wear, background-cleaning counters, blame records, and everything an
-//! attached recorder sees except the engine's own `engine.*` counters and
-//! the one `SessionArbitrated` instant a session records.  That holds for both FTL
+//! the same completions (statuses included), device and FTL statistics
+//! (background cleaning's erases and moves included), wear, blame records,
+//! and everything an attached recorder sees (the background windows
+//! included) except the engine's own `engine.*` counters and the one
+//! `SessionArbitrated` instant a session records.  That holds for both FTL
 //! kinds, both schedulers and two queue depths; on a plain device and on
 //! one with background GC, a finite map budget, the wear-out fault preset
 //! and high-priority commands; with arrivals spaced apart and back to back
@@ -29,7 +30,7 @@ use ossd_block::{
 };
 use ossd_flash::{FaultConfig, FlashTiming, WearSummary};
 use ossd_ftl::{CleaningMode, MapCacheConfig};
-use ossd_gc::{BackgroundGcConfig, BackgroundGcStats};
+use ossd_gc::BackgroundGcConfig;
 use ossd_sim::{SimDuration, SimRng, SimTime};
 use ossd_ssd::{SchedulerKind, Ssd, SsdConfig, SsdStats};
 use ossd_telemetry::{BlameRecord, EventKind, MetricsSample, Recorder, RecorderConfig, TraceEvent};
@@ -107,7 +108,6 @@ struct Observed {
     completions: Result<Vec<Completion>, DeviceError>,
     stats: SsdStats,
     wear: WearSummary,
-    background: Option<BackgroundGcStats>,
     blame: Vec<BlameRecord>,
     events: Vec<TraceEvent>,
     counters: Vec<(&'static str, u64)>,
@@ -125,7 +125,6 @@ fn observe(
         completions,
         stats: ssd.stats(),
         wear: ssd.wear_summary(),
-        background: ssd.background_gc_stats(),
         blame: ssd.take_blame_records(),
         events: (recorder.events().iter())
             .filter(|e| e.kind != EventKind::SessionArbitrated)
@@ -198,7 +197,6 @@ fn differences(a: &Observed, b: &Observed) -> String {
         ("completions", a.completions != b.completions),
         ("stats", a.stats != b.stats),
         ("wear", a.wear != b.wear),
-        ("background", a.background != b.background),
         ("blame", a.blame != b.blame),
         ("counters", a.counters != b.counters),
         ("samples", a.samples != b.samples),
@@ -276,7 +274,7 @@ fn check(seeds: impl Iterator<Item = u64>) -> Coverage {
                                 .filter(|r| r.priority == Priority::High)
                                 .count()
                                 as u64;
-                            coverage.background_erases += closed.background.map_or(0, |b| b.erases);
+                            coverage.background_erases += closed.stats.ftl.bg_blocks_erased;
                             coverage.map_misses += closed.stats.map.misses;
                             coverage.idle_spans += closed
                                 .events
